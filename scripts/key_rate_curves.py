@@ -11,6 +11,7 @@ Grid points are independent; set DI_TOOLKIT_THREADS to parallelize.
 import argparse
 import os
 
+from di_toolkit import cli
 from di_toolkit import keyrates as kr
 
 CAPS = kr.RateCaps(soundness=1e-5, completeness=1e-2, eps_ec=1e-10)
@@ -22,17 +23,9 @@ N_SWEEP_QS = [0.005, 0.025, 0.05]
 N_GRID = [10.0**(e / 2) for e in range(12, 31)]  # 1e6 .. 1e15
 
 
-def write_csv(path, rows):
+def write_csv(path, grid, reports):
     with open(path, "w") as fh:
-        fh.write("axis_value,rate,rate_clamped,key_length,gamma,delta_est,"
-                 "cut,entropy_term,leak_ec,log_correction,max_entropy_term,"
-                 "pa_term\n")
-        for value, rep in rows:
-            fh.write(",".join(f"{v:.9g}" for v in (
-                value, rep.rate, max(rep.rate, 0.0), rep.key_length,
-                rep.params.gamma, rep.params.delta_est, rep.best_cut,
-                rep.entropy_term, rep.leak_ec, rep.log_correction,
-                rep.max_entropy_term, rep.pa_term)) + "\n")
+        fh.write(cli.csv_text(*cli.rate_curve_table(grid, reports)))
     print(f"wrote {path}")
 
 
@@ -48,12 +41,12 @@ def main():
     for n in (Q_SWEEP_NS[:2] if args.quick else Q_SWEEP_NS):
         reports = kr.rate_curve("q", q_grid, {"n": n, "q": None}, CAPS)
         write_csv(os.path.join(args.out_dir, f"rate_vs_qber_n{n:.0e}.csv"),
-                  list(zip(q_grid, reports)))
+                  q_grid, reports)
 
     for q in (N_SWEEP_QS[:1] if args.quick else N_SWEEP_QS):
         reports = kr.rate_curve("n", n_grid, {"q": q, "n": None}, CAPS)
         write_csv(os.path.join(args.out_dir, f"rate_vs_rounds_q{q:g}.csv"),
-                  list(zip(n_grid, reports)))
+                  n_grid, reports)
 
 
 if __name__ == "__main__":

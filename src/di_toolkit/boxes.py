@@ -435,14 +435,6 @@ def threshold_win_fraction(data: ObservedData, game: Game) -> float:
 # multi-round operations
 
 
-def _digits(index: int, base: int, n: int) -> tuple:
-    out = []
-    for _ in range(n):
-        out.append(index % base)
-        index //= base
-    return tuple(out)
-
-
 def _string_permutation(base: int, n: int, perm: np.ndarray) -> np.ndarray:
     """Index mapping s -> s' with digit i of s' = digit perm^{-1}(i) of s.
 

@@ -30,13 +30,32 @@ def _round_sig(value, digits: int = 9):
     return value
 
 
+def csv_text(header, rows) -> str:
+    """CSV with floats at 9 significant digits."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{v:.9g}" if isinstance(v, float) else str(v)
+                              for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def rate_curve_table(grid, reports) -> tuple:
+    """(header, rows) of a rate-curve CSV: one row per grid value and its
+    RateReport."""
+    header = ["axis_value", "rate", "rate_clamped", "key_length", "gamma",
+              "delta_est", "cut", "entropy_term", "leak_ec", "log_correction",
+              "max_entropy_term", "pa_term"]
+    rows = [(value, rep.rate, max(rep.rate, 0.0), rep.key_length,
+             rep.params.gamma, rep.params.delta_est, rep.best_cut,
+             rep.entropy_term, rep.leak_ec, rep.log_correction,
+             rep.max_entropy_term, rep.pa_term)
+            for value, rep in zip(grid, reports)]
+    return header, rows
+
+
 def _emit(args, payload, csv_rows=None, csv_header=None):
     if getattr(args, "format", "json") == "csv" and csv_rows is not None:
-        lines = [",".join(csv_header)]
-        for row in csv_rows:
-            lines.append(",".join(f"{v:.9g}" if isinstance(v, float) else str(v)
-                                  for v in row))
-        text = "\n".join(lines) + "\n"
+        text = csv_text(csv_header, csv_rows)
     else:
         text = json.dumps(_round_sig(payload), indent=2) + "\n"
     if getattr(args, "out", None):
@@ -99,19 +118,14 @@ def _cmd_rate_curve(args):
     grid = [float(v) for v in args.grid.split(",")]
     fixed = {"q": args.q, "n": args.n}
     reports = keyrates.rate_curve(args.axis, grid, fixed, caps, mode=args.mode)
-    rows, payload_pts = [], []
+    payload_pts = []
     for value, rep in zip(grid, reports):
-        rows.append((value, rep.rate, max(rep.rate, 0.0), rep.key_length,
-                     rep.params.gamma, rep.params.delta_est, rep.best_cut,
-                     rep.entropy_term, rep.leak_ec, rep.log_correction,
-                     rep.max_entropy_term, rep.pa_term))
         d = rep.to_json_dict()
         d["axis_value"] = value
         payload_pts.append(d)
+    header, rows = rate_curve_table(grid, reports)
     _emit(args, {"axis": args.axis, "points": payload_pts}, csv_rows=rows,
-          csv_header=["axis_value", "rate", "rate_clamped", "key_length",
-                      "gamma", "delta_est", "cut", "entropy_term", "leak_ec",
-                      "log_correction", "max_entropy_term", "pa_term"])
+          csv_header=header)
 
 
 def _cmd_ns_value(args):

@@ -1,16 +1,26 @@
 r"""Min-tradeoff functions and finite-size entropy rates.
 
-The per-round min-tradeoff function is the CHSH secrecy bound expressed in
-the test-statistic variable p(1) (probability of a winning test round),
-"cut and glued" to an affine continuation above a cut point so that its
-slope stays bounded.  The accumulated-entropy rate mu subtracts a
-second-order penalty proportional to (log2(1 + 2*d_O) + slope)/sqrt(n);
-mu_opt tunes the cut to balance lost first-order entropy against that
-penalty.
+The per-round min-tradeoff function is the CHSH secrecy bound g, expressed
+in the test-statistic variable p(1) (probability of a winning test round),
+"cut and glued" to its tangent above a cut point c so that its slope stays
+bounded (Arnon-Friedman, Renner, Vidick).  The accumulated-entropy rate of
+the entropy accumulation theorem (Dupuis, Fawzi, Renner) at statistic p1 is
+
+    mu(c) = g(c) + g'(c) (p1 - c) - K (log2 d_O + g'(c)),
+    K = (2/sqrt(n)) sqrt(1 - 2 log2(eps_s eps_e))
+
+for a cut c below p1.  Its derivative is dmu/dc = g''(c) (p1 - c - K): the
+dimension term log2 d_O does not depend on c, and g is strictly convex, so
+mu rises up to c = p1 - K and falls after it (for c >= p1 the glued
+function is g(p1) and only the penalty, falling at rate K g''(c), moves).
+mu_opt's best cut is therefore c* = clamp(p1 - K) to the cut interval,
+with no numerical search.
 
 The block variant groups rounds into blocks that end at the first test
 round or after s_max rounds, which improves how the penalty scales with the
-test probability gamma.
+test probability gamma.  Its per-block function s_bar g(c / mass) is convex
+in the same way, so mu_block_opt uses the same closed form with m blocks in
+place of n rounds.
 """
 
 from __future__ import annotations
@@ -27,8 +37,6 @@ LOG2_13 = math.log2(13.0)
 LOG2_7 = math.log2(7.0)
 
 CUT_EDGE_SHRINK = 1e-9
-GRID_POINTS = 256
-GOLDEN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -110,10 +118,16 @@ def f_min(p1: float, spec: TradeoffSpec) -> float:
     return a * p1 + b
 
 
+def _penalty_scale(eps: EatEpsilons, n: float) -> float:
+    """K = (2/sqrt(n)) sqrt(1 - 2 log2(eps_s eps_e)), the factor of
+    (log2 d_O + slope) in the second-order term."""
+    return (2.0 / math.sqrt(n)) * math.sqrt(
+        1.0 - 2.0 * math.log2(eps.eps_s * eps.eps_e))
+
+
 def _second_order(slope: float, eps: EatEpsilons, n: float,
                   log2_do: float = LOG2_13) -> float:
-    return (2.0 / math.sqrt(n)) * (log2_do + slope) * math.sqrt(
-        1.0 - 2.0 * math.log2(eps.eps_s * eps.eps_e))
+    return _penalty_scale(eps, n) * (log2_do + slope)
 
 
 def mu(p1: float, spec: TradeoffSpec, eps: EatEpsilons, n: float) -> float:
@@ -125,40 +139,6 @@ def mu(p1: float, spec: TradeoffSpec, eps: EatEpsilons, n: float) -> float:
     return f_min(p1, spec) - _second_order(slope, eps, n)
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float):
-    """Golden-section maximization; ties resolve toward the smaller point."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    x = a if fn(a) >= fn(b) else b
-    return x, fn(x)
-
-
-def _grid_then_golden(fn, lo: float, hi: float):
-    """256-point grid scan followed by golden-section refinement around the
-    best grid cell; deterministic, ties toward the smaller argument."""
-    step = (hi - lo) / (GRID_POINTS - 1)
-    best_i, best_v = 0, -math.inf
-    for i in range(GRID_POINTS):
-        v = fn(lo + i * step)
-        if v > best_v + 1e-15:
-            best_v, best_i = v, i
-    a = lo + max(best_i - 1, 0) * step
-    b = lo + min(best_i + 1, GRID_POINTS - 1) * step
-    return _golden_max(fn, a, b, GOLDEN_TOL * max(abs(hi), 1.0))
-
-
 def cut_interval(gamma: float) -> tuple:
     """Open cut interval, shrunk away from the infinite-slope upper edge."""
     lo = gamma * OMEGA_CLASSICAL + CUT_EDGE_SHRINK * gamma
@@ -166,26 +146,34 @@ def cut_interval(gamma: float) -> tuple:
     return lo, hi
 
 
-@lru_cache(maxsize=65536)
+def _optimal_cut(p1: float, eps: EatEpsilons, count: float,
+                 scale: float) -> float:
+    """c* = clamp(p1 - K, cut_interval(scale)), the maximizer of the cut
+    objective: its derivative g''(c) (p1 - c - K) has the sign of
+    p1 - K - c because g is strictly convex."""
+    if count <= 0:
+        raise ValueError("round or block count must be positive")
+    lo, hi = cut_interval(scale)
+    if lo >= hi:
+        raise ValueError("empty cut interval")
+    return min(max(p1 - _penalty_scale(eps, count), lo), hi)
+
+
 def mu_opt(omega_exp: float, delta_est: float, gamma: float, n: float,
            eps: EatEpsilons) -> tuple:
     """Maximize mu at p1 = omega_exp*gamma - delta_est over the cut point.
 
-    Returns (value, best_cut).  Pure, hence memoized.
+    Returns (value, best_cut) with best_cut = clamp(p1 - K) to
+    cut_interval(gamma), K = (2/sqrt(n)) sqrt(1 - 2 log2(eps_s eps_e)):
+    dmu/dc = g''(c) (p1 - c - K), and the dimension term log2(13) is
+    constant in c.
     """
     p1 = omega_exp * gamma - delta_est
     ratio = p1 / gamma
     if not OMEGA_CLASSICAL <= ratio <= 1.0:
         raise ValueError("omega_exp*gamma - delta_est outside the domain")
-    lo, hi = cut_interval(gamma)
-    if lo >= hi:
-        raise ValueError("empty cut interval")
-
-    def objective(cut):
-        return mu(p1, TradeoffSpec(gamma, cut), eps, n)
-
-    cut, value = _grid_then_golden(objective, lo, hi)
-    return value, cut
+    cut = _optimal_cut(p1, eps, n, gamma)
+    return mu(p1, TradeoffSpec(gamma, cut), eps, n), cut
 
 
 def entropy_lower_bound(n: float, mu_opt_value: float) -> float:
@@ -257,25 +245,20 @@ def mu_block(p1_tilde: float, block: BlockSpec, cut: float,
         slope, eps, m_blocks, log2_do=_log2_block_dim(block.s_max))
 
 
-@lru_cache(maxsize=65536)
 def mu_block_opt(omega_exp: float, delta_est: float, block: BlockSpec,
                  m_blocks: float, eps: EatEpsilons) -> tuple:
     """Maximize mu_block at p~1 = omega_exp * test_mass - delta_est over the
-    cut.  Returns (value, best_cut) with the cut on the p~(1) scale.  Pure,
-    hence memoized."""
+    cut.  Returns (value, best_cut) with the cut on the p~(1) scale:
+    best_cut = clamp(p~1 - K) to cut_interval(test_mass), K as in mu_opt
+    with m_blocks in place of n; the dimension term log2(1 + 2*6^s_max) is
+    constant in the cut and drops out."""
     mass = block.test_mass
     p1 = omega_exp * mass - delta_est
     ratio = p1 / mass
     if not OMEGA_CLASSICAL <= ratio <= 1.0:
         raise ValueError("test statistic outside the domain")
-    lo = mass * (OMEGA_CLASSICAL + CUT_EDGE_SHRINK)
-    hi = mass * (OMEGA_QUANTUM - CUT_EDGE_SHRINK)
-
-    def objective(cut):
-        return mu_block(p1, block, cut, eps, m_blocks)
-
-    cut, value = _grid_then_golden(objective, lo, hi)
-    return value, cut
+    cut = _optimal_cut(p1, eps, m_blocks, mass)
+    return mu_block(p1, block, cut, eps, m_blocks), cut
 
 
 def round_count_tail(m_blocks: float, gamma: float, eps_t: float) -> float:

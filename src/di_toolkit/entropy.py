@@ -15,21 +15,6 @@ OMEGA_QUANTUM = (2.0 + math.sqrt(2.0)) / 4.0
 _CLAMP = 1e-12
 
 
-@dataclass(frozen=True)
-class WinningProbability:
-    """A CHSH winning probability with its regime predicate."""
-
-    omega: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.omega <= 1.0:
-            raise ValueError("omega must be in [0,1]")
-
-    @property
-    def in_quantum_regime(self) -> bool:
-        return OMEGA_CLASSICAL <= self.omega <= OMEGA_QUANTUM
-
-
 def binary_entropy(p: float) -> float:
     """h(p) = -p log2 p - (1-p) log2(1-p), with h(0) = h(1) = 0."""
     if p < -_CLAMP or p > 1.0 + _CLAMP:

@@ -354,6 +354,26 @@ def _eval_point(target: RateTarget, caps: RateCaps, mode: str, gamma: float,
 _DEFAULT_SHARES = (1.0, 1.0, 1.0)
 
 
+def _golden_max(fn, lo: float, hi: float, tol: float):
+    """Golden-section maximization; ties resolve toward the smaller point."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    x = a if fn(a) >= fn(b) else b
+    return x, fn(x)
+
+
 def _share_grid() -> list:
     """Candidate (eps_s, eps_ea, eps_pa) proportions around the equal split,
     3 log-spaced points per decade over two decades each way."""
@@ -399,7 +419,7 @@ def optimize_rate(target: RateTarget, caps: RateCaps,
 
     def refine_delta(gamma, delta, shares):
         dlo, dhi = max(delta / 2.4, 1e-7), min(delta * 2.4, 0.5)
-        return eat._golden_max(
+        return _golden_max(
             lambda d_: evaluate(gamma, d_, shares), dlo, dhi, 1e-4 * delta)[0]
 
     def gamma_brackets(gamma):
@@ -424,7 +444,7 @@ def optimize_rate(target: RateTarget, caps: RateCaps,
                 if glo == ghi:
                     gm, val = glo, evaluate(glo, delta, shares)
                 else:
-                    gm, val = eat._golden_max(
+                    gm, val = _golden_max(
                         lambda g_: evaluate(g_, delta, shares), glo, ghi,
                         1e-5 * glo)
                 if val > cand[0]:

@@ -42,13 +42,6 @@ class LinearProgram:
     def num_vars(self) -> int:
         return self.c.shape[0]
 
-    def to_text(self) -> str:
-        """Plain-text tabular dump for debugging."""
-        lines = ["max " + " ".join(f"{v:+g}" for v in self.c)]
-        for coeffs, rel, rhs in self.rows:
-            lines.append(" ".join(f"{v:+g}" for v in coeffs) + f" {rel} {rhs:g}")
-        return "\n".join(lines)
-
 
 @dataclass
 class LPSolution:

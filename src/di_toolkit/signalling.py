@@ -95,10 +95,6 @@ def all_sig_targets(alphabets: Alphabets) -> list:
     return targets
 
 
-def max_sig(box: SingleRoundBox, q: InputDistribution) -> float:
-    return max(sig_measure(box, q, t) for t in all_sig_targets(box.alphabets))
-
-
 def sanov_delta(n: int, eps: float, cells: int) -> float:
     """(n+1)^(cells-1) * exp(-n*eps^2/2): Sanov bound on the probability
     that the empirical conditional distribution of n samples is more than

@@ -126,6 +126,46 @@ class TestMu:
         assert eat.mu(0.8, spec, eps, 100.0) < eat.f_min(0.8, spec)
 
 
+SCAN_POINTS = 2049
+
+
+def _check_cut_optimum(value, cut, objective, scale):
+    """(value, cut) is the objective at the cut, no worse than a dense scan
+    of the cut interval, and no worse than the objective 1e-6*scale away."""
+    assert value == objective(cut)
+    tol = 1e-9 * max(1.0, abs(value))
+    lo, hi = eat.cut_interval(scale)
+    assert lo <= cut <= hi
+    scan_best = max(objective(c) for c in np.linspace(lo, hi, SCAN_POINTS))
+    assert value >= scan_best - tol
+    for c in (cut - 1e-6 * scale, cut + 1e-6 * scale):
+        if lo <= c <= hi:
+            assert value >= objective(c)
+
+
+def _random_point(rng):
+    """A random (omega_exp, gamma, count, eps) in the domain."""
+    gamma = float(rng.uniform(0.05, 1.0))
+    count = float(10.0 ** rng.uniform(3.0, 12.0))
+    es, ee = (float(e) for e in 10.0 ** rng.uniform(-10.0, -2.0, size=2))
+    omega = float(rng.uniform(0.76, OMEGA_QUANTUM))
+    return omega, gamma, count, eat.EatEpsilons(es, ee)
+
+
+def _round_objective(omega, delta, gamma, n, eps):
+    p1 = omega * gamma - delta
+    return lambda c: eat.mu(p1, eat.TradeoffSpec(gamma, c), eps, n)
+
+
+def _block_objective(omega, delta, block, m, eps):
+    p1 = omega * block.test_mass - delta
+    return lambda c: eat.mu_block(p1, block, c, eps, m)
+
+
+def _block_for(gamma):
+    return eat.BlockSpec(gamma, max(int(math.ceil(1.0 / gamma - 1e-9)), 1))
+
+
 class TestMuOpt:
     @pytest.mark.parametrize("params,points", sorted(MU_OPT_CURVES.items()))
     def test_reference_curves(self, params, points):
@@ -171,6 +211,50 @@ class TestMuOpt:
         eps = eat.EatEpsilons(1e-6, 1e-6)
         with pytest.raises(ValueError):
             eat.mu_opt(0.751, 0.1, 1.0, 1e8, eps)
+
+    def test_closed_form_against_scan(self, rng):
+        for _ in range(40):
+            omega, gamma, n, eps = _random_point(rng)
+            delta = float(rng.uniform(0.0, 0.9 * (omega - 0.75) * gamma))
+            value, cut = eat.mu_opt(omega, delta, gamma, n, eps)
+            _check_cut_optimum(value, cut,
+                               _round_objective(omega, delta, gamma, n, eps),
+                               gamma)
+
+    # small n pushes p1 - K below the interval; omega_exp near 1 above it
+    @pytest.mark.parametrize("omega,delta,gamma,n,end", [
+        (0.80, 1e-3, 0.5, 100.0, 0), (0.999, 1e-6, 1.0, 1e12, 1)])
+    def test_closed_form_clamped(self, omega, delta, gamma, n, end):
+        eps = eat.EatEpsilons(1e-6, 1e-6)
+        value, cut = eat.mu_opt(omega, delta, gamma, n, eps)
+        assert cut == eat.cut_interval(gamma)[end]
+        _check_cut_optimum(value, cut,
+                           _round_objective(omega, delta, gamma, n, eps),
+                           gamma)
+
+
+class TestMuBlockOpt:
+    def test_closed_form_against_scan(self, rng):
+        for _ in range(40):
+            omega, gamma, m, eps = _random_point(rng)
+            block = _block_for(gamma)
+            mass = block.test_mass
+            delta = float(rng.uniform(0.0, 0.9 * (omega - 0.75) * mass))
+            value, cut = eat.mu_block_opt(omega, delta, block, m, eps)
+            _check_cut_optimum(value, cut,
+                               _block_objective(omega, delta, block, m, eps),
+                               mass)
+
+    @pytest.mark.parametrize("omega,delta,m,end", [
+        (0.80, 1e-4, 100.0, 0), (0.999, 1e-6, 1e12, 1)])
+    def test_closed_form_clamped(self, omega, delta, m, end):
+        eps = eat.EatEpsilons(1e-6, 1e-6)
+        block = _block_for(0.1)
+        value, cut = eat.mu_block_opt(omega, delta, block, m, eps)
+        assert cut == eat.cut_interval(block.test_mass)[end]
+        _check_cut_optimum(value, cut,
+                           _block_objective(omega, delta, block, m, eps),
+                           block.test_mass)
 
 
 class TestKeyLengthHelpers:

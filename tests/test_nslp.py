@@ -55,12 +55,6 @@ class TestSolver:
             rhs = np.array([r[2] for r in rows])
             assert float(sol.dual @ rhs) == pytest.approx(sol.value, abs=1e-8)
 
-    def test_lp_text_dump(self):
-        lp = nslp.LinearProgram(np.array([1.0]),
-                                [(np.array([2.0]), "<=", 1.0)])
-        text = lp.to_text()
-        assert "max" in text and "<=" in text
-
 
 class TestGamePrograms:
     def test_chsh_row_counts(self, chsh):
