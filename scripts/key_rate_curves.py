@@ -3,9 +3,8 @@
 
 Sweeps the QBER at several expected round counts, and the round count at
 several QBERs, optimizing the free protocol parameters at every point.
-Writes CSV files into the given output directory (default: cwd).
-
-Grid points are independent; set DI_TOOLKIT_THREADS to parallelize.
+Writes CSV files into the given output directory (default: cwd), which
+is created if missing.
 """
 
 import argparse
@@ -37,6 +36,7 @@ def main():
     args = parser.parse_args()
     q_grid = Q_GRID[::4] if args.quick else Q_GRID
     n_grid = N_GRID[::4] if args.quick else N_GRID
+    os.makedirs(args.out_dir, exist_ok=True)
 
     for n in (Q_SWEEP_NS[:2] if args.quick else Q_SWEEP_NS):
         reports = kr.rate_curve("q", q_grid, {"n": n, "q": None}, CAPS)

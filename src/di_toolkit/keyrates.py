@@ -14,7 +14,9 @@ finite-size corrections:
 The block mode replaces the per-round accumulation with the block variant
 (better scaling in the test probability gamma), works with the expected
 round count n_bar, and charges a tail correction t for the random total
-round count.
+round count.  Only t, the leakage and the max-entropy term depend on the
+tail error eps_t; the entropy term, the log correction and the PA term do
+not, so the optimizer's eps_t sweep computes them once per parameter point.
 
 Negative key lengths are reported as-is so that the zero crossings of rate
 curves can be located; callers clamp for presentation.
@@ -23,8 +25,8 @@ curves can be located; callers clamp for presentation.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import eat
 from .eat import BlockSpec, EatEpsilons
@@ -150,6 +152,12 @@ def honest_werner(nu: float) -> tuple:
     return (2.0 + math.sqrt(2.0) * (1.0 - nu)) / 4.0, nu / 2.0
 
 
+def _leak_rate(params: ProtocolParams) -> float:
+    """Per-round first-order leakage (1-gamma) h(Q) + gamma h(omega_exp)."""
+    return ((1.0 - params.gamma) * binary_entropy(params.q)
+            + params.gamma * binary_entropy(params.omega_exp))
+
+
 def leak_ec(n_eff: float, params: ProtocolParams, eps_ec_prime: float,
             eps_ec: float, eps_t: float = 0.0) -> float:
     """Error-correction leakage of the honest IID implementation.
@@ -158,13 +166,18 @@ def leak_ec(n_eff: float, params: ProtocolParams, eps_ec_prime: float,
     term's smoothing parameter is shifted to eps_ec_prime - 2*sqrt(eps_t)
     when the round count is itself random (block mode).
     """
+    return _leak(n_eff, _leak_rate(params), eps_ec_prime, eps_ec, eps_t)
+
+
+def _leak(n_eff: float, rate: float, eps_ec_prime: float, eps_ec: float,
+          eps_t: float) -> float:
+    """leak_ec with its first-order rate ``_leak_rate(params)`` given."""
     if not 0 < eps_ec_prime < 1:
         raise ValueError("eps_ec_prime must be in (0,1)")
     eps_sqrt_term = eps_ec_prime - 2.0 * math.sqrt(eps_t)
     if eps_sqrt_term <= 0:
         raise ValueError("eps_t too large: eps_ec_prime - 2 sqrt(eps_t) <= 0")
-    first = n_eff * ((1.0 - params.gamma) * binary_entropy(params.q)
-                     + params.gamma * binary_entropy(params.omega_exp))
+    first = n_eff * rate
     second = math.sqrt(n_eff) * 4.0 * LOG2_2SQRT2_PLUS_1 * math.sqrt(
         2.0 * math.log2(8.0 / eps_sqrt_term**2))
     third = math.log2(8.0 / eps_ec_prime**2 + 2.0 / (2.0 - eps_ec_prime))
@@ -210,43 +223,77 @@ def key_length_block(params: ProtocolParams, budget: EpsilonBudget,
     count tail t: n_bar + t effective rounds enter the leakage and
     max-entropy terms, whose smoothing parameters shift by sqrt(eps_t).
     """
+    fixed = _block_fixed_terms(params, budget, s_max)
+    return _block_report(params, budget, s_max, fixed,
+                         _block_eps_t_terms(params, budget, s_max, fixed,
+                                            budget.eps_t))
+
+
+class _BlockFixed(NamedTuple):
+    """The eps_t-free terms of key_length_block (a tuple: cheaper to build
+    than a frozen dataclass on the scalar key_length_block path)."""
+
+    sbar: float
+    m: float
+    cut: float
+    entropy_term: float
+    leak_rate: float
+    log_corr: float
+    pa: float
+
+
+def _block_fixed_terms(params: ProtocolParams, budget: EpsilonBudget,
+                       s_max: int) -> _BlockFixed:
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
-    if math.sqrt(budget.eps_t) >= budget.eps_s / 4.0:
-        raise ValueError("eps_t too large: sqrt(eps_t) >= eps_s/4")
-    eps_s_shifted = budget.eps_s / 4.0 - math.sqrt(budget.eps_t)
     eps = EatEpsilons(budget.eps_s / 4.0, budget.eps_ea + budget.eps_ec)
     if s_max == 1:
         # one-round blocks: deterministic length, no tail; share the
         # per-round mu path so the reduction to key_length is exact
-        sbar, m, t = 1.0, params.n, 0.0
+        sbar, m = 1.0, params.n
         mu_value, cut = eat.mu_opt(params.omega_exp, params.delta_est,
                                    params.gamma, m, eps)
     else:
         block = BlockSpec(params.gamma, s_max)
         sbar = eat.expected_block_length(block)
         m = params.n / sbar
-        t = eat.round_count_tail(m, params.gamma, budget.eps_t)
         mu_value, cut = eat.mu_block_opt(params.omega_exp, params.delta_est,
                                          block, m, eps)
-    entropy_term = m * mu_value
+    return _BlockFixed(sbar, m, cut, m * mu_value, _leak_rate(params),
+                       _log_correction(budget.eps_s),
+                       2.0 * math.log2(1.0 / budget.eps_pa))
+
+
+def _block_eps_t_terms(params: ProtocolParams, budget: EpsilonBudget,
+                       s_max: int, fixed: _BlockFixed, eps_t: float) -> tuple:
+    """(key_length, t, leak, max_ent) of key_length_block at ``eps_t``;
+    ``budget.eps_t`` is not read."""
+    if math.sqrt(eps_t) >= budget.eps_s / 4.0:
+        raise ValueError("eps_t too large: sqrt(eps_t) >= eps_s/4")
+    eps_s_shifted = budget.eps_s / 4.0 - math.sqrt(eps_t)
+    t = eat.round_count_tail(fixed.m, params.gamma, eps_t) if s_max > 1 else 0.0
     n_eff = params.n + t
-    leak = leak_ec(n_eff, params, budget.eps_ec_prime, budget.eps_ec,
-                   eps_t=budget.eps_t if s_max > 1 else 0.0)
-    log_corr = _log_correction(budget.eps_s)
+    leak = _leak(n_eff, fixed.leak_rate, budget.eps_ec_prime, budget.eps_ec,
+                 eps_t if s_max > 1 else 0.0)
     max_ent = (params.gamma * n_eff
                + math.sqrt(n_eff) * 2.0 * eat.LOG2_7 * math.sqrt(
                    1.0 - 2.0 * math.log2(
                        eps_s_shifted * (budget.eps_ea + budget.eps_ec))))
-    pa = 2.0 * math.log2(1.0 / budget.eps_pa)
-    ell = entropy_term - leak - log_corr - max_ent - pa
+    ell = fixed.entropy_term - leak - fixed.log_corr - max_ent - fixed.pa
+    return ell, t, leak, max_ent
+
+
+def _block_report(params: ProtocolParams, budget: EpsilonBudget, s_max: int,
+                  fixed: _BlockFixed, terms: tuple, **extras) -> RateReport:
+    ell, t, leak, max_ent = terms
     return RateReport(
-        key_length=ell, rate=ell / params.n, entropy_term=entropy_term,
-        leak_ec=leak, log_correction=log_corr, max_entropy_term=max_ent,
-        pa_term=pa, soundness_error=budget.soundness_error,
+        key_length=ell, rate=ell / params.n, entropy_term=fixed.entropy_term,
+        leak_ec=leak, log_correction=fixed.log_corr, max_entropy_term=max_ent,
+        pa_term=fixed.pa, soundness_error=budget.soundness_error,
         completeness_error=completeness_error(params, budget),
-        best_cut=cut, params=params, budget=budget, mode=BLOCK, s_max=s_max,
-        extras={"m_blocks": m, "tail_t": t, "s_bar": sbar})
+        best_cut=fixed.cut, params=params, budget=budget, mode=BLOCK,
+        s_max=s_max, extras={"m_blocks": fixed.m, "tail_t": t,
+                             "s_bar": fixed.sbar, **extras})
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +364,17 @@ def _budget_for(caps: RateCaps, params: ProtocolParams,
 
 def _eval_point(target: RateTarget, caps: RateCaps, mode: str, gamma: float,
                 delta_est: float, shares: tuple) -> RateReport | None:
-    """Best report at fixed (gamma, delta_est, shares); block mode sweeps
-    eps_t."""
+    """Best report at fixed (gamma, delta_est, shares), None if infeasible.
+
+    Block mode sweeps eps_t over cap_t * 10^-k, k = 1..13 with
+    cap_t = (eps_s/4)^2, keeping the first strict maximum.  Only the round
+    count tail t, the leakage and the max-entropy term depend on eps_t, so
+    the entropy term (the one mu_block_opt / mu_opt call), the leakage rate,
+    the log correction and the PA term are computed once per point; a
+    candidate whose terms raise ValueError is skipped.  The winner's
+    ``extras`` record its index in the sweep (``eps_t_index``) and whether
+    it is the largest candidate, cap_t/10 (``eps_t_at_bound``).
+    """
     omega_exp, _ = honest_werner(2.0 * target.q)
     try:
         params = ProtocolParams(target.n, gamma, omega_exp, delta_est, target.q)
@@ -337,18 +393,25 @@ def _eval_point(target: RateTarget, caps: RateCaps, mode: str, gamma: float,
     base = _budget_for(caps, params, shares, 0.0)
     if base is None:
         return None
+    try:
+        fixed = _block_fixed_terms(params, base, s_max)
+    except ValueError:
+        return None
     best = None
     cap_t = (base.eps_s / 4.0) ** 2
     candidates = [cap_t * 10.0 ** (-k) for k in range(1, EPS_T_CANDIDATE_DECADES)]
-    for eps_t in candidates:
-        budget = replace(base, eps_t=eps_t)
+    for index, eps_t in enumerate(candidates):
         try:
-            report = key_length_block(params, budget, s_max)
+            terms = _block_eps_t_terms(params, base, s_max, fixed, eps_t)
         except ValueError:
             continue
-        if best is None or report.key_length > best.key_length:
-            best = report
-    return best
+        if best is None or terms[0] > best[2][0]:
+            best = (index, eps_t, terms)
+    if best is None:
+        return None
+    index, eps_t, terms = best
+    return _block_report(params, replace(base, eps_t=eps_t), s_max, fixed,
+                         terms, eps_t_index=index, eps_t_at_bound=index == 0)
 
 
 _DEFAULT_SHARES = (1.0, 1.0, 1.0)
@@ -471,32 +534,15 @@ def optimize_rate(target: RateTarget, caps: RateCaps,
 
 def rate_curve(axis: str, grid: list, fixed: dict, caps: RateCaps,
                mode: str = BLOCK) -> list:
-    """Sweep optimize_rate along ``axis`` ('q' or 'n').
+    """Sweep optimize_rate along ``axis`` ('q' or 'n'), one report per grid
+    value in grid order.
 
-    ``fixed`` supplies the non-swept target field.  Grid points run
-    independently (optionally in parallel, capped by DI_TOOLKIT_THREADS);
-    results are ordered by grid index.
+    ``fixed`` supplies the non-swept target field.
     """
     if axis not in ("q", "n"):
         raise ValueError("axis must be 'q' or 'n'")
-    jobs = []
-    for value in grid:
-        if axis == "q":
-            jobs.append(RateTarget(n=fixed["n"], q=value))
-        else:
-            jobs.append(RateTarget(n=value, q=fixed["q"]))
-    threads = int(os.environ.get("DI_TOOLKIT_THREADS", "1"))
-    if threads > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(_curve_worker,
-                                    [(t, caps, mode) for t in jobs]))
+    if axis == "q":
+        targets = [RateTarget(n=fixed["n"], q=value) for value in grid]
     else:
-        reports = [optimize_rate(t, caps, mode) for t in jobs]
-    return reports
-
-
-def _curve_worker(job):
-    target, caps, mode = job
-    return optimize_rate(target, caps, mode)
+        targets = [RateTarget(n=value, q=fixed["q"]) for value in grid]
+    return [optimize_rate(t, caps, mode) for t in targets]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -219,11 +220,96 @@ class TestOptimizeRate:
                                 mode=kr.BLOCK)
         assert reports[0].rate < reports[1].rate
 
-    def test_rate_curve_parallel_matches_serial(self, monkeypatch):
-        grid = [0.01, 0.03]
-        serial = kr.rate_curve("q", grid, {"n": 1e8, "q": None}, self.CAPS,
-                               mode=kr.BLOCK)
-        monkeypatch.setenv("DI_TOOLKIT_THREADS", "2")
-        parallel = kr.rate_curve("q", grid, {"n": 1e8, "q": None}, self.CAPS,
-                                 mode=kr.BLOCK)
-        assert [r.rate for r in parallel] == [r.rate for r in serial]
+    def test_eps_t_provenance(self):
+        for n, index in ((1e15, 0), (1e10, 1)):
+            report = kr.optimize_rate(kr.RateTarget(n=n, q=0.005), self.CAPS,
+                                      mode=kr.BLOCK)
+            cap_t = (report.budget.eps_s / 4.0) ** 2
+            assert report.extras["eps_t_index"] == index
+            assert report.extras["eps_t_at_bound"] == (index == 0)
+            assert report.budget.eps_t == cap_t * 10.0 ** (-(index + 1))
+
+
+def sweep_oracle(target, caps, gamma, delta, shares):
+    """_eval_point's block-mode eps_t sweep as one full key_length_block
+    call per candidate, keeping the first strict maximum."""
+    omega, _ = kr.honest_werner(2.0 * target.q)
+    try:
+        params = kr.ProtocolParams(target.n, gamma, omega, delta, target.q)
+    except ValueError:
+        return None
+    s_max = max(int(math.ceil(1.0 / gamma - 1e-9)), 1)
+    base = kr._budget_for(caps, params, shares, 0.0)
+    if base is None:
+        return None
+    cap_t = (base.eps_s / 4.0) ** 2
+    best = None
+    for k in range(1, kr.EPS_T_CANDIDATE_DECADES):
+        try:
+            report = kr.key_length_block(
+                params, replace(base, eps_t=cap_t * 10.0 ** (-k)), s_max)
+        except ValueError:
+            continue
+        if best is None or report.key_length > best.key_length:
+            best = report
+    return best
+
+
+class TestEpsTSweep:
+    CAPS = kr.RateCaps(soundness=1e-5, completeness=1e-2, eps_ec=1e-10)
+    STRICT = kr.RateCaps(soundness=1e-9, completeness=1e-2, eps_ec=1e-12)
+    TARGET = kr.RateTarget(n=1e10, q=0.005)
+
+    def delta_leaving(self, eps_ec_prime):
+        """delta_est whose Hoeffding term leaves eps_ec_complete - eps_ec
+        close to ``eps_ec_prime``."""
+        hoeffding = self.CAPS.completeness - 2 * self.CAPS.eps_ec - eps_ec_prime
+        return math.sqrt(-math.log(hoeffding) / (2.0 * self.TARGET.n))
+
+    def check(self, caps, gamma, delta, shares):
+        got = kr._eval_point(self.TARGET, caps, kr.BLOCK, gamma, delta, shares)
+        want = sweep_oracle(self.TARGET, caps, gamma, delta, shares)
+        if want is None:
+            assert got is None
+            return None
+        assert got.key_length == want.key_length
+        assert got.budget.eps_t == want.budget.eps_t
+        assert got.best_cut == want.best_cut
+        assert got.to_json_dict() == want.to_json_dict()
+        extras = dict(got.extras)
+        index = extras.pop("eps_t_index")
+        assert extras.pop("eps_t_at_bound") == (index == 0)
+        assert extras == want.extras
+        return got
+
+    def test_matches_full_key_length_per_candidate(self, rng):
+        kept = 0
+        for _ in range(30):
+            gamma = 1.0 if rng.random() < 0.2 else float(
+                10.0 ** rng.uniform(-3.5, 0.0))
+            delta = float(10.0 ** rng.uniform(-5.0, -1.5))
+            shares = tuple(float(10.0 ** rng.uniform(-2.0, 2.0))
+                           for _ in range(3))
+            kept += self.check(self.CAPS, gamma, delta, shares) is not None
+        assert kept >= 10
+
+    def test_gamma_one(self):
+        report = self.check(self.CAPS, 1.0, 1e-4, (1.0, 1.0, 1.0))
+        assert report.s_max == 1 and report.extras["tail_t"] == 0.0
+
+    def test_some_candidates_raise(self):
+        # eps_ec_prime ~ 1e-9 < 2 sqrt(eps_t) for the largest candidates
+        report = self.check(self.CAPS, 0.01, self.delta_leaving(1e-9),
+                            (1.0, 1.0, 1.0))
+        assert report.extras["eps_t_index"] > 0
+
+    def test_every_candidate_raises(self):
+        # eps_ec_prime ~ 1e-13 < 2 sqrt(eps_t) for every candidate
+        delta = self.delta_leaving(1e-13)
+        assert self.check(self.CAPS, 0.01, delta, (1.0, 1.0, 1.0)) is None
+
+    def test_fixed_terms_raise(self):
+        # statistic below the classical bound: mu_block_opt raises
+        assert self.check(self.CAPS, 0.01, 0.1, (1.0, 1.0, 1.0)) is None
+        # eps_s < 4.2e-8: the log correction raises
+        assert self.check(self.STRICT, 0.01, 1e-4, (0.01, 1.0, 1.0)) is None
