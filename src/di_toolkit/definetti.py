@@ -182,18 +182,18 @@ def tau_box(n: int, alphabets: Alphabets) -> MultiRoundBox:
 
 def verify_reduction_exact(table, n: int, alphabets: Alphabets,
                            tau_exact=None) -> Fraction:
-    """Max entrywise ratio P/tau for an exact rational table.
+    """Max entrywise ratio P/tau for an exact table, as a Fraction.
 
-    ``table`` is an object array of Fractions shaped like MultiRoundBox.p;
-    it must be permutation invariant (not checked here).  The returned ratio
-    is exact; the reduction asserts it is at most reduction_factor(n, l, m).
+    ``table`` is shaped like MultiRoundBox.p and holds integers (numerators
+    over a common denominator, as from random_symmetrized_int_table; divide
+    the result by that denominator) or Fractions.  It must be permutation
+    invariant (not checked here).  The ratio is exact; the reduction asserts
+    that P/tau is at most reduction_factor(n, l, m).
     """
     if tau_exact is None:
         tau_exact = tau_table_exact(n, alphabets)
     best = Fraction(0)
-    flat_p = table.reshape(-1)
-    flat_t = tau_exact.reshape(-1)
-    for p, t in zip(flat_p, flat_t):
+    for p, t in zip(table.reshape(-1).tolist(), tau_exact.reshape(-1)):
         if p == 0:
             continue
         ratio = p / t
@@ -229,55 +229,7 @@ def partition_feasible(weight: float, element: MultiRoundBox,
 
 
 # ---------------------------------------------------------------------------
-# exact random permutation-invariant boxes (for reduction checks)
-
-
-def random_symmetrized_table(n: int, alphabets: Alphabets, rng,
-                             denominator: int = 720720) -> np.ndarray:
-    """A random permutation-invariant box as an exact Fraction table.
-
-    Draws integer-valued tables (common denominator), normalizes each input
-    string exactly, and averages over all n! round permutations.  The result
-    is rational, so reduction checks on it are exact.
-    """
-    _check_table_size(n, alphabets)
-    al = alphabets
-    shape = (al.x_size**n, al.y_size**n, al.a_size**n, al.b_size**n)
-    raw = rng.integers(1, denominator, size=shape)
-    sums = raw.sum(axis=(2, 3))
-    table = np.empty(shape, dtype=object)
-    for ix in range(shape[0]):
-        for iy in range(shape[1]):
-            s = int(sums[ix, iy])
-            block = raw[ix, iy]
-            for ia in range(shape[2]):
-                for ib in range(shape[3]):
-                    table[ix, iy, ia, ib] = Fraction(int(block[ia, ib]), s)
-    return symmetrize_exact(table, n, alphabets)
-
-
-def symmetrize_exact(table: np.ndarray, n: int,
-                     alphabets: Alphabets) -> np.ndarray:
-    """Exact average of a Fraction table over all n! round permutations."""
-    from .boxes import _string_permutation
-
-    al = alphabets
-    perms = list(itertools.permutations(range(n)))
-    acc = np.zeros(table.shape, dtype=object)
-    acc[...] = Fraction(0)
-    for perm in perms:
-        perm = np.asarray(perm)
-        mx = _string_permutation(al.x_size, n, perm)
-        my = _string_permutation(al.y_size, n, perm)
-        ma = _string_permutation(al.a_size, n, perm)
-        mb = _string_permutation(al.b_size, n, perm)
-        acc = acc + table[np.ix_(mx, my, ma, mb)]
-    k = Fraction(1, len(perms))
-    return acc * k
-
-
-# ---------------------------------------------------------------------------
-# integer fast path: bulk exact reduction checks
+# random permutation-invariant boxes: integer numerators, exact checks
 
 
 def random_symmetrized_int_table(n: int, alphabets: Alphabets, rng,
@@ -326,5 +278,5 @@ def reduction_numerator_thresholds(n: int, alphabets: Alphabets, denom: int,
     flat = tau_exact.reshape(-1)
     values = [(factor * f.numerator * denom) // f.denominator for f in flat]
     if max(values) > np.iinfo(np.int64).max:
-        raise OverflowError("threshold exceeds int64; use the Fraction path")
+        raise OverflowError("threshold exceeds int64; use verify_reduction_exact")
     return np.array(values, dtype=np.int64).reshape(tau_exact.shape)

@@ -4,9 +4,12 @@ the sensitivity bound connecting the two.
 
 The non-signalling conditions and the winning probability are both linear in
 the table entries P(a,b|x,y), so the optimal non-signalling value of a game
-is an LP.  The solver is a dense two-phase simplex with Bland's rule: the
-programs here have at most a few hundred variables and we need deterministic,
-reproducible dual solutions.
+is an LP; its signalling rows are the rows of
+:func:`signalling.signalling_matrix`, the same matrix the signalling measure
+and the signalling test use.  The solver is a dense two-phase simplex with
+Bland's rule, one numpy row update per pivot: the programs here have at most
+a few hundred variables and we need deterministic, reproducible dual
+solutions.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import Game, SingleRoundBox
+from .boxes import AlphabetMismatchError, Game, SingleRoundBox
+from .signalling import signalling_matrix
 
 SOLVER_TOL = 1e-9
 
@@ -55,39 +59,42 @@ class SolverError(RuntimeError):
     pass
 
 
+def _pivot(tableau, leave, enter):
+    """Pivot the tableau on entry (leave, enter): scale the pivot row to 1
+    there and clear the column from every other row that holds it."""
+    tableau[leave] /= tableau[leave, enter]
+    col = tableau[:, enter].copy()
+    col[leave] = 0.0
+    rows = np.abs(col) > 1e-14
+    tableau[rows] -= col[rows, None] * tableau[leave]
+
+
 def _simplex_phase(tableau, basis, n_total, cost_row, max_iter):
     """Run Bland-rule simplex on a tableau whose last column is the rhs.
 
     ``cost_row`` is a working row (reduced costs, last entry = -objective).
     Mutates tableau/basis/cost_row in place; returns 'optimal' or 'unbounded'.
     """
-    m = tableau.shape[0]
     for _ in range(max_iter):
-        enter = -1
-        for j in range(n_total):
-            if cost_row[j] > SOLVER_TOL:
-                enter = j
-                break
-        if enter < 0:
+        improving = np.flatnonzero(cost_row[:n_total] > SOLVER_TOL)
+        if improving.size == 0:
             return "optimal"
+        enter = improving[0]
+        # ratio test over the rows that bound the entering variable; ties
+        # within SOLVER_TOL go to the smallest basic index (Bland)
+        cand = np.flatnonzero(tableau[:, enter] > SOLVER_TOL)
+        ratios = tableau[cand, -1] / tableau[cand, enter]
         leave = -1
         best = np.inf
-        for i in range(m):
-            a = tableau[i, enter]
-            if a > SOLVER_TOL:
-                ratio = tableau[i, -1] / a
-                if ratio < best - SOLVER_TOL or (
-                        abs(ratio - best) <= SOLVER_TOL
-                        and (leave < 0 or basis[i] < basis[leave])):
-                    best = ratio
-                    leave = i
+        for i, ratio in zip(cand.tolist(), ratios.tolist()):
+            if ratio < best - SOLVER_TOL or (
+                    abs(ratio - best) <= SOLVER_TOL
+                    and (leave < 0 or basis[i] < basis[leave])):
+                best = ratio
+                leave = i
         if leave < 0:
             return "unbounded"
-        piv = tableau[leave, enter]
-        tableau[leave] /= piv
-        for i in range(m):
-            if i != leave and abs(tableau[i, enter]) > 1e-14:
-                tableau[i] -= tableau[i, enter] * tableau[leave]
+        _pivot(tableau, leave, enter)
         cost_row -= cost_row[enter] * tableau[leave]
         basis[leave] = enter
     raise SolverError("simplex iteration cap reached")
@@ -101,39 +108,27 @@ def solve(lp: LinearProgram) -> LPSolution:
     """
     n = lp.num_vars
     m = len(lp.rows)
+    rels = [rel for _, rel, _ in lp.rows]
 
     # Equality standard form: A x + S slack = b with slack >= 0 for <= rows
     # (>= rows get -1 slack), then flip rows to make b >= 0.
-    A = np.zeros((m, n))
-    b = np.zeros(m)
-    slack_cols = {}
-    n_slack = 0
-    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-        A[i] = coeffs
-        b[i] = rhs
-        if rel in (LE, GE):
-            slack_cols[i] = n_slack
-            n_slack += 1
-    n_total = n + n_slack
+    slack_rows = [i for i, rel in enumerate(rels) if rel != EQ]
+    n_total = n + len(slack_rows)
     M = np.zeros((m, n_total))
-    M[:, :n] = A
-    sign = np.ones(m)
-    for i, (_, rel, _) in enumerate(lp.rows):
-        if rel == LE:
-            M[i, n + slack_cols[i]] = 1.0
-        elif rel == GE:
-            M[i, n + slack_cols[i]] = -1.0
-    for i in range(m):
-        if b[i] < 0:
-            M[i] *= -1.0
-            b[i] *= -1.0
-            sign[i] = -1.0
+    M[:, :n] = [coeffs for coeffs, _, _ in lp.rows]
+    b = np.array([rhs for _, _, rhs in lp.rows], dtype=float)
+    slack_col = {i: n + k for k, i in enumerate(slack_rows)}
+    for i, j in slack_col.items():
+        M[i, j] = 1.0 if rels[i] == LE else -1.0
+    sign = np.where(b < 0, -1.0, 1.0)
+    M[b < 0] *= -1.0
+    b *= sign
 
     # Phase 1: artificials where the slack cannot start basic.
-    basis = [-1] * m
+    basis = np.full(m, -1)
     art_rows = []
-    for i, (_, rel, _) in enumerate(lp.rows):
-        j = n + slack_cols[i] if rel in (LE, GE) else None
+    for i in range(m):
+        j = slack_col.get(i)
         if j is not None and M[i, j] == 1.0:
             basis[i] = j
         else:
@@ -142,9 +137,8 @@ def solve(lp: LinearProgram) -> LPSolution:
     tableau = np.zeros((m, n_total + n_art + 1))
     tableau[:, :n_total] = M
     tableau[:, -1] = b
-    for k, i in enumerate(art_rows):
-        tableau[i, n_total + k] = 1.0
-        basis[i] = n_total + k
+    tableau[art_rows, n_total + np.arange(n_art)] = 1.0
+    basis[art_rows] = n_total + np.arange(n_art)
 
     max_iter = 50000 + 200 * (n_total + n_art)
     if n_art:
@@ -160,50 +154,37 @@ def solve(lp: LinearProgram) -> LPSolution:
         # pivot artificials out of the basis where possible
         for i in range(m):
             if basis[i] >= n_total:
-                for j in range(n_total):
-                    if abs(tableau[i, j]) > SOLVER_TOL:
-                        piv = tableau[i, j]
-                        tableau[i] /= piv
-                        for r in range(m):
-                            if r != i and abs(tableau[r, j]) > 1e-14:
-                                tableau[r] -= tableau[r, j] * tableau[i]
-                        basis[i] = j
-                        break
+                nz = np.flatnonzero(np.abs(tableau[i, :n_total]) > SOLVER_TOL)
+                if nz.size:
+                    _pivot(tableau, i, nz[0])
+                    basis[i] = nz[0]
         tableau = np.delete(tableau, np.s_[n_total:n_total + n_art], axis=1)
 
     # Phase 2.
     cost = np.zeros(n_total + 1)
     cost[:n] = lp.c
-    c_basic = [lp.c[basis[i]] if basis[i] < n else 0.0 for i in range(m)]
     for i in range(m):
-        if c_basic[i] != 0.0:
-            cost -= c_basic[i] * tableau[i]
+        c_basic = lp.c[basis[i]] if basis[i] < n else 0.0
+        if c_basic != 0.0:
+            cost -= c_basic * tableau[i]
     status = _simplex_phase(tableau, basis, n_total, cost, max_iter)
     if status == "unbounded":
         return LPSolution(status="unbounded")
 
+    real = basis < n_total  # the rest are artificials left basic at zero
     primal = np.zeros(n_total)
-    for i in range(m):
-        if basis[i] < n_total:
-            primal[basis[i]] = tableau[i, -1]
+    primal[basis[real]] = tableau[real, -1]
     value = float(lp.c @ primal[:n])
 
-    # Duals: y solves y . column_j = c_j on the basic columns of the final
-    # (row-reduced) system; recover via the original equality-form matrix.
-    Mfull = np.zeros((m, n_total))
-    Mfull[:, :n] = A * sign[:, None]
-    for i, (_, rel, _) in enumerate(lp.rows):
-        if rel in (LE, GE):
-            Mfull[i, n + slack_cols[i]] = (1.0 if rel == LE else -1.0) * sign[i]
+    # Duals: y solves y . column_j = c_j on the basic columns of the
+    # equality-form matrix M (a leftover artificial has a unit column).
+    structural = basis < n
     cB = np.zeros(m)
+    cB[structural] = lp.c[basis[structural]]
     cols = np.zeros((m, m))
-    for i in range(m):
-        j = basis[i]
-        if j < n:
-            cB[i] = lp.c[j]
-        cols[:, i] = Mfull[:, j] if j < n_total else 0.0
-        if j >= n_total:  # leftover artificial basic at zero level
-            cols[i, i] = 1.0
+    cols[:, real] = M[:, basis[real]]
+    art = np.flatnonzero(~real)
+    cols[art, art] = 1.0
     try:
         y = np.linalg.solve(cols.T, cB)
     except np.linalg.LinAlgError:
@@ -217,62 +198,19 @@ def solve(lp: LinearProgram) -> LPSolution:
 # game programs
 
 
-def _var_index(al, x, y, a, b) -> int:
-    return ((x * al.y_size + y) * al.a_size + a) * al.b_size + b
-
-
-def signalling_constraint_rows(game: Game) -> list:
-    """Coefficient rows of all d = |X||Y|(|A|+|B|) signalling measures.
-
-    Row order: all Alice-to-Bob targets (x, y, b) lexicographically, then all
-    Bob-to-Alice targets (x, y, a).
-    """
-    al = game.alphabets
-    q = game.q.q
-    qx_given_y = game.q.x_given_y()
-    qy_given_x = game.q.y_given_x()
-    nvar = al.x_size * al.y_size * al.a_size * al.b_size
-    rows = []
-    for x in range(al.x_size):
-        for y in range(al.y_size):
-            for b in range(al.b_size):
-                row = np.zeros(nvar)
-                for a in range(al.a_size):
-                    row[_var_index(al, x, y, a, b)] += q[x, y]
-                    for xt in range(al.x_size):
-                        row[_var_index(al, xt, y, a, b)] -= qx_given_y[x, y] * q[xt, y]
-                rows.append(row)
-    for x in range(al.x_size):
-        for y in range(al.y_size):
-            for a in range(al.a_size):
-                row = np.zeros(nvar)
-                for b in range(al.b_size):
-                    row[_var_index(al, x, y, a, b)] += q[x, y]
-                    for yt in range(al.y_size):
-                        row[_var_index(al, x, yt, a, b)] -= qy_given_x[x, y] * q[x, yt]
-                rows.append(row)
-    return rows
-
-
-def _objective(game: Game) -> np.ndarray:
-    al = game.alphabets
-    nvar = al.x_size * al.y_size * al.a_size * al.b_size
-    c = np.zeros(nvar)
-    for x in range(al.x_size):
-        for y in range(al.y_size):
-            for a in range(al.a_size):
-                for b in range(al.b_size):
-                    if game.win[a, b, x, y]:
-                        c[_var_index(al, x, y, a, b)] = game.q.q[x, y]
-    return c
+def _normalization_matrix(al) -> np.ndarray:
+    """One row per input pair (x, y): the sum of P(a,b|x,y) over a, b."""
+    return np.repeat(np.eye(al.x_size * al.y_size), al.a_size * al.b_size,
+                     axis=1)
 
 
 def build_ns_lp(game: Game, sig_relation: str = EQ, sig_rhs: float = 0.0
                 ) -> LinearProgram:
     """LP for the optimal non-signalling winning probability of a game.
 
-    Variables are the table entries P(a,b|x,y); the objective is the winning
-    probability.  The first d rows are the signalling constraints
+    Variables are the table entries P(a,b|x,y) in ``[x][y][a][b]`` order;
+    the objective is the winning probability, Q(x,y) on every winning entry.
+    The first d rows are the rows of :func:`signalling.signalling_matrix`
     (``sig_relation`` / ``sig_rhs`` select the exact form: equality at 0 for
     the non-signalling program, <= slack for the relaxed one), followed by
     one normalization row per input pair and one positivity row per variable.
@@ -281,19 +219,13 @@ def build_ns_lp(game: Game, sig_relation: str = EQ, sig_rhs: float = 0.0
         raise ValueError("game must have complete support")
     al = game.alphabets
     nvar = al.x_size * al.y_size * al.a_size * al.b_size
-    rows = [(r, sig_relation, sig_rhs) for r in signalling_constraint_rows(game)]
-    for x in range(al.x_size):
-        for y in range(al.y_size):
-            row = np.zeros(nvar)
-            for a in range(al.a_size):
-                for b in range(al.b_size):
-                    row[_var_index(al, x, y, a, b)] = 1.0
-            rows.append((row, EQ, 1.0))
-    for v in range(nvar):
-        row = np.zeros(nvar)
-        row[v] = 1.0
-        rows.append((row, GE, 0.0))
-    return LinearProgram(_objective(game), rows)
+    wins = np.transpose(game.win, (2, 3, 0, 1))  # [x][y][a][b]
+    c = np.where(wins, game.q.q[:, :, None, None], 0.0).reshape(-1)
+    rows = [(r, sig_relation, sig_rhs)
+            for r in signalling_matrix(al, game.q)]
+    rows += [(r, EQ, 1.0) for r in _normalization_matrix(al)]
+    rows += [(r, GE, 0.0) for r in np.eye(nvar)]
+    return LinearProgram(c, rows)
 
 
 def ns_value(game: Game) -> tuple:
@@ -336,16 +268,12 @@ def dual_kappa(game: Game) -> float:
     # dual feasibility of max{c.x : Sx <= 0, Nx = 1, x >= 0}:
     #   S^T u + N^T v >= c,  u >= 0,  v free;  optimality: sum(v) = value.
     # minimize sum(u) over that set (v split into v+ - v- for the solver).
-    S = np.array([lp.rows[i][0] for i in range(d)])
-    N = np.array([lp.rows[d + i][0] for i in range(n_norm)])
-    c = lp.c
-    nvar2 = d + 2 * n_norm
-    obj = np.zeros(nvar2)
+    S = signalling_matrix(al, game.q)
+    N = _normalization_matrix(al)
+    obj = np.zeros(d + 2 * n_norm)
     obj[:d] = -1.0  # maximize -sum(u)
-    rows2 = []
-    for i in range(lp.num_vars):
-        coeffs = np.concatenate([S[:, i], N[:, i], -N[:, i]])
-        rows2.append((coeffs, GE, float(c[i])))
+    dual_rows = np.hstack([S.T, N.T, -N.T])
+    rows2 = [(r, GE, float(ci)) for r, ci in zip(dual_rows, lp.c)]
     ones_v = np.concatenate([np.zeros(d), np.ones(n_norm), -np.ones(n_norm)])
     rows2.append((ones_v, EQ, float(sol.value)))
     sol2 = solve(LinearProgram(obj, rows2))
@@ -363,10 +291,9 @@ def sensitivity_bound(ns_val: float, slack: float, kappa_or_d: float) -> float:
 
 def box_winning_probability_feasible(box: SingleRoundBox, game: Game,
                                      tol: float = 1e-8) -> bool:
-    """Check that a box is feasible for the non-signalling program."""
-    d = game.alphabets.num_signalling_constraints
-    flat = box.p.reshape(-1)
-    for row in signalling_constraint_rows(game)[:d]:
-        if abs(float(row @ flat)) > tol:
-            return False
-    return True
+    """Check that a box is feasible for the non-signalling program: every
+    signalling measure is within ``tol`` of 0."""
+    if box.alphabets != game.alphabets:
+        raise AlphabetMismatchError("box and game alphabets differ")
+    measures = signalling_matrix(game.alphabets, game.q) @ box.p.reshape(-1)
+    return bool(np.max(np.abs(measures)) <= tol)

@@ -3,8 +3,11 @@ values, and the non-signalling threshold-theorem bound.
 
 The signalling measure quantifies how much observing one party's output
 shifts the posterior over the other party's input relative to the prior; it
-vanishes exactly on non-signalling boxes.  The test estimates it from the
-second half of observed data and fires when it exceeds zeta - 2*eps.
+vanishes exactly on non-signalling boxes.  All d = |X||Y|(|A|+|B|) measures
+are linear in P(a,b|x,y) and live in one matrix, :func:`signalling_matrix`,
+which the non-signalling LP in ``nslp`` uses as its signalling rows.  The
+test estimates every measure from the second half of observed data with one
+matrix-vector product and fires where it exceeds zeta - 2*eps.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import (Alphabets, Game, InputDistribution, ObservedData,
-                    SingleRoundBox, frequency_box, winning_probability)
+from .boxes import (AlphabetMismatchError, Alphabets, Game,
+                    InputDistribution, ObservedData, SingleRoundBox,
+                    frequency_box, winning_probability)
 
 A_TO_B = "AtoB"
 B_TO_A = "BtoA"
@@ -54,34 +58,62 @@ class TestParams:
             raise ValueError("n must be even and >= 2")
 
 
+def signalling_matrix(alphabets: Alphabets, q: InputDistribution
+                      ) -> np.ndarray:
+    """All d = |X||Y|(|A|+|B|) signalling measures as a d x |X||Y||A||B| array.
+
+    Row r dotted with a table flattened in ``[x][y][a][b]`` order is the
+    measure of target r.  Row order: all Alice-to-Bob targets (x, y, b)
+    lexicographically, then all Bob-to-Alice targets (x, y, a).  The
+    AtoB row (x, y, b) holds Q(x,y) - Q(x|y) Q(x,y) at (x, y, a, b) and
+    -Q(x|y) Q(x',y) at (x', y, a, b), x' != x, for every a.
+    """
+    X, Y, A, B = (alphabets.x_size, alphabets.y_size, alphabets.a_size,
+                  alphabets.b_size)
+    if q.q.shape != (X, Y):
+        raise AlphabetMismatchError("input distribution shape mismatch")
+    qq = q.q
+    out = np.zeros((alphabets.num_signalling_constraints, X * Y * A * B))
+    # AtoB (x, y, b): coefficient of P(a,b|x',y) for every a
+    coef = (np.eye(X)[:, None, :] * qq[:, :, None]
+            - q.x_given_y()[:, :, None] * qq.T[None, :, :])  # (x, y, x')
+    xx, yy, bb, xs, aa = np.ix_(*(np.arange(k) for k in (X, Y, B, X, A)))
+    out[(xx * Y + yy) * B + bb,
+        ((xs * Y + yy) * A + aa) * B + bb] = coef[xx, yy, xs]
+    # BtoA (x, y, a): coefficient of P(a,b|x,y') for every b
+    coef = (np.eye(Y)[None, :, :] * qq[:, :, None]
+            - q.y_given_x()[:, :, None] * qq[:, None, :])  # (x, y, y')
+    xx, yy, aa, ys, bb = np.ix_(*(np.arange(k) for k in (X, Y, A, Y, B)))
+    out[X * Y * B + (xx * Y + yy) * A + aa,
+        ((xx * Y + ys) * A + aa) * B + bb] = coef[xx, yy, ys]
+    return out
+
+
+def target_row(alphabets: Alphabets, target: SigTarget) -> int:
+    """Row of ``target`` in :func:`signalling_matrix`."""
+    X, Y, A, B = (alphabets.x_size, alphabets.y_size, alphabets.a_size,
+                  alphabets.b_size)
+    outputs = B if target.direction == A_TO_B else A
+    if target.x >= X or target.y >= Y or target.outcome >= outputs:
+        raise ValueError("target index outside the alphabets")
+    if target.direction == A_TO_B:
+        return (target.x * Y + target.y) * B + target.outcome
+    return X * Y * B + (target.x * Y + target.y) * A + target.outcome
+
+
 def sig_measure(box: SingleRoundBox, q: InputDistribution,
                 target: SigTarget) -> float:
     """O_BY(b,y) * [O_{X|BY}(x|b,y) - Q_{X|Y}(x|y)] (mirrored for BtoA).
 
-    O is the joint distribution Q(x,y) * P(a,b|x,y).  Zero-mass
-    conditioning O_BY(b,y) = 0 yields 0: the measure is a product with that
-    mass.
+    O is the joint distribution Q(x,y) * P(a,b|x,y), so the measure is
+    O(x,y,b) - Q(x|y) O_BY(b,y): one row of :func:`signalling_matrix`
+    dotted with the table.  It is 0 where the conditioning mass
+    O_BY(b,y) is 0.
     """
     if not q.complete_support:
         raise ValueError("q must have complete support")
-    joint = q.q[:, :, None, None] * box.p  # (x, y, a, b)
-    if target.direction == A_TO_B:
-        x, y, b = target.x, target.y, target.outcome
-        o_bxy = joint.sum(axis=2)  # (x, y, b)
-        o_by = o_bxy.sum(axis=0)  # (y, b)
-        mass = o_by[y, b]
-        if mass == 0.0:
-            return 0.0
-        qx_given_y = q.x_given_y()
-        return float(o_bxy[x, y, b] - qx_given_y[x, y] * mass)
-    x, y, a = target.x, target.y, target.outcome
-    o_axy = joint.sum(axis=3)  # (x, y, a)
-    o_ax = o_axy.sum(axis=1)  # (x, a)
-    mass = o_ax[x, a]
-    if mass == 0.0:
-        return 0.0
-    qy_given_x = q.y_given_x()
-    return float(o_axy[x, y, a] - qy_given_x[x, y] * mass)
+    row = signalling_matrix(box.alphabets, q)[target_row(box.alphabets, target)]
+    return float(row @ box.p.reshape(-1))
 
 
 def all_sig_targets(alphabets: Alphabets) -> list:
@@ -122,20 +154,32 @@ def _all_pairs_present(data: ObservedData, q: InputDistribution) -> bool:
     return bool(seen.all())
 
 
-def run_signalling_test(data: ObservedData, q: InputDistribution,
-                        params: TestParams, target: SigTarget) -> bool:
-    """True iff the second-half frequency box shows signalling >= zeta-2*eps.
+def signalling_test_flags(data: ObservedData, q: InputDistribution,
+                          params: TestParams) -> np.ndarray:
+    """Pass flag of every target, in :func:`signalling_matrix` row order.
 
-    If any input pair is missing from either half the test rejects by
-    definition (the frequency boxes are not defined for all inputs).
+    A target passes iff the second-half frequency box shows signalling
+    >= zeta - 2*eps.  If any input pair is missing from either half every
+    target rejects by definition (the frequency boxes are not defined for
+    all inputs).  ``data`` must carry its alphabets.
     """
     if data.n != params.n:
         raise ValueError("data length does not match test parameters")
+    if data.alphabets is None:
+        raise ValueError("data must carry its alphabets")
     first, second = split_halves(data)
     if not (_all_pairs_present(first, q) and _all_pairs_present(second, q)):
-        return False
+        return np.zeros(data.alphabets.num_signalling_constraints, dtype=bool)
     freq2 = frequency_box(second, q)
-    return sig_measure(freq2, q, target) >= params.zeta - 2 * params.eps
+    measures = signalling_matrix(freq2.alphabets, q) @ freq2.p.reshape(-1)
+    return measures >= params.zeta - 2 * params.eps
+
+
+def run_signalling_test(data: ObservedData, q: InputDistribution,
+                        params: TestParams, target: SigTarget) -> bool:
+    """Pass flag of one target: one entry of :func:`signalling_test_flags`."""
+    flags = signalling_test_flags(data, q, params)
+    return bool(flags[target_row(data.alphabets, target)])
 
 
 def guessing_value(q: InputDistribution, x: int, y: int) -> float:

@@ -142,6 +142,40 @@ class TestSigTest:
         jsonschema.validate(payload, schema("out_sig_test"))
         assert payload["any_pass"] is True
 
+    def test_flags_match_single_target_view(self, tmp_path, capsys, rng):
+        """The CLI lists targets in all_sig_targets order, each flag equal
+        to run_signalling_test on that target."""
+        import numpy as np
+
+        from conftest import (bob_echoes_x_box, random_classical_box,
+                              sample_iid_data, uniform_q)
+        from di_toolkit import signalling as sig
+        from di_toolkit.boxes import Alphabets, ObservedData
+
+        al = Alphabets(2, 2, 2, 2)
+        params = sig.TestParams(zeta=0.06, eps=0.008, n=2000)
+        for box in (bob_echoes_x_box(), random_classical_box(rng)):
+            xs, ys, a, b = sample_iid_data(box, uniform_q(), params.n, rng)
+            path = tmp_path / "data.json"
+            path.write_text(json.dumps({
+                "n": params.n, "a_size": 2, "b_size": 2, "x_size": 2,
+                "y_size": 2, "a": a.tolist(), "b": b.tolist(),
+                "x": xs.tolist(), "y": ys.tolist()}))
+            code, out = run_cli(["sig-test", "--data", str(path),
+                                 "--zeta", "0.06", "--eps", "0.008"], capsys)
+            assert code == 0
+            payload = json.loads(out)
+            data = ObservedData(params.n, np.array(a), np.array(b),
+                                np.array(xs), np.array(ys), al)
+            targets = sig.all_sig_targets(al)
+            assert [(t["direction"], t["x"], t["y"], t["outcome"])
+                    for t in payload["targets"]] == [
+                (t.direction, t.x, t.y, t.outcome) for t in targets]
+            single = [sig.run_signalling_test(data, uniform_q(), params, t)
+                      for t in targets]
+            assert [t["pass"] for t in payload["targets"]] == single
+            assert payload["any_pass"] is any(single)
+
 
 class TestSimulateCommand:
     def test_output_schema_and_determinism(self, capsys):

@@ -176,11 +176,22 @@ class TestReduction:
     def test_exact_reduction_random_boxes(self, rng):
         for n in (1, 2):
             tau = df.tau_table_exact(n, BINARY)
+            tau_float = np.vectorize(float)(tau)
             factor = df.reduction_factor(n, 4, 4)
             for _ in range(25):
-                table = df.random_symmetrized_table(n, BINARY, rng)
-                ratio = df.verify_reduction_exact(table, n, BINARY, tau)
+                nums, denom = df.random_symmetrized_int_table(n, BINARY, rng)
+                ratio = df.verify_reduction_exact(nums, n, BINARY, tau) / denom
+                assert isinstance(ratio, Fraction)
                 assert ratio <= factor
+                # oracles: the same table as Fractions, the ratio in floats,
+                # and the integer thresholds of the same bound
+                exact = np.vectorize(lambda v: Fraction(int(v), denom),
+                                     otypes=[object])(nums)
+                assert df.verify_reduction_exact(exact, n, BINARY, tau) == ratio
+                assert float(ratio) == pytest.approx(
+                    np.max(nums / (denom * tau_float)), rel=1e-12)
+                thr = df.reduction_numerator_thresholds(n, BINARY, denom, tau)
+                assert bool(np.all(nums <= thr)) == (ratio <= factor)
 
     def test_exact_reduction_all_deterministic_iid_n2(self):
         tau = df.tau_table_exact(2, BINARY)

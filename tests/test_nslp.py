@@ -1,9 +1,83 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from di_toolkit import nslp
-from di_toolkit.boxes import classical_value, winning_probability
+from di_toolkit.boxes import (AlphabetMismatchError, Alphabets,
+                              SingleRoundBox, chsh_game, classical_value,
+                              extended_chsh_game, winning_probability)
 from conftest import pr_box, random_classical_box, random_game
+
+# the program forms the library builds: ns_value, dual_kappa and
+# perturbed_value
+FORMS = [("=", 0.0), ("<=", 0.0), ("<=", 0.01), ("<=", 0.05)]
+
+
+def _var_index(al, x, y, a, b):
+    return ((x * al.y_size + y) * al.a_size + a) * al.b_size + b
+
+
+def loop_signalling_rows(game):
+    """Oracle: the d signalling rows written out term by term, AtoB targets
+    (x, y, b) then BtoA targets (x, y, a)."""
+    al = game.alphabets
+    q = game.q.q
+    qx_given_y = game.q.x_given_y()
+    qy_given_x = game.q.y_given_x()
+    nvar = al.x_size * al.y_size * al.a_size * al.b_size
+    rows = []
+    for x in range(al.x_size):
+        for y in range(al.y_size):
+            for b in range(al.b_size):
+                row = np.zeros(nvar)
+                for a in range(al.a_size):
+                    row[_var_index(al, x, y, a, b)] += q[x, y]
+                    for xt in range(al.x_size):
+                        row[_var_index(al, xt, y, a, b)] -= (
+                            qx_given_y[x, y] * q[xt, y])
+                rows.append(row)
+    for x in range(al.x_size):
+        for y in range(al.y_size):
+            for a in range(al.a_size):
+                row = np.zeros(nvar)
+                for b in range(al.b_size):
+                    row[_var_index(al, x, y, a, b)] += q[x, y]
+                    for yt in range(al.y_size):
+                        row[_var_index(al, x, yt, a, b)] -= (
+                            qy_given_x[x, y] * q[x, yt])
+                rows.append(row)
+    return rows
+
+
+def loop_ns_lp(game, sig_relation, sig_rhs):
+    """Oracle: objective and rows of the non-signalling program, by loops."""
+    al = game.alphabets
+    nvar = al.x_size * al.y_size * al.a_size * al.b_size
+    c = np.zeros(nvar)
+    for x, y, a, b in itertools.product(range(al.x_size), range(al.y_size),
+                                        range(al.a_size), range(al.b_size)):
+        if game.win[a, b, x, y]:
+            c[_var_index(al, x, y, a, b)] = game.q.q[x, y]
+    rows = [(r, sig_relation, sig_rhs) for r in loop_signalling_rows(game)]
+    for x in range(al.x_size):
+        for y in range(al.y_size):
+            row = np.zeros(nvar)
+            for a in range(al.a_size):
+                for b in range(al.b_size):
+                    row[_var_index(al, x, y, a, b)] = 1.0
+            rows.append((row, "=", 1.0))
+    for v in range(nvar):
+        row = np.zeros(nvar)
+        row[v] = 1.0
+        rows.append((row, ">=", 0.0))
+    return c, rows
+
+
+def oracle_games():
+    rng = np.random.default_rng(606)
+    return ([chsh_game(), extended_chsh_game()]
+            + [random_game(rng) for _ in range(50)])
 
 
 class TestSolver:
@@ -57,6 +131,50 @@ class TestSolver:
 
 
 class TestGamePrograms:
+    @pytest.mark.parametrize("form", FORMS)
+    def test_rows_match_loop_oracle(self, form):
+        """build_ns_lp is byte-identical to the term-by-term program."""
+        for game in oracle_games():
+            lp = nslp.build_ns_lp(game, sig_relation=form[0], sig_rhs=form[1])
+            c, rows = loop_ns_lp(game, *form)
+            assert lp.c.tobytes() == c.tobytes()
+            assert len(lp.rows) == len(rows)
+            for (got, rel, rhs), (want, rel0, rhs0) in zip(lp.rows, rows):
+                assert got.tobytes() == want.tobytes()
+                assert (rel, rhs) == (rel0, rhs0)
+
+    def test_dual_feasibility_certificate(self):
+        """A^T y >= c with y >= 0 on <= rows, y <= 0 on >= rows and y free
+        on = rows: the duals certify the optimum, not only its value."""
+        rng = np.random.default_rng(4242)
+        games = [chsh_game()] + [random_game(rng) for _ in range(50)]
+        for game in games:
+            for form in (("=", 0.0), ("<=", 0.0)):
+                lp = nslp.build_ns_lp(game, *form)
+                sol = nslp.solve(lp)
+                assert sol.status == "optimal"
+                A = np.array([r[0] for r in lp.rows])
+                rels = np.array([r[1] for r in lp.rows])
+                y = sol.dual
+                assert np.all(A.T @ y >= lp.c - 1e-9)
+                assert np.all(y[rels == "<="] >= -1e-9)
+                assert np.all(y[rels == ">="] <= 1e-9)
+                rhs = np.array([r[2] for r in lp.rows])
+                assert float(y @ rhs) == pytest.approx(sol.value, abs=1e-8)
+
+    def test_feasibility_rejects_other_alphabets(self):
+        # a (2,3)-output box has as many entries as a (3,2)-output game's
+        # table; it must not be read in the game's layout
+        from di_toolkit.boxes import Game, InputDistribution
+
+        q = InputDistribution(np.full((2, 2), 0.25))
+        game = Game(Alphabets(3, 2, 2, 2), q, np.ones((3, 2, 2, 2), bool))
+        box = SingleRoundBox(Alphabets(2, 3, 2, 2), np.full((2, 2, 2, 3), 1 / 6))
+        with pytest.raises(AlphabetMismatchError):
+            nslp.box_winning_probability_feasible(box, game)
+        same = Game(box.alphabets, q, np.ones((2, 3, 2, 2), bool))
+        assert nslp.box_winning_probability_feasible(box, same)
+
     def test_chsh_row_counts(self, chsh):
         lp = nslp.build_ns_lp(chsh)
         assert lp.num_vars == 16

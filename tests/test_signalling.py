@@ -6,9 +6,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from di_toolkit import signalling as sig
-from di_toolkit.boxes import ObservedData, l1_distance
+from di_toolkit.boxes import (Alphabets, InputDistribution, ObservedData,
+                              SingleRoundBox, frequency_box, l1_distance)
 from conftest import (BINARY, bob_echoes_x_box, pr_box, random_box,
                       random_classical_box, sample_iid_data, uniform_q)
+
+
+def joint_marginal_measure(box, q, target):
+    """Oracle: O_BY(b,y) * [O_{X|BY}(x|b,y) - Q_{X|Y}(x|y)] (mirrored for
+    BtoA) from the joint O = Q(x,y) P(a,b|x,y) and its marginals; 0 where
+    the conditioning mass is 0."""
+    joint = q.q[:, :, None, None] * box.p  # (x, y, a, b)
+    if target.direction == sig.A_TO_B:
+        x, y, b = target.x, target.y, target.outcome
+        o_bxy = joint.sum(axis=2)  # (x, y, b)
+        mass = o_bxy.sum(axis=0)[y, b]
+        if mass == 0.0:
+            return 0.0
+        return float(o_bxy[x, y, b] - q.x_given_y()[x, y] * mass)
+    x, y, a = target.x, target.y, target.outcome
+    o_axy = joint.sum(axis=3)  # (x, y, a)
+    mass = o_axy.sum(axis=1)[x, a]
+    if mass == 0.0:
+        return 0.0
+    return float(o_axy[x, y, a] - q.y_given_x()[x, y] * mass)
+
+
+def random_alphabets_and_q(rng):
+    al = Alphabets(*(int(k) for k in rng.integers(1, 4, size=4)))
+    q = rng.dirichlet(np.ones(al.x_size * al.y_size))
+    q = 0.9 * q + 0.1 / q.size
+    return al, InputDistribution(q.reshape(al.x_size, al.y_size))
 
 
 class TestSigMeasure:
@@ -46,6 +74,44 @@ class TestSigMeasure:
         box = SingleRoundBox(BINARY, p)
         target = sig.SigTarget(sig.A_TO_B, x=0, y=0, outcome=1)
         assert sig.sig_measure(box, uniform_q(), target) == 0.0
+
+
+    def test_matches_joint_marginal_oracle(self, rng):
+        for _ in range(200):
+            al, q = random_alphabets_and_q(rng)
+            box = random_box(rng, al)
+            # zero out a random set of entries (renormalized per input pair
+            # when possible) so some conditioning masses vanish
+            p = box.p * (rng.random(box.p.shape) < 0.6)
+            sums = p.sum(axis=(2, 3), keepdims=True)
+            p = np.where(sums > 0, p / np.where(sums > 0, sums, 1.0), p)
+            box = SingleRoundBox(al, p, require_normalized=False)
+            for target in sig.all_sig_targets(al):
+                assert sig.sig_measure(box, q, target) == pytest.approx(
+                    joint_marginal_measure(box, q, target), abs=1e-15)
+
+    def test_zero_mass_matches_oracle(self):
+        import itertools
+
+        p = np.zeros((2, 2, 2, 2))
+        for x, y, a in itertools.product(range(2), repeat=3):
+            p[x, y, a, 0] = 0.5
+        box = SingleRoundBox(BINARY, p)
+        for target in sig.all_sig_targets(BINARY):
+            assert sig.sig_measure(box, uniform_q(), target) == pytest.approx(
+                joint_marginal_measure(box, uniform_q(), target), abs=1e-15)
+
+    def test_matrix_rows_follow_targets(self, rng):
+        al, q = random_alphabets_and_q(rng)
+        S = sig.signalling_matrix(al, q)
+        assert S.shape == (al.num_signalling_constraints,
+                           al.x_size * al.y_size * al.a_size * al.b_size)
+        rows = sorted(sig.target_row(al, t) for t in sig.all_sig_targets(al))
+        assert rows == list(range(al.num_signalling_constraints))
+        with pytest.raises(ValueError):
+            sig.target_row(al, sig.SigTarget(sig.A_TO_B, 0, 0, al.b_size))
+        with pytest.raises(ValueError):
+            sig.signalling_matrix(al, uniform_q(al.x_size + 1, al.y_size))
 
 
 class TestSanov:
@@ -87,6 +153,41 @@ class TestSignallingTest:
                             np.zeros(2, int), np.zeros(2, int), BINARY)
         target = sig.SigTarget(sig.A_TO_B, 0, 0, 0)
         assert sig.run_signalling_test(data, uniform_q(), params, target) is False
+
+    def test_all_targets_match_single_target_view(self, rng):
+        """signalling_test_flags, read in the CLI's target order, equals one
+        run_signalling_test per target and the joint-marginal oracle on the
+        second-half frequency box, for thresholds below, at and above the
+        echo box's measure 1/8; data missing an input pair rejects."""
+        q = uniform_q()
+        targets = sig.all_sig_targets(BINARY)
+        n = 400
+        fired = []
+        for box in (random_classical_box(rng), bob_echoes_x_box(), pr_box()):
+            xs, ys, a, b = sample_iid_data(box, q, n, rng)
+            second = ObservedData(n // 2, a[n // 2:], b[n // 2:],
+                                  xs[n // 2:], ys[n // 2:], BINARY)
+            freq = frequency_box(second, q)
+            for zeta in (0.06, 0.16, 0.2):
+                params = sig.TestParams(zeta=zeta, eps=zeta / 8, n=n)
+                threshold = params.zeta - 2 * params.eps
+                data = ObservedData(n, a, b, xs, ys, BINARY)
+                flags = sig.signalling_test_flags(data, q, params)
+                cli_order = [bool(flags[sig.target_row(BINARY, t)])
+                             for t in targets]
+                single = [sig.run_signalling_test(data, q, params, t)
+                          for t in targets]
+                assert cli_order == single
+                for t, flag in zip(targets, single):
+                    m = joint_marginal_measure(freq, q, t)
+                    if abs(m - threshold) > 1e-9:
+                        assert flag == (m >= threshold)
+                fired.append(sum(single))
+            missing = ObservedData(n, a, b, np.zeros_like(xs), ys, BINARY)
+            assert not sig.signalling_test_flags(missing, q, params).any()
+        # the echo box fires its AtoB targets at the lowest threshold only
+        assert fired[:3] == [0, 0, 0] and fired[-3:] == [0, 0, 0]
+        assert fired[3] >= 4 and fired[5] < fired[3]
 
     def test_monte_carlo_reliability(self, rng):
         """Detection on a signalling box and rejection on a non-signalling
