@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 OMEGA_CLASSICAL = 0.75
 OMEGA_QUANTUM = (2.0 + math.sqrt(2.0)) / 4.0
 
@@ -56,6 +58,27 @@ def secrecy_bound_slope(omega: float) -> float:
     u = 0.5 + 0.5 * root
     # dh/du = log2((1-u)/u); du/dw = 4(2w-1)/root
     return math.log2(u / (1.0 - u)) * 4.0 * (2.0 * omega - 1.0) / root
+
+
+def secrecy_bound_array(omega: np.ndarray) -> np.ndarray:
+    """secrecy_bound (not strict) elementwise, in the same operation order."""
+    w = np.clip(omega, OMEGA_CLASSICAL, OMEGA_QUANTUM)
+    radicand = np.maximum(16.0 * w * (w - 1.0) + 3.0, 0.0)
+    u = np.minimum(0.5 + 0.5 * np.sqrt(radicand), 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.where(u == 1.0, 0.0,
+                     -u * np.log2(u) - (1.0 - u) * np.log2(1.0 - u))
+    value = np.where(omega < OMEGA_CLASSICAL - _CLAMP, 0.0, 1.0 - h)
+    return np.where(omega > OMEGA_QUANTUM + _CLAMP, 1.0, value)
+
+
+def secrecy_bound_slope_array(omega: np.ndarray) -> np.ndarray:
+    """secrecy_bound_slope elementwise; no domain check: entries outside the
+    open quantum regime come out nan or infinite."""
+    radicand = 16.0 * omega * (omega - 1.0) + 3.0
+    root = np.sqrt(radicand)
+    u = 0.5 + 0.5 * root
+    return np.log2(u / (1.0 - u)) * 4.0 * (2.0 * omega - 1.0) / root
 
 
 def bell_diag_bound(omega: float) -> float:

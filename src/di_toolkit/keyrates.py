@@ -18,6 +18,11 @@ round count.  Only t, the leakage and the max-entropy term depend on the
 tail error eps_t; the entropy term, the log correction and the PA term do
 not, so the optimizer's eps_t sweep computes them once per parameter point.
 
+optimize_rate scores its coarse (gamma, delta_est) grid and its epsilon
+split grid in one numpy pass each (_grid_key_lengths, the array form of
+_eval_point) and rescores the best points of each grid with the scalar
+path, which alone produces the points chosen and the numbers reported.
+
 Negative key lengths are reported as-is so that the zero crossings of rate
 curves can be located; callers clamp for presentation.
 """
@@ -28,9 +33,12 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
+import numpy as np
+
 from . import eat
 from .eat import BlockSpec, EatEpsilons
-from .entropy import OMEGA_CLASSICAL, OMEGA_QUANTUM, binary_entropy
+from .entropy import (OMEGA_CLASSICAL, OMEGA_QUANTUM, binary_entropy,
+                      secrecy_bound_array, secrecy_bound_slope_array)
 
 LOG2_2SQRT2_PLUS_1 = math.log2(2.0 * math.sqrt(2.0) + 1.0)
 
@@ -414,6 +422,137 @@ def _eval_point(target: RateTarget, caps: RateCaps, mode: str, gamma: float,
                          terms, eps_t_index=index, eps_t_at_bound=index == 0)
 
 
+def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
+                      gammas, deltas, shares) -> np.ndarray:
+    """_eval_point's key length at every (gamma, delta_est, shares) of the
+    outer product of the three lists: an array of shape (len(gammas),
+    len(deltas), len(shares)), -inf wherever _eval_point returns None.
+
+    The terms are the scalar path's, in its operation order.  What depends
+    on one axis alone (the block structure and leakage rate per gamma, the
+    Hoeffding term and eps_ec_prime per delta, the soundness split, the log
+    correction and the PA term per share) is computed with the scalar math;
+    the cut, the entropy term and the eps_t sweep run elementwise.  numpy's
+    log2 and log may differ from libm's by an ulp, so the values agree with
+    _eval_point to about 1e-12 relative, not bit for bit: callers rescore
+    the points they keep with _eval_point.  Per-round mode is the s_max = 1,
+    eps_t = 0 case: n rounds, no tail, unshifted smoothing.
+    """
+    block = mode == BLOCK
+    omega, _ = honest_werner(2.0 * target.q)
+    n = target.n
+    shape = (len(gammas), len(deltas), len(shares))
+    # ProtocolParams' checks on the target, EpsilonBudget's on eps_ec
+    if not (n >= 1 and OMEGA_CLASSICAL <= omega <= OMEGA_QUANTUM + 1e-12
+            and 0 <= target.q <= 0.5 and 0 < caps.eps_ec < 1):
+        return np.full(shape, -np.inf)
+
+    def column(rows, axis):
+        """The per-axis rows as arrays that broadcast along ``axis`` of
+        (gamma, delta, share, eps_t candidate)."""
+        dims = [1, 1, 1, 1]
+        dims[axis] = -1
+        return [np.array(c).reshape(dims) for c in zip(*rows)]
+
+    h_q, h_omega = binary_entropy(target.q), binary_entropy(omega)
+    rows = []
+    for gamma in gammas:
+        ok = 0 < gamma <= 1
+        gamma = gamma if ok else 1.0
+        s_max = max(int(math.ceil(1.0 / gamma - 1e-9)), 1) if block else 1
+        if s_max == 1:
+            scale, sbar, log2_do = gamma, 1.0, eat.LOG2_13
+        else:
+            scale = BlockSpec(gamma, s_max).test_mass
+            sbar = scale / gamma
+            log2_do = eat._log2_block_dim(s_max)
+        m = n / sbar
+        lo, hi = eat.cut_interval(scale)
+        rows.append((ok and lo < hi, gamma, s_max > 1, scale, sbar, m,
+                     log2_do, lo, hi, (1.0 - gamma) * h_q + gamma * h_omega,
+                     -m * (1.0 - gamma) ** 2, 2.0 * gamma * gamma))
+    (gamma_ok, gamma, tail, scale, sbar, m, log2_do, lo, hi, leak_rate,
+     tail_num, tail_den) = column(rows, 0)
+
+    rows = []
+    for delta in deltas:
+        hoeffding = math.exp(-2.0 * n * delta**2)
+        ecc = min(caps.completeness - caps.eps_ec - hoeffding, 1.0 - 1e-12)
+        if 0 < delta < 1 and ecc > caps.eps_ec:
+            prime = ecc - caps.eps_ec
+            rows.append((True, delta, prime, math.log2(
+                8.0 / prime**2 + 2.0 / (2.0 - prime))))
+        else:
+            rows.append((False, 0.5, 0.5, 0.0))
+    delta_ok, delta, prime, leak_third = column(rows, 1)
+
+    s_free = caps.soundness - 2.0 * caps.eps_ec
+    rows = []
+    for sh in shares:
+        w = sum(sh)
+        eps_s, eps_ea, eps_pa = (s_free * x / w for x in sh)
+        row = (False, 0.25, 0.5, 1.0, 0.0, 0.0, 0.0)
+        if 0 < eps_s < 1 and 0 < eps_ea < 1 and 0 < eps_pa < 1:
+            try:
+                eps = EatEpsilons(eps_s / 4.0, eps_ea + caps.eps_ec)
+                row = (True, eps.eps_s, eps.eps_e, math.sqrt(
+                    1.0 - 2.0 * math.log2(eps.eps_s * eps.eps_e)),
+                    _log_correction(eps_s),
+                    2.0 * math.log2(1.0 / eps_pa), eps.eps_s**2)
+            except ValueError:  # log2(0) in the log correction
+                pass
+        rows.append(row)
+    share_ok, es4, eps_e, k_root, log_corr, pa, cap_t = column(rows, 2)
+
+    if block:
+        eps_t = cap_t * np.array([10.0 ** (-k) for k in
+                                  range(1, EPS_T_CANDIDATE_DECADES)])
+    else:
+        eps_t = np.zeros_like(cap_t)
+
+    with np.errstate(all="ignore"):
+        p1 = omega * scale - delta
+        ratio = p1 / scale
+        ok = (gamma_ok & delta_ok & share_ok
+              & (ratio >= OMEGA_CLASSICAL) & (ratio <= 1.0))
+        k_pen = (2.0 / np.sqrt(m)) * k_root
+        cut = np.minimum(np.maximum(p1 - k_pen, lo), hi)
+        slope = sbar * secrecy_bound_slope_array(cut / scale) / scale
+        at_cut = sbar * secrecy_bound_array(cut / scale)
+        glued = np.where(tail, at_cut + slope * (p1 - cut),
+                         slope * p1 + (at_cut - slope * cut))
+        f_min = np.where(p1 <= cut, sbar * secrecy_bound_array(ratio), glued)
+        entropy_term = m * (f_min - k_pen * (log2_do + slope))
+
+        sqrt_t = np.sqrt(eps_t)
+        t = np.where(tail, np.sqrt(tail_num * np.log(eps_t) / tail_den), 0.0)
+        n_eff = n + t
+        eps_sqrt_term = prime - 2.0 * np.sqrt(np.where(tail, eps_t, 0.0))
+        leak = (n_eff * leak_rate
+                + np.sqrt(n_eff) * 4.0 * LOG2_2SQRT2_PLUS_1 * np.sqrt(
+                    2.0 * np.log2(8.0 / eps_sqrt_term**2))
+                + leak_third + math.log2(1.0 / caps.eps_ec))
+        max_ent = (gamma * n_eff + np.sqrt(n_eff) * 2.0 * eat.LOG2_7 * np.sqrt(
+            1.0 - 2.0 * np.log2((es4 - sqrt_t) * eps_e)))
+        ell = entropy_term - leak - log_corr - max_ent - pa
+    if block:
+        # A finite log correction needs eps_s > 4.2e-8, so every candidate
+        # has 0 < sqrt(eps_t) <= eps_s / (4 sqrt(10)): neither the eps_t
+        # guard nor round_count_tail's range check can fire.  Per-round
+        # mode has eps_t = 0, and eps_ec_prime > 0 wherever delta_ok holds.
+        ok = ok & (eps_sqrt_term > 0)
+    return np.where(ok, ell, -np.inf).max(axis=3)
+
+
+def _near_top(values: np.ndarray) -> np.ndarray:
+    """Flat indices, in grid order, of the finite kernel values within
+    1e-9 max(|top|, 1) of the largest: a band much wider than the kernel's
+    error, so it holds the scalar path's best point."""
+    top = values.max()
+    return np.flatnonzero(np.isfinite(values)
+                          & (values >= top - 1e-9 * max(abs(top), 1.0)))
+
+
 _DEFAULT_SHARES = (1.0, 1.0, 1.0)
 
 
@@ -433,8 +572,8 @@ def _golden_max(fn, lo: float, hi: float, tol: float):
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = fn(d)
-    x = a if fn(a) >= fn(b) else b
-    return x, fn(x)
+    fa, fb = fn(a), fn(b)
+    return (a, fa) if fa >= fb else (b, fb)
 
 
 def _share_grid() -> list:
@@ -456,26 +595,45 @@ def optimize_rate(target: RateTarget, caps: RateCaps,
     split; stage 2 golden-refines gamma and delta_est; stage 3 refines the
     epsilon split on a log grid and re-refines gamma and delta_est.
 
+    Stages 1 and 3 score their whole grid in one numpy pass
+    (_grid_key_lengths), then rescore with _eval_point every point within
+    1e-9 max(|top|, 1) of the grid's best and apply the selection rule to
+    those points only, in grid order; so every number reported, and every
+    point chosen, comes from the scalar path.
+
     In block mode s_max = ceil(1/gamma) jumps at reciprocal gammas, so the
     gamma refinement runs separately inside each bracket
     [1/s, 1/(s-1)) around the coarse optimum and keeps the best bracket.
+
+    The report's ``extras`` gain ``evals`` (points scored by the kernel,
+    ``grid_points`` and ``share_points``, and scalar _eval_point calls,
+    ``grid_rescored``, ``refine`` (the final report included) and
+    ``share_rescored``) and ``grid_at_bound`` (the coarse optimum lies on
+    an edge of the gamma or delta_est grid).
     """
     if mode not in (PER_ROUND, BLOCK):
         raise ValueError("mode must be 'per-round' or 'block'")
+    evals = dict.fromkeys(("grid_points", "grid_rescored", "refine",
+                           "share_points", "share_rescored"), 0)
 
-    def evaluate(gamma, delta, shares):
+    def evaluate(gamma, delta, shares, stage="refine"):
+        evals[stage] += 1
         r = _eval_point(target, caps, mode, gamma, delta, shares)
         return -math.inf if r is None else r.key_length
 
     gammas = sorted(set(_log_grid(1e-4, 1.0, GAMMA_GRID_PER_DECADE))
                     | {1.0 / k for k in range(1, 41)})
     deltas = _log_grid(1e-4, 1e-1, DELTA_GRID_PER_DECADE)
+    values = _grid_key_lengths(target, caps, mode, gammas, deltas,
+                               [_DEFAULT_SHARES])[:, :, 0]
+    evals["grid_points"] = values.size
     best = (-math.inf, gammas[0], deltas[0])
-    for gm in gammas:
-        for dl in deltas:
-            v = evaluate(gm, dl, _DEFAULT_SHARES)
-            if v > best[0]:
-                best = (v, gm, dl)
+    for i in _near_top(values):
+        g, d = divmod(i, len(deltas))
+        gm, dl = gammas[g], deltas[d]
+        v = evaluate(gm, dl, _DEFAULT_SHARES, "grid_rescored")
+        if v > best[0]:
+            best = (v, gm, dl)
     if not math.isfinite(best[0]):
         raise ValueError("no feasible parameter point under the caps")
     _, gamma0, delta0 = best
@@ -518,17 +676,25 @@ def optimize_rate(target: RateTarget, caps: RateCaps,
 
     gamma1, delta1 = refine(gamma0, delta0, _DEFAULT_SHARES)
 
+    share_grid = _share_grid()
+    values = _grid_key_lengths(target, caps, mode, [gamma1], [delta1],
+                               share_grid)[0, 0]
+    evals["share_points"] = values.size
     best_shares = _DEFAULT_SHARES
-    best_v = evaluate(gamma1, delta1, best_shares)
-    for shares in _share_grid():
-        v = evaluate(gamma1, delta1, shares)
+    best_v = evaluate(gamma1, delta1, best_shares, "share_rescored")
+    for i in _near_top(values):
+        v = evaluate(gamma1, delta1, share_grid[i], "share_rescored")
         if v > best_v + 1e-12:
-            best_v, best_shares = v, shares
+            best_v, best_shares = v, share_grid[i]
     gamma2, delta2 = refine(gamma1, delta1, best_shares)
 
+    evals["refine"] += 1
     report = _eval_point(target, caps, mode, gamma2, delta2, best_shares)
     if report is None:
         raise ValueError("optimization collapsed to an infeasible point")
+    report.extras.update(
+        evals=evals, grid_at_bound=gamma0 in (gammas[0], gammas[-1])
+        or delta0 in (deltas[0], deltas[-1]))
     return report
 
 

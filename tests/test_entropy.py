@@ -69,6 +69,19 @@ class TestSecrecyBound:
             assert analytic == pytest.approx(numeric, rel=1e-6)
 
 
+    def test_array_forms_match_scalar(self):
+        q, c = ent.OMEGA_QUANTUM, ent.OMEGA_CLASSICAL
+        omegas = np.concatenate([np.linspace(0.6, 0.99, 2001), [
+            c, c - 1e-12, c - 2e-12, q, q + 1e-12, q + 2e-12, 1.0]])
+        got = ent.secrecy_bound_array(omegas)
+        want = np.array([ent.secrecy_bound(w) for w in omegas])
+        assert np.all(np.abs(got - want) <= 1e-15)
+        inside = np.linspace(c, q, 2001)[1:-1]
+        got = ent.secrecy_bound_slope_array(inside)
+        want = np.array([ent.secrecy_bound_slope(w) for w in inside])
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
 class TestBellDiagBound:
     def test_quantum_endpoint(self):
         assert ent.bell_diag_bound(ent.OMEGA_QUANTUM) == pytest.approx(

@@ -1,7 +1,10 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from reference_curves import (KEY_RATE_POINTS, ZERO_CROSSING_N,
+                              ZERO_CROSSING_WINDOW)
 
 from di_toolkit import entropy, keyrates as kr
 
@@ -220,6 +223,51 @@ class TestOptimizeRate:
                                 mode=kr.BLOCK)
         assert reports[0].rate < reports[1].rate
 
+    def test_search_provenance(self):
+        for n, q, at_bound in ((1e10, 0.005, True), (1e7, 0.03, False)):
+            for mode in (kr.BLOCK, kr.PER_ROUND):
+                report = kr.optimize_rate(kr.RateTarget(n=n, q=q), self.CAPS,
+                                          mode=mode)
+                evals = report.extras["evals"]
+                assert set(evals) == {"grid_points", "grid_rescored",
+                                      "refine", "share_points",
+                                      "share_rescored"}
+                assert evals["grid_rescored"] >= 1
+                assert evals["share_rescored"] >= 1
+                assert report.extras["grid_at_bound"] == at_bound
+                assert "evals" not in report.to_json_dict()
+
+    def test_strict_caps_infeasible(self):
+        strict = kr.RateCaps(soundness=1e-9, completeness=1e-2, eps_ec=1e-12)
+        for mode in (kr.BLOCK, kr.PER_ROUND):
+            with pytest.raises(ValueError, match="no feasible parameter"):
+                kr.optimize_rate(kr.RateTarget(n=1e10, q=0.01), strict,
+                                 mode=mode)
+
+    # measured 344-486 at these points (2,311-2,453 with scalar grids)
+    SCALAR_EVAL_BUDGET = 500
+
+    def test_work_counters(self, monkeypatch):
+        calls = []
+        eval_point = kr._eval_point
+
+        def counting(*args):
+            calls.append(args)
+            return eval_point(*args)
+
+        monkeypatch.setattr(kr, "_eval_point", counting)
+        for n, q, _, _ in KEY_RATE_POINTS:
+            calls.clear()
+            report = kr.optimize_rate(kr.RateTarget(n=n, q=q), self.CAPS,
+                                      mode=kr.BLOCK)
+            evals = report.extras["evals"]
+            assert evals["grid_points"] == 71 * 25
+            assert evals["share_points"] == 170
+            scalar = (evals["grid_rescored"] + evals["refine"]
+                      + evals["share_rescored"])
+            assert scalar == len(calls)
+            assert scalar <= self.SCALAR_EVAL_BUDGET
+
     def test_eps_t_provenance(self):
         for n, index in ((1e15, 0), (1e10, 1)):
             report = kr.optimize_rate(kr.RateTarget(n=n, q=0.005), self.CAPS,
@@ -313,3 +361,195 @@ class TestEpsTSweep:
         assert self.check(self.CAPS, 0.01, 0.1, (1.0, 1.0, 1.0)) is None
         # eps_s < 4.2e-8: the log correction raises
         assert self.check(self.STRICT, 0.01, 1e-4, (0.01, 1.0, 1.0)) is None
+
+
+def scalar_key_length(target, caps, mode, gamma, delta, shares):
+    report = kr._eval_point(target, caps, mode, gamma, delta, shares)
+    return -math.inf if report is None else report.key_length
+
+
+def reference_golden_max(fn, lo, hi, tol):
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    x = a if fn(a) >= fn(b) else b
+    return x, fn(x)
+
+
+def reference_optimize_rate(target, caps, mode):
+    """optimize_rate with one scalar _eval_point per grid point in stages 1
+    and 3, and grid_at_bound from that stage-1 point."""
+
+    def evaluate(gamma, delta, shares):
+        return scalar_key_length(target, caps, mode, gamma, delta, shares)
+
+    gammas = GRID_GAMMAS
+    deltas = GRID_DELTAS
+    best = (-math.inf, gammas[0], deltas[0])
+    for gm in gammas:
+        for dl in deltas:
+            v = evaluate(gm, dl, (1.0, 1.0, 1.0))
+            if v > best[0]:
+                best = (v, gm, dl)
+    if not math.isfinite(best[0]):
+        raise ValueError("no feasible parameter point under the caps")
+    _, gamma0, delta0 = best
+
+    def refine_delta(gamma, delta, shares):
+        dlo, dhi = max(delta / 2.4, 1e-7), min(delta * 2.4, 0.5)
+        return reference_golden_max(
+            lambda d_: evaluate(gamma, d_, shares), dlo, dhi, 1e-4 * delta)[0]
+
+    def gamma_brackets(gamma):
+        if mode == kr.PER_ROUND:
+            return [(max(gamma / 2.4, 1e-6), min(gamma * 2.4, 1.0))]
+        s_star = max(int(math.ceil(1.0 / gamma)), 1)
+        out = []
+        for s in range(max(s_star - 2, 1), s_star + 3):
+            lo = 1.0 / s
+            hi = 1.0 if s == 1 else min(1.0 / (s - 1) * (1 - 1e-12), 1.0)
+            if s == 1:
+                out.append((1.0, 1.0))
+            elif lo < hi:
+                out.append((lo, hi))
+        return out
+
+    def refine(gamma, delta, shares):
+        for _ in range(2):
+            cand = (-math.inf, gamma, delta)
+            for glo, ghi in gamma_brackets(gamma):
+                if glo == ghi:
+                    gm, val = glo, evaluate(glo, delta, shares)
+                else:
+                    gm, val = reference_golden_max(
+                        lambda g_: evaluate(g_, delta, shares), glo, ghi,
+                        1e-5 * glo)
+                if val > cand[0]:
+                    cand = (val, gm, delta)
+            gamma = cand[1]
+            delta = refine_delta(gamma, delta, shares)
+        return gamma, delta
+
+    gamma1, delta1 = refine(gamma0, delta0, (1.0, 1.0, 1.0))
+    best_shares = (1.0, 1.0, 1.0)
+    best_v = evaluate(gamma1, delta1, best_shares)
+    for shares in SHARE_GRID:
+        v = evaluate(gamma1, delta1, shares)
+        if v > best_v + 1e-12:
+            best_v, best_shares = v, shares
+    gamma2, delta2 = refine(gamma1, delta1, best_shares)
+    report = kr._eval_point(target, caps, mode, gamma2, delta2, best_shares)
+    at_bound = gamma0 in (gammas[0], gammas[-1]) or delta0 in (deltas[0],
+                                                                deltas[-1])
+    return report, at_bound
+
+
+GRID_GAMMAS = sorted(set(kr._log_grid(1e-4, 1.0, kr.GAMMA_GRID_PER_DECADE))
+                     | {1.0 / k for k in range(1, 41)})
+GRID_DELTAS = kr._log_grid(1e-4, 1e-1, kr.DELTA_GRID_PER_DECADE)
+SHARE_GRID = [(1.0, 1.0, 1.0)] + [
+    (10.0 ** (i / 3), 10.0 ** (j / 3), 1.0)
+    for i in range(-6, 7) for j in range(-6, 7)]
+ACCEPTANCE_TARGETS = [(n, q) for n, q, _, _ in KEY_RATE_POINTS] + [
+    (ZERO_CROSSING_N, q) for q in ZERO_CROSSING_WINDOW]
+
+
+class TestGridKernel:
+    CAPS = kr.RateCaps(soundness=1e-5, completeness=1e-2, eps_ec=1e-10)
+    STRICT = kr.RateCaps(soundness=1e-9, completeness=1e-2, eps_ec=1e-12)
+    # n from 1e6 to 1e15, q from 0 to 0.034, the zero-crossing window
+    # included; at n = 1e6 the Hoeffding term leaves no completeness
+    # slack for delta_est below ~1.5e-3
+    TARGETS = [(1e6, 0.0), (1e6, 0.02), (1e7, 0.030), (1e7, 0.034),
+               (1e8, 0.01), (1e10, 0.005), (1e10, 0.025), (1e12, 0.015),
+               (1e15, 0.005), (1e15, 0.034)]
+
+    def check(self, target, caps, mode, gammas, deltas, shares):
+        """Kernel against _eval_point at every point: the same -inf mask,
+        values within 1e-11 relative; returns the feasible count."""
+        got = kr._grid_key_lengths(target, caps, mode, gammas, deltas, shares)
+        assert got.shape == (len(gammas), len(deltas), len(shares))
+        want = np.array([[[scalar_key_length(target, caps, mode, g, d, s)
+                           for s in shares] for d in deltas] for g in gammas])
+        feasible = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), feasible)
+        assert np.all(got[~feasible] == -math.inf)
+        gap = np.abs(got[feasible] - want[feasible])
+        assert np.all(gap <= 1e-11 * np.maximum(np.abs(want[feasible]), 1.0))
+        return int(feasible.sum())
+
+    @pytest.mark.parametrize("mode", [kr.BLOCK, kr.PER_ROUND])
+    def test_coarse_grid(self, mode):
+        for n, q in self.TARGETS:
+            feasible = self.check(kr.RateTarget(n=n, q=q), self.CAPS, mode,
+                                  GRID_GAMMAS, GRID_DELTAS, [(1.0, 1.0, 1.0)])
+            assert 0 < feasible < 71 * 25
+
+    @pytest.mark.parametrize("mode", [kr.BLOCK, kr.PER_ROUND])
+    def test_share_grid(self, mode):
+        assert kr._share_grid() == SHARE_GRID
+        for n, q, gamma, delta in ((1e10, 0.005, 0.0123, 1e-4),
+                                   (1e7, 0.03, 0.09, 2e-3)):
+            feasible = self.check(kr.RateTarget(n=n, q=q), self.CAPS, mode,
+                                  [gamma], [delta], SHARE_GRID)
+            # small eps_s shares put eps_s below 4.2e-8: log2(0)
+            assert 0 < feasible < len(SHARE_GRID)
+
+    @pytest.mark.parametrize("mode", [kr.BLOCK, kr.PER_ROUND])
+    def test_strict_caps(self, mode):
+        # eps_s < 4.2e-8 at every split: the log correction's log2(0)
+        target = kr.RateTarget(n=1e10, q=0.01)
+        assert self.check(target, self.STRICT, mode, GRID_GAMMAS,
+                          GRID_DELTAS, [(1.0, 1.0, 1.0)]) == 0
+        assert self.check(target, self.STRICT, mode, [0.01], [1e-4],
+                          SHARE_GRID) == 0
+
+    def test_invalid_inputs(self):
+        for mode in (kr.BLOCK, kr.PER_ROUND):
+            assert self.check(
+                kr.RateTarget(n=1e8, q=0.01), self.CAPS, mode,
+                [0.0, 0.3, 1.5, 1.0], [0.0, 1e-3, 1.0],
+                [(1.0, 1.0, 1.0), (0.0, 1.0, 1.0)]) == 2
+            # omega_exp below 3/4, and fewer than one round
+            for n, q in ((1e8, 0.2), (0.5, 0.01)):
+                assert self.check(kr.RateTarget(n=n, q=q), self.CAPS, mode,
+                                  [0.3], [1e-3], [(1.0, 1.0, 1.0)]) == 0
+
+    @pytest.mark.parametrize("mode", [kr.BLOCK, kr.PER_ROUND])
+    def test_optimizer_matches_scalar_reference(self, mode):
+        for n, q in ACCEPTANCE_TARGETS:
+            target = kr.RateTarget(n=n, q=q)
+            got = kr.optimize_rate(target, self.CAPS, mode=mode)
+            want, at_bound = reference_optimize_rate(target, self.CAPS, mode)
+            assert got.to_json_dict() == want.to_json_dict()
+            extras = dict(got.extras)
+            del extras["evals"]
+            assert extras == {**want.extras, "grid_at_bound": at_bound}
+
+    def test_rescoring_decides_within_band(self, monkeypatch):
+        """A kernel that ties every feasible point leaves the whole choice
+        to the scalar rescoring, which must still find the scalar optimum."""
+        kernel = kr._grid_key_lengths
+
+        def tied(*args):
+            values = kernel(*args)
+            return np.where(np.isfinite(values), 1.0, -math.inf)
+
+        monkeypatch.setattr(kr, "_grid_key_lengths", tied)
+        target = kr.RateTarget(n=1e10, q=0.005)
+        got = kr.optimize_rate(target, self.CAPS, mode=kr.BLOCK)
+        want, _ = reference_optimize_rate(target, self.CAPS, kr.BLOCK)
+        assert got.to_json_dict() == want.to_json_dict()
+        assert got.extras["evals"]["grid_rescored"] > 1000
+        assert got.extras["evals"]["share_rescored"] > 100
