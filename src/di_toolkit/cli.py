@@ -54,11 +54,11 @@ def rate_curve_table(grid, reports) -> tuple:
 
 
 def _emit(args, payload, csv_rows=None, csv_header=None):
-    if getattr(args, "format", "json") == "csv" and csv_rows is not None:
+    if args.format == "csv" and csv_rows is not None:
         text = csv_text(csv_header, csv_rows)
     else:
         text = json.dumps(_round_sig(payload), indent=2) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
@@ -82,8 +82,7 @@ def _cmd_entropy_curve(args):
 def _cmd_mu_opt(args):
     eps = eat.EatEpsilons(args.eps_s, args.eps_e)
     if args.block:
-        s_max = args.s_max if args.s_max else max(
-            int(math.ceil(1.0 / args.gamma - 1e-9)), 1)
+        s_max = args.s_max or eat.default_s_max(args.gamma)
         block = eat.BlockSpec(args.gamma, s_max)
         sbar = eat.expected_block_length(block)
         m = args.n / sbar
@@ -214,11 +213,22 @@ def _cmd_simulate(args):
     payload = {
         "abort_freq": freq,
         "ci": list(ci),
-        "hoeffding_bound": math.exp(-2.0 * args.n * args.delta_est**2),
+        "hoeffding_bound": eat.hoeffding(args.n, args.delta_est),
         "trials": args.trials,
         "seed": args.seed,
     }
     _emit(args, payload)
+
+
+def _subcommand_parser(**kw) -> argparse.ArgumentParser:
+    """A subcommand's parser with the flags every subcommand takes; built
+    afresh for each, so a subcommand's set_defaults changes only its own."""
+    p = argparse.ArgumentParser(**kw)
+    p.add_argument("--config", help="JSON file whose keys mirror the flags; "
+                                    "explicit flags win")
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.add_argument("--out")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,13 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="di-toolkit",
         description="non-signalling boxes, de Finetti reductions, and "
                     "finite-size device-independent key rates")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config",
-                        help="JSON file whose keys mirror the flags; "
-                             "explicit flags win")
     sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=lambda **kw: argparse.ArgumentParser(
-                                    parents=[common], **kw))
+                                parser_class=_subcommand_parser)
 
     p = sub.add_parser("entropy-curve", help="secrecy bounds vs winning "
                                              "probability (CSV)")
@@ -240,9 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="stop", type=float,
                    default=entropy.OMEGA_QUANTUM)
     p.add_argument("--points", type=int, default=50)
-    p.add_argument("--format", choices=["json", "csv"], default="csv")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_entropy_curve)
+    p.set_defaults(func=_cmd_entropy_curve, format="csv")
 
     p = sub.add_parser("mu-opt", help="optimized finite-size entropy rate")
     p.add_argument("--n", type=float, required=True)
@@ -253,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-e", dest="eps_e", type=float, required=True)
     p.add_argument("--block", action="store_true")
     p.add_argument("--s-max", dest="s_max", type=int, default=0)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_mu_opt)
 
     p = sub.add_parser("rate-curve", help="optimized key-rate sweep")
@@ -270,15 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-ec", dest="eps_ec", type=float, default=1e-10)
     p.add_argument("--soundness", type=float, default=1e-5)
     p.add_argument("--completeness", type=float, default=1e-2)
-    p.add_argument("--format", choices=["json", "csv"], default="csv")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_rate_curve)
+    p.set_defaults(func=_cmd_rate_curve, format="csv")
 
     p = sub.add_parser("ns-value", help="optimal non-signalling winning "
                                         "probability of a game")
     p.add_argument("--game", required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_ns_value)
 
     p = sub.add_parser("threshold-bound", help="non-signalling threshold "
@@ -286,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_threshold_bound)
 
     p = sub.add_parser("definetti-verify", help="exact reduction check on "
@@ -299,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-size", dest="b_size", type=int, default=2)
     p.add_argument("--x-size", dest="x_size", type=int, default=2)
     p.add_argument("--y-size", dest="y_size", type=int, default=2)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_definetti_verify)
 
     p = sub.add_parser("sig-test", help="signalling tests on observed data")
@@ -309,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--q", help="JSON file with the input distribution "
                                "(default uniform)")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_sig_test)
 
     p = sub.add_parser("simulate", help="honest-device abort probability")
@@ -321,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qber", type=float, default=0.0)
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_simulate)
 
     return parser
@@ -362,7 +351,7 @@ def main(argv=None) -> int:
             return 1
     args = parser.parse_args(argv)
     # allow the documented `--out csv` / `--out json` shorthand for --format
-    if getattr(args, "out", None) in ("csv", "json"):
+    if args.out in ("csv", "json"):
         args.format = args.out
         args.out = None
     try:

@@ -20,7 +20,10 @@ The block variant groups rounds into blocks that end at the first test
 round or after s_max rounds, which improves how the penalty scales with the
 test probability gamma.  Its per-block function s_bar g(c / mass) is convex
 in the same way, so mu_block_opt uses the same closed form with m blocks in
-place of n rounds.
+place of n rounds.  The key length's one-round blocks use the per-round
+functions.  The terms that keyrates' numpy grid kernel shares with the
+scalar path (the penalty K, the max-entropy bound, the round count tail)
+take the namespace ``xp``: math for scalars, numpy for arrays.
 """
 
 from __future__ import annotations
@@ -118,16 +121,11 @@ def f_min(p1: float, spec: TradeoffSpec) -> float:
     return a * p1 + b
 
 
-def _penalty_scale(eps: EatEpsilons, n: float) -> float:
-    """K = (2/sqrt(n)) sqrt(1 - 2 log2(eps_s eps_e)), the factor of
-    (log2 d_O + slope) in the second-order term."""
-    return (2.0 / math.sqrt(n)) * math.sqrt(
-        1.0 - 2.0 * math.log2(eps.eps_s * eps.eps_e))
-
-
-def _second_order(slope: float, eps: EatEpsilons, n: float,
-                  log2_do: float = LOG2_13) -> float:
-    return _penalty_scale(eps, n) * (log2_do + slope)
+def _penalty_scale(eps_s, eps_e, count, xp=math):
+    """K = (2/sqrt(count)) sqrt(1 - 2 log2(eps_s eps_e)), the factor of
+    (log2 d_O + slope) in the second-order term, in the namespace ``xp``."""
+    return (2.0 / xp.sqrt(count)) * xp.sqrt(
+        1.0 - 2.0 * xp.log2(eps_s * eps_e))
 
 
 def mu(p1: float, spec: TradeoffSpec, eps: EatEpsilons, n: float) -> float:
@@ -136,7 +134,8 @@ def mu(p1: float, spec: TradeoffSpec, eps: EatEpsilons, n: float) -> float:
     if n <= 0:
         raise ValueError("n must be positive")
     slope = g_slope(spec.p_cut1, spec.gamma)
-    return f_min(p1, spec) - _second_order(slope, eps, n)
+    return f_min(p1, spec) - _penalty_scale(eps.eps_s, eps.eps_e, n) * (
+        LOG2_13 + slope)
 
 
 def cut_interval(gamma: float) -> tuple:
@@ -156,7 +155,8 @@ def _optimal_cut(p1: float, eps: EatEpsilons, count: float,
     lo, hi = cut_interval(scale)
     if lo >= hi:
         raise ValueError("empty cut interval")
-    return min(max(p1 - _penalty_scale(eps, count), lo), hi)
+    return min(max(p1 - _penalty_scale(eps.eps_s, eps.eps_e, count), lo),
+               hi)
 
 
 def mu_opt(omega_exp: float, delta_est: float, gamma: float, n: float,
@@ -176,26 +176,24 @@ def mu_opt(omega_exp: float, delta_est: float, gamma: float, n: float,
     return mu(p1, TradeoffSpec(gamma, cut), eps, n), cut
 
 
-def entropy_lower_bound(n: float, mu_opt_value: float) -> float:
-    """Total accumulated smooth min-entropy: n * mu_opt."""
-    return n * mu_opt_value
-
-
-def max_entropy_upper(n: float, gamma: float, eps_s: float, eps_ea: float,
-                      eps_ec: float) -> float:
-    """gamma*n + sqrt(n) * 2 log2(7) * sqrt(1 - 2 log2((eps_s/4)(eps_ea+eps_ec)))
-
-    Upper bound on the smooth max-entropy of Bob's test outputs, used when
-    converting accumulated entropy into key length.
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    return gamma * n + math.sqrt(n) * 2.0 * LOG2_7 * math.sqrt(
-        1.0 - 2.0 * math.log2((eps_s / 4.0) * (eps_ea + eps_ec)))
+def max_entropy_upper(n, gamma, eps_s, eps_e, xp=math):
+    """gamma n + sqrt(n) 2 log2(7) sqrt(1 - 2 log2(eps_s eps_e)) in the
+    namespace ``xp``: upper bound on the smooth max-entropy of Bob's test
+    outputs over n rounds, with the key length's smoothing
+    eps_s/4 - sqrt(eps_t) and eps_e = eps_ea + eps_ec."""
+    return gamma * n + xp.sqrt(n) * 2.0 * LOG2_7 * xp.sqrt(
+        1.0 - 2.0 * xp.log2(eps_s * eps_e))
 
 
 # ---------------------------------------------------------------------------
 # block variant
+
+
+def default_s_max(gamma: float) -> int:
+    """s_max = ceil(1/gamma), the block length cap that the rate optimizer
+    and the CLI pick: about the mean spacing of test rounds.  The ceiling is
+    guarded against float noise (1/0.1 = 10.000000000000002)."""
+    return max(int(math.ceil(1.0 / gamma - 1e-9)), 1)
 
 
 def expected_block_length(block: BlockSpec) -> float:
@@ -241,8 +239,9 @@ def mu_block(p1_tilde: float, block: BlockSpec, cut: float,
     if m_blocks <= 0:
         raise ValueError("m_blocks must be positive")
     slope = f_min_block_slope(block, cut)
-    return f_min_block(p1_tilde, block, cut) - _second_order(
-        slope, eps, m_blocks, log2_do=_log2_block_dim(block.s_max))
+    penalty = _penalty_scale(eps.eps_s, eps.eps_e, m_blocks)
+    return f_min_block(p1_tilde, block, cut) - penalty * (
+        _log2_block_dim(block.s_max) + slope)
 
 
 def mu_block_opt(omega_exp: float, delta_est: float, block: BlockSpec,
@@ -268,5 +267,16 @@ def round_count_tail(m_blocks: float, gamma: float, eps_t: float) -> float:
         raise ValueError("eps_t must be in (0,1)")
     if gamma >= 1.0:
         return 0.0
-    return math.sqrt(-m_blocks * (1.0 - gamma) ** 2 * math.log(eps_t)
-                     / (2.0 * gamma * gamma))
+    return _tail(m_blocks, gamma, eps_t)
+
+
+def _tail(m_blocks, gamma, eps_t, xp=math):
+    """round_count_tail without its checks, in the namespace ``xp``."""
+    return xp.sqrt(-m_blocks * (1.0 - gamma) ** 2 * xp.log(eps_t)
+                   / (2.0 * gamma * gamma))
+
+
+def hoeffding(n: float, deviation: float) -> float:
+    """exp(-2 n deviation^2): Hoeffding's bound on the probability that the
+    mean of n trials in [0, 1] exceeds its expectation by ``deviation``."""
+    return math.exp(-2.0 * n * deviation**2)

@@ -1,7 +1,9 @@
 r"""Scalar entropy functions and single-round entropy bounds for CHSH.
 
 All logarithms are base 2.  The quantum CHSH regime is
-omega in [3/4, (2+sqrt(2))/4].
+omega in [3/4, (2+sqrt(2))/4].  The secrecy bound and its slope also run
+elementwise on numpy arrays for the key-rate grid kernel: the slope's one
+body takes the namespace ``xp`` (math or numpy).
 """
 
 from __future__ import annotations
@@ -53,11 +55,17 @@ def secrecy_bound_slope(omega: float) -> float:
     """d/dw of secrecy_bound on the open quantum regime."""
     if not OMEGA_CLASSICAL < omega < OMEGA_QUANTUM:
         raise ValueError("slope defined on the open quantum regime only")
+    return _slope(omega)
+
+
+def _slope(omega, xp=math):
+    """secrecy_bound_slope without the domain check, in the namespace ``xp``;
+    with numpy, entries outside the open regime come out nan or infinite."""
     radicand = 16.0 * omega * (omega - 1.0) + 3.0
-    root = math.sqrt(radicand)
+    root = xp.sqrt(radicand)
     u = 0.5 + 0.5 * root
     # dh/du = log2((1-u)/u); du/dw = 4(2w-1)/root
-    return math.log2(u / (1.0 - u)) * 4.0 * (2.0 * omega - 1.0) / root
+    return xp.log2(u / (1.0 - u)) * 4.0 * (2.0 * omega - 1.0) / root
 
 
 def secrecy_bound_array(omega: np.ndarray) -> np.ndarray:
@@ -70,15 +78,6 @@ def secrecy_bound_array(omega: np.ndarray) -> np.ndarray:
                      -u * np.log2(u) - (1.0 - u) * np.log2(1.0 - u))
     value = np.where(omega < OMEGA_CLASSICAL - _CLAMP, 0.0, 1.0 - h)
     return np.where(omega > OMEGA_QUANTUM + _CLAMP, 1.0, value)
-
-
-def secrecy_bound_slope_array(omega: np.ndarray) -> np.ndarray:
-    """secrecy_bound_slope elementwise; no domain check: entries outside the
-    open quantum regime come out nan or infinite."""
-    radicand = 16.0 * omega * (omega - 1.0) + 3.0
-    root = np.sqrt(radicand)
-    u = 0.5 + 0.5 * root
-    return np.log2(u / (1.0 - u)) * 4.0 * (2.0 * omega - 1.0) / root
 
 
 def bell_diag_bound(omega: float) -> float:

@@ -2,21 +2,22 @@ r"""Finite-size device-independent QKD key length and rate curves.
 
 The extractable key length combines the accumulated-entropy lower bound with
 the error-correction leakage of the honest implementation and the remaining
-finite-size corrections:
+finite-size corrections.  Over m blocks of at most s_max rounds (each ends
+at its first test round), n expected rounds and n' = n + t effective ones:
 
-    l = n * mu_opt(eps_s/4, eps_ea + eps_ec)
-        - leak_ec
+    l = m * mu_block_opt(eps_s/4, eps_ea + eps_ec)
+        - leak_ec(n', eps_t)
         - 3 log2(1 - sqrt(1 - (eps_s/4)^2))
-        - gamma n
-        - sqrt(n) 2 log2(7) sqrt(1 - 2 log2(eps_s/4 (eps_ea + eps_ec)))
-        - 2 log2(1/eps_pa).
+        - gamma n'
+        - sqrt(n') 2 log2(7) sqrt(1 - 2 log2(eps_s' (eps_ea + eps_ec)))
+        - 2 log2(1/eps_pa),
 
-The block mode replaces the per-round accumulation with the block variant
-(better scaling in the test probability gamma), works with the expected
-round count n_bar, and charges a tail correction t for the random total
-round count.  Only t, the leakage and the max-entropy term depend on the
-tail error eps_t; the entropy term, the log correction and the PA term do
-not, so the optimizer's eps_t sweep computes them once per parameter point.
+with t the tail of the random round count at error eps_t and
+eps_s' = eps_s/4 - sqrt(eps_t).  Only t, the leakage and the max-entropy
+term depend on eps_t, so the optimizer's eps_t sweep computes the other
+terms once per parameter point.  The per-round protocol is the case of
+one-round blocks, s_max = 1 (m = n, mu_opt) with eps_t = 0 (t = 0): the
+per-round key_length is that computation, not a second text of it.
 
 optimize_rate scores its coarse (gamma, delta_est) grid and its epsilon
 split grid in one numpy pass each (_grid_key_lengths, the array form of
@@ -37,8 +38,8 @@ import numpy as np
 
 from . import eat
 from .eat import BlockSpec, EatEpsilons
-from .entropy import (OMEGA_CLASSICAL, OMEGA_QUANTUM, binary_entropy,
-                      secrecy_bound_array, secrecy_bound_slope_array)
+from .entropy import (OMEGA_CLASSICAL, OMEGA_QUANTUM, _slope, binary_entropy,
+                      secrecy_bound_array)
 
 LOG2_2SQRT2_PLUS_1 = math.log2(2.0 * math.sqrt(2.0) + 1.0)
 
@@ -185,42 +186,42 @@ def _leak(n_eff: float, rate: float, eps_ec_prime: float, eps_ec: float,
     eps_sqrt_term = eps_ec_prime - 2.0 * math.sqrt(eps_t)
     if eps_sqrt_term <= 0:
         raise ValueError("eps_t too large: eps_ec_prime - 2 sqrt(eps_t) <= 0")
-    first = n_eff * rate
-    second = math.sqrt(n_eff) * 4.0 * LOG2_2SQRT2_PLUS_1 * math.sqrt(
-        2.0 * math.log2(8.0 / eps_sqrt_term**2))
-    third = math.log2(8.0 / eps_ec_prime**2 + 2.0 / (2.0 - eps_ec_prime))
-    return first + second + third + math.log2(1.0 / eps_ec)
+    return _leak_sum(n_eff, rate, eps_sqrt_term, eps_ec_prime, eps_ec)
+
+
+def _leak_sum(n_eff, rate, eps_sqrt_term, eps_ec_prime, eps_ec, xp=math):
+    """The four leakage terms, in the namespace ``xp``; ``eps_sqrt_term`` is
+    the shifted smoothing parameter eps_ec_prime - 2 sqrt(eps_t) > 0."""
+    return (n_eff * rate
+            + xp.sqrt(n_eff) * 4.0 * LOG2_2SQRT2_PLUS_1 * xp.sqrt(
+                2.0 * xp.log2(8.0 / eps_sqrt_term**2))
+            + xp.log2(8.0 / eps_ec_prime**2 + 2.0 / (2.0 - eps_ec_prime))
+            + xp.log2(1.0 / eps_ec))
 
 
 def completeness_error(params: ProtocolParams, budget: EpsilonBudget) -> float:
     """eps_ec_complete + eps_ec + exp(-2 n delta_est^2), with n the (expected)
     round count of the protocol."""
     return (budget.eps_ec_complete + budget.eps_ec
-            + math.exp(-2.0 * params.n * params.delta_est**2))
+            + eat.hoeffding(params.n, params.delta_est))
 
 
 def _log_correction(eps_s: float) -> float:
     return 3.0 * math.log2(1.0 - math.sqrt(1.0 - (eps_s / 4.0) ** 2))
 
 
+def _pa_term(eps_pa: float) -> float:
+    return 2.0 * math.log2(1.0 / eps_pa)
+
+
 def key_length(params: ProtocolParams, budget: EpsilonBudget) -> RateReport:
-    """Per-round-mode key length for a fixed round count n."""
-    eps = EatEpsilons(budget.eps_s / 4.0, budget.eps_ea + budget.eps_ec)
-    mu_value, cut = eat.mu_opt(params.omega_exp, params.delta_est,
-                               params.gamma, params.n, eps)
-    entropy_term = params.n * mu_value
-    leak = leak_ec(params.n, params, budget.eps_ec_prime, budget.eps_ec)
-    log_corr = _log_correction(budget.eps_s)
-    max_ent = eat.max_entropy_upper(params.n, params.gamma, budget.eps_s,
-                                    budget.eps_ea, budget.eps_ec)
-    pa = 2.0 * math.log2(1.0 / budget.eps_pa)
-    ell = entropy_term - leak - log_corr - max_ent - pa
-    return RateReport(
-        key_length=ell, rate=ell / params.n, entropy_term=entropy_term,
-        leak_ec=leak, log_correction=log_corr, max_entropy_term=max_ent,
-        pa_term=pa, soundness_error=budget.soundness_error,
-        completeness_error=completeness_error(params, budget),
-        best_cut=cut, params=params, budget=budget, mode=PER_ROUND)
+    """Per-round-mode key length for a fixed round count n: the block
+    computation with one-round blocks (s_max = 1) and no tail (eps_t = 0,
+    whatever ``budget.eps_t`` says)."""
+    fixed = _block_fixed_terms(params, budget, 1)
+    return _block_report(params, budget, 1, fixed,
+                         _block_eps_t_terms(params, budget, 1, fixed, 0.0),
+                         PER_ROUND)
 
 
 def key_length_block(params: ProtocolParams, budget: EpsilonBudget,
@@ -256,8 +257,8 @@ def _block_fixed_terms(params: ProtocolParams, budget: EpsilonBudget,
         raise ValueError("s_max must be >= 1")
     eps = EatEpsilons(budget.eps_s / 4.0, budget.eps_ea + budget.eps_ec)
     if s_max == 1:
-        # one-round blocks: deterministic length, no tail; share the
-        # per-round mu path so the reduction to key_length is exact
+        # one-round blocks: deterministic length, no tail; the per-round
+        # mu path, whose tangent rounds differently from mu_block's
         sbar, m = 1.0, params.n
         mu_value, cut = eat.mu_opt(params.omega_exp, params.delta_est,
                                    params.gamma, m, eps)
@@ -268,8 +269,7 @@ def _block_fixed_terms(params: ProtocolParams, budget: EpsilonBudget,
         mu_value, cut = eat.mu_block_opt(params.omega_exp, params.delta_est,
                                          block, m, eps)
     return _BlockFixed(sbar, m, cut, m * mu_value, _leak_rate(params),
-                       _log_correction(budget.eps_s),
-                       2.0 * math.log2(1.0 / budget.eps_pa))
+                       _log_correction(budget.eps_s), _pa_term(budget.eps_pa))
 
 
 def _block_eps_t_terms(params: ProtocolParams, budget: EpsilonBudget,
@@ -283,25 +283,25 @@ def _block_eps_t_terms(params: ProtocolParams, budget: EpsilonBudget,
     n_eff = params.n + t
     leak = _leak(n_eff, fixed.leak_rate, budget.eps_ec_prime, budget.eps_ec,
                  eps_t if s_max > 1 else 0.0)
-    max_ent = (params.gamma * n_eff
-               + math.sqrt(n_eff) * 2.0 * eat.LOG2_7 * math.sqrt(
-                   1.0 - 2.0 * math.log2(
-                       eps_s_shifted * (budget.eps_ea + budget.eps_ec))))
+    max_ent = eat.max_entropy_upper(n_eff, params.gamma, eps_s_shifted,
+                                    budget.eps_ea + budget.eps_ec)
     ell = fixed.entropy_term - leak - fixed.log_corr - max_ent - fixed.pa
     return ell, t, leak, max_ent
 
 
 def _block_report(params: ProtocolParams, budget: EpsilonBudget, s_max: int,
-                  fixed: _BlockFixed, terms: tuple, **extras) -> RateReport:
+                  fixed: _BlockFixed, terms: tuple,
+                  mode: str = BLOCK) -> RateReport:
     ell, t, leak, max_ent = terms
+    extras = ({"m_blocks": fixed.m, "tail_t": t, "s_bar": fixed.sbar}
+              if mode == BLOCK else {})
     return RateReport(
         key_length=ell, rate=ell / params.n, entropy_term=fixed.entropy_term,
         leak_ec=leak, log_correction=fixed.log_corr, max_entropy_term=max_ent,
         pa_term=fixed.pa, soundness_error=budget.soundness_error,
         completeness_error=completeness_error(params, budget),
-        best_cut=fixed.cut, params=params, budget=budget, mode=BLOCK,
-        s_max=s_max, extras={"m_blocks": fixed.m, "tail_t": t,
-                             "s_bar": fixed.sbar, **extras})
+        best_cut=fixed.cut, params=params, budget=budget, mode=mode,
+        s_max=s_max, extras=extras)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +357,8 @@ def _budget_for(caps: RateCaps, params: ProtocolParams,
     eps_s = s_free * shares[0] / w
     eps_ea = s_free * shares[1] / w
     eps_pa = s_free * shares[2] / w
-    hoeffding = math.exp(-2.0 * params.n * params.delta_est**2)
-    eps_ec_complete = caps.completeness - caps.eps_ec - hoeffding
+    eps_ec_complete = (caps.completeness - caps.eps_ec
+                       - eat.hoeffding(params.n, params.delta_est))
     if eps_ec_complete <= caps.eps_ec:
         return None
     try:
@@ -374,40 +374,34 @@ def _eval_point(target: RateTarget, caps: RateCaps, mode: str, gamma: float,
                 delta_est: float, shares: tuple) -> RateReport | None:
     """Best report at fixed (gamma, delta_est, shares), None if infeasible.
 
-    Block mode sweeps eps_t over cap_t * 10^-k, k = 1..13 with
-    cap_t = (eps_s/4)^2, keeping the first strict maximum.  Only the round
-    count tail t, the leakage and the max-entropy term depend on eps_t, so
-    the entropy term (the one mu_block_opt / mu_opt call), the leakage rate,
-    the log correction and the PA term are computed once per point; a
-    candidate whose terms raise ValueError is skipped.  The winner's
-    ``extras`` record its index in the sweep (``eps_t_index``) and whether
-    it is the largest candidate, cap_t/10 (``eps_t_at_bound``).
+    Per-round mode is the block computation at s_max = 1 with the single
+    candidate eps_t = 0.  Block mode takes s_max = eat.default_s_max(gamma)
+    and sweeps eps_t over cap_t * 10^-k, k = 1..13 with cap_t = (eps_s/4)^2,
+    keeping the first strict maximum.  Only the round count tail t, the
+    leakage and the max-entropy term depend on eps_t, so the entropy term
+    (the one mu_block_opt / mu_opt call), the leakage rate, the log
+    correction and the PA term are computed once per point; a candidate
+    whose terms raise ValueError is skipped.  A block-mode winner's
+    ``extras`` record its index in the sweep (``eps_t_index``).
     """
     omega_exp, _ = honest_werner(2.0 * target.q)
     try:
         params = ProtocolParams(target.n, gamma, omega_exp, delta_est, target.q)
     except ValueError:
         return None
-    if mode == PER_ROUND:
-        budget = _budget_for(caps, params, shares, 0.0)
-        if budget is None:
-            return None
-        try:
-            return key_length(params, budget)
-        except ValueError:
-            return None
-    # guard the ceiling against float noise (1/0.1 = 10.000000000000002)
-    s_max = max(int(math.ceil(1.0 / gamma - 1e-9)), 1)
     base = _budget_for(caps, params, shares, 0.0)
     if base is None:
         return None
+    block = mode == BLOCK
+    s_max = eat.default_s_max(gamma) if block else 1
     try:
         fixed = _block_fixed_terms(params, base, s_max)
     except ValueError:
         return None
-    best = None
     cap_t = (base.eps_s / 4.0) ** 2
-    candidates = [cap_t * 10.0 ** (-k) for k in range(1, EPS_T_CANDIDATE_DECADES)]
+    candidates = ([cap_t * 10.0 ** (-k) for k in
+                   range(1, EPS_T_CANDIDATE_DECADES)] if block else [0.0])
+    best = None
     for index, eps_t in enumerate(candidates):
         try:
             terms = _block_eps_t_terms(params, base, s_max, fixed, eps_t)
@@ -418,8 +412,11 @@ def _eval_point(target: RateTarget, caps: RateCaps, mode: str, gamma: float,
     if best is None:
         return None
     index, eps_t, terms = best
-    return _block_report(params, replace(base, eps_t=eps_t), s_max, fixed,
-                         terms, eps_t_index=index, eps_t_at_bound=index == 0)
+    report = _block_report(params, replace(base, eps_t=eps_t), s_max, fixed,
+                           terms, mode)
+    if block:
+        report.extras["eps_t_index"] = index
+    return report
 
 
 def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
@@ -428,15 +425,15 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
     outer product of the three lists: an array of shape (len(gammas),
     len(deltas), len(shares)), -inf wherever _eval_point returns None.
 
-    The terms are the scalar path's, in its operation order.  What depends
-    on one axis alone (the block structure and leakage rate per gamma, the
-    Hoeffding term and eps_ec_prime per delta, the soundness split, the log
-    correction and the PA term per share) is computed with the scalar math;
-    the cut, the entropy term and the eps_t sweep run elementwise.  numpy's
-    log2 and log may differ from libm's by an ulp, so the values agree with
-    _eval_point to about 1e-12 relative, not bit for bit: callers rescore
-    the points they keep with _eval_point.  Per-round mode is the s_max = 1,
-    eps_t = 0 case: n rounds, no tail, unshifted smoothing.
+    The penalty K, the secrecy slope, the round count tail, the leakage and
+    the max-entropy term are the scalar path's functions called with
+    xp = numpy.  What depends on one axis alone (the block structure and
+    leakage rate per gamma, eps_ec_prime per delta, the soundness split, the
+    log correction and the PA term per share) is computed with the scalar
+    math.  numpy's log2 and log may differ from libm's by an ulp, so the
+    values agree with _eval_point to about 1e-12 relative, not bit for bit:
+    callers rescore the points they keep with _eval_point.  Per-round mode
+    is the s_max = 1, eps_t = 0 case: n rounds, no tail.
     """
     block = mode == BLOCK
     omega, _ = honest_werner(2.0 * target.q)
@@ -459,88 +456,78 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
     for gamma in gammas:
         ok = 0 < gamma <= 1
         gamma = gamma if ok else 1.0
-        s_max = max(int(math.ceil(1.0 / gamma - 1e-9)), 1) if block else 1
+        s_max = eat.default_s_max(gamma) if block else 1
         if s_max == 1:
             scale, sbar, log2_do = gamma, 1.0, eat.LOG2_13
         else:
             scale = BlockSpec(gamma, s_max).test_mass
             sbar = scale / gamma
             log2_do = eat._log2_block_dim(s_max)
-        m = n / sbar
         lo, hi = eat.cut_interval(scale)
-        rows.append((ok and lo < hi, gamma, s_max > 1, scale, sbar, m,
-                     log2_do, lo, hi, (1.0 - gamma) * h_q + gamma * h_omega,
-                     -m * (1.0 - gamma) ** 2, 2.0 * gamma * gamma))
-    (gamma_ok, gamma, tail, scale, sbar, m, log2_do, lo, hi, leak_rate,
-     tail_num, tail_den) = column(rows, 0)
+        rows.append((ok and lo < hi, gamma, s_max > 1, scale, sbar, n / sbar,
+                     log2_do, lo, hi, (1.0 - gamma) * h_q + gamma * h_omega))
+    (gamma_ok, gamma, tail, scale, sbar, m, log2_do, lo, hi,
+     leak_rate) = column(rows, 0)
 
     rows = []
     for delta in deltas:
-        hoeffding = math.exp(-2.0 * n * delta**2)
-        ecc = min(caps.completeness - caps.eps_ec - hoeffding, 1.0 - 1e-12)
+        ecc = min(caps.completeness - caps.eps_ec - eat.hoeffding(n, delta),
+                  1.0 - 1e-12)
         if 0 < delta < 1 and ecc > caps.eps_ec:
-            prime = ecc - caps.eps_ec
-            rows.append((True, delta, prime, math.log2(
-                8.0 / prime**2 + 2.0 / (2.0 - prime))))
+            rows.append((True, delta, ecc - caps.eps_ec))
         else:
-            rows.append((False, 0.5, 0.5, 0.0))
-    delta_ok, delta, prime, leak_third = column(rows, 1)
+            rows.append((False, 0.5, 0.5))
+    delta_ok, delta, prime = column(rows, 1)
 
     s_free = caps.soundness - 2.0 * caps.eps_ec
     rows = []
     for sh in shares:
         w = sum(sh)
         eps_s, eps_ea, eps_pa = (s_free * x / w for x in sh)
-        row = (False, 0.25, 0.5, 1.0, 0.0, 0.0, 0.0)
+        row = (False, 0.25, 0.5, 0.0, 0.0, 0.0)
         if 0 < eps_s < 1 and 0 < eps_ea < 1 and 0 < eps_pa < 1:
             try:
                 eps = EatEpsilons(eps_s / 4.0, eps_ea + caps.eps_ec)
-                row = (True, eps.eps_s, eps.eps_e, math.sqrt(
-                    1.0 - 2.0 * math.log2(eps.eps_s * eps.eps_e)),
-                    _log_correction(eps_s),
-                    2.0 * math.log2(1.0 / eps_pa), eps.eps_s**2)
+                row = (True, eps.eps_s, eps.eps_e, _log_correction(eps_s),
+                       _pa_term(eps_pa), eps.eps_s**2)
             except ValueError:  # log2(0) in the log correction
                 pass
         rows.append(row)
-    share_ok, es4, eps_e, k_root, log_corr, pa, cap_t = column(rows, 2)
+    share_ok, es4, eps_e, log_corr, pa, cap_t = column(rows, 2)
 
-    if block:
-        eps_t = cap_t * np.array([10.0 ** (-k) for k in
-                                  range(1, EPS_T_CANDIDATE_DECADES)])
-    else:
-        eps_t = np.zeros_like(cap_t)
+    eps_t = cap_t * np.array([10.0 ** (-k) for k in range(
+        1, EPS_T_CANDIDATE_DECADES)] if block else [0.0])
 
     with np.errstate(all="ignore"):
         p1 = omega * scale - delta
         ratio = p1 / scale
         ok = (gamma_ok & delta_ok & share_ok
               & (ratio >= OMEGA_CLASSICAL) & (ratio <= 1.0))
-        k_pen = (2.0 / np.sqrt(m)) * k_root
+        k_pen = eat._penalty_scale(es4, eps_e, m, np)
         cut = np.minimum(np.maximum(p1 - k_pen, lo), hi)
-        slope = sbar * secrecy_bound_slope_array(cut / scale) / scale
+        slope = sbar * _slope(cut / scale, np) / scale
         at_cut = sbar * secrecy_bound_array(cut / scale)
+        # the tangent above the cut in each scalar path's own order:
+        # f_min_block's g(c) + a (p1 - c) for blocks, f_min's a p1 + b for
+        # one-round blocks; the two round differently, and one order for
+        # both moves per-round rates in their last digits
         glued = np.where(tail, at_cut + slope * (p1 - cut),
                          slope * p1 + (at_cut - slope * cut))
         f_min = np.where(p1 <= cut, sbar * secrecy_bound_array(ratio), glued)
         entropy_term = m * (f_min - k_pen * (log2_do + slope))
 
-        sqrt_t = np.sqrt(eps_t)
-        t = np.where(tail, np.sqrt(tail_num * np.log(eps_t) / tail_den), 0.0)
+        t = np.where(tail, eat._tail(m, gamma, eps_t, np), 0.0)
         n_eff = n + t
         eps_sqrt_term = prime - 2.0 * np.sqrt(np.where(tail, eps_t, 0.0))
-        leak = (n_eff * leak_rate
-                + np.sqrt(n_eff) * 4.0 * LOG2_2SQRT2_PLUS_1 * np.sqrt(
-                    2.0 * np.log2(8.0 / eps_sqrt_term**2))
-                + leak_third + math.log2(1.0 / caps.eps_ec))
-        max_ent = (gamma * n_eff + np.sqrt(n_eff) * 2.0 * eat.LOG2_7 * np.sqrt(
-            1.0 - 2.0 * np.log2((es4 - sqrt_t) * eps_e)))
+        leak = _leak_sum(n_eff, leak_rate, eps_sqrt_term, prime, caps.eps_ec,
+                         np)
+        max_ent = eat.max_entropy_upper(n_eff, gamma, es4 - np.sqrt(eps_t),
+                                        eps_e, np)
         ell = entropy_term - leak - log_corr - max_ent - pa
-    if block:
-        # A finite log correction needs eps_s > 4.2e-8, so every candidate
-        # has 0 < sqrt(eps_t) <= eps_s / (4 sqrt(10)): neither the eps_t
-        # guard nor round_count_tail's range check can fire.  Per-round
-        # mode has eps_t = 0, and eps_ec_prime > 0 wherever delta_ok holds.
-        ok = ok & (eps_sqrt_term > 0)
+    # A finite log correction needs eps_s > 4.2e-8, so every candidate has
+    # 0 <= sqrt(eps_t) <= eps_s / (4 sqrt(10)): neither the eps_t guard nor
+    # round_count_tail's range check can fire; only _leak's can.
+    ok = ok & (eps_sqrt_term > 0)
     return np.where(ok, ell, -np.inf).max(axis=3)
 
 
@@ -647,7 +634,7 @@ def optimize_rate(target: RateTarget, caps: RateCaps,
         """Smooth-gamma search intervals around a candidate point."""
         if mode == PER_ROUND:
             return [(max(gamma / 2.4, 1e-6), min(gamma * 2.4, 1.0))]
-        s_star = max(int(math.ceil(1.0 / gamma)), 1)
+        s_star = eat.default_s_max(gamma)
         out = []
         for s in range(max(s_star - 2, 1), s_star + 3):
             lo = 1.0 / s

@@ -20,6 +20,7 @@ import numpy as np
 from .boxes import (AlphabetMismatchError, Alphabets, Game,
                     InputDistribution, ObservedData, SingleRoundBox,
                     frequency_box, winning_probability)
+from .eat import hoeffding
 
 A_TO_B = "AtoB"
 B_TO_A = "BtoA"
@@ -275,7 +276,7 @@ def iid_threshold_probability(single: SingleRoundBox, game: Game, n: int,
     threshold = (omega + beta) * n
     k0 = math.ceil(threshold - 1e-12)
     exact = _binomial_upper_tail(n, omega, k0)
-    return exact, math.exp(-2.0 * n * beta * beta)
+    return exact, hoeffding(n, beta)
 
 
 def _binomial_upper_tail(n: int, p: float, k0: int) -> float:

@@ -228,6 +228,46 @@ class TestConfigAndOut:
         assert out == ""
         assert target.read_text().startswith("omega,")
 
+    # each subcommand with its required flags, and its default --format
+    DEFAULT_FORMATS = [
+        (["entropy-curve"], "csv"),
+        (["mu-opt", "--n", "1", "--gamma", "1", "--omega-exp", "0.8",
+          "--delta-est", "0", "--eps-s", "0.1", "--eps-e", "0.1"], "json"),
+        (["rate-curve", "--axis", "q", "--grid", "0.01"], "csv"),
+        (["ns-value", "--game", "g.json"], "json"),
+        (["threshold-bound", "--game", "g.json", "--n", "1", "--beta", "0"],
+         "json"),
+        (["definetti-verify", "--n", "1"], "json"),
+        (["sig-test", "--data", "d.json", "--zeta", "0", "--eps", "0"],
+         "json"),
+        (["simulate", "--n", "1", "--gamma", "1", "--omega-exp", "0.8",
+          "--delta-est", "0"], "json"),
+    ]
+
+    def test_default_format_per_subcommand(self):
+        parser = cli.build_parser()
+        commands = parser._subparsers._group_actions[0].choices
+        assert sorted(commands) == sorted(a[0] for a, _ in
+                                          self.DEFAULT_FORMATS)
+        for argv, fmt in self.DEFAULT_FORMATS:
+            args = parser.parse_args(argv)
+            assert (args.format, args.out) == (fmt, None), argv[0]
+            for other in ("json", "csv"):
+                args = parser.parse_args(argv + ["--format", other])
+                assert args.format == other
+
+    def test_out_format_shorthand(self, capsys):
+        base = ["entropy-curve", "--points", "3"]
+        _, out = run_cli(base + ["--out", "json"], capsys)
+        assert len(json.loads(out)["points"]) == 3
+        _, out = run_cli(base + ["--format", "json", "--out", "csv"], capsys)
+        assert out.startswith("omega,")
+        _, out = run_cli(["mu-opt", "--n", "1e8", "--gamma", "1",
+                          "--omega-exp", "0.820736", "--delta-est", "1e-3",
+                          "--eps-s", "1e-6", "--eps-e", "1e-6", "--out",
+                          "json"], capsys)
+        assert json.loads(out)["mode"] == "per-round"
+
     def test_nine_significant_digits(self, capsys):
         _, out = run_cli(["mu-opt", "--n", "1e8", "--gamma", "1",
                           "--omega-exp", "0.820736", "--delta-est", "1e-3",

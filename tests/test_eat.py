@@ -258,14 +258,12 @@ class TestMuBlockOpt:
 
 
 class TestKeyLengthHelpers:
-    def test_entropy_lower_bound_linear(self):
-        assert eat.entropy_lower_bound(10.0, 0.0) == 0.0
-        assert eat.entropy_lower_bound(2e6, 0.25) == pytest.approx(5e5)
-
     def test_max_entropy_upper(self):
-        val = eat.max_entropy_upper(1e10, 0.01, 1e-6, 1e-6, 1e-10)
+        # smoothing eps_s/4 and event eps_ea + eps_ec of a budget with
+        # eps_s = eps_ea = 1e-6, eps_ec = 1e-10
+        val = eat.max_entropy_upper(1e10, 0.01, 1e-6 / 4, 1e-6 + 1e-10)
         assert val > 0.01 * 1e10
-        pure_sqrt = eat.max_entropy_upper(1e10, 0.0, 1e-6, 1e-6, 1e-10)
+        pure_sqrt = eat.max_entropy_upper(1e10, 0.0, 1e-6 / 4, 1e-6 + 1e-10)
         assert pure_sqrt == pytest.approx(
             math.sqrt(1e10) * 2 * math.log2(7)
             * math.sqrt(1 - 2 * math.log2(0.25e-6 * (1e-6 + 1e-10))))

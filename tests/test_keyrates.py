@@ -6,7 +6,7 @@ import pytest
 from reference_curves import (KEY_RATE_POINTS, ZERO_CROSSING_N,
                               ZERO_CROSSING_WINDOW)
 
-from di_toolkit import entropy, keyrates as kr
+from di_toolkit import eat, entropy, keyrates as kr
 
 
 def make_budget(eps_t=1e-300):
@@ -139,6 +139,61 @@ class TestKeyLength:
                                make_budget())
         assert report.key_length < 0
         assert report.rate < 0
+
+
+def reference_key_length(params, budget):
+    """The per-round key length in its own body, as it stood before
+    key_length became the block computation at s_max = 1."""
+    eps = eat.EatEpsilons(budget.eps_s / 4.0, budget.eps_ea + budget.eps_ec)
+    mu_value, cut = eat.mu_opt(params.omega_exp, params.delta_est,
+                               params.gamma, params.n, eps)
+    entropy_term = params.n * mu_value
+    leak = kr.leak_ec(params.n, params, budget.eps_ec_prime, budget.eps_ec)
+    log_corr = kr._log_correction(budget.eps_s)
+    max_ent = params.gamma * params.n + math.sqrt(params.n) * 2.0 * math.log2(
+        7.0) * math.sqrt(1.0 - 2.0 * math.log2(
+            (budget.eps_s / 4.0) * (budget.eps_ea + budget.eps_ec)))
+    pa = 2.0 * math.log2(1.0 / budget.eps_pa)
+    ell = entropy_term - leak - log_corr - max_ent - pa
+    return kr.RateReport(
+        key_length=ell, rate=ell / params.n, entropy_term=entropy_term,
+        leak_ec=leak, log_correction=log_corr, max_entropy_term=max_ent,
+        pa_term=pa, soundness_error=budget.soundness_error,
+        completeness_error=kr.completeness_error(params, budget),
+        best_cut=cut, params=params, budget=budget, mode=kr.PER_ROUND)
+
+
+class TestKeyLengthReference:
+    def test_matches_retired_body(self, rng):
+        """Bit-identical reports where the reference computes one, and a
+        ValueError from both where it raises: a statistic outside the
+        domain (delta_est too large) or log2(0) (eps_s below 4.2e-8)."""
+        kept = raised = 0
+        for _ in range(480):
+            q = float(rng.uniform(0.0, 0.05))
+            omega, qber = kr.honest_werner(2 * q)
+            gamma = 1.0 if rng.random() < 0.1 else float(
+                10.0 ** rng.uniform(-4.0, 0.0))
+            delta = float(rng.uniform(1e-9, 1.1) * (omega - 0.75) * gamma)
+            params = kr.ProtocolParams(float(10.0 ** rng.uniform(2, 16)),
+                                       gamma, omega, delta, qber)
+            eps = [float(10.0 ** rng.uniform(-9.0, -1.0)) for _ in range(5)]
+            budget = kr.EpsilonBudget(
+                eps_ec=eps[0], eps_ec_complete=eps[0] + eps[1], eps_s=eps[2],
+                eps_ea=eps[3], eps_pa=eps[4],
+                eps_t=float(10.0 ** rng.uniform(-30.0, -2.0)))
+            try:
+                want = reference_key_length(params, budget)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    kr.key_length(params, budget)
+                raised += 1
+                continue
+            got = kr.key_length(params, budget)
+            assert got.to_json_dict() == want.to_json_dict()
+            assert got.extras == {}
+            kept += 1
+        assert kept >= 300 and raised >= 20
 
 
 class TestKeyLengthBlock:
@@ -274,7 +329,6 @@ class TestOptimizeRate:
                                       mode=kr.BLOCK)
             cap_t = (report.budget.eps_s / 4.0) ** 2
             assert report.extras["eps_t_index"] == index
-            assert report.extras["eps_t_at_bound"] == (index == 0)
             assert report.budget.eps_t == cap_t * 10.0 ** (-(index + 1))
 
 
@@ -325,8 +379,7 @@ class TestEpsTSweep:
         assert got.best_cut == want.best_cut
         assert got.to_json_dict() == want.to_json_dict()
         extras = dict(got.extras)
-        index = extras.pop("eps_t_index")
-        assert extras.pop("eps_t_at_bound") == (index == 0)
+        extras.pop("eps_t_index")
         assert extras == want.extras
         return got
 

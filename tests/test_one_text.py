@@ -1,0 +1,43 @@
+"""Each shared formula of the key-length path is written in exactly one
+function body of the package: the scalar path and the numpy grid kernel
+call it rather than spelling it out again."""
+
+import ast
+import copy
+from pathlib import Path
+
+import pytest
+
+import di_toolkit
+
+# one marker per formula: the max-entropy term, the leakage sum, the
+# Hoeffding bound and the s_max = ceil(1/gamma) rule
+MARKERS = ["LOG2_7", "LOG2_2SQRT2_PLUS_1", "exp(-2.0 *", "ceil(1.0 / gamma"]
+
+
+class _DropNested(ast.NodeTransformer):
+    def visit_FunctionDef(self, node):
+        return None
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+    visit_ClassDef = visit_FunctionDef
+
+
+def function_bodies():
+    """(module:function, code) for every function in the package, the code
+    without its docstring and without the functions nested in it."""
+    for path in sorted(Path(di_toolkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            body = node.body[1:] if ast.get_docstring(node) else node.body
+            kept = [_DropNested().visit(copy.deepcopy(s)) for s in body]
+            yield (f"{path.stem}:{node.name}",
+                   "\n".join(ast.unparse(s) for s in kept if s is not None))
+
+
+@pytest.mark.parametrize("marker", MARKERS)
+def test_marker_in_one_function_body(marker):
+    holders = [name for name, code in function_bodies() if marker in code]
+    assert len(holders) == 1, holders
