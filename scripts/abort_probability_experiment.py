@@ -3,13 +3,26 @@
 bound, across a grid of confidence widths.
 
 Each row compares the empirical abort frequency (with a 95% Wilson
-interval) to exp(-2 n delta_est^2).
+interval) to exp(-2 n delta_est^2) and to the exact abort probability.
 """
 
 import argparse
 import math
 
 from di_toolkit import simulate as sim
+from di_toolkit.signalling import _binomial_upper_tail
+
+
+def exact_abort(config: sim.SimulationConfig) -> float:
+    """Pr[abort] of the per-round protocol: each round is a won test round
+    with probability p = gamma omega_dev, so the win count X ~ Bin(n, p) and
+    the run aborts iff X < (omega_exp gamma - delta_est) n, i.e. iff
+    X <= k = ceil(threshold) - 1.  Summed as the upper tail of the
+    complement count n - X ~ Bin(n, 1 - p), with no 1 - tail cancellation."""
+    threshold = (config.omega_exp * config.gamma - config.delta_est) * config.n
+    p = config.gamma * config.device.omega_exp
+    return _binomial_upper_tail(config.n, 1.0 - p,
+                                config.n - (math.ceil(threshold) - 1))
 
 
 def main():
@@ -23,7 +36,8 @@ def main():
     args = parser.parse_args()
 
     device = sim.HonestDevice(args.omega_exp, args.qber)
-    print("delta_est,abort_freq,wilson_lo,wilson_hi,hoeffding_bound")
+    print("delta_est,abort_freq,wilson_lo,wilson_hi,hoeffding_bound,"
+          "exact_abort")
     for delta in (0.005, 0.008, 0.012, 0.02, 0.03):
         cfg = sim.SimulationConfig(n=args.n, gamma=args.gamma,
                                    omega_exp=args.omega_exp,
@@ -31,7 +45,8 @@ def main():
         freq, (lo, hi) = sim.estimate_abort_probability(cfg, args.trials,
                                                         args.seed)
         bound = math.exp(-2 * args.n * delta * delta)
-        print(f"{delta:.9g},{freq:.9g},{lo:.9g},{hi:.9g},{bound:.9g}")
+        print(f"{delta:.9g},{freq:.9g},{lo:.9g},{hi:.9g},{bound:.9g},"
+              f"{exact_abort(cfg):.9g}")
 
 
 if __name__ == "__main__":

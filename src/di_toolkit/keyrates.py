@@ -19,10 +19,11 @@ terms once per parameter point.  The per-round protocol is the case of
 one-round blocks, s_max = 1 (m = n, mu_opt) with eps_t = 0 (t = 0): the
 per-round key_length is that computation, not a second text of it.
 
-optimize_rate scores its coarse (gamma, delta_est) grid and its epsilon
-split grid in one numpy pass each (_grid_key_lengths, the array form of
-_eval_point) and rescores the best points of each grid with the scalar
-path, which alone produces the points chosen and the numbers reported.
+optimize_rate scores its coarse (gamma, delta_est) grid, its epsilon split
+grid and each pass of its two zooms in one numpy call (_grid_key_lengths,
+the array form of _eval_point) and rescores a few of the best points with
+the scalar path, which alone produces the points chosen and the numbers
+reported.
 
 Negative key lengths are reported as-is so that the zero crossings of rate
 curves can be located; callers clamp for presentation.
@@ -531,157 +532,157 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
     return np.where(ok, ell, -np.inf).max(axis=3)
 
 
-def _near_top(values: np.ndarray) -> np.ndarray:
-    """Flat indices, in grid order, of the finite kernel values within
-    1e-9 max(|top|, 1) of the largest: a band much wider than the kernel's
-    error, so it holds the scalar path's best point."""
-    top = values.max()
-    return np.flatnonzero(np.isfinite(values)
-                          & (values >= top - 1e-9 * max(abs(top), 1.0)))
-
-
 _DEFAULT_SHARES = (1.0, 1.0, 1.0)
-
-
-def _golden_max(fn, lo: float, hi: float, tol: float):
-    """Golden-section maximization; ties resolve toward the smaller point."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    fa, fb = fn(a), fn(b)
-    return (a, fa) if fa >= fb else (b, fb)
+ZOOM_REACH = 2.4**2
+ZOOM_POINTS = 12
+ZOOM_LIVE = 2
+ZOOM_RESCORED = 4
 
 
 def _share_grid() -> list:
     """Candidate (eps_s, eps_ea, eps_pa) proportions around the equal split,
     3 log-spaced points per decade over two decades each way."""
     ratios = [10.0 ** (k / SPLIT_GRID_PER_DECADE) for k in range(-6, 7)]
-    out = [(1.0, 1.0, 1.0)]
-    for rs in ratios:
-        for re in ratios:
-            out.append((rs, re, 1.0))
-    return out
+    return [(1.0, 1.0, 1.0)] + [(rs, re, 1.0) for rs in ratios
+                                for re in ratios]
+
+
+def _spread(lo: float, hi: float) -> list:
+    """ZOOM_POINTS log-spaced points from lo to hi, both ends exact."""
+    if lo == hi:
+        return [lo]
+    step = (hi / lo) ** (1.0 / (ZOOM_POINTS - 1))
+    return [lo] + [lo * step**i for i in range(1, ZOOM_POINTS - 1)] + [hi]
+
+
+def _zoom(target: RateTarget, caps: RateCaps, mode: str, start: RateReport,
+          shares: tuple, evals: dict) -> tuple:
+    """(report, at_bound): the best key length over (gamma, delta_est) at
+    fixed shares around ``start``'s point, or ``start`` if none beats it.
+
+    The box is a factor ZOOM_REACH either way of delta_est and, per round,
+    of gamma; in block mode its gamma windows are the s_max brackets
+    [1/s, 1/(s-1)) for s within 4 of s_max(gamma).  Each pass scores the
+    live gamma windows x the delta_est window in one _grid_key_lengths call
+    and keeps the ZOOM_LIVE best windows (an optimum can sit at a bracket's
+    open upper edge), each shrunk, as is the delta_est window, to one cell
+    either side of its best point.  The top ZOOM_RESCORED values of the
+    pass within 1e-5 gamma and 1e-4 in log delta_est, by value and then
+    grid order, are rescored with _eval_point.  ``at_bound``: the chosen
+    point's final windows touch an outer edge of the box.
+    """
+    gamma, delta = start.params.gamma, start.params.delta_est
+    dwin = (max(delta / ZOOM_REACH, 1e-7), min(delta * ZOOM_REACH, 0.5))
+    if mode == PER_ROUND:
+        live = [(max(gamma / ZOOM_REACH, 1e-6), min(gamma * ZOOM_REACH, 1.0))]
+    else:
+        s_star = eat.default_s_max(gamma)
+        live = [(1.0 / s, min(1.0 / (s - 1) * (1 - 1e-12), 1.0)) if s > 1
+                else (1.0, 1.0) for s in range(s_star + 4, 0, -1)
+                if s >= s_star - 4]
+    edges = (live[0][0], live[-1][1]) + dwin
+    while True:
+        grids = [_spread(*w) for w in live]
+        deltas = _spread(*dwin)
+        gammas = [(g, k) for k, grid in enumerate(grids) for g in grid]
+        values = _grid_key_lengths(target, caps, mode, [g for g, _ in gammas],
+                                   deltas, [shares])[:, :, 0]
+        evals["zoom_passes"] += 1
+        evals["zoom_points"] += values.size
+        if ((all(hi - lo <= 1e-5 * lo for lo, hi in live)
+             and math.log(dwin[1] / dwin[0]) <= 1e-4)
+                or not np.isfinite(values).any()):
+            break
+        ranked, first = [], 0
+        for k, grid in enumerate(grids):
+            rows = values[first:first + len(grid)]
+            i, j = np.unravel_index(np.argmax(rows), rows.shape)
+            ranked.append((-rows[i, j], k, int(i), int(j)))
+            first += len(grid)
+        ranked.sort()
+        live = [(grids[k][max(i - 1, 0)],
+                 grids[k][min(i + 1, len(grids[k]) - 1)])
+                for v, k, i, _ in ranked[:ZOOM_LIVE] if v < math.inf]
+        j = ranked[0][3]
+        dwin = (deltas[max(j - 1, 0)], deltas[min(j + 1, len(deltas) - 1)])
+    best, at_bound = start, False
+    order = np.argsort(-values, axis=None, kind="stable")[:ZOOM_RESCORED]
+    for i in order[np.isfinite(values.flat[order])]:
+        (g, k), d = gammas[i // len(deltas)], deltas[i % len(deltas)]
+        evals["zoom_rescored"] += 1
+        report = _eval_point(target, caps, mode, g, d, shares)
+        if report is not None and report.key_length > best.key_length:
+            best = report
+            at_bound = any(a == b for a, b in zip(live[k] + dwin, edges))
+    return best, at_bound
 
 
 def optimize_rate(target: RateTarget, caps: RateCaps,
                   mode: str = BLOCK) -> RateReport:
-    """Deterministic nested search for the best rate under the caps.
+    """Deterministic nested search for the best rate under the caps:
 
-    Stage 1 scans log grids over gamma and delta_est at the equal epsilon
-    split; stage 2 golden-refines gamma and delta_est; stage 3 refines the
-    epsilon split on a log grid and re-refines gamma and delta_est.
+    1. coarse grid: log grids over gamma and delta_est, equal epsilon split;
+    2. kernel zoom (_zoom) of gamma and delta_est around its optimum;
+    3. split grid: the epsilon split on a log grid (_share_grid) there;
+    4. kernel zoom again at the chosen split.
 
-    Stages 1 and 3 score their whole grid in one numpy pass
-    (_grid_key_lengths), then rescore with _eval_point every point within
-    1e-9 max(|top|, 1) of the grid's best and apply the selection rule to
-    those points only, in grid order; so every number reported, and every
-    point chosen, comes from the scalar path.
+    Each stage scores its points in numpy passes (_grid_key_lengths) and
+    rescores a few with _eval_point: the grids every point within
+    1e-9 max(|top|, 1) of their best, in grid order, the zooms the top
+    points of their last pass.  Only rescored values are compared, so every
+    number reported, and every point chosen, comes from the scalar path.
 
-    In block mode s_max = ceil(1/gamma) jumps at reciprocal gammas, so the
-    gamma refinement runs separately inside each bracket
-    [1/s, 1/(s-1)) around the coarse optimum and keeps the best bracket.
-
-    The report's ``extras`` gain ``evals`` (points scored by the kernel,
-    ``grid_points`` and ``share_points``, and scalar _eval_point calls,
-    ``grid_rescored``, ``refine`` (the final report included) and
-    ``share_rescored``) and ``grid_at_bound`` (the coarse optimum lies on
-    an edge of the gamma or delta_est grid).
+    The report's ``extras`` gain ``evals`` (kernel points ``grid_points``,
+    ``zoom_points`` and ``share_points``, scalar _eval_point calls
+    ``grid_rescored``, ``zoom_rescored`` and ``share_rescored``, and
+    ``zoom_passes``), ``grid_at_bound`` (the coarse optimum lies on an edge
+    of the gamma or delta_est grid) and ``refine_at_bound`` (the last
+    zoom's, on an outer edge of its box).
     """
     if mode not in (PER_ROUND, BLOCK):
         raise ValueError("mode must be 'per-round' or 'block'")
-    evals = dict.fromkeys(("grid_points", "grid_rescored", "refine",
-                           "share_points", "share_rescored"), 0)
+    evals = dict.fromkeys(("grid_points", "grid_rescored", "zoom_passes",
+                           "zoom_points", "zoom_rescored", "share_points",
+                           "share_rescored"), 0)
 
-    def evaluate(gamma, delta, shares, stage="refine"):
-        evals[stage] += 1
-        r = _eval_point(target, caps, mode, gamma, delta, shares)
-        return -math.inf if r is None else r.key_length
+    def rescore(stage, values, points, best, margin):
+        """(report, shares): ``best`` or the first of ``points`` (gamma,
+        delta_est, shares) to beat it by over ``margin`` among the finite
+        kernel values within 1e-9 max(|top|, 1) of the largest: a band much
+        wider than the kernel's error, so it holds the scalar optimum."""
+        evals[stage + "_points"] = values.size
+        top = values.max()
+        for i in np.flatnonzero(np.isfinite(values) & (
+                values >= top - 1e-9 * max(abs(top), 1.0))):
+            evals[stage + "_rescored"] += 1
+            report = _eval_point(target, caps, mode, *points[i])
+            if report is not None and (best[0] is None or report.key_length
+                                       > best[0].key_length + margin):
+                best = (report, points[i][2])
+        return best
 
     gammas = sorted(set(_log_grid(1e-4, 1.0, GAMMA_GRID_PER_DECADE))
                     | {1.0 / k for k in range(1, 41)})
     deltas = _log_grid(1e-4, 1e-1, DELTA_GRID_PER_DECADE)
     values = _grid_key_lengths(target, caps, mode, gammas, deltas,
-                               [_DEFAULT_SHARES])[:, :, 0]
-    evals["grid_points"] = values.size
-    best = (-math.inf, gammas[0], deltas[0])
-    for i in _near_top(values):
-        g, d = divmod(i, len(deltas))
-        gm, dl = gammas[g], deltas[d]
-        v = evaluate(gm, dl, _DEFAULT_SHARES, "grid_rescored")
-        if v > best[0]:
-            best = (v, gm, dl)
-    if not math.isfinite(best[0]):
+                               [_DEFAULT_SHARES])
+    coarse, _ = rescore("grid", values, [(g, d, _DEFAULT_SHARES) for g in
+                                         gammas for d in deltas],
+                        (None, None), 0.0)
+    if coarse is None:
         raise ValueError("no feasible parameter point under the caps")
-    _, gamma0, delta0 = best
-
-    def refine_delta(gamma, delta, shares):
-        dlo, dhi = max(delta / 2.4, 1e-7), min(delta * 2.4, 0.5)
-        return _golden_max(
-            lambda d_: evaluate(gamma, d_, shares), dlo, dhi, 1e-4 * delta)[0]
-
-    def gamma_brackets(gamma):
-        """Smooth-gamma search intervals around a candidate point."""
-        if mode == PER_ROUND:
-            return [(max(gamma / 2.4, 1e-6), min(gamma * 2.4, 1.0))]
-        s_star = eat.default_s_max(gamma)
-        out = []
-        for s in range(max(s_star - 2, 1), s_star + 3):
-            lo = 1.0 / s
-            hi = 1.0 if s == 1 else min(1.0 / (s - 1) * (1 - 1e-12), 1.0)
-            if s == 1:
-                out.append((1.0, 1.0))
-            elif lo < hi:
-                out.append((lo, hi))
-        return out
-
-    def refine(gamma, delta, shares):
-        for _ in range(2):
-            cand = (-math.inf, gamma, delta)
-            for glo, ghi in gamma_brackets(gamma):
-                if glo == ghi:
-                    gm, val = glo, evaluate(glo, delta, shares)
-                else:
-                    gm, val = _golden_max(
-                        lambda g_: evaluate(g_, delta, shares), glo, ghi,
-                        1e-5 * glo)
-                if val > cand[0]:
-                    cand = (val, gm, delta)
-            gamma = cand[1]
-            delta = refine_delta(gamma, delta, shares)
-        return gamma, delta
-
-    gamma1, delta1 = refine(gamma0, delta0, _DEFAULT_SHARES)
-
-    share_grid = _share_grid()
-    values = _grid_key_lengths(target, caps, mode, [gamma1], [delta1],
-                               share_grid)[0, 0]
-    evals["share_points"] = values.size
-    best_shares = _DEFAULT_SHARES
-    best_v = evaluate(gamma1, delta1, best_shares, "share_rescored")
-    for i in _near_top(values):
-        v = evaluate(gamma1, delta1, share_grid[i], "share_rescored")
-        if v > best_v + 1e-12:
-            best_v, best_shares = v, share_grid[i]
-    gamma2, delta2 = refine(gamma1, delta1, best_shares)
-
-    evals["refine"] += 1
-    report = _eval_point(target, caps, mode, gamma2, delta2, best_shares)
-    if report is None:
-        raise ValueError("optimization collapsed to an infeasible point")
+    zoomed, _ = _zoom(target, caps, mode, coarse, _DEFAULT_SHARES, evals)
+    p, share_grid = zoomed.params, _share_grid()
+    values = _grid_key_lengths(target, caps, mode, [p.gamma], [p.delta_est],
+                               share_grid)
+    split, shares = rescore("share", values, [(p.gamma, p.delta_est, sh)
+                                              for sh in share_grid],
+                            (zoomed, _DEFAULT_SHARES), 1e-12)
+    report, at_bound = _zoom(target, caps, mode, split, shares, evals)
     report.extras.update(
-        evals=evals, grid_at_bound=gamma0 in (gammas[0], gammas[-1])
-        or delta0 in (deltas[0], deltas[-1]))
+        evals=evals, refine_at_bound=at_bound,
+        grid_at_bound=coarse.params.gamma in (gammas[0], gammas[-1])
+        or coarse.params.delta_est in (deltas[0], deltas[-1]))
     return report
 
 
@@ -694,8 +695,6 @@ def rate_curve(axis: str, grid: list, fixed: dict, caps: RateCaps,
     """
     if axis not in ("q", "n"):
         raise ValueError("axis must be 'q' or 'n'")
-    if axis == "q":
-        targets = [RateTarget(n=fixed["n"], q=value) for value in grid]
-    else:
-        targets = [RateTarget(n=value, q=fixed["q"]) for value in grid]
+    targets = [RateTarget(n=fixed["n"], q=v) if axis == "q"
+               else RateTarget(n=v, q=fixed["q"]) for v in grid]
     return [optimize_rate(t, caps, mode) for t in targets]

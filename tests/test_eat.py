@@ -375,3 +375,46 @@ class TestRoundCountTail:
     def test_eps_domain(self):
         with pytest.raises(ValueError):
             eat.round_count_tail(10.0, 0.5, 0.0)
+
+
+def round_count_law(m, gamma, s_max):
+    """Exact law of N, the sum of m iid block lengths (geometric in gamma,
+    truncated at s_max): entry k is Pr[N = k], over the support 0..m s_max,
+    from m-fold convolution by repeated squaring.  Every term is a sum of
+    nonnegative products, so even tails of 1e-16 keep their relative
+    accuracy."""
+    one = np.array([0.0] + [(1.0 - gamma) ** (k - 1) * (gamma if k < s_max
+                                                       else 1.0)
+                            for k in range(1, s_max + 1)])
+    law = np.ones(1)
+    while m:
+        if m & 1:
+            law = np.convolve(law, one)
+        m >>= 1
+        if m:
+            one = np.convolve(one, one)
+    return law
+
+
+class TestRoundCountTailExact:
+    # (m, gamma, eps_t), s_max = default_s_max(gamma)
+    POINTS = [(50, 0.5, 0.1), (200, 0.3, 0.05), (1000, 0.1, 1e-3),
+              (300, 0.05, 1e-6), (100, 0.01, 0.01), (2000, 0.2, 1e-9),
+              (40, 0.0123, 0.1)]
+
+    def test_tail_bound_against_exact_law(self):
+        ratios = []
+        for m, gamma, eps_t in self.POINTS:
+            s_max = eat.default_s_max(gamma)
+            law = round_count_law(m, gamma, s_max)
+            assert len(law) == m * s_max + 1
+            assert law.sum() == pytest.approx(1.0, abs=1e-12)
+            sbar = eat.expected_block_length(eat.BlockSpec(gamma, s_max))
+            mean = float(np.arange(len(law)) @ law)
+            assert mean == pytest.approx(m * sbar, rel=1e-12)
+            start = math.ceil(m * sbar + eat.round_count_tail(m, gamma, eps_t))
+            tail = float(law[start:].sum())
+            assert tail <= eps_t
+            ratios.append(tail / eps_t)
+        # the bound is not vacuous: within a factor 1e3 somewhere
+        assert max(ratios) >= 1e-3

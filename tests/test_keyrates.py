@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -285,12 +286,28 @@ class TestOptimizeRate:
                                           mode=mode)
                 evals = report.extras["evals"]
                 assert set(evals) == {"grid_points", "grid_rescored",
-                                      "refine", "share_points",
+                                      "zoom_passes", "zoom_points",
+                                      "zoom_rescored", "share_points",
                                       "share_rescored"}
                 assert evals["grid_rescored"] >= 1
                 assert evals["share_rescored"] >= 1
+                assert evals["zoom_passes"] >= 4
+                assert 1 <= evals["zoom_rescored"] <= 2 * kr.ZOOM_RESCORED
                 assert report.extras["grid_at_bound"] == at_bound
                 assert "evals" not in report.to_json_dict()
+
+    def test_refine_at_bound(self):
+        # at (1e15, 1e-10) the coarse delta_est sits on the grid's 1e-4
+        # edge and each zoom reaches a factor 2.4^2 lower: the search box,
+        # not the rate, stops delta_est at 1e-4 / 2.4^4
+        for n, q, at_bound in ((1e15, 1e-10, True), (1e7, 0.03, False)):
+            for mode in (kr.BLOCK, kr.PER_ROUND):
+                report = kr.optimize_rate(kr.RateTarget(n=n, q=q), self.CAPS,
+                                          mode=mode)
+                assert report.extras["refine_at_bound"] is at_bound
+                if at_bound:
+                    assert report.params.delta_est == pytest.approx(
+                        1e-4 / 2.4**4, rel=1e-4)
 
     def test_strict_caps_infeasible(self):
         strict = kr.RateCaps(soundness=1e-9, completeness=1e-2, eps_ec=1e-12)
@@ -299,8 +316,9 @@ class TestOptimizeRate:
                 kr.optimize_rate(kr.RateTarget(n=1e10, q=0.01), strict,
                                  mode=mode)
 
-    # measured 344-486 at these points (2,311-2,453 with scalar grids)
-    SCALAR_EVAL_BUDGET = 500
+    # measured 10 at each of these points: one coarse-grid and one
+    # split-grid rescoring, four per zoom (344-486 with the golden refine)
+    SCALAR_EVAL_BUDGET = 10
 
     def test_work_counters(self, monkeypatch):
         calls = []
@@ -318,7 +336,7 @@ class TestOptimizeRate:
             evals = report.extras["evals"]
             assert evals["grid_points"] == 71 * 25
             assert evals["share_points"] == 170
-            scalar = (evals["grid_rescored"] + evals["refine"]
+            scalar = (evals["grid_rescored"] + evals["zoom_rescored"]
                       + evals["share_rescored"])
             assert scalar == len(calls)
             assert scalar <= self.SCALAR_EVAL_BUDGET
@@ -518,6 +536,12 @@ ACCEPTANCE_TARGETS = [(n, q) for n, q, _, _ in KEY_RATE_POINTS] + [
     (ZERO_CROSSING_N, q) for q in ZERO_CROSSING_WINDOW]
 
 
+@functools.lru_cache(maxsize=None)
+def reference_result(n, q, mode):
+    caps = TestGridKernel.CAPS
+    return reference_optimize_rate(kr.RateTarget(n=n, q=q), caps, mode)
+
+
 class TestGridKernel:
     CAPS = kr.RateCaps(soundness=1e-5, completeness=1e-2, eps_ec=1e-10)
     STRICT = kr.RateCaps(soundness=1e-9, completeness=1e-2, eps_ec=1e-12)
@@ -579,30 +603,51 @@ class TestGridKernel:
                 assert self.check(kr.RateTarget(n=n, q=q), self.CAPS, mode,
                                   [0.3], [1e-3], [(1.0, 1.0, 1.0)]) == 0
 
+    def check_oracle(self, got, reference):
+        """The kernel zoom's key length is at least the golden-section
+        reference's, less 1e-9 relative; the coarse stage is shared, so
+        grid_at_bound agrees."""
+        want, at_bound = reference
+        assert got.key_length >= want.key_length - 1e-9 * max(
+            abs(want.key_length), 1.0)
+        assert got.extras["grid_at_bound"] == at_bound
+
     @pytest.mark.parametrize("mode", [kr.BLOCK, kr.PER_ROUND])
     def test_optimizer_matches_scalar_reference(self, mode):
-        for n, q in ACCEPTANCE_TARGETS:
-            target = kr.RateTarget(n=n, q=q)
-            got = kr.optimize_rate(target, self.CAPS, mode=mode)
-            want, at_bound = reference_optimize_rate(target, self.CAPS, mode)
-            assert got.to_json_dict() == want.to_json_dict()
-            extras = dict(got.extras)
-            del extras["evals"]
-            assert extras == {**want.extras, "grid_at_bound": at_bound}
+        for n, q in ORACLE_TARGETS:
+            got = kr.optimize_rate(kr.RateTarget(n=n, q=q), self.CAPS,
+                                   mode=mode)
+            self.check_oracle(got, reference_result(n, q, mode))
 
-    def test_rescoring_decides_within_band(self, monkeypatch):
-        """A kernel that ties every feasible point leaves the whole choice
-        to the scalar rescoring, which must still find the scalar optimum."""
-        kernel = kr._grid_key_lengths
+    def test_rescoring_under_kernel_noise(self, monkeypatch):
+        """A kernel off by seeded noise of 1e-12 relative, its own error
+        scale, still meets the oracle within the scalar call budget."""
+        kernel, eval_point = kr._grid_key_lengths, kr._eval_point
+        rng = np.random.default_rng(20261018)
+        calls = []
+        cases = [(n, q, mode) for mode in (kr.BLOCK, kr.PER_ROUND)
+                 for n, q in ACCEPTANCE_TARGETS]
+        wants = [reference_result(*case) for case in cases]
 
-        def tied(*args):
+        def noisy(*args):
             values = kernel(*args)
-            return np.where(np.isfinite(values), 1.0, -math.inf)
+            return values * (1.0 + 1e-12 * rng.uniform(-1.0, 1.0,
+                                                       values.shape))
 
-        monkeypatch.setattr(kr, "_grid_key_lengths", tied)
-        target = kr.RateTarget(n=1e10, q=0.005)
-        got = kr.optimize_rate(target, self.CAPS, mode=kr.BLOCK)
-        want, _ = reference_optimize_rate(target, self.CAPS, kr.BLOCK)
-        assert got.to_json_dict() == want.to_json_dict()
-        assert got.extras["evals"]["grid_rescored"] > 1000
-        assert got.extras["evals"]["share_rescored"] > 100
+        def counting(*args):
+            calls.append(args)
+            return eval_point(*args)
+
+        monkeypatch.setattr(kr, "_grid_key_lengths", noisy)
+        monkeypatch.setattr(kr, "_eval_point", counting)
+        for (n, q, mode), want in zip(cases, wants):
+            calls.clear()
+            got = kr.optimize_rate(kr.RateTarget(n=n, q=q), self.CAPS,
+                                   mode=mode)
+            assert len(calls) <= TestOptimizeRate.SCALAR_EVAL_BUDGET
+            self.check_oracle(got, want)
+
+
+# the grid kernel's targets and the acceptance targets, each once
+ORACLE_TARGETS = TestGridKernel.TARGETS + [
+    t for t in ACCEPTANCE_TARGETS if t not in TestGridKernel.TARGETS]

@@ -41,3 +41,11 @@ def function_bodies():
 def test_marker_in_one_function_body(marker):
     holders = [name for name, code in function_bodies() if marker in code]
     assert len(holders) == 1, holders
+
+
+def test_no_golden_section_search():
+    """The optimizer's refine stages are kernel zooms; a golden-section
+    search would be a second search path beside them."""
+    golden = "(math.sqrt(5.0) - 1.0) / 2.0"
+    holders = [name for name, code in function_bodies() if golden in code]
+    assert holders == []
