@@ -10,19 +10,6 @@ import argparse
 import math
 
 from di_toolkit import simulate as sim
-from di_toolkit.signalling import _binomial_upper_tail
-
-
-def exact_abort(config: sim.SimulationConfig) -> float:
-    """Pr[abort] of the per-round protocol: each round is a won test round
-    with probability p = gamma omega_dev, so the win count X ~ Bin(n, p) and
-    the run aborts iff X < (omega_exp gamma - delta_est) n, i.e. iff
-    X <= k = ceil(threshold) - 1.  Summed as the upper tail of the
-    complement count n - X ~ Bin(n, 1 - p), with no 1 - tail cancellation."""
-    threshold = (config.omega_exp * config.gamma - config.delta_est) * config.n
-    p = config.gamma * config.device.omega_exp
-    return _binomial_upper_tail(config.n, 1.0 - p,
-                                config.n - (math.ceil(threshold) - 1))
 
 
 def main():
@@ -46,7 +33,7 @@ def main():
                                                         args.seed)
         bound = math.exp(-2 * args.n * delta * delta)
         print(f"{delta:.9g},{freq:.9g},{lo:.9g},{hi:.9g},{bound:.9g},"
-              f"{exact_abort(cfg):.9g}")
+              f"{sim.exact_abort_probability(cfg):.9g}")
 
 
 if __name__ == "__main__":

@@ -452,6 +452,13 @@ def _string_permutation(base: int, n: int, perm: np.ndarray) -> np.ndarray:
     return (new * powers[None, :]).sum(axis=1)
 
 
+def permutation_index(al: Alphabets, n: int, perm: np.ndarray) -> tuple:
+    """Open-mesh index into an n-round (x, y, a, b) table that composes it
+    with the round permutation ``perm``."""
+    return np.ix_(*(_string_permutation(size, n, perm) for size in
+                    (al.x_size, al.y_size, al.a_size, al.b_size)))
+
+
 def permute(box: MultiRoundBox, perm) -> MultiRoundBox:
     """Compose a multi-round box with a permutation of the rounds.
 
@@ -461,13 +468,8 @@ def permute(box: MultiRoundBox, perm) -> MultiRoundBox:
     perm = np.asarray(perm, dtype=int)
     if sorted(perm.tolist()) != list(range(box.n)):
         raise ValueError("not a permutation of range(n)")
-    al = box.alphabets
-    mx = _string_permutation(al.x_size, box.n, perm)
-    my = _string_permutation(al.y_size, box.n, perm)
-    ma = _string_permutation(al.a_size, box.n, perm)
-    mb = _string_permutation(al.b_size, box.n, perm)
-    table = box.p[np.ix_(mx, my, ma, mb)]
-    return MultiRoundBox(box.n, al, table)
+    return MultiRoundBox(box.n, box.alphabets,
+                         box.p[permutation_index(box.alphabets, box.n, perm)])
 
 
 def _check_permutation_work(box: MultiRoundBox):

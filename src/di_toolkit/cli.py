@@ -214,6 +214,7 @@ def _cmd_simulate(args):
         "abort_freq": freq,
         "ci": list(ci),
         "hoeffding_bound": eat.hoeffding(args.n, args.delta_est),
+        "exact_abort": simulate.exact_abort_probability(cfg),
         "trials": args.trials,
         "seed": args.seed,
     }

@@ -25,7 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boxes import Alphabets, EnumerationLimitError, MultiRoundBox
+from .boxes import (Alphabets, EnumerationLimitError, MultiRoundBox,
+                    permutation_index)
 
 
 @dataclass(frozen=True)
@@ -241,8 +242,6 @@ def random_symmetrized_int_table(n: int, alphabets: Alphabets, rng,
     exactly), then the table is summed over all n! round permutations.
     Returns (numerators, denominator) with denominator = total * n!.
     """
-    from .boxes import _string_permutation
-
     _check_table_size(n, alphabets)
     al = alphabets
     shape = (al.x_size**n, al.y_size**n, al.a_size**n, al.b_size**n)
@@ -253,12 +252,7 @@ def random_symmetrized_int_table(n: int, alphabets: Alphabets, rng,
     acc = np.zeros(shape, dtype=np.int64)
     count = 0
     for perm in itertools.permutations(range(n)):
-        perm = np.asarray(perm)
-        mx = _string_permutation(al.x_size, n, perm)
-        my = _string_permutation(al.y_size, n, perm)
-        ma = _string_permutation(al.a_size, n, perm)
-        mb = _string_permutation(al.b_size, n, perm)
-        acc += raw[np.ix_(mx, my, ma, mb)]
+        acc += raw[permutation_index(al, n, np.asarray(perm))]
         count += 1
     return acc, total * count
 

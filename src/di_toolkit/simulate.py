@@ -6,11 +6,17 @@ with probability omega_exp, generation rounds agree except with probability
 Q.  These marginals are all the completeness analysis uses, so no state
 simulator is needed.
 
+One sampler serves both protocols: the per-round protocol is the block
+protocol with s_max = 1.  A run of m blocks draws, in this order: an
+(m, s_max) array of test flags, each block cut at its first test or at
+s_max rounds; then, over the N rounds kept, the test-round inputs, Alice's
+outputs, the test wins and the generation-round agreements.  At s_max = 1
+the flag array is one uniform per round, so the per-round stream is the
+block stream of one-round blocks.
+
 Randomness is a counter-based Philox generator keyed by
-(master_seed, trial_index); draws inside a trial happen in a fixed
-vectorized order (round tags, inputs, wins, agreements), so transcripts are
-bit-identical for identical configuration and seed, and trials can run in
-any order or in parallel.
+(master_seed, trial_index), so transcripts are bit-identical for identical
+configuration and seed, and trials can run in any order or in parallel.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eat import BlockSpec
+from .eat import BlockSpec, expected_block_length
+from .signalling import _binomial_upper_tail
 
 GEN_INPUTS = (0, 2)  # (x, y) used in generation rounds
 
@@ -64,18 +71,18 @@ def _trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def run_protocol(n: int, gamma: float, omega_exp: float, delta_est: float,
-                 device: HonestDevice, seed: int, trial: int = 0) -> Transcript:
-    """One run of the per-round protocol; aborts iff the number of winning
-    test rounds falls below (omega_exp * gamma - delta_est) * n.
-
-    ``omega_exp`` and ``delta_est`` are the protocol's acceptance
-    parameters; the device may have a different actual winning probability.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+def _run(m: int, block: BlockSpec, rate: float, device: HonestDevice,
+         seed: int, trial: int) -> Transcript:
+    """The one sampler: m blocks of at most s_max rounds, aborting iff fewer
+    than rate * m blocks end in a won test round."""
+    if m < 1:
+        raise ValueError("the number of blocks must be >= 1")
     rng = _trial_rng(seed, trial)
-    t = (rng.random(n) < gamma).astype(np.int8)
+    flags = rng.random((m, block.s_max)) < block.gamma
+    # a block keeps its rounds up to and including its first test
+    kept = np.cumsum(flags, axis=1) - flags == 0
+    t = flags[kept].astype(np.int8)
+    n = t.size
     test = t == 1
     x = np.full(n, GEN_INPUTS[0], dtype=np.int8)
     y = np.full(n, GEN_INPUTS[1], dtype=np.int8)
@@ -89,10 +96,23 @@ def run_protocol(n: int, gamma: float, omega_exp: float, delta_est: float,
     chsh_b = (a ^ (x & y)) ^ (~wins).astype(np.int8)
     b[test] = chsh_b[test]
     w = np.where(test, wins.astype(np.int8), np.int8(W_BOT)).astype(np.int8)
+    # a block holds at most one test, its last round: won tests = won blocks
     win_count = int((w == 1).sum())
-    aborted = win_count < (omega_exp * gamma - delta_est) * n
-    return Transcript(t=t, x=x, y=y, a=a, b=b, w=w, aborted=bool(aborted),
-                      win_count=win_count)
+    return Transcript(t=t, x=x, y=y, a=a, b=b, w=w,
+                      aborted=bool(win_count < rate * m), win_count=win_count)
+
+
+def run_protocol(n: int, gamma: float, omega_exp: float, delta_est: float,
+                 device: HonestDevice, seed: int, trial: int = 0) -> Transcript:
+    """One run of the per-round protocol, the block protocol with one-round
+    blocks; aborts iff the number of winning test rounds falls below
+    (omega_exp * gamma - delta_est) * n.
+
+    ``omega_exp`` and ``delta_est`` are the protocol's acceptance
+    parameters; the device may have a different actual winning probability.
+    """
+    return _run(n, BlockSpec(gamma, 1), omega_exp * gamma - delta_est,
+                device, seed, trial)
 
 
 def run_protocol_blocks(m_blocks: int, block: BlockSpec, omega_exp: float,
@@ -106,61 +126,25 @@ def run_protocol_blocks(m_blocks: int, block: BlockSpec, omega_exp: float,
     (omega_exp * (1 - (1-gamma)^s_max) - delta_est) * m_blocks.
     The transcript is per-round; block boundaries follow from t.
     """
-    if m_blocks < 1:
-        raise ValueError("m_blocks must be >= 1")
-    rng = _trial_rng(seed, trial)
-    ts, xs, ys, was, wbs, ws = [], [], [], [], [], []
-    block_wins = 0
-    block_bots = 0
-    for _ in range(m_blocks):
-        block_result = W_BOT
-        for _ in range(block.s_max):
-            tested = bool(rng.random() < block.gamma)
-            ts.append(1 if tested else 0)
-            a = int(rng.integers(0, 2))
-            if tested:
-                x = int(rng.integers(0, 2))
-                y = int(rng.integers(0, 2))
-                win = bool(rng.random() < device.omega_exp)
-                b = (a ^ (x & y)) ^ (0 if win else 1)
-                block_result = 1 if win else 0
-                ws.append(block_result)
-            else:
-                x, y = GEN_INPUTS
-                b = a if rng.random() >= device.q else 1 - a
-                ws.append(W_BOT)
-            xs.append(x)
-            ys.append(y)
-            was.append(a)
-            wbs.append(b)
-            if tested:
-                break
-        if block_result == 1:
-            block_wins += 1
-        elif block_result == W_BOT:
-            block_bots += 1
-    aborted = block_wins < (omega_exp * block.test_mass - delta_est) * m_blocks
-    return Transcript(t=np.array(ts, dtype=np.int8),
-                      x=np.array(xs, dtype=np.int8),
-                      y=np.array(ys, dtype=np.int8),
-                      a=np.array(was, dtype=np.int8),
-                      b=np.array(wbs, dtype=np.int8),
-                      w=np.array(ws, dtype=np.int8),
-                      aborted=bool(aborted), win_count=block_wins)
+    return _run(m_blocks, block, omega_exp * block.test_mass - delta_est,
+                device, seed, trial)
 
 
 def block_lengths(transcript: Transcript, s_max: int) -> np.ndarray:
-    """Recover the block lengths from a block-protocol transcript."""
-    lengths = []
-    run = 0
-    for ti in transcript.t:
-        run += 1
-        if ti == 1 or run == s_max:
-            lengths.append(run)
-            run = 0
-    if run:
-        lengths.append(run)
-    return np.array(lengths)
+    """Recover the block lengths from a block-protocol transcript: the r
+    untested rounds before a test make r // s_max full blocks and one of
+    r % s_max + 1 rounds ending at the test; the untested rounds after the
+    last test make full blocks and a shorter last one."""
+    tests = np.flatnonzero(transcript.t)
+    untested = np.append(np.diff(tests, prepend=-1) - 1,
+                         len(transcript.t) - 1 - (tests[-1] if tests.size
+                                                  else -1))
+    last = untested % s_max + 1
+    last[-1] -= 1  # the rounds after the last test end on no test
+    values = np.stack([np.full_like(last, s_max), last], axis=1).ravel()
+    counts = np.stack([untested // s_max, np.ones_like(last)], axis=1).ravel()
+    lengths = np.repeat(values, counts)
+    return lengths[lengths > 0]
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple:
@@ -201,12 +185,22 @@ def estimate_abort_probability(config: SimulationConfig, trials: int,
     return aborts / trials, wilson_interval(aborts, trials)
 
 
+def exact_abort_probability(config: SimulationConfig) -> float:
+    """Pr[abort] of the per-round protocol: each round is a won test round
+    with probability p = gamma omega_dev, so the win count X ~ Bin(n, p) and
+    the run aborts iff X < (omega_exp gamma - delta_est) n, i.e. iff
+    X <= k = ceil(threshold) - 1.  Summed as the upper tail of the
+    complement count n - X ~ Bin(n, 1 - p), with no 1 - tail cancellation."""
+    threshold = (config.omega_exp * config.gamma - config.delta_est) * config.n
+    p = config.gamma * config.device.omega_exp
+    return _binomial_upper_tail(config.n, 1.0 - p,
+                                config.n - (math.ceil(threshold) - 1))
+
+
 def round_count_statistics(m_blocks: int, block: BlockSpec,
                            device: HonestDevice, trials: int, seed: int,
                            tail_t: float) -> float:
     """Empirical Pr[N >= m*s_bar + tail_t] over full block-protocol runs."""
-    from .eat import expected_block_length
-
     nbar = m_blocks * expected_block_length(block)
     exceed = 0
     for trial in range(trials):

@@ -99,6 +99,25 @@ def sample_iid_data(box, q, n, rng):
     return xs, ys, out // al.b_size, out % al.b_size
 
 
+def round_count_law(m, gamma, s_max):
+    """Exact law of N, the sum of m iid block lengths (geometric in gamma,
+    truncated at s_max): entry k is Pr[N = k], over the support 0..m s_max,
+    from m-fold convolution by repeated squaring.  Every term is a sum of
+    nonnegative products, so even tails of 1e-16 keep their relative
+    accuracy."""
+    one = np.array([0.0] + [(1.0 - gamma) ** (k - 1) * (gamma if k < s_max
+                                                       else 1.0)
+                            for k in range(1, s_max + 1)])
+    law = np.ones(1)
+    while m:
+        if m & 1:
+            law = np.convolve(law, one)
+        m >>= 1
+        if m:
+            one = np.convolve(one, one)
+    return law
+
+
 @pytest.fixture
 def chsh():
     return chsh_game()

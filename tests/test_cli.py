@@ -6,7 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from di_toolkit import cli
+from di_toolkit import cli, simulate
 from di_toolkit.boxes import chsh_game
 
 
@@ -188,6 +188,24 @@ class TestSimulateCommand:
         jsonschema.validate(payload, schema("out_simulate"))
         _, out2 = run_cli(argv, capsys)
         assert out1 == out2
+
+    def test_exact_abort_key(self, capsys):
+        argv = ["simulate", "--n", "2000", "--gamma", "0.5", "--omega-exp",
+                "0.81", "--delta-est", "0.012", "--trials", "20"]
+        _, out = run_cli(argv, capsys)
+        cfg = simulate.SimulationConfig(
+            n=2000, gamma=0.5, omega_exp=0.81, delta_est=0.012,
+            device=simulate.HonestDevice(0.81, 0.0))
+        exact = simulate.exact_abort_probability(cfg)
+        assert json.loads(out)["exact_abort"] == float(f"{exact:.9g}")
+
+    @pytest.mark.parametrize("gamma", ["0", "1.5", "-0.2"])
+    def test_gamma_outside_unit_interval_rejected(self, gamma, capsys):
+        code, out = run_cli(["simulate", "--n", "100", "--gamma", gamma,
+                             "--omega-exp", "0.81", "--delta-est", "0.02",
+                             "--trials", "10"], capsys)
+        assert code == 1
+        assert out == ""
 
 
 class TestDefinettiVerify:

@@ -1,9 +1,13 @@
+import hashlib
 import math
 
 import numpy as np
 
+from conftest import round_count_law
 from di_toolkit import simulate as sim
 from di_toolkit.eat import BlockSpec, expected_block_length, round_count_tail
+
+FIELDS = ("t", "x", "y", "a", "b", "w")
 
 
 def device(omega=0.81, q=0.05):
@@ -102,6 +106,91 @@ class TestRunProtocolBlocks:
         a = sim.run_protocol_blocks(100, block, 0.81, 0.02, device(), seed=1)
         b = sim.run_protocol_blocks(100, block, 0.81, 0.02, device(), seed=1)
         assert np.array_equal(a.t, b.t) and np.array_equal(a.b, b.b)
+
+
+class TestOneSampler:
+    """Both protocols draw through one sampler: the per-round run is the
+    block run with s_max = 1, and the block run matches the exact laws of
+    its round count and its abort event."""
+
+    def test_per_round_is_one_round_blocks(self):
+        for k, (n, gamma, q) in enumerate([(1, 1.0, 0.0), (300, 0.4, 0.05),
+                                           (2000, 0.05, 0.2),
+                                           (777, 0.93, 0.5)]):
+            a = sim.run_protocol(n, gamma, 0.81, 0.02, device(q=q), seed=k,
+                                 trial=k + 1)
+            b = sim.run_protocol_blocks(n, BlockSpec(gamma, 1), 0.81, 0.02,
+                                        device(q=q), seed=k, trial=k + 1)
+            for field in FIELDS:
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+            assert a.win_count == b.win_count
+
+    def test_per_round_stream_pinned(self):
+        # transcripts, abort frequencies and the simulate CLI rest on it
+        tr = sim.run_protocol(5000, 0.3, 0.81, 0.02, device(), seed=42,
+                              trial=3)
+        digest = hashlib.sha256(b"".join(getattr(tr, f).tobytes()
+                                         for f in FIELDS)).hexdigest()
+        assert digest == ("71a8aee66924be44ef84192dd28662cc"
+                          "8c2f1dda5248096e98d6568c298c0055")
+        assert tr.win_count == 1228
+
+    def test_round_count_law(self):
+        # Kolmogorov-Smirnov distance to the exact law of N, within the
+        # Dvoretzky-Kiefer-Wolfowitz bound at level 1e-3
+        m, block, trials = 30, BlockSpec(0.15, 8), 2000
+        law = round_count_law(m, block.gamma, block.s_max)
+        counts = np.bincount(
+            [len(sim.run_protocol_blocks(m, block, 0.81, 0.02, device(),
+                                         seed=23, trial=k).t)
+             for k in range(trials)], minlength=len(law))
+        assert len(counts) == len(law)
+        ks = np.max(np.abs(np.cumsum(counts) / trials - np.cumsum(law)))
+        assert ks <= math.sqrt(math.log(2 / 1e-3) / (2 * trials))
+
+    def test_block_abort_frequency_covers_exact(self):
+        # the block win count is Bin(m, omega_dev * test_mass)
+        m, block, omega, delta, trials = 400, BlockSpec(0.1, 10), 0.81, \
+            0.025, 1000
+        rate = omega * block.test_mass - delta
+        p = omega * block.test_mass
+        exact = sum(math.comb(m, k) * p**k * (1 - p)**(m - k)
+                    for k in range(m + 1) if k < rate * m)
+        assert 0.05 < exact < 0.5
+        aborts = sum(sim.run_protocol_blocks(m, block, omega, delta,
+                                             device(omega), seed=31,
+                                             trial=k).aborted
+                     for k in range(trials))
+        lo, hi = sim.wilson_interval(aborts, trials)
+        assert lo <= exact <= hi
+
+    def test_block_lengths_of_block_transcript(self):
+        block, m = BlockSpec(0.2, 6), 500
+        tr = sim.run_protocol_blocks(m, block, 0.81, 0.02, device(), seed=12)
+        lengths = sim.block_lengths(tr, block.s_max)
+        assert len(lengths) == m
+        assert lengths.min() >= 1 and lengths.max() <= block.s_max
+        assert lengths.sum() == len(tr.t)
+
+    def test_block_lengths_against_scan(self):
+        def scan(t, s_max):
+            lengths, run = [], 0
+            for ti in t:
+                run += 1
+                if ti == 1 or run == s_max:
+                    lengths.append(run)
+                    run = 0
+            return lengths + ([run] if run else [])
+
+        rng = np.random.default_rng(2)
+        for _ in range(500):
+            t = (rng.random(int(rng.integers(0, 30))) < rng.random()).astype(
+                np.int8)
+            s_max = int(rng.integers(1, 7))
+            w = np.where(t == 1, 1, sim.W_BOT).astype(np.int8)
+            tr = sim.Transcript(t=t, x=t, y=t, a=t, b=t, w=w, aborted=False,
+                                win_count=0)
+            assert sim.block_lengths(tr, s_max).tolist() == scan(t, s_max)
 
 
 class TestAbortProbability:
