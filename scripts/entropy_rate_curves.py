@@ -6,8 +6,9 @@ Writes one CSV block per parameter set to stdout.
 """
 
 import math
+import sys
 
-from di_toolkit import eat
+from di_toolkit import cli, eat
 
 PARAM_SETS = [
     # (n, eps_s = eps_e, delta_est)
@@ -28,12 +29,13 @@ def main():
     for n, eps_val, delta in PARAM_SETS:
         eps = eat.EatEpsilons(eps_val, eps_val)
         print(f"# n={n:g} eps={eps_val:g} delta_est={delta:g} gamma=1")
-        print("omega_exp,mu_opt,best_cut")
         lo = 0.75 + delta + 1e-6
+        rows = []
         for i in range(POINTS):
             omega = lo + (OMEGA_MAX - lo) * i / (POINTS - 1)
-            value, cut = eat.mu_opt(omega, delta, 1.0, n, eps)
-            print(f"{omega:.9g},{value:.9g},{cut:.9g}")
+            rows.append((omega, *eat.mu_opt(omega, delta, 1.0, n, eps)))
+        sys.stdout.write(cli.csv_text(["omega_exp", "mu_opt", "best_cut"],
+                                      rows))
         print()
 
 

@@ -81,32 +81,20 @@ def _cmd_entropy_curve(args):
 
 def _cmd_mu_opt(args):
     eps = eat.EatEpsilons(args.eps_s, args.eps_e)
+    # the per-round rate is the block rate of one-round blocks
+    s_max = (args.s_max or eat.default_s_max(args.gamma)) if args.block else 1
+    block = eat.BlockSpec(args.gamma, s_max)
+    sbar = eat.expected_block_length(block)
+    m = args.n / sbar
+    value, cut = eat.mu_block_opt(args.omega_exp, args.delta_est, block, m,
+                                  eps)
+    f = eat.f_min_block(args.omega_exp * block.test_mass - args.delta_est,
+                        block, cut)
+    payload = {"mode": "block" if args.block else "per-round", "value": value,
+               "best_cut": cut, "f_min": f, "second_order": f - value}
     if args.block:
-        s_max = args.s_max or eat.default_s_max(args.gamma)
-        block = eat.BlockSpec(args.gamma, s_max)
-        sbar = eat.expected_block_length(block)
-        m = args.n / sbar
-        value, cut = eat.mu_block_opt(args.omega_exp, args.delta_est, block,
-                                      m, eps)
-        p1 = args.omega_exp * block.test_mass - args.delta_est
-        f = eat.f_min_block(p1, block, cut)
-        payload = {
-            "mode": "block", "value": value, "best_cut": cut,
-            "f_min": f, "second_order": f - value,
-            "s_max": s_max, "expected_block_length": sbar,
-            "blocks": m, "total_entropy": m * value,
-        }
-    else:
-        value, cut = eat.mu_opt(args.omega_exp, args.delta_est, args.gamma,
-                                args.n, eps)
-        p1 = args.omega_exp * args.gamma - args.delta_est
-        spec = eat.TradeoffSpec(args.gamma, cut)
-        payload = {
-            "mode": "per-round", "value": value, "best_cut": cut,
-            "f_min": eat.f_min(p1, spec),
-            "second_order": eat.f_min(p1, spec) - value,
-            "total_entropy": args.n * value,
-        }
+        payload.update(s_max=s_max, expected_block_length=sbar, blocks=m)
+    payload["total_entropy"] = m * value
     _emit(args, payload)
 
 

@@ -1,29 +1,34 @@
 r"""Min-tradeoff functions and finite-size entropy rates.
 
-The per-round min-tradeoff function is the CHSH secrecy bound g, expressed
-in the test-statistic variable p(1) (probability of a winning test round),
-"cut and glued" to its tangent above a cut point c so that its slope stays
-bounded (Arnon-Friedman, Renner, Vidick).  The accumulated-entropy rate of
-the entropy accumulation theorem (Dupuis, Fawzi, Renner) at statistic p1 is
+The protocol groups rounds into blocks that end at their first test round
+or after s_max rounds (Arnon-Friedman, Renner, Vidick); the per-round
+protocol is the case of one-round blocks, s_max = 1.  A block holds a test
+with probability mass = 1 - (1-gamma)^s_max (gamma itself at s_max = 1) and
+has expected length s_bar = mass / gamma.  The per-block min-tradeoff
+function is s_bar times the CHSH secrecy bound g in the normalized
+statistic p~(1) / mass, p~(1) being the probability that a block ends in a
+won test, "cut and glued" to its tangent above a cut point c so that its
+slope stays bounded:
 
-    mu(c) = g(c) + g'(c) (p1 - c) - K (log2 d_O + g'(c)),
-    K = (2/sqrt(n)) sqrt(1 - 2 log2(eps_s eps_e))
+    f(p~1) = s_bar g(p~1 / mass) up to c,   f(c) + f'(c) (p~1 - c) above.
 
-for a cut c below p1.  Its derivative is dmu/dc = g''(c) (p1 - c - K): the
-dimension term log2 d_O does not depend on c, and g is strictly convex, so
-mu rises up to c = p1 - K and falls after it (for c >= p1 the glued
-function is g(p1) and only the penalty, falling at rate K g''(c), moves).
-mu_opt's best cut is therefore c* = clamp(p1 - K) to the cut interval,
-with no numerical search.
+The accumulated-entropy rate of the entropy accumulation theorem (Dupuis,
+Fawzi, Renner) over m blocks at statistic p~1 is
 
-The block variant groups rounds into blocks that end at the first test
-round or after s_max rounds, which improves how the penalty scales with the
-test probability gamma.  Its per-block function s_bar g(c / mass) is convex
-in the same way, so mu_block_opt uses the same closed form with m blocks in
-place of n rounds.  The key length's one-round blocks use the per-round
-functions.  The terms that keyrates' numpy grid kernel shares with the
-scalar path (the penalty K, the max-entropy bound, the round count tail)
-take the namespace ``xp``: math for scalars, numpy for arrays.
+    mu(c) = f(p~1) - K (log2 d_O + f'(c)),
+    K = (2/sqrt(m)) sqrt(1 - 2 log2(eps_s eps_e)),
+
+with d_O = 1 + 2 * 2^s_max * 3^s_max outputs per block (13 for one round).
+For a cut c below p~1 its derivative is dmu/dc = f''(c) (p~1 - c - K): the
+dimension term does not depend on c, and f is strictly convex, so mu rises
+up to c = p~1 - K and falls after it (for c >= p~1 the glued function is
+f(p~1) and only the penalty, falling at rate K f''(c), moves).
+mu_block_opt's best cut is therefore c* = clamp(p~1 - K) to the cut
+interval, with no numerical search.  The per-round names (TradeoffSpec,
+f_min, mu_opt) are these functions at s_max = 1, with m = n rounds.  The
+terms that keyrates' numpy grid kernel shares with the scalar path (the
+penalty K, the max-entropy bound, the round count tail) take the namespace
+``xp``: math for scalars, numpy for arrays.
 """
 
 from __future__ import annotations
@@ -34,8 +39,6 @@ from functools import lru_cache
 
 from .entropy import OMEGA_CLASSICAL, OMEGA_QUANTUM, secrecy_bound, secrecy_bound_slope
 
-# per-round output dimension |AB| with B in {0,1,bot}: log2(1 + 2*6)
-LOG2_13 = math.log2(13.0)
 # output dimension of B alone, {0,1,bot}: log2(1 + 2*3)
 LOG2_7 = math.log2(7.0)
 
@@ -44,7 +47,8 @@ CUT_EDGE_SHRINK = 1e-9
 
 @dataclass(frozen=True)
 class TradeoffSpec:
-    """Test probability and cut point (as a value of p(1))."""
+    """Test probability and cut point (as a value of p(1)) of the per-round
+    min-tradeoff function."""
 
     gamma: float
     p_cut1: float
@@ -85,40 +89,11 @@ class BlockSpec:
 
     @property
     def test_mass(self) -> float:
-        """1 - (1-gamma)^s_max: probability that a block contains a test."""
+        """1 - (1-gamma)^s_max: probability that a block contains a test;
+        exactly gamma for one-round blocks, where the formula would round."""
+        if self.s_max == 1:
+            return self.gamma
         return 1.0 - (1.0 - self.gamma) ** self.s_max
-
-
-def g(p1: float, gamma: float) -> float:
-    """Secrecy bound in the test statistic: secrecy_bound(p1/gamma), flat 1
-    above the quantum optimum."""
-    if not 0 < gamma <= 1:
-        raise ValueError("gamma must be in (0,1]")
-    ratio = p1 / gamma
-    if ratio < OMEGA_CLASSICAL - 1e-12 or ratio > 1.0 + 1e-12:
-        raise ValueError(f"p1/gamma = {ratio} outside [3/4, 1]")
-    return secrecy_bound(ratio)
-
-
-def g_slope(p_cut1: float, gamma: float) -> float:
-    """d g / d p(1) at the cut; infinite at the upper edge, hence rejected
-    there."""
-    ratio = p_cut1 / gamma
-    if not OMEGA_CLASSICAL < ratio < OMEGA_QUANTUM:
-        raise ValueError("cut must lie strictly inside the quantum regime")
-    return secrecy_bound_slope(ratio) / gamma
-
-
-def f_min(p1: float, spec: TradeoffSpec) -> float:
-    """The glued min-tradeoff function: g below the cut, its tangent above."""
-    ratio = p1 / spec.gamma
-    if ratio < OMEGA_CLASSICAL - 1e-12 or ratio > 1.0 + 1e-12:
-        raise ValueError(f"p1/gamma = {ratio} outside [3/4, 1]")
-    if p1 <= spec.p_cut1:
-        return g(p1, spec.gamma)
-    a = g_slope(spec.p_cut1, spec.gamma)
-    b = g(spec.p_cut1, spec.gamma) - a * spec.p_cut1
-    return a * p1 + b
 
 
 def _penalty_scale(eps_s, eps_e, count, xp=math):
@@ -128,52 +103,11 @@ def _penalty_scale(eps_s, eps_e, count, xp=math):
         1.0 - 2.0 * xp.log2(eps_s * eps_e))
 
 
-def mu(p1: float, spec: TradeoffSpec, eps: EatEpsilons, n: float) -> float:
-    """Finite-size entropy rate:
-    f_min(p1) - (2/sqrt(n)) (log2(13) + slope(cut)) sqrt(1 - 2 log2(es*ee))."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    slope = g_slope(spec.p_cut1, spec.gamma)
-    return f_min(p1, spec) - _penalty_scale(eps.eps_s, eps.eps_e, n) * (
-        LOG2_13 + slope)
-
-
 def cut_interval(gamma: float) -> tuple:
     """Open cut interval, shrunk away from the infinite-slope upper edge."""
     lo = gamma * OMEGA_CLASSICAL + CUT_EDGE_SHRINK * gamma
     hi = gamma * OMEGA_QUANTUM - CUT_EDGE_SHRINK * gamma
     return lo, hi
-
-
-def _optimal_cut(p1: float, eps: EatEpsilons, count: float,
-                 scale: float) -> float:
-    """c* = clamp(p1 - K, cut_interval(scale)), the maximizer of the cut
-    objective: its derivative g''(c) (p1 - c - K) has the sign of
-    p1 - K - c because g is strictly convex."""
-    if count <= 0:
-        raise ValueError("round or block count must be positive")
-    lo, hi = cut_interval(scale)
-    if lo >= hi:
-        raise ValueError("empty cut interval")
-    return min(max(p1 - _penalty_scale(eps.eps_s, eps.eps_e, count), lo),
-               hi)
-
-
-def mu_opt(omega_exp: float, delta_est: float, gamma: float, n: float,
-           eps: EatEpsilons) -> tuple:
-    """Maximize mu at p1 = omega_exp*gamma - delta_est over the cut point.
-
-    Returns (value, best_cut) with best_cut = clamp(p1 - K) to
-    cut_interval(gamma), K = (2/sqrt(n)) sqrt(1 - 2 log2(eps_s eps_e)):
-    dmu/dc = g''(c) (p1 - c - K), and the dimension term log2(13) is
-    constant in c.
-    """
-    p1 = omega_exp * gamma - delta_est
-    ratio = p1 / gamma
-    if not OMEGA_CLASSICAL <= ratio <= 1.0:
-        raise ValueError("omega_exp*gamma - delta_est outside the domain")
-    cut = _optimal_cut(p1, eps, n, gamma)
-    return mu(p1, TradeoffSpec(gamma, cut), eps, n), cut
 
 
 def max_entropy_upper(n, gamma, eps_s, eps_e, xp=math):
@@ -185,14 +119,12 @@ def max_entropy_upper(n, gamma, eps_s, eps_e, xp=math):
         1.0 - 2.0 * xp.log2(eps_s * eps_e))
 
 
-# ---------------------------------------------------------------------------
-# block variant
-
-
 def default_s_max(gamma: float) -> int:
     """s_max = ceil(1/gamma), the block length cap that the rate optimizer
     and the CLI pick: about the mean spacing of test rounds.  The ceiling is
     guarded against float noise (1/0.1 = 10.000000000000002)."""
+    if not 0 < gamma <= 1:
+        raise ValueError("gamma must be in (0,1]")
     return max(int(math.ceil(1.0 / gamma - 1e-9)), 1)
 
 
@@ -207,30 +139,38 @@ def _log2_block_dim(s_max: int) -> float:
     return math.log2(1 + 2 * (2**s_max) * (3**s_max))
 
 
-def f_min_block(p1_tilde: float, block: BlockSpec, cut: float) -> float:
-    """Per-block min-tradeoff function: s_bar times the per-round bound in
-    the normalized statistic p~(1) / (1 - (1-gamma)^s_max), glued at ``cut``
-    (also on the p~(1) scale)."""
-    mass = block.test_mass
+def _tradeoff(p1_tilde: float, block: BlockSpec, mass: float, cut: float,
+              k_pen: float) -> tuple:
+    """(f(p~1), f'(c), f(p~1) - k_pen (log2 d_O + f'(c))) of the glued
+    per-block function with cut c, mass = block.test_mass and penalty
+    factor k_pen: the one text of the glued function, its slope and its
+    entropy rate."""
     ratio = p1_tilde / mass
     if ratio < OMEGA_CLASSICAL - 1e-12 or ratio > 1.0 + 1e-12:
         raise ValueError(f"normalized statistic {ratio} outside [3/4, 1]")
     cut_ratio = cut / mass
     if not OMEGA_CLASSICAL < cut_ratio < OMEGA_QUANTUM:
         raise ValueError("cut outside the open quantum regime")
-    sbar = expected_block_length(block)
-    if p1_tilde <= cut:
-        return sbar * secrecy_bound(ratio)
+    sbar = mass / block.gamma
     slope = sbar * secrecy_bound_slope(cut_ratio) / mass
-    value_at_cut = sbar * secrecy_bound(cut_ratio)
-    return value_at_cut + slope * (p1_tilde - cut)
+    if p1_tilde <= cut:
+        value = sbar * secrecy_bound(ratio)
+    else:
+        value = sbar * secrecy_bound(cut_ratio) + slope * (p1_tilde - cut)
+    return value, slope, value - k_pen * (_log2_block_dim(block.s_max)
+                                          + slope)
+
+
+def f_min_block(p1_tilde: float, block: BlockSpec, cut: float) -> float:
+    """Per-block min-tradeoff function: s_bar times the per-round bound in
+    the normalized statistic p~(1) / (1 - (1-gamma)^s_max), glued at ``cut``
+    (also on the p~(1) scale)."""
+    return _tradeoff(p1_tilde, block, block.test_mass, cut, 0.0)[0]
 
 
 def f_min_block_slope(block: BlockSpec, cut: float) -> float:
     """Max gradient of the glued per-block function: its slope at the cut."""
-    mass = block.test_mass
-    sbar = expected_block_length(block)
-    return sbar * secrecy_bound_slope(cut / mass) / mass
+    return _tradeoff(cut, block, block.test_mass, cut, 0.0)[1]
 
 
 def mu_block(p1_tilde: float, block: BlockSpec, cut: float,
@@ -238,26 +178,43 @@ def mu_block(p1_tilde: float, block: BlockSpec, cut: float,
     """Per-block entropy rate with dimension term log2(1 + 2*2^s*3^s)."""
     if m_blocks <= 0:
         raise ValueError("m_blocks must be positive")
-    slope = f_min_block_slope(block, cut)
-    penalty = _penalty_scale(eps.eps_s, eps.eps_e, m_blocks)
-    return f_min_block(p1_tilde, block, cut) - penalty * (
-        _log2_block_dim(block.s_max) + slope)
+    return _tradeoff(p1_tilde, block, block.test_mass, cut, _penalty_scale(
+        eps.eps_s, eps.eps_e, m_blocks))[2]
 
 
 def mu_block_opt(omega_exp: float, delta_est: float, block: BlockSpec,
                  m_blocks: float, eps: EatEpsilons) -> tuple:
     """Maximize mu_block at p~1 = omega_exp * test_mass - delta_est over the
     cut.  Returns (value, best_cut) with the cut on the p~(1) scale:
-    best_cut = clamp(p~1 - K) to cut_interval(test_mass), K as in mu_opt
-    with m_blocks in place of n; the dimension term log2(1 + 2*6^s_max) is
-    constant in the cut and drops out."""
+    best_cut = clamp(p~1 - K) to cut_interval(test_mass), the maximizer of
+    the rate, whose derivative f''(c) (p~1 - c - K) has the sign of
+    p~1 - K - c because f is strictly convex."""
     mass = block.test_mass
     p1 = omega_exp * mass - delta_est
-    ratio = p1 / mass
-    if not OMEGA_CLASSICAL <= ratio <= 1.0:
+    if not OMEGA_CLASSICAL <= p1 / mass <= 1.0:
         raise ValueError("test statistic outside the domain")
-    cut = _optimal_cut(p1, eps, m_blocks, mass)
-    return mu_block(p1, block, cut, eps, m_blocks), cut
+    if m_blocks <= 0:
+        raise ValueError("round or block count must be positive")
+    lo, hi = cut_interval(mass)
+    if lo >= hi:
+        raise ValueError("empty cut interval")
+    k_pen = _penalty_scale(eps.eps_s, eps.eps_e, m_blocks)
+    cut = min(max(p1 - k_pen, lo), hi)
+    return _tradeoff(p1, block, mass, cut, k_pen)[2], cut
+
+
+def f_min(p1: float, spec: TradeoffSpec) -> float:
+    """The per-round glued min-tradeoff function: f_min_block with one-round
+    blocks."""
+    return f_min_block(p1, BlockSpec(spec.gamma, 1), spec.p_cut1)
+
+
+def mu_opt(omega_exp: float, delta_est: float, gamma: float, n: float,
+           eps: EatEpsilons) -> tuple:
+    """The per-round entropy rate at p1 = omega_exp*gamma - delta_est,
+    maximized over the cut: mu_block_opt with one-round blocks, m = n.
+    Returns (value, best_cut)."""
+    return mu_block_opt(omega_exp, delta_est, BlockSpec(gamma, 1), n, eps)
 
 
 def round_count_tail(m_blocks: float, gamma: float, eps_t: float) -> float:

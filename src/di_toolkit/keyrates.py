@@ -16,8 +16,10 @@ with t the tail of the random round count at error eps_t and
 eps_s' = eps_s/4 - sqrt(eps_t).  Only t, the leakage and the max-entropy
 term depend on eps_t, so the optimizer's eps_t sweep computes the other
 terms once per parameter point.  The per-round protocol is the case of
-one-round blocks, s_max = 1 (m = n, mu_opt) with eps_t = 0 (t = 0): the
-per-round key_length is that computation, not a second text of it.
+one-round blocks, s_max = 1 (m = n, the entropy rate mu_block_opt at
+s_max = 1) with eps_t = 0 (t = 0): the per-round key_length is that
+computation, not a second text of it, and the grid kernel scores both
+modes with the same block formulas.
 
 optimize_rate scores its coarse (gamma, delta_est) grid, its epsilon split
 grid and each pass of its two zooms in one numpy call (_grid_key_lengths,
@@ -254,21 +256,12 @@ class _BlockFixed(NamedTuple):
 
 def _block_fixed_terms(params: ProtocolParams, budget: EpsilonBudget,
                        s_max: int) -> _BlockFixed:
-    if s_max < 1:
-        raise ValueError("s_max must be >= 1")
     eps = EatEpsilons(budget.eps_s / 4.0, budget.eps_ea + budget.eps_ec)
-    if s_max == 1:
-        # one-round blocks: deterministic length, no tail; the per-round
-        # mu path, whose tangent rounds differently from mu_block's
-        sbar, m = 1.0, params.n
-        mu_value, cut = eat.mu_opt(params.omega_exp, params.delta_est,
-                                   params.gamma, m, eps)
-    else:
-        block = BlockSpec(params.gamma, s_max)
-        sbar = eat.expected_block_length(block)
-        m = params.n / sbar
-        mu_value, cut = eat.mu_block_opt(params.omega_exp, params.delta_est,
-                                         block, m, eps)
+    block = BlockSpec(params.gamma, s_max)
+    sbar = eat.expected_block_length(block)
+    m = params.n / sbar
+    mu_value, cut = eat.mu_block_opt(params.omega_exp, params.delta_est,
+                                     block, m, eps)
     return _BlockFixed(sbar, m, cut, m * mu_value, _leak_rate(params),
                        _log_correction(budget.eps_s), _pa_term(budget.eps_pa))
 
@@ -380,7 +373,7 @@ def _eval_point(target: RateTarget, caps: RateCaps, mode: str, gamma: float,
     and sweeps eps_t over cap_t * 10^-k, k = 1..13 with cap_t = (eps_s/4)^2,
     keeping the first strict maximum.  Only the round count tail t, the
     leakage and the max-entropy term depend on eps_t, so the entropy term
-    (the one mu_block_opt / mu_opt call), the leakage rate, the log
+    (the one mu_block_opt call), the leakage rate, the log
     correction and the PA term are computed once per point; a candidate
     whose terms raise ValueError is skipped.  A block-mode winner's
     ``extras`` record its index in the sweep (``eps_t_index``).
@@ -436,7 +429,6 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
     callers rescore the points they keep with _eval_point.  Per-round mode
     is the s_max = 1, eps_t = 0 case: n rounds, no tail.
     """
-    block = mode == BLOCK
     omega, _ = honest_werner(2.0 * target.q)
     n = target.n
     shape = (len(gammas), len(deltas), len(shares))
@@ -457,16 +449,13 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
     for gamma in gammas:
         ok = 0 < gamma <= 1
         gamma = gamma if ok else 1.0
-        s_max = eat.default_s_max(gamma) if block else 1
-        if s_max == 1:
-            scale, sbar, log2_do = gamma, 1.0, eat.LOG2_13
-        else:
-            scale = BlockSpec(gamma, s_max).test_mass
-            sbar = scale / gamma
-            log2_do = eat._log2_block_dim(s_max)
+        block = BlockSpec(gamma, eat.default_s_max(gamma)
+                          if mode == BLOCK else 1)
+        scale, sbar = block.test_mass, eat.expected_block_length(block)
         lo, hi = eat.cut_interval(scale)
-        rows.append((ok and lo < hi, gamma, s_max > 1, scale, sbar, n / sbar,
-                     log2_do, lo, hi, (1.0 - gamma) * h_q + gamma * h_omega))
+        rows.append((ok and lo < hi, gamma, block.s_max > 1, scale, sbar,
+                     n / sbar, eat._log2_block_dim(block.s_max), lo, hi,
+                     (1.0 - gamma) * h_q + gamma * h_omega))
     (gamma_ok, gamma, tail, scale, sbar, m, log2_do, lo, hi,
      leak_rate) = column(rows, 0)
 
@@ -497,7 +486,7 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
     share_ok, es4, eps_e, log_corr, pa, cap_t = column(rows, 2)
 
     eps_t = cap_t * np.array([10.0 ** (-k) for k in range(
-        1, EPS_T_CANDIDATE_DECADES)] if block else [0.0])
+        1, EPS_T_CANDIDATE_DECADES)] if mode == BLOCK else [0.0])
 
     with np.errstate(all="ignore"):
         p1 = omega * scale - delta
@@ -508,12 +497,7 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
         cut = np.minimum(np.maximum(p1 - k_pen, lo), hi)
         slope = sbar * _slope(cut / scale, np) / scale
         at_cut = sbar * secrecy_bound_array(cut / scale)
-        # the tangent above the cut in each scalar path's own order:
-        # f_min_block's g(c) + a (p1 - c) for blocks, f_min's a p1 + b for
-        # one-round blocks; the two round differently, and one order for
-        # both moves per-round rates in their last digits
-        glued = np.where(tail, at_cut + slope * (p1 - cut),
-                         slope * p1 + (at_cut - slope * cut))
+        glued = at_cut + slope * (p1 - cut)
         f_min = np.where(p1 <= cut, sbar * secrecy_bound_array(ratio), glued)
         entropy_term = m * (f_min - k_pen * (log2_do + slope))
 

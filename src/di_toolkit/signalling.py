@@ -280,7 +280,10 @@ def iid_threshold_probability(single: SingleRoundBox, game: Game, n: int,
 
 
 def _binomial_upper_tail(n: int, p: float, k0: int) -> float:
-    """Pr[Bin(n,p) >= k0], summed from the top in log space for stability."""
+    """Pr[Bin(n,p) >= k0]: the terms, each from its logarithm, summed from
+    k0 up.  Past the mode (k >= (n+1) p) the terms fall, so once one no
+    longer changes the sum neither does any later one: the loop stops
+    there, with the full sum's value."""
     if k0 <= 0:
         return 1.0
     if k0 > n:
@@ -291,7 +294,11 @@ def _binomial_upper_tail(n: int, p: float, k0: int) -> float:
         return 1.0
     logp, log1p = math.log(p), math.log1p(-p)
     total = 0.0
+    mode = (n + 1) * p
     for k in range(k0, n + 1):
-        total += math.exp(math.lgamma(n + 1) - math.lgamma(k + 1)
-                          - math.lgamma(n - k + 1) + k * logp + (n - k) * log1p)
+        term = math.exp(math.lgamma(n + 1) - math.lgamma(k + 1)
+                        - math.lgamma(n - k + 1) + k * logp + (n - k) * log1p)
+        if total + term == total and k >= mode:
+            break
+        total += term
     return min(total, 1.0)

@@ -10,9 +10,11 @@ One sampler serves both protocols: the per-round protocol is the block
 protocol with s_max = 1.  A run of m blocks draws, in this order: an
 (m, s_max) array of test flags, each block cut at its first test or at
 s_max rounds; then, over the N rounds kept, the test-round inputs, Alice's
-outputs, the test wins and the generation-round agreements.  At s_max = 1
-the flag array is one uniform per round, so the per-round stream is the
-block stream of one-round blocks.
+outputs, the test wins and the generation-round agreements.  A run aborts
+iff fewer than (omega_exp * test_mass - delta_est) * m blocks end in a won
+test.  At s_max = 1 the flag array is one uniform per round and the test
+mass is gamma itself, so the per-round stream and abort rule are the block
+ones of one-round blocks.
 
 Randomness is a counter-based Philox generator keyed by
 (master_seed, trial_index), so transcripts are bit-identical for identical
@@ -71,10 +73,11 @@ def _trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _run(m: int, block: BlockSpec, rate: float, device: HonestDevice,
-         seed: int, trial: int) -> Transcript:
+def _run(m: int, block: BlockSpec, omega_exp: float, delta_est: float,
+         device: HonestDevice, seed: int, trial: int) -> Transcript:
     """The one sampler: m blocks of at most s_max rounds, aborting iff fewer
-    than rate * m blocks end in a won test round."""
+    than (omega_exp * test_mass - delta_est) * m blocks end in a won test
+    round."""
     if m < 1:
         raise ValueError("the number of blocks must be >= 1")
     rng = _trial_rng(seed, trial)
@@ -98,8 +101,9 @@ def _run(m: int, block: BlockSpec, rate: float, device: HonestDevice,
     w = np.where(test, wins.astype(np.int8), np.int8(W_BOT)).astype(np.int8)
     # a block holds at most one test, its last round: won tests = won blocks
     win_count = int((w == 1).sum())
+    threshold = (omega_exp * block.test_mass - delta_est) * m
     return Transcript(t=t, x=x, y=y, a=a, b=b, w=w,
-                      aborted=bool(win_count < rate * m), win_count=win_count)
+                      aborted=bool(win_count < threshold), win_count=win_count)
 
 
 def run_protocol(n: int, gamma: float, omega_exp: float, delta_est: float,
@@ -111,8 +115,8 @@ def run_protocol(n: int, gamma: float, omega_exp: float, delta_est: float,
     ``omega_exp`` and ``delta_est`` are the protocol's acceptance
     parameters; the device may have a different actual winning probability.
     """
-    return _run(n, BlockSpec(gamma, 1), omega_exp * gamma - delta_est,
-                device, seed, trial)
+    return _run(n, BlockSpec(gamma, 1), omega_exp, delta_est, device, seed,
+                trial)
 
 
 def run_protocol_blocks(m_blocks: int, block: BlockSpec, omega_exp: float,
@@ -126,8 +130,7 @@ def run_protocol_blocks(m_blocks: int, block: BlockSpec, omega_exp: float,
     (omega_exp * (1 - (1-gamma)^s_max) - delta_est) * m_blocks.
     The transcript is per-round; block boundaries follow from t.
     """
-    return _run(m_blocks, block, omega_exp * block.test_mass - delta_est,
-                device, seed, trial)
+    return _run(m_blocks, block, omega_exp, delta_est, device, seed, trial)
 
 
 def block_lengths(transcript: Transcript, s_max: int) -> np.ndarray:

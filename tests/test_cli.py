@@ -123,6 +123,17 @@ class TestMuOpt:
         assert payload["mode"] == "block"
         assert payload["s_max"] == 100
 
+    @pytest.mark.parametrize("gamma", ["0", "1.5", "-0.2"])
+    @pytest.mark.parametrize("mode", [[], ["--block"]])
+    def test_gamma_outside_unit_interval_rejected(self, gamma, mode,
+                                                  capsys):
+        code, out = run_cli([
+            "mu-opt", "--n", "1e8", "--gamma", gamma, "--omega-exp", "0.84",
+            "--delta-est", "1e-6", "--eps-s", "1e-6", "--eps-e", "1e-6",
+            *mode], capsys)
+        assert code == 1
+        assert out == ""
+
 
 class TestSigTest:
     def test_pass_on_signalling_data(self, tmp_path, capsys, rng):

@@ -4,9 +4,42 @@ import numpy as np
 import pytest
 
 from di_toolkit import eat
-from di_toolkit.entropy import OMEGA_QUANTUM, secrecy_bound
+from di_toolkit.entropy import (OMEGA_CLASSICAL, OMEGA_QUANTUM, secrecy_bound,
+                                secrecy_bound_slope)
 from conftest import round_count_law
 from reference_curves import MU_OPT_CURVES
+
+# per-round output dimension |AB| with B in {0,1,bot}: log2(1 + 2*6)
+LOG2_13 = math.log2(13.0)
+
+
+def reference_mu_round(p1, gamma, cut, eps, n):
+    """The per-round entropy rate in its own text, kept as the oracle of the
+    block functions at s_max = 1: g(p1) = secrecy_bound(p1/gamma) up to the
+    cut, the tangent a p1 + b above it, minus
+    K (log2 13 + a), K = (2/sqrt(n)) sqrt(1 - 2 log2(eps_s eps_e)).
+
+    Returns (rate, f_min, size), size being the sum of the magnitudes of
+    the terms added up: the scale of this text's own rounding (the rate
+    crosses zero, and a p1 + b cancels when the slope a is large)."""
+    ratio = p1 / gamma
+    if ratio < OMEGA_CLASSICAL - 1e-12 or ratio > 1.0 + 1e-12:
+        raise ValueError(f"p1/gamma = {ratio} outside [3/4, 1]")
+    a = secrecy_bound_slope(cut / gamma) / gamma
+    if p1 <= cut:
+        f = secrecy_bound(ratio)
+        size = abs(f)
+    else:
+        b = secrecy_bound(cut / gamma) - a * cut
+        f = a * p1 + b
+        size = abs(a * p1) + abs(b)
+    penalty = (2.0 / math.sqrt(n)) * math.sqrt(
+        1.0 - 2.0 * math.log2(eps.eps_s * eps.eps_e)) * (LOG2_13 + a)
+    return f - penalty, f, size + penalty
+
+
+def _one_round(gamma):
+    return eat.BlockSpec(gamma, 1)
 
 
 class TestSpecs:
@@ -27,58 +60,67 @@ class TestSpecs:
 
 
 class TestG:
-    def test_endpoints(self):
-        assert eat.g(0.75 * 0.4, 0.4) == pytest.approx(0.0, abs=1e-12)
-        assert eat.g(0.4, 0.4) == pytest.approx(1.0, abs=1e-9)
+    """The glued function of one-round blocks below its cut is the secrecy
+    bound in p1 / gamma."""
 
-    def test_flat_above_quantum(self):
-        gamma = 1.0
-        assert eat.g(0.99, gamma) == 1.0
+    def test_endpoints(self):
+        # zero at the classical value; 1 as the cut nears the quantum optimum
+        top = 0.4 * (OMEGA_QUANTUM - 1e-12)
+        assert eat.f_min_block(0.75 * 0.4, _one_round(0.4), 0.4 * 0.8) == \
+            pytest.approx(0.0, abs=1e-12)
+        assert eat.f_min_block(top, _one_round(0.4), top) == pytest.approx(
+            1.0, abs=1e-9)
 
     def test_composition(self):
-        assert eat.g(0.8 * 0.3, 0.3) == pytest.approx(secrecy_bound(0.8))
+        assert eat.f_min_block(0.8 * 0.3, _one_round(0.3), 0.82 * 0.3) == \
+            pytest.approx(secrecy_bound(0.8))
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            eat.g(0.5 * 0.7, 0.5)
+            eat.f_min_block(0.5 * 0.7, _one_round(0.5), 0.5 * 0.8)
 
 
 class TestGSlope:
     def test_positive_on_interior(self):
         for ratio in np.linspace(0.76, 0.85, 30):
-            assert eat.g_slope(ratio * 0.7, 0.7) > 0
+            assert eat.f_min_block_slope(_one_round(0.7), ratio * 0.7) > 0
 
     def test_finite_difference_agreement(self):
         h = 1e-8
         gamma = 0.6
+        block, top = _one_round(gamma), 0.85 * gamma
         for ratio in np.linspace(0.77, 0.84, 20):
             cut = ratio * gamma
-            numeric = (eat.g(cut + h, gamma) - eat.g(cut - h, gamma)) / (2 * h)
-            assert eat.g_slope(cut, gamma) == pytest.approx(numeric, rel=1e-6)
+            numeric = (eat.f_min_block(cut + h, block, top)
+                       - eat.f_min_block(cut - h, block, top)) / (2 * h)
+            assert eat.f_min_block_slope(block, cut) == pytest.approx(
+                numeric, rel=1e-6)
 
     def test_divergence_at_upper_edge(self):
-        gamma = 1.0
-        slopes = [eat.g_slope(OMEGA_QUANTUM - delta, gamma)
+        block = _one_round(1.0)
+        slopes = [eat.f_min_block_slope(block, OMEGA_QUANTUM - delta)
                   for delta in (1e-2, 1e-4, 1e-6)]
         assert slopes[0] < slopes[1] < slopes[2]
         with pytest.raises(ValueError):
-            eat.g_slope(OMEGA_QUANTUM * gamma, gamma)
+            eat.f_min_block_slope(block, OMEGA_QUANTUM)
 
 
 class TestFMin:
     def test_matches_g_below_cut(self):
-        spec = eat.TradeoffSpec(1.0, 0.82)
+        block = _one_round(1.0)
         for p1 in np.linspace(0.7501, 0.8199, 20):
-            assert eat.f_min(p1, spec) == eat.g(p1, 1.0)
+            assert eat.f_min_block(p1, block, 0.82) == secrecy_bound(p1)
 
     def test_c1_at_cut(self):
-        spec = eat.TradeoffSpec(1.0, 0.82)
+        block = _one_round(1.0)
         h = 1e-9
-        left = (eat.f_min(0.82, spec) - eat.f_min(0.82 - h, spec)) / h
-        right = (eat.f_min(0.82 + h, spec) - eat.f_min(0.82, spec)) / h
+
+        def f(p1):
+            return eat.f_min_block(p1, block, 0.82)
+        left = (f(0.82) - f(0.82 - h)) / h
+        right = (f(0.82 + h) - f(0.82)) / h
         assert left == pytest.approx(right, rel=1e-4)
-        assert eat.f_min(0.82 + 1e-12, spec) == pytest.approx(
-            eat.f_min(0.82, spec), abs=1e-10)
+        assert f(0.82 + 1e-12) == pytest.approx(f(0.82), abs=1e-10)
 
     def test_below_g_on_achievable_branch(self, rng):
         # tangent of a convex function stays below it; above the quantum
@@ -87,44 +129,91 @@ class TestFMin:
         for _ in range(20):
             gamma = float(rng.uniform(0.2, 1.0))
             cut = gamma * float(rng.uniform(0.7501, 0.8534))
-            spec = eat.TradeoffSpec(gamma, cut)
+            block = _one_round(gamma)
             for p1 in np.linspace(gamma * 0.7501,
                                   gamma * (OMEGA_QUANTUM - 1e-9), 500):
-                assert eat.f_min(p1, spec) <= eat.g(p1, gamma) + 1e-12
+                assert eat.f_min_block(p1, block, cut) <= \
+                    secrecy_bound(p1 / gamma) + 1e-12
 
     def test_convex_continuous(self):
-        spec = eat.TradeoffSpec(1.0, 0.80)
+        block = _one_round(1.0)
         xs = np.linspace(0.7501, 0.9999, 10_000)
-        ys = np.array([eat.f_min(x, spec) for x in xs])
+        ys = np.array([eat.f_min_block(x, block, 0.80) for x in xs])
         assert np.all(np.abs(np.diff(ys)) < 1e-2)  # continuity at this grid
         assert np.all(np.diff(ys, 2) > -1e-9)  # convexity
 
 
 class TestMu:
     def test_approaches_f_min(self):
-        spec = eat.TradeoffSpec(1.0, 0.82)
+        block = _one_round(1.0)
         eps = eat.EatEpsilons(1e-6, 1e-6)
         p1 = 0.81
-        f = eat.f_min(p1, spec)
-        assert eat.mu(p1, spec, eps, 1e18) == pytest.approx(f, abs=1e-4)
-        assert eat.mu(p1, spec, eps, 1e6) < f
+        f = eat.f_min_block(p1, block, 0.82)
+        assert eat.mu_block(p1, block, 0.82, eps, 1e18) == pytest.approx(
+            f, abs=1e-4)
+        assert eat.mu_block(p1, block, 0.82, eps, 1e6) < f
 
     def test_convergence_rate(self):
         # (f_min - mu) * sqrt(n) equals 2(log2 13 + slope) sqrt(1-2log2(es ee))
-        spec = eat.TradeoffSpec(1.0, 0.82)
+        block = _one_round(1.0)
         eps = eat.EatEpsilons(1e-6, 1e-5)
         p1 = 0.80
-        expected_c = 2.0 * (math.log2(13) + eat.g_slope(0.82, 1.0)) * \
+        slope = eat.f_min_block_slope(block, 0.82)
+        expected_c = 2.0 * (math.log2(13) + slope) * \
             math.sqrt(1.0 - 2.0 * math.log2(1e-6 * 1e-5))
         for n in (1e6, 1e8, 1e10):
-            measured = (eat.f_min(p1, spec) - eat.mu(p1, spec, eps, n)) * \
-                math.sqrt(n)
+            measured = (eat.f_min_block(p1, block, 0.82)
+                        - eat.mu_block(p1, block, 0.82, eps, n)) * math.sqrt(n)
             assert measured == pytest.approx(expected_c, rel=1e-2)
 
     def test_second_order_positive(self):
-        spec = eat.TradeoffSpec(1.0, 0.82)
+        block = _one_round(1.0)
         eps = eat.EatEpsilons(0.5, 0.5)
-        assert eat.mu(0.8, spec, eps, 100.0) < eat.f_min(0.8, spec)
+        assert eat.mu_block(0.8, block, 0.82, eps, 100.0) < \
+            eat.f_min_block(0.8, block, 0.82)
+
+
+class TestPerRoundReference:
+    def test_test_mass_of_one_round_blocks(self, rng):
+        for gamma in [1.0, 0.5, 0.1, 1e-4] + list(10.0 ** rng.uniform(
+                -4.0, 0.0, size=100)):
+            assert _one_round(float(gamma)).test_mass == gamma
+
+    def test_rate_against_reference(self, rng):
+        """mu_opt, mu_block_opt and mu_block at s_max = 1 agree with
+        reference_mu_round within 1e-14 of the size of its terms, and pick
+        its cut clamp(p1 - K) exactly."""
+        ends = set()
+        for i in range(240):
+            gamma = float(10.0 ** rng.uniform(-4.0, 0.0))
+            n = float(10.0 ** rng.uniform(1.0, 13.0))
+            es, ee = (float(e) for e in 10.0 ** rng.uniform(-10.0, -2.0,
+                                                             size=2))
+            eps = eat.EatEpsilons(es, ee)
+            # every fourth point has omega_exp up to 1 and a tiny delta_est,
+            # which pushes p1 - K above the cut interval
+            if i % 4:
+                omega = float(rng.uniform(0.76, OMEGA_QUANTUM))
+                delta = float(rng.uniform(0.0, 0.9 * (omega - 0.75) * gamma))
+            else:
+                omega = float(rng.uniform(0.76, 1.0))
+                delta = float(rng.uniform(0.0, 1e-6)) * gamma
+            p1 = omega * gamma - delta
+            k_pen = (2.0 / math.sqrt(n)) * math.sqrt(
+                1.0 - 2.0 * math.log2(es * ee))
+            lo = gamma * OMEGA_CLASSICAL + 1e-9 * gamma
+            hi = gamma * OMEGA_QUANTUM - 1e-9 * gamma
+            cut = min(max(p1 - k_pen, lo), hi)
+            ends.add("low" if cut == lo else "high" if cut == hi
+                     else "inside")
+            want, _, size = reference_mu_round(p1, gamma, cut, eps, n)
+            block = _one_round(gamma)
+            for value, at in (eat.mu_opt(omega, delta, gamma, n, eps),
+                              eat.mu_block_opt(omega, delta, block, n, eps),
+                              (eat.mu_block(p1, block, cut, eps, n), cut)):
+                assert at == cut
+                assert abs(value - want) <= 1e-14 * size
+        assert ends == {"low", "inside", "high"}
 
 
 SCAN_POINTS = 2049
@@ -155,7 +244,7 @@ def _random_point(rng):
 
 def _round_objective(omega, delta, gamma, n, eps):
     p1 = omega * gamma - delta
-    return lambda c: eat.mu(p1, eat.TradeoffSpec(gamma, c), eps, n)
+    return lambda c: eat.mu_block(p1, _one_round(gamma), c, eps, n)
 
 
 def _block_objective(omega, delta, block, m, eps):
@@ -185,8 +274,8 @@ class TestMuOpt:
             # independent oracle: dense grid maximum
             p1 = omega - 1e-3
             grid = np.linspace(lo, hi, 10_000)
-            grid_best = max(
-                eat.mu(p1, eat.TradeoffSpec(1.0, c), eps, n) for c in grid)
+            grid_best = max(reference_mu_round(p1, 1.0, c, eps, n)[0]
+                            for c in grid)
             assert value >= grid_best - 1e-9
 
     def test_optimizer_interior_all_reference_sets(self):
@@ -200,7 +289,7 @@ class TestMuOpt:
     def test_value_at_most_g(self):
         eps = eat.EatEpsilons(1e-6, 1e-6)
         value, _ = eat.mu_opt(0.82, 1e-3, 1.0, 1e8, eps)
-        assert value <= eat.g(0.82 - 1e-3, 1.0)
+        assert value <= secrecy_bound(0.82 - 1e-3)
 
     def test_increasing_in_n(self):
         eps = eat.EatEpsilons(1e-6, 1e-6)
@@ -295,10 +384,13 @@ class TestBlocks:
         gamma = 0.37
         block = eat.BlockSpec(gamma, 1)
         spec = eat.TradeoffSpec(gamma, gamma * 0.81)
+        eps = eat.EatEpsilons(1e-6, 1e-6)
         for ratio in np.linspace(0.7501, 0.9999, 50):
             p1 = gamma * ratio
-            assert abs(eat.f_min_block(p1, block, gamma * 0.81)
-                       - eat.f_min(p1, spec)) <= 1e-12
+            value = eat.f_min_block(p1, block, gamma * 0.81)
+            assert eat.f_min(p1, spec) == value
+            _, want, _ = reference_mu_round(p1, gamma, gamma * 0.81, eps, 1e8)
+            assert abs(value - want) <= 1e-12
 
     def test_f_min_block_flat_region_value(self):
         # the underlying per-block bound saturates at s_bar once the

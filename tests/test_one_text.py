@@ -1,8 +1,8 @@
 """Each shared formula of the key-length path is written in exactly one
 function body of the package: the scalar path and the numpy grid kernel
 call it rather than spelling it out again.  Likewise the honest-device
-Monte Carlo has one sampler, which the per-round and block protocols
-both call."""
+Monte Carlo has one sampler, and the glued min-tradeoff function one
+scalar text, which the per-round and block protocols both call."""
 
 import ast
 import copy
@@ -13,10 +13,10 @@ import pytest
 import di_toolkit
 
 # one marker per formula: the max-entropy term, the leakage sum, the
-# Hoeffding bound, the s_max = ceil(1/gamma) rule and the honest-device
-# sampler's uniform draws
+# Hoeffding bound, the s_max = ceil(1/gamma) rule, the honest-device
+# sampler's uniform draws and the glued function's slope at its cut
 MARKERS = ["LOG2_7", "LOG2_2SQRT2_PLUS_1", "exp(-2.0 *", "ceil(1.0 / gamma",
-           "rng.random("]
+           "rng.random(", "secrecy_bound_slope("]
 
 
 class _DropNested(ast.NodeTransformer):

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from di_toolkit import simulate as sim
+from di_toolkit import eat, simulate as sim
+from di_toolkit.entropy import OMEGA_QUANTUM
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -35,6 +36,25 @@ def test_key_rate_curves_quick_creates_out_dir(tmp_path):
     for name in names:
         with open(out_dir / name) as fh:
             assert fh.readline() == RATE_CURVE_HEADER
+
+
+def test_entropy_rate_curves_match_library():
+    blocks = run_script("entropy_rate_curves").split("\n\n")
+    assert blocks[-1] == ""
+    blocks = blocks[:-1]
+    assert len(blocks) == 7
+    for text in blocks:
+        title, header, *rows = text.splitlines()
+        params = dict(kv.split("=") for kv in title[2:].split())
+        n, e, delta = (float(params[k]) for k in ("n", "eps", "delta_est"))
+        assert header == "omega_exp,mu_opt,best_cut"
+        assert len(rows) == 50
+        lo, hi = 0.75 + delta + 1e-6, OMEGA_QUANTUM
+        for i, row in enumerate(rows):
+            omega = lo + (hi - lo) * i / 49
+            value, cut = eat.mu_opt(omega, delta, 1.0, n,
+                                    eat.EatEpsilons(e, e))
+            assert row == f"{omega:.9g},{value:.9g},{cut:.9g}"
 
 
 def test_exact_abort_against_rational_sum():

@@ -341,3 +341,23 @@ class TestIidThreshold:
                     if sum(outcome) >= k0)
                 assert sig._binomial_upper_tail(n, p, k0) == pytest.approx(
                     brute, abs=1e-12)
+
+    def test_binomial_tail_stop_keeps_full_sum(self):
+        def full_sum(n, p, k0):
+            # every term from k0 to n, with no early stop
+            logp, log1p = math.log(p), math.log1p(-p)
+            total = 0.0
+            for k in range(k0, n + 1):
+                total += math.exp(math.lgamma(n + 1) - math.lgamma(k + 1)
+                                  - math.lgamma(n - k + 1) + k * logp
+                                  + (n - k) * log1p)
+            return min(total, 1.0)
+
+        for n in (1, 10, 137, 2000, 20000):
+            for p in (1e-9, 1e-3, 0.3, 0.5, 0.81, 1 - 1e-3, 1 - 1e-9):
+                mode, sd = (n + 1) * p, math.sqrt(n * p * (1 - p))
+                k0s = {1, int(mode / 2), int(mode - sd), int(mode),
+                       int(mode) + 1, int(mode + 3 * sd) + 1, n}
+                for k0 in sorted(k for k in k0s if 1 <= k <= n):
+                    assert sig._binomial_upper_tail(n, p, k0) == \
+                        full_sum(n, p, k0), (n, p, k0)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 
 import numpy as np
 
@@ -252,3 +253,16 @@ class TestRoundCountStatistics:
                                           tail_t=round_count_tail(
                                               200, 0.5, 0.5))
         assert frac <= 1.0
+
+
+class TestExactAbort:
+    def test_large_n_stops_early(self):
+        # the tail of Bin(1e7, 0.595) from 13 standard deviations past its
+        # mode: a few thousand terms count, the other ~4e6 round away
+        cfg = sim.SimulationConfig(n=10**7, gamma=0.5, omega_exp=0.81,
+                                   delta_est=0.002,
+                                   device=sim.HonestDevice(0.81, 0.01))
+        start = time.perf_counter()
+        value = sim.exact_abort_probability(cfg)
+        assert time.perf_counter() - start < 0.1
+        assert 0.0 < value < 1e-30
