@@ -80,6 +80,8 @@ def _cmd_entropy_curve(args):
 
 
 def _cmd_mu_opt(args):
+    if args.s_max is not None and not args.block:
+        raise ValueError("--s-max sets the block length and needs --block")
     eps = eat.EatEpsilons(args.eps_s, args.eps_e)
     # the per-round rate is the block rate of one-round blocks
     s_max = (args.s_max or eat.default_s_max(args.gamma)) if args.block else 1
@@ -244,7 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-s", dest="eps_s", type=float, required=True)
     p.add_argument("--eps-e", dest="eps_e", type=float, required=True)
     p.add_argument("--block", action="store_true")
-    p.add_argument("--s-max", dest="s_max", type=int, default=0)
+    p.add_argument("--s-max", dest="s_max", type=int, default=None,
+                   help="block length cap (block mode; 0 or unset: "
+                        "ceil(1/gamma))")
     p.set_defaults(func=_cmd_mu_opt)
 
     p = sub.add_parser("rate-curve", help="optimized key-rate sweep")

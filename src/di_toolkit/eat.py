@@ -27,8 +27,10 @@ mu_block_opt's best cut is therefore c* = clamp(p~1 - K) to the cut
 interval, with no numerical search.  The per-round names (TradeoffSpec,
 f_min, mu_opt) are these functions at s_max = 1, with m = n rounds.  The
 terms that keyrates' numpy grid kernel shares with the scalar path (the
-penalty K, the max-entropy bound, the round count tail) take the namespace
-``xp``: math for scalars, numpy for arrays.
+s_max rule, the test mass, the penalty K, the max-entropy bound and its
+smoothing root, the round count tail, the Hoeffding bound)
+take the namespace ``xp`` (math for scalars, numpy for arrays) or are plain
+arithmetic.
 """
 
 from __future__ import annotations
@@ -93,7 +95,12 @@ class BlockSpec:
         exactly gamma for one-round blocks, where the formula would round."""
         if self.s_max == 1:
             return self.gamma
-        return 1.0 - (1.0 - self.gamma) ** self.s_max
+        return _test_mass(self.gamma, self.s_max)
+
+
+def _test_mass(gamma, s_max):
+    """1 - (1-gamma)^s_max, elementwise on arrays too."""
+    return 1.0 - (1.0 - gamma) ** s_max
 
 
 def _penalty_scale(eps_s, eps_e, count, xp=math):
@@ -115,8 +122,18 @@ def max_entropy_upper(n, gamma, eps_s, eps_e, xp=math):
     namespace ``xp``: upper bound on the smooth max-entropy of Bob's test
     outputs over n rounds, with the key length's smoothing
     eps_s/4 - sqrt(eps_t) and eps_e = eps_ea + eps_ec."""
-    return gamma * n + xp.sqrt(n) * 2.0 * LOG2_7 * xp.sqrt(
-        1.0 - 2.0 * xp.log2(eps_s * eps_e))
+    return _max_entropy(n, gamma, _smoothing_root(eps_s, eps_e, xp), xp)
+
+
+def _smoothing_root(eps_s, eps_e, xp=math):
+    """sqrt(1 - 2 log2(eps_s eps_e)), the max-entropy bound's smoothing
+    root, in the namespace ``xp``."""
+    return xp.sqrt(1.0 - 2.0 * xp.log2(eps_s * eps_e))
+
+
+def _max_entropy(n, gamma, root, xp=math):
+    """max_entropy_upper with its smoothing root given."""
+    return gamma * n + xp.sqrt(n) * 2.0 * LOG2_7 * root
 
 
 def default_s_max(gamma: float) -> int:
@@ -125,7 +142,13 @@ def default_s_max(gamma: float) -> int:
     guarded against float noise (1/0.1 = 10.000000000000002)."""
     if not 0 < gamma <= 1:
         raise ValueError("gamma must be in (0,1]")
-    return max(int(math.ceil(1.0 / gamma - 1e-9)), 1)
+    return _s_max_rule(gamma)
+
+
+def _s_max_rule(gamma, xp=math):
+    """default_s_max without its check, in the namespace ``xp`` (an int
+    from math, floats from numpy); at least 1 on (0, 1]."""
+    return xp.ceil(1.0 / gamma - 1e-9)
 
 
 def expected_block_length(block: BlockSpec) -> float:
@@ -233,7 +256,8 @@ def _tail(m_blocks, gamma, eps_t, xp=math):
                    / (2.0 * gamma * gamma))
 
 
-def hoeffding(n: float, deviation: float) -> float:
-    """exp(-2 n deviation^2): Hoeffding's bound on the probability that the
-    mean of n trials in [0, 1] exceeds its expectation by ``deviation``."""
-    return math.exp(-2.0 * n * deviation**2)
+def hoeffding(n, deviation, xp=math):
+    """exp(-2 n deviation^2) in the namespace ``xp``: Hoeffding's bound on
+    the probability that the mean of n trials in [0, 1] exceeds its
+    expectation by ``deviation``."""
+    return xp.exp(-2.0 * n * deviation**2)

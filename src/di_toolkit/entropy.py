@@ -3,7 +3,9 @@ r"""Scalar entropy functions and single-round entropy bounds for CHSH.
 All logarithms are base 2.  The quantum CHSH regime is
 omega in [3/4, (2+sqrt(2))/4].  The secrecy bound and its slope also run
 elementwise on numpy arrays for the key-rate grid kernel: the slope's one
-body takes the namespace ``xp`` (math or numpy).
+body takes the namespace ``xp`` (math or numpy), and the bound's unguarded
+body serves both secrecy_bound_array and the kernel's value at its cut,
+which lies inside the open regime.
 """
 
 from __future__ import annotations
@@ -68,15 +70,24 @@ def _slope(omega, xp=math):
     return xp.log2(u / (1.0 - u)) * 4.0 * (2.0 * omega - 1.0) / root
 
 
+def _bound_open(omega: np.ndarray) -> np.ndarray:
+    """secrecy_bound elementwise with no guards: finite on the open quantum
+    regime, where 1/2 < u < 1."""
+    u = 0.5 + 0.5 * np.sqrt(16.0 * omega * (omega - 1.0) + 3.0)
+    return 1.0 - (-u * np.log2(u) - (1.0 - u) * np.log2(1.0 - u))
+
+
 def secrecy_bound_array(omega: np.ndarray) -> np.ndarray:
-    """secrecy_bound (not strict) elementwise, in the same operation order."""
+    """secrecy_bound (not strict) elementwise, in the same operation order:
+    _bound_open on the clamped statistic, whose root can round below 0 or
+    u to 1 (a nan) only within ulps of the classical or the quantum end,
+    where the bound is 0 or 1."""
     w = np.clip(omega, OMEGA_CLASSICAL, OMEGA_QUANTUM)
-    radicand = np.maximum(16.0 * w * (w - 1.0) + 3.0, 0.0)
-    u = np.minimum(0.5 + 0.5 * np.sqrt(radicand), 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where(u == 1.0, 0.0,
-                     -u * np.log2(u) - (1.0 - u) * np.log2(1.0 - u))
-    value = np.where(omega < OMEGA_CLASSICAL - _CLAMP, 0.0, 1.0 - h)
+        value = _bound_open(w)
+    value = np.where(np.isnan(value),
+                     w > (OMEGA_CLASSICAL + OMEGA_QUANTUM) / 2.0, value)
+    value = np.where(omega < OMEGA_CLASSICAL - _CLAMP, 0.0, value)
     return np.where(omega > OMEGA_QUANTUM + _CLAMP, 1.0, value)
 
 

@@ -41,8 +41,8 @@ import numpy as np
 
 from . import eat
 from .eat import BlockSpec, EatEpsilons
-from .entropy import (OMEGA_CLASSICAL, OMEGA_QUANTUM, _slope, binary_entropy,
-                      secrecy_bound_array)
+from .entropy import (OMEGA_CLASSICAL, OMEGA_QUANTUM, _bound_open, _slope,
+                      binary_entropy, secrecy_bound_array)
 
 LOG2_2SQRT2_PLUS_1 = math.log2(2.0 * math.sqrt(2.0) + 1.0)
 
@@ -164,10 +164,10 @@ def honest_werner(nu: float) -> tuple:
     return (2.0 + math.sqrt(2.0) * (1.0 - nu)) / 4.0, nu / 2.0
 
 
-def _leak_rate(params: ProtocolParams) -> float:
-    """Per-round first-order leakage (1-gamma) h(Q) + gamma h(omega_exp)."""
-    return ((1.0 - params.gamma) * binary_entropy(params.q)
-            + params.gamma * binary_entropy(params.omega_exp))
+def _leak_rate(gamma, h_q, h_omega):
+    """Per-round first-order leakage (1-gamma) h(Q) + gamma h(omega_exp),
+    from h(Q) and h(omega_exp); elementwise on arrays too."""
+    return (1.0 - gamma) * h_q + gamma * h_omega
 
 
 def leak_ec(n_eff: float, params: ProtocolParams, eps_ec_prime: float,
@@ -178,7 +178,9 @@ def leak_ec(n_eff: float, params: ProtocolParams, eps_ec_prime: float,
     term's smoothing parameter is shifted to eps_ec_prime - 2*sqrt(eps_t)
     when the round count is itself random (block mode).
     """
-    return _leak(n_eff, _leak_rate(params), eps_ec_prime, eps_ec, eps_t)
+    return _leak(n_eff, _leak_rate(params.gamma, binary_entropy(params.q),
+                                   binary_entropy(params.omega_exp)),
+                 eps_ec_prime, eps_ec, eps_t)
 
 
 def _leak(n_eff: float, rate: float, eps_ec_prime: float, eps_ec: float,
@@ -189,17 +191,23 @@ def _leak(n_eff: float, rate: float, eps_ec_prime: float, eps_ec: float,
     eps_sqrt_term = eps_ec_prime - 2.0 * math.sqrt(eps_t)
     if eps_sqrt_term <= 0:
         raise ValueError("eps_t too large: eps_ec_prime - 2 sqrt(eps_t) <= 0")
-    return _leak_sum(n_eff, rate, eps_sqrt_term, eps_ec_prime, eps_ec)
+    first, scale, root, prime_term, ec_term = _leak_terms(
+        n_eff, rate, eps_sqrt_term, eps_ec_prime, eps_ec)
+    return first + scale * root + prime_term + ec_term
 
 
-def _leak_sum(n_eff, rate, eps_sqrt_term, eps_ec_prime, eps_ec, xp=math):
-    """The four leakage terms, in the namespace ``xp``; ``eps_sqrt_term`` is
-    the shifted smoothing parameter eps_ec_prime - 2 sqrt(eps_t) > 0."""
-    return (n_eff * rate
-            + xp.sqrt(n_eff) * 4.0 * LOG2_2SQRT2_PLUS_1 * xp.sqrt(
-                2.0 * xp.log2(8.0 / eps_sqrt_term**2))
-            + xp.log2(8.0 / eps_ec_prime**2 + 2.0 / (2.0 - eps_ec_prime))
-            + xp.log2(1.0 / eps_ec))
+def _leak_terms(n_eff, rate, eps_sqrt_term, eps_ec_prime, eps_ec, xp=math):
+    """The leakage first + scale * root + prime_term + ec_term as its five
+    terms, in the namespace ``xp``, each at the shape of its own inputs:
+    first = n_eff * rate, scale = sqrt(n_eff) 4 log2(2 sqrt(2) + 1),
+    root = sqrt(2 log2(8 / eps_sqrt_term^2)) of the shifted smoothing
+    parameter eps_sqrt_term = eps_ec_prime - 2 sqrt(eps_t) > 0,
+    prime_term = log2(8/eps_ec_prime^2 + 2/(2 - eps_ec_prime)) and
+    ec_term = log2(1/eps_ec)."""
+    return (n_eff * rate, xp.sqrt(n_eff) * 4.0 * LOG2_2SQRT2_PLUS_1,
+            xp.sqrt(2.0 * xp.log2(8.0 / eps_sqrt_term**2)),
+            xp.log2(8.0 / eps_ec_prime**2 + 2.0 / (2.0 - eps_ec_prime)),
+            xp.log2(1.0 / eps_ec))
 
 
 def completeness_error(params: ProtocolParams, budget: EpsilonBudget) -> float:
@@ -209,12 +217,12 @@ def completeness_error(params: ProtocolParams, budget: EpsilonBudget) -> float:
             + eat.hoeffding(params.n, params.delta_est))
 
 
-def _log_correction(eps_s: float) -> float:
-    return 3.0 * math.log2(1.0 - math.sqrt(1.0 - (eps_s / 4.0) ** 2))
+def _log_correction(eps_s, xp=math):
+    return 3.0 * xp.log2(1.0 - xp.sqrt(1.0 - (eps_s / 4.0) ** 2))
 
 
-def _pa_term(eps_pa: float) -> float:
-    return 2.0 * math.log2(1.0 / eps_pa)
+def _pa_term(eps_pa, xp=math):
+    return 2.0 * xp.log2(1.0 / eps_pa)
 
 
 def key_length(params: ProtocolParams, budget: EpsilonBudget) -> RateReport:
@@ -262,7 +270,9 @@ def _block_fixed_terms(params: ProtocolParams, budget: EpsilonBudget,
     m = params.n / sbar
     mu_value, cut = eat.mu_block_opt(params.omega_exp, params.delta_est,
                                      block, m, eps)
-    return _BlockFixed(sbar, m, cut, m * mu_value, _leak_rate(params),
+    leak_rate = _leak_rate(params.gamma, binary_entropy(params.q),
+                           binary_entropy(params.omega_exp))
+    return _BlockFixed(sbar, m, cut, m * mu_value, leak_rate,
                        _log_correction(budget.eps_s), _pa_term(budget.eps_pa))
 
 
@@ -270,15 +280,16 @@ def _block_eps_t_terms(params: ProtocolParams, budget: EpsilonBudget,
                        s_max: int, fixed: _BlockFixed, eps_t: float) -> tuple:
     """(key_length, t, leak, max_ent) of key_length_block at ``eps_t``;
     ``budget.eps_t`` is not read."""
-    if math.sqrt(eps_t) >= budget.eps_s / 4.0:
-        raise ValueError("eps_t too large: sqrt(eps_t) >= eps_s/4")
     eps_s_shifted = budget.eps_s / 4.0 - math.sqrt(eps_t)
+    if eps_s_shifted <= 0:
+        raise ValueError("eps_t too large: sqrt(eps_t) >= eps_s/4")
     t = eat.round_count_tail(fixed.m, params.gamma, eps_t) if s_max > 1 else 0.0
     n_eff = params.n + t
     leak = _leak(n_eff, fixed.leak_rate, budget.eps_ec_prime, budget.eps_ec,
                  eps_t if s_max > 1 else 0.0)
-    max_ent = eat.max_entropy_upper(n_eff, params.gamma, eps_s_shifted,
-                                    budget.eps_ea + budget.eps_ec)
+    # eat.max_entropy_upper, one call shorter
+    max_ent = eat._max_entropy(n_eff, params.gamma, eat._smoothing_root(
+        eps_s_shifted, budget.eps_ea + budget.eps_ec))
     ell = fixed.entropy_term - leak - fixed.log_corr - max_ent - fixed.pa
     return ell, t, leak, max_ent
 
@@ -364,9 +375,37 @@ def _budget_for(caps: RateCaps, params: ProtocolParams,
         return None
 
 
+class _Point(NamedTuple):
+    """_eval_point's result: the best key length at one parameter point and
+    what its report is built from (a tuple: the optimizer compares many
+    points and builds the report of the one it keeps)."""
+
+    params: ProtocolParams
+    budget: EpsilonBudget
+    s_max: int
+    fixed: _BlockFixed
+    terms: tuple
+    index: int
+    mode: str
+
+    @property
+    def key_length(self) -> float:
+        return self.terms[0]
+
+    def report(self) -> RateReport:
+        """The RateReport of this point, at its eps_t; a block-mode report's
+        ``extras`` record its index in the sweep (``eps_t_index``)."""
+        report = _block_report(self.params, self.budget, self.s_max,
+                               self.fixed, self.terms, self.mode)
+        if self.mode == BLOCK:
+            report.extras["eps_t_index"] = self.index
+        return report
+
+
 def _eval_point(target: RateTarget, caps: RateCaps, mode: str, gamma: float,
-                delta_est: float, shares: tuple) -> RateReport | None:
-    """Best report at fixed (gamma, delta_est, shares), None if infeasible.
+                delta_est: float, shares: tuple) -> _Point | None:
+    """Best key length at fixed (gamma, delta_est, shares), None if
+    infeasible.
 
     Per-round mode is the block computation at s_max = 1 with the single
     candidate eps_t = 0.  Block mode takes s_max = eat.default_s_max(gamma)
@@ -375,8 +414,7 @@ def _eval_point(target: RateTarget, caps: RateCaps, mode: str, gamma: float,
     leakage and the max-entropy term depend on eps_t, so the entropy term
     (the one mu_block_opt call), the leakage rate, the log
     correction and the PA term are computed once per point; a candidate
-    whose terms raise ValueError is skipped.  A block-mode winner's
-    ``extras`` record its index in the sweep (``eps_t_index``).
+    whose terms raise ValueError is skipped.
     """
     omega_exp, _ = honest_werner(2.0 * target.q)
     try:
@@ -406,11 +444,48 @@ def _eval_point(target: RateTarget, caps: RateCaps, mode: str, gamma: float,
     if best is None:
         return None
     index, eps_t, terms = best
-    report = _block_report(params, replace(base, eps_t=eps_t), s_max, fixed,
-                           terms, mode)
-    if block:
-        report.extras["eps_t_index"] = index
-    return report
+    return _Point(params, replace(base, eps_t=eps_t), s_max, fixed, terms,
+                  index, mode)
+
+
+class _ShareAxis(NamedTuple):
+    """The share axis of _grid_key_lengths: the terms that depend on the
+    epsilon split and eps_t alone, computed once for every pass of a
+    stage.  Shape (S,) per split; (E, 1, 1, S) per split and eps_t
+    candidate, eps_t first."""
+
+    ok: np.ndarray
+    es4: np.ndarray
+    eps_e: np.ndarray
+    log_corr: np.ndarray
+    pa: np.ndarray
+    sqrt_t: np.ndarray
+    eps_t: np.ndarray
+    me_root: np.ndarray
+
+
+def _share_axis(caps: RateCaps, mode: str, shares) -> _ShareAxis:
+    """_ShareAxis of the (eps_s, eps_ea, eps_pa) proportions ``shares``:
+    _budget_for's split, EatEpsilons' and EpsilonBudget's checks, the log
+    correction, the PA term, the eps_t candidates of _eval_point and the
+    max-entropy smoothing root at eps_s/4 - sqrt(eps_t)."""
+    sh = np.array(shares, dtype=float).reshape(-1, 3)
+    s_free = caps.soundness - 2.0 * caps.eps_ec
+    with np.errstate(all="ignore"):
+        w = sh[:, 0] + sh[:, 1] + sh[:, 2]
+        eps_s, eps_ea, eps_pa = (s_free * sh[:, i] / w for i in range(3))
+        es4, eps_e = eps_s / 4.0, eps_ea + caps.eps_ec
+        log_corr = _log_correction(eps_s, np)
+        ok = ((eps_s > 0) & (eps_s < 1) & (eps_ea > 0) & (eps_ea < 1)
+              & (eps_pa > 0) & (eps_pa < 1) & (eps_e < 1)
+              & np.isfinite(log_corr))
+        ladder = ([10.0 ** (-k) for k in range(1, EPS_T_CANDIDATE_DECADES)]
+                  if mode == BLOCK else [0.0])
+        eps_t = es4**2 * np.array(ladder)[:, None, None, None]
+        sqrt_t = np.sqrt(eps_t)
+        return _ShareAxis(ok, es4, eps_e, log_corr, _pa_term(eps_pa, np),
+                          sqrt_t, eps_t,
+                          eat._smoothing_root(es4 - sqrt_t, eps_e, np))
 
 
 def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
@@ -418,102 +493,108 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
     """_eval_point's key length at every (gamma, delta_est, shares) of the
     outer product of the three lists: an array of shape (len(gammas),
     len(deltas), len(shares)), -inf wherever _eval_point returns None.
+    ``shares`` may also be the _share_axis of the list, which a stage
+    computes once for all its passes.
 
-    The penalty K, the secrecy slope, the round count tail, the leakage and
-    the max-entropy term are the scalar path's functions called with
-    xp = numpy.  What depends on one axis alone (the block structure and
-    leakage rate per gamma, eps_ec_prime per delta, the soundness split, the
-    log correction and the PA term per share) is computed with the scalar
-    math.  numpy's log2 and log may differ from libm's by an ulp, so the
-    values agree with _eval_point to about 1e-12 relative, not bit for bit:
-    callers rescore the points they keep with _eval_point.  Per-round mode
-    is the s_max = 1, eps_t = 0 case: n rounds, no tail.
+    Every term is computed once, at the shape of its own inputs, from the
+    scalar path's term functions called with xp = numpy.  With axes G =
+    gamma, D = delta_est, S = split and E = eps_t candidate:
+
+    - (G,): s_max, the block test mass, s_bar, m, log2 d_O, the cut
+      interval and the leakage rate; (D,): eps_ec_prime and the leakage's
+      two constants; (S,) and (E, S): _share_axis;
+    - (G, D, S): the entropy term (cut, penalty K, glued function and its
+      slope) less the log correction, the PA term and the leakage
+      constants;
+    - (E, G, 1, S): the tail t, n_eff, n_eff * leakage rate + max-entropy
+      term, and the leakage root's factor sqrt(n_eff) 4 log2(2 sqrt(2) + 1);
+    - (E, 1, D, S): the leakage root of eps_ec_prime - 2 sqrt(eps_t), +inf
+      where that is <= 0 (no key);
+    - (E, G, D, S): one multiply-add, minimized over eps_t.
+
+    A row with one-round blocks (gamma = 1 in block mode) has no tail, so
+    its leakage root is that of eps_ec_prime alone.  numpy's log2 and log
+    may differ from libm's by an ulp, and the terms are summed in another
+    order, so the values agree with _eval_point to about 1e-12 relative,
+    not bit for bit: callers rescore the points they keep with _eval_point.
+    Per-round mode is the s_max = 1, eps_t = 0 case: n rounds, no tail.
     """
+    if not isinstance(shares, _ShareAxis):
+        shares = _share_axis(caps, mode, shares)
     omega, _ = honest_werner(2.0 * target.q)
     n = target.n
-    shape = (len(gammas), len(deltas), len(shares))
     # ProtocolParams' checks on the target, EpsilonBudget's on eps_ec
     if not (n >= 1 and OMEGA_CLASSICAL <= omega <= OMEGA_QUANTUM + 1e-12
             and 0 <= target.q <= 0.5 and 0 < caps.eps_ec < 1):
-        return np.full(shape, -np.inf)
-
-    def column(rows, axis):
-        """The per-axis rows as arrays that broadcast along ``axis`` of
-        (gamma, delta, share, eps_t candidate)."""
-        dims = [1, 1, 1, 1]
-        dims[axis] = -1
-        return [np.array(c).reshape(dims) for c in zip(*rows)]
-
-    h_q, h_omega = binary_entropy(target.q), binary_entropy(omega)
-    rows = []
-    for gamma in gammas:
-        ok = 0 < gamma <= 1
-        gamma = gamma if ok else 1.0
-        block = BlockSpec(gamma, eat.default_s_max(gamma)
-                          if mode == BLOCK else 1)
-        scale, sbar = block.test_mass, eat.expected_block_length(block)
-        lo, hi = eat.cut_interval(scale)
-        rows.append((ok and lo < hi, gamma, block.s_max > 1, scale, sbar,
-                     n / sbar, eat._log2_block_dim(block.s_max), lo, hi,
-                     (1.0 - gamma) * h_q + gamma * h_omega))
-    (gamma_ok, gamma, tail, scale, sbar, m, log2_do, lo, hi,
-     leak_rate) = column(rows, 0)
-
-    rows = []
-    for delta in deltas:
-        ecc = min(caps.completeness - caps.eps_ec - eat.hoeffding(n, delta),
-                  1.0 - 1e-12)
-        if 0 < delta < 1 and ecc > caps.eps_ec:
-            rows.append((True, delta, ecc - caps.eps_ec))
-        else:
-            rows.append((False, 0.5, 0.5))
-    delta_ok, delta, prime = column(rows, 1)
-
-    s_free = caps.soundness - 2.0 * caps.eps_ec
-    rows = []
-    for sh in shares:
-        w = sum(sh)
-        eps_s, eps_ea, eps_pa = (s_free * x / w for x in sh)
-        row = (False, 0.25, 0.5, 0.0, 0.0, 0.0)
-        if 0 < eps_s < 1 and 0 < eps_ea < 1 and 0 < eps_pa < 1:
-            try:
-                eps = EatEpsilons(eps_s / 4.0, eps_ea + caps.eps_ec)
-                row = (True, eps.eps_s, eps.eps_e, _log_correction(eps_s),
-                       _pa_term(eps_pa), eps.eps_s**2)
-            except ValueError:  # log2(0) in the log correction
-                pass
-        rows.append(row)
-    share_ok, es4, eps_e, log_corr, pa, cap_t = column(rows, 2)
-
-    eps_t = cap_t * np.array([10.0 ** (-k) for k in range(
-        1, EPS_T_CANDIDATE_DECADES)] if mode == BLOCK else [0.0])
-
+        return np.full((len(gammas), len(deltas), len(shares.ok)), -np.inf)
+    block = mode == BLOCK
     with np.errstate(all="ignore"):
-        p1 = omega * scale - delta
-        ratio = p1 / scale
-        ok = (gamma_ok & delta_ok & share_ok
-              & (ratio >= OMEGA_CLASSICAL) & (ratio <= 1.0))
-        k_pen = eat._penalty_scale(es4, eps_e, m, np)
-        cut = np.minimum(np.maximum(p1 - k_pen, lo), hi)
-        slope = sbar * _slope(cut / scale, np) / scale
-        at_cut = sbar * secrecy_bound_array(cut / scale)
-        glued = at_cut + slope * (p1 - cut)
-        f_min = np.where(p1 <= cut, sbar * secrecy_bound_array(ratio), glued)
-        entropy_term = m * (f_min - k_pen * (log2_do + slope))
+        # (G, 1, 1): one row per gamma, invalid gammas scored at 1
+        gamma = np.array(gammas, dtype=float)[:, None, None]
+        gamma_ok = (gamma > 0) & (gamma <= 1)
+        gamma = np.where(gamma_ok, gamma, 1.0)
+        if block:
+            s_max = eat._s_max_rule(gamma, np)
+            tail = s_max > 1
+            mass = np.where(tail, eat._test_mass(gamma, s_max), gamma)
+            log2_do = np.array([eat._log2_block_dim(s) for s in
+                                s_max.ravel().astype(int).tolist()])
+            log2_do = log2_do[:, None, None]
+        else:
+            mass, log2_do = gamma, eat._log2_block_dim(1)
+        sbar = mass / gamma
+        m = n / sbar
+        lo, hi = eat.cut_interval(mass)
+        gamma_ok &= lo < hi
+        leak_rate = _leak_rate(gamma, binary_entropy(target.q),
+                               binary_entropy(omega))
 
-        t = np.where(tail, eat._tail(m, gamma, eps_t, np), 0.0)
-        n_eff = n + t
-        eps_sqrt_term = prime - 2.0 * np.sqrt(np.where(tail, eps_t, 0.0))
-        leak = _leak_sum(n_eff, leak_rate, eps_sqrt_term, prime, caps.eps_ec,
-                         np)
-        max_ent = eat.max_entropy_upper(n_eff, gamma, es4 - np.sqrt(eps_t),
-                                        eps_e, np)
-        ell = entropy_term - leak - log_corr - max_ent - pa
-    # A finite log correction needs eps_s > 4.2e-8, so every candidate has
-    # 0 <= sqrt(eps_t) <= eps_s / (4 sqrt(10)): neither the eps_t guard nor
-    # round_count_tail's range check can fire; only _leak's can.
-    ok = ok & (eps_sqrt_term > 0)
-    return np.where(ok, ell, -np.inf).max(axis=3)
+        # (D, 1): one row per delta_est
+        delta = np.array(deltas, dtype=float)[:, None]
+        ecc = np.minimum(caps.completeness - caps.eps_ec
+                         - eat.hoeffding(n, delta, np), 1.0 - 1e-12)
+        delta_ok = (delta > 0) & (delta < 1) & (ecc > caps.eps_ec)
+        prime = ecc - caps.eps_ec
+        # (E, G, 1, S), (E, 1, D, S) and (D, 1): the leakage's terms
+        if block:
+            n_eff = n + eat._tail(m, np.where(tail, gamma, 1.0),
+                                  shares.eps_t, np)
+        else:
+            n_eff = n
+        # A finite log correction needs eps_s > 4.2e-8, so every candidate
+        # has 0 <= sqrt(eps_t) <= eps_s / (4 sqrt(10)): neither the eps_t
+        # guard nor round_count_tail's range check can fire; only _leak's.
+        est = prime - 2.0 * shares.sqrt_t
+        first, scale, root, prime_term, ec_term = _leak_terms(
+            n_eff, leak_rate, est, prime, caps.eps_ec, np)
+
+        # (G, D, S): the eps_t-free terms
+        p1 = omega * mass - delta
+        ratio = p1 / mass
+        k_pen = eat._penalty_scale(shares.es4, shares.eps_e, m, np)
+        cut = np.minimum(np.maximum(p1 - k_pen, lo), hi)
+        w = cut / mass
+        slope = sbar * _slope(w, np) / mass
+        f_min = sbar * _bound_open(w) + slope * (p1 - cut)
+        below = p1 <= cut
+        if below.any():
+            f_min = np.where(below, sbar * secrecy_bound_array(ratio), f_min)
+        fixed = (m * (f_min - k_pen * (log2_do + slope))
+                 - (shares.log_corr + shares.pa + prime_term + ec_term))
+
+        # (E, G, 1, S), then (E, G, D, S) minimized over eps_t
+        spend = first + eat._max_entropy(n_eff, gamma, shares.me_root, np)
+        root = np.where(est > 0, root, np.inf)
+        paid = (scale * root + spend).min(axis=0)
+        if block and not tail.all():
+            # one-round blocks: no tail, the leakage at eps_t = 0
+            flat = ~tail.ravel()
+            _, scale, root, _, _ = _leak_terms(n, leak_rate, prime, prime,
+                                               caps.eps_ec, np)
+            paid[flat] = spend[:, flat].min(axis=0) + scale * root
+        ok = (gamma_ok & delta_ok & shares.ok & (ratio >= OMEGA_CLASSICAL)
+              & (ratio <= 1.0))
+        return np.where(ok, fixed - paid, -np.inf)
 
 
 _DEFAULT_SHARES = (1.0, 1.0, 1.0)
@@ -539,16 +620,16 @@ def _spread(lo: float, hi: float) -> list:
     return [lo] + [lo * step**i for i in range(1, ZOOM_POINTS - 1)] + [hi]
 
 
-def _zoom(target: RateTarget, caps: RateCaps, mode: str, start: RateReport,
+def _zoom(target: RateTarget, caps: RateCaps, mode: str, start: _Point,
           shares: tuple, evals: dict) -> tuple:
-    """(report, at_bound): the best key length over (gamma, delta_est) at
+    """(point, at_bound): the best key length over (gamma, delta_est) at
     fixed shares around ``start``'s point, or ``start`` if none beats it.
 
     The box is a factor ZOOM_REACH either way of delta_est and, per round,
     of gamma; in block mode its gamma windows are the s_max brackets
     [1/s, 1/(s-1)) for s within 4 of s_max(gamma).  Each pass scores the
     live gamma windows x the delta_est window in one _grid_key_lengths call
-    and keeps the ZOOM_LIVE best windows (an optimum can sit at a bracket's
+    (the share axis is computed once for all passes) and keeps the ZOOM_LIVE best windows (an optimum can sit at a bracket's
     open upper edge), each shrunk, as is the delta_est window, to one cell
     either side of its best point.  The top ZOOM_RESCORED values of the
     pass within 1e-5 gamma and 1e-4 in log delta_est, by value and then
@@ -565,12 +646,13 @@ def _zoom(target: RateTarget, caps: RateCaps, mode: str, start: RateReport,
                 else (1.0, 1.0) for s in range(s_star + 4, 0, -1)
                 if s >= s_star - 4]
     edges = (live[0][0], live[-1][1]) + dwin
+    axis = _share_axis(caps, mode, [shares])
     while True:
         grids = [_spread(*w) for w in live]
         deltas = _spread(*dwin)
         gammas = [(g, k) for k, grid in enumerate(grids) for g in grid]
         values = _grid_key_lengths(target, caps, mode, [g for g, _ in gammas],
-                                   deltas, [shares])[:, :, 0]
+                                   deltas, axis)[:, :, 0]
         evals["zoom_passes"] += 1
         evals["zoom_points"] += values.size
         if ((all(hi - lo <= 1e-5 * lo for lo, hi in live)
@@ -594,9 +676,9 @@ def _zoom(target: RateTarget, caps: RateCaps, mode: str, start: RateReport,
     for i in order[np.isfinite(values.flat[order])]:
         (g, k), d = gammas[i // len(deltas)], deltas[i % len(deltas)]
         evals["zoom_rescored"] += 1
-        report = _eval_point(target, caps, mode, g, d, shares)
-        if report is not None and report.key_length > best.key_length:
-            best = report
+        point = _eval_point(target, caps, mode, g, d, shares)
+        if point is not None and point.key_length > best.key_length:
+            best = point
             at_bound = any(a == b for a, b in zip(live[k] + dwin, edges))
     return best, at_bound
 
@@ -614,7 +696,8 @@ def optimize_rate(target: RateTarget, caps: RateCaps,
     rescores a few with _eval_point: the grids every point within
     1e-9 max(|top|, 1) of their best, in grid order, the zooms the top
     points of their last pass.  Only rescored values are compared, so every
-    number reported, and every point chosen, comes from the scalar path.
+    number reported, and every point chosen, comes from the scalar path;
+    only the chosen point's RateReport is built.
 
     The report's ``extras`` gain ``evals`` (kernel points ``grid_points``,
     ``zoom_points`` and ``share_points``, scalar _eval_point calls
@@ -630,7 +713,7 @@ def optimize_rate(target: RateTarget, caps: RateCaps,
                            "share_rescored"), 0)
 
     def rescore(stage, values, points, best, margin):
-        """(report, shares): ``best`` or the first of ``points`` (gamma,
+        """(point, shares): ``best`` or the first of ``points`` (gamma,
         delta_est, shares) to beat it by over ``margin`` among the finite
         kernel values within 1e-9 max(|top|, 1) of the largest: a band much
         wider than the kernel's error, so it holds the scalar optimum."""
@@ -639,10 +722,10 @@ def optimize_rate(target: RateTarget, caps: RateCaps,
         for i in np.flatnonzero(np.isfinite(values) & (
                 values >= top - 1e-9 * max(abs(top), 1.0))):
             evals[stage + "_rescored"] += 1
-            report = _eval_point(target, caps, mode, *points[i])
-            if report is not None and (best[0] is None or report.key_length
-                                       > best[0].key_length + margin):
-                best = (report, points[i][2])
+            point = _eval_point(target, caps, mode, *points[i])
+            if point is not None and (best[0] is None or point.key_length
+                                      > best[0].key_length + margin):
+                best = (point, points[i][2])
         return best
 
     gammas = sorted(set(_log_grid(1e-4, 1.0, GAMMA_GRID_PER_DECADE))
@@ -662,7 +745,8 @@ def optimize_rate(target: RateTarget, caps: RateCaps,
     split, shares = rescore("share", values, [(p.gamma, p.delta_est, sh)
                                               for sh in share_grid],
                             (zoomed, _DEFAULT_SHARES), 1e-12)
-    report, at_bound = _zoom(target, caps, mode, split, shares, evals)
+    point, at_bound = _zoom(target, caps, mode, split, shares, evals)
+    report = point.report()
     report.extras.update(
         evals=evals, refine_at_bound=at_bound,
         grid_at_bound=coarse.params.gamma in (gammas[0], gammas[-1])

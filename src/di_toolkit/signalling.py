@@ -6,20 +6,23 @@ shifts the posterior over the other party's input relative to the prior; it
 vanishes exactly on non-signalling boxes.  All d = |X||Y|(|A|+|B|) measures
 are linear in P(a,b|x,y) and live in one matrix, :func:`signalling_matrix`,
 which the non-signalling LP in ``nslp`` uses as its signalling rows.  The
-test estimates every measure from the second half of observed data with one
-matrix-vector product and fires where it exceeds zeta - 2*eps.
+test estimates every measure from the second half of observed data and
+fires where it reaches zeta - 2*eps; it decides each target from the
+integer counts in exact rational arithmetic, so a measure that equals the
+threshold is decided the same way whatever the order of the rounds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .boxes import (AlphabetMismatchError, Alphabets, Game,
                     InputDistribution, ObservedData, SingleRoundBox,
-                    frequency_box, winning_probability)
+                    winning_probability)
 from .eat import hoeffding
 
 A_TO_B = "AtoB"
@@ -160,20 +163,50 @@ def signalling_test_flags(data: ObservedData, q: InputDistribution,
     """Pass flag of every target, in :func:`signalling_matrix` row order.
 
     A target passes iff the second-half frequency box shows signalling
-    >= zeta - 2*eps.  If any input pair is missing from either half every
-    target rejects by definition (the frequency boxes are not defined for
-    all inputs).  ``data`` must carry its alphabets.
+    >= zeta - 2*eps.  With the n/2 second-half rounds counted as c(x,y,a,b),
+    the AtoB measure (x, y, b) is [c(x,y,b) - Q(x|y) C_BY(b,y)] / (n/2) and
+    the BtoA measure (x, y, a) is [c(x,y,a) - Q(y|x) C_AX(a,x)] / (n/2), with
+    c(x,y,b) = sum_a c, C_BY(b,y) = sum_x c(x,y,b) and likewise for BtoA.
+    Each is compared with (zeta - 2*eps) n/2 in Fraction arithmetic, Q, zeta
+    and eps entering as the exact rationals of their floats.  If any input
+    pair is missing from either half every target rejects by definition
+    (the frequency boxes are not defined for all inputs).  ``data`` must
+    carry its alphabets and ``q`` complete support.
     """
     if data.n != params.n:
         raise ValueError("data length does not match test parameters")
     if data.alphabets is None:
         raise ValueError("data must carry its alphabets")
     first, second = split_halves(data)
+    al = data.alphabets
+    if (al.x_size, al.y_size) != (q.x_size, q.y_size):
+        raise AlphabetMismatchError("data and q input alphabets differ")
     if not (_all_pairs_present(first, q) and _all_pairs_present(second, q)):
-        return np.zeros(data.alphabets.num_signalling_constraints, dtype=bool)
-    freq2 = frequency_box(second, q)
-    measures = signalling_matrix(freq2.alphabets, q) @ freq2.p.reshape(-1)
-    return measures >= params.zeta - 2 * params.eps
+        return np.zeros(al.num_signalling_constraints, dtype=bool)
+    if not q.complete_support:
+        raise ValueError("input distribution must have complete support")
+    counts = np.zeros((al.x_size, al.y_size, al.a_size, al.b_size),
+                      dtype=np.int64)
+    np.add.at(counts, (second.x, second.y, second.a, second.b), 1)
+    qq = [[Fraction(v) for v in row] for row in q.q.tolist()]
+    threshold = (Fraction(params.zeta) - 2 * Fraction(params.eps)) * second.n
+    flags = []
+    # AtoB (x, y, b), then BtoA (x, y, a): the signalling_matrix row order
+    c_xyb = counts.sum(axis=2).tolist()
+    for x in range(al.x_size):
+        for y in range(al.y_size):
+            q_x_given_y = qq[x][y] / sum(row[y] for row in qq)
+            for b in range(al.b_size):
+                c_by = sum(c[y][b] for c in c_xyb)
+                flags.append(c_xyb[x][y][b] - q_x_given_y * c_by >= threshold)
+    c_xya = counts.sum(axis=3).tolist()
+    for x in range(al.x_size):
+        for y in range(al.y_size):
+            q_y_given_x = qq[x][y] / sum(qq[x])
+            for a in range(al.a_size):
+                c_ax = sum(c[a] for c in c_xya[x])
+                flags.append(c_xya[x][y][a] - q_y_given_x * c_ax >= threshold)
+    return np.array(flags, dtype=bool)
 
 
 def run_signalling_test(data: ObservedData, q: InputDistribution,

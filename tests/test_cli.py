@@ -134,6 +134,30 @@ class TestMuOpt:
         assert code == 1
         assert out == ""
 
+    ARGS = ["mu-opt", "--n", "1e8", "--gamma", "0.1", "--omega-exp", "0.84",
+            "--delta-est", "1e-4", "--eps-s", "1e-6", "--eps-e", "1e-6"]
+
+    @pytest.mark.parametrize("s_max", ["5", "1", "0"])
+    def test_s_max_needs_block(self, s_max, capsys):
+        code = cli.main(self.ARGS + ["--s-max", s_max])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "--s-max" in captured.err and "--block" in captured.err
+
+    def test_block_s_max(self, capsys):
+        # --s-max 0 leaves the default ceil(1/gamma) = 10
+        outs = {tuple(s_max): run_cli(self.ARGS + ["--block"] + s_max,
+                                      capsys)
+                for s_max in ([], ["--s-max", "0"], ["--s-max", "10"],
+                              ["--s-max", "5"])}
+        assert {code for code, _ in outs.values()} == {0}
+        default = outs[()][1]
+        assert outs[("--s-max", "0")][1] == default
+        assert outs[("--s-max", "10")][1] == default
+        assert json.loads(default)["s_max"] == 10
+        assert json.loads(outs[("--s-max", "5")][1])["s_max"] == 5
+
 
 class TestSigTest:
     def test_pass_on_signalling_data(self, tmp_path, capsys, rng):

@@ -387,12 +387,14 @@ class TestEpsTSweep:
         return math.sqrt(-math.log(hoeffding) / (2.0 * self.TARGET.n))
 
     def check(self, caps, gamma, delta, shares):
-        got = kr._eval_point(self.TARGET, caps, kr.BLOCK, gamma, delta, shares)
+        point = kr._eval_point(self.TARGET, caps, kr.BLOCK, gamma, delta,
+                               shares)
         want = sweep_oracle(self.TARGET, caps, gamma, delta, shares)
         if want is None:
-            assert got is None
+            assert point is None
             return None
-        assert got.key_length == want.key_length
+        got = point.report()
+        assert point.key_length == got.key_length == want.key_length
         assert got.budget.eps_t == want.budget.eps_t
         assert got.best_cut == want.best_cut
         assert got.to_json_dict() == want.to_json_dict()
@@ -651,3 +653,214 @@ class TestGridKernel:
 # the grid kernel's targets and the acceptance targets, each once
 ORACLE_TARGETS = TestGridKernel.TARGETS + [
     t for t in ACCEPTANCE_TARGETS if t not in TestGridKernel.TARGETS]
+
+
+def reference_grid_key_lengths(target, caps, mode, gammas, deltas, shares):
+    """The grid kernel before it computed each term at the shape of its own
+    inputs: per-axis rows from the scalar functions in Python loops, every
+    term on the full (gamma, delta_est, share, eps_t) array, summed in the
+    scalar path's order, masked, then maximized over eps_t."""
+    omega, _ = kr.honest_werner(2.0 * target.q)
+    n = target.n
+    shape = (len(gammas), len(deltas), len(shares))
+    if not (n >= 1 and entropy.OMEGA_CLASSICAL <= omega
+            <= entropy.OMEGA_QUANTUM + 1e-12 and 0 <= target.q <= 0.5
+            and 0 < caps.eps_ec < 1):
+        return np.full(shape, -np.inf)
+
+    def column(rows, axis):
+        dims = [1, 1, 1, 1]
+        dims[axis] = -1
+        return [np.array(c).reshape(dims) for c in zip(*rows)]
+
+    h_q, h_omega = entropy.binary_entropy(target.q), entropy.binary_entropy(
+        omega)
+    rows = []
+    for gamma in gammas:
+        ok = 0 < gamma <= 1
+        gamma = gamma if ok else 1.0
+        block = eat.BlockSpec(gamma, eat.default_s_max(gamma)
+                              if mode == kr.BLOCK else 1)
+        scale, sbar = block.test_mass, eat.expected_block_length(block)
+        lo, hi = eat.cut_interval(scale)
+        rows.append((ok and lo < hi, gamma, block.s_max > 1, scale, sbar,
+                     n / sbar, eat._log2_block_dim(block.s_max), lo, hi,
+                     (1.0 - gamma) * h_q + gamma * h_omega))
+    (gamma_ok, gamma, tail, scale, sbar, m, log2_do, lo, hi,
+     leak_rate) = column(rows, 0)
+    rows = []
+    for delta in deltas:
+        ecc = min(caps.completeness - caps.eps_ec - eat.hoeffding(n, delta),
+                  1.0 - 1e-12)
+        if 0 < delta < 1 and ecc > caps.eps_ec:
+            rows.append((True, delta, ecc - caps.eps_ec))
+        else:
+            rows.append((False, 0.5, 0.5))
+    delta_ok, delta, prime = column(rows, 1)
+    s_free = caps.soundness - 2.0 * caps.eps_ec
+    rows = []
+    for sh in shares:
+        w = sum(sh)
+        eps_s, eps_ea, eps_pa = (s_free * x / w for x in sh)
+        row = (False, 0.25, 0.5, 0.0, 0.0, 0.0)
+        if 0 < eps_s < 1 and 0 < eps_ea < 1 and 0 < eps_pa < 1:
+            try:
+                eps = eat.EatEpsilons(eps_s / 4.0, eps_ea + caps.eps_ec)
+                row = (True, eps.eps_s, eps.eps_e, kr._log_correction(eps_s),
+                       kr._pa_term(eps_pa), eps.eps_s**2)
+            except ValueError:
+                pass
+        rows.append(row)
+    share_ok, es4, eps_e, log_corr, pa, cap_t = column(rows, 2)
+    eps_t = cap_t * np.array([10.0 ** (-k) for k in range(
+        1, kr.EPS_T_CANDIDATE_DECADES)] if mode == kr.BLOCK else [0.0])
+    with np.errstate(all="ignore"):
+        p1 = omega * scale - delta
+        ratio = p1 / scale
+        ok = (gamma_ok & delta_ok & share_ok
+              & (ratio >= entropy.OMEGA_CLASSICAL) & (ratio <= 1.0))
+        k_pen = eat._penalty_scale(es4, eps_e, m, np)
+        cut = np.minimum(np.maximum(p1 - k_pen, lo), hi)
+        slope = sbar * entropy._slope(cut / scale, np) / scale
+        at_cut = sbar * entropy.secrecy_bound_array(cut / scale)
+        glued = at_cut + slope * (p1 - cut)
+        f_min = np.where(p1 <= cut,
+                         sbar * entropy.secrecy_bound_array(ratio), glued)
+        entropy_term = m * (f_min - k_pen * (log2_do + slope))
+        t = np.where(tail, eat._tail(m, gamma, eps_t, np), 0.0)
+        n_eff = n + t
+        eps_sqrt_term = prime - 2.0 * np.sqrt(np.where(tail, eps_t, 0.0))
+        leak = (n_eff * leak_rate
+                + np.sqrt(n_eff) * 4.0 * kr.LOG2_2SQRT2_PLUS_1 * np.sqrt(
+                    2.0 * np.log2(8.0 / eps_sqrt_term**2))
+                + np.log2(8.0 / prime**2 + 2.0 / (2.0 - prime))
+                + np.log2(1.0 / caps.eps_ec))
+        max_ent = eat.max_entropy_upper(n_eff, gamma, es4 - np.sqrt(eps_t),
+                                        eps_e, np)
+        ell = entropy_term - leak - log_corr - max_ent - pa
+    ok = ok & (eps_sqrt_term > 0)
+    return np.where(ok, ell, -np.inf).max(axis=3)
+
+
+def below_cut_count(target, caps, mode, gammas, deltas, shares):
+    """Feasible points whose statistic p~1 is at or below the scalar
+    optimum's cut, where the glued function is the secrecy bound itself."""
+    count = 0
+    for g in gammas:
+        for d in deltas:
+            for sh in shares:
+                point = kr._eval_point(target, caps, mode, g, d, sh)
+                if point is not None:
+                    p1 = (point.params.omega_exp
+                          * eat.BlockSpec(g, point.s_max).test_mass - d)
+                    count += p1 <= point.fixed.cut
+    return count
+
+
+class TestKernelOracle:
+    """The shape-true kernel against reference_grid_key_lengths on seeded
+    random grids: the same -inf mask, values within 1e-11 max(|ref|, 1)."""
+
+    CAPS = TestGridKernel.CAPS
+    STRICT = TestGridKernel.STRICT
+    BAD_GAMMAS = [0.0, -0.2, 1.5]
+    BAD_DELTAS = [0.0, 1.0, -1e-3]
+    BAD_SHARES = [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0)]
+
+    def check(self, target, caps, mode, gammas, deltas, shares):
+        got = kr._grid_key_lengths(target, caps, mode, gammas, deltas, shares)
+        want = reference_grid_key_lengths(target, caps, mode, gammas, deltas,
+                                          shares)
+        assert got.shape == want.shape
+        feasible = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), feasible)
+        assert np.all(got[~feasible] == -math.inf)
+        gap = np.abs(got[feasible] - want[feasible])
+        assert np.all(gap <= 1e-11 * np.maximum(np.abs(want[feasible]), 1.0))
+        axis = kr._share_axis(caps, mode, shares)
+        assert np.array_equal(
+            kr._grid_key_lengths(target, caps, mode, gammas, deltas, axis),
+            got)
+        return got
+
+    def random_grid(self, rng):
+        """(target, caps, mode, gammas, deltas, shares): n from 1e5 to 1e15,
+        QBER up to 0.04, gamma = 1 beside gammas below 1 in most grids, and
+        some invalid gammas, deltas and splits."""
+        target = kr.RateTarget(n=float(10.0 ** rng.uniform(5.0, 15.0)),
+                               q=float(rng.uniform(0.0, 0.04)))
+        mode = kr.BLOCK if rng.random() < 0.6 else kr.PER_ROUND
+        gammas = [float(g) for g in 10.0 ** rng.uniform(
+            -4.0, 0.0, rng.integers(1, 30))]
+        if rng.random() < 0.7:
+            gammas.insert(int(rng.integers(len(gammas) + 1)), 1.0)
+        deltas = [float(d) for d in 10.0 ** rng.uniform(
+            -6.0, -1.0, rng.integers(1, 15))]
+        shares = [tuple(float(x) for x in 10.0 ** rng.uniform(-2.0, 2.0, 3))
+                  for _ in range(rng.integers(1, 5))]
+        for values, bad in ((gammas, self.BAD_GAMMAS),
+                            (deltas, self.BAD_DELTAS),
+                            (shares, self.BAD_SHARES)):
+            if rng.random() < 0.25:
+                values.append(bad[rng.integers(len(bad))])
+        caps = self.STRICT if rng.random() < 0.1 else self.CAPS
+        return target, caps, mode, gammas, deltas, shares
+
+    def test_random_grids(self):
+        rng = np.random.default_rng(20261018)
+        grids = [self.random_grid(rng) for _ in range(120)]
+        kinds = {"block": 0, "per-round": 0, "mixed gamma = 1": 0,
+                 "strict": 0, "invalid": 0, "feasible": 0}
+        for target, caps, mode, gammas, deltas, shares in grids:
+            got = self.check(target, caps, mode, gammas, deltas, shares)
+            kinds[mode] += 1
+            kinds["mixed gamma = 1"] += 1.0 in gammas and min(gammas) < 1.0
+            kinds["invalid"] += bool(
+                set(gammas) & set(self.BAD_GAMMAS)
+                or set(deltas) & set(self.BAD_DELTAS)
+                or set(shares) & set(self.BAD_SHARES))
+            kinds["feasible"] += bool(np.isfinite(got).any())
+            if caps is self.STRICT:
+                kinds["strict"] += 1
+                # eps_s < 4.2e-8 at every split: the log correction's log2(0)
+                assert np.all(got == -math.inf)
+        assert min(kinds.values()) >= 5, kinds
+
+    def test_below_cut(self):
+        """Both branches of the glued function: a grid with some but not all
+        feasible points at or below their cut, and one with none.  The cut
+        is clamp(p~1 - K) >= p~1 only where p~1 sits on the cut interval's
+        lower end, within 1e-9 mass of the classical bound: there the
+        statistic is p~1 = mass (3/4 + 5e-10)."""
+        target = kr.RateTarget(n=1e6, q=0.02)
+        omega, _ = kr.honest_werner(2.0 * target.q)
+        for mode in (kr.BLOCK, kr.PER_ROUND):
+            gammas = [1.0, 0.5, 0.3]
+            edge = [(omega - 0.75 - 5e-10) * eat.BlockSpec(
+                g, eat.default_s_max(g) if mode == kr.BLOCK else 1).test_mass
+                for g in gammas]
+            args = (target, self.CAPS, mode, gammas, edge + [0.003, 0.03],
+                    [(1.0, 1.0, 1.0)])
+            got = self.check(*args)
+            assert 0 < below_cut_count(*args) < np.isfinite(got).sum()
+            args = (target, self.CAPS, mode, gammas, [0.003, 0.03],
+                    [(1.0, 1.0, 1.0)])
+            got = self.check(*args)
+            assert below_cut_count(*args) == 0 < np.isfinite(got).sum()
+
+    def test_completeness_slack_edge(self):
+        """delta_est whose Hoeffding term leaves eps_ec_prime between 1e-13
+        and 1e-7, where eps_ec_prime - 2 sqrt(eps_t) changes sign along the
+        eps_t candidates: a row with a tail loses every candidate at 1e-13,
+        while gamma = 1, whose leakage takes eps_t = 0, keeps the point."""
+        sweep = TestEpsTSweep()
+        deltas = [sweep.delta_leaving(p)
+                  for p in (1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-7)]
+        for mode in (kr.BLOCK, kr.PER_ROUND):
+            args = (sweep.TARGET, sweep.CAPS, mode, [1.0, 0.5, 0.01], deltas,
+                    [(1.0, 1.0, 1.0)])
+            got = self.check(*args)
+            assert TestGridKernel().check(*args) == np.isfinite(got).sum()
+            feasible = np.isfinite(got[:, 0, 0]).tolist()
+            assert feasible == ([True, False, False] if mode == kr.BLOCK
+                                else [True, True, True])

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -223,6 +224,118 @@ class TestSignallingTest:
             assert rate <= delta + slack
         assert false_pass / trials <= 0.1
         assert false_fail / trials <= 0.1
+
+
+def fraction_flags(data, q, params):
+    """Oracle: the second-half frequency box P = count / (n/2 Q(x,y)) in
+    Fraction arithmetic, its joint-marginal measures (as in
+    joint_marginal_measure) against zeta - 2 eps, with Q, zeta and eps the
+    exact rationals of their floats; every input pair is present."""
+    al, half = data.alphabets, data.n // 2
+    qf = [[Fraction(v) for v in row] for row in q.q.tolist()]
+    count = {}
+    for key in zip(data.x[half:].tolist(), data.y[half:].tolist(),
+                   data.a[half:].tolist(), data.b[half:].tolist()):
+        count[key] = count.get(key, 0) + 1
+    xs, ys, As, bs = (range(al.x_size), range(al.y_size), range(al.a_size),
+                      range(al.b_size))
+
+    def joint(x, y, a, b):  # Q(x,y) P(a,b|x,y)
+        return qf[x][y] * (Fraction(count.get((x, y, a, b), 0), half)
+                           / qf[x][y])
+
+    threshold = Fraction(params.zeta) - 2 * Fraction(params.eps)
+    flags = []
+    for x in xs:
+        for y in ys:
+            x_given_y = qf[x][y] / sum(qf[k][y] for k in xs)
+            for b in bs:
+                o = sum(joint(x, y, a, b) for a in As)
+                mass = sum(joint(k, y, a, b) for k in xs for a in As)
+                flags.append(o - x_given_y * mass >= threshold)
+    for x in xs:
+        for y in ys:
+            y_given_x = qf[x][y] / sum(qf[x][k] for k in ys)
+            for a in As:
+                o = sum(joint(x, y, a, b) for b in bs)
+                mass = sum(joint(x, k, a, b) for k in ys for b in bs)
+                flags.append(o - y_given_x * mass >= threshold)
+    return flags
+
+
+def local_tie_data(rng, second_counts):
+    """Rounds of the local box a = x, b = 1 - y: a first half with every input
+    pair equally often, then a shuffled second half with the given count N
+    of each input pair.  Under the uniform Q an AtoB measure of this box at
+    (x, y) is (N(x,y) - N(1-x,y)) / 2 over the n/2 second-half rounds: over
+    1000 rounds, 0.015 = zeta - 2 eps at zeta = 0.021, eps = 0.003 in
+    decimals, when the counts differ by 30."""
+    pairs = [(x, y) for x in range(2) for y in range(2)]
+    second = [p for p in pairs for _ in range(second_counts[p])]
+    order = rng.permutation(len(second))
+    xy = np.array(pairs * (len(second) // 4) + [second[i] for i in order])
+    x, y = xy[:, 0], xy[:, 1]
+    return ObservedData(len(xy), x, 1 - y, x, y, BINARY)
+
+
+class TestExactTies:
+    """sig-test decides a measure at the threshold exactly: from the integer
+    counts, not from a float sum whose rounding depends on its order."""
+
+    ZETA, EPS = 0.021, 0.003
+    TIES = {(0, 0): 265, (1, 0): 235, (0, 1): 250, (1, 1): 250}
+    QS = [uniform_q(), InputDistribution(np.array([[0.1, 0.2], [0.3, 0.4]]))]
+
+    def data_sets(self, rng):
+        sets = [local_tie_data(rng, self.TIES),
+                local_tie_data(rng, {(0, 0): 280, (1, 0): 220, (0, 1): 235,
+                                     (1, 1): 265})]
+        for box in (random_classical_box(rng), random_classical_box(rng),
+                    bob_echoes_x_box()):
+            xs, ys, a, b = sample_iid_data(box, uniform_q(), 2000, rng)
+            sets.append(ObservedData(2000, a, b, xs, ys, BINARY))
+        return sets
+
+    def test_matches_fraction_oracle(self, rng):
+        params = sig.TestParams(zeta=self.ZETA, eps=self.EPS, n=2000)
+        for data in self.data_sets(rng):
+            for q in self.QS:
+                assert sig.signalling_test_flags(data, q, params).tolist() \
+                    == fraction_flags(data, q, params)
+        # the tie: measure 3/200 = 0.015 at (AtoB, 0, 0, b = 1) under the
+        # uniform Q sits below the exact rational of 0.021 - 2 * 0.003
+        tie = local_tie_data(rng, self.TIES)
+        row = sig.target_row(BINARY, sig.SigTarget(sig.A_TO_B, 0, 0, 1))
+        assert Fraction(0.021) - 2 * Fraction(0.003) > Fraction(3, 200)
+        assert not sig.signalling_test_flags(tie, uniform_q(), params)[row]
+
+    def test_exact_tie_passes(self, rng):
+        """At dyadic zeta = 1/16, eps = 1/128 the threshold 3/64 is exact:
+        over n/2 = 1024 rounds the measure (N(0,0) - N(1,0)) / 2 / 1024
+        equals it at a count difference of 96, which passes (>=), and one
+        count less fails."""
+        params = sig.TestParams(zeta=0.0625, eps=0.0078125, n=2048)
+        row = sig.target_row(BINARY, sig.SigTarget(sig.A_TO_B, 0, 0, 1))
+        for n00, flag in ((300, True), (299, False)):
+            data = local_tie_data(rng, {(0, 0): n00, (1, 0): 204,
+                                        (0, 1): 260, (1, 1): 560 - n00})
+            flags = sig.signalling_test_flags(data, uniform_q(), params)
+            assert flags.tolist() == fraction_flags(data, uniform_q(), params)
+            assert bool(flags[row]) is flag
+
+    def test_second_half_order_never_matters(self, rng):
+        params = sig.TestParams(zeta=self.ZETA, eps=self.EPS, n=2000)
+        for data in self.data_sets(rng):
+            for q in self.QS:
+                want = sig.signalling_test_flags(data, q, params)
+                for _ in range(5):
+                    order = np.concatenate([np.arange(1000),
+                                            1000 + rng.permutation(1000)])
+                    shuffled = ObservedData(2000, data.a[order],
+                                            data.b[order], data.x[order],
+                                            data.y[order], BINARY)
+                    assert np.array_equal(
+                        sig.signalling_test_flags(shuffled, q, params), want)
 
 
 class TestGuessing:
