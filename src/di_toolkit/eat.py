@@ -105,9 +105,9 @@ def _test_mass(gamma, s_max):
 
 def _penalty_scale(eps_s, eps_e, count, xp=math):
     """K = (2/sqrt(count)) sqrt(1 - 2 log2(eps_s eps_e)), the factor of
-    (log2 d_O + slope) in the second-order term, in the namespace ``xp``."""
-    return (2.0 / xp.sqrt(count)) * xp.sqrt(
-        1.0 - 2.0 * xp.log2(eps_s * eps_e))
+    (log2 d_O + slope) in the second-order term, in the namespace ``xp``;
+    its root is the max-entropy bound's smoothing root."""
+    return (2.0 / xp.sqrt(count)) * _smoothing_root(eps_s, eps_e, xp)
 
 
 def cut_interval(gamma: float) -> tuple:

@@ -21,11 +21,12 @@ s_max = 1) with eps_t = 0 (t = 0): the per-round key_length is that
 computation, not a second text of it, and the grid kernel scores both
 modes with the same block formulas.
 
-optimize_rate scores its coarse (gamma, delta_est) grid, its epsilon split
-grid and each pass of its two zooms in one numpy call (_grid_key_lengths,
-the array form of _eval_point) and rescores a few of the best points with
-the scalar path, which alone produces the points chosen and the numbers
-reported.
+optimize_rate runs a coarse (gamma, delta_est) grid, an epsilon split grid
+and one zoom, in boxes set by the caps and the rate.  Each stage, and each
+zoom pass, is one numpy call (_grid_key_lengths, the array form of
+_eval_point); a stage rescores the first few values within 1e-9 relative
+of its best, in grid order, with the scalar path, which alone produces the
+points chosen and the numbers reported.
 
 Negative key lengths are reported as-is so that the zero crossings of rate
 curves can be located; callers clamp for presentation.
@@ -178,35 +179,40 @@ def leak_ec(n_eff: float, params: ProtocolParams, eps_ec_prime: float,
     term's smoothing parameter is shifted to eps_ec_prime - 2*sqrt(eps_t)
     when the round count is itself random (block mode).
     """
-    return _leak(n_eff, _leak_rate(params.gamma, binary_entropy(params.q),
-                                   binary_entropy(params.omega_exp)),
-                 eps_ec_prime, eps_ec, eps_t)
-
-
-def _leak(n_eff: float, rate: float, eps_ec_prime: float, eps_ec: float,
-          eps_t: float) -> float:
-    """leak_ec with its first-order rate ``_leak_rate(params)`` given."""
     if not 0 < eps_ec_prime < 1:
         raise ValueError("eps_ec_prime must be in (0,1)")
+    return _leak(n_eff, _leak_rate(params.gamma, binary_entropy(params.q),
+                                   binary_entropy(params.omega_exp)),
+                 eps_ec_prime, eps_t, _leak_constants(eps_ec_prime, eps_ec))
+
+
+def _leak(n_eff: float, rate: float, eps_ec_prime: float, eps_t: float,
+          constants: tuple) -> float:
+    """leak_ec with its first-order rate ``_leak_rate(...)`` and its eps_t-free
+    terms ``_leak_constants(eps_ec_prime, eps_ec)`` given."""
     eps_sqrt_term = eps_ec_prime - 2.0 * math.sqrt(eps_t)
     if eps_sqrt_term <= 0:
         raise ValueError("eps_t too large: eps_ec_prime - 2 sqrt(eps_t) <= 0")
-    first, scale, root, prime_term, ec_term = _leak_terms(
-        n_eff, rate, eps_sqrt_term, eps_ec_prime, eps_ec)
+    first, scale, root = _leak_terms(n_eff, rate, eps_sqrt_term)
+    prime_term, ec_term = constants
     return first + scale * root + prime_term + ec_term
 
 
-def _leak_terms(n_eff, rate, eps_sqrt_term, eps_ec_prime, eps_ec, xp=math):
-    """The leakage first + scale * root + prime_term + ec_term as its five
-    terms, in the namespace ``xp``, each at the shape of its own inputs:
-    first = n_eff * rate, scale = sqrt(n_eff) 4 log2(2 sqrt(2) + 1),
-    root = sqrt(2 log2(8 / eps_sqrt_term^2)) of the shifted smoothing
-    parameter eps_sqrt_term = eps_ec_prime - 2 sqrt(eps_t) > 0,
-    prime_term = log2(8/eps_ec_prime^2 + 2/(2 - eps_ec_prime)) and
-    ec_term = log2(1/eps_ec)."""
+def _leak_terms(n_eff, rate, eps_sqrt_term, xp=math):
+    """The leakage's terms that depend on eps_t, in the namespace ``xp``,
+    each at the shape of its own inputs: first = n_eff * rate, scale =
+    sqrt(n_eff) 4 log2(2 sqrt(2) + 1) and root = sqrt(2 log2(8 /
+    eps_sqrt_term^2)) of the shifted smoothing parameter eps_sqrt_term =
+    eps_ec_prime - 2 sqrt(eps_t) > 0.  The leakage is first + scale * root
+    + prime_term + ec_term, the last two from _leak_constants."""
     return (n_eff * rate, xp.sqrt(n_eff) * 4.0 * LOG2_2SQRT2_PLUS_1,
-            xp.sqrt(2.0 * xp.log2(8.0 / eps_sqrt_term**2)),
-            xp.log2(8.0 / eps_ec_prime**2 + 2.0 / (2.0 - eps_ec_prime)),
+            xp.sqrt(2.0 * xp.log2(8.0 / eps_sqrt_term**2)))
+
+
+def _leak_constants(eps_ec_prime, eps_ec, xp=math):
+    """(prime_term, ec_term) = (log2(8/eps_ec_prime^2 + 2/(2 -
+    eps_ec_prime)), log2(1/eps_ec)): the leakage's eps_t-free terms."""
+    return (xp.log2(8.0 / eps_ec_prime**2 + 2.0 / (2.0 - eps_ec_prime)),
             xp.log2(1.0 / eps_ec))
 
 
@@ -258,6 +264,7 @@ class _BlockFixed(NamedTuple):
     cut: float
     entropy_term: float
     leak_rate: float
+    leak_constants: tuple
     log_corr: float
     pa: float
 
@@ -273,6 +280,7 @@ def _block_fixed_terms(params: ProtocolParams, budget: EpsilonBudget,
     leak_rate = _leak_rate(params.gamma, binary_entropy(params.q),
                            binary_entropy(params.omega_exp))
     return _BlockFixed(sbar, m, cut, m * mu_value, leak_rate,
+                       _leak_constants(budget.eps_ec_prime, budget.eps_ec),
                        _log_correction(budget.eps_s), _pa_term(budget.eps_pa))
 
 
@@ -285,8 +293,8 @@ def _block_eps_t_terms(params: ProtocolParams, budget: EpsilonBudget,
         raise ValueError("eps_t too large: sqrt(eps_t) >= eps_s/4")
     t = eat.round_count_tail(fixed.m, params.gamma, eps_t) if s_max > 1 else 0.0
     n_eff = params.n + t
-    leak = _leak(n_eff, fixed.leak_rate, budget.eps_ec_prime, budget.eps_ec,
-                 eps_t if s_max > 1 else 0.0)
+    leak = _leak(n_eff, fixed.leak_rate, budget.eps_ec_prime,
+                 eps_t if s_max > 1 else 0.0, fixed.leak_constants)
     # eat.max_entropy_upper, one call shorter
     max_ent = eat._max_entropy(n_eff, params.gamma, eat._smoothing_root(
         eps_s_shifted, budget.eps_ea + budget.eps_ec))
@@ -334,6 +342,8 @@ class RateCaps:
             raise ValueError("soundness cap must exceed 2*eps_ec")
         if self.completeness <= self.eps_ec:
             raise ValueError("completeness cap must exceed eps_ec")
+        if self.completeness >= 1.0:
+            raise ValueError("completeness cap must be below 1")
 
 
 def _log_grid(lo: float, hi: float, per_decade: int) -> list:
@@ -387,6 +397,7 @@ class _Point(NamedTuple):
     terms: tuple
     index: int
     mode: str
+    shares: tuple
 
     @property
     def key_length(self) -> float:
@@ -445,7 +456,7 @@ def _eval_point(target: RateTarget, caps: RateCaps, mode: str, gamma: float,
         return None
     index, eps_t, terms = best
     return _Point(params, replace(base, eps_t=eps_t), s_max, fixed, terms,
-                  index, mode)
+                  index, mode, shares)
 
 
 class _ShareAxis(NamedTuple):
@@ -565,8 +576,8 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
         # has 0 <= sqrt(eps_t) <= eps_s / (4 sqrt(10)): neither the eps_t
         # guard nor round_count_tail's range check can fire; only _leak's.
         est = prime - 2.0 * shares.sqrt_t
-        first, scale, root, prime_term, ec_term = _leak_terms(
-            n_eff, leak_rate, est, prime, caps.eps_ec, np)
+        first, scale, root = _leak_terms(n_eff, leak_rate, est, np)
+        prime_term, ec_term = _leak_constants(prime, caps.eps_ec, np)
 
         # (G, D, S): the eps_t-free terms
         p1 = omega * mass - delta
@@ -589,8 +600,7 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
         if block and not tail.all():
             # one-round blocks: no tail, the leakage at eps_t = 0
             flat = ~tail.ravel()
-            _, scale, root, _, _ = _leak_terms(n, leak_rate, prime, prime,
-                                               caps.eps_ec, np)
+            _, scale, root = _leak_terms(n, leak_rate, prime, np)
             paid[flat] = spend[:, flat].min(axis=0) + scale * root
         ok = (gamma_ok & delta_ok & shares.ok & (ratio >= OMEGA_CLASSICAL)
               & (ratio <= 1.0))
@@ -598,18 +608,63 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
 
 
 _DEFAULT_SHARES = (1.0, 1.0, 1.0)
+SPLIT_REACH_DECADES = 2
 ZOOM_REACH = 2.4**2
 ZOOM_POINTS = 12
 ZOOM_LIVE = 2
-ZOOM_RESCORED = 4
+BAND = 1e-9
+RESCORED = 3
 
 
-def _share_grid() -> list:
-    """Candidate (eps_s, eps_ea, eps_pa) proportions around the equal split,
-    3 log-spaced points per decade over two decades each way."""
-    ratios = [10.0 ** (k / SPLIT_GRID_PER_DECADE) for k in range(-6, 7)]
-    return [(1.0, 1.0, 1.0)] + [(rs, re, 1.0) for rs in ratios
-                                for re in ratios]
+def _band(values: np.ndarray) -> np.ndarray:
+    """Flat indices, in grid order, of the values within BAND max(|top|, 1)
+    of their largest, top: far wider than the kernel's error, so the band
+    holds the scalar optimum and its members do not turn on rounding."""
+    top = values.max()
+    if not np.isfinite(top):
+        return np.zeros(0, dtype=int)
+    return np.flatnonzero(values >= top - BAND * max(abs(top), 1.0))
+
+
+def _rescore(target, caps, mode, values, args, best, stage, evals) -> tuple:
+    """(point, i): ``best`` or the best of the first RESCORED points of
+    _band(values), point i scored by _eval_point(..., *args(i)), if it
+    beats ``best``; i is None if none does."""
+    index = None
+    for i in _band(values)[:RESCORED]:
+        evals[stage + "_rescored"] += 1
+        point = _eval_point(target, caps, mode, *args(i))
+        if point is not None and (best is None
+                                  or point.key_length > best.key_length):
+            best, index = point, i
+    return best, index
+
+
+def _split(target, caps, mode, start: _Point, evals: dict) -> _Point:
+    """The best split (r, r, 1) of (eps_s, eps_ea, eps_pa) at ``start``'s
+    gamma and delta_est, r at SPLIT_GRID_PER_DECADE points per decade, or
+    ``start``.  eps_s and eps_ea enter the key length as log2(eps_s eps_e)
+    under square roots that grow with n, eps_pa only as 2 log2(1/eps_pa),
+    so the optimum has eps_s = eps_ea and a small eps_pa.  The box, r
+    within SPLIT_REACH_DECADES decades of 1, widens by as much until the
+    kernel's best moves by less than BAND max(|best|, 1): it ends where
+    the rate is flat."""
+    gamma, delta = start.params.gamma, start.params.delta_est
+    reach, top = SPLIT_REACH_DECADES * SPLIT_GRID_PER_DECADE, -math.inf
+    while True:
+        shares = [(10.0 ** (k / SPLIT_GRID_PER_DECADE),) * 2 + (1.0,)
+                  for k in range(-reach, reach + 1)]
+        values = _grid_key_lengths(target, caps, mode, [gamma], [delta],
+                                   shares)[0, 0]
+        evals["share_passes"] += 1
+        evals["share_points"] += values.size
+        if not values.max() - top >= BAND * max(abs(top), 1.0):
+            break
+        top, reach = values.max(), reach + SPLIT_REACH_DECADES * (
+            SPLIT_GRID_PER_DECADE)
+    return _rescore(target, caps, mode, values,
+                    lambda i: (gamma, delta, shares[i]), start, "share",
+                    evals)[0]
 
 
 def _spread(lo: float, hi: float) -> list:
@@ -620,34 +675,54 @@ def _spread(lo: float, hi: float) -> list:
     return [lo] + [lo * step**i for i in range(1, ZOOM_POINTS - 1)] + [hi]
 
 
-def _zoom(target: RateTarget, caps: RateCaps, mode: str, start: _Point,
-          shares: tuple, evals: dict) -> tuple:
-    """(point, at_bound): the best key length over (gamma, delta_est) at
-    fixed shares around ``start``'s point, or ``start`` if none beats it.
+def _bracket(s: int) -> tuple:
+    """The gamma window where eat.default_s_max is s: from 1/s to just
+    below the open top 1/(s - 1 + 1e-9) of eat._s_max_rule."""
+    return (1.0 / s, 1.0 / (s - 1 + 2e-9)) if s > 1 else (1.0, 1.0)
 
-    The box is a factor ZOOM_REACH either way of delta_est and, per round,
-    of gamma; in block mode its gamma windows are the s_max brackets
-    [1/s, 1/(s-1)) for s within 4 of s_max(gamma).  Each pass scores the
-    live gamma windows x the delta_est window in one _grid_key_lengths call
-    (the share axis is computed once for all passes) and keeps the ZOOM_LIVE best windows (an optimum can sit at a bracket's
-    open upper edge), each shrunk, as is the delta_est window, to one cell
-    either side of its best point.  The top ZOOM_RESCORED values of the
-    pass within 1e-5 gamma and 1e-4 in log delta_est, by value and then
-    grid order, are rescored with _eval_point.  ``at_bound``: the chosen
-    point's final windows touch an outer edge of the box.
+
+def _cells(grid: list, members) -> tuple:
+    """The window from one cell below the first of ``members`` (indices
+    into ``grid``) to one cell above the last."""
+    return (grid[max(min(members) - 1, 0)],
+            grid[min(max(members) + 1, len(grid) - 1)])
+
+
+def _zoom(target, caps, mode, start: _Point, floor: float,
+          evals: dict) -> tuple:
+    """(point, at_bound): the best key length over (gamma, delta_est) at
+    ``start``'s split, or ``start`` if none beats it.
+
+    The box is a factor ZOOM_REACH either way of start's gamma (up to 1)
+    and delta_est (down to ``floor``).  Per round, gamma is one window; in
+    block mode, where the rate jumps with s_max, each window is a bracket
+    (_bracket), and while the box holds over ZOOM_POINTS brackets a pass
+    scores ZOOM_POINTS log-spaced ones and narrows the s_max range to the
+    cells around those holding its _band.  A pass is one _grid_key_lengths
+    call over the windows x the delta_est window.  It keeps the first
+    ZOOM_LIVE windows holding the band, in gamma order (an optimum can sit
+    at a bracket's open top), shrinks each to the cells around its own
+    band and the delta_est window to those around the pass's, down to
+    1e-5 in gamma and 1e-4 in log delta_est.  The pass where nothing
+    shrinks is rescored.  ``at_bound``: the point's final windows touch an
+    edge of the box other than gamma = 1 and delta_est = ``floor``.
     """
     gamma, delta = start.params.gamma, start.params.delta_est
-    dwin = (max(delta / ZOOM_REACH, 1e-7), min(delta * ZOOM_REACH, 0.5))
-    if mode == PER_ROUND:
-        live = [(max(gamma / ZOOM_REACH, 1e-6), min(gamma * ZOOM_REACH, 1.0))]
-    else:
-        s_star = eat.default_s_max(gamma)
-        live = [(1.0 / s, min(1.0 / (s - 1) * (1 - 1e-12), 1.0)) if s > 1
-                else (1.0, 1.0) for s in range(s_star + 4, 0, -1)
-                if s >= s_star - 4]
-    edges = (live[0][0], live[-1][1]) + dwin
-    axis = _share_axis(caps, mode, [shares])
+    reach = (gamma / ZOOM_REACH, min(gamma * ZOOM_REACH, 1.0))
+    dwin = (max(delta / ZOOM_REACH, floor), delta * ZOOM_REACH)
+    s_win, live = None, [reach]
+    if mode == BLOCK:
+        s_win = (eat.default_s_max(reach[1]), eat.default_s_max(reach[0]))
+        reach = (_bracket(s_win[1])[0], _bracket(s_win[0])[1])
+    edges = (reach[0], reach[1] if reach[1] < 1.0 else None,
+             dwin[0] if dwin[0] > floor else None, dwin[1])
+    axis = _share_axis(caps, mode, [start.shares])
     while True:
+        if s_win is not None:
+            lo, hi = s_win
+            brackets = sorted({lo, hi} | {round(x) for x in _spread(lo, hi)}
+                              if hi - lo >= ZOOM_POINTS else range(lo, hi + 1))
+            live = [_bracket(s) for s in brackets]
         grids = [_spread(*w) for w in live]
         deltas = _spread(*dwin)
         gammas = [(g, k) for k, grid in enumerate(grids) for g in grid]
@@ -655,103 +730,86 @@ def _zoom(target: RateTarget, caps: RateCaps, mode: str, start: _Point,
                                    deltas, axis)[:, :, 0]
         evals["zoom_passes"] += 1
         evals["zoom_points"] += values.size
-        if ((all(hi - lo <= 1e-5 * lo for lo, hi in live)
-             and math.log(dwin[1] / dwin[0]) <= 1e-4)
-                or not np.isfinite(values).any()):
+        i, j = np.divmod(_band(values), len(deltas))
+        if not i.size:
             break
-        ranked, first = [], 0
-        for k, grid in enumerate(grids):
-            rows = values[first:first + len(grid)]
-            i, j = np.unravel_index(np.argmax(rows), rows.shape)
-            ranked.append((-rows[i, j], k, int(i), int(j)))
-            first += len(grid)
-        ranked.sort()
-        live = [(grids[k][max(i - 1, 0)],
-                 grids[k][min(i + 1, len(grids[k]) - 1)])
-                for v, k, i, _ in ranked[:ZOOM_LIVE] if v < math.inf]
-        j = ranked[0][3]
-        dwin = (deltas[max(j - 1, 0)], deltas[min(j + 1, len(deltas) - 1)])
-    best, at_bound = start, False
-    order = np.argsort(-values, axis=None, kind="stable")[:ZOOM_RESCORED]
-    for i in order[np.isfinite(values.flat[order])]:
-        (g, k), d = gammas[i // len(deltas)], deltas[i % len(deltas)]
-        evals["zoom_rescored"] += 1
-        point = _eval_point(target, caps, mode, g, d, shares)
-        if point is not None and point.key_length > best.key_length:
-            best = point
-            at_bound = any(a == b for a, b in zip(live[k] + dwin, edges))
-    return best, at_bound
+        kept, shrunk_d = sorted({gammas[x][1] for x in i}), _cells(deltas, j)
+        if math.log(dwin[1] / dwin[0]) <= 1e-4:
+            shrunk_d = dwin
+        if s_win is not None and len(brackets) < s_win[1] - s_win[0] + 1:
+            narrowed = _cells(brackets, kept)
+            if (narrowed, shrunk_d) != (s_win, dwin):
+                s_win, dwin = narrowed, shrunk_d
+                continue
+        s_win = None
+        rows = np.split(values, np.cumsum([len(g) for g in grids[:-1]]))
+        shrunk = [live[k] if live[k][1] - live[k][0] <= 1e-5 * live[k][0]
+                  else _cells(grids[k], _band(rows[k]) // len(deltas))
+                  for k in kept[:ZOOM_LIVE]]
+        if shrunk == live and shrunk_d == dwin:
+            break
+        live, dwin = shrunk, shrunk_d
+    point, i = _rescore(target, caps, mode, values,
+                        lambda i: (gammas[i // len(deltas)][0],
+                                   deltas[i % len(deltas)], start.shares),
+                        start, "zoom", evals)
+    return point, i is not None and any(
+        a == b for a, b in zip(live[gammas[i // len(deltas)][1]] + dwin,
+                               edges))
 
 
 def optimize_rate(target: RateTarget, caps: RateCaps,
                   mode: str = BLOCK) -> RateReport:
-    """Deterministic nested search for the best rate under the caps:
+    """Deterministic search for the best rate under the caps, in boxes set
+    by the caps and the rate:
 
-    1. coarse grid: log grids over gamma and delta_est, equal epsilon split;
-    2. kernel zoom (_zoom) of gamma and delta_est around its optimum;
-    3. split grid: the epsilon split on a log grid (_share_grid) there;
-    4. kernel zoom again at the chosen split.
+    1. coarse grid: log grids over gamma and delta_est, equal split, with
+       delta_est from just above delta_min (_delta_floor) to 0.1;
+    2. split grid (_split) at that point, widened until the rate is flat;
+    3. one kernel zoom (_zoom) of gamma and delta_est at that split.
 
-    Each stage scores its points in numpy passes (_grid_key_lengths) and
-    rescores a few with _eval_point: the grids every point within
-    1e-9 max(|top|, 1) of their best, in grid order, the zooms the top
-    points of their last pass.  Only rescored values are compared, so every
+    Each stage scores its points in numpy (_grid_key_lengths) and rescores
+    the first RESCORED of its band with _eval_point (_rescore), so every
     number reported, and every point chosen, comes from the scalar path;
-    only the chosen point's RateReport is built.
-
-    The report's ``extras`` gain ``evals`` (kernel points ``grid_points``,
-    ``zoom_points`` and ``share_points``, scalar _eval_point calls
-    ``grid_rescored``, ``zoom_rescored`` and ``share_rescored``, and
-    ``zoom_passes``), ``grid_at_bound`` (the coarse optimum lies on an edge
-    of the gamma or delta_est grid) and ``refine_at_bound`` (the last
-    zoom's, on an outer edge of its box).
+    only the chosen point's RateReport is built.  Its ``extras`` gain
+    ``evals`` (kernel points and calls, ``*_points`` and ``*_passes``, and
+    scalar calls, ``*_rescored``, of the stages grid, share and zoom) and
+    the zoom's ``at_bound``.
     """
     if mode not in (PER_ROUND, BLOCK):
         raise ValueError("mode must be 'per-round' or 'block'")
-    evals = dict.fromkeys(("grid_points", "grid_rescored", "zoom_passes",
-                           "zoom_points", "zoom_rescored", "share_points",
-                           "share_rescored"), 0)
-
-    def rescore(stage, values, points, best, margin):
-        """(point, shares): ``best`` or the first of ``points`` (gamma,
-        delta_est, shares) to beat it by over ``margin`` among the finite
-        kernel values within 1e-9 max(|top|, 1) of the largest: a band much
-        wider than the kernel's error, so it holds the scalar optimum."""
-        evals[stage + "_points"] = values.size
-        top = values.max()
-        for i in np.flatnonzero(np.isfinite(values) & (
-                values >= top - 1e-9 * max(abs(top), 1.0))):
-            evals[stage + "_rescored"] += 1
-            point = _eval_point(target, caps, mode, *points[i])
-            if point is not None and (best[0] is None or point.key_length
-                                      > best[0].key_length + margin):
-                best = (point, points[i][2])
-        return best
-
+    evals = dict.fromkeys(("grid_points", "grid_rescored", "share_passes",
+                           "share_points", "share_rescored", "zoom_passes",
+                           "zoom_points", "zoom_rescored"), 0)
+    floor = _delta_floor(target, caps)
     gammas = sorted(set(_log_grid(1e-4, 1.0, GAMMA_GRID_PER_DECADE))
                     | {1.0 / k for k in range(1, 41)})
-    deltas = _log_grid(1e-4, 1e-1, DELTA_GRID_PER_DECADE)
+    deltas = _log_grid(floor, 0.1, DELTA_GRID_PER_DECADE)
     values = _grid_key_lengths(target, caps, mode, gammas, deltas,
                                [_DEFAULT_SHARES])
-    coarse, _ = rescore("grid", values, [(g, d, _DEFAULT_SHARES) for g in
-                                         gammas for d in deltas],
-                        (None, None), 0.0)
+    evals["grid_points"] = values.size
+    coarse, _ = _rescore(target, caps, mode, values,
+                         lambda i: (gammas[i // len(deltas)],
+                                    deltas[i % len(deltas)], _DEFAULT_SHARES),
+                         None, "grid", evals)
     if coarse is None:
         raise ValueError("no feasible parameter point under the caps")
-    zoomed, _ = _zoom(target, caps, mode, coarse, _DEFAULT_SHARES, evals)
-    p, share_grid = zoomed.params, _share_grid()
-    values = _grid_key_lengths(target, caps, mode, [p.gamma], [p.delta_est],
-                               share_grid)
-    split, shares = rescore("share", values, [(p.gamma, p.delta_est, sh)
-                                              for sh in share_grid],
-                            (zoomed, _DEFAULT_SHARES), 1e-12)
-    point, at_bound = _zoom(target, caps, mode, split, shares, evals)
+    point, at_bound = _zoom(target, caps, mode,
+                            _split(target, caps, mode, coarse, evals), floor,
+                            evals)
     report = point.report()
-    report.extras.update(
-        evals=evals, refine_at_bound=at_bound,
-        grid_at_bound=coarse.params.gamma in (gammas[0], gammas[-1])
-        or coarse.params.delta_est in (deltas[0], deltas[-1]))
+    report.extras.update(evals=evals, at_bound=at_bound)
     return report
+
+
+def _delta_floor(target: RateTarget, caps: RateCaps) -> float:
+    """delta_min (1 + 1e-9), delta_min = sqrt(ln(1/(C - 2 eps_ec)) / (2n))
+    with C the completeness cap: there the Hoeffding term leaves
+    _budget_for no completeness slack, eps_ec_complete = eps_ec."""
+    slack = caps.completeness - 2.0 * caps.eps_ec
+    if slack <= 0:
+        raise ValueError("no feasible parameter point under the caps")
+    return math.sqrt(math.log(1.0 / slack) / (2.0 * target.n)) * (1 + 1e-9)
 
 
 def rate_curve(axis: str, grid: list, fixed: dict, caps: RateCaps,

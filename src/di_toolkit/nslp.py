@@ -254,7 +254,8 @@ def dual_kappa(game: Game) -> float:
     uses: relaxing each signalling row by s changes the optimum by at most
     s * kappa.  The dual optimal face can be degenerate, so among the
     optimal dual solutions we return the one minimizing kappa (found by a
-    secondary LP); any point of the face is a valid certificate.
+    secondary LP); any point of the face is a valid certificate.  Raises
+    SolverError if either program is not solved to optimality.
     """
     lp = build_ns_lp(game, sig_relation=LE, sig_rhs=0.0)
     sol = solve(lp)
@@ -263,7 +264,6 @@ def dual_kappa(game: Game) -> float:
     al = game.alphabets
     d = al.num_signalling_constraints
     n_norm = al.x_size * al.y_size
-    fallback = float(np.abs(sol.dual[:d]).sum())
 
     # dual feasibility of max{c.x : Sx <= 0, Nx = 1, x >= 0}:
     #   S^T u + N^T v >= c,  u >= 0,  v free;  optimality: sum(v) = value.
@@ -278,7 +278,7 @@ def dual_kappa(game: Game) -> float:
     rows2.append((ones_v, EQ, float(sol.value)))
     sol2 = solve(LinearProgram(obj, rows2))
     if sol2.status != "optimal":
-        return fallback
+        raise SolverError(f"minimal-kappa dual program: {sol2.status}")
     return float(-sol2.value)
 
 

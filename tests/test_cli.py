@@ -6,7 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from di_toolkit import cli, simulate
+from di_toolkit import cli, nslp, simulate
 from di_toolkit.boxes import chsh_game
 
 
@@ -64,6 +64,25 @@ class TestGameCommands:
         jsonschema.validate(payload, schema("out_ns_value"))
         assert payload["value"] == pytest.approx(1.0, abs=1e-9)
         assert payload["d"] == 16
+
+    def test_ns_value_kappa_program_not_optimal(self, chsh_file, capsys,
+                                                monkeypatch):
+        """A minimal-kappa program that is not solved to optimality is an
+        error, not a silent fallback to the signalling duals' l1 norm."""
+        solve = nslp.solve
+
+        def failing(lp):
+            # the minimal-kappa program is the one objective with a
+            # negative entry: it maximizes -sum(u)
+            if (lp.c < 0).any():
+                return nslp.LPSolution(status="unbounded")
+            return solve(lp)
+
+        monkeypatch.setattr(nslp, "solve", failing)
+        code = cli.main(["ns-value", "--game", chsh_file])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: minimal-kappa dual program: unbounded\n"
 
     def test_threshold_bound(self, chsh_file, capsys):
         code, out = run_cli(["threshold-bound", "--game", chsh_file,

@@ -280,34 +280,55 @@ class TestOptimizeRate:
         assert reports[0].rate < reports[1].rate
 
     def test_search_provenance(self):
-        for n, q, at_bound in ((1e10, 0.005, True), (1e7, 0.03, False)):
+        for n, q in ((1e10, 0.005), (1e7, 0.03)):
             for mode in (kr.BLOCK, kr.PER_ROUND):
                 report = kr.optimize_rate(kr.RateTarget(n=n, q=q), self.CAPS,
                                           mode=mode)
                 evals = report.extras["evals"]
                 assert set(evals) == {"grid_points", "grid_rescored",
-                                      "zoom_passes", "zoom_points",
-                                      "zoom_rescored", "share_points",
-                                      "share_rescored"}
-                assert evals["grid_rescored"] >= 1
-                assert evals["share_rescored"] >= 1
+                                      "share_passes", "share_points",
+                                      "share_rescored", "zoom_passes",
+                                      "zoom_points", "zoom_rescored"}
+                for stage in ("grid", "share", "zoom"):
+                    assert 1 <= evals[stage + "_rescored"] <= kr.RESCORED
+                # the split box widens at least once; the zoom shrinks
+                assert evals["share_passes"] >= 2
                 assert evals["zoom_passes"] >= 4
-                assert 1 <= evals["zoom_rescored"] <= 2 * kr.ZOOM_RESCORED
-                assert report.extras["grid_at_bound"] == at_bound
+                assert report.extras["at_bound"] is False
                 assert "evals" not in report.to_json_dict()
 
-    def test_refine_at_bound(self):
-        # at (1e15, 1e-10) the coarse delta_est sits on the grid's 1e-4
-        # edge and each zoom reaches a factor 2.4^2 lower: the search box,
-        # not the rate, stops delta_est at 1e-4 / 2.4^4
-        for n, q, at_bound in ((1e15, 1e-10, True), (1e7, 0.03, False)):
-            for mode in (kr.BLOCK, kr.PER_ROUND):
-                report = kr.optimize_rate(kr.RateTarget(n=n, q=q), self.CAPS,
-                                          mode=mode)
-                assert report.extras["refine_at_bound"] is at_bound
-                if at_bound:
-                    assert report.params.delta_est == pytest.approx(
-                        1e-4 / 2.4**4, rel=1e-4)
+    def test_delta_floor(self):
+        """The coarse grid and the zoom start just above delta_min, where
+        _budget_for runs out of completeness slack, and reach below the
+        old constant floor 1e-4 / 2.4^4 at n = 1e15."""
+        target = kr.RateTarget(n=1e15, q=1e-10)
+        floor = kr._delta_floor(target, self.CAPS)
+        delta_min = math.sqrt(math.log(1.0 / (
+            self.CAPS.completeness - 2.0 * self.CAPS.eps_ec)) / (2.0 * 1e15))
+        assert delta_min < floor <= delta_min * (1.0 + 1e-9) * (1.0 + 1e-15)
+        omega, _ = kr.honest_werner(2.0 * target.q)
+        for delta, feasible in ((delta_min * (1.0 - 1e-6), False),
+                                (floor, True)):
+            params = kr.ProtocolParams(target.n, 0.01, omega, delta, target.q)
+            budget = kr._budget_for(self.CAPS, params, (1.0, 1.0, 1.0), 0.0)
+            assert (budget is not None) is feasible
+        for mode in (kr.BLOCK, kr.PER_ROUND):
+            report = kr.optimize_rate(target, self.CAPS, mode=mode)
+            assert floor < report.params.delta_est < 1e-4 / 2.4**4
+            assert report.extras["at_bound"] is False
+        with pytest.raises(ValueError, match="no feasible parameter"):
+            kr.optimize_rate(target, kr.RateCaps(soundness=1e-5,
+                                                 completeness=1.5e-10,
+                                                 eps_ec=1e-10))
+
+    def test_at_bound(self, monkeypatch):
+        """A zoom box cut down to a factor 1.001 either way stops short of
+        the optimum, and the flag says so."""
+        target = kr.RateTarget(n=1e12, q=0.015)
+        monkeypatch.setattr(kr, "ZOOM_REACH", 1.001)
+        for mode in (kr.BLOCK, kr.PER_ROUND):
+            report = kr.optimize_rate(target, self.CAPS, mode=mode)
+            assert report.extras["at_bound"] is True
 
     def test_strict_caps_infeasible(self):
         strict = kr.RateCaps(soundness=1e-9, completeness=1e-2, eps_ec=1e-12)
@@ -316,8 +337,7 @@ class TestOptimizeRate:
                 kr.optimize_rate(kr.RateTarget(n=1e10, q=0.01), strict,
                                  mode=mode)
 
-    # measured 10 at each of these points: one coarse-grid and one
-    # split-grid rescoring, four per zoom (344-486 with the golden refine)
+    # at most RESCORED per stage (344-486 with the golden refine)
     SCALAR_EVAL_BUDGET = 10
 
     def test_work_counters(self, monkeypatch):
@@ -334,8 +354,13 @@ class TestOptimizeRate:
             report = kr.optimize_rate(kr.RateTarget(n=n, q=q), self.CAPS,
                                       mode=kr.BLOCK)
             evals = report.extras["evals"]
-            assert evals["grid_points"] == 71 * 25
-            assert evals["share_points"] == 170
+            deltas = kr._log_grid(kr._delta_floor(kr.RateTarget(n=n, q=q),
+                                                  self.CAPS), 0.1,
+                                  kr.DELTA_GRID_PER_DECADE)
+            assert evals["grid_points"] == 71 * len(deltas)
+            # reaches of 2, 4, ... decades at 3 points per decade
+            assert evals["share_points"] == sum(
+                12 * k + 1 for k in range(1, evals["share_passes"] + 1))
             scalar = (evals["grid_rescored"] + evals["zoom_rescored"]
                       + evals["share_rescored"])
             assert scalar == len(calls)
@@ -461,8 +486,10 @@ def reference_golden_max(fn, lo, hi, tol):
 
 
 def reference_optimize_rate(target, caps, mode):
-    """optimize_rate with one scalar _eval_point per grid point in stages 1
-    and 3, and grid_at_bound from that stage-1 point."""
+    """The optimizer as it stood with four stages (coarse grid, refine,
+    split grid, refine) in constant boxes (delta_est >= 1e-4 on the grid, a
+    split of at most two decades), one scalar _eval_point per grid point
+    and golden-section refines."""
 
     def evaluate(gamma, delta, shares):
         return scalar_key_length(target, caps, mode, gamma, delta, shares)
@@ -522,10 +549,7 @@ def reference_optimize_rate(target, caps, mode):
         if v > best_v + 1e-12:
             best_v, best_shares = v, shares
     gamma2, delta2 = refine(gamma1, delta1, best_shares)
-    report = kr._eval_point(target, caps, mode, gamma2, delta2, best_shares)
-    at_bound = gamma0 in (gammas[0], gammas[-1]) or delta0 in (deltas[0],
-                                                                deltas[-1])
-    return report, at_bound
+    return kr._eval_point(target, caps, mode, gamma2, delta2, best_shares)
 
 
 GRID_GAMMAS = sorted(set(kr._log_grid(1e-4, 1.0, kr.GAMMA_GRID_PER_DECADE))
@@ -534,6 +558,8 @@ GRID_DELTAS = kr._log_grid(1e-4, 1e-1, kr.DELTA_GRID_PER_DECADE)
 SHARE_GRID = [(1.0, 1.0, 1.0)] + [
     (10.0 ** (i / 3), 10.0 ** (j / 3), 1.0)
     for i in range(-6, 7) for j in range(-6, 7)]
+# the optimizer's split axis (r, r, 1) at a reach of 10 decades
+SPLIT_AXIS = [(10.0 ** (k / 3),) * 2 + (1.0,) for k in range(-30, 31)]
 ACCEPTANCE_TARGETS = [(n, q) for n, q, _, _ in KEY_RATE_POINTS] + [
     (ZERO_CROSSING_N, q) for q in ZERO_CROSSING_WINDOW]
 
@@ -577,13 +603,13 @@ class TestGridKernel:
 
     @pytest.mark.parametrize("mode", [kr.BLOCK, kr.PER_ROUND])
     def test_share_grid(self, mode):
-        assert kr._share_grid() == SHARE_GRID
         for n, q, gamma, delta in ((1e10, 0.005, 0.0123, 1e-4),
                                    (1e7, 0.03, 0.09, 2e-3)):
-            feasible = self.check(kr.RateTarget(n=n, q=q), self.CAPS, mode,
-                                  [gamma], [delta], SHARE_GRID)
-            # small eps_s shares put eps_s below 4.2e-8: log2(0)
-            assert 0 < feasible < len(SHARE_GRID)
+            for shares in (SHARE_GRID, SPLIT_AXIS):
+                feasible = self.check(kr.RateTarget(n=n, q=q), self.CAPS,
+                                      mode, [gamma], [delta], shares)
+                # small eps_s shares put eps_s below 4.2e-8: log2(0)
+                assert 0 < feasible < len(shares)
 
     @pytest.mark.parametrize("mode", [kr.BLOCK, kr.PER_ROUND])
     def test_strict_caps(self, mode):
@@ -605,14 +631,13 @@ class TestGridKernel:
                 assert self.check(kr.RateTarget(n=n, q=q), self.CAPS, mode,
                                   [0.3], [1e-3], [(1.0, 1.0, 1.0)]) == 0
 
-    def check_oracle(self, got, reference):
-        """The kernel zoom's key length is at least the golden-section
-        reference's, less 1e-9 relative; the coarse stage is shared, so
-        grid_at_bound agrees."""
-        want, at_bound = reference
+    def check_oracle(self, got, want):
+        """The key length is at least the golden-section reference's, less
+        1e-9 relative, and the optimum is on no edge of its box but the
+        feasibility edges."""
         assert got.key_length >= want.key_length - 1e-9 * max(
             abs(want.key_length), 1.0)
-        assert got.extras["grid_at_bound"] == at_bound
+        assert got.extras["at_bound"] is False
 
     @pytest.mark.parametrize("mode", [kr.BLOCK, kr.PER_ROUND])
     def test_optimizer_matches_scalar_reference(self, mode):
@@ -623,31 +648,38 @@ class TestGridKernel:
 
     def test_rescoring_under_kernel_noise(self, monkeypatch):
         """A kernel off by seeded noise of 1e-12 relative, its own error
-        scale, still meets the oracle within the scalar call budget."""
+        scale, still meets the oracle within the scalar call budget, and
+        two noise seeds report the same points: the picks turn on band
+        membership, not on the kernel's rounding."""
         kernel, eval_point = kr._grid_key_lengths, kr._eval_point
-        rng = np.random.default_rng(20261018)
         calls = []
         cases = [(n, q, mode) for mode in (kr.BLOCK, kr.PER_ROUND)
                  for n, q in ACCEPTANCE_TARGETS]
         wants = [reference_result(*case) for case in cases]
 
-        def noisy(*args):
-            values = kernel(*args)
-            return values * (1.0 + 1e-12 * rng.uniform(-1.0, 1.0,
-                                                       values.shape))
-
         def counting(*args):
             calls.append(args)
             return eval_point(*args)
 
-        monkeypatch.setattr(kr, "_grid_key_lengths", noisy)
         monkeypatch.setattr(kr, "_eval_point", counting)
-        for (n, q, mode), want in zip(cases, wants):
-            calls.clear()
-            got = kr.optimize_rate(kr.RateTarget(n=n, q=q), self.CAPS,
-                                   mode=mode)
-            assert len(calls) <= TestOptimizeRate.SCALAR_EVAL_BUDGET
-            self.check_oracle(got, want)
+        reports = []
+        for seed in (20261018, 20261019):
+            rng = np.random.default_rng(seed)
+
+            def noisy(*args):
+                values = kernel(*args)
+                return values * (1.0 + 1e-12 * rng.uniform(-1.0, 1.0,
+                                                           values.shape))
+
+            monkeypatch.setattr(kr, "_grid_key_lengths", noisy)
+            for (n, q, mode), want in zip(cases, wants):
+                calls.clear()
+                got = kr.optimize_rate(kr.RateTarget(n=n, q=q), self.CAPS,
+                                       mode=mode)
+                assert len(calls) <= TestOptimizeRate.SCALAR_EVAL_BUDGET
+                self.check_oracle(got, want)
+                reports.append(got.to_json_dict())
+        assert reports[:len(cases)] == reports[len(cases):]
 
 
 # the grid kernel's targets and the acceptance targets, each once
@@ -864,3 +896,62 @@ class TestKernelOracle:
             feasible = np.isfinite(got[:, 0, 0]).tolist()
             assert feasible == ([True, False, False] if mode == kr.BLOCK
                                 else [True, True, True])
+
+
+def dense_scan(target, caps, mode):
+    """The best key length on a dense grid over a wide box, rescored with
+    _eval_point: gamma log-spaced at 16 per decade from 1e-5 to 1 and, in
+    block mode, the bottom and the top of every s_max bracket at 16
+    log-spaced s per decade up to 1e5; delta_est log-spaced at 16 per decade
+    from delta_min to 0.1; the splits (r, r, 1), r at 3 per decade from 1
+    to 1e9; then at the kernel's best (gamma, delta_est) every split
+    (r_s, r_e, 1), both at 3 per decade from 1e-2 to 1e10.  The ten best
+    kernel points are rescored."""
+    gammas = kr._log_grid(1e-5, 1.0, 16)
+    if mode == kr.BLOCK:
+        for s in sorted({round(10.0 ** (k / 16)) for k in range(81)}):
+            gammas += list(kr._bracket(s))
+    delta_min = math.sqrt(math.log(1.0 / (
+        caps.completeness - 2.0 * caps.eps_ec)) / (2.0 * target.n))
+    deltas = kr._log_grid(delta_min * (1.0 + 1e-9), 0.1, 16)
+    best = []
+    for k in range(28):
+        shares = (10.0 ** (k / 3), 10.0 ** (k / 3), 1.0)
+        values = kr._grid_key_lengths(target, caps, mode, gammas, deltas,
+                                      [shares])[:, :, 0]
+        for i in np.argsort(values, axis=None)[-10:]:
+            best.append((values.flat[i], gammas[i // len(deltas)],
+                         deltas[i % len(deltas)], shares))
+    best = sorted(best)[-10:]
+    _, gamma, delta, _ = best[-1]
+    splits = [(10.0 ** (i / 3), 10.0 ** (j / 3), 1.0)
+              for i in range(-6, 31) for j in range(-6, 31)]
+    values = kr._grid_key_lengths(target, caps, mode, [gamma], [delta],
+                                  splits)[0, 0]
+    for i in np.argsort(values)[-10:]:
+        best.append((values[i], gamma, delta, splits[i]))
+    return max(scalar_key_length(target, caps, mode, *point[1:])
+               for point in best)
+
+
+# the oracle targets and four more, 15 in all
+SCAN_TARGETS = ORACLE_TARGETS + [(1e9, 0.01), (1e7, 0.0638), (1e11, 0.02),
+                                 (1e13, 0.04)]
+
+
+class TestDenseScanOracle:
+    CAPS = TestGridKernel.CAPS
+
+    @pytest.mark.parametrize("mode", [kr.BLOCK, kr.PER_ROUND])
+    def test_optimizer_meets_dense_scan(self, mode):
+        """No point of a wide dense scan beats the optimizer by more than
+        1e-9 relative: its boxes, set by the caps and the rate, cut off no
+        direction the scan can see."""
+        assert len(SCAN_TARGETS) == len(set(SCAN_TARGETS)) >= 15
+        for n, q in SCAN_TARGETS:
+            target = kr.RateTarget(n=n, q=q)
+            got = kr.optimize_rate(target, self.CAPS, mode=mode)
+            want = dense_scan(target, self.CAPS, mode)
+            assert got.key_length >= want - 1e-9 * max(abs(want), 1.0), (
+                n, q, got.key_length, want)
+            assert got.extras["at_bound"] is False

@@ -14,9 +14,10 @@ import di_toolkit
 
 # one marker per formula: the max-entropy term, the leakage sum, the
 # Hoeffding bound, the s_max = ceil(1/gamma) rule, the honest-device
-# sampler's uniform draws and the glued function's slope at its cut
+# sampler's uniform draws, the glued function's slope at its cut and the
+# smoothing root of the max-entropy term and the EAT penalty
 MARKERS = ["LOG2_7", "LOG2_2SQRT2_PLUS_1", "exp(-2.0 *", "ceil(1.0 / gamma",
-           "rng.random(", "secrecy_bound_slope("]
+           "rng.random(", "secrecy_bound_slope(", "1.0 - 2.0 * xp.log2("]
 
 
 class _DropNested(ast.NodeTransformer):
