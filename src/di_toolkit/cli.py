@@ -119,11 +119,11 @@ def _cmd_rate_curve(args):
 
 def _cmd_ns_value(args):
     game = load_game(args.game)
-    value, _ = nslp.ns_value(game)
+    value, kappa = nslp.ns_value(game)
     payload = {
         "value": value,
         "d": game.alphabets.num_signalling_constraints,
-        "kappa": nslp.dual_kappa(game),
+        "kappa": kappa,
     }
     _emit(args, payload)
 

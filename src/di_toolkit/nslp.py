@@ -1,15 +1,26 @@
 r"""Linear programs over boxes: optimal non-signalling winning probability,
-its slack-relaxed (approximately signalling) variant, dual solutions, and
-the sensitivity bound connecting the two.
+its slack-relaxed (approximately signalling) variant, the minimal dual
+kappa, and the sensitivity bound connecting the two.
 
 The non-signalling conditions and the winning probability are both linear in
 the table entries P(a,b|x,y), so the optimal non-signalling value of a game
 is an LP; its signalling rows are the rows of
 :func:`signalling.signalling_matrix`, the same matrix the signalling measure
-and the signalling test use.  The solver is a dense two-phase simplex with
-Bland's rule, one numpy row update per pivot: the programs here have at most
-a few hundred variables and we need deterministic, reproducible dual
-solutions.
+and the signalling test use.  :func:`ns_value` solves two programs: the
+non-signalling program with its signalling rows as equalities, then the
+minimal-kappa dual program at that optimum.  :func:`perturbed_value` solves
+the program with every signalling row ``<= slack``.
+
+kappa is a dual of the ``<= 0`` form, read at the optimum of the ``=`` form.
+The two forms have the same feasible set: for each (x, y), the AtoB rows
+(x, y, b) summed over b are Q(x,y) N_xy - Q(x|y) sum_x' Q(x',y) N_x'y, a
+combination of normalization rows N whose coefficients sum to 0 (likewise
+the BtoA rows (x, y, a) summed over a).  On a normalized table each such
+sum is 0, so signalling rows that are all <= 0 are all 0.
+
+The solver is a dense two-phase simplex with Bland's rule, one numpy row
+update per pivot: the programs here have at most a few hundred variables
+and we need deterministic, reproducible dual solutions.
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import AlphabetMismatchError, Game, SingleRoundBox
+from .boxes import Game
 from .signalling import signalling_matrix
 
 SOLVER_TOL = 1e-9
@@ -204,16 +215,15 @@ def _normalization_matrix(al) -> np.ndarray:
                      axis=1)
 
 
-def build_ns_lp(game: Game, sig_relation: str = EQ, sig_rhs: float = 0.0
-                ) -> LinearProgram:
+def build_ns_lp(game: Game, slack: float | None = None) -> LinearProgram:
     """LP for the optimal non-signalling winning probability of a game.
 
     Variables are the table entries P(a,b|x,y) in ``[x][y][a][b]`` order;
     the objective is the winning probability, Q(x,y) on every winning entry.
-    The first d rows are the rows of :func:`signalling.signalling_matrix`
-    (``sig_relation`` / ``sig_rhs`` select the exact form: equality at 0 for
-    the non-signalling program, <= slack for the relaxed one), followed by
-    one normalization row per input pair and one positivity row per variable.
+    The first d rows are the rows of :func:`signalling.signalling_matrix`:
+    equalities at 0 for the non-signalling program (``slack=None``), or
+    ``<= slack`` for the perturbed one.  They are followed by one
+    normalization row per input pair and one positivity row per variable.
     """
     if not game.q.complete_support:
         raise ValueError("game must have complete support")
@@ -221,43 +231,25 @@ def build_ns_lp(game: Game, sig_relation: str = EQ, sig_rhs: float = 0.0
     nvar = al.x_size * al.y_size * al.a_size * al.b_size
     wins = np.transpose(game.win, (2, 3, 0, 1))  # [x][y][a][b]
     c = np.where(wins, game.q.q[:, :, None, None], 0.0).reshape(-1)
-    rows = [(r, sig_relation, sig_rhs)
-            for r in signalling_matrix(al, game.q)]
+    sig = (EQ, 0.0) if slack is None else (LE, slack)
+    rows = [(r, *sig) for r in signalling_matrix(al, game.q)]
     rows += [(r, EQ, 1.0) for r in _normalization_matrix(al)]
     rows += [(r, GE, 0.0) for r in np.eye(nvar)]
     return LinearProgram(c, rows)
 
 
 def ns_value(game: Game) -> tuple:
-    """Optimal non-signalling winning probability and a dual solution."""
-    sol = solve(build_ns_lp(game))
-    if sol.status != "optimal":
-        raise SolverError(f"non-signalling program: {sol.status}")
-    return float(sol.value), sol.dual
+    """Optimal non-signalling winning probability and its sensitivity kappa.
 
-
-def perturbed_value(game: Game, slack: float) -> float:
-    """Optimum with every signalling constraint relaxed to <= slack."""
-    if slack < 0:
-        raise ValueError("slack must be >= 0")
-    sol = solve(build_ns_lp(game, sig_relation=LE, sig_rhs=slack))
-    if sol.status != "optimal":
-        raise SolverError(f"perturbed program: {sol.status}")
-    return float(sol.value)
-
-
-def dual_kappa(game: Game) -> float:
-    """kappa = sum of the signalling-row duals of the <=-form program.
-
-    The <=-form (all signalling measures <= 0) has the same optimum as the
-    equality form, and its dual is the certificate the sensitivity bound
-    uses: relaxing each signalling row by s changes the optimum by at most
-    s * kappa.  The dual optimal face can be degenerate, so among the
-    optimal dual solutions we return the one minimizing kappa (found by a
-    secondary LP); any point of the face is a valid certificate.  Raises
-    SolverError if either program is not solved to optimality.
+    kappa is the sum of the signalling-row duals of the ``<= 0`` form, the
+    certificate the sensitivity bound uses: relaxing each signalling row by
+    s raises the optimum by at most s * kappa.  Its dual optimal face can be
+    degenerate, so among the dual solutions at the optimum we return the
+    one minimizing kappa (a second LP); any point of the face is a valid
+    certificate.  Raises SolverError if either program is not solved to
+    optimality.
     """
-    lp = build_ns_lp(game, sig_relation=LE, sig_rhs=0.0)
+    lp = build_ns_lp(game)
     sol = solve(lp)
     if sol.status != "optimal":
         raise SolverError(f"non-signalling program: {sol.status}")
@@ -273,13 +265,23 @@ def dual_kappa(game: Game) -> float:
     obj = np.zeros(d + 2 * n_norm)
     obj[:d] = -1.0  # maximize -sum(u)
     dual_rows = np.hstack([S.T, N.T, -N.T])
-    rows2 = [(r, GE, float(ci)) for r, ci in zip(dual_rows, lp.c)]
+    rows = [(r, GE, float(ci)) for r, ci in zip(dual_rows, lp.c)]
     ones_v = np.concatenate([np.zeros(d), np.ones(n_norm), -np.ones(n_norm)])
-    rows2.append((ones_v, EQ, float(sol.value)))
-    sol2 = solve(LinearProgram(obj, rows2))
-    if sol2.status != "optimal":
-        raise SolverError(f"minimal-kappa dual program: {sol2.status}")
-    return float(-sol2.value)
+    rows.append((ones_v, EQ, float(sol.value)))
+    kappa_sol = solve(LinearProgram(obj, rows))
+    if kappa_sol.status != "optimal":
+        raise SolverError(f"minimal-kappa dual program: {kappa_sol.status}")
+    return float(sol.value), float(-kappa_sol.value)
+
+
+def perturbed_value(game: Game, slack: float) -> float:
+    """Optimum with every signalling constraint relaxed to <= slack."""
+    if slack < 0:
+        raise ValueError("slack must be >= 0")
+    sol = solve(build_ns_lp(game, slack))
+    if sol.status != "optimal":
+        raise SolverError(f"perturbed program: {sol.status}")
+    return float(sol.value)
 
 
 def sensitivity_bound(ns_val: float, slack: float, kappa_or_d: float) -> float:
@@ -287,13 +289,3 @@ def sensitivity_bound(ns_val: float, slack: float, kappa_or_d: float) -> float:
     if ns_val < 0 or slack < 0 or kappa_or_d < 0:
         raise ValueError("inputs must be >= 0")
     return ns_val + slack * kappa_or_d
-
-
-def box_winning_probability_feasible(box: SingleRoundBox, game: Game,
-                                     tol: float = 1e-8) -> bool:
-    """Check that a box is feasible for the non-signalling program: every
-    signalling measure is within ``tol`` of 0."""
-    if box.alphabets != game.alphabets:
-        raise AlphabetMismatchError("box and game alphabets differ")
-    measures = signalling_matrix(game.alphabets, game.q) @ box.p.reshape(-1)
-    return bool(np.max(np.abs(measures)) <= tol)

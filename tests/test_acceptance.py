@@ -155,8 +155,7 @@ def test_06_lp_suite():
         rng = np.random.default_rng(31337)
         for _ in range(50):
             g = random_game(rng)
-            v, _ = nslp.ns_value(g)
-            kappa = nslp.dual_kappa(g)
+            v, kappa = nslp.ns_value(g)
             assert kappa <= g.alphabets.num_signalling_constraints + 1e-9
             for slack in (0.0, 0.01, 0.05):
                 assert nslp.perturbed_value(g, slack) <= v + slack * kappa + 1e-8

@@ -65,6 +65,20 @@ class TestGameCommands:
         assert payload["value"] == pytest.approx(1.0, abs=1e-9)
         assert payload["d"] == 16
 
+    def test_ns_value_two_solves(self, chsh_file, capsys, monkeypatch):
+        """One non-signalling solve and one minimal-kappa solve."""
+        programs = []
+        solve = nslp.solve
+
+        def counting(lp):
+            programs.append(lp)
+            return solve(lp)
+
+        monkeypatch.setattr(nslp, "solve", counting)
+        code, _ = run_cli(["ns-value", "--game", chsh_file], capsys)
+        assert code == 0
+        assert len(programs) == 2
+
     def test_ns_value_kappa_program_not_optimal(self, chsh_file, capsys,
                                                 monkeypatch):
         """A minimal-kappa program that is not solved to optimality is an

@@ -1,17 +1,25 @@
+import contextlib
 import itertools
+import signal
 
 import numpy as np
 import pytest
 
 from di_toolkit import nslp
-from di_toolkit.boxes import (AlphabetMismatchError, Alphabets,
-                              SingleRoundBox, chsh_game, classical_value,
-                              extended_chsh_game, winning_probability)
-from conftest import pr_box, random_classical_box, random_game
+from di_toolkit.boxes import (chsh_game, classical_value,
+                              extended_chsh_game, is_nonsignalling,
+                              winning_probability)
+from di_toolkit.signalling import signalling_matrix
+from conftest import pr_box, random_box, random_classical_box, random_game
 
-# the program forms the library builds: ns_value, dual_kappa and
-# perturbed_value
-FORMS = [("=", 0.0), ("<=", 0.0), ("<=", 0.01), ("<=", 0.05)]
+# the slacks of the programs build_ns_lp makes: None is the non-signalling
+# program of ns_value, a float the <= slack program of perturbed_value (at
+# 0 it is the retired <= 0 form, kept as an oracle below)
+FORMS = [None, 0.0, 0.01, 0.05]
+
+# games 9, 19 and 45 of random_game(default_rng(5), 4, 3): the <= 0 form
+# stalls on them (a false "infeasible" on 9, the iteration cap on 19 and 45)
+STALLING_GAMES = (9, 19, 45)
 
 
 def _var_index(al, x, y, a, b):
@@ -50,8 +58,9 @@ def loop_signalling_rows(game):
     return rows
 
 
-def loop_ns_lp(game, sig_relation, sig_rhs):
+def loop_ns_lp(game, slack):
     """Oracle: objective and rows of the non-signalling program, by loops."""
+    sig_relation, sig_rhs = ("=", 0.0) if slack is None else ("<=", slack)
     al = game.alphabets
     nvar = al.x_size * al.y_size * al.a_size * al.b_size
     c = np.zeros(nvar)
@@ -78,6 +87,43 @@ def oracle_games():
     rng = np.random.default_rng(606)
     return ([chsh_game(), extended_chsh_game()]
             + [random_game(rng) for _ in range(50)])
+
+
+def le_route_kappa(game):
+    """Oracle: the retired two-solve route to kappa.  Solve the <= 0 form,
+    then minimize sum(u) over the duals of that form at its optimum:
+    S^T u + N^T v >= c, u >= 0, v free (split as v+ - v-), sum(v) = value."""
+    lp = nslp.build_ns_lp(game, 0.0)
+    sol = nslp.solve(lp)
+    assert sol.status == "optimal"
+    al = game.alphabets
+    d = al.num_signalling_constraints
+    n_norm = al.x_size * al.y_size
+    S = np.array([r for r, _, _ in lp.rows[:d]])
+    N = np.array([r for r, _, _ in lp.rows[d:d + n_norm]])
+    obj = np.concatenate([-np.ones(d), np.zeros(2 * n_norm)])
+    dual_rows = np.hstack([S.T, N.T, -N.T])
+    rows = [(r, ">=", float(ci)) for r, ci in zip(dual_rows, lp.c)]
+    rows.append((np.concatenate([np.zeros(d), np.ones(n_norm),
+                                 -np.ones(n_norm)]), "=", float(sol.value)))
+    kappa_sol = nslp.solve(nslp.LinearProgram(obj, rows))
+    assert kappa_sol.status == "optimal"
+    return -kappa_sol.value
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestSolver:
@@ -131,12 +177,13 @@ class TestSolver:
 
 
 class TestGamePrograms:
-    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("form", FORMS,
+                             ids=[f"form{i}" for i in range(len(FORMS))])
     def test_rows_match_loop_oracle(self, form):
         """build_ns_lp is byte-identical to the term-by-term program."""
         for game in oracle_games():
-            lp = nslp.build_ns_lp(game, sig_relation=form[0], sig_rhs=form[1])
-            c, rows = loop_ns_lp(game, *form)
+            lp = nslp.build_ns_lp(game, form)
+            c, rows = loop_ns_lp(game, form)
             assert lp.c.tobytes() == c.tobytes()
             assert len(lp.rows) == len(rows)
             for (got, rel, rhs), (want, rel0, rhs0) in zip(lp.rows, rows):
@@ -149,8 +196,8 @@ class TestGamePrograms:
         rng = np.random.default_rng(4242)
         games = [chsh_game()] + [random_game(rng) for _ in range(50)]
         for game in games:
-            for form in (("=", 0.0), ("<=", 0.0)):
-                lp = nslp.build_ns_lp(game, *form)
+            for form in (None, 0.0):
+                lp = nslp.build_ns_lp(game, form)
                 sol = nslp.solve(lp)
                 assert sol.status == "optimal"
                 A = np.array([r[0] for r in lp.rows])
@@ -161,19 +208,6 @@ class TestGamePrograms:
                 assert np.all(y[rels == ">="] <= 1e-9)
                 rhs = np.array([r[2] for r in lp.rows])
                 assert float(y @ rhs) == pytest.approx(sol.value, abs=1e-8)
-
-    def test_feasibility_rejects_other_alphabets(self):
-        # a (2,3)-output box has as many entries as a (3,2)-output game's
-        # table; it must not be read in the game's layout
-        from di_toolkit.boxes import Game, InputDistribution
-
-        q = InputDistribution(np.full((2, 2), 0.25))
-        game = Game(Alphabets(3, 2, 2, 2), q, np.ones((3, 2, 2, 2), bool))
-        box = SingleRoundBox(Alphabets(2, 3, 2, 2), np.full((2, 2, 2, 3), 1 / 6))
-        with pytest.raises(AlphabetMismatchError):
-            nslp.box_winning_probability_feasible(box, game)
-        same = Game(box.alphabets, q, np.ones((2, 3, 2, 2), bool))
-        assert nslp.box_winning_probability_feasible(box, same)
 
     def test_chsh_row_counts(self, chsh):
         lp = nslp.build_ns_lp(chsh)
@@ -200,12 +234,12 @@ class TestGamePrograms:
         assert nslp.ns_value(game_false)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_chsh_ns_value_is_one(self, chsh):
-        value, dual = nslp.ns_value(chsh)
+        value, kappa = nslp.ns_value(chsh)
         assert value == pytest.approx(1.0, abs=1e-9)
-        assert len(dual) == len(nslp.build_ns_lp(chsh).rows)
+        assert kappa == 0.0
         # cross-check: the PR-type box is feasible and achieves the optimum
         assert winning_probability(pr_box(), chsh) == pytest.approx(1.0)
-        assert nslp.box_winning_probability_feasible(pr_box(), chsh)
+        assert is_nonsignalling(pr_box())
 
     def test_constant_predicates(self, chsh):
         from di_toolkit.boxes import Game
@@ -230,7 +264,7 @@ class TestGamePrograms:
     def test_chsh_kappa_zero_no_binding(self, chsh):
         # the non-signalling optimum of CHSH is 1, reached on the interior
         # of the signalling polytope face: no signalling constraint binds
-        assert nslp.dual_kappa(chsh) == pytest.approx(0.0, abs=1e-9)
+        assert nslp.ns_value(chsh)[1] == pytest.approx(0.0, abs=1e-9)
 
     def test_sensitivity_bound_arithmetic(self):
         assert nslp.sensitivity_bound(0.75, 0.0, 16.0) == 0.75
@@ -247,13 +281,12 @@ class TestRandomGameProperties:
             game = random_game(rng)
             d = game.alphabets.num_signalling_constraints
 
-            value, _ = nslp.ns_value(game)
+            value, kappa = nslp.ns_value(game)
             lp = nslp.build_ns_lp(game)
             sol = nslp.solve(lp)
             rhs = np.array([r[2] for r in lp.rows])
             assert float(sol.dual @ rhs) == pytest.approx(sol.value, abs=1e-8)
 
-            kappa = nslp.dual_kappa(game)
             assert kappa <= d + 1e-9
 
             assert classical_value(game) <= value + 1e-8
@@ -267,16 +300,69 @@ class TestRandomGameProperties:
         for _ in range(10):
             game = random_game(rng)
             eq = nslp.solve(nslp.build_ns_lp(game)).value
-            le = nslp.solve(nslp.build_ns_lp(game, sig_relation="<=",
-                                             sig_rhs=0.0)).value
+            le = nslp.solve(nslp.build_ns_lp(game, 0.0)).value
             assert le == pytest.approx(eq, abs=1e-8)
 
     def test_ns_boxes_feasible_and_below_optimum(self, rng, chsh):
         value, _ = nslp.ns_value(chsh)
         for _ in range(20):
             box = random_classical_box(rng)
-            from di_toolkit.boxes import is_nonsignalling
-
             assert is_nonsignalling(box)
-            assert nslp.box_winning_probability_feasible(box, chsh)
+            measures = signalling_matrix(chsh.alphabets, chsh.q) @ box.p.reshape(-1)
+            assert np.max(np.abs(measures)) <= 1e-8
             assert winning_probability(box, chsh) <= value + 1e-8
+
+    def test_signalling_row_sums_vanish_under_normalization(self):
+        """For each (x, y) the AtoB rows summed over b, and the BtoA rows
+        summed over a, are combinations of normalization rows whose
+        coefficients sum to 0, so they vanish on every normalized table:
+        the = and <= 0 forms have the same feasible set."""
+        rng = np.random.default_rng(1977)
+        for _ in range(40):
+            game = random_game(rng, 4, 3)
+            al = game.alphabets
+            X, Y, A, B = al.x_size, al.y_size, al.a_size, al.b_size
+            d = al.num_signalling_constraints
+            S = signalling_matrix(al, game.q)
+            N = np.array([r for r, _, _ in
+                          nslp.build_ns_lp(game).rows[d:d + X * Y]])
+            sums = []
+            for x, y in itertools.product(range(X), range(Y)):
+                atob = (x * Y + y) * B
+                btoa = X * Y * B + (x * Y + y) * A
+                sums += [S[atob:atob + B].sum(axis=0),
+                         S[btoa:btoa + A].sum(axis=0)]
+            for row_sum in sums:
+                coef, *_ = np.linalg.lstsq(N.T, row_sum, rcond=None)
+                assert np.max(np.abs(N.T @ coef - row_sum)) <= 1e-14
+                assert abs(coef.sum()) <= 1e-14
+            for _ in range(5):
+                p = random_box(rng, al).p.reshape(-1)
+                assert np.max(np.abs(np.array(sums) @ p)) <= 1e-14
+
+
+class TestSingleSolve:
+    def test_matches_le_route_oracle(self):
+        """ns_value's value is the = form's optimum bit for bit, and its
+        kappa is the retired <= 0 route's within 1e-9."""
+        rng = np.random.default_rng(1812)
+        games = ([chsh_game(), extended_chsh_game()]
+                 + [random_game(rng) for _ in range(120)])
+        for game in games:
+            value, kappa = nslp.ns_value(game)
+            optimum = nslp.solve(nslp.build_ns_lp(game)).value
+            assert value.hex() == optimum.hex()
+            assert kappa == pytest.approx(le_route_kappa(game), abs=1e-9)
+
+    @pytest.mark.parametrize("index", STALLING_GAMES)
+    def test_stalling_games_finish(self, index):
+        rng = np.random.default_rng(5)
+        for _ in range(index + 1):
+            game = random_game(rng, 4, 3)
+        with deadline(10):
+            value, kappa = nslp.ns_value(game)
+        assert kappa <= game.alphabets.num_signalling_constraints
+        for slack in (0.01, 0.05):
+            with deadline(10):
+                perturbed = nslp.perturbed_value(game, slack)
+            assert perturbed <= value + slack * kappa + 1e-8
