@@ -609,6 +609,7 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
 
 _DEFAULT_SHARES = (1.0, 1.0, 1.0)
 SPLIT_REACH_DECADES = 2
+SPLIT_SCORED_DECADES = 8
 ZOOM_REACH = 2.4**2
 ZOOM_POINTS = 12
 ZOOM_LIVE = 2
@@ -648,23 +649,29 @@ def _split(target, caps, mode, start: _Point, evals: dict) -> _Point:
     so the optimum has eps_s = eps_ea and a small eps_pa.  The box, r
     within SPLIT_REACH_DECADES decades of 1, widens by as much until the
     kernel's best moves by less than BAND max(|best|, 1): it ends where
-    the rate is flat."""
+    the rate is flat.  One kernel call scores SPLIT_SCORED_DECADES
+    decades either way, and each box is a slice of it; a box past that
+    reach is scored by one more call over twice the reach."""
     gamma, delta = start.params.gamma, start.params.delta_est
-    reach, top = SPLIT_REACH_DECADES * SPLIT_GRID_PER_DECADE, -math.inf
+    step = SPLIT_REACH_DECADES * SPLIT_GRID_PER_DECADE
+    reach, top, scored = step, -math.inf, 0
     while True:
-        shares = [(10.0 ** (k / SPLIT_GRID_PER_DECADE),) * 2 + (1.0,)
-                  for k in range(-reach, reach + 1)]
-        values = _grid_key_lengths(target, caps, mode, [gamma], [delta],
-                                   shares)[0, 0]
+        if reach > scored:
+            scored = max(2 * scored, SPLIT_SCORED_DECADES
+                         * SPLIT_GRID_PER_DECADE)
+            shares = [(10.0 ** (k / SPLIT_GRID_PER_DECADE),) * 2 + (1.0,)
+                      for k in range(-scored, scored + 1)]
+            widest = _grid_key_lengths(target, caps, mode, [gamma], [delta],
+                                       shares)[0, 0]
+            evals["share_points"] += widest.size
+        values = widest[scored - reach:scored + reach + 1]
         evals["share_passes"] += 1
-        evals["share_points"] += values.size
         if not values.max() - top >= BAND * max(abs(top), 1.0):
             break
-        top, reach = values.max(), reach + SPLIT_REACH_DECADES * (
-            SPLIT_GRID_PER_DECADE)
+        top, reach = values.max(), reach + step
     return _rescore(target, caps, mode, values,
-                    lambda i: (gamma, delta, shares[i]), start, "share",
-                    evals)[0]
+                    lambda i: (gamma, delta, shares[scored - reach + i]),
+                    start, "share", evals)[0]
 
 
 def _spread(lo: float, hi: float) -> list:
@@ -772,8 +779,9 @@ def optimize_rate(target: RateTarget, caps: RateCaps,
     the first RESCORED of its band with _eval_point (_rescore), so every
     number reported, and every point chosen, comes from the scalar path;
     only the chosen point's RateReport is built.  Its ``extras`` gain
-    ``evals`` (kernel points and calls, ``*_points`` and ``*_passes``, and
-    scalar calls, ``*_rescored``, of the stages grid, share and zoom) and
+    ``evals`` (kernel points, ``*_points``, passes, ``*_passes``, and
+    scalar calls, ``*_rescored``, of the stages grid, share and zoom; a
+    zoom pass is a kernel call, a share pass a split box examined) and
     the zoom's ``at_bound``.
     """
     if mode not in (PER_ROUND, BLOCK):

@@ -18,14 +18,19 @@ combination of normalization rows N whose coefficients sum to 0 (likewise
 the BtoA rows (x, y, a) summed over a).  On a normalized table each such
 sum is 0, so signalling rows that are all <= 0 are all 0.
 
-The solver is a dense two-phase simplex with Bland's rule, one numpy row
-update per pivot: the programs here have at most a few hundred variables
-and we need deterministic, reproducible dual solutions.
+The solver is a dense two-phase simplex with Bland's rule: the programs
+here have at most a few hundred variables and we need deterministic,
+reproducible dual solutions.  At this size a pivot's cost is numpy call
+overhead, not arithmetic, so the cost row is the tableau's last row and
+one row update per pivot clears the entering column from it too.  The
+duals are not computed by the solve: :attr:`LPSolution.dual` solves for
+them from the final basis when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,10 +65,45 @@ class LinearProgram:
 
 @dataclass
 class LPSolution:
+    """A solve's outcome and its record: the final basis (the basic column
+    of each row of the equality form; an artificial left basic has an
+    index past its columns) and the pivot counts of phase 1 (including
+    the pivots that drive artificials out) and phase 2.  ``dual``, one
+    multiplier per constraint row, is computed from the basis when first
+    read; it is empty unless the status is optimal."""
+
     status: str  # optimal | infeasible | unbounded
     value: float = float("nan")
     primal: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    dual: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    basis: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    pivots: tuple = (0, 0)
+    # (M, sign, c): the equality-form matrix, its row flips, the objective
+    equality_form: tuple | None = field(default=None, repr=False,
+                                        compare=False)
+
+    @cached_property
+    def dual(self) -> np.ndarray:
+        """y solving y . column_j = c_j on the basic columns of the
+        equality-form matrix M (a leftover artificial has a unit column),
+        with the row flips undone."""
+        if self.status != "optimal":
+            return np.zeros(0)
+        M, sign, c = self.equality_form
+        m, n_total = M.shape
+        basis = self.basis
+        real = basis < n_total
+        structural = basis < c.shape[0]
+        cB = np.zeros(m)
+        cB[structural] = c[basis[structural]]
+        cols = np.zeros((m, m))
+        cols[:, real] = M[:, basis[real]]
+        art = np.flatnonzero(~real)
+        cols[art, art] = 1.0
+        try:
+            y = np.linalg.solve(cols.T, cB)
+        except np.linalg.LinAlgError:
+            y, *_ = np.linalg.lstsq(cols.T, cB, rcond=None)
+        return y * sign
 
 
 class SolverError(RuntimeError):
@@ -72,41 +112,52 @@ class SolverError(RuntimeError):
 
 def _pivot(tableau, leave, enter):
     """Pivot the tableau on entry (leave, enter): scale the pivot row to 1
-    there and clear the column from every other row that holds it."""
-    tableau[leave] /= tableau[leave, enter]
-    col = tableau[:, enter].copy()
-    col[leave] = 0.0
-    rows = np.abs(col) > 1e-14
-    tableau[rows] -= col[rows, None] * tableau[leave]
+    there and clear the column from every other row that holds it, the
+    cost row included."""
+    row = tableau[leave]
+    row /= row[enter]
+    col = tableau[:, enter]
+    held = np.abs(col) > 1e-14
+    held[leave] = False
+    rows = held.nonzero()[0]
+    block = tableau[rows]
+    block -= col[rows][:, None] * row
+    tableau[rows] = block
 
 
-def _simplex_phase(tableau, basis, n_total, cost_row, max_iter):
-    """Run Bland-rule simplex on a tableau whose last column is the rhs.
+def _simplex_phase(tableau, basis, n_cols, max_iter):
+    """Run Bland-rule simplex over the first ``n_cols`` columns of a tableau
+    whose last column is the rhs and whose last row is the cost row
+    (reduced costs, last entry = -objective).  The entering reduced cost
+    is > SOLVER_TOL > 1e-14, so _pivot always updates the cost row.
 
-    ``cost_row`` is a working row (reduced costs, last entry = -objective).
-    Mutates tableau/basis/cost_row in place; returns 'optimal' or 'unbounded'.
+    Mutates tableau and the list ``basis`` in place; returns 'optimal' or
+    'unbounded' and the number of pivots made.
     """
-    for _ in range(max_iter):
-        improving = np.flatnonzero(cost_row[:n_total] > SOLVER_TOL)
-        if improving.size == 0:
-            return "optimal"
-        enter = improving[0]
+    body, rhs, cost = tableau[:-1], tableau[:-1, -1], tableau[-1, :n_cols]
+    for pivots in range(max_iter):
+        enter = int((cost > SOLVER_TOL).argmax())
+        if not cost[enter] > SOLVER_TOL:
+            return "optimal", pivots
         # ratio test over the rows that bound the entering variable; ties
         # within SOLVER_TOL go to the smallest basic index (Bland)
-        cand = np.flatnonzero(tableau[:, enter] > SOLVER_TOL)
-        ratios = tableau[cand, -1] / tableau[cand, enter]
+        col = body[:, enter]
+        cand = (col > SOLVER_TOL).nonzero()[0]
         leave = -1
-        best = np.inf
-        for i, ratio in zip(cand.tolist(), ratios.tolist()):
-            if ratio < best - SOLVER_TOL or (
-                    abs(ratio - best) <= SOLVER_TOL
-                    and (leave < 0 or basis[i] < basis[leave])):
-                best = ratio
-                leave = i
+        if cand.size == 1:  # the least ratio, on a finite tableau
+            leave = int(cand[0])
+        elif cand.size:
+            best = np.inf
+            ratios = rhs[cand] / col[cand]
+            for i, ratio in zip(cand.tolist(), ratios.tolist()):
+                if ratio < best - SOLVER_TOL or (
+                        abs(ratio - best) <= SOLVER_TOL
+                        and (leave < 0 or basis[i] < basis[leave])):
+                    best = ratio
+                    leave = i
         if leave < 0:
-            return "unbounded"
+            return "unbounded", pivots
         _pivot(tableau, leave, enter)
-        cost_row -= cost_row[enter] * tableau[leave]
         basis[leave] = enter
     raise SolverError("simplex iteration cap reached")
 
@@ -114,8 +165,9 @@ def _simplex_phase(tableau, basis, n_total, cost_row, max_iter):
 def solve(lp: LinearProgram) -> LPSolution:
     """Two-phase dense simplex with Bland's anti-cycling rule.
 
-    Returns an optimal basic solution together with one dual multiplier per
-    constraint row.  Deterministic given the program.
+    Returns an optimal basic solution, its basis and pivot counts; the
+    duals follow from the basis on demand.  Deterministic given the
+    program.
     """
     n = lp.num_vars
     m = len(lp.rows)
@@ -136,7 +188,7 @@ def solve(lp: LinearProgram) -> LPSolution:
     b *= sign
 
     # Phase 1: artificials where the slack cannot start basic.
-    basis = np.full(m, -1)
+    basis = [-1] * m
     art_rows = []
     for i in range(m):
         j = slack_col.get(i)
@@ -145,64 +197,58 @@ def solve(lp: LinearProgram) -> LPSolution:
         else:
             art_rows.append(i)
     n_art = len(art_rows)
-    tableau = np.zeros((m, n_total + n_art + 1))
-    tableau[:, :n_total] = M
-    tableau[:, -1] = b
+    for k, i in enumerate(art_rows):
+        basis[i] = n_total + k
+    # rows 0..m-1 are the constraints, row m the cost row
+    tableau = np.zeros((m + 1, n_total + n_art + 1))
+    tableau[:m, :n_total] = M
+    tableau[:m, -1] = b
     tableau[art_rows, n_total + np.arange(n_art)] = 1.0
-    basis[art_rows] = n_total + np.arange(n_art)
 
     max_iter = 50000 + 200 * (n_total + n_art)
+    phase1 = 0
     if n_art:
         # auxiliary objective: maximize -(sum of artificials); reduced cost
         # row starts at sum of the artificial rows, rhs column = -objective
-        cost = np.zeros(n_total + n_art + 1)
+        cost = tableau[m]
         for i in art_rows:
-            cost[:] += tableau[i]
+            cost += tableau[i]
         cost[n_total:n_total + n_art] = 0.0
-        status = _simplex_phase(tableau, basis, n_total + n_art, cost, max_iter)
+        status, phase1 = _simplex_phase(tableau, basis, n_total + n_art,
+                                        max_iter)
         if status != "optimal" or cost[-1] > 1e-7:
-            return LPSolution(status="infeasible")
+            return LPSolution(status="infeasible", basis=np.array(basis),
+                              pivots=(phase1, 0))
         # pivot artificials out of the basis where possible
         for i in range(m):
             if basis[i] >= n_total:
                 nz = np.flatnonzero(np.abs(tableau[i, :n_total]) > SOLVER_TOL)
                 if nz.size:
                     _pivot(tableau, i, nz[0])
-                    basis[i] = nz[0]
+                    basis[i] = int(nz[0])
+                    phase1 += 1
         tableau = np.delete(tableau, np.s_[n_total:n_total + n_art], axis=1)
 
     # Phase 2.
-    cost = np.zeros(n_total + 1)
+    cost = tableau[m]
+    cost[:] = 0.0
     cost[:n] = lp.c
     for i in range(m):
         c_basic = lp.c[basis[i]] if basis[i] < n else 0.0
         if c_basic != 0.0:
             cost -= c_basic * tableau[i]
-    status = _simplex_phase(tableau, basis, n_total, cost, max_iter)
+    status, phase2 = _simplex_phase(tableau, basis, n_total, max_iter)
+    basis = np.array(basis)
     if status == "unbounded":
-        return LPSolution(status="unbounded")
+        return LPSolution(status="unbounded", basis=basis,
+                          pivots=(phase1, phase2))
 
     real = basis < n_total  # the rest are artificials left basic at zero
     primal = np.zeros(n_total)
-    primal[basis[real]] = tableau[real, -1]
-    value = float(lp.c @ primal[:n])
-
-    # Duals: y solves y . column_j = c_j on the basic columns of the
-    # equality-form matrix M (a leftover artificial has a unit column).
-    structural = basis < n
-    cB = np.zeros(m)
-    cB[structural] = lp.c[basis[structural]]
-    cols = np.zeros((m, m))
-    cols[:, real] = M[:, basis[real]]
-    art = np.flatnonzero(~real)
-    cols[art, art] = 1.0
-    try:
-        y = np.linalg.solve(cols.T, cB)
-    except np.linalg.LinAlgError:
-        y, *_ = np.linalg.lstsq(cols.T, cB, rcond=None)
-    dual = y * sign  # undo the row flips
-    return LPSolution(status="optimal", value=value,
-                      primal=primal[:n], dual=dual)
+    primal[basis[real]] = tableau[:m][real, -1]
+    return LPSolution(status="optimal", value=float(lp.c @ primal[:n]),
+                      primal=primal[:n], basis=basis, pivots=(phase1, phase2),
+                      equality_form=(M, sign, lp.c))
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +292,8 @@ def ns_value(game: Game) -> tuple:
     s raises the optimum by at most s * kappa.  Its dual optimal face can be
     degenerate, so among the dual solutions at the optimum we return the
     one minimizing kappa (a second LP); any point of the face is a valid
-    certificate.  Raises SolverError if either program is not solved to
-    optimality.
+    certificate.  kappa is >= 0 and never -0.0.  Raises SolverError if
+    either program is not solved to optimality.
     """
     lp = build_ns_lp(game)
     sol = solve(lp)
@@ -271,7 +317,8 @@ def ns_value(game: Game) -> tuple:
     kappa_sol = solve(LinearProgram(obj, rows))
     if kappa_sol.status != "optimal":
         raise SolverError(f"minimal-kappa dual program: {kappa_sol.status}")
-    return float(sol.value), float(-kappa_sol.value)
+    # sum(u) >= 0; +0.0, not -0.0 or rounding noise, at a zero optimum
+    return float(sol.value), max(0.0, -kappa_sol.value)
 
 
 def perturbed_value(game: Game, slack: float) -> float:

@@ -14,7 +14,9 @@ outputs, the test wins and the generation-round agreements.  A run aborts
 iff fewer than (omega_exp * test_mass - delta_est) * m blocks end in a won
 test.  At s_max = 1 the flag array is one uniform per round and the test
 mass is gamma itself, so the per-round stream and abort rule are the block
-ones of one-round blocks.
+ones of one-round blocks.  The abort estimator runs the same sampler but
+stops after the win draws: the abort decision needs nothing drawn later,
+so its streams and abort flags are run_protocol's without the transcript.
 
 Randomness is a counter-based Philox generator keyed by
 (master_seed, trial_index), so transcripts are bit-identical for identical
@@ -74,36 +76,41 @@ def _trial_rng(master_seed: int, trial: int) -> np.random.Generator:
 
 
 def _run(m: int, block: BlockSpec, omega_exp: float, delta_est: float,
-         device: HonestDevice, seed: int, trial: int) -> Transcript:
+         device: HonestDevice, seed: int, trial: int,
+         transcript: bool = True) -> Transcript | bool:
     """The one sampler: m blocks of at most s_max rounds, aborting iff fewer
     than (omega_exp * test_mass - delta_est) * m blocks end in a won test
-    round."""
+    round.  With ``transcript`` false it stops after the win draws, the
+    last ones the abort decision needs, and returns the abort flag alone."""
     if m < 1:
         raise ValueError("the number of blocks must be >= 1")
     rng = _trial_rng(seed, trial)
     flags = rng.random((m, block.s_max)) < block.gamma
     # a block keeps its rounds up to and including its first test
-    kept = np.cumsum(flags, axis=1) - flags == 0
-    t = flags[kept].astype(np.int8)
-    n = t.size
-    test = t == 1
-    x = np.full(n, GEN_INPUTS[0], dtype=np.int8)
-    y = np.full(n, GEN_INPUTS[1], dtype=np.int8)
-    x[test] = rng.integers(0, 2, size=int(test.sum()), dtype=np.int8)
-    y[test] = rng.integers(0, 2, size=int(test.sum()), dtype=np.int8)
+    kept = np.ones_like(flags)
+    kept[:, 1:] = ~np.logical_or.accumulate(flags[:, :-1], axis=1)
+    test = flags[kept]
+    n, tests = test.size, int(np.count_nonzero(test))
+    x_test = rng.integers(0, 2, size=tests, dtype=np.int8)
+    y_test = rng.integers(0, 2, size=tests, dtype=np.int8)
     a = rng.integers(0, 2, size=n, dtype=np.int8)
     wins = rng.random(n) < device.omega_exp
+    # a block holds at most one test, its last round: won tests = won blocks
+    win_count = int(np.count_nonzero(wins & test))
+    aborted = bool(win_count < (omega_exp * block.test_mass - delta_est) * m)
+    if not transcript:
+        return aborted
+    x = np.full(n, GEN_INPUTS[0], dtype=np.int8)
+    y = np.full(n, GEN_INPUTS[1], dtype=np.int8)
+    x[test], y[test] = x_test, y_test
     agree = rng.random(n) >= device.q
     b = np.where(agree, a, 1 - a).astype(np.int8)
     # test rounds: set b so that the CHSH predicate equals the win draw
     chsh_b = (a ^ (x & y)) ^ (~wins).astype(np.int8)
     b[test] = chsh_b[test]
     w = np.where(test, wins.astype(np.int8), np.int8(W_BOT)).astype(np.int8)
-    # a block holds at most one test, its last round: won tests = won blocks
-    win_count = int((w == 1).sum())
-    threshold = (omega_exp * block.test_mass - delta_est) * m
-    return Transcript(t=t, x=x, y=y, a=a, b=b, w=w,
-                      aborted=bool(win_count < threshold), win_count=win_count)
+    return Transcript(t=test.astype(np.int8), x=x, y=y, a=a, b=b, w=w,
+                      aborted=aborted, win_count=win_count)
 
 
 def run_protocol(n: int, gamma: float, omega_exp: float, delta_est: float,
@@ -176,15 +183,14 @@ class SimulationConfig:
 def estimate_abort_probability(config: SimulationConfig, trials: int,
                                master_seed: int) -> tuple:
     """(frequency, (lo, hi)) empirical abort probability with a 95% Wilson
-    interval; deterministic given the master seed."""
+    interval; deterministic given the master seed.  Trial k aborts iff
+    run_protocol(..., master_seed, trial=k) does."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    aborts = 0
-    for trial in range(trials):
-        tr = run_protocol(config.n, config.gamma, config.omega_exp,
-                          config.delta_est, config.device, master_seed,
-                          trial=trial)
-        aborts += tr.aborted
+    block = BlockSpec(config.gamma, 1)
+    aborts = sum(_run(config.n, block, config.omega_exp, config.delta_est,
+                      config.device, master_seed, trial, transcript=False)
+                 for trial in range(trials))
     return aborts / trials, wilson_interval(aborts, trials)
 
 

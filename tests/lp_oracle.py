@@ -1,0 +1,136 @@
+"""Reference simplex for the nslp solver tests: the dense two-phase Bland
+simplex with a separate cost row, a boolean row mask per pivot and the duals
+computed in every solve, as nslp.solve was before the cost row moved into
+the tableau.  The only additions are the records the tests compare: the
+final basis and the pivot counts of phase 1 (driving artificials out
+included) and phase 2.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+
+from di_toolkit.nslp import EQ, LE, SOLVER_TOL, SolverError
+
+
+def _pivot(tableau, leave, enter):
+    tableau[leave] /= tableau[leave, enter]
+    col = tableau[:, enter].copy()
+    col[leave] = 0.0
+    rows = np.abs(col) > 1e-14
+    tableau[rows] -= col[rows, None] * tableau[leave]
+
+
+def _simplex_phase(tableau, basis, n_total, cost_row, max_iter):
+    for pivots in range(max_iter):
+        improving = np.flatnonzero(cost_row[:n_total] > SOLVER_TOL)
+        if improving.size == 0:
+            return "optimal", pivots
+        enter = improving[0]
+        cand = np.flatnonzero(tableau[:, enter] > SOLVER_TOL)
+        ratios = tableau[cand, -1] / tableau[cand, enter]
+        leave = -1
+        best = np.inf
+        for i, ratio in zip(cand.tolist(), ratios.tolist()):
+            if ratio < best - SOLVER_TOL or (
+                    abs(ratio - best) <= SOLVER_TOL
+                    and (leave < 0 or basis[i] < basis[leave])):
+                best = ratio
+                leave = i
+        if leave < 0:
+            return "unbounded", pivots
+        _pivot(tableau, leave, enter)
+        cost_row -= cost_row[enter] * tableau[leave]
+        basis[leave] = enter
+    raise SolverError("simplex iteration cap reached")
+
+
+def _result(status, basis, pivots, value=float("nan"), primal=None,
+            dual=None):
+    return SimpleNamespace(
+        status=status, value=value,
+        primal=np.zeros(0) if primal is None else primal,
+        dual=np.zeros(0) if dual is None else dual,
+        basis=basis.copy(), pivots=pivots)
+
+
+def solve(lp):
+    n = lp.num_vars
+    m = len(lp.rows)
+    rels = [rel for _, rel, _ in lp.rows]
+
+    slack_rows = [i for i, rel in enumerate(rels) if rel != EQ]
+    n_total = n + len(slack_rows)
+    M = np.zeros((m, n_total))
+    M[:, :n] = [coeffs for coeffs, _, _ in lp.rows]
+    b = np.array([rhs for _, _, rhs in lp.rows], dtype=float)
+    slack_col = {i: n + k for k, i in enumerate(slack_rows)}
+    for i, j in slack_col.items():
+        M[i, j] = 1.0 if rels[i] == LE else -1.0
+    sign = np.where(b < 0, -1.0, 1.0)
+    M[b < 0] *= -1.0
+    b *= sign
+
+    basis = np.full(m, -1)
+    art_rows = []
+    for i in range(m):
+        j = slack_col.get(i)
+        if j is not None and M[i, j] == 1.0:
+            basis[i] = j
+        else:
+            art_rows.append(i)
+    n_art = len(art_rows)
+    tableau = np.zeros((m, n_total + n_art + 1))
+    tableau[:, :n_total] = M
+    tableau[:, -1] = b
+    tableau[art_rows, n_total + np.arange(n_art)] = 1.0
+    basis[art_rows] = n_total + np.arange(n_art)
+
+    max_iter = 50000 + 200 * (n_total + n_art)
+    phase1 = 0
+    if n_art:
+        cost = np.zeros(n_total + n_art + 1)
+        for i in art_rows:
+            cost[:] += tableau[i]
+        cost[n_total:n_total + n_art] = 0.0
+        status, phase1 = _simplex_phase(tableau, basis, n_total + n_art,
+                                        cost, max_iter)
+        if status != "optimal" or cost[-1] > 1e-7:
+            return _result("infeasible", basis, (phase1, 0))
+        for i in range(m):
+            if basis[i] >= n_total:
+                nz = np.flatnonzero(np.abs(tableau[i, :n_total]) > SOLVER_TOL)
+                if nz.size:
+                    _pivot(tableau, i, nz[0])
+                    basis[i] = nz[0]
+                    phase1 += 1
+        tableau = np.delete(tableau, np.s_[n_total:n_total + n_art], axis=1)
+
+    cost = np.zeros(n_total + 1)
+    cost[:n] = lp.c
+    for i in range(m):
+        c_basic = lp.c[basis[i]] if basis[i] < n else 0.0
+        if c_basic != 0.0:
+            cost -= c_basic * tableau[i]
+    status, phase2 = _simplex_phase(tableau, basis, n_total, cost, max_iter)
+    if status == "unbounded":
+        return _result("unbounded", basis, (phase1, phase2))
+
+    real = basis < n_total
+    primal = np.zeros(n_total)
+    primal[basis[real]] = tableau[real, -1]
+    value = float(lp.c @ primal[:n])
+
+    structural = basis < n
+    cB = np.zeros(m)
+    cB[structural] = lp.c[basis[structural]]
+    cols = np.zeros((m, m))
+    cols[:, real] = M[:, basis[real]]
+    art = np.flatnonzero(~real)
+    cols[art, art] = 1.0
+    try:
+        y = np.linalg.solve(cols.T, cB)
+    except np.linalg.LinAlgError:
+        y, *_ = np.linalg.lstsq(cols.T, cB, rcond=None)
+    return _result("optimal", basis, (phase1, phase2), value, primal[:n],
+                   y * sign)

@@ -64,6 +64,7 @@ class TestGameCommands:
         jsonschema.validate(payload, schema("out_ns_value"))
         assert payload["value"] == pytest.approx(1.0, abs=1e-9)
         assert payload["d"] == 16
+        assert '"kappa": 0.0' in out  # +0.0: no binding signalling row
 
     def test_ns_value_two_solves(self, chsh_file, capsys, monkeypatch):
         """One non-signalling solve and one minimal-kappa solve."""

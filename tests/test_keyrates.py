@@ -358,9 +358,15 @@ class TestOptimizeRate:
                                                   self.CAPS), 0.1,
                                   kr.DELTA_GRID_PER_DECADE)
             assert evals["grid_points"] == 71 * len(deltas)
-            # reaches of 2, 4, ... decades at 3 points per decade
-            assert evals["share_points"] == sum(
-                12 * k + 1 for k in range(1, evals["share_passes"] + 1))
+            # boxes of 2, 4, ... decades at 3 points per decade, sliced
+            # from one kernel call over 8 decades, or over twice the reach
+            # once a box runs past it
+            reach, scored = 6 * evals["share_passes"], 24
+            points = 2 * scored + 1
+            while scored < reach:
+                scored *= 2
+                points += 2 * scored + 1
+            assert evals["share_points"] == points
             scalar = (evals["grid_rescored"] + evals["zoom_rescored"]
                       + evals["share_rescored"])
             assert scalar == len(calls)

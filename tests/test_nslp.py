@@ -11,6 +11,7 @@ from di_toolkit.boxes import (chsh_game, classical_value,
                               winning_probability)
 from di_toolkit.signalling import signalling_matrix
 from conftest import pr_box, random_box, random_classical_box, random_game
+import lp_oracle
 
 # the slacks of the programs build_ns_lp makes: None is the non-signalling
 # program of ns_value, a float the <= slack program of perturbed_value (at
@@ -20,6 +21,13 @@ FORMS = [None, 0.0, 0.01, 0.05]
 # games 9, 19 and 45 of random_game(default_rng(5), 4, 3): the <= 0 form
 # stalls on them (a false "infeasible" on 9, the iteration cap on 19 and 45)
 STALLING_GAMES = (9, 19, 45)
+
+
+def stalling_game(index):
+    rng = np.random.default_rng(5)
+    for _ in range(index + 1):
+        game = random_game(rng, 4, 3)
+    return game
 
 
 def _var_index(al, x, y, a, b):
@@ -353,12 +361,12 @@ class TestSingleSolve:
             optimum = nslp.solve(nslp.build_ns_lp(game)).value
             assert value.hex() == optimum.hex()
             assert kappa == pytest.approx(le_route_kappa(game), abs=1e-9)
+            # a sum of non-negative duals: +0.0 at a zero optimum
+            assert kappa >= 0.0 and not np.signbit(kappa)
 
     @pytest.mark.parametrize("index", STALLING_GAMES)
     def test_stalling_games_finish(self, index):
-        rng = np.random.default_rng(5)
-        for _ in range(index + 1):
-            game = random_game(rng, 4, 3)
+        game = stalling_game(index)
         with deadline(10):
             value, kappa = nslp.ns_value(game)
         assert kappa <= game.alphabets.num_signalling_constraints
@@ -366,3 +374,68 @@ class TestSingleSolve:
             with deadline(10):
                 perturbed = nslp.perturbed_value(game, slack)
             assert perturbed <= value + slack * kappa + 1e-8
+
+
+class _Enough(Exception):
+    pass
+
+
+class TestReferenceSolver:
+    """solve against tests/lp_oracle.py, the simplex with a separate cost
+    row and duals in every solve: the same pivots, so the same bytes."""
+
+    PIVOTS = 2000
+
+    def test_same_solutions_and_records(self):
+        rng = np.random.default_rng(1812)
+        games = ([chsh_game(), extended_chsh_game()]
+                 + [random_game(rng) for _ in range(120)])
+        for game in games:
+            for form in FORMS:
+                lp = nslp.build_ns_lp(game, form)
+                got, want = nslp.solve(lp), lp_oracle.solve(lp)
+                assert got.status == want.status
+                assert got.value.hex() == want.value.hex()
+                assert got.primal.tobytes() == want.primal.tobytes()
+                assert got.dual.tobytes() == want.dual.tobytes()
+                assert got.basis.tolist() == want.basis.tolist()
+                assert got.pivots == want.pivots
+
+    @pytest.mark.parametrize("index", STALLING_GAMES)
+    def test_stalling_pivot_sequence(self, index, monkeypatch):
+        """The <= 0 form of a stalling game runs tens of thousands of
+        pivots; the first PIVOTS (leave, enter) pairs are the reference's."""
+        lp = nslp.build_ns_lp(stalling_game(index), 0.0)
+        sequences = []
+        for module in (nslp, lp_oracle):
+            pivots, pivot = [], module._pivot
+
+            def recording(tableau, leave, enter, pivots=pivots, pivot=pivot):
+                if len(pivots) == self.PIVOTS:
+                    raise _Enough
+                pivots.append((int(leave), int(enter)))
+                pivot(tableau, leave, enter)
+
+            monkeypatch.setattr(module, "_pivot", recording)
+            with pytest.raises(_Enough):
+                module.solve(lp)
+            sequences.append(pivots)
+        assert sequences[0] == sequences[1]
+
+    def test_pivot_counts_are_pivots(self, monkeypatch):
+        """The two phase counts add up to the pivots made."""
+        made = []
+        pivot = nslp._pivot
+
+        def counting(*args):
+            made.append(args[1:])
+            pivot(*args)
+
+        monkeypatch.setattr(nslp, "_pivot", counting)
+        rng = np.random.default_rng(2718)
+        for game in [chsh_game()] + [random_game(rng) for _ in range(10)]:
+            for form in FORMS:
+                made.clear()
+                sol = nslp.solve(nslp.build_ns_lp(game, form))
+                assert sol.pivots[0] > 0  # the = rows start on artificials
+                assert sum(sol.pivots) == len(made)

@@ -3,6 +3,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from conftest import round_count_law
 from di_toolkit import simulate as sim
@@ -216,6 +217,26 @@ class TestAbortProbability:
                                    delta_est=0.005, device=device())
         assert sim.estimate_abort_probability(cfg, 100, 11) == \
             sim.estimate_abort_probability(cfg, 100, 11)
+
+    @pytest.mark.parametrize("n, gamma, delta_est, trials", [
+        (10**4, 0.5, 0.02, 500),  # acceptance 09
+        (1000, 0.5, 0.001, 200),  # aborts about half the time
+        (2000, 1.0, 0.01, 200),  # every round a test
+    ], ids=["acceptance-09", "frequent-aborts", "gamma-1"])
+    def test_count_only_matches_transcripts(self, n, gamma, delta_est,
+                                            trials):
+        """The estimator's per-trial abort flag, from the win count alone,
+        is run_protocol's on every trial."""
+        dev = sim.HonestDevice(0.81, 0.01)
+        cfg = sim.SimulationConfig(n=n, gamma=gamma, omega_exp=0.81,
+                                   delta_est=delta_est, device=dev)
+        flags = [sim.run_protocol(n, gamma, 0.81, delta_est, dev, seed=7,
+                                  trial=k).aborted for k in range(trials)]
+        block = BlockSpec(gamma, 1)
+        assert [sim._run(n, block, 0.81, delta_est, dev, 7, k,
+                         transcript=False) for k in range(trials)] == flags
+        assert sim.estimate_abort_probability(cfg, trials, 7)[0] == (
+            sum(flags) / trials)
 
 
 class TestWilson:
