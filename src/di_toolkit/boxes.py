@@ -9,7 +9,12 @@ Index conventions, fixed throughout the package:
 
 * single-round tables are indexed ``p[x][y][a][b]``,
 * game predicates are indexed ``win[a][b][x][y]``,
-* string flattening is little-endian: round i contributes ``digit * size**(i-1)``.
+* string flattening is little-endian: round i contributes ``digit * size**(i-1)``,
+* the *joint type* of an n-round entry is the multiset of its per-round
+  symbols (x, y, a, b); two entries are related by a round permutation
+  exactly when their joint types agree, so symmetrizing and invariance
+  checks work per type class (``_type_classes``), never over all n!
+  permutations.
 """
 
 from __future__ import annotations
@@ -25,10 +30,6 @@ NORMALIZATION_TOL = 1e-9
 
 # classical_value refuses to enumerate more deterministic strategy pairs
 STRATEGY_ENUMERATION_CAP = 10**6
-
-# symmetrize / is_permutation_invariant refuse above this many
-# (permutation, table entry) pairs
-PERMUTATION_WORK_CAP = 5 * 10**8
 
 
 class AlphabetMismatchError(ValueError):
@@ -389,33 +390,6 @@ def classical_value(game: Game) -> float:
     return float(best)
 
 
-def frequency_box(data: ObservedData, q: InputDistribution) -> SingleRoundBox:
-    """Single-round box estimated from observed data: freq(a,b,x,y) / Q(x,y).
-
-    Divides by the declared input distribution, not the empirical input
-    frequencies, so entries may exceed 1 and per-(x,y) normalization holds
-    only when the empirical input frequencies match Q; it is not asserted.
-    """
-    if not q.complete_support:
-        raise ValueError("input distribution must have complete support")
-    x_size, y_size = q.x_size, q.y_size
-    a_size = int(data.a.max()) + 1 if data.alphabets is None else data.alphabets.a_size
-    b_size = int(data.b.max()) + 1 if data.alphabets is None else data.alphabets.b_size
-    if data.alphabets is not None:
-        if (data.alphabets.x_size, data.alphabets.y_size) != (x_size, y_size):
-            raise AlphabetMismatchError("data and q input alphabets differ")
-    counts = np.zeros((x_size, y_size, a_size, b_size))
-    np.add.at(counts, (data.x, data.y, data.a, data.b), 1.0)
-    seen = counts.sum(axis=(2, 3)) > 0
-    if not np.all(seen):
-        missing = np.argwhere(~seen)
-        raise ValueError(f"input pairs missing from data: {missing.tolist()}")
-    freq = counts / data.n
-    table = freq / q.q[:, :, None, None]
-    al = Alphabets(a_size, b_size, x_size, y_size)
-    return SingleRoundBox(al, table, require_normalized=False)
-
-
 def l1_distance(b1: SingleRoundBox, b2: SingleRoundBox,
                 q: InputDistribution) -> float:
     """E_{(x,y)~Q} sum_{a,b} |P1(a,b|x,y) - P2(a,b|x,y)|."""
@@ -435,28 +409,33 @@ def threshold_win_fraction(data: ObservedData, game: Game) -> float:
 # multi-round operations
 
 
-def _string_permutation(base: int, n: int, perm: np.ndarray) -> np.ndarray:
-    """Index mapping s -> s' with digit i of s' = digit perm^{-1}(i) of s.
+def _type_classes(n: int, alphabets: Alphabets) -> tuple:
+    """The joint types of an n-round table: (index, counts).
 
-    ``perm`` maps positions: round i of the permuted string is round
-    perm^{-1}(i) of the original, matching composition of a box with a
-    permutation of the rounds.
+    ``index`` has the shape of MultiRoundBox.p and gives each entry's class;
+    row c of ``counts`` counts how often each per-round symbol
+    s = ((x*y_size + y)*a_size + a)*b_size + b occurs in class c, so reshaped
+    to (|X||Y|, |A||B|) it is TypeCounts.n_jk.  Two entries are related by a
+    round permutation exactly when they have the same class.
     """
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(len(perm))
-    size = base**n
-    powers = base ** np.arange(n)
-    idx = np.arange(size)
-    digs = (idx[:, None] // powers[None, :]) % base
-    new = digs[:, inv]
-    return (new * powers[None, :]).sum(axis=1)
-
-
-def permutation_index(al: Alphabets, n: int, perm: np.ndarray) -> tuple:
-    """Open-mesh index into an n-round (x, y, a, b) table that composes it
-    with the round permutation ``perm``."""
-    return np.ix_(*(_string_permutation(size, n, perm) for size in
-                    (al.x_size, al.y_size, al.a_size, al.b_size)))
+    sizes = (alphabets.x_size, alphabets.y_size, alphabets.a_size,
+             alphabets.b_size)
+    # symbols[ix, iy, ia, ib, i] is the symbol of round i
+    symbols = np.zeros((1,) * 4 + (n,), dtype=np.int64)
+    for axis, size in enumerate(sizes):
+        digits = np.arange(size**n)[:, None] // size ** np.arange(n) % size
+        shape = [1] * 4 + [n]
+        shape[axis] = size**n
+        symbols = symbols * size + digits.reshape(shape)
+    width = math.prod(sizes)
+    ordered = np.sort(symbols, axis=-1)
+    keys = ordered @ width ** np.arange(n)
+    _, first, index = np.unique(keys.ravel(), return_index=True,
+                                return_inverse=True)
+    counts = np.zeros((len(first), width), dtype=np.int64)
+    np.add.at(counts, (np.arange(len(first))[:, None],
+                       ordered.reshape(keys.size, n)[first]), 1)
+    return index.reshape(keys.shape), counts
 
 
 def permute(box: MultiRoundBox, perm) -> MultiRoundBox:
@@ -466,39 +445,37 @@ def permute(box: MultiRoundBox, perm) -> MultiRoundBox:
     (π(a⃗),π(b⃗)|π(x⃗),π(y⃗)).
     """
     perm = np.asarray(perm, dtype=int)
-    if sorted(perm.tolist()) != list(range(box.n)):
+    n, al = box.n, box.alphabets
+    if sorted(perm.tolist()) != list(range(n)):
         raise ValueError("not a permutation of range(n)")
-    return MultiRoundBox(box.n, box.alphabets,
-                         box.p[permutation_index(box.alphabets, box.n, perm)])
-
-
-def _check_permutation_work(box: MultiRoundBox):
-    if box.n > 6:
-        raise EnumerationLimitError("permutation enumeration capped at n=6")
-    work = math.factorial(box.n) * box.p.size
-    if work > PERMUTATION_WORK_CAP:
-        raise EnumerationLimitError(
-            f"permutation sweep of {work} entry visits exceeds cap")
+    # split each string index into its digits, round n first; digit axis u
+    # of the result (round n-1-u) reads round perm[n-1-u] of the input
+    digits = box.p.reshape([size for size in (al.x_size, al.y_size,
+                                              al.a_size, al.b_size)
+                            for _ in range(n)])
+    axes = (n - 1 - perm)[::-1]
+    return MultiRoundBox(n, al, digits.transpose(np.concatenate(
+        [axes + g * n for g in range(4)])).reshape(box.p.shape))
 
 
 def symmetrize(box: MultiRoundBox) -> MultiRoundBox:
-    """Average the box over all n! round permutations."""
-    _check_permutation_work(box)
-    acc = np.zeros_like(box.p)
-    count = 0
-    for perm in itertools.permutations(range(box.n)):
-        acc += permute(box, np.array(perm)).p
-        count += 1
-    return MultiRoundBox(box.n, box.alphabets, acc / count)
+    """Average the box over all n! round permutations: the mean over each
+    joint type class."""
+    index = _type_classes(box.n, box.alphabets)[0].ravel()
+    means = np.bincount(index, weights=box.p.ravel()) / np.bincount(index)
+    return MultiRoundBox(box.n, box.alphabets,
+                         means[index].reshape(box.p.shape))
 
 
 def is_permutation_invariant(box: MultiRoundBox, tol: float = 1e-9) -> bool:
-    """True iff the box equals itself composed with every round permutation."""
-    _check_permutation_work(box)
-    for perm in itertools.permutations(range(box.n)):
-        if np.any(np.abs(permute(box, np.array(perm)).p - box.p) > tol):
-            return False
-    return True
+    """True iff the box equals itself composed with every round permutation:
+    within each joint type class, max - min <= tol."""
+    index, counts = _type_classes(box.n, box.alphabets)
+    hi = np.full(len(counts), -np.inf)
+    lo = np.full(len(counts), np.inf)
+    np.maximum.at(hi, index, box.p)
+    np.minimum.at(lo, index, box.p)
+    return bool(np.all(hi - lo <= tol))
 
 
 def iid_box(single: SingleRoundBox, n: int) -> MultiRoundBox:

@@ -150,6 +150,8 @@ def _cmd_threshold_bound(args):
 
 
 def _cmd_definetti_verify(args):
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
     al = Alphabets(args.a_size, args.b_size, args.x_size, args.y_size)
     rng = np.random.default_rng(args.seed)
     tau = definetti.tau_table_exact(args.n, al)

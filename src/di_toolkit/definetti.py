@@ -11,6 +11,11 @@ Every permutation-invariant n-round box P satisfies, entrywise,
 which is what lets tests on arbitrary permutation-invariant boxes be reduced
 to tests on IID boxes at polynomial cost.
 
+The type counts of an entry are its joint type (boxes._type_classes): the
+multiset of per-round symbols (x, y, a, b), with symbol count row j*m + k
+read as n_{j,k}.  Tables are built once per type class and gathered back to
+the entries, as permutation-invariant tables are constant on each class.
+
 All bounds here are computed in exact rational arithmetic: the inequalities
 are the whole point, so rounding must not be able to fake a violation.
 Floats appear only when exporting tables.
@@ -18,7 +23,6 @@ Floats appear only when exporting tables.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .boxes import (Alphabets, EnumerationLimitError, MultiRoundBox,
-                    permutation_index)
+                    _type_classes)
 
 
 @dataclass(frozen=True)
@@ -58,19 +62,6 @@ class TypeCounts:
     @property
     def n(self) -> int:
         return sum(self.n_j)
-
-
-def counts_of_strings(xs, ys, out_a, out_b, alphabets: Alphabets) -> TypeCounts:
-    """Type counts of explicit round-by-round strings."""
-    l = alphabets.x_size * alphabets.y_size
-    m = alphabets.a_size * alphabets.b_size
-    n_jk = [[0] * m for _ in range(l)]
-    for x, y, a, b in zip(xs, ys, out_a, out_b):
-        j = x * alphabets.y_size + y
-        k = a * alphabets.b_size + b
-        n_jk[j][k] += 1
-    n_j = tuple(sum(row) for row in n_jk)
-    return TypeCounts(l, m, n_j, tuple(tuple(r) for r in n_jk))
 
 
 def tau_entry_exact(counts: TypeCounts) -> Fraction:
@@ -131,19 +122,6 @@ def reduction_factor(n: int, l: int, m: int) -> int:
 # full tables
 
 
-def _string_tuples(base: int, n: int):
-    """All length-n strings as tuples, ordered by their little-endian index."""
-    out = []
-    for idx in range(base**n):
-        digs = []
-        v = idx
-        for _ in range(n):
-            digs.append(v % base)
-            v //= base
-        out.append(tuple(digs))
-    return out
-
-
 def _check_table_size(n: int, alphabets: Alphabets, limit: int = 10**7):
     size = (alphabets.x_size * alphabets.y_size
             * alphabets.a_size * alphabets.b_size) ** n
@@ -153,25 +131,18 @@ def _check_table_size(n: int, alphabets: Alphabets, limit: int = 10**7):
 
 def tau_table_exact(n: int, alphabets: Alphabets) -> np.ndarray:
     """Exact de Finetti table, object array of Fractions, indexed like
-    MultiRoundBox.p."""
+    MultiRoundBox.p: one tau_entry_exact per joint type class."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     _check_table_size(n, alphabets)
-    al = alphabets
-    xs = _string_tuples(al.x_size, n)
-    ys = _string_tuples(al.y_size, n)
-    as_ = _string_tuples(al.a_size, n)
-    bs = _string_tuples(al.b_size, n)
-    table = np.empty((len(xs), len(ys), len(as_), len(bs)), dtype=object)
-    cache = {}
-    for ix, x in enumerate(xs):
-        for iy, y in enumerate(ys):
-            for ia, a in enumerate(as_):
-                for ib, b in enumerate(bs):
-                    c = counts_of_strings(x, y, a, b, al)
-                    key = c.n_jk
-                    if key not in cache:
-                        cache[key] = tau_entry_exact(c)
-                    table[ix, iy, ia, ib] = cache[key]
-    return table
+    l = alphabets.x_size * alphabets.y_size
+    m = alphabets.a_size * alphabets.b_size
+    index, counts = _type_classes(n, alphabets)
+    values = np.empty(len(counts), dtype=object)
+    for c, n_jk in enumerate(counts.reshape(-1, l, m).tolist()):
+        values[c] = tau_entry_exact(TypeCounts(
+            l, m, tuple(map(sum, n_jk)), tuple(map(tuple, n_jk))))
+    return values[index]
 
 
 def tau_box(n: int, alphabets: Alphabets) -> MultiRoundBox:
@@ -239,22 +210,23 @@ def random_symmetrized_int_table(n: int, alphabets: Alphabets, rng,
     denominator.
 
     Each input-string block is a multinomial(total) draw (so it normalizes
-    exactly), then the table is summed over all n! round permutations.
+    exactly), then the table is summed over all n! round permutations: an
+    entry of a class of size s receives its class sum n!/s times.
     Returns (numerators, denominator) with denominator = total * n!.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     _check_table_size(n, alphabets)
     al = alphabets
     shape = (al.x_size**n, al.y_size**n, al.a_size**n, al.b_size**n)
     outs = shape[2] * shape[3]
     blocks = rng.multinomial(total, np.full(outs, 1.0 / outs),
                              size=shape[0] * shape[1])
-    raw = blocks.reshape(shape).astype(np.int64)
-    acc = np.zeros(shape, dtype=np.int64)
-    count = 0
-    for perm in itertools.permutations(range(n)):
-        acc += raw[permutation_index(al, n, np.asarray(perm))]
-        count += 1
-    return acc, total * count
+    index, counts = _type_classes(n, al)
+    sums = np.zeros(len(counts), dtype=np.int64)
+    np.add.at(sums, index, blocks.reshape(shape).astype(np.int64))
+    perms = math.factorial(n)
+    return (sums * (perms // np.bincount(index.ravel())))[index], total * perms
 
 
 def reduction_numerator_thresholds(n: int, alphabets: Alphabets, denom: int,

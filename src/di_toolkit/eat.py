@@ -191,11 +191,6 @@ def f_min_block(p1_tilde: float, block: BlockSpec, cut: float) -> float:
     return _tradeoff(p1_tilde, block, block.test_mass, cut, 0.0)[0]
 
 
-def f_min_block_slope(block: BlockSpec, cut: float) -> float:
-    """Max gradient of the glued per-block function: its slope at the cut."""
-    return _tradeoff(cut, block, block.test_mass, cut, 0.0)[1]
-
-
 def mu_block(p1_tilde: float, block: BlockSpec, cut: float,
              eps: EatEpsilons, m_blocks: float) -> float:
     """Per-block entropy rate with dimension term log2(1 + 2*2^s*3^s)."""

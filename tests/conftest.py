@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from di_toolkit.boxes import (Alphabets, Game, InputDistribution,
-                              SingleRoundBox, chsh_game, extended_chsh_game)
+from di_toolkit.boxes import (AlphabetMismatchError, Alphabets, Game,
+                              InputDistribution, SingleRoundBox, chsh_game,
+                              extended_chsh_game)
 
 BINARY = Alphabets(2, 2, 2, 2)
 
@@ -97,6 +98,34 @@ def sample_iid_data(box, q, n, rng):
         out[mask] = np.searchsorted(cdf[x, y], u[mask], side="right")
     out = np.clip(out, 0, outs - 1)
     return xs, ys, out // al.b_size, out % al.b_size
+
+
+def frequency_box(data, q):
+    """Oracle single-round box estimated from observed data:
+    freq(a,b,x,y) / Q(x,y).
+
+    Divides by the declared input distribution, not the empirical input
+    frequencies, so entries may exceed 1 and per-(x,y) normalization holds
+    only when the empirical input frequencies match Q; it is not asserted.
+    """
+    if not q.complete_support:
+        raise ValueError("input distribution must have complete support")
+    x_size, y_size = q.x_size, q.y_size
+    a_size = int(data.a.max()) + 1 if data.alphabets is None else data.alphabets.a_size
+    b_size = int(data.b.max()) + 1 if data.alphabets is None else data.alphabets.b_size
+    if data.alphabets is not None:
+        if (data.alphabets.x_size, data.alphabets.y_size) != (x_size, y_size):
+            raise AlphabetMismatchError("data and q input alphabets differ")
+    counts = np.zeros((x_size, y_size, a_size, b_size))
+    np.add.at(counts, (data.x, data.y, data.a, data.b), 1.0)
+    seen = counts.sum(axis=(2, 3)) > 0
+    if not np.all(seen):
+        missing = np.argwhere(~seen)
+        raise ValueError(f"input pairs missing from data: {missing.tolist()}")
+    freq = counts / data.n
+    table = freq / q.q[:, :, None, None]
+    al = Alphabets(a_size, b_size, x_size, y_size)
+    return SingleRoundBox(al, table, require_normalized=False)
 
 
 def round_count_law(m, gamma, s_max):

@@ -1,0 +1,98 @@
+"""Reference permutation layer for the type-class code in boxes and
+definetti: explicit sweeps over all n! round permutations and a per-entry
+tau loop over round-by-round string tuples, as the package computed them
+before both went through one joint-type map.  Slow by design; the tests
+compare the package against these on small n.
+"""
+
+import itertools
+import math
+
+import numpy as np
+
+from di_toolkit.boxes import Alphabets, MultiRoundBox
+from di_toolkit.definetti import TypeCounts, tau_entry_exact
+
+
+def _string_permutation(base, n, perm):
+    """Index mapping s -> s' with digit i of s' = digit perm^{-1}(i) of s."""
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(len(perm))
+    powers = base ** np.arange(n)
+    idx = np.arange(base**n)
+    digs = (idx[:, None] // powers[None, :]) % base
+    return (digs[:, inv] * powers[None, :]).sum(axis=1)
+
+
+def permutation_index(al: Alphabets, n: int, perm) -> tuple:
+    """Open-mesh index into an n-round (x, y, a, b) table that composes it
+    with the round permutation ``perm``."""
+    perm = np.asarray(perm, dtype=int)
+    return np.ix_(*(_string_permutation(size, n, perm) for size in
+                    (al.x_size, al.y_size, al.a_size, al.b_size)))
+
+
+def permute(box: MultiRoundBox, perm) -> np.ndarray:
+    return box.p[permutation_index(box.alphabets, box.n, perm)]
+
+
+def symmetrize(box: MultiRoundBox) -> np.ndarray:
+    """The table averaged over all n! round permutations."""
+    acc = np.zeros_like(box.p)
+    perms = list(itertools.permutations(range(box.n)))
+    for perm in perms:
+        acc += permute(box, perm)
+    return acc / len(perms)
+
+
+def is_permutation_invariant(box: MultiRoundBox, tol: float) -> bool:
+    return not any(np.any(np.abs(permute(box, perm) - box.p) > tol)
+                   for perm in itertools.permutations(range(box.n)))
+
+
+def random_symmetrized_int_table(n, alphabets, rng, total=1009):
+    """One multinomial draw per input-string block, summed over all n!
+    round permutations: (numerators, total * n!)."""
+    al = alphabets
+    shape = (al.x_size**n, al.y_size**n, al.a_size**n, al.b_size**n)
+    outs = shape[2] * shape[3]
+    blocks = rng.multinomial(total, np.full(outs, 1.0 / outs),
+                             size=shape[0] * shape[1])
+    raw = blocks.reshape(shape).astype(np.int64)
+    acc = np.zeros(shape, dtype=np.int64)
+    for perm in itertools.permutations(range(n)):
+        acc += raw[permutation_index(al, n, perm)]
+    return acc, total * math.factorial(n)
+
+
+def counts_of_strings(xs, ys, out_a, out_b, alphabets: Alphabets) -> TypeCounts:
+    """Type counts of explicit round-by-round strings."""
+    l = alphabets.x_size * alphabets.y_size
+    m = alphabets.a_size * alphabets.b_size
+    n_jk = [[0] * m for _ in range(l)]
+    for x, y, a, b in zip(xs, ys, out_a, out_b):
+        n_jk[x * alphabets.y_size + y][a * alphabets.b_size + b] += 1
+    n_j = tuple(sum(row) for row in n_jk)
+    return TypeCounts(l, m, n_j, tuple(tuple(r) for r in n_jk))
+
+
+def _string_tuples(base, n):
+    """All length-n strings as tuples, ordered by their little-endian index."""
+    return [tuple((idx // base**i) % base for i in range(n))
+            for idx in range(base**n)]
+
+
+def tau_table_exact(n, alphabets: Alphabets) -> np.ndarray:
+    """tau_entry_exact of every entry's own counts, one entry at a time
+    (memoized on the counts)."""
+    al = alphabets
+    strings = [_string_tuples(size, n) for size in
+               (al.x_size, al.y_size, al.a_size, al.b_size)]
+    table = np.empty(tuple(len(s) for s in strings), dtype=object)
+    cache = {}
+    for idx in itertools.product(*(range(len(s)) for s in strings)):
+        c = counts_of_strings(*(s[i] for s, i in zip(strings, idx)), al)
+        if c.n_jk not in cache:
+            cache[c.n_jk] = tau_entry_exact(c)
+        table[idx] = cache[c.n_jk]
+    return table

@@ -11,13 +11,13 @@ from di_toolkit import boxes, signalling
 from di_toolkit.boxes import (Alphabets, EnumerationLimitError, Game,
                               InputDistribution, MultiRoundBox, ObservedData,
                               SingleRoundBox, chsh_game, classical_value,
-                              frequency_box, iid_box, is_nonsignalling,
+                              iid_box, is_nonsignalling,
                               is_permutation_invariant, l1_distance, permute,
                               symmetrize, threshold_win_fraction,
                               winning_probability)
-from conftest import (BINARY, bob_echoes_x_box, deterministic_box, pr_box,
-                      product_box, random_box, random_classical_box,
-                      sample_iid_data, uniform_q)
+from conftest import (BINARY, bob_echoes_x_box, deterministic_box,
+                      frequency_box, pr_box, product_box, random_box,
+                      random_classical_box, sample_iid_data, uniform_q)
 
 
 class TestConstruction:

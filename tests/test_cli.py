@@ -287,6 +287,19 @@ class TestDefinettiVerify:
         assert payload["holds"] is True
         assert payload["max_ratio"] <= payload["factor"]
 
+    @pytest.mark.parametrize("flags", [["--n", "-1"], ["--n", "0"],
+                                       ["--n", "2", "--trials", "0"],
+                                       ["--n", "2", "--trials", "-3"]])
+    def test_bad_inputs_rejected(self, flags, capsys):
+        # n < 1 has no round permutations to symmetrize over, and no
+        # trials would report "holds" having checked nothing
+        code = cli.main(["definetti-verify", *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestConfigAndOut:
     def test_config_provides_flags(self, tmp_path, capsys):

