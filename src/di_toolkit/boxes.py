@@ -415,8 +415,9 @@ def _type_classes(n: int, alphabets: Alphabets) -> tuple:
     ``index`` has the shape of MultiRoundBox.p and gives each entry's class;
     row c of ``counts`` counts how often each per-round symbol
     s = ((x*y_size + y)*a_size + a)*b_size + b occurs in class c, so reshaped
-    to (|X||Y|, |A||B|) it is TypeCounts.n_jk.  Two entries are related by a
-    round permutation exactly when they have the same class.
+    to (|X||Y|, |A||B|) it is the class's joint type counts n_jk, as the
+    definetti functions take them.  Two entries are related by a round
+    permutation exactly when they have the same class.
     """
     sizes = (alphabets.x_size, alphabets.y_size, alphabets.a_size,
              alphabets.b_size)

@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -157,13 +158,14 @@ def _cmd_definetti_verify(args):
     tau = definetti.tau_table_exact(args.n, al)
     factor = definetti.reduction_factor(
         args.n, al.x_size * al.y_size, al.a_size * al.b_size)
-    worst = 0.0
+    # exact, so that rounding cannot hide a violation
+    worst = Fraction(0)
     for _ in range(args.trials):
         nums, denom = definetti.random_symmetrized_int_table(args.n, al, rng)
         ratio = definetti.verify_reduction_exact(nums, args.n, al, tau) / denom
-        worst = max(worst, float(ratio))
+        worst = max(worst, ratio)
     payload = {
-        "n": args.n, "trials": args.trials, "max_ratio": worst,
+        "n": args.n, "trials": args.trials, "max_ratio": float(worst),
         "factor": float(factor), "holds": worst <= factor,
     }
     _emit(args, payload)

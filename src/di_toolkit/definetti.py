@@ -13,8 +13,11 @@ to tests on IID boxes at polynomial cost.
 
 The type counts of an entry are its joint type (boxes._type_classes): the
 multiset of per-round symbols (x, y, a, b), with symbol count row j*m + k
-read as n_{j,k}.  Tables are built once per type class and gathered back to
-the entries, as permutation-invariant tables are constant on each class.
+read as n_{j,k}.  A joint type is passed around as that (l, m) count array
+alone, one row per input pair j = x*|Y| + y, n_j being the row sum.  tau is
+constant on each type class, so every exact computation here (tau, the
+reduction ratio, the integer thresholds) is done once per class and
+gathered back to the entries.
 
 All bounds here are computed in exact rational arithmetic: the inequalities
 are the whole point, so rounding must not be able to fake a violation.
@@ -24,7 +27,6 @@ Floats appear only when exporting tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -33,82 +35,47 @@ from .boxes import (Alphabets, EnumerationLimitError, MultiRoundBox,
                     _type_classes)
 
 
-@dataclass(frozen=True)
-class TypeCounts:
-    """Per input-pair occurrence counts of an n-round index tuple.
-
-    ``n_j[j]`` counts rounds with input pair j; ``n_jk[j][k]`` additionally
-    fixes the output pair k.  Flattening is canonical: j = x*y_size + y,
-    k = a*b_size + b.
-    """
-
-    l: int
-    m: int
-    n_j: tuple
-    n_jk: tuple  # tuple of tuples, shape (l, m)
-
-    def __post_init__(self):
-        if len(self.n_j) != self.l or len(self.n_jk) != self.l:
-            raise ValueError("count tables must have length l")
-        for j in range(self.l):
-            row = self.n_jk[j]
-            if len(row) != self.m:
-                raise ValueError("output count rows must have length m")
-            if any(c < 0 for c in row) or self.n_j[j] < 0:
-                raise ValueError("counts must be non-negative")
-            if sum(row) != self.n_j[j]:
-                raise ValueError("output counts must sum to the input count")
-
-    @property
-    def n(self) -> int:
-        return sum(self.n_j)
-
-
-def tau_entry_exact(counts: TypeCounts) -> Fraction:
-    """Exact entry of the de Finetti box for the given type counts.
-
-    Per input pair j the nested stick-breaking integral telescopes into a
-    product over k = 1..m-1: with running remainder r = n_j - sum of the
-    earlier output counts, each step contributes 1 / (binom(r, n_jk) * (r+1)).
-    """
-    value = Fraction(1)
-    for j in range(counts.l):
-        r = counts.n_j[j]
-        for k in range(counts.m - 1):
-            value /= math.comb(r, counts.n_jk[j][k]) * (r + 1)
-            r -= counts.n_jk[j][k]
-    return value
-
-
-def _multinomial(n: int, parts) -> int:
-    out = 1
-    rest = n
-    for c in parts:
+def _multinomial(row) -> int:
+    """sum(row)! / prod(c! for c in row), one binomial per count;
+    math.comb raises ValueError on a negative count."""
+    out, rest = 1, 0
+    for c in row:
+        rest += c
         out *= math.comb(rest, c)
-        rest -= c
     return out
 
 
-def tau_lower_bound(counts: TypeCounts) -> Fraction:
+def tau_entry_exact(n_jk) -> Fraction:
+    """Exact entry of the de Finetti box for the joint type counts n_jk.
+
+    Per input pair j the nested stick-breaking integral telescopes into
+    1 / (multinomial(n_j; n_jk) * prod_{k<m-1} (r_jk + 1)), where
+    r_jk = n_{j,k} + ... + n_{j,m-1} is the remainder before output k.
+    """
+    d = 1
+    for row in n_jk:
+        d *= _multinomial(row)
+        rest = sum(row)
+        for c in row[:-1]:
+            d *= rest + 1
+            rest -= c
+    return Fraction(1, d)
+
+
+def tau_lower_bound(n_jk) -> Fraction:
     """Product over j of 1 / (multinomial(n_j; n_jk) * (n_j+1)^(m-1))."""
-    value = Fraction(1)
-    for j in range(counts.l):
-        value /= _multinomial(counts.n_j[j], counts.n_jk[j])
-        value /= (counts.n_j[j] + 1) ** (counts.m - 1)
-    return value
+    return Fraction(1, math.prod(
+        _multinomial(row) * (sum(row) + 1) ** (len(row) - 1) for row in n_jk))
 
 
-def perm_upper_bound(counts: TypeCounts) -> Fraction:
+def perm_upper_bound(n_jk) -> Fraction:
     """Entry bound for permutation-invariant boxes: inverse orbit size.
 
     Permutations fixing the input strings permute rounds within each input
     pair, producing multinomial(n_j; n_jk) distinct output strings of equal
     probability.
     """
-    value = Fraction(1)
-    for j in range(counts.l):
-        value /= _multinomial(counts.n_j[j], counts.n_jk[j])
-    return value
+    return Fraction(1, math.prod(map(_multinomial, n_jk)))
 
 
 def reduction_factor(n: int, l: int, m: int) -> int:
@@ -140,9 +107,19 @@ def tau_table_exact(n: int, alphabets: Alphabets) -> np.ndarray:
     index, counts = _type_classes(n, alphabets)
     values = np.empty(len(counts), dtype=object)
     for c, n_jk in enumerate(counts.reshape(-1, l, m).tolist()):
-        values[c] = tau_entry_exact(TypeCounts(
-            l, m, tuple(map(sum, n_jk)), tuple(map(tuple, n_jk))))
+        values[c] = tau_entry_exact(n_jk)
     return values[index]
+
+
+def _tau_per_class(n: int, alphabets: Alphabets, tau_exact) -> tuple:
+    """(index, values): the joint type classes of _type_classes and tau's
+    value on each class, which any entry of the class gives."""
+    index, counts = _type_classes(n, alphabets)
+    if tau_exact.shape != index.shape:
+        raise ValueError("tau table must be shaped like MultiRoundBox.p")
+    values = np.empty(len(counts), dtype=object)
+    values[index] = tau_exact
+    return index, values
 
 
 def tau_box(n: int, alphabets: Alphabets) -> MultiRoundBox:
@@ -153,25 +130,24 @@ def tau_box(n: int, alphabets: Alphabets) -> MultiRoundBox:
 
 
 def verify_reduction_exact(table, n: int, alphabets: Alphabets,
-                           tau_exact=None) -> Fraction:
+                           tau_exact) -> Fraction:
     """Max entrywise ratio P/tau for an exact table, as a Fraction.
 
     ``table`` is shaped like MultiRoundBox.p and holds integers (numerators
     over a common denominator, as from random_symmetrized_int_table; divide
-    the result by that denominator) or Fractions.  It must be permutation
-    invariant (not checked here).  The ratio is exact; the reduction asserts
-    that P/tau is at most reduction_factor(n, l, m).
+    the result by that denominator) or Fractions; ``tau_exact`` is
+    tau_table_exact(n, alphabets).  tau is constant on every joint type
+    class, so the largest ratio in a class is its largest entry over tau:
+    one exact division per class, for any table.  The reduction asserts
+    that the ratio is at most reduction_factor(n, l, m) for permutation
+    invariant tables.
     """
-    if tau_exact is None:
-        tau_exact = tau_table_exact(n, alphabets)
-    best = Fraction(0)
-    for p, t in zip(table.reshape(-1).tolist(), tau_exact.reshape(-1)):
-        if p == 0:
-            continue
-        ratio = p / t
-        if ratio > best:
-            best = ratio
-    return best
+    index, tau = _tau_per_class(n, alphabets, tau_exact)
+    if table.shape != index.shape:
+        raise ValueError("table must be shaped like MultiRoundBox.p")
+    top = np.zeros(len(tau), dtype=table.dtype)
+    np.maximum.at(top, index, table)
+    return max(p / t for p, t in zip(top.tolist(), tau))
 
 
 def verify_reduction(box: MultiRoundBox, tol: float = 1e-9) -> float:
@@ -230,19 +206,17 @@ def random_symmetrized_int_table(n: int, alphabets: Alphabets, rng,
 
 
 def reduction_numerator_thresholds(n: int, alphabets: Alphabets, denom: int,
-                                   tau_exact=None) -> np.ndarray:
+                                   tau_exact) -> np.ndarray:
     """Largest integer numerators compatible with the reduction.
 
     A table P = nums/denom satisfies P <= factor * tau entrywise iff
     nums[i] <= thresholds[i] for all i (floor of the exact rational bound,
-    valid because numerators are integers).
+    valid because numerators are integers); one floor per joint type class.
     """
-    if tau_exact is None:
-        tau_exact = tau_table_exact(n, alphabets)
+    index, tau = _tau_per_class(n, alphabets, tau_exact)
     factor = reduction_factor(n, alphabets.x_size * alphabets.y_size,
                               alphabets.a_size * alphabets.b_size)
-    flat = tau_exact.reshape(-1)
-    values = [(factor * f.numerator * denom) // f.denominator for f in flat]
+    values = [(factor * f.numerator * denom) // f.denominator for f in tau]
     if max(values) > np.iinfo(np.int64).max:
         raise OverflowError("threshold exceeds int64; use verify_reduction_exact")
-    return np.array(values, dtype=np.int64).reshape(tau_exact.shape)
+    return np.array(values, dtype=np.int64)[index]

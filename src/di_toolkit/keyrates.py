@@ -358,6 +358,14 @@ SPLIT_GRID_PER_DECADE = 3
 EPS_T_CANDIDATE_DECADES = 14
 
 
+def _eps_t_ladder(mode: str) -> list:
+    """The eps_t candidates as fractions of cap_t = (eps_s/4)^2:
+    10^-k, k = 1..13, in block mode; the single eps_t = 0 per round."""
+    if mode != BLOCK:
+        return [0.0]
+    return [10.0 ** (-k) for k in range(1, EPS_T_CANDIDATE_DECADES)]
+
+
 def _budget_for(caps: RateCaps, params: ProtocolParams,
                 shares: tuple, eps_t: float) -> EpsilonBudget | None:
     """Assemble a budget meeting both caps, or None if infeasible.
@@ -435,15 +443,13 @@ def _eval_point(target: RateTarget, caps: RateCaps, mode: str, gamma: float,
     base = _budget_for(caps, params, shares, 0.0)
     if base is None:
         return None
-    block = mode == BLOCK
-    s_max = eat.default_s_max(gamma) if block else 1
+    s_max = eat.default_s_max(gamma) if mode == BLOCK else 1
     try:
         fixed = _block_fixed_terms(params, base, s_max)
     except ValueError:
         return None
     cap_t = (base.eps_s / 4.0) ** 2
-    candidates = ([cap_t * 10.0 ** (-k) for k in
-                   range(1, EPS_T_CANDIDATE_DECADES)] if block else [0.0])
+    candidates = [cap_t * f for f in _eps_t_ladder(mode)]
     best = None
     for index, eps_t in enumerate(candidates):
         try:
@@ -490,9 +496,7 @@ def _share_axis(caps: RateCaps, mode: str, shares) -> _ShareAxis:
         ok = ((eps_s > 0) & (eps_s < 1) & (eps_ea > 0) & (eps_ea < 1)
               & (eps_pa > 0) & (eps_pa < 1) & (eps_e < 1)
               & np.isfinite(log_corr))
-        ladder = ([10.0 ** (-k) for k in range(1, EPS_T_CANDIDATE_DECADES)]
-                  if mode == BLOCK else [0.0])
-        eps_t = es4**2 * np.array(ladder)[:, None, None, None]
+        eps_t = es4**2 * np.array(_eps_t_ladder(mode))[:, None, None, None]
         sqrt_t = np.sqrt(eps_t)
         return _ShareAxis(ok, es4, eps_e, log_corr, _pa_term(eps_pa, np),
                           sqrt_t, eps_t,

@@ -257,15 +257,18 @@ class ThresholdPreconditionError(ValueError):
 
 
 def _minimal_n(eps: float, a_size, b_size, x_size, y_size) -> int:
-    rhs = 20.0 * a_size * b_size * x_size * y_size * math.log(2.0 / eps) / eps**2
-    # solve n/ln(n) > rhs by fixed-point iteration on n = rhs*ln(n)
-    n = max(rhs * math.log(max(rhs, 3.0)), 4.0)
-    for _ in range(100):
-        n = rhs * math.log(n) + 1
-    n = int(math.ceil(n))
-    while not threshold_precondition(n, eps, a_size, b_size, x_size, y_size):
-        n = int(n * 1.01) + 1
-    return n
+    """Least n >= 3 meeting threshold_precondition: n / ln(n) rises for
+    n >= 3, so doubling brackets it and bisection finds it."""
+    def holds(n):
+        return threshold_precondition(n, eps, a_size, b_size, x_size, y_size)
+
+    lo, hi = 2, 3  # holds(hi), and lo = 2 or not holds(lo)
+    while not holds(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
 
 
 def threshold_bound(game: Game, n: int, beta: float) -> float:

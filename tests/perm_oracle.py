@@ -1,17 +1,19 @@
 """Reference permutation layer for the type-class code in boxes and
-definetti: explicit sweeps over all n! round permutations and a per-entry
-tau loop over round-by-round string tuples, as the package computed them
-before both went through one joint-type map.  Slow by design; the tests
-compare the package against these on small n.
+definetti: explicit sweeps over all n! round permutations, a per-entry
+tau loop over round-by-round string tuples, tau and its bounds as running
+Fraction divisions, and the reduction ratio and integer thresholds entry by
+entry, as the package computed them before all of these went through one
+joint-type map.  Slow by design; the tests compare the package against
+these on small n.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from di_toolkit.boxes import Alphabets, MultiRoundBox
-from di_toolkit.definetti import TypeCounts, tau_entry_exact
 
 
 def _string_permutation(base, n, perm):
@@ -65,15 +67,50 @@ def random_symmetrized_int_table(n, alphabets, rng, total=1009):
     return acc, total * math.factorial(n)
 
 
-def counts_of_strings(xs, ys, out_a, out_b, alphabets: Alphabets) -> TypeCounts:
-    """Type counts of explicit round-by-round strings."""
+def counts_of_strings(xs, ys, out_a, out_b, alphabets: Alphabets) -> tuple:
+    """Joint type counts n_jk of explicit round-by-round strings."""
     l = alphabets.x_size * alphabets.y_size
     m = alphabets.a_size * alphabets.b_size
     n_jk = [[0] * m for _ in range(l)]
     for x, y, a, b in zip(xs, ys, out_a, out_b):
         n_jk[x * alphabets.y_size + y][a * alphabets.b_size + b] += 1
-    n_j = tuple(sum(row) for row in n_jk)
-    return TypeCounts(l, m, n_j, tuple(tuple(r) for r in n_jk))
+    return tuple(tuple(r) for r in n_jk)
+
+
+def tau_entry_exact(n_jk) -> Fraction:
+    """tau as the stick-breaking product, one Fraction division per output
+    step: with running remainder r, step k divides by binom(r, n_jk) (r+1)."""
+    value = Fraction(1)
+    for row in n_jk:
+        r = sum(row)
+        for k in range(len(row) - 1):
+            value /= math.comb(r, row[k]) * (r + 1)
+            r -= row[k]
+    return value
+
+
+def _multinomial(n, parts):
+    out = 1
+    rest = n
+    for c in parts:
+        out *= math.comb(rest, c)
+        rest -= c
+    return out
+
+
+def tau_lower_bound(n_jk) -> Fraction:
+    value = Fraction(1)
+    for row in n_jk:
+        value /= _multinomial(sum(row), row)
+        value /= (sum(row) + 1) ** (len(row) - 1)
+    return value
+
+
+def perm_upper_bound(n_jk) -> Fraction:
+    value = Fraction(1)
+    for row in n_jk:
+        value /= _multinomial(sum(row), row)
+    return value
 
 
 def _string_tuples(base, n):
@@ -92,7 +129,26 @@ def tau_table_exact(n, alphabets: Alphabets) -> np.ndarray:
     cache = {}
     for idx in itertools.product(*(range(len(s)) for s in strings)):
         c = counts_of_strings(*(s[i] for s, i in zip(strings, idx)), al)
-        if c.n_jk not in cache:
-            cache[c.n_jk] = tau_entry_exact(c)
-        table[idx] = cache[c.n_jk]
+        if c not in cache:
+            cache[c] = tau_entry_exact(c)
+        table[idx] = cache[c]
     return table
+
+
+def verify_reduction_exact(table, tau_exact) -> Fraction:
+    """Max entrywise ratio P/tau, one exact division per nonzero entry."""
+    best = Fraction(0)
+    for p, t in zip(table.reshape(-1).tolist(), tau_exact.reshape(-1)):
+        if p == 0:
+            continue
+        ratio = p / t
+        if ratio > best:
+            best = ratio
+    return best
+
+
+def reduction_numerator_thresholds(tau_exact, factor, denom) -> np.ndarray:
+    """floor(factor * tau * denom), one floor per entry."""
+    values = [(factor * f.numerator * denom) // f.denominator
+              for f in tau_exact.reshape(-1)]
+    return np.array(values, dtype=np.int64).reshape(tau_exact.shape)

@@ -287,6 +287,25 @@ class TestDefinettiVerify:
         assert payload["holds"] is True
         assert payload["max_ratio"] <= payload["factor"]
 
+    def test_violation_below_float_resolution_fails(self, monkeypatch,
+                                                     capsys):
+        # a ratio 1e-30 above the factor rounds to the factor as a float;
+        # "holds" is decided on the exact ratio
+        from fractions import Fraction
+        from di_toolkit import definetti
+
+        factor = definetti.reduction_factor(2, 4, 4)
+        denom = 1009 * 2  # random_symmetrized_int_table's at n = 2
+        monkeypatch.setattr(
+            definetti, "verify_reduction_exact",
+            lambda *args: (factor + Fraction(1, 10**30)) * denom)
+        code, out = run_cli(["definetti-verify", "--n", "2", "--trials",
+                             "2"], capsys)
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["holds"] is False
+        assert payload["max_ratio"] == payload["factor"]
+
     @pytest.mark.parametrize("flags", [["--n", "-1"], ["--n", "0"],
                                        ["--n", "2", "--trials", "0"],
                                        ["--n", "2", "--trials", "-3"]])

@@ -17,21 +17,23 @@ def single_use_counts(k, m=4, l=4):
     """n=1 counts with input pair 0 used once, producing output pair k."""
     n_jk = [[0] * m for _ in range(l)]
     n_jk[0][k] = 1
-    n_j = [1] + [0] * (l - 1)
-    return df.TypeCounts(l, m, tuple(n_j), tuple(tuple(r) for r in n_jk))
+    return n_jk
 
 
 class TestTypeCounts:
-    def test_row_sum_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            df.TypeCounts(1, 2, (2,), ((1, 0),))
-
     def test_counts_of_strings(self):
-        c = perm_oracle.counts_of_strings((0, 1), (1, 0), (0, 0), (1, 1),
-                                          BINARY)
-        assert c.n == 2
-        assert c.n_j[0 * 2 + 1] == 1  # (x,y) = (0,1)
-        assert c.n_jk[0 * 2 + 1][0 * 2 + 1] == 1  # with (a,b) = (0,1)
+        n_jk = perm_oracle.counts_of_strings((0, 1), (1, 0), (0, 0), (1, 1),
+                                             BINARY)
+        assert sum(map(sum, n_jk)) == 2
+        assert sum(n_jk[0 * 2 + 1]) == 1  # (x,y) = (0,1)
+        assert n_jk[0 * 2 + 1][0 * 2 + 1] == 1  # with (a,b) = (0,1)
+
+    @pytest.mark.parametrize("func", [df.tau_entry_exact, df.tau_lower_bound,
+                                      df.perm_upper_bound])
+    def test_negative_counts_rejected(self, func):
+        for n_jk in (((1, -1),), ((-1, 2),), ((0, 0), (2, -1, 1))):
+            with pytest.raises(ValueError):
+                func(n_jk)
 
 
 class TestTauEntry:
@@ -43,28 +45,25 @@ class TestTauEntry:
             assert df.tau_entry_exact(single_use_counts(k)) == expected[k]
 
     def test_unused_input_contributes_one(self):
-        c = df.TypeCounts(2, 2, (0, 0), ((0, 0), (0, 0)))
-        assert df.tau_entry_exact(c) == 1
+        assert df.tau_entry_exact(((0, 0), (0, 0))) == 1
 
     def test_beta_moment(self):
         # single input pair, two outputs, two rounds split 1/1:
         # integral p(1-p) dp = 1/6
-        c = df.TypeCounts(1, 2, (2,), ((1, 1),))
-        assert df.tau_entry_exact(c) == Fraction(1, 6)
+        assert df.tau_entry_exact(((1, 1),)) == Fraction(1, 6)
 
     def test_monte_carlo_stick_breaking_oracle(self, rng):
         """Float tau entries agree with direct Monte Carlo integration over
         the sequential uniform measure within 3 standard errors."""
         m, l = 4, 2
         cases = [
-            ((2, 1), ((1, 1, 0, 0), (0, 0, 1, 0))),
-            ((3, 0), ((0, 2, 1, 0), (0, 0, 0, 0))),
-            ((1, 2), ((0, 0, 0, 1), (1, 0, 1, 0))),
+            ((1, 1, 0, 0), (0, 0, 1, 0)),
+            ((0, 2, 1, 0), (0, 0, 0, 0)),
+            ((0, 0, 0, 1), (1, 0, 1, 0)),
         ]
         samples = 200_000
-        for n_j, n_jk in cases:
-            c = df.TypeCounts(l, m, n_j, n_jk)
-            exact = float(df.tau_entry_exact(c))
+        for n_jk in cases:
+            exact = float(df.tau_entry_exact(n_jk))
             vals = np.ones(samples)
             for j in range(l):
                 remainder = np.ones(samples)
@@ -72,7 +71,7 @@ class TestTauEntry:
                     p = remainder * rng.random(samples)
                     vals *= p ** n_jk[j][k]
                     remainder = remainder - p
-                vals *= remainder ** (n_j[j] - sum(n_jk[j][:m - 1]))
+                vals *= remainder ** n_jk[j][m - 1]
             est = vals.mean()
             se = vals.std(ddof=1) / math.sqrt(samples)
             assert abs(est - exact) <= 3 * se + 1e-12
@@ -87,29 +86,25 @@ class TestBounds:
                 for split in itertools.product(range(n + 1), repeat=m):
                     if sum(split) != n:
                         continue
-                    c = df.TypeCounts(1, m, (n,), (split,))
+                    c = (split,)
                     assert df.tau_lower_bound(c) <= df.tau_entry_exact(c)
 
     def test_lower_bound_examples(self):
         for k in range(4):
             assert df.tau_lower_bound(single_use_counts(k)) == Fraction(1, 8)
-        c0 = df.TypeCounts(1, 2, (0,), ((0, 0),))
-        assert df.tau_lower_bound(c0) == 1
-        c = df.TypeCounts(1, 2, (2,), ((1, 1),))
-        assert df.tau_lower_bound(c) == Fraction(1, 6)
+        assert df.tau_lower_bound(((0, 0),)) == 1
+        assert df.tau_lower_bound(((1, 1),)) == Fraction(1, 6)
 
     def test_perm_upper_bound_examples(self):
-        c_all = df.TypeCounts(1, 2, (3,), ((3, 0),))
-        assert df.perm_upper_bound(c_all) == 1
-        c_split = df.TypeCounts(1, 2, (2,), ((1, 1),))
-        assert df.perm_upper_bound(c_split) == Fraction(1, 2)
+        assert df.perm_upper_bound(((3, 0),)) == 1
+        assert df.perm_upper_bound(((1, 1),)) == Fraction(1, 2)
 
     def test_perm_upper_bound_is_inverse_orbit_size(self):
         """Brute-force orbit counting at n <= 4 for a single input pair."""
         for n in (2, 3, 4):
             for assignment in itertools.product(range(2), repeat=n):
                 counts = (assignment.count(0), assignment.count(1))
-                c = df.TypeCounts(1, 2, (n,), (counts,))
+                c = (counts,)
                 orbit = {tuple(assignment[i] for i in perm)
                          for perm in itertools.permutations(range(n))}
                 assert df.perm_upper_bound(c) == Fraction(1, len(orbit))
@@ -127,15 +122,16 @@ class TestBounds:
                 min_size=1, max_size=3))
 def test_bound_chain_property(rows):
     """tau_lower_bound <= tau_entry_exact <= perm_upper_bound for any
-    well-formed counts."""
+    well-formed counts, each equal to the running-division oracle."""
     m = max(len(r) for r in rows)
     rows = [r + [0] * (m - len(r)) for r in rows]
-    counts = df.TypeCounts(len(rows), m, tuple(sum(r) for r in rows),
-                           tuple(tuple(r) for r in rows))
-    lo = df.tau_lower_bound(counts)
-    mid = df.tau_entry_exact(counts)
-    hi = df.perm_upper_bound(counts)
+    lo = df.tau_lower_bound(rows)
+    mid = df.tau_entry_exact(rows)
+    hi = df.perm_upper_bound(rows)
     assert lo <= mid <= hi
+    assert lo == perm_oracle.tau_lower_bound(rows)
+    assert mid == perm_oracle.tau_entry_exact(rows)
+    assert hi == perm_oracle.perm_upper_bound(rows)
 
 
 class TestTauBox:
@@ -203,6 +199,19 @@ class TestReduction:
                 table = _deterministic_iid_exact(2, fa, fb)
                 ratio = df.verify_reduction_exact(table, 2, BINARY, tau)
                 assert ratio <= factor
+
+    def test_misshaped_tables_rejected(self):
+        tau = df.tau_table_exact(2, BINARY)
+        good = np.zeros(tau.shape, dtype=np.int64)
+        for table in (np.zeros((4, 4, 4, 2), dtype=np.int64),
+                      good.reshape(4, 4, 16, 1), good[None]):
+            with pytest.raises(ValueError):
+                df.verify_reduction_exact(table, 2, BINARY, tau)
+        for bad_tau in (tau[..., :2], tau.reshape(4, 4, 16, 1)):
+            with pytest.raises(ValueError):
+                df.verify_reduction_exact(good, 2, BINARY, bad_tau)
+            with pytest.raises(ValueError):
+                df.reduction_numerator_thresholds(2, BINARY, 1, bad_tau)
 
 
 def _deterministic_iid_exact(n, fa, fb):

@@ -3,7 +3,8 @@ function body of the package: the scalar path and the numpy grid kernel
 call it rather than spelling it out again.  Likewise the honest-device
 Monte Carlo has one sampler, and the glued min-tradeoff function one
 scalar text, which the per-round and block protocols both call.  Round
-permutations of n-round tables go through one joint-type map."""
+permutations of n-round tables go through one joint-type map, and the
+de Finetti bounds through one multinomial."""
 
 import ast
 import copy
@@ -16,9 +17,11 @@ import di_toolkit
 # one marker per formula: the max-entropy term, the leakage sum, the
 # Hoeffding bound, the s_max = ceil(1/gamma) rule, the honest-device
 # sampler's uniform draws, the glued function's slope at its cut and the
-# smoothing root of the max-entropy term and the EAT penalty
+# smoothing root of the max-entropy term and the EAT penalty, the
+# multinomial of the de Finetti bounds and the eps_t candidate ladder
 MARKERS = ["LOG2_7", "LOG2_2SQRT2_PLUS_1", "exp(-2.0 *", "ceil(1.0 / gamma",
-           "rng.random(", "secrecy_bound_slope(", "1.0 - 2.0 * xp.log2("]
+           "rng.random(", "secrecy_bound_slope(", "1.0 - 2.0 * xp.log2(",
+           "math.comb(", "10.0 ** (-k)"]
 
 
 class _DropNested(ast.NodeTransformer):

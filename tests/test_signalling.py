@@ -411,7 +411,7 @@ class TestThresholdBound:
         required = exc.value.required_n
         eps = 0.25 / 160
         assert sig.threshold_precondition(required, eps, 2, 2, 2, 2)
-        assert not sig.threshold_precondition(required // 2, eps, 2, 2, 2, 2)
+        assert not sig.threshold_precondition(required - 1, eps, 2, 2, 2, 2)
 
 
 def _big_enough_n(beta, d):

@@ -3,11 +3,13 @@
 boxes and definetti treat two entries of an n-round table as related by a
 round permutation exactly when they share a joint type (the multiset of
 per-round symbols (x, y, a, b)).  perm_oracle keeps the sweeps over all n!
-permutations and the per-entry tau loop; each test here checks the
-package's type-class code against them.
+permutations, the per-entry tau loop and the per-entry reduction ratio and
+thresholds; each test here checks the package's type-class code against
+them.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -97,3 +99,56 @@ def test_invariance_verdict_at_tolerance(al, n):
             assert verdict == perm_oracle.is_permutation_invariant(box, tol)
             if entry == entries[0]:
                 assert verdict == (n == 1 or delta < tol)
+
+
+def _digits(size, n):
+    """digits[s, i] is round i's symbol of string index s."""
+    return np.arange(size**n)[:, None] // size ** np.arange(n) % size
+
+
+def _product_table(al, n, rng, iid):
+    """0/1 table of a product of deterministic single-round boxes
+    (signalling allowed): one box for all rounds if ``iid``, else one drawn
+    per round, which is not permutation invariant in general."""
+    draws = 1 if iid else n
+    fa = rng.integers(al.a_size, size=(draws, al.x_size, al.y_size))
+    fb = rng.integers(al.b_size, size=(draws, al.x_size, al.y_size))
+    box = np.arange(n) % draws
+    x = _digits(al.x_size, n)[:, None, None, None]
+    y = _digits(al.y_size, n)[None, :, None, None]
+    a = _digits(al.a_size, n)[None, None, :, None]
+    b = _digits(al.b_size, n)[None, None, None, :]
+    hit = (a == fa[box, x, y]) & (b == fb[box, x, y])
+    return hit.all(axis=-1).astype(np.int64)
+
+
+def test_reduction_matches_per_entry_loop(al, n):
+    """The per-class ratio and thresholds equal the per-entry ones for
+    invariant tables (random symmetrized, deterministic IID) and for tables
+    that are not (raw random integers, per-round deterministic products),
+    as integer numerators and as Fractions."""
+    tau = df.tau_table_exact(n, al)
+    factor = df.reduction_factor(n, al.x_size * al.y_size,
+                                 al.a_size * al.b_size)
+    rng = np.random.default_rng([8, n, al.a_size, al.b_size])
+    sym, denom = df.random_symmetrized_int_table(n, al, rng)
+    tables = [sym, rng.integers(0, 10**6, size=tau.shape),
+              _product_table(al, n, rng, iid=True),
+              _product_table(al, n, rng, iid=False)]
+    if n > 1:
+        rolled = perm_oracle.permutation_index(al, n, np.roll(np.arange(n), 1))
+        assert not np.array_equal(tables[1][rolled], tables[1])
+    for table in tables:
+        ratio = df.verify_reduction_exact(table, n, al, tau)
+        assert isinstance(ratio, Fraction)
+        assert ratio == perm_oracle.verify_reduction_exact(table, tau)
+        exact = np.vectorize(lambda v: Fraction(int(v), denom),
+                             otypes=[object])(table)
+        assert (df.verify_reduction_exact(exact, n, al, tau)
+                == perm_oracle.verify_reduction_exact(exact, tau)
+                == ratio / denom)
+    for d in (1, denom, 7):
+        thr = df.reduction_numerator_thresholds(n, al, d, tau)
+        ref = perm_oracle.reduction_numerator_thresholds(tau, factor, d)
+        assert thr.dtype == ref.dtype and thr.shape == ref.shape
+        assert thr.tobytes() == ref.tobytes()
