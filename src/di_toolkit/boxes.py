@@ -80,7 +80,6 @@ class SingleRoundBox:
     p: np.ndarray
     require_normalized: bool = True
     tol: float = NORMALIZATION_TOL
-    renormalize: bool = False
 
     def __post_init__(self):
         expected = (
@@ -101,27 +100,10 @@ class SingleRoundBox:
                 raise ValueError("per-input normalization violated")
             if np.any(p > 1.0 + self.tol):
                 raise ValueError("entry above 1")
-            if self.renormalize:
-                p = p / sums[:, :, None, None]
         object.__setattr__(self, "p", _frozen(p))
 
     def is_normalized(self, tol: float = NORMALIZATION_TOL) -> bool:
         return bool(np.all(np.abs(self.p.sum(axis=(2, 3)) - 1.0) <= tol))
-
-    def to_json_dict(self) -> dict:
-        al = self.alphabets
-        return {
-            "a_size": al.a_size,
-            "b_size": al.b_size,
-            "x_size": al.x_size,
-            "y_size": al.y_size,
-            "p": self.p.tolist(),
-        }
-
-    @staticmethod
-    def from_json_dict(d: dict, renormalize: bool = False) -> "SingleRoundBox":
-        al = Alphabets(d["a_size"], d["b_size"], d["x_size"], d["y_size"])
-        return SingleRoundBox(al, np.array(d["p"], dtype=float), renormalize=renormalize)
 
 
 @dataclass(frozen=True)
@@ -220,11 +202,6 @@ def load_game(path: str) -> Game:
         return Game.from_json_dict(json.load(fh))
 
 
-def load_box(path: str) -> SingleRoundBox:
-    with open(path) as fh:
-        return SingleRoundBox.from_json_dict(json.load(fh))
-
-
 @dataclass(frozen=True)
 class MultiRoundBox:
     """An n-round box P(a⃗,b⃗|x⃗,y⃗) with strings flattened to indices.
@@ -259,22 +236,6 @@ class MultiRoundBox:
         prod = Alphabets(al.a_size**self.n, al.b_size**self.n,
                          al.x_size**self.n, al.y_size**self.n)
         return SingleRoundBox(prod, self.p, tol=max(self.tol, 1e-9))
-
-    def to_json_dict(self) -> dict:
-        al = self.alphabets
-        return {
-            "n": self.n,
-            "a_size": al.a_size,
-            "b_size": al.b_size,
-            "x_size": al.x_size,
-            "y_size": al.y_size,
-            "p": self.p.tolist(),
-        }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "MultiRoundBox":
-        al = Alphabets(d["a_size"], d["b_size"], d["x_size"], d["y_size"])
-        return MultiRoundBox(d["n"], al, np.array(d["p"], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -397,12 +358,6 @@ def l1_distance(b1: SingleRoundBox, b2: SingleRoundBox,
         raise AlphabetMismatchError("box alphabets differ")
     diff = np.abs(b1.p - b2.p).sum(axis=(2, 3))
     return float(np.sum(q.q * diff))
-
-
-def threshold_win_fraction(data: ObservedData, game: Game) -> float:
-    """Fraction of rounds whose record satisfies the winning predicate."""
-    wins = game.win[data.a, data.b, data.x, data.y]
-    return float(np.mean(wins))
 
 
 # ---------------------------------------------------------------------------

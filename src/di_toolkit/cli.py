@@ -68,6 +68,8 @@ def _emit(args, payload, csv_rows=None, csv_header=None):
 
 def _cmd_entropy_curve(args):
     lo, hi, k = args.start, args.stop, args.points
+    if k < 1:
+        raise ValueError("--points must be >= 1")
     rows = []
     for i in range(k):
         w = lo + (hi - lo) * i / (k - 1) if k > 1 else lo
@@ -315,15 +317,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _inject_config(argv: list) -> list:
-    """Expand --config into flags placed before the explicit ones, so the
-    command line still wins on conflicts."""
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        return argv  # let argparse report the missing value
-    with open(argv[i + 1]) as fh:
+    """Expand --config PATH (or --config=PATH) into flags placed before the
+    explicit ones, so the command line still wins on conflicts."""
+    for i, arg in enumerate(argv):
+        if arg.startswith("--config="):
+            path = arg[len("--config="):]
+            break
+        if arg == "--config" and i + 1 < len(argv):
+            path = argv[i + 1]
+            break
+    else:
+        return argv  # no config, or let argparse report the missing value
+    with open(path) as fh:
         values = json.load(fh)
+    if not isinstance(values, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
     injected = []
     for key, value in values.items():
         flag = "--" + key.replace("_", "-")
@@ -343,7 +351,7 @@ def main(argv=None) -> int:
     if argv and not argv[0].startswith("-"):
         try:
             argv = _inject_config(argv)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     args = parser.parse_args(argv)

@@ -150,32 +150,6 @@ def verify_reduction_exact(table, n: int, alphabets: Alphabets,
     return max(p / t for p, t in zip(top.tolist(), tau))
 
 
-def verify_reduction(box: MultiRoundBox, tol: float = 1e-9) -> float:
-    """Max entrywise ratio P/tau of a permutation-invariant float box."""
-    from .boxes import is_permutation_invariant
-
-    if not is_permutation_invariant(box, tol=max(tol, 1e-7)):
-        raise ValueError("box is not permutation invariant")
-    tau = tau_box(box.n, box.alphabets)
-    mask = box.p > 0
-    return float(np.max(box.p[mask] / tau.p[mask]))
-
-
-def partition_feasible(weight: float, element: MultiRoundBox,
-                       parent: MultiRoundBox, tol: float = 1e-12) -> bool:
-    """True iff weight * element <= parent entrywise (within tol).
-
-    This is the condition for (weight, element) to be one branch of a convex
-    decomposition of the parent box, i.e. for the element to be
-    post-selectable from a non-signalling extension of the parent.
-    """
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError("weight must be in [0,1]")
-    if element.p.shape != parent.p.shape or element.n != parent.n:
-        raise ValueError("boxes must share shape")
-    return bool(np.all(weight * element.p <= parent.p + tol))
-
-
 # ---------------------------------------------------------------------------
 # random permutation-invariant boxes: integer numerators, exact checks
 

@@ -13,8 +13,7 @@ from di_toolkit.boxes import (Alphabets, EnumerationLimitError, Game,
                               SingleRoundBox, chsh_game, classical_value,
                               iid_box, is_nonsignalling,
                               is_permutation_invariant, l1_distance, permute,
-                              symmetrize, threshold_win_fraction,
-                              winning_probability)
+                              symmetrize, winning_probability)
 from conftest import (BINARY, bob_echoes_x_box, deterministic_box,
                       frequency_box, pr_box, product_box, random_box,
                       random_classical_box, sample_iid_data, uniform_q)
@@ -36,11 +35,6 @@ class TestConstruction:
         p[0, 0, 1, 1] = 0.6
         with pytest.raises(ValueError):
             SingleRoundBox(BINARY, p)
-
-    def test_renormalize_flag(self):
-        p = np.full((2, 2, 2, 2), 0.25) * (1 + 5e-10)
-        box = SingleRoundBox(BINARY, p, renormalize=True)
-        assert np.allclose(box.p.sum(axis=(2, 3)), 1.0, atol=1e-15)
 
     def test_constructors_normalized_within_1e12(self, rng):
         for maker in (pr_box, bob_echoes_x_box):
@@ -303,42 +297,13 @@ class TestL1Distance:
                                             + l1_distance(b, c, q) + 1e-12)
 
 
-class TestThresholdFraction:
-    @pytest.mark.parametrize("a,b,expected", [
-        (np.zeros(4, int), np.zeros(4, int), 1.0),   # all win (x=y=0 cells)
-        (np.zeros(4, int), np.ones(4, int), 0.0),    # all lose
-    ])
-    def test_constant_data(self, chsh, a, b, expected):
-        data = ObservedData(4, a, b, np.zeros(4, int), np.zeros(4, int),
-                            BINARY)
-        assert threshold_win_fraction(data, chsh) == expected
-
-    def test_alternating(self, chsh):
-        data = ObservedData(4, np.array([0, 0, 0, 0]), np.array([0, 1, 0, 1]),
-                            np.zeros(4, int), np.zeros(4, int), BINARY)
-        assert threshold_win_fraction(data, chsh) == 0.5
-
-
 class TestJsonRoundTrip:
-    def test_box_round_trip(self, rng, tmp_path):
-        box = random_box(rng)
-        path = tmp_path / "box.json"
-        path.write_text(json.dumps(box.to_json_dict()))
-        loaded = boxes.load_box(str(path))
-        assert np.allclose(loaded.p, box.p)
-
     def test_game_round_trip(self, chsh_qkd, tmp_path):
         path = tmp_path / "game.json"
         path.write_text(json.dumps(chsh_qkd.to_json_dict()))
         loaded = boxes.load_game(str(path))
         assert np.array_equal(loaded.win, chsh_qkd.win)
         assert np.allclose(loaded.q.q, chsh_qkd.q.q)
-
-    def test_multiround_round_trip(self):
-        multi = iid_box(pr_box(), 2)
-        d = multi.to_json_dict()
-        loaded = MultiRoundBox.from_json_dict(json.loads(json.dumps(d)))
-        assert np.allclose(loaded.p, multi.p)
 
 
 @given(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1),

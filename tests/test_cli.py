@@ -136,6 +136,16 @@ class TestEntropyCurve:
         assert float(rows[0][1]) == pytest.approx(0.0, abs=1e-9)
         assert float(rows[1][1]) == pytest.approx(1.0, abs=1e-4)
 
+    @pytest.mark.parametrize("points", ["0", "-2"])
+    def test_no_points_rejected(self, points, capsys):
+        # an empty curve with exit 0 would look like a successful run
+        code = cli.main(["entropy-curve", "--points", points])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestMuOpt:
     def test_reference_point(self, capsys):
@@ -338,6 +348,28 @@ class TestConfigAndOut:
         code, out = run_cli(["simulate", "--config", str(cfg),
                              "--trials", "25"], capsys)
         assert json.loads(out)["trials"] == 25
+
+    def test_config_equals_form(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 2}))
+        code, out = run_cli(["definetti-verify", "--n", "2",
+                             f"--config={cfg}"], capsys)
+        assert code == 0
+        assert json.loads(out)["trials"] == 2
+        code, out = run_cli(["definetti-verify", "--n", "2",
+                             f"--config={cfg}", "--trials=3"], capsys)
+        assert json.loads(out)["trials"] == 3
+
+    @pytest.mark.parametrize("content", ["[1, 2]", "3", "{not json"])
+    def test_config_not_an_object(self, content, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        code = cli.main(["definetti-verify", "--n", "2", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "curve.csv"

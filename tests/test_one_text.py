@@ -4,9 +4,11 @@ call it rather than spelling it out again.  Likewise the honest-device
 Monte Carlo has one sampler, and the glued min-tradeoff function one
 scalar text, which the per-round and block protocols both call.  Round
 permutations of n-round tables go through one joint-type map, and the
-de Finetti bounds through one multinomial."""
+de Finetti bounds through one multinomial.  Every public function and
+class has a caller outside the unit tests or a role in the README."""
 
 import ast
+import re
 import copy
 from pathlib import Path
 
@@ -68,3 +70,54 @@ def test_no_round_permutation_sweep():
     sweep = "itertools.permutations("
     holders = [name for name, code in function_bodies() if sweep in code]
     assert holders == []
+
+
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = Path(di_toolkit.__file__).parent
+
+
+def public_names():
+    """module:name of every public module-level function and class."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                yield path.stem, node.name
+
+
+def referenced_names():
+    """Every name the package, the scripts, the benchmark and the
+    acceptance tests refer to in code: names, attributes and imports.
+    Strings do not count, so perfbench/tracing.py's tables of traced
+    function names refer to nothing."""
+    paths = [*PACKAGE.glob("*.py"), *(REPO / "scripts").glob("*.py"),
+             *(REPO / "perfbench").glob("*.py"),
+             REPO / "tests" / "test_acceptance.py"]
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def readme_layout_names():
+    """The words of the README's Layout block."""
+    text = (REPO / "README.md").read_text()
+    block = re.search(r"^## Layout\n\n```\n(.*?)^```", text,
+                      re.DOTALL | re.MULTILINE)
+    return set(re.findall(r"\w+", block.group(1)))
+
+
+def test_public_names_have_a_role():
+    """A public function or class either has a caller outside the unit
+    tests or is a paper object the README's Layout block names; anything
+    else is dead surface."""
+    known = referenced_names() | readme_layout_names()
+    orphans = [f"{module}:{name}" for module, name in public_names()
+               if name not in known]
+    assert orphans == []
