@@ -20,12 +20,13 @@ Index conventions, fixed throughout the package:
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+# the tolerance of every box check: normalization, non-signalling and
+# permutation invariance
 NORMALIZATION_TOL = 1e-9
 
 # classical_value refuses to enumerate more deterministic strategy pairs
@@ -66,44 +67,36 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _box_table(p, expected: tuple) -> np.ndarray:
+    """``p`` as a frozen box table: shape ``expected``, entries >= 0 and the
+    outputs of each input summing to 1, both within NORMALIZATION_TOL
+    (entries that small below 0 become 0)."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != expected:
+        raise ValueError(f"table shape {p.shape} != {expected}")
+    if np.any(p < -NORMALIZATION_TOL):
+        raise ValueError("negative probability entry")
+    p = np.clip(p, 0.0, None)
+    if np.any(np.abs(p.sum(axis=(2, 3)) - 1.0) > NORMALIZATION_TOL):
+        raise ValueError("per-input normalization violated")
+    return _frozen(p)
+
+
 @dataclass(frozen=True)
 class SingleRoundBox:
     """A conditional distribution P(a,b|x,y) over finite alphabets.
 
-    ``p`` has shape ``(x_size, y_size, a_size, b_size)``.  By default the
-    constructor requires entries in [0,1] and per-(x,y) normalization within
-    ``tol``; frequency-derived tables (which may be unnormalized) are built
-    with ``require_normalized=False``.
+    ``p`` has shape ``(x_size, y_size, a_size, b_size)``, nonnegative
+    entries and per-(x,y) normalization (see _box_table).
     """
 
     alphabets: Alphabets
     p: np.ndarray
-    require_normalized: bool = True
-    tol: float = NORMALIZATION_TOL
 
     def __post_init__(self):
-        expected = (
-            self.alphabets.x_size,
-            self.alphabets.y_size,
-            self.alphabets.a_size,
-            self.alphabets.b_size,
-        )
-        p = np.asarray(self.p, dtype=float)
-        if p.shape != expected:
-            raise ValueError(f"table shape {p.shape} != {expected}")
-        if np.any(p < -self.tol):
-            raise ValueError("negative probability entry")
-        p = np.clip(p, 0.0, None)
-        if self.require_normalized:
-            sums = p.sum(axis=(2, 3))
-            if np.any(np.abs(sums - 1.0) > self.tol):
-                raise ValueError("per-input normalization violated")
-            if np.any(p > 1.0 + self.tol):
-                raise ValueError("entry above 1")
-        object.__setattr__(self, "p", _frozen(p))
-
-    def is_normalized(self, tol: float = NORMALIZATION_TOL) -> bool:
-        return bool(np.all(np.abs(self.p.sum(axis=(2, 3)) - 1.0) <= tol))
+        al = self.alphabets
+        object.__setattr__(self, "p", _box_table(
+            self.p, (al.x_size, al.y_size, al.a_size, al.b_size)))
 
 
 @dataclass(frozen=True)
@@ -197,11 +190,6 @@ class Game:
                     np.array(d["win"], dtype=bool))
 
 
-def load_game(path: str) -> Game:
-    with open(path) as fh:
-        return Game.from_json_dict(json.load(fh))
-
-
 @dataclass(frozen=True)
 class MultiRoundBox:
     """An n-round box P(a⃗,b⃗|x⃗,y⃗) with strings flattened to indices.
@@ -214,28 +202,12 @@ class MultiRoundBox:
     n: int
     alphabets: Alphabets
     p: np.ndarray
-    tol: float = NORMALIZATION_TOL
 
     def __post_init__(self):
         al = self.alphabets
-        expected = (al.x_size**self.n, al.y_size**self.n,
-                    al.a_size**self.n, al.b_size**self.n)
-        p = np.asarray(self.p, dtype=float)
-        if p.shape != expected:
-            raise ValueError(f"table shape {p.shape} != {expected}")
-        if np.any(p < -self.tol):
-            raise ValueError("negative probability entry")
-        sums = p.sum(axis=(2, 3))
-        if np.any(np.abs(sums - 1.0) > self.tol):
-            raise ValueError("per-input-string normalization violated")
-        object.__setattr__(self, "p", _frozen(np.clip(p, 0.0, None)))
-
-    def as_single_round(self) -> SingleRoundBox:
-        """View the n-round box as a single-round box over product alphabets."""
-        al = self.alphabets
-        prod = Alphabets(al.a_size**self.n, al.b_size**self.n,
-                         al.x_size**self.n, al.y_size**self.n)
-        return SingleRoundBox(prod, self.p, tol=max(self.tol, 1e-9))
+        object.__setattr__(self, "p", _box_table(
+            self.p, (al.x_size**self.n, al.y_size**self.n,
+                     al.a_size**self.n, al.b_size**self.n)))
 
 
 @dataclass(frozen=True)
@@ -247,7 +219,7 @@ class ObservedData:
     b: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    alphabets: Alphabets | None = field(default=None)
+    alphabets: Alphabets
 
     def __post_init__(self):
         arrays = {}
@@ -258,12 +230,11 @@ class ObservedData:
             if np.any(v < 0):
                 raise ValueError(f"negative entry in {name}")
             arrays[name] = v
-        if self.alphabets is not None:
-            al = self.alphabets
-            limits = {"a": al.a_size, "b": al.b_size, "x": al.x_size, "y": al.y_size}
-            for name, v in arrays.items():
-                if np.any(v >= limits[name]):
-                    raise ValueError(f"{name} entry out of range")
+        al = self.alphabets
+        limits = {"a": al.a_size, "b": al.b_size, "x": al.x_size, "y": al.y_size}
+        for name, v in arrays.items():
+            if np.any(v >= limits[name]):
+                raise ValueError(f"{name} entry out of range")
         for name, v in arrays.items():
             v.flags.writeable = False
             object.__setattr__(self, name, v)
@@ -273,17 +244,17 @@ class ObservedData:
 # single-round operations
 
 
-def is_nonsignalling(box: SingleRoundBox, tol: float = 1e-9) -> bool:
+def is_nonsignalling(box: SingleRoundBox) -> bool:
     """True iff Alice's marginal is independent of y and Bob's of x.
 
-    Checks, entrywise within ``tol``,
+    Checks, entrywise within NORMALIZATION_TOL,
     sum_b P(a,b|x,y) == sum_b P(a,b|x,y') and
     sum_a P(a,b|x,y) == sum_a P(a,b|x',y).
     """
     pa = box.p.sum(axis=3)  # (x, y, a)
     pb = box.p.sum(axis=2)  # (x, y, b)
-    alice_ok = np.all(np.abs(pa - pa[:, :1, :]) <= tol)
-    bob_ok = np.all(np.abs(pb - pb[:1, :, :]) <= tol)
+    alice_ok = np.all(np.abs(pa - pa[:, :1, :]) <= NORMALIZATION_TOL)
+    bob_ok = np.all(np.abs(pb - pb[:1, :, :]) <= NORMALIZATION_TOL)
     return bool(alice_ok and bob_ok)
 
 
@@ -423,15 +394,15 @@ def symmetrize(box: MultiRoundBox) -> MultiRoundBox:
                          means[index].reshape(box.p.shape))
 
 
-def is_permutation_invariant(box: MultiRoundBox, tol: float = 1e-9) -> bool:
+def is_permutation_invariant(box: MultiRoundBox) -> bool:
     """True iff the box equals itself composed with every round permutation:
-    within each joint type class, max - min <= tol."""
+    within each joint type class, max - min <= NORMALIZATION_TOL."""
     index, counts = _type_classes(box.n, box.alphabets)
     hi = np.full(len(counts), -np.inf)
     lo = np.full(len(counts), np.inf)
     np.maximum.at(hi, index, box.p)
     np.minimum.at(lo, index, box.p)
-    return bool(np.all(hi - lo <= tol))
+    return bool(np.all(hi - lo <= NORMALIZATION_TOL))
 
 
 def iid_box(single: SingleRoundBox, n: int) -> MultiRoundBox:

@@ -16,18 +16,29 @@ from fractions import Fraction
 import numpy as np
 
 from . import definetti, eat, entropy, keyrates, nslp, signalling, simulate
-from .boxes import Alphabets, InputDistribution, ObservedData, load_game
+from .boxes import Alphabets, Game, InputDistribution, ObservedData
 
 
-def _round_sig(value, digits: int = 9):
+def _round_sig(value):
     if isinstance(value, float):
         if math.isfinite(value):
-            return float(f"{value:.{digits}g}")
+            return float(f"{value:.9g}")
         return value
     if isinstance(value, dict):
-        return {k: _round_sig(v, digits) for k, v in value.items()}
+        return {k: _round_sig(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_round_sig(v, digits) for v in value]
+        return [_round_sig(v) for v in value]
+    return value
+
+
+def _load_json(path: str, kind: type):
+    """The JSON in file ``path``, whose top level must be a ``kind``: dict
+    (an object) or list (an array)."""
+    with open(path) as fh:
+        value = json.load(fh)
+    if not isinstance(value, kind):
+        raise ValueError(f"{path}: top level must be a JSON "
+                         + ("object" if kind is dict else "array"))
     return value
 
 
@@ -121,7 +132,7 @@ def _cmd_rate_curve(args):
 
 
 def _cmd_ns_value(args):
-    game = load_game(args.game)
+    game = Game.from_json_dict(_load_json(args.game, dict))
     value, kappa = nslp.ns_value(game)
     payload = {
         "value": value,
@@ -132,7 +143,7 @@ def _cmd_ns_value(args):
 
 
 def _cmd_threshold_bound(args):
-    game = load_game(args.game)
+    game = Game.from_json_dict(_load_json(args.game, dict))
     try:
         bound = signalling.threshold_bound(game, args.n, args.beta)
     except signalling.ThresholdPreconditionError as exc:
@@ -176,14 +187,12 @@ def _cmd_definetti_verify(args):
 
 
 def _cmd_sig_test(args):
-    with open(args.data) as fh:
-        d = json.load(fh)
+    d = _load_json(args.data, dict)
     al = Alphabets(d["a_size"], d["b_size"], d["x_size"], d["y_size"])
     data = ObservedData(d["n"], np.array(d["a"]), np.array(d["b"]),
                         np.array(d["x"]), np.array(d["y"]), al)
     if args.q:
-        with open(args.q) as fh:
-            q = InputDistribution(np.array(json.load(fh), dtype=float))
+        q = InputDistribution(np.array(_load_json(args.q, list), dtype=float))
     else:
         q = InputDistribution(np.full((al.x_size, al.y_size),
                                       1.0 / (al.x_size * al.y_size)))
@@ -220,7 +229,7 @@ def _cmd_simulate(args):
 def _subcommand_parser(**kw) -> argparse.ArgumentParser:
     """A subcommand's parser with the flags every subcommand takes; built
     afresh for each, so a subcommand's set_defaults changes only its own."""
-    p = argparse.ArgumentParser(**kw)
+    p = argparse.ArgumentParser(allow_abbrev=False, **kw)
     p.add_argument("--config", help="JSON file whose keys mirror the flags; "
                                     "explicit flags win")
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -230,7 +239,7 @@ def _subcommand_parser(**kw) -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="di-toolkit",
+        prog="di-toolkit", allow_abbrev=False,
         description="non-signalling boxes, de Finetti reductions, and "
                     "finite-size device-independent key rates")
     sub = parser.add_subparsers(dest="command", required=True,
@@ -328,10 +337,7 @@ def _inject_config(argv: list) -> list:
             break
     else:
         return argv  # no config, or let argparse report the missing value
-    with open(path) as fh:
-        values = json.load(fh)
-    if not isinstance(values, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
+    values = _load_json(path, dict)
     injected = []
     for key, value in values.items():
         flag = "--" + key.replace("_", "-")

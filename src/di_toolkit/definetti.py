@@ -89,10 +89,10 @@ def reduction_factor(n: int, l: int, m: int) -> int:
 # full tables
 
 
-def _check_table_size(n: int, alphabets: Alphabets, limit: int = 10**7):
+def _check_table_size(n: int, alphabets: Alphabets):
     size = (alphabets.x_size * alphabets.y_size
             * alphabets.a_size * alphabets.b_size) ** n
-    if size > limit:
+    if size > 10**7:
         raise EnumerationLimitError(f"table of {size} entries exceeds limit")
 
 
@@ -154,15 +154,14 @@ def verify_reduction_exact(table, n: int, alphabets: Alphabets,
 # random permutation-invariant boxes: integer numerators, exact checks
 
 
-def random_symmetrized_int_table(n: int, alphabets: Alphabets, rng,
-                                 total: int = 1009) -> tuple:
+def random_symmetrized_int_table(n: int, alphabets: Alphabets, rng) -> tuple:
     """Random permutation-invariant box as integer numerators over a common
     denominator.
 
-    Each input-string block is a multinomial(total) draw (so it normalizes
-    exactly), then the table is summed over all n! round permutations: an
-    entry of a class of size s receives its class sum n!/s times.
-    Returns (numerators, denominator) with denominator = total * n!.
+    Each input-string block is a multinomial draw of 1009 counts (so it
+    normalizes exactly), then the table is summed over all n! round
+    permutations: an entry of a class of size s receives its class sum n!/s
+    times.  Returns (numerators, denominator) with denominator = 1009 * n!.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -170,13 +169,13 @@ def random_symmetrized_int_table(n: int, alphabets: Alphabets, rng,
     al = alphabets
     shape = (al.x_size**n, al.y_size**n, al.a_size**n, al.b_size**n)
     outs = shape[2] * shape[3]
-    blocks = rng.multinomial(total, np.full(outs, 1.0 / outs),
+    blocks = rng.multinomial(1009, np.full(outs, 1.0 / outs),
                              size=shape[0] * shape[1])
     index, counts = _type_classes(n, al)
     sums = np.zeros(len(counts), dtype=np.int64)
     np.add.at(sums, index, blocks.reshape(shape).astype(np.int64))
     perms = math.factorial(n)
-    return (sums * (perms // np.bincount(index.ravel())))[index], total * perms
+    return (sums * (perms // np.bincount(index.ravel())))[index], 1009 * perms
 
 
 def reduction_numerator_thresholds(n: int, alphabets: Alphabets, denom: int,

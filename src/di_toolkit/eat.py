@@ -117,12 +117,12 @@ def cut_interval(gamma: float) -> tuple:
     return lo, hi
 
 
-def max_entropy_upper(n, gamma, eps_s, eps_e, xp=math):
-    """gamma n + sqrt(n) 2 log2(7) sqrt(1 - 2 log2(eps_s eps_e)) in the
-    namespace ``xp``: upper bound on the smooth max-entropy of Bob's test
-    outputs over n rounds, with the key length's smoothing
-    eps_s/4 - sqrt(eps_t) and eps_e = eps_ea + eps_ec."""
-    return _max_entropy(n, gamma, _smoothing_root(eps_s, eps_e, xp), xp)
+def max_entropy_upper(n, gamma, eps_s, eps_e):
+    """gamma n + sqrt(n) 2 log2(7) sqrt(1 - 2 log2(eps_s eps_e)): upper
+    bound on the smooth max-entropy of Bob's test outputs over n rounds,
+    with the key length's smoothing eps_s/4 - sqrt(eps_t) and
+    eps_e = eps_ea + eps_ec."""
+    return _max_entropy(n, gamma, _smoothing_root(eps_s, eps_e))
 
 
 def _smoothing_root(eps_s, eps_e, xp=math):

@@ -31,22 +31,19 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def secrecy_bound(omega: float, strict: bool = False) -> float:
+def secrecy_bound(omega: float) -> float:
     """Lower bound on the adversary-conditioned von Neumann entropy of
     Alice's output, as a function of the CHSH winning probability:
 
         1 - h(1/2 + 1/2 sqrt(16 w (w-1) + 3)).
 
-    Outside the quantum regime the bound extends flat (0 below the classical
-    value, 1 above the quantum optimum) unless ``strict`` is set.
+    Outside the quantum regime the bound extends flat: 0 below the
+    classical value, 1 above the quantum optimum.
     """
-    if omega < OMEGA_CLASSICAL - _CLAMP or omega > OMEGA_QUANTUM + _CLAMP:
-        if strict:
-            raise ValueError(f"omega {omega} outside the quantum CHSH regime")
-        if omega < OMEGA_CLASSICAL:
-            return 0.0
-        if omega > OMEGA_QUANTUM:
-            return 1.0
+    if omega < OMEGA_CLASSICAL - _CLAMP:
+        return 0.0
+    if omega > OMEGA_QUANTUM + _CLAMP:
+        return 1.0
     omega = min(max(omega, OMEGA_CLASSICAL), OMEGA_QUANTUM)
     radicand = 16.0 * omega * (omega - 1.0) + 3.0
     radicand = max(radicand, 0.0)
@@ -78,7 +75,7 @@ def _bound_open(omega: np.ndarray) -> np.ndarray:
 
 
 def secrecy_bound_array(omega: np.ndarray) -> np.ndarray:
-    """secrecy_bound (not strict) elementwise, in the same operation order:
+    """secrecy_bound elementwise, in the same operation order:
     _bound_open on the clamped statistic, whose root can round below 0 or
     u to 1 (a nan) only within ulps of the classical or the quantum end,
     where the bound is 0 or 1."""

@@ -6,7 +6,7 @@ finite-size corrections.  Over m blocks of at most s_max rounds (each ends
 at its first test round), n expected rounds and n' = n + t effective ones:
 
     l = m * mu_block_opt(eps_s/4, eps_ea + eps_ec)
-        - leak_ec(n', eps_t)
+        - leak(n', eps_t)
         - 3 log2(1 - sqrt(1 - (eps_s/4)^2))
         - gamma n'
         - sqrt(n') 2 log2(7) sqrt(1 - 2 log2(eps_s' (eps_ea + eps_ec)))
@@ -171,25 +171,13 @@ def _leak_rate(gamma, h_q, h_omega):
     return (1.0 - gamma) * h_q + gamma * h_omega
 
 
-def leak_ec(n_eff: float, params: ProtocolParams, eps_ec_prime: float,
-            eps_ec: float, eps_t: float = 0.0) -> float:
-    """Error-correction leakage of the honest IID implementation.
-
-    First order n_eff * [(1-gamma) h(Q) + gamma h(omega_exp)]; the sqrt
-    term's smoothing parameter is shifted to eps_ec_prime - 2*sqrt(eps_t)
-    when the round count is itself random (block mode).
-    """
-    if not 0 < eps_ec_prime < 1:
-        raise ValueError("eps_ec_prime must be in (0,1)")
-    return _leak(n_eff, _leak_rate(params.gamma, binary_entropy(params.q),
-                                   binary_entropy(params.omega_exp)),
-                 eps_ec_prime, eps_t, _leak_constants(eps_ec_prime, eps_ec))
-
-
 def _leak(n_eff: float, rate: float, eps_ec_prime: float, eps_t: float,
           constants: tuple) -> float:
-    """leak_ec with its first-order rate ``_leak_rate(...)`` and its eps_t-free
-    terms ``_leak_constants(eps_ec_prime, eps_ec)`` given."""
+    """Error-correction leakage of the honest IID implementation over n_eff
+    rounds: first order n_eff * rate, rate = _leak_rate(...), plus a sqrt
+    term whose smoothing parameter is shifted to eps_ec_prime - 2 sqrt(eps_t)
+    when the round count is itself random (block mode), plus the eps_t-free
+    terms ``constants`` = _leak_constants(eps_ec_prime, eps_ec)."""
     eps_sqrt_term = eps_ec_prime - 2.0 * math.sqrt(eps_t)
     if eps_sqrt_term <= 0:
         raise ValueError("eps_t too large: eps_ec_prime - 2 sqrt(eps_t) <= 0")

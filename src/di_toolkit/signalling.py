@@ -170,13 +170,11 @@ def signalling_test_flags(data: ObservedData, q: InputDistribution,
     Each is compared with (zeta - 2*eps) n/2 in Fraction arithmetic, Q, zeta
     and eps entering as the exact rationals of their floats.  If any input
     pair is missing from either half every target rejects by definition
-    (the frequency boxes are not defined for all inputs).  ``data`` must
-    carry its alphabets and ``q`` complete support.
+    (the frequency boxes are not defined for all inputs).  ``q`` must have
+    complete support.
     """
     if data.n != params.n:
         raise ValueError("data length does not match test parameters")
-    if data.alphabets is None:
-        raise ValueError("data must carry its alphabets")
     first, second = split_halves(data)
     al = data.alphabets
     if (al.x_size, al.y_size) != (q.x_size, q.y_size):
@@ -297,15 +295,15 @@ def threshold_bound(game: Game, n: int, beta: float) -> float:
 
 
 def iid_threshold_probability(single: SingleRoundBox, game: Game, n: int,
-                              beta: float, exact_cap: int = 200000) -> tuple:
+                              beta: float) -> tuple:
     """(exact, hoeffding) probabilities that an IID strategy wins at least a
     fraction (omega + beta) of n games, where omega is its own single-game
     winning probability.
 
     The exact value is the binomial upper tail; the bound is exp(-2 n beta^2).
     """
-    if n < 1 or n > exact_cap:
-        raise ValueError(f"n must be in [1, {exact_cap}]")
+    if n < 1 or n > 200000:
+        raise ValueError("n must be in [1, 200000]")
     if beta < 0:
         raise ValueError("beta must be >= 0")
     omega = winning_probability(single, game)

@@ -157,10 +157,11 @@ def block_lengths(transcript: Transcript, s_max: int) -> np.ndarray:
     return lengths[lengths > 0]
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple:
+def wilson_interval(successes: int, trials: int) -> tuple:
     """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    z = 1.96  # the two-sided 95% normal quantile
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

@@ -101,31 +101,26 @@ def sample_iid_data(box, q, n, rng):
 
 
 def frequency_box(data, q):
-    """Oracle single-round box estimated from observed data:
-    freq(a,b,x,y) / Q(x,y).
+    """Oracle frequency table estimated from observed data:
+    freq(a,b,x,y) / Q(x,y), indexed like SingleRoundBox.p.
 
     Divides by the declared input distribution, not the empirical input
     frequencies, so entries may exceed 1 and per-(x,y) normalization holds
-    only when the empirical input frequencies match Q; it is not asserted.
+    only when the empirical input frequencies match Q: the table is not a
+    box, so it is returned as an array.
     """
     if not q.complete_support:
         raise ValueError("input distribution must have complete support")
-    x_size, y_size = q.x_size, q.y_size
-    a_size = int(data.a.max()) + 1 if data.alphabets is None else data.alphabets.a_size
-    b_size = int(data.b.max()) + 1 if data.alphabets is None else data.alphabets.b_size
-    if data.alphabets is not None:
-        if (data.alphabets.x_size, data.alphabets.y_size) != (x_size, y_size):
-            raise AlphabetMismatchError("data and q input alphabets differ")
-    counts = np.zeros((x_size, y_size, a_size, b_size))
+    al = data.alphabets
+    if (al.x_size, al.y_size) != (q.x_size, q.y_size):
+        raise AlphabetMismatchError("data and q input alphabets differ")
+    counts = np.zeros((al.x_size, al.y_size, al.a_size, al.b_size))
     np.add.at(counts, (data.x, data.y, data.a, data.b), 1.0)
     seen = counts.sum(axis=(2, 3)) > 0
     if not np.all(seen):
         missing = np.argwhere(~seen)
         raise ValueError(f"input pairs missing from data: {missing.tolist()}")
-    freq = counts / data.n
-    table = freq / q.q[:, :, None, None]
-    al = Alphabets(a_size, b_size, x_size, y_size)
-    return SingleRoundBox(al, table, require_normalized=False)
+    return counts / data.n / q.q[:, :, None, None]
 
 
 def round_count_law(m, gamma, s_max):

@@ -371,6 +371,44 @@ class TestConfigAndOut:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    def test_abbreviated_flag_rejected(self, tmp_path, capsys):
+        """--conf is no prefix of --config: flags are spelled in full, so
+        the file is never silently ignored."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 2}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["definetti-verify", "--n", "2", "--conf", str(cfg)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --conf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, argv, content", [
+        ("game", ["ns-value", "--game"], "[1, 2]"),
+        ("game", ["threshold-bound", "--n", "100", "--beta", "0.1",
+                  "--game"], "[1, 2]"),
+        ("data", ["sig-test", "--zeta", "0.06", "--eps", "0.008",
+                  "--data"], "[1, 2]"),
+        ("q", ["sig-test", "--zeta", "0.06", "--eps", "0.008", "--data",
+               "DATA", "--q"], '{"a": 1}'),
+    ], ids=["game-ns-value", "game-threshold-bound", "data", "q"])
+    def test_wrong_top_level_json(self, kind, argv, content, tmp_path,
+                                  capsys):
+        """Every input file's top level is checked (an object, or an array
+        for --q; test_config_not_an_object covers --config): a file of the
+        wrong shape is an error line and exit 1."""
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({
+            "n": 4, "a_size": 2, "b_size": 2, "x_size": 2, "y_size": 2,
+            "a": [0] * 4, "b": [0] * 4, "x": [0, 0, 1, 1], "y": [0, 1] * 2}))
+        path = tmp_path / f"{kind}.json"
+        path.write_text(content)
+        argv = [str(data) if a == "DATA" else a for a in argv] + [str(path)]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: top level must be")
+        assert captured.err.count("\n") == 1
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "curve.csv"
         code, out = run_cli(["entropy-curve", "--points", "3", "--out",

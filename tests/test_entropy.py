@@ -49,10 +49,6 @@ class TestSecrecyBound:
         assert ent.secrecy_bound(0.6) == 0.0
         assert ent.secrecy_bound(0.99) == 1.0
 
-    def test_strict_mode(self):
-        with pytest.raises(ValueError):
-            ent.secrecy_bound(0.6, strict=True)
-
     def test_monotone_and_convex(self):
         xs = np.linspace(ent.OMEGA_CLASSICAL, ent.OMEGA_QUANTUM, 1000)
         ys = np.array([ent.secrecy_bound(x) for x in xs])

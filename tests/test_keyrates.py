@@ -56,24 +56,43 @@ class TestEpsilonBudget:
             2 * b.eps_ec + b.eps_pa + b.eps_s + b.eps_ea)
 
 
+def reference_leak(n_eff, params, eps_ec_prime, eps_ec, eps_t=0.0):
+    """The error-correction leakage spelled out, in the package's operation
+    order: n_eff [(1-gamma) h(Q) + gamma h(omega_exp)]
+    + sqrt(n_eff) 4 log2(2 sqrt(2) + 1) sqrt(2 log2(8 / e^2))
+    + log2(8 / eps_ec_prime^2 + 2 / (2 - eps_ec_prime)) + log2(1 / eps_ec),
+    with e = eps_ec_prime - 2 sqrt(eps_t)."""
+    rate = ((1.0 - params.gamma) * entropy.binary_entropy(params.q)
+            + params.gamma * entropy.binary_entropy(params.omega_exp))
+    shifted = eps_ec_prime - 2.0 * math.sqrt(eps_t)
+    return (n_eff * rate
+            + math.sqrt(n_eff) * 4.0 * math.log2(2.0 * math.sqrt(2.0) + 1.0)
+            * math.sqrt(2.0 * math.log2(8.0 / shifted**2))
+            + math.log2(8.0 / eps_ec_prime**2 + 2.0 / (2.0 - eps_ec_prime))
+            + math.log2(1.0 / eps_ec))
+
+
 class TestLeakEc:
+    """The leak_ec term of key_length and key_length_block reports."""
+
     def test_first_order_generation_only(self):
         # gamma -> 0: per-round leakage approaches h(Q)
-        params = make_params(n=1e12, gamma=1e-9, q=0.02)
-        leak = kr.leak_ec(params.n, params, 5e-3, 1e-10)
+        params = make_params(n=1e12, gamma=1e-9, q=0.02, delta=1e-11)
+        leak = kr.key_length(params, make_budget()).leak_ec
         assert leak / params.n == pytest.approx(
             entropy.binary_entropy(params.q), abs=1e-4)
 
     def test_zero_qber_generation_only(self):
-        params = make_params(n=1e12, gamma=1e-9, q=0.0)
-        omega, _ = kr.honest_werner(0.0)
-        leak = kr.leak_ec(params.n, params, 5e-3, 1e-10)
+        params = make_params(n=1e12, gamma=1e-9, q=0.0, delta=1e-11)
+        leak = kr.key_length(params, make_budget()).leak_ec
         assert leak / params.n == pytest.approx(0.0, abs=1e-4)
 
     def test_term_structure(self):
-        params = make_params(n=1e10, gamma=1e-3, q=0.025)
-        epsp, epsec = 1e-10, 1e-10
-        leak = kr.leak_ec(params.n, params, epsp, epsec)
+        params = make_params(n=1e10, gamma=1e-3, q=0.025, delta=1e-5)
+        budget = kr.EpsilonBudget(eps_ec=1e-10, eps_ec_complete=2e-10,
+                                  eps_s=3e-6, eps_ea=3e-6, eps_pa=3e-6)
+        leak = kr.key_length(params, budget).leak_ec
+        epsp, epsec = budget.eps_ec_prime, budget.eps_ec
         first = params.n * ((1 - params.gamma)
                             * entropy.binary_entropy(params.q)
                             + params.gamma
@@ -85,15 +104,24 @@ class TestLeakEc:
         assert leak == pytest.approx(first + second + third + fourth)
 
     def test_eps_t_shift_increases_leak(self):
-        params = make_params()
-        base = kr.leak_ec(params.n, params, 5e-3, 1e-10)
-        shifted = kr.leak_ec(params.n, params, 5e-3, 1e-10, eps_t=1e-8)
-        assert shifted > base
+        """Block mode: the leakage over n + t rounds, its sqrt term at the
+        shifted smoothing eps_ec_prime - 2 sqrt(eps_t), above the unshifted
+        leakage over the same rounds."""
+        params, budget = make_params(), make_budget(eps_t=1e-14)
+        report = kr.key_length_block(params, budget, 5)
+        n_eff = params.n + report.extras["tail_t"]
+        prime, ec = budget.eps_ec_prime, budget.eps_ec
+        assert report.leak_ec == pytest.approx(
+            reference_leak(n_eff, params, prime, ec, budget.eps_t))
+        assert report.leak_ec > reference_leak(n_eff, params, prime, ec)
 
     def test_eps_t_too_large(self):
-        params = make_params()
-        with pytest.raises(ValueError):
-            kr.leak_ec(params.n, params, 1e-5, 1e-10, eps_t=1e-6)
+        # sqrt(eps_t) < eps_s / 4, so only the leakage's shift fails
+        budget = kr.EpsilonBudget(eps_ec=1e-10, eps_ec_complete=1e-5 + 1e-10,
+                                  eps_s=0.5, eps_ea=3e-6, eps_pa=3e-6,
+                                  eps_t=1e-6)
+        with pytest.raises(ValueError, match="eps_ec_prime"):
+            kr.key_length_block(make_params(), budget, 5)
 
 
 class TestKeyLength:
@@ -149,7 +177,7 @@ def reference_key_length(params, budget):
     mu_value, cut = eat.mu_opt(params.omega_exp, params.delta_est,
                                params.gamma, params.n, eps)
     entropy_term = params.n * mu_value
-    leak = kr.leak_ec(params.n, params, budget.eps_ec_prime, budget.eps_ec)
+    leak = reference_leak(params.n, params, budget.eps_ec_prime, budget.eps_ec)
     log_corr = kr._log_correction(budget.eps_s)
     max_ent = params.gamma * params.n + math.sqrt(params.n) * 2.0 * math.log2(
         7.0) * math.sqrt(1.0 - 2.0 * math.log2(
@@ -773,8 +801,8 @@ def reference_grid_key_lengths(target, caps, mode, gammas, deltas, shares):
                     2.0 * np.log2(8.0 / eps_sqrt_term**2))
                 + np.log2(8.0 / prime**2 + 2.0 / (2.0 - prime))
                 + np.log2(1.0 / caps.eps_ec))
-        max_ent = eat.max_entropy_upper(n_eff, gamma, es4 - np.sqrt(eps_t),
-                                        eps_e, np)
+        max_ent = gamma * n_eff + np.sqrt(n_eff) * 2.0 * math.log2(
+            7.0) * np.sqrt(1.0 - 2.0 * np.log2((es4 - np.sqrt(eps_t)) * eps_e))
         ell = entropy_term - leak - log_corr - max_ent - pa
     ok = ok & (eps_sqrt_term > 0)
     return np.where(ok, ell, -np.inf).max(axis=3)

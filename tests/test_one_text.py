@@ -4,8 +4,9 @@ call it rather than spelling it out again.  Likewise the honest-device
 Monte Carlo has one sampler, and the glued min-tradeoff function one
 scalar text, which the per-round and block protocols both call.  Round
 permutations of n-round tables go through one joint-type map, and the
-de Finetti bounds through one multinomial.  Every public function and
-class has a caller outside the unit tests or a role in the README."""
+de Finetti bounds through one multinomial.  Every public function, class
+and method has a caller outside the unit tests or a role in the README,
+and every default is set somewhere outside the unit tests."""
 
 import ast
 import re
@@ -76,33 +77,66 @@ REPO = Path(__file__).resolve().parents[1]
 PACKAGE = Path(di_toolkit.__file__).parent
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any((d.func if isinstance(d, ast.Call) else d).id == "dataclass"
+               for d in node.decorator_list)
+
+
+def _is_property(node) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "property"
+               for d in node.decorator_list)
+
+
 def public_names():
-    """module:name of every public module-level function and class."""
+    """(label, name, is_property) of every public module-level function and
+    class and every public method of a public class."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                yield path.stem, node.name
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            yield f"{path.stem}:{node.name}", node.name, False
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")):
+                        yield (f"{path.stem}:{node.name}.{item.name}",
+                               item.name, _is_property(item))
 
 
-def referenced_names():
-    """Every name the package, the scripts, the benchmark and the
-    acceptance tests refer to in code: names, attributes and imports.
-    Strings do not count, so perfbench/tracing.py's tables of traced
-    function names refer to nothing."""
+def _caller_trees():
+    """The syntax trees of the code outside the unit tests: the package,
+    the scripts, the benchmark and the acceptance tests."""
     paths = [*PACKAGE.glob("*.py"), *(REPO / "scripts").glob("*.py"),
              *(REPO / "perfbench").glob("*.py"),
              REPO / "tests" / "test_acceptance.py"]
-    names = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+    return [ast.parse(path.read_text()) for path in sorted(paths)]
+
+
+def referenced_names():
+    """(used, read): the names that the code outside the unit tests calls,
+    loads as a bare name or imports, and the attribute names it reads
+    without calling them.  Strings do not count, so perfbench/tracing.py's
+    tables of traced function names refer to nothing."""
+    used, read, called = set(), set(), set()
+    for tree in _caller_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Attribute):
+                    called.add(id(func))
+                    used.add(func.attr)
+                elif isinstance(func, ast.Name):
+                    used.add(func.id)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
             elif isinstance(node, ast.ImportFrom):
-                names.update(alias.name for alias in node.names)
-    return names
+                used.update(alias.name for alias in node.names)
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)
+                    and id(node) not in called)
+    return used, read
 
 
 def readme_layout_names():
@@ -114,10 +148,94 @@ def readme_layout_names():
 
 
 def test_public_names_have_a_role():
-    """A public function or class either has a caller outside the unit
-    tests or is a paper object the README's Layout block names; anything
-    else is dead surface."""
-    known = referenced_names() | readme_layout_names()
-    orphans = [f"{module}:{name}" for module, name in public_names()
-               if name not in known]
+    """A public function, class or method either has a caller outside the
+    unit tests or is a paper object the README's Layout block names;
+    anything else is dead surface.  A caller calls the name, loads it as a
+    bare name or imports it; reading a same-named field or attribute is no
+    use of a function, but it is of a property."""
+    used, read = referenced_names()
+    known = used | readme_layout_names()
+    orphans = [label for label, name, is_property in public_names()
+               if name not in known and not (is_property and name in read)]
     assert orphans == []
+
+
+def defaulted_parameters():
+    """(label, callee, position, name, is_field) of every defaulted
+    parameter of a package function or method and every defaulted dataclass
+    field; a position is that of the argument in a call (a method's self is
+    bound), None for a keyword-only parameter."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {id(item) for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) for item in node.body
+                   if isinstance(item, ast.FunctionDef)
+                   and not any(isinstance(d, ast.Name)
+                               and d.id == "staticmethod"
+                               for d in item.decorator_list)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args.posonlyargs + node.args.args
+                bound = id(node) in methods
+                for k, arg in enumerate(args[len(args)
+                                             - len(node.args.defaults):],
+                                        len(args) - len(node.args.defaults)):
+                    yield (f"{path.stem}:{node.name}({arg.arg})", node.name,
+                           k - bound, arg.arg, False)
+                for arg, default in zip(node.args.kwonlyargs,
+                                        node.args.kw_defaults):
+                    if default is not None:
+                        yield (f"{path.stem}:{node.name}({arg.arg})",
+                               node.name, None, arg.arg, False)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields = [item for item in node.body
+                          if isinstance(item, ast.AnnAssign)
+                          and isinstance(item.target, ast.Name)]
+                for k, item in enumerate(fields):
+                    if item.value is not None:
+                        yield (f"{path.stem}:{node.name}.{item.target.id}",
+                               node.name, k, item.target.id, True)
+
+
+def _callee(call: ast.Call):
+    return getattr(call.func, "attr", getattr(call.func, "id", None))
+
+
+def set_arguments():
+    """(callee, position-or-name) of every argument that the code outside
+    the unit tests passes, the callee named as called; a starred argument
+    covers every position from its own on.  Keywords passed to
+    dataclasses.replace are set on the replaced object (callee None).  A
+    function passing its own parameter on to itself sets nothing."""
+    out = set()
+    for tree in _caller_trees():
+        recursive = {id(node) for fn in ast.walk(tree)
+                     if isinstance(fn, ast.FunctionDef)
+                     for node in ast.walk(fn)
+                     if isinstance(node, ast.Call) and _callee(node) == fn.name}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in recursive:
+                continue
+            callee = _callee(node)
+            if callee == "replace":
+                callee = None
+            for k, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    out.update((callee, j) for j in range(k, 64))
+                    break
+                out.add((callee, k))
+            out.update((callee, kw.arg) for kw in node.keywords if kw.arg)
+    return out
+
+
+def test_every_default_has_a_setter():
+    """A parameter or dataclass field with a default is set somewhere
+    outside the unit tests, by position or by keyword (a dataclass field
+    also through dataclasses.replace); one that only unit tests set is a
+    test-only option and belongs in the code as a constant."""
+    given = set_arguments()
+    unset = [label for label, callee, position, name, is_field
+             in defaulted_parameters()
+             if not ({(callee, position), (callee, name)} & given
+                     or is_field and (None, name) in given)]
+    assert unset == []
