@@ -237,23 +237,15 @@ def _subcommand_parser(**kw) -> argparse.ArgumentParser:
     return p
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="di-toolkit", allow_abbrev=False,
-        description="non-signalling boxes, de Finetti reductions, and "
-                    "finite-size device-independent key rates")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_subcommand_parser)
-
-    p = sub.add_parser("entropy-curve", help="secrecy bounds vs winning "
-                                             "probability (CSV)")
+def _entropy_curve_flags(p):
     p.add_argument("--from", dest="start", type=float, default=0.75)
     p.add_argument("--to", dest="stop", type=float,
                    default=entropy.OMEGA_QUANTUM)
     p.add_argument("--points", type=int, default=50)
     p.set_defaults(func=_cmd_entropy_curve, format="csv")
 
-    p = sub.add_parser("mu-opt", help="optimized finite-size entropy rate")
+
+def _mu_opt_flags(p):
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--omega-exp", dest="omega_exp", type=float, required=True)
@@ -266,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "ceil(1/gamma))")
     p.set_defaults(func=_cmd_mu_opt)
 
-    p = sub.add_parser("rate-curve", help="optimized key-rate sweep")
+
+def _rate_curve_flags(p):
     p.add_argument("--mode", choices=[keyrates.PER_ROUND, keyrates.BLOCK],
                    default=keyrates.BLOCK)
     p.add_argument("--axis", choices=["q", "n"], required=True)
@@ -281,20 +274,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--completeness", type=float, default=1e-2)
     p.set_defaults(func=_cmd_rate_curve, format="csv")
 
-    p = sub.add_parser("ns-value", help="optimal non-signalling winning "
-                                        "probability of a game")
+
+def _ns_value_flags(p):
     p.add_argument("--game", required=True)
     p.set_defaults(func=_cmd_ns_value)
 
-    p = sub.add_parser("threshold-bound", help="non-signalling threshold "
-                                               "theorem bound")
+
+def _threshold_bound_flags(p):
     p.add_argument("--game", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.set_defaults(func=_cmd_threshold_bound)
 
-    p = sub.add_parser("definetti-verify", help="exact reduction check on "
-                                                "random symmetrized boxes")
+
+def _definetti_verify_flags(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
@@ -304,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-size", dest="y_size", type=int, default=2)
     p.set_defaults(func=_cmd_definetti_verify)
 
-    p = sub.add_parser("sig-test", help="signalling tests on observed data")
+
+def _sig_test_flags(p):
     p.add_argument("--data", required=True)
     p.add_argument("--zeta", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
@@ -312,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default uniform)")
     p.set_defaults(func=_cmd_sig_test)
 
-    p = sub.add_parser("simulate", help="honest-device abort probability")
+
+def _simulate_flags(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--omega-exp", dest="omega_exp", type=float, required=True)
@@ -322,7 +317,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_simulate)
 
+
+# subcommand: (its --help line, the function adding its flags), in the
+# order the top-level help lists them
+_COMMANDS = {
+    "entropy-curve": ("secrecy bounds vs winning probability (CSV)",
+                      _entropy_curve_flags),
+    "mu-opt": ("optimized finite-size entropy rate", _mu_opt_flags),
+    "rate-curve": ("optimized key-rate sweep", _rate_curve_flags),
+    "ns-value": ("optimal non-signalling winning probability of a game",
+                 _ns_value_flags),
+    "threshold-bound": ("non-signalling threshold theorem bound",
+                        _threshold_bound_flags),
+    "definetti-verify": ("exact reduction check on random symmetrized "
+                         "boxes", _definetti_verify_flags),
+    "sig-test": ("signalling tests on observed data", _sig_test_flags),
+    "simulate": ("honest-device abort probability", _simulate_flags),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser with every subcommand's parser."""
+    parser = argparse.ArgumentParser(
+        prog="di-toolkit", allow_abbrev=False,
+        description="non-signalling boxes, de Finetti reductions, and "
+                    "finite-size device-independent key rates")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_subcommand_parser)
+    for name, (help_line, add_flags) in _COMMANDS.items():
+        add_flags(sub.add_parser(name, help=help_line))
     return parser
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """Parse with only the invoked subcommand's parser, the one that
+    build_parser would hand the arguments to.  A command line it does not
+    take whole (no known subcommand first, or arguments left over) goes to
+    build_parser's full parse, so help and errors read the same either
+    way."""
+    if argv and argv[0] in _COMMANDS:
+        p = _subcommand_parser(prog=f"di-toolkit {argv[0]}")
+        _COMMANDS[argv[0]][1](p)
+        args, rest = p.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _inject_config(argv: list) -> list:
@@ -353,14 +393,13 @@ def _inject_config(argv: list) -> list:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     if argv and not argv[0].startswith("-"):
         try:
             argv = _inject_config(argv)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     # allow the documented `--out csv` / `--out json` shorthand for --format
     if args.out in ("csv", "json"):
         args.format = args.out
@@ -369,7 +408,8 @@ def main(argv=None) -> int:
         args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, OSError, KeyError, nslp.SolverError) as exc:
+    except (ValueError, TypeError, OSError, KeyError,
+            nslp.SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

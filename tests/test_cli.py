@@ -56,6 +56,86 @@ class TestBasics:
         assert proc.stdout.startswith("omega,")
 
 
+TOP_LEVEL_HELP = """\
+usage: di-toolkit [-h]
+                  {entropy-curve,mu-opt,rate-curve,ns-value,threshold-bound,definetti-verify,sig-test,simulate}
+                  ...
+
+non-signalling boxes, de Finetti reductions, and finite-size device-
+independent key rates
+
+positional arguments:
+  {entropy-curve,mu-opt,rate-curve,ns-value,threshold-bound,definetti-verify,sig-test,simulate}
+    entropy-curve       secrecy bounds vs winning probability (CSV)
+    mu-opt              optimized finite-size entropy rate
+    rate-curve          optimized key-rate sweep
+    ns-value            optimal non-signalling winning probability of a game
+    threshold-bound     non-signalling threshold theorem bound
+    definetti-verify    exact reduction check on random symmetrized boxes
+    sig-test            signalling tests on observed data
+    simulate            honest-device abort probability
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+class TestOneSubcommandParser:
+    """main parses a command line with the invoked subcommand's parser
+    alone; whatever it prints and returns is what build_parser's full
+    parse gives."""
+
+    @staticmethod
+    def outcome(parse, argv, capsys):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    def assert_same(self, argvs, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in argvs:
+            full = self.outcome(cli.build_parser().parse_args, argv, capsys)
+            assert self.outcome(cli._parse_args, argv, capsys) == full, argv
+
+    def test_top_level_help(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == TOP_LEVEL_HELP
+
+    def test_top_level_lines(self, capsys, monkeypatch):
+        self.assert_same([[], ["--help"], ["-h"], ["frobnicate"],
+                          ["frobnicate", "--game", "g.json"],
+                          ["--format", "csv"], ["--config", "c.json"]],
+                         capsys, monkeypatch)
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_subcommand_lines(self, name, capsys, monkeypatch):
+        valid = next(argv for argv, _ in TestConfigAndOut.DEFAULT_FORMATS
+                     if argv[0] == name)
+        self.assert_same([
+            valid, valid + ["--format", "csv", "--out", "o.json"],
+            valid + ["--config", "c.json"], valid + ["extra"],
+            valid + ["--nope"], valid + ["--", "x"],
+            [name, "--help"], [name, "-h", "--nope"], [name],
+            [name, "--config"], [name, "--format", "xml"],
+        ], capsys, monkeypatch)
+
+    def test_full_parser_not_built(self, monkeypatch, capsys):
+        """A command line the subcommand's parser takes whole never builds
+        the other seven."""
+        def fail():
+            raise AssertionError("build_parser called")
+
+        monkeypatch.setattr(cli, "build_parser", fail)
+        code, out = run_cli(["entropy-curve", "--points", "3"], capsys)
+        assert code == 0 and out.startswith("omega,")
+
+
 class TestGameCommands:
     def test_ns_value_chsh(self, chsh_file, capsys):
         code, out = run_cli(["ns-value", "--game", chsh_file], capsys)
@@ -407,6 +487,27 @@ class TestConfigAndOut:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}: top level must be")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, name, content", [
+        (["ns-value", "--game"], "game.json",
+         {"a_size": [2], "b_size": 2, "x_size": 2, "y_size": 2,
+          "q": [[0.25, 0.25], [0.25, 0.25]], "win": 0}),
+        (["sig-test", "--zeta", "0.06", "--eps", "0.008", "--data"],
+         "data.json", {"n": 2, "a_size": 2, "b_size": 2, "x_size": 2,
+                       "y_size": 2, "a": [0, None], "b": [0, 1],
+                       "x": [0, 1], "y": [0, 1]}),
+    ], ids=["game-alphabet-list", "data-null-outcome"])
+    def test_wrong_element_type(self, argv, name, content, tmp_path, capsys):
+        """A file of the right top-level shape with an element of the
+        wrong type is an error line and exit 1, not a traceback."""
+        path = tmp_path / name
+        path.write_text(json.dumps(content))
+        code = cli.main(argv + [str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
     def test_out_file(self, tmp_path, capsys):

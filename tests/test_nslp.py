@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from di_toolkit import nslp
-from di_toolkit.boxes import (chsh_game, classical_value,
+from di_toolkit.boxes import (Alphabets, Game, InputDistribution,
+                              chsh_game, classical_value,
                               extended_chsh_game, is_nonsignalling,
                               winning_probability)
 from di_toolkit.signalling import signalling_matrix
@@ -19,8 +20,11 @@ import lp_oracle
 FORMS = [None, 0.0, 0.01, 0.05]
 
 # games 9, 19 and 45 of random_game(default_rng(5), 4, 3): the <= 0 form
-# stalls on them (a false "infeasible" on 9, the iteration cap on 19 and 45)
+# loses its basis in phase 1 on them (after 498, 552 and 313 pivots), and
+# the solve stops there with SolverError
 STALLING_GAMES = (9, 19, 45)
+# the optimum of stalling game 9's = form
+STALLING_9_VALUE = 0.9150155739798812
 
 
 def stalling_game(index):
@@ -376,6 +380,70 @@ class TestSingleSolve:
             assert perturbed <= value + slack * kappa + 1e-8
 
 
+class TestLostBasis:
+    """A basic column that enters again is drift if its tableau column is
+    within BASIS_TOL of its unit vector, and a lost basis past it."""
+
+    @pytest.mark.parametrize("index", STALLING_GAMES)
+    def test_stalling_le_form_fails_fast(self, index):
+        """The <= 0 form of a stalling game raises the lost-basis error in
+        phase 1 within a second: no false "infeasible" on game 9, whose
+        feasible set is the = form's, which is optimal."""
+        game = stalling_game(index)
+        with deadline(1):
+            with pytest.raises(nslp.SolverError,
+                               match="lost its basis in phase 1"):
+                nslp.solve(nslp.build_ns_lp(game, 0.0))
+        if index == 9:
+            sol = nslp.solve(nslp.build_ns_lp(game))
+            assert sol.status == "optimal"
+            assert sol.value == pytest.approx(STALLING_9_VALUE, abs=1e-12)
+
+    # shapes (x, y, a, b) of the random games drawn per pass, and their seed
+    MIX_SHAPES = [(2, 2, 2, 2), (2, 2, 3, 3), (2, 3, 2, 3), (2, 3, 3, 3),
+                  (3, 2, 3, 2), (3, 2, 3, 3), (3, 3, 2, 3), (3, 3, 3, 2)] * 3
+    MIX_SEED = 18121092
+
+    def mix_game(self, pass_index, index):
+        """Random game ``index`` of a verify-mix pass: Dirichlet q mixed
+        with 10% uniform, fair-coin predicate, drawn in turn."""
+        rng = np.random.default_rng([self.MIX_SEED, pass_index])
+        for x, y, a, b in self.MIX_SHAPES[:index + 1]:
+            q = rng.dirichlet(np.ones(x * y)).reshape(x, y)
+            q = 0.9 * q + 0.1 / (x * y)
+            win = rng.random((a, b, x, y)) < 0.5
+        return Game(Alphabets(a, b, x, y), InputDistribution(q), win)
+
+    def test_drift_reentries_still_solve(self, monkeypatch):
+        """The <= 0 form of pass 10's game 14 re-enters 6 basic columns,
+        each within 2e-9 of its unit vector: the rule lets every one
+        pivot, and the optimum is the = form's."""
+        game = self.mix_game(10, 14)
+        assert game.alphabets == Alphabets(2, 3, 3, 3)
+        offsets, bases = [], []
+        phase, pivot = nslp._simplex_phase, nslp._pivot
+
+        def recording_phase(tableau, basis, *args):
+            bases.append(basis)
+            return phase(tableau, basis, *args)
+
+        def recording_pivot(tableau, leave, enter):
+            basis = bases[-1]
+            if enter in basis:
+                unit = np.zeros(len(basis))
+                unit[basis.index(enter)] = 1.0
+                offsets.append(np.abs(tableau[:-1, enter] - unit).max())
+            pivot(tableau, leave, enter)
+
+        monkeypatch.setattr(nslp, "_simplex_phase", recording_phase)
+        monkeypatch.setattr(nslp, "_pivot", recording_pivot)
+        sol = nslp.solve(nslp.build_ns_lp(game, 0.0))
+        assert sol.status == "optimal"
+        assert len(offsets) == 6 and max(offsets) <= 2e-9
+        optimum = nslp.solve(nslp.build_ns_lp(game)).value
+        assert sol.value == pytest.approx(optimum, abs=1e-9)
+
+
 class _Enough(Exception):
     pass
 
@@ -383,8 +451,6 @@ class _Enough(Exception):
 class TestReferenceSolver:
     """solve against tests/lp_oracle.py, the simplex with a separate cost
     row and duals in every solve: the same pivots, so the same bytes."""
-
-    PIVOTS = 2000
 
     def test_same_solutions_and_records(self):
         rng = np.random.default_rng(1812)
@@ -403,24 +469,34 @@ class TestReferenceSolver:
 
     @pytest.mark.parametrize("index", STALLING_GAMES)
     def test_stalling_pivot_sequence(self, index, monkeypatch):
-        """The <= 0 form of a stalling game runs tens of thousands of
-        pivots; the first PIVOTS (leave, enter) pairs are the reference's."""
+        """The <= 0 form of a stalling game loses its basis in phase 1:
+        solve stops there with SolverError, and every (leave, enter) pair
+        it made is the reference's."""
         lp = nslp.build_ns_lp(stalling_game(index), 0.0)
-        sequences = []
-        for module in (nslp, lp_oracle):
-            pivots, pivot = [], module._pivot
+        made, pivot = [], nslp._pivot
 
-            def recording(tableau, leave, enter, pivots=pivots, pivot=pivot):
-                if len(pivots) == self.PIVOTS:
-                    raise _Enough
-                pivots.append((int(leave), int(enter)))
-                pivot(tableau, leave, enter)
+        def recording(tableau, leave, enter):
+            made.append((int(leave), int(enter)))
+            pivot(tableau, leave, enter)
 
-            monkeypatch.setattr(module, "_pivot", recording)
-            with pytest.raises(_Enough):
-                module.solve(lp)
-            sequences.append(pivots)
-        assert sequences[0] == sequences[1]
+        monkeypatch.setattr(nslp, "_pivot", recording)
+        with pytest.raises(nslp.SolverError,
+                           match="lost its basis in phase 1") as exc:
+            nslp.solve(lp)
+        assert str(exc.value).endswith(f"after {len(made)} pivots")
+
+        reference, reference_pivot = [], lp_oracle._pivot
+
+        def until_made(tableau, leave, enter):
+            if len(reference) == len(made):
+                raise _Enough
+            reference.append((int(leave), int(enter)))
+            reference_pivot(tableau, leave, enter)
+
+        monkeypatch.setattr(lp_oracle, "_pivot", until_made)
+        with pytest.raises(_Enough):
+            lp_oracle.solve(lp)
+        assert reference == made
 
     def test_pivot_counts_are_pivots(self, monkeypatch):
         """The two phase counts add up to the pivots made."""
