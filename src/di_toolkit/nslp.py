@@ -6,17 +6,17 @@ The non-signalling conditions and the winning probability are both linear in
 the table entries P(a,b|x,y), so the optimal non-signalling value of a game
 is an LP; its signalling rows are the rows of
 :func:`signalling.signalling_matrix`, the same matrix the signalling measure
-and the signalling test use.  :func:`ns_value` solves two programs: the
-non-signalling program with its signalling rows as equalities, then the
-minimal-kappa dual program at that optimum.  :func:`perturbed_value` solves
-the program with every signalling row ``<= slack``.
+and the signalling test use.  :func:`ns_value` solves the dual of the
+``<= 0`` form twice, for the value and then for the least kappa, and
+:func:`perturbed_value` the primal with every signalling row ``<= slack``.
 
-kappa is a dual of the ``<= 0`` form, read at the optimum of the ``=`` form.
-The two forms have the same feasible set: for each (x, y), the AtoB rows
-(x, y, b) summed over b are Q(x,y) N_xy - Q(x|y) sum_x' Q(x',y) N_x'y, a
-combination of normalization rows N whose coefficients sum to 0 (likewise
-the BtoA rows (x, y, a) summed over a).  On a normalized table each such
-sum is 0, so signalling rows that are all <= 0 are all 0.
+The ``<= 0`` and ``=`` forms have the same feasible set: for each (x, y),
+the AtoB rows (x, y, b) summed over b are Q(x,y) N_xy - Q(x|y) sum_x'
+Q(x',y) N_x'y, a combination of normalization rows N whose coefficients
+sum to 0 (likewise the BtoA rows (x, y, a) summed over a).  On a
+normalized table each such sum is 0, so signalling rows that are all
+<= 0 are all 0.  The optimum of the ``=`` form (:func:`build_ns_lp`
+without a slack) checks :func:`ns_value` from the primal side.
 
 The solver is a dense two-phase simplex with Bland's rule: the programs
 here have at most a few hundred variables and we need deterministic,
@@ -315,38 +315,38 @@ def build_ns_lp(game: Game, slack: float | None = None) -> LinearProgram:
 def ns_value(game: Game) -> tuple:
     """Optimal non-signalling winning probability and its sensitivity kappa.
 
-    kappa is the sum of the signalling-row duals of the ``<= 0`` form, the
-    certificate the sensitivity bound uses: relaxing each signalling row by
-    s raises the optimum by at most s * kappa.  Its dual optimal face can be
-    degenerate, so among the dual solutions at the optimum we return the
-    one minimizing kappa (a second LP); any point of the face is a valid
-    certificate.  kappa is >= 0 and never -0.0.  Raises SolverError if
-    either program is not solved to optimality.
+    Both come from the dual of max{c.x : Sx <= 0, Nx = 1, x >= 0}, the
+    ``<= 0`` form: min sum(v) over S^T u + N^T v >= c, u >= 0, v free.
+    kappa = sum(u) certifies that relaxing each signalling row by s raises
+    the optimum by at most s * kappa; a second solve takes the least kappa
+    on the (possibly degenerate) dual optimal face.  kappa is >= 0 and
+    never -0.0.  With v = v0 + w+ - w-, v0[x,y] = max over (a,b) of
+    c[x,y,a,b], each dual row -(S^T u + N^T w) <= N^T v0 - c has rhs >= 0,
+    so the first solve starts from the slack basis: no phase 1.  Raises
+    SolverError if either program is not solved to optimality.
     """
-    lp = build_ns_lp(game)
-    sol = solve(lp)
-    if sol.status != "optimal":
-        raise SolverError(f"non-signalling program: {sol.status}")
-    al = game.alphabets
-    d = al.num_signalling_constraints
-    n_norm = al.x_size * al.y_size
+    if not game.q.complete_support:
+        raise ValueError("game must have complete support")
+    S = signalling_matrix(game.alphabets, game.q)
+    N = _normalization_matrix(game.alphabets)
+    d, n_norm = len(S), len(N)
+    wins = np.transpose(game.win, (2, 3, 0, 1))  # [x][y][a][b]
+    v0 = np.where(wins.any(axis=(2, 3)), game.q.q, 0.0)
+    rhs = np.where(wins, 0.0, v0[:, :, None, None]).reshape(-1)
+    dual_rows = -np.hstack([S.T, N.T, -N.T])
+    rows = [(r, LE, float(b)) for r, b in zip(dual_rows, rhs)]
+    ones_w = np.repeat([0.0, 1.0, -1.0], [d, n_norm, n_norm])
 
-    # dual feasibility of max{c.x : Sx <= 0, Nx = 1, x >= 0}:
-    #   S^T u + N^T v >= c,  u >= 0,  v free;  optimality: sum(v) = value.
-    # minimize sum(u) over that set (v split into v+ - v- for the solver).
-    S = signalling_matrix(al, game.q)
-    N = _normalization_matrix(al)
-    obj = np.zeros(d + 2 * n_norm)
-    obj[:d] = -1.0  # maximize -sum(u)
-    dual_rows = np.hstack([S.T, N.T, -N.T])
-    rows = [(r, GE, float(ci)) for r, ci in zip(dual_rows, lp.c)]
-    ones_v = np.concatenate([np.zeros(d), np.ones(n_norm), -np.ones(n_norm)])
-    rows.append((ones_v, EQ, float(sol.value)))
-    kappa_sol = solve(LinearProgram(obj, rows))
-    if kappa_sol.status != "optimal":
-        raise SolverError(f"minimal-kappa dual program: {kappa_sol.status}")
+    first = solve(LinearProgram(-ones_w, rows))  # maximize -sum(w)
+    if first.status != "optimal":
+        raise SolverError(f"non-signalling program: {first.status}")
+    kappa_obj = np.repeat([-1.0, 0.0], [d, 2 * n_norm])  # maximize -sum(u)
+    at_value = (ones_w, EQ, -first.value)
+    second = solve(LinearProgram(kappa_obj, rows + [at_value]))
+    if second.status != "optimal":
+        raise SolverError(f"minimal-kappa dual program: {second.status}")
     # sum(u) >= 0; +0.0, not -0.0 or rounding noise, at a zero optimum
-    return float(sol.value), max(0.0, -kappa_sol.value)
+    return float(v0.sum() - first.value), max(0.0, -second.value)
 
 
 def perturbed_value(game: Game, slack: float) -> float:

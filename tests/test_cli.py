@@ -167,9 +167,9 @@ class TestGameCommands:
         solve = nslp.solve
 
         def failing(lp):
-            # the minimal-kappa program is the one objective with a
-            # negative entry: it maximizes -sum(u)
-            if (lp.c < 0).any():
+            # the minimal-kappa program is the one with an = row: it fixes
+            # sum(w) at the value program's optimum
+            if any(rel == nslp.EQ for _, rel, _ in lp.rows):
                 return nslp.LPSolution(status="unbounded")
             return solve(lp)
 
@@ -178,6 +178,35 @@ class TestGameCommands:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err == "error: minimal-kappa dual program: unbounded\n"
+
+    def test_ns_value_value_program_not_optimal(self, chsh_file, capsys,
+                                                monkeypatch):
+        """The value program (the first solve) not solved to optimality is
+        an error, and the kappa program is never built."""
+        programs = []
+
+        def failing(lp):
+            programs.append(lp)
+            return nslp.LPSolution(status="unbounded")
+
+        monkeypatch.setattr(nslp, "solve", failing)
+        code = cli.main(["ns-value", "--game", chsh_file])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: non-signalling program: unbounded\n"
+        assert len(programs) == 1
+
+    def test_ns_value_incomplete_support(self, tmp_path, capsys):
+        """A question distribution with a zero entry is an error line and
+        exit 1, not a division by zero in the signalling matrix."""
+        payload = chsh_game().to_json_dict()
+        payload["q"] = [[0.5, 0.0], [0.25, 0.25]]
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(payload))
+        code = cli.main(["ns-value", "--game", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: game must have complete support\n"
 
     def test_threshold_bound(self, chsh_file, capsys):
         code, out = run_cli(["threshold-bound", "--game", chsh_file,

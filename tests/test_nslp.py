@@ -14,9 +14,10 @@ from di_toolkit.signalling import signalling_matrix
 from conftest import pr_box, random_box, random_classical_box, random_game
 import lp_oracle
 
-# the slacks of the programs build_ns_lp makes: None is the non-signalling
-# program of ns_value, a float the <= slack program of perturbed_value (at
-# 0 it is the retired <= 0 form, kept as an oracle below)
+# the slacks of the programs build_ns_lp makes: None is the = form, the
+# primal that checks ns_value's value below (and the benchmark's check of
+# the ns-value item); a float is the <= slack program of perturbed_value
+# (at 0 the <= 0 form, whose dual ns_value solves)
 FORMS = [None, 0.0, 0.01, 0.05]
 
 # games 9, 19 and 45 of random_game(default_rng(5), 4, 3): the <= 0 form
@@ -355,15 +356,16 @@ class TestRandomGameProperties:
 
 class TestSingleSolve:
     def test_matches_le_route_oracle(self):
-        """ns_value's value is the = form's optimum bit for bit, and its
-        kappa is the retired <= 0 route's within 1e-9."""
+        """ns_value's value is the = form's primal optimum within 1e-12
+        (strong duality), and its kappa is the retired <= 0 route's
+        within 1e-9."""
         rng = np.random.default_rng(1812)
         games = ([chsh_game(), extended_chsh_game()]
                  + [random_game(rng) for _ in range(120)])
         for game in games:
             value, kappa = nslp.ns_value(game)
             optimum = nslp.solve(nslp.build_ns_lp(game)).value
-            assert value.hex() == optimum.hex()
+            assert value == pytest.approx(optimum, abs=1e-12)
             assert kappa == pytest.approx(le_route_kappa(game), abs=1e-9)
             # a sum of non-negative duals: +0.0 at a zero optimum
             assert kappa >= 0.0 and not np.signbit(kappa)
@@ -378,6 +380,49 @@ class TestSingleSolve:
             with deadline(10):
                 perturbed = nslp.perturbed_value(game, slack)
             assert perturbed <= value + slack * kappa + 1e-8
+
+    @pytest.mark.parametrize("seed, index", [(1, 88), (4, 20)])
+    def test_kappa_exactly_zero_at_shift(self, seed, index):
+        """On these games the value is sum(v0), where u = 0 is optimal:
+        kappa is exactly +0.0, not rounding noise (the = form's duals gave
+        3.1e-14 and 1.2e-15)."""
+        rng = np.random.default_rng(seed)
+        for _ in range(index + 1):
+            game = random_game(rng)
+        value, kappa = nslp.ns_value(game)
+        wins = game.win.any(axis=(0, 1))
+        assert value == pytest.approx(game.q.q[wins].sum(), abs=1e-15)
+        assert kappa == 0.0 and not np.signbit(kappa)
+
+    def test_value_program_has_no_phase_1(self, monkeypatch):
+        """Every dual row's right-hand side is >= 0, so the value program
+        starts from its slack basis: no phase-1 pivot."""
+        rng = np.random.default_rng(4242)
+        games = ([chsh_game(), extended_chsh_game()]
+                 + [stalling_game(index) for index in STALLING_GAMES]
+                 + [random_game(rng) for _ in range(120)])
+        solutions, solve = [], nslp.solve
+
+        def recording(lp):
+            solutions.append(solve(lp))
+            return solutions[-1]
+
+        monkeypatch.setattr(nslp, "solve", recording)
+        for game in games:
+            solutions.clear()
+            nslp.ns_value(game)
+            assert len(solutions) == 2
+            assert solutions[0].pivots[0] == 0
+
+    def test_incomplete_support_raises(self):
+        """The support check comes before the signalling matrix, which
+        divides by Q."""
+        game = chsh_game()
+        q = game.q.q.copy()
+        q[0, 1], q[0, 0] = 0.0, q[0, 0] + q[0, 1]
+        incomplete = Game(game.alphabets, InputDistribution(q), game.win)
+        with pytest.raises(ValueError, match="complete support"):
+            nslp.ns_value(incomplete)
 
 
 class TestLostBasis:
