@@ -137,17 +137,20 @@ def verify_reduction_exact(table, n: int, alphabets: Alphabets,
     over a common denominator, as from random_symmetrized_int_table; divide
     the result by that denominator) or Fractions; ``tau_exact`` is
     tau_table_exact(n, alphabets).  tau is constant on every joint type
-    class, so the largest ratio in a class is its largest entry over tau:
-    one exact division per class, for any table.  The reduction asserts
-    that the ratio is at most reduction_factor(n, l, m) for permutation
-    invariant tables.
+    class, and there it is a unit fraction 1/d (tau_entry_exact), so the
+    largest ratio in a class is its largest entry times d: one product per
+    class, an integer one for integer tables, and one Fraction at the end.
+    The reduction asserts that the ratio is at most reduction_factor(n, l, m)
+    for permutation invariant tables.
     """
     index, tau = _tau_per_class(n, alphabets, tau_exact)
     if table.shape != index.shape:
         raise ValueError("table must be shaped like MultiRoundBox.p")
+    if any(t.numerator != 1 for t in tau):
+        raise ValueError("tau must be a unit fraction on every class")
     top = np.zeros(len(tau), dtype=table.dtype)
     np.maximum.at(top, index, table)
-    return max(p / t for p, t in zip(top.tolist(), tau))
+    return Fraction(max(p * t.denominator for p, t in zip(top.tolist(), tau)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,16 @@ outputs, the test wins and the generation-round agreements.  A run aborts
 iff fewer than (omega_exp * test_mass - delta_est) * m blocks end in a won
 test.  At s_max = 1 the flag array is one uniform per round and the test
 mass is gamma itself, so the per-round stream and abort rule are the block
-ones of one-round blocks.  The abort estimator runs the same sampler but
-stops after the win draws: the abort decision needs nothing drawn later,
-so its streams and abort flags are run_protocol's without the transcript.
+ones of one-round blocks.  The abort estimator runs the same sampler on
+the same stream but draws only the flags and the wins: the abort decision
+reads nothing else.  It skips the three draws between them instead of
+making them.  numpy takes each of those bits as one byte of a 32-bit word
+and starts a fresh word on each call; the generator hands out words as
+halves of its uint64 outputs, and the win uniforms read whole uint64s.  So
+the three draws take K = 2 ceil(T / 4) + ceil(N / 4) words, T being the
+number of tests, and advance the stream by ceil(K / 2) uint64s; skipping
+that many raw outputs leaves the wins, and every abort flag, exactly
+run_protocol's.
 
 Randomness is a counter-based Philox generator keyed by
 (master_seed, trial_index), so transcripts are bit-identical for identical
@@ -80,8 +87,9 @@ def _run(m: int, block: BlockSpec, omega_exp: float, delta_est: float,
          transcript: bool = True) -> Transcript | bool:
     """The one sampler: m blocks of at most s_max rounds, aborting iff fewer
     than (omega_exp * test_mass - delta_est) * m blocks end in a won test
-    round.  With ``transcript`` false it stops after the win draws, the
-    last ones the abort decision needs, and returns the abort flag alone."""
+    round.  With ``transcript`` false it skips the input and output draws,
+    which the abort decision does not read, stops after the win draws and
+    returns the abort flag alone."""
     if m < 1:
         raise ValueError("the number of blocks must be >= 1")
     rng = _trial_rng(seed, trial)
@@ -91,9 +99,14 @@ def _run(m: int, block: BlockSpec, omega_exp: float, delta_est: float,
     kept[:, 1:] = ~np.logical_or.accumulate(flags[:, :-1], axis=1)
     test = flags[kept]
     n, tests = test.size, int(np.count_nonzero(test))
-    x_test = rng.integers(0, 2, size=tests, dtype=np.int8)
-    y_test = rng.integers(0, 2, size=tests, dtype=np.int8)
-    a = rng.integers(0, 2, size=n, dtype=np.int8)
+    if transcript:
+        x_test = rng.integers(0, 2, size=tests, dtype=np.int8)
+        y_test = rng.integers(0, 2, size=tests, dtype=np.int8)
+        a = rng.integers(0, 2, size=n, dtype=np.int8)
+    else:
+        # the 32-bit words of those three draws, skipped as whole uint64s
+        words = 2 * ((tests + 3) // 4) + (n + 3) // 4
+        rng.bit_generator.random_raw((words + 1) // 2)
     wins = rng.random(n) < device.omega_exp
     # a block holds at most one test, its last round: won tests = won blocks
     win_count = int(np.count_nonzero(wins & test))
@@ -180,12 +193,17 @@ class SimulationConfig:
     delta_est: float
     device: HonestDevice
 
+    def __post_init__(self):
+        if not 0 < self.delta_est < 1:
+            raise ValueError("delta_est must be in (0,1)")
+
 
 def estimate_abort_probability(config: SimulationConfig, trials: int,
                                master_seed: int) -> tuple:
     """(frequency, (lo, hi)) empirical abort probability with a 95% Wilson
     interval; deterministic given the master seed.  Trial k aborts iff
-    run_protocol(..., master_seed, trial=k) does."""
+    run_protocol(..., master_seed, trial=k) does: the module docstring says
+    why skipping the input and output draws keeps the win draws exact."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     block = BlockSpec(config.gamma, 1)

@@ -395,6 +395,19 @@ class TestSimulateCommand:
         assert code == 1
         assert out == ""
 
+    @pytest.mark.parametrize("delta_est", ["-0.1", "0", "1", "1.5"])
+    def test_delta_est_outside_unit_interval_rejected(self, delta_est,
+                                                      capsys):
+        # -0.1 once printed a hoeffding_bound of 0.135 under an
+        # exact_abort of 0.978
+        code = cli.main(["simulate", "--n", "100", "--gamma", "0.5",
+                         "--omega-exp", "0.81", "--delta-est", delta_est,
+                         "--trials", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: delta_est must be in (0,1)\n"
+
 
 class TestDefinettiVerify:
     def test_holds(self, capsys):

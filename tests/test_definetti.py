@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from di_toolkit import definetti as df
-from di_toolkit.boxes import MultiRoundBox, iid_box, symmetrize
+from di_toolkit.boxes import Alphabets, MultiRoundBox, iid_box, symmetrize
 from conftest import BINARY, deterministic_box
 import perm_oracle
 
@@ -196,6 +196,27 @@ class TestReduction:
                 table = _deterministic_iid_exact(2, fa, fb)
                 ratio = df.verify_reduction_exact(table, 2, BINARY, tau)
                 assert ratio <= factor
+
+    @pytest.mark.parametrize("sizes", [(2, 2, 2, 2), (2, 3, 1, 2),
+                                       (3, 2, 2, 1)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tau_entries_are_unit_fractions(self, n, sizes):
+        # the premise of verify_reduction_exact's integer products
+        tau = df.tau_table_exact(n, Alphabets(*sizes))
+        assert all(isinstance(t, Fraction) and t.numerator == 1
+                   for t in tau.ravel().tolist())
+
+    def test_non_unit_tau_rejected(self):
+        tau = df.tau_table_exact(2, BINARY)
+        bad = tau.copy()
+        # the all-zero strings are a class of their own: one entry is the
+        # class value
+        bad[0, 0, 0, 0] = Fraction(2, 3) * tau[0, 0, 0, 0]
+        assert bad[0, 0, 0, 0].numerator != 1
+        table = np.ones(tau.shape, dtype=np.int64)
+        assert df.verify_reduction_exact(table, 2, BINARY, tau) > 0
+        with pytest.raises(ValueError, match="unit fraction"):
+            df.verify_reduction_exact(table, 2, BINARY, bad)
 
     def test_misshaped_tables_rejected(self):
         tau = df.tau_table_exact(2, BINARY)

@@ -195,6 +195,20 @@ class TestOneSampler:
             assert sim.block_lengths(tr, s_max).tolist() == scan(t, s_max)
 
 
+# (id, m, gamma, s_max, delta_est, trials) for the abort estimator's skip
+COUNT_ONLY_CASES = [
+    ("acceptance-09", 10**4, 0.5, 1, 0.02, 500),
+    ("frequent-aborts", 1000, 0.5, 1, 0.001, 200),  # aborts about half
+    ("gamma-1", 2000, 1.0, 1, 0.01, 200),  # every round a test
+    ("n-5", 5, 0.5, 1, 0.001, 300),
+    ("n-777-gamma-1", 777, 1.0, 1, 0.001, 200),  # an odd word count
+    ("n-1001", 1001, 0.3, 1, 0.001, 200),
+    ("no-tests", 40, 0.02, 1, 0.001, 300),  # about half the runs untested
+    ("blocks-3", 500, 0.2, 3, 0.001, 200),
+    ("blocks-10", 300, 0.05, 10, 0.001, 200),
+]
+
+
 class TestAbortProbability:
     def test_impossible_to_miss(self):
         cfg = sim.SimulationConfig(n=200, gamma=1.0, omega_exp=0.5,
@@ -218,25 +232,77 @@ class TestAbortProbability:
         assert sim.estimate_abort_probability(cfg, 100, 11) == \
             sim.estimate_abort_probability(cfg, 100, 11)
 
-    @pytest.mark.parametrize("n, gamma, delta_est, trials", [
-        (10**4, 0.5, 0.02, 500),  # acceptance 09
-        (1000, 0.5, 0.001, 200),  # aborts about half the time
-        (2000, 1.0, 0.01, 200),  # every round a test
-    ], ids=["acceptance-09", "frequent-aborts", "gamma-1"])
-    def test_count_only_matches_transcripts(self, n, gamma, delta_est,
+    @pytest.mark.parametrize("m, gamma, s_max, delta_est, trials",
+                             [case[1:] for case in COUNT_ONLY_CASES],
+                             ids=[case[0] for case in COUNT_ONLY_CASES])
+    def test_count_only_matches_transcripts(self, m, gamma, s_max, delta_est,
                                             trials):
-        """The estimator's per-trial abort flag, from the win count alone,
-        is run_protocol's on every trial."""
+        """The estimator's per-trial abort flag, read off the stream after
+        the skipped input and output draws, is run_protocol's (or
+        run_protocol_blocks') on every trial."""
         dev = sim.HonestDevice(0.81, 0.01)
-        cfg = sim.SimulationConfig(n=n, gamma=gamma, omega_exp=0.81,
-                                   delta_est=delta_est, device=dev)
-        flags = [sim.run_protocol(n, gamma, 0.81, delta_est, dev, seed=7,
-                                  trial=k).aborted for k in range(trials)]
-        block = BlockSpec(gamma, 1)
-        assert [sim._run(n, block, 0.81, delta_est, dev, 7, k,
+        block = BlockSpec(gamma, s_max)
+        if s_max == 1:
+            runs = [sim.run_protocol(m, gamma, 0.81, delta_est, dev, seed=7,
+                                     trial=k) for k in range(trials)]
+        else:
+            runs = [sim.run_protocol_blocks(m, block, 0.81, delta_est, dev,
+                                            seed=7, trial=k)
+                    for k in range(trials)]
+        flags = [tr.aborted for tr in runs]
+        assert [sim._run(m, block, 0.81, delta_est, dev, 7, k,
                          transcript=False) for k in range(trials)] == flags
-        assert sim.estimate_abort_probability(cfg, trials, 7)[0] == (
-            sum(flags) / trials)
+        if s_max == 1:
+            cfg = sim.SimulationConfig(n=m, gamma=gamma, omega_exp=0.81,
+                                       delta_est=delta_est, device=dev)
+            assert sim.estimate_abort_probability(cfg, trials, 7)[0] == (
+                sum(flags) / trials)
+
+    def test_count_only_cases_cover_the_skip(self):
+        """The cases above reach every shape of the skip: an odd number of
+        skipped 32-bit words, rounds not a multiple of 4, runs with no test
+        round, every round a test, and blocks."""
+        dev = sim.HonestDevice(0.81, 0.01)
+        words, tests, everyone = set(), set(), False
+        for _, m, gamma, s_max, delta_est, trials in COUNT_ONLY_CASES:
+            for k in range(trials):
+                tr = sim.run_protocol_blocks(m, BlockSpec(gamma, s_max), 0.81,
+                                             delta_est, dev, seed=7, trial=k)
+                n, t = tr.t.size, int(tr.t.sum())
+                words.add((2 * math.ceil(t / 4) + math.ceil(n / 4)) % 2)
+                tests.add(min(t, 1))
+                everyone |= t == n
+        assert words == {0, 1} and tests == {0, 1} and everyone
+        assert any(m % 4 for _, m, *_ in COUNT_ONLY_CASES)
+        assert {s_max for _, _, _, s_max, *_ in COUNT_ONLY_CASES} >= {3, 10}
+
+    def test_estimator_makes_no_integer_draw(self, monkeypatch):
+        class NoIntegers:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+            def integers(self, *args, **kwargs):
+                raise AssertionError("bounded-integer draw")
+
+        dev = sim.HonestDevice(0.81, 0.01)
+        cfg = sim.SimulationConfig(n=1001, gamma=0.5, omega_exp=0.81,
+                                   delta_est=0.001, device=dev)
+        want = sim.estimate_abort_probability(cfg, 50, 7)
+        trial_rng = sim._trial_rng
+        monkeypatch.setattr(sim, "_trial_rng",
+                            lambda *args: NoIntegers(trial_rng(*args)))
+        with pytest.raises(AssertionError, match="bounded-integer"):
+            sim.run_protocol(1001, 0.5, 0.81, 0.001, dev, seed=7)
+        assert sim.estimate_abort_probability(cfg, 50, 7) == want
+
+    @pytest.mark.parametrize("delta_est", [-0.1, 0.0, 1.0, 1.5])
+    def test_delta_est_outside_unit_interval_rejected(self, delta_est):
+        with pytest.raises(ValueError, match="delta_est"):
+            sim.SimulationConfig(n=100, gamma=0.5, omega_exp=0.81,
+                                 delta_est=delta_est, device=device())
 
 
 class TestWilson:
