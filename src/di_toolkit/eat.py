@@ -25,10 +25,14 @@ up to c = p~1 - K and falls after it (for c >= p~1 the glued function is
 f(p~1) and only the penalty, falling at rate K f''(c), moves).
 mu_block_opt's best cut is therefore c* = clamp(p~1 - K) to the cut
 interval, with no numerical search.  The per-round names (TradeoffSpec,
-f_min, mu_opt) are these functions at s_max = 1, with m = n rounds.  The
-terms that keyrates' numpy grid kernel shares with the scalar path (the
-s_max rule, the test mass, the penalty K, the max-entropy bound and its
-smoothing root, the round count tail, the Hoeffding bound)
+f_min, mu_opt) are these functions at s_max = 1, with m = n rounds.
+
+The public functions check their inputs; the best-cut rate is one private
+body on floats, _mu_block_opt, which mu_block_opt, mu_opt and keyrates' key
+length call.  The key length makes BlockSpec's and EatEpsilons' checks on
+its floats (_check_block, _check_epsilons) and builds neither.  The terms that keyrates' numpy grid kernel shares with the
+scalar path (the s_max rule, the test mass, the penalty K, the max-entropy
+bound and its smoothing root, the round count tail, the Hoeffding bound)
 take the namespace ``xp`` (math for scalars, numpy for arrays) or are plain
 arithmetic.
 """
@@ -72,8 +76,13 @@ class EatEpsilons:
     eps_e: float
 
     def __post_init__(self):
-        if not (0 < self.eps_s < 1 and 0 < self.eps_e < 1):
-            raise ValueError("epsilons must be in (0,1)")
+        _check_epsilons(self.eps_s, self.eps_e)
+
+
+def _check_epsilons(eps_s, eps_e):
+    """EatEpsilons' check, on the two floats."""
+    if not (0 < eps_s < 1 and 0 < eps_e < 1):
+        raise ValueError("epsilons must be in (0,1)")
 
 
 @dataclass(frozen=True)
@@ -84,18 +93,28 @@ class BlockSpec:
     s_max: int
 
     def __post_init__(self):
-        if not 0 < self.gamma <= 1:
-            raise ValueError("gamma must be in (0,1]")
-        if self.s_max < 1:
-            raise ValueError("s_max must be >= 1")
+        _check_block(self.gamma, self.s_max)
 
     @property
     def test_mass(self) -> float:
-        """1 - (1-gamma)^s_max: probability that a block contains a test;
-        exactly gamma for one-round blocks, where the formula would round."""
-        if self.s_max == 1:
-            return self.gamma
-        return _test_mass(self.gamma, self.s_max)
+        """1 - (1-gamma)^s_max: probability that a block contains a test."""
+        return _block_mass(self.gamma, self.s_max)
+
+
+def _check_block(gamma, s_max):
+    """BlockSpec's check, on gamma and s_max."""
+    if not 0 < gamma <= 1:
+        raise ValueError("gamma must be in (0,1]")
+    if s_max < 1:
+        raise ValueError("s_max must be >= 1")
+
+
+def _block_mass(gamma, s_max):
+    """1 - (1-gamma)^s_max, exactly gamma for one-round blocks, where the
+    formula would round."""
+    if s_max == 1:
+        return gamma
+    return _test_mass(gamma, s_max)
 
 
 def _test_mass(gamma, s_max):
@@ -162,33 +181,33 @@ def _log2_block_dim(s_max: int) -> float:
     return math.log2(1 + 2 * (2**s_max) * (3**s_max))
 
 
-def _tradeoff(p1_tilde: float, block: BlockSpec, mass: float, cut: float,
-              k_pen: float) -> tuple:
+def _tradeoff(p1_tilde: float, gamma: float, s_max: int, mass: float,
+              cut: float, k_pen: float) -> tuple:
     """(f(p~1), f'(c), f(p~1) - k_pen (log2 d_O + f'(c))) of the glued
-    per-block function with cut c, mass = block.test_mass and penalty
-    factor k_pen: the one text of the glued function, its slope and its
-    entropy rate."""
+    function of blocks with test probability gamma, length cap s_max and
+    test mass ``mass``, at cut c and penalty factor k_pen: the one text of
+    the glued function, its slope and its entropy rate."""
     ratio = p1_tilde / mass
     if ratio < OMEGA_CLASSICAL - 1e-12 or ratio > 1.0 + 1e-12:
         raise ValueError(f"normalized statistic {ratio} outside [3/4, 1]")
     cut_ratio = cut / mass
     if not OMEGA_CLASSICAL < cut_ratio < OMEGA_QUANTUM:
         raise ValueError("cut outside the open quantum regime")
-    sbar = mass / block.gamma
+    sbar = mass / gamma
     slope = sbar * secrecy_bound_slope(cut_ratio) / mass
     if p1_tilde <= cut:
         value = sbar * secrecy_bound(ratio)
     else:
         value = sbar * secrecy_bound(cut_ratio) + slope * (p1_tilde - cut)
-    return value, slope, value - k_pen * (_log2_block_dim(block.s_max)
-                                          + slope)
+    return value, slope, value - k_pen * (_log2_block_dim(s_max) + slope)
 
 
 def f_min_block(p1_tilde: float, block: BlockSpec, cut: float) -> float:
     """Per-block min-tradeoff function: s_bar times the per-round bound in
     the normalized statistic p~(1) / (1 - (1-gamma)^s_max), glued at ``cut``
     (also on the p~(1) scale)."""
-    return _tradeoff(p1_tilde, block, block.test_mass, cut, 0.0)[0]
+    return _tradeoff(p1_tilde, block.gamma, block.s_max, block.test_mass, cut,
+                     0.0)[0]
 
 
 def mu_block(p1_tilde: float, block: BlockSpec, cut: float,
@@ -196,8 +215,8 @@ def mu_block(p1_tilde: float, block: BlockSpec, cut: float,
     """Per-block entropy rate with dimension term log2(1 + 2*2^s*3^s)."""
     if m_blocks <= 0:
         raise ValueError("m_blocks must be positive")
-    return _tradeoff(p1_tilde, block, block.test_mass, cut, _penalty_scale(
-        eps.eps_s, eps.eps_e, m_blocks))[2]
+    return _tradeoff(p1_tilde, block.gamma, block.s_max, block.test_mass, cut,
+                     _penalty_scale(eps.eps_s, eps.eps_e, m_blocks))[2]
 
 
 def mu_block_opt(omega_exp: float, delta_est: float, block: BlockSpec,
@@ -207,18 +226,28 @@ def mu_block_opt(omega_exp: float, delta_est: float, block: BlockSpec,
     best_cut = clamp(p~1 - K) to cut_interval(test_mass), the maximizer of
     the rate, whose derivative f''(c) (p~1 - c - K) has the sign of
     p~1 - K - c because f is strictly convex."""
-    mass = block.test_mass
+    return _mu_block_opt(omega_exp, delta_est, block.gamma, block.s_max,
+                         block.test_mass, m_blocks, eps.eps_s, eps.eps_e)
+
+
+def _mu_block_opt(omega_exp, delta_est, gamma, s_max, mass, count, eps_s,
+                  eps_e) -> tuple:
+    """mu_block_opt on floats, with mass = _block_mass(gamma, s_max) and
+    the epsilons and block already checked: the one text of the best-cut
+    rate, which mu_block_opt, mu_opt and keyrates' key length call."""
     p1 = omega_exp * mass - delta_est
     if not OMEGA_CLASSICAL <= p1 / mass <= 1.0:
         raise ValueError("test statistic outside the domain")
-    if m_blocks <= 0:
+    if count <= 0:
         raise ValueError("round or block count must be positive")
+    if not count < math.inf:
+        raise ValueError("round or block count must be finite")
     lo, hi = cut_interval(mass)
     if lo >= hi:
         raise ValueError("empty cut interval")
-    k_pen = _penalty_scale(eps.eps_s, eps.eps_e, m_blocks)
+    k_pen = _penalty_scale(eps_s, eps_e, count)
     cut = min(max(p1 - k_pen, lo), hi)
-    return _tradeoff(p1, block, mass, cut, k_pen)[2], cut
+    return _tradeoff(p1, gamma, s_max, mass, cut, k_pen)[2], cut
 
 
 def f_min(p1: float, spec: TradeoffSpec) -> float:
@@ -232,7 +261,9 @@ def mu_opt(omega_exp: float, delta_est: float, gamma: float, n: float,
     """The per-round entropy rate at p1 = omega_exp*gamma - delta_est,
     maximized over the cut: mu_block_opt with one-round blocks, m = n.
     Returns (value, best_cut)."""
-    return mu_block_opt(omega_exp, delta_est, BlockSpec(gamma, 1), n, eps)
+    _check_block(gamma, 1)
+    return _mu_block_opt(omega_exp, delta_est, gamma, 1, _block_mass(gamma, 1),
+                         n, eps.eps_s, eps.eps_e)
 
 
 def round_count_tail(m_blocks: float, gamma: float, eps_t: float) -> float:

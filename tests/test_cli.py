@@ -287,6 +287,18 @@ class TestMuOpt:
         assert code == 1
         assert out == ""
 
+    @pytest.mark.parametrize("n", ["inf", "nan"])
+    @pytest.mark.parametrize("mode", [[], ["--block"]])
+    def test_non_finite_n_rejected(self, n, mode, capsys):
+        # --n inf once printed "total_entropy": Infinity, which is not JSON
+        code = cli.main(["mu-opt", "--n", n, "--gamma", "0.1", "--omega-exp",
+                         "0.84", "--delta-est", "1e-4", "--eps-s", "1e-6",
+                         "--eps-e", "1e-6", *mode])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: round or block count must be finite\n"
+
     ARGS = ["mu-opt", "--n", "1e8", "--gamma", "0.1", "--omega-exp", "0.84",
             "--delta-est", "1e-4", "--eps-s", "1e-6", "--eps-e", "1e-6"]
 
@@ -627,3 +639,15 @@ class TestRateCurveCommand:
             "--grid", "0.01", "--n", "1e8", "--format", "json"], capsys)
         payload = json.loads(out)
         jsonschema.validate(payload, schema("out_rate_curve"))
+
+    @pytest.mark.parametrize("flags", [
+        ["--axis", "q", "--grid", "0.01", "--n", "inf"],
+        ["--axis", "q", "--grid", "0.01", "--n", "nan"],
+        ["--axis", "n", "--grid", "inf", "--q", "0.01"]])
+    def test_non_finite_n_rejected(self, flags, capsys):
+        # --n inf once died in a ZeroDivisionError traceback
+        code = cli.main(["rate-curve", *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: n must be finite\n"

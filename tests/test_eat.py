@@ -40,7 +40,8 @@ def reference_mu_round(p1, gamma, cut, eps, n):
 
 def f_min_block_slope(block, cut):
     """Max gradient of the glued per-block function: its slope at the cut."""
-    return eat._tradeoff(cut, block, block.test_mass, cut, 0.0)[1]
+    return eat._tradeoff(cut, block.gamma, block.s_max, block.test_mass, cut,
+                         0.0)[1]
 
 
 def _one_round(gamma):
@@ -350,6 +351,18 @@ class TestMuBlockOpt:
         _check_cut_optimum(value, cut,
                            _block_objective(omega, delta, block, m, eps),
                            block.test_mass)
+
+
+    @pytest.mark.parametrize("count", [math.inf, math.nan])
+    def test_non_finite_count_rejected(self, count):
+        # an infinite count once gave a zero penalty and a finite rate
+        eps = eat.EatEpsilons(1e-6, 1e-6)
+        with pytest.raises(ValueError, match="^round or block count must be "
+                           "finite$"):
+            eat.mu_block_opt(0.84, 1e-4, _block_for(0.1), count, eps)
+        with pytest.raises(ValueError, match="^round or block count must be "
+                           "finite$"):
+            eat.mu_opt(0.84, 1e-3, 0.5, count, eps)
 
 
 class TestKeyLengthHelpers:

@@ -163,6 +163,12 @@ class TestKeyLength:
         report = kr.key_length(params, make_budget())
         assert report.rate == pytest.approx(target, abs=5e-3)
 
+    @pytest.mark.parametrize("n", [math.inf, math.nan])
+    def test_non_finite_n_rejected(self, n):
+        # n = inf once gave a report of NaNs
+        with pytest.raises(ValueError, match="^n must be finite$"):
+            make_params(n=n)
+
     def test_negative_length_reported(self):
         report = kr.key_length(make_params(n=1e4, q=0.04, delta=1e-2),
                                make_budget())
@@ -189,7 +195,8 @@ def reference_key_length(params, budget):
         leak_ec=leak, log_correction=log_corr, max_entropy_term=max_ent,
         pa_term=pa, soundness_error=budget.soundness_error,
         completeness_error=kr.completeness_error(params, budget),
-        best_cut=cut, params=params, budget=budget, mode=kr.PER_ROUND)
+        best_cut=cut, params=params, budget=budget, mode=kr.PER_ROUND,
+        s_max=1, extras={})
 
 
 class TestKeyLengthReference:
@@ -223,6 +230,159 @@ class TestKeyLengthReference:
             assert got.extras == {}
             kept += 1
         assert kept >= 300 and raised >= 20
+
+
+def reference_key_length_block(params, budget, s_max):
+    """key_length_block with its entropy term from the public
+    eat.mu_block_opt on a BlockSpec and EatEpsilons, and the other terms
+    spelled out in the package's operation order."""
+    eps_e = budget.eps_ea + budget.eps_ec
+    eps = eat.EatEpsilons(budget.eps_s / 4.0, eps_e)
+    block = eat.BlockSpec(params.gamma, s_max)
+    sbar = eat.expected_block_length(block)
+    m = params.n / sbar
+    mu_value, cut = eat.mu_block_opt(params.omega_exp, params.delta_est,
+                                     block, m, eps)
+    entropy_term = m * mu_value
+    log_corr = 3.0 * math.log2(1.0 - math.sqrt(1.0 - (budget.eps_s / 4.0)
+                                               ** 2))
+    eps_t = budget.eps_t
+    shifted = budget.eps_s / 4.0 - math.sqrt(eps_t)
+    if shifted <= 0:
+        raise ValueError("eps_t too large: sqrt(eps_t) >= eps_s/4")
+    t = eat.round_count_tail(m, params.gamma, eps_t)
+    n_eff = params.n + t
+    if budget.eps_ec_prime - 2.0 * math.sqrt(eps_t) <= 0:
+        raise ValueError("eps_t too large: eps_ec_prime - 2 sqrt(eps_t) <= 0")
+    leak = reference_leak(n_eff, params, budget.eps_ec_prime, budget.eps_ec,
+                          eps_t)
+    max_ent = params.gamma * n_eff + math.sqrt(n_eff) * 2.0 * math.log2(
+        7.0) * math.sqrt(1.0 - 2.0 * math.log2(shifted * eps_e))
+    pa = 2.0 * math.log2(1.0 / budget.eps_pa)
+    ell = entropy_term - leak - log_corr - max_ent - pa
+    return kr.RateReport(
+        key_length=ell, rate=ell / params.n, entropy_term=entropy_term,
+        leak_ec=leak, log_correction=log_corr, max_entropy_term=max_ent,
+        pa_term=pa, soundness_error=budget.soundness_error,
+        completeness_error=kr.completeness_error(params, budget),
+        best_cut=cut, params=params, budget=budget, mode=kr.BLOCK,
+        s_max=s_max, extras={"m_blocks": m, "tail_t": t, "s_bar": sbar})
+
+
+def raised(call):
+    """(type, message) of the exception ``call()`` raises, or None."""
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def hex_fields(report):
+    """A report's JSON fields and extras, every float as float.hex()."""
+    def encode(value):
+        if isinstance(value, dict):
+            return {k: encode(v) for k, v in value.items()}
+        return value.hex() if isinstance(value, float) else value
+    return encode({**report.to_json_dict(), "extras": report.extras})
+
+
+class TestKeyLengthBlockReference:
+    def test_matches_public_mu_block_opt(self, rng):
+        """Bit-identical reports, field by field, at s_max > 1, and the same
+        exception type and message where the reference raises: a statistic
+        outside the domain, log2(0) (eps_s below 4.2e-8) or eps_t too
+        large."""
+        kept = raised_count = 0
+        for _ in range(800):
+            q = float(rng.uniform(0.0, 0.05))
+            omega, qber = kr.honest_werner(2 * q)
+            gamma = float(10.0 ** rng.uniform(-3.0, np.log10(0.95)))
+            s_max = int(rng.integers(2, 3 * math.ceil(1.0 / gamma) + 2))
+            mass = eat.BlockSpec(gamma, s_max).test_mass
+            delta = float(rng.uniform(1e-9, 1.1) * (omega - 0.75) * mass)
+            params = kr.ProtocolParams(float(10.0 ** rng.uniform(2, 16)),
+                                       gamma, omega, delta, qber)
+            eps = [float(10.0 ** rng.uniform(-9.0, -1.0)) for _ in range(5)]
+            budget = kr.EpsilonBudget(
+                eps_ec=eps[0], eps_ec_complete=eps[0] + eps[1], eps_s=eps[2],
+                eps_ea=eps[3], eps_pa=eps[4],
+                eps_t=(eps[2] / 4.0) ** 2 * float(10.0 ** rng.uniform(-14.0,
+                                                                    0.3)))
+            want = raised(lambda: reference_key_length_block(params, budget,
+                                                             s_max))
+            if want is not None:
+                assert raised(lambda: kr.key_length_block(
+                    params, budget, s_max)) == want
+                raised_count += 1
+                continue
+            got = kr.key_length_block(params, budget, s_max)
+            assert hex_fields(got) == hex_fields(
+                reference_key_length_block(params, budget, s_max))
+            kept += 1
+        assert kept >= 400 and raised_count >= 50
+
+    def test_error_parity(self):
+        """The checks that BlockSpec, EatEpsilons and mu_block_opt made on
+        the key-length path, with the same type and message."""
+        params = make_params(gamma=0.2)
+        eps = eat.EatEpsilons(1e-6, 1e-6)
+        # eps_ea + eps_ec >= 1, which EpsilonBudget alone allows
+        big_ea = kr.EpsilonBudget(eps_ec=0.3, eps_ec_complete=0.5,
+                                  eps_s=1e-6, eps_ea=0.8, eps_pa=1e-6)
+        # the statistic omega_exp - delta_est / mass below 3/4
+        low = make_params(gamma=0.2, delta=0.1)
+        cases = [
+            (lambda: kr.key_length(params, big_ea),
+             lambda: reference_key_length(params, big_ea)),
+            (lambda: kr.key_length_block(params, big_ea, 5),
+             lambda: reference_key_length_block(params, big_ea, 5)),
+            (lambda: kr.key_length_block(params, make_budget(), 0),
+             lambda: reference_key_length_block(params, make_budget(), 0)),
+            (lambda: kr.key_length(low, make_budget()),
+             lambda: reference_key_length(low, make_budget())),
+            (lambda: kr.key_length_block(low, make_budget(), 5),
+             lambda: reference_key_length_block(low, make_budget(), 5)),
+        ]
+        for gamma in (0.0, -0.5, 1.5):
+            cases.append((lambda g=gamma: eat.mu_opt(0.84, 1e-4, g, 1e8, eps),
+                          lambda g=gamma: eat.BlockSpec(g, 1)))
+        for count in (0.0, -1e6, -math.inf):
+            cases.append((lambda c=count: eat.mu_opt(0.84, 1e-4, 0.5, c, eps),
+                          lambda c=count: eat.mu_block_opt(
+                              0.84, 1e-4, eat.BlockSpec(0.5, 1), c, eps)))
+        cases.append((lambda: eat.mu_opt(0.76, 0.1, 0.5, 1e8, eps),
+                      lambda: eat.mu_block_opt(0.76, 0.1, eat.BlockSpec(
+                          0.5, 1), 1e8, eps)))
+        messages = set()
+        for call, reference in cases:
+            want = raised(reference)
+            assert want is not None and want[0] is ValueError
+            assert raised(call) == want
+            messages.add(want[1])
+        assert messages == {"epsilons must be in (0,1)", "s_max must be >= 1",
+                            "gamma must be in (0,1]",
+                            "test statistic outside the domain",
+                            "round or block count must be positive"}
+
+    def test_builds_no_block_or_epsilons(self, monkeypatch):
+        """key_length, key_length_block and mu_opt check floats that
+        ProtocolParams and EpsilonBudget checked: they build no BlockSpec
+        and no EatEpsilons."""
+        eps = eat.EatEpsilons(1e-6, 1e-6)
+        params, budget = make_params(gamma=0.05), make_budget(eps_t=1e-14)
+        built = []
+        for cls in (eat.BlockSpec, eat.EatEpsilons):
+            def spy(self, original=cls.__post_init__):
+                built.append(type(self).__name__)
+                original(self)
+            monkeypatch.setattr(cls, "__post_init__", spy)
+        kr.key_length(params, budget)
+        kr.key_length_block(params, budget, 20)
+        eat.mu_opt(0.84, 1e-3, 0.5, 1e8, eps)
+        assert built == []
+        eat.BlockSpec(0.5, 2), eat.EatEpsilons(0.1, 0.1)
+        assert built == ["BlockSpec", "EatEpsilons"]
 
 
 class TestKeyLengthBlock:
@@ -399,6 +559,12 @@ class TestOptimizeRate:
                       + evals["share_rescored"])
             assert scalar == len(calls)
             assert scalar <= self.SCALAR_EVAL_BUDGET
+
+    @pytest.mark.parametrize("n", [math.inf, math.nan])
+    def test_non_finite_target_rejected(self, n):
+        # n = inf once died in a ZeroDivisionError in _log_grid
+        with pytest.raises(ValueError, match="^n must be finite$"):
+            kr.optimize_rate(kr.RateTarget(n=n, q=0.01), self.CAPS)
 
     def test_eps_t_provenance(self):
         for n, index in ((1e15, 0), (1e10, 1)):
