@@ -30,11 +30,13 @@ f_min, mu_opt) are these functions at s_max = 1, with m = n rounds.
 The public functions check their inputs; the best-cut rate is one private
 body on floats, _mu_block_opt, which mu_block_opt, mu_opt and keyrates' key
 length call.  The key length makes BlockSpec's and EatEpsilons' checks on
-its floats (_check_block, _check_epsilons) and builds neither.  The terms that keyrates' numpy grid kernel shares with the
-scalar path (the s_max rule, the test mass, the penalty K, the max-entropy
-bound and its smoothing root, the round count tail, the Hoeffding bound)
-take the namespace ``xp`` (math for scalars, numpy for arrays) or are plain
-arithmetic.
+its floats (_check_block, _check_epsilons) and builds neither.  The
+glued function takes g and g' at its checked cut from one root, as the
+grid kernel does on arrays (entropy._bound_and_slope).  The terms that
+keyrates' numpy grid kernel shares with the scalar path (the s_max rule,
+the test mass, the penalty K, the max-entropy bound and its smoothing
+root, the round count tail, the Hoeffding bound) take the namespace
+``xp`` (math for scalars, numpy for arrays) or are plain arithmetic.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .entropy import OMEGA_CLASSICAL, OMEGA_QUANTUM, secrecy_bound, secrecy_bound_slope
+from .entropy import (OMEGA_CLASSICAL, OMEGA_QUANTUM, _bound_and_slope,
+                      secrecy_bound)
 
 # output dimension of B alone, {0,1,bot}: log2(1 + 2*3)
 LOG2_7 = math.log2(7.0)
@@ -186,7 +189,8 @@ def _tradeoff(p1_tilde: float, gamma: float, s_max: int, mass: float,
     """(f(p~1), f'(c), f(p~1) - k_pen (log2 d_O + f'(c))) of the glued
     function of blocks with test probability gamma, length cap s_max and
     test mass ``mass``, at cut c and penalty factor k_pen: the one text of
-    the glued function, its slope and its entropy rate."""
+    the glued function, its slope and its entropy rate.  g and g' at the
+    cut come from one root, unguarded past the open-regime check."""
     ratio = p1_tilde / mass
     if ratio < OMEGA_CLASSICAL - 1e-12 or ratio > 1.0 + 1e-12:
         raise ValueError(f"normalized statistic {ratio} outside [3/4, 1]")
@@ -194,11 +198,12 @@ def _tradeoff(p1_tilde: float, gamma: float, s_max: int, mass: float,
     if not OMEGA_CLASSICAL < cut_ratio < OMEGA_QUANTUM:
         raise ValueError("cut outside the open quantum regime")
     sbar = mass / gamma
-    slope = sbar * secrecy_bound_slope(cut_ratio) / mass
+    at_cut, dg = _bound_and_slope(cut_ratio)
+    slope = sbar * dg / mass
     if p1_tilde <= cut:
         value = sbar * secrecy_bound(ratio)
     else:
-        value = sbar * secrecy_bound(cut_ratio) + slope * (p1_tilde - cut)
+        value = sbar * at_cut + slope * (p1_tilde - cut)
     return value, slope, value - k_pen * (_log2_block_dim(s_max) + slope)
 
 

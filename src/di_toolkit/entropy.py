@@ -1,11 +1,11 @@
 r"""Scalar entropy functions and single-round entropy bounds for CHSH.
 
 All logarithms are base 2.  The quantum CHSH regime is
-omega in [3/4, (2+sqrt(2))/4].  The secrecy bound and its slope also run
-elementwise on numpy arrays for the key-rate grid kernel: the slope's one
-body takes the namespace ``xp`` (math or numpy), and the bound's unguarded
-body serves both secrecy_bound_array and the kernel's value at its cut,
-which lies inside the open regime.
+omega in [3/4, (2+sqrt(2))/4].  On the open regime the secrecy bound and
+its slope come from one unguarded body, _bound_and_slope, in the
+namespace ``xp`` (math or numpy): eat's glued function takes both at its
+cut from one root, keyrates' grid kernel both on arrays, and
+secrecy_bound_array the bound on the clamped statistic.
 """
 
 from __future__ import annotations
@@ -50,38 +50,25 @@ def secrecy_bound(omega: float) -> float:
     return 1.0 - binary_entropy(0.5 + 0.5 * math.sqrt(radicand))
 
 
-def secrecy_bound_slope(omega: float) -> float:
-    """d/dw of secrecy_bound on the open quantum regime."""
-    if not OMEGA_CLASSICAL < omega < OMEGA_QUANTUM:
-        raise ValueError("slope defined on the open quantum regime only")
-    return _slope(omega)
-
-
-def _slope(omega, xp=math):
-    """secrecy_bound_slope without the domain check, in the namespace ``xp``;
-    with numpy, entries outside the open regime come out nan or infinite."""
-    radicand = 16.0 * omega * (omega - 1.0) + 3.0
-    root = xp.sqrt(radicand)
+def _bound_and_slope(omega, xp=math):
+    """(secrecy_bound, d/dw secrecy_bound) with no guards, from one root, in
+    the namespace ``xp``: finite on the open quantum regime, where
+    1/2 < u < 1; with numpy, entries outside it come out nan or infinite."""
+    root = xp.sqrt(16.0 * omega * (omega - 1.0) + 3.0)
     u = 0.5 + 0.5 * root
     # dh/du = log2((1-u)/u); du/dw = 4(2w-1)/root
-    return xp.log2(u / (1.0 - u)) * 4.0 * (2.0 * omega - 1.0) / root
-
-
-def _bound_open(omega: np.ndarray) -> np.ndarray:
-    """secrecy_bound elementwise with no guards: finite on the open quantum
-    regime, where 1/2 < u < 1."""
-    u = 0.5 + 0.5 * np.sqrt(16.0 * omega * (omega - 1.0) + 3.0)
-    return 1.0 - (-u * np.log2(u) - (1.0 - u) * np.log2(1.0 - u))
+    slope = xp.log2(u / (1.0 - u)) * 4.0 * (2.0 * omega - 1.0) / root
+    return 1.0 - (-u * xp.log2(u) - (1.0 - u) * xp.log2(1.0 - u)), slope
 
 
 def secrecy_bound_array(omega: np.ndarray) -> np.ndarray:
     """secrecy_bound elementwise, in the same operation order:
-    _bound_open on the clamped statistic, whose root can round below 0 or
-    u to 1 (a nan) only within ulps of the classical or the quantum end,
-    where the bound is 0 or 1."""
+    _bound_and_slope's bound on the clamped statistic, whose root can round
+    below 0 or u to 1 (a nan) only within ulps of the classical or the
+    quantum end, where the bound is 0 or 1."""
     w = np.clip(omega, OMEGA_CLASSICAL, OMEGA_QUANTUM)
     with np.errstate(divide="ignore", invalid="ignore"):
-        value = _bound_open(w)
+        value = _bound_and_slope(w, np)[0]
     value = np.where(np.isnan(value),
                      w > (OMEGA_CLASSICAL + OMEGA_QUANTUM) / 2.0, value)
     value = np.where(omega < OMEGA_CLASSICAL - _CLAMP, 0.0, value)

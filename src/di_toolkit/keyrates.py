@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import eat
-from .entropy import (OMEGA_CLASSICAL, OMEGA_QUANTUM, _bound_open, _slope,
+from .entropy import (OMEGA_CLASSICAL, OMEGA_QUANTUM, _bound_and_slope,
                       binary_entropy, secrecy_bound_array)
 
 LOG2_2SQRT2_PLUS_1 = math.log2(2.0 * math.sqrt(2.0) + 1.0)
@@ -582,9 +582,9 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
         ratio = p1 / mass
         k_pen = eat._penalty_scale(shares.es4, shares.eps_e, m, np)
         cut = np.minimum(np.maximum(p1 - k_pen, lo), hi)
-        w = cut / mass
-        slope = sbar * _slope(w, np) / mass
-        f_min = sbar * _bound_open(w) + slope * (p1 - cut)
+        at_cut, dg = _bound_and_slope(cut / mass, np)
+        slope = sbar * dg / mass
+        f_min = sbar * at_cut + slope * (p1 - cut)
         below = p1 <= cut
         if below.any():
             f_min = np.where(below, sbar * secrecy_bound_array(ratio), f_min)
@@ -784,6 +784,8 @@ def optimize_rate(target: RateTarget, caps: RateCaps,
     """
     if mode not in (PER_ROUND, BLOCK):
         raise ValueError("mode must be 'per-round' or 'block'")
+    if target.n < 1:
+        raise ValueError("n must be >= 1")
     if not target.n < math.inf:
         raise ValueError("n must be finite")
     evals = dict.fromkeys(("grid_points", "grid_rescored", "share_passes",

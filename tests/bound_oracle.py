@@ -1,0 +1,57 @@
+"""Reference texts of the CHSH secrecy bound's slope and of the glued
+min-tradeoff function, as the package computed them before the bound and
+its slope at the cut came from one root: the checked secrecy_bound_slope,
+its unguarded body _slope in the namespace ``xp``, the unguarded array
+bound _bound_open, and eat._tradeoff calling secrecy_bound and
+secrecy_bound_slope separately.  The tests compare entropy._bound_and_slope
+and eat._tradeoff against these bit for bit.
+"""
+
+import math
+
+import numpy as np
+
+from di_toolkit.eat import _log2_block_dim
+from di_toolkit.entropy import OMEGA_CLASSICAL, OMEGA_QUANTUM, secrecy_bound
+
+
+def secrecy_bound_slope(omega: float) -> float:
+    """d/dw of secrecy_bound on the open quantum regime."""
+    if not OMEGA_CLASSICAL < omega < OMEGA_QUANTUM:
+        raise ValueError("slope defined on the open quantum regime only")
+    return _slope(omega)
+
+
+def _slope(omega, xp=math):
+    """secrecy_bound_slope without the domain check, in the namespace ``xp``;
+    with numpy, entries outside the open regime come out nan or infinite."""
+    radicand = 16.0 * omega * (omega - 1.0) + 3.0
+    root = xp.sqrt(radicand)
+    u = 0.5 + 0.5 * root
+    # dh/du = log2((1-u)/u); du/dw = 4(2w-1)/root
+    return xp.log2(u / (1.0 - u)) * 4.0 * (2.0 * omega - 1.0) / root
+
+
+def _bound_open(omega: np.ndarray) -> np.ndarray:
+    """secrecy_bound elementwise with no guards: finite on the open quantum
+    regime, where 1/2 < u < 1."""
+    u = 0.5 + 0.5 * np.sqrt(16.0 * omega * (omega - 1.0) + 3.0)
+    return 1.0 - (-u * np.log2(u) - (1.0 - u) * np.log2(1.0 - u))
+
+
+def tradeoff(p1_tilde, gamma, s_max, mass, cut, k_pen):
+    """eat._tradeoff with the bound and the slope at the cut taken from
+    secrecy_bound and secrecy_bound_slope, each with its own root."""
+    ratio = p1_tilde / mass
+    if ratio < OMEGA_CLASSICAL - 1e-12 or ratio > 1.0 + 1e-12:
+        raise ValueError(f"normalized statistic {ratio} outside [3/4, 1]")
+    cut_ratio = cut / mass
+    if not OMEGA_CLASSICAL < cut_ratio < OMEGA_QUANTUM:
+        raise ValueError("cut outside the open quantum regime")
+    sbar = mass / gamma
+    slope = sbar * secrecy_bound_slope(cut_ratio) / mass
+    if p1_tilde <= cut:
+        value = sbar * secrecy_bound(ratio)
+    else:
+        value = sbar * secrecy_bound(cut_ratio) + slope * (p1_tilde - cut)
+    return value, slope, value - k_pen * (_log2_block_dim(s_max) + slope)

@@ -651,3 +651,18 @@ class TestRateCurveCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err == "error: n must be finite\n"
+
+    @pytest.mark.parametrize("flags", [
+        ["--axis", "q", "--grid", "0.01", "--n", "0"],
+        ["--axis", "q", "--grid", "0.01", "--n", "-5"],
+        ["--axis", "q", "--grid", "0.01", "--n", "0.5"],
+        ["--mode", "per-round", "--axis", "q", "--grid", "0.01", "--n", "0"],
+        ["--axis", "n", "--grid", "1e8,0", "--q", "0.01"]])
+    def test_n_below_one_rejected(self, flags, capsys):
+        # --n 0 once died in a ZeroDivisionError traceback, --n -5 printed
+        # a math domain error and --n 0.5 found no feasible point
+        code = cli.main(["rate-curve", *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: n must be >= 1\n"

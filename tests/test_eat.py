@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from di_toolkit import eat
-from di_toolkit.entropy import (OMEGA_CLASSICAL, OMEGA_QUANTUM, secrecy_bound,
-                                secrecy_bound_slope)
+import bound_oracle
+from bound_oracle import secrecy_bound_slope
+from di_toolkit import eat, keyrates
+from di_toolkit.entropy import OMEGA_CLASSICAL, OMEGA_QUANTUM, secrecy_bound
 from conftest import round_count_law
 from reference_curves import MU_OPT_CURVES
 
@@ -220,6 +221,77 @@ class TestPerRoundReference:
                 assert at == cut
                 assert abs(value - want) <= 1e-14 * size
         assert ends == {"low", "inside", "high"}
+
+
+def _tradeoff_outcome(fn, args):
+    """The three floats of a glued-function call as hex, or the exception
+    it raised as (type, message)."""
+    try:
+        return tuple(x.hex() for x in fn(*args))
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+class TestTradeoffReference:
+    """_tradeoff takes g and g' at its cut from one root; the retired text
+    (tests/bound_oracle.py) took them from secrecy_bound and
+    secrecy_bound_slope.  The numbers and the errors are the same, bit for
+    bit."""
+
+    def test_matches_retired_text_bitwise(self, rng):
+        c, q = OMEGA_CLASSICAL, OMEGA_QUANTUM
+        seen = {}
+        for i in range(12000):
+            gamma = float(10.0 ** rng.uniform(-4.0, 0.0))
+            s_max = int(rng.integers(1, 41))
+            mass = eat._block_mass(gamma, s_max)
+            ratio = float(rng.uniform(c - 1e-2, 1.0 + 1e-2))
+            if i % 10 == 0:
+                # cuts within 1e-12 of either end of the open regime
+                end = c if i % 20 == 0 else q
+                cut_ratio = end + float(rng.uniform(-1e-12, 1e-12))
+            elif i % 10 == 1:
+                cut_ratio = ratio + float(rng.uniform(0.0, 1e-3))
+            else:
+                cut_ratio = float(rng.uniform(c - 5e-3, q + 5e-3))
+            args = (ratio * mass, gamma, s_max, mass, cut_ratio * mass,
+                    float(10.0 ** rng.uniform(-9.0, 0.0)))
+            want = _tradeoff_outcome(bound_oracle.tradeoff, args)
+            assert _tradeoff_outcome(eat._tradeoff, args) == want, args
+            if isinstance(want[0], type):
+                key = want[1].split(" ")[0]
+            else:
+                key = "below" if args[0] <= args[4] else "above"
+            seen[key] = seen.get(key, 0) + 1
+        # both branches and both errors, each many times over
+        assert set(seen) == {"below", "above", "normalized", "cut"}
+        assert min(seen.values()) >= 500, seen
+
+    def test_one_evaluation_per_best_cut_rate(self, monkeypatch):
+        calls = {"bound": 0, "rate": 0}
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(eat, "_bound_and_slope",
+                            spy("bound", eat._bound_and_slope))
+        monkeypatch.setattr(eat, "_mu_block_opt",
+                            spy("rate", eat._mu_block_opt))
+        eps = eat.EatEpsilons(1e-6, 1e-6)
+        eat.mu_opt(0.84, 1e-4, 0.1, 1e8, eps)
+        eat.mu_block_opt(0.84, 1e-4, eat.BlockSpec(0.1, 10), 1e7, eps)
+        # p1 - K above the cut interval: the rate is on the tangent
+        eat.mu_opt(0.99, 1e-9, 0.5, 1e15, eps)
+        omega, qber = keyrates.honest_werner(0.02)
+        params = keyrates.ProtocolParams(1e9, 0.2, omega, 1e-3, qber)
+        budget = keyrates.EpsilonBudget(1e-10, 5e-3, 3e-6, 3e-6, 3e-6,
+                                        1e-300)
+        keyrates.key_length(params, budget)
+        keyrates.key_length_block(params, budget, 5)
+        assert calls == {"bound": 5, "rate": 5}
 
 
 SCAN_POINTS = 2049

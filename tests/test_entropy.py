@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import bound_oracle
 from di_toolkit import entropy as ent
 from reference_curves import SECRECY_CURVE
 
@@ -61,9 +62,8 @@ class TestSecrecyBound:
         for omega in np.linspace(0.76, 0.85, 25):
             numeric = (ent.secrecy_bound(omega + h)
                        - ent.secrecy_bound(omega - h)) / (2 * h)
-            analytic = ent.secrecy_bound_slope(omega)
+            analytic = ent._bound_and_slope(omega)[1]
             assert analytic == pytest.approx(numeric, rel=1e-6)
-
 
     def test_array_forms_match_scalar(self):
         q, c = ent.OMEGA_QUANTUM, ent.OMEGA_CLASSICAL
@@ -73,9 +73,57 @@ class TestSecrecyBound:
         want = np.array([ent.secrecy_bound(w) for w in omegas])
         assert np.all(np.abs(got - want) <= 1e-15)
         inside = np.linspace(c, q, 2001)[1:-1]
-        got = ent._slope(inside, np)
-        want = np.array([ent.secrecy_bound_slope(w) for w in inside])
+        got = ent._bound_and_slope(inside, np)[1]
+        want = np.array([bound_oracle.secrecy_bound_slope(w) for w in inside])
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def _open_regime_points(rng):
+    """Over 11,000 statistics inside the open quantum regime: 10,000
+    uniform ones, and ones within 1e-12 of either end, down to the first
+    float past it."""
+    c, q = ent.OMEGA_CLASSICAL, ent.OMEGA_QUANTUM
+    near = np.geomspace(1e-17, 1e-12, 1000)
+    ends = [np.nextafter(c, 1.0), np.nextafter(q, 0.0)]
+    points = np.concatenate([rng.uniform(c, q, 10000), c + near, q - near,
+                             ends])
+    return points[(points > c) & (points < q)]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def _hex(outcome):
+    if isinstance(outcome[0], type):
+        return outcome
+    return tuple(float(x).hex() for x in outcome)
+
+
+class TestBoundAndSlope:
+    """_bound_and_slope is the retired texts (tests/bound_oracle.py)
+    evaluated once: bit for bit the same numbers on the open regime."""
+
+    def test_scalar_matches_retired_bodies_bitwise(self):
+        points = _open_regime_points(np.random.default_rng(20231))
+        assert points.size >= 10000
+        for w in points.tolist():
+            want = _outcome(lambda x: (ent.secrecy_bound(x),
+                                       bound_oracle.secrecy_bound_slope(x)),
+                            w)
+            assert _hex(_outcome(ent._bound_and_slope, w)) == _hex(want), w
+
+    def test_array_matches_retired_bodies_bitwise(self):
+        points = _open_regime_points(np.random.default_rng(20232))
+        assert points.size >= 10000
+        bound, slope = ent._bound_and_slope(points, np)
+        want_bound = bound_oracle._bound_open(points)
+        want_slope = bound_oracle._slope(points, np)
+        assert bound.tobytes() == want_bound.tobytes()
+        assert slope.tobytes() == want_slope.tobytes()
 
 
 class TestBellDiagBound:

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import bound_oracle
 from reference_curves import (KEY_RATE_POINTS, ZERO_CROSSING_N,
                               ZERO_CROSSING_WINDOW)
 
@@ -566,6 +567,14 @@ class TestOptimizeRate:
         with pytest.raises(ValueError, match="^n must be finite$"):
             kr.optimize_rate(kr.RateTarget(n=n, q=0.01), self.CAPS)
 
+    @pytest.mark.parametrize("mode", [kr.BLOCK, kr.PER_ROUND])
+    @pytest.mark.parametrize("n", [0, 0.0, 0.5, -5.0, -math.inf])
+    def test_target_below_one_round_rejected(self, n, mode):
+        # n = 0 once died in a ZeroDivisionError in _delta_floor, n < 0 in
+        # a math domain error, and n in (0, 1) found no feasible point
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            kr.optimize_rate(kr.RateTarget(n=n, q=0.01), self.CAPS, mode)
+
     def test_eps_t_provenance(self):
         for n, index in ((1e15, 0), (1e10, 1)):
             report = kr.optimize_rate(kr.RateTarget(n=n, q=0.005), self.CAPS,
@@ -953,7 +962,7 @@ def reference_grid_key_lengths(target, caps, mode, gammas, deltas, shares):
               & (ratio >= entropy.OMEGA_CLASSICAL) & (ratio <= 1.0))
         k_pen = eat._penalty_scale(es4, eps_e, m, np)
         cut = np.minimum(np.maximum(p1 - k_pen, lo), hi)
-        slope = sbar * entropy._slope(cut / scale, np) / scale
+        slope = sbar * bound_oracle._slope(cut / scale, np) / scale
         at_cut = sbar * entropy.secrecy_bound_array(cut / scale)
         glued = at_cut + slope * (p1 - cut)
         f_min = np.where(p1 <= cut,

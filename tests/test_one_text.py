@@ -19,11 +19,12 @@ import di_toolkit
 
 # one marker per formula: the max-entropy term, the leakage sum, the
 # Hoeffding bound, the s_max = ceil(1/gamma) rule, the honest-device
-# sampler's uniform draws, the glued function's slope at its cut and the
-# smoothing root of the max-entropy term and the EAT penalty, the
-# multinomial of the de Finetti bounds and the eps_t candidate ladder
+# sampler's uniform draws, the secrecy bound's slope (taken with the bound
+# from one root), the smoothing root of the max-entropy term and the EAT
+# penalty, the multinomial of the de Finetti bounds and the eps_t
+# candidate ladder
 MARKERS = ["LOG2_7", "LOG2_2SQRT2_PLUS_1", "exp(-2.0 *", "ceil(1.0 / gamma",
-           "rng.random(", "secrecy_bound_slope(", "1.0 - 2.0 * xp.log2(",
+           "rng.random(", "log2(u / (1.0 - u))", "1.0 - 2.0 * xp.log2(",
            "math.comb(", "10.0 ** (-k)"]
 
 
