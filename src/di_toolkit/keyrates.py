@@ -176,21 +176,6 @@ def _leak_rate(gamma, h_q, h_omega):
     return (1.0 - gamma) * h_q + gamma * h_omega
 
 
-def _leak(n_eff: float, rate: float, eps_ec_prime: float, eps_t: float,
-          constants: tuple) -> float:
-    """Error-correction leakage of the honest IID implementation over n_eff
-    rounds: first order n_eff * rate, rate = _leak_rate(...), plus a sqrt
-    term whose smoothing parameter is shifted to eps_ec_prime - 2 sqrt(eps_t)
-    when the round count is itself random (block mode), plus the eps_t-free
-    terms ``constants`` = _leak_constants(eps_ec_prime, eps_ec)."""
-    eps_sqrt_term = eps_ec_prime - 2.0 * math.sqrt(eps_t)
-    if eps_sqrt_term <= 0:
-        raise ValueError("eps_t too large: eps_ec_prime - 2 sqrt(eps_t) <= 0")
-    first, scale, root = _leak_terms(n_eff, rate, eps_sqrt_term)
-    prime_term, ec_term = constants
-    return first + scale * root + prime_term + ec_term
-
-
 def _leak_terms(n_eff, rate, eps_sqrt_term, xp=math):
     """The leakage's terms that depend on eps_t, in the namespace ``xp``,
     each at the shape of its own inputs: first = n_eff * rate, scale =
@@ -288,8 +273,15 @@ def _block_eps_t_terms(params: ProtocolParams, budget: EpsilonBudget,
         raise ValueError("eps_t too large: sqrt(eps_t) >= eps_s/4")
     t = eat.round_count_tail(fixed.m, params.gamma, eps_t) if s_max > 1 else 0.0
     n_eff = params.n + t
-    leak = _leak(n_eff, fixed.leak_rate, budget.eps_ec_prime,
-                 eps_t if s_max > 1 else 0.0, fixed.leak_constants)
+    # the leakage over n_eff rounds: its sqrt term's smoothing parameter
+    # shifts by 2 sqrt(eps_t) when the round count is random (block mode)
+    eps_sqrt_term = budget.eps_ec_prime - 2.0 * math.sqrt(
+        eps_t if s_max > 1 else 0.0)
+    if eps_sqrt_term <= 0:
+        raise ValueError("eps_t too large: eps_ec_prime - 2 sqrt(eps_t) <= 0")
+    first, scale, root = _leak_terms(n_eff, fixed.leak_rate, eps_sqrt_term)
+    prime_term, ec_term = fixed.leak_constants
+    leak = first + scale * root + prime_term + ec_term
     # eat.max_entropy_upper, one call shorter
     max_ent = eat._max_entropy(n_eff, params.gamma, eat._smoothing_root(
         eps_s_shifted, budget.eps_ea + budget.eps_ec))
@@ -332,6 +324,8 @@ class RateCaps:
     eps_ec: float
 
     def __post_init__(self):
+        if not self.eps_ec > 0:
+            raise ValueError("eps_ec must be > 0")
         if self.soundness <= 2.0 * self.eps_ec:
             raise ValueError("soundness cap must exceed 2*eps_ec")
         if self.completeness <= self.eps_ec:
@@ -532,9 +526,8 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
         shares = _share_axis(caps, mode, shares)
     omega, _ = honest_werner(2.0 * target.q)
     n = target.n
-    # ProtocolParams' checks on the target, EpsilonBudget's on eps_ec
-    if not (n >= 1 and OMEGA_CLASSICAL <= omega <= OMEGA_QUANTUM + 1e-12
-            and 0 <= target.q <= 0.5 and 0 < caps.eps_ec < 1):
+    # ProtocolParams' check on omega_exp
+    if not OMEGA_CLASSICAL <= omega <= OMEGA_QUANTUM + 1e-12:
         return np.full((len(gammas), len(deltas), len(shares.ok)), -np.inf)
     block = mode == BLOCK
     with np.errstate(all="ignore"):
@@ -572,7 +565,7 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
             n_eff = n
         # A finite log correction needs eps_s > 4.2e-8, so every candidate
         # has 0 <= sqrt(eps_t) <= eps_s / (4 sqrt(10)): neither the eps_t
-        # guard nor round_count_tail's range check can fire; only _leak's.
+        # guard nor round_count_tail's range check can fire; only est <= 0 can.
         est = prime - 2.0 * shares.sqrt_t
         first, scale, root = _leak_terms(n_eff, leak_rate, est, np)
         prime_term, ec_term = _leak_constants(prime, caps.eps_ec, np)

@@ -20,11 +20,9 @@ without a slack) checks :func:`ns_value` from the primal side.
 
 The solver is a dense two-phase simplex with Bland's rule: the programs
 here have at most a few hundred variables and we need deterministic,
-reproducible dual solutions.  At this size a pivot's cost is numpy call
+reproducible solutions.  At this size a pivot's cost is numpy call
 overhead, not arithmetic, so the cost row is the tableau's last row and
-one row update per pivot clears the entering column from it too.  The
-duals are not computed by the solve: :attr:`LPSolution.dual` solves for
-them from the final basis when first read.
+one row update per pivot clears the entering column from it too.
 
 Bland's rule ends only in exact arithmetic.  When a column that is
 already basic enters again, its tableau column is compared with its unit
@@ -42,7 +40,6 @@ scales.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -82,42 +79,13 @@ class LPSolution:
     """A solve's outcome and its record: the final basis (the basic column
     of each row of the equality form; an artificial left basic has an
     index past its columns) and the pivot counts of phase 1 (including
-    the pivots that drive artificials out) and phase 2.  ``dual``, one
-    multiplier per constraint row, is computed from the basis when first
-    read; it is empty unless the status is optimal."""
+    the pivots that drive artificials out) and phase 2."""
 
     status: str  # optimal | infeasible | unbounded
     value: float = float("nan")
     primal: np.ndarray = field(default_factory=lambda: np.zeros(0))
     basis: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     pivots: tuple = (0, 0)
-    # (M, sign, c): the equality-form matrix, its row flips, the objective
-    equality_form: tuple | None = field(default=None, repr=False,
-                                        compare=False)
-
-    @cached_property
-    def dual(self) -> np.ndarray:
-        """y solving y . column_j = c_j on the basic columns of the
-        equality-form matrix M (a leftover artificial has a unit column),
-        with the row flips undone."""
-        if self.status != "optimal":
-            return np.zeros(0)
-        M, sign, c = self.equality_form
-        m, n_total = M.shape
-        basis = self.basis
-        real = basis < n_total
-        structural = basis < c.shape[0]
-        cB = np.zeros(m)
-        cB[structural] = c[basis[structural]]
-        cols = np.zeros((m, m))
-        cols[:, real] = M[:, basis[real]]
-        art = np.flatnonzero(~real)
-        cols[art, art] = 1.0
-        try:
-            y = np.linalg.solve(cols.T, cB)
-        except np.linalg.LinAlgError:
-            y, *_ = np.linalg.lstsq(cols.T, cB, rcond=None)
-        return y * sign
 
 
 class SolverError(RuntimeError):
@@ -193,9 +161,8 @@ def _simplex_phase(tableau, basis, n_cols, max_iter, phase):
 def solve(lp: LinearProgram) -> LPSolution:
     """Two-phase dense simplex with Bland's anti-cycling rule.
 
-    Returns an optimal basic solution, its basis and pivot counts; the
-    duals follow from the basis on demand.  Deterministic given the
-    program.
+    Returns an optimal basic solution, its basis and pivot counts.
+    Deterministic given the program.
     """
     n = lp.num_vars
     m = len(lp.rows)
@@ -275,8 +242,7 @@ def solve(lp: LinearProgram) -> LPSolution:
     primal = np.zeros(n_total)
     primal[basis[real]] = tableau[:m][real, -1]
     return LPSolution(status="optimal", value=float(lp.c @ primal[:n]),
-                      primal=primal[:n], basis=basis, pivots=(phase1, phase2),
-                      equality_form=(M, sign, lp.c))
+                      primal=primal[:n], basis=basis, pivots=(phase1, phase2))
 
 
 # ---------------------------------------------------------------------------

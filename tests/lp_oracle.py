@@ -3,7 +3,8 @@ simplex with a separate cost row, a boolean row mask per pivot and the duals
 computed in every solve, as nslp.solve was before the cost row moved into
 the tableau.  The only additions are the records the tests compare: the
 final basis and the pivot counts of phase 1 (driving artificials out
-included) and phase 2.
+included) and phase 2.  duals(lp, basis) gives the tests the multipliers
+of any solver's final basis, nslp.solve's included.
 """
 
 from types import SimpleNamespace
@@ -54,14 +55,16 @@ def _result(status, basis, pivots, value=float("nan"), primal=None,
         basis=basis.copy(), pivots=pivots)
 
 
-def solve(lp):
+def _equality_form(lp):
+    """(M, b, sign, slack_col): A x + S slack = b with a +1 slack on <=
+    rows and a -1 slack on >= rows, each row flipped (sign -1) where its
+    rhs is negative, and the slack column of each inequality row."""
     n = lp.num_vars
     m = len(lp.rows)
     rels = [rel for _, rel, _ in lp.rows]
 
     slack_rows = [i for i, rel in enumerate(rels) if rel != EQ]
-    n_total = n + len(slack_rows)
-    M = np.zeros((m, n_total))
+    M = np.zeros((m, n + len(slack_rows)))
     M[:, :n] = [coeffs for coeffs, _, _ in lp.rows]
     b = np.array([rhs for _, _, rhs in lp.rows], dtype=float)
     slack_col = {i: n + k for k, i in enumerate(slack_rows)}
@@ -70,6 +73,36 @@ def solve(lp):
     sign = np.where(b < 0, -1.0, 1.0)
     M[b < 0] *= -1.0
     b *= sign
+    return M, b, sign, slack_col
+
+
+def duals(lp, basis):
+    """y solving y . column_j = c_j on the basic columns of the equality
+    form (a leftover artificial, index past its columns, has a unit
+    column), with the row flips undone: one multiplier per row of lp."""
+    M, _, sign, _ = _equality_form(lp)
+    m, n_total = M.shape
+    basis = np.asarray(basis)
+    real = basis < n_total
+    structural = basis < lp.num_vars
+    cB = np.zeros(m)
+    cB[structural] = lp.c[basis[structural]]
+    cols = np.zeros((m, m))
+    cols[:, real] = M[:, basis[real]]
+    art = np.flatnonzero(~real)
+    cols[art, art] = 1.0
+    try:
+        y = np.linalg.solve(cols.T, cB)
+    except np.linalg.LinAlgError:
+        y, *_ = np.linalg.lstsq(cols.T, cB, rcond=None)
+    return y * sign
+
+
+def solve(lp):
+    n = lp.num_vars
+    m = len(lp.rows)
+    M, b, _, slack_col = _equality_form(lp)
+    n_total = M.shape[1]
 
     basis = np.full(m, -1)
     art_rows = []
@@ -120,17 +153,5 @@ def solve(lp):
     primal = np.zeros(n_total)
     primal[basis[real]] = tableau[real, -1]
     value = float(lp.c @ primal[:n])
-
-    structural = basis < n
-    cB = np.zeros(m)
-    cB[structural] = lp.c[basis[structural]]
-    cols = np.zeros((m, m))
-    cols[:, real] = M[:, basis[real]]
-    art = np.flatnonzero(~real)
-    cols[art, art] = 1.0
-    try:
-        y = np.linalg.solve(cols.T, cB)
-    except np.linalg.LinAlgError:
-        y, *_ = np.linalg.lstsq(cols.T, cB, rcond=None)
     return _result("optimal", basis, (phase1, phase2), value, primal[:n],
-                   y * sign)
+                   duals(lp, basis))

@@ -666,3 +666,14 @@ class TestRateCurveCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err == "error: n must be >= 1\n"
+
+    @pytest.mark.parametrize("value", ["0", "-1e-3", "nan"])
+    def test_eps_ec_not_positive_rejected(self, value, capsys):
+        # once "error: no feasible parameter point under the caps", which
+        # did not name the flag
+        code = cli.main(["rate-curve", "--axis", "q", "--grid", "0.01",
+                         f"--eps-ec={value}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: eps_ec must be > 0\n"

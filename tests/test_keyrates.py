@@ -455,6 +455,13 @@ class TestOptimizeRate:
         with pytest.raises(ValueError):
             kr.RateCaps(soundness=1e-11, completeness=1e-2, eps_ec=1e-10)
 
+    @pytest.mark.parametrize("eps_ec", [0.0, -1e-3, math.nan])
+    def test_eps_ec_must_be_positive(self, eps_ec):
+        # these caps once constructed, and optimize_rate then reported no
+        # feasible parameter point
+        with pytest.raises(ValueError, match=r"^eps_ec must be > 0$"):
+            kr.RateCaps(soundness=1e-5, completeness=1e-2, eps_ec=eps_ec)
+
     def test_rate_curve_ordering_and_monotonicity(self):
         grid = [0.005, 0.02, 0.035]
         reports = kr.rate_curve("q", grid, {"n": 1e9, "q": None}, self.CAPS,

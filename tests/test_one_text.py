@@ -4,9 +4,10 @@ call it rather than spelling it out again.  Likewise the honest-device
 Monte Carlo has one sampler, and the glued min-tradeoff function one
 scalar text, which the per-round and block protocols both call.  Round
 permutations of n-round tables go through one joint-type map, and the
-de Finetti bounds through one multinomial.  Every public function, class
-and method has a caller outside the unit tests or a role in the README,
-and every default is set somewhere outside the unit tests."""
+de Finetti bounds through one multinomial.  Every public function and
+class has a caller outside the unit tests or a role in the README, every
+public method a caller, and every default is set somewhere outside the
+unit tests."""
 
 import ast
 import re
@@ -84,25 +85,33 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 
 
 def _is_property(node) -> bool:
-    return any(isinstance(d, ast.Name) and d.id == "property"
+    """A property or a functools.cached_property."""
+    return any(getattr(d, "id", getattr(d, "attr", None))
+               in ("property", "cached_property")
                for d in node.decorator_list)
 
 
+def module_public_names(stem, tree):
+    """(label, name, kind) of every public module-level function and class
+    (kind "module") and every public method of a public class (kind
+    "property" or "method") of one module's syntax tree."""
+    for node in tree.body:
+        if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                or node.name.startswith("_")):
+            continue
+        yield f"{stem}:{node.name}", node.name, "module"
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield (f"{stem}:{node.name}.{item.name}", item.name,
+                           "property" if _is_property(item) else "method")
+
+
 def public_names():
-    """(label, name, is_property) of every public module-level function and
-    class and every public method of a public class."""
+    """module_public_names over every module of the package."""
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    or node.name.startswith("_")):
-                continue
-            yield f"{path.stem}:{node.name}", node.name, False
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if (isinstance(item, ast.FunctionDef)
-                            and not item.name.startswith("_")):
-                        yield (f"{path.stem}:{node.name}.{item.name}",
-                               item.name, _is_property(item))
+        yield from module_public_names(path.stem, ast.parse(path.read_text()))
 
 
 def _caller_trees():
@@ -148,17 +157,48 @@ def readme_layout_names():
     return set(re.findall(r"\w+", block.group(1)))
 
 
+def orphans(names, used, read, readme):
+    """The labels of ``names`` (label, name, kind) without a role: a
+    module-level name needs a caller or a word in the README's Layout
+    block, a method a caller, and a property a caller or an attribute
+    read.  A method's name in the README is no role: its words name the
+    paper's objects, and a method called "dual" would pass on "dual
+    kappa"."""
+    roles = {"module": used | readme, "method": used, "property": used | read}
+    return [label for label, name, kind in names if name not in roles[kind]]
+
+
 def test_public_names_have_a_role():
-    """A public function, class or method either has a caller outside the
-    unit tests or is a paper object the README's Layout block names;
-    anything else is dead surface.  A caller calls the name, loads it as a
-    bare name or imports it; reading a same-named field or attribute is no
-    use of a function, but it is of a property."""
+    """A public function or class either has a caller outside the unit
+    tests or is a paper object the README's Layout block names, and a
+    public method has a caller; anything else is dead surface.  A caller
+    calls the name, loads it as a bare name or imports it; reading a
+    same-named field or attribute is no use of a function, but it is of a
+    property."""
     used, read = referenced_names()
-    known = used | readme_layout_names()
-    orphans = [label for label, name, is_property in public_names()
-               if name not in known and not (is_property and name in read)]
-    assert orphans == []
+    assert orphans(public_names(), used, read, readme_layout_names()) == []
+
+
+def test_role_rules():
+    """Only module-level names take a role from the README, and a
+    cached_property counts as a property."""
+    tree = ast.parse(
+        "import functools\n"
+        "def paper_object(): pass\n"
+        "class Solution:\n"
+        "    def dual(self): pass\n"
+        "    @functools.cached_property\n"
+        "    def value(self): pass\n"
+        "    @cached_property\n"
+        "    def basis(self): pass\n")
+    names = list(module_public_names("m", tree))
+    assert [kind for _, _, kind in names] == ["module", "module", "method",
+                                              "property", "property"]
+    readme = {"paper_object", "Solution", "dual", "value", "basis"}
+    assert orphans(names, set(), {"value"}, readme) == ["m:Solution.dual",
+                                                        "m:Solution.basis"]
+    assert orphans(names, {"dual"}, {"value", "basis"}, set()) == [
+        "m:paper_object", "m:Solution"]
 
 
 def defaulted_parameters():
