@@ -1,0 +1,141 @@
+#!/usr/bin/env python3
+"""Before/after benchmark pairs of two checkouts on one workload.
+
+For each seed it runs ``perfbench/run.py`` once in the parent checkout and
+once in the changed one.  The first pair runs the parent first, the next
+the change first, and so on, so that slow phases of a shared host and any
+warm-up fall on both sides alike.  Each run's result is the JSON object
+on the last line of its stdout.  The script prints, per end-to-end metric,
+the median and quartiles of each side and the number of pairs the change
+wins (in the metric's direction from BENCHMARK.json), and writes every run
+and the summary to bench/BENCH_<label>.json (see --out-dir):
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --workload rate-scalar --seeds 25201-25210 --label rate-scalar-x
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+SIDES = ("parent", "change")
+
+
+def parse_seeds(text):
+    """'1,5,9' or '3-6' (inclusive) or a mix of both, in the given order."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def last_json_line(stdout):
+    """The result object a perfbench run prints as its last line."""
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
+def directions(checkout):
+    """{metric: "higher" or "lower"} of BENCHMARK.json's end-to-end metrics."""
+    with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def quartiles(values):
+    """(q1, median, q3) by inclusive quantiles; one run is all three."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(pairs, better):
+    """Per metric: each side's (q1, median, q3), the change's median
+    relative to the parent's, and in how many pairs the change is strictly
+    better.  ``pairs`` holds {"parent": result, "change": result}; a metric
+    without a direction in ``better`` gets no wins."""
+    out = {}
+    for name in pairs[0]["parent"]["metrics"]:
+        values = {side: [p[side]["metrics"][name]["value"] for p in pairs]
+                  for side in SIDES}
+        row = {side: dict(zip(("q1", "median", "q3"), quartiles(values[side])))
+               for side in SIDES}
+        base, new = row["parent"]["median"], row["change"]["median"]
+        row["median_change"] = (new - base) / base if base else None
+        sign = {"higher": 1, "lower": -1}.get(better.get(name))
+        row["wins"] = None if sign is None else sum(
+            sign * (c - p) > 0 for p, c in zip(values["parent"],
+                                               values["change"]))
+        out[name] = row
+    return {"pairs": len(pairs), "metrics": out,
+            "failed": {side: [p[side]["failed"] for p in pairs]
+                       for side in SIDES},
+            "correct": all(p[side]["correct"] for p in pairs
+                           for side in SIDES)}
+
+
+def summary_lines(summary):
+    lines = [f"{summary['pairs']} pairs, all correct: {summary['correct']}"]
+    for name, row in summary["metrics"].items():
+        p, c = row["parent"], row["change"]
+        rel = ("" if row["median_change"] is None
+               else f" ({row['median_change']:+.1%})")
+        wins = "" if row["wins"] is None else (
+            f", change better in {row['wins']}/{summary['pairs']}")
+        lines.append(f"  {name}: {p['median']:.6g} [{p['q1']:.6g}, "
+                     f"{p['q3']:.6g}] -> {c['median']:.6g} [{c['q1']:.6g}, "
+                     f"{c['q3']:.6g}]{rel}{wins}")
+    return lines
+
+
+def run_once(checkout, workload, seed, seconds):
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload",
+         workload, "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    return last_json_line(proc.stdout)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="parent checkout")
+    parser.add_argument("--change", required=True, help="changed checkout")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, type=parse_seeds,
+                        help="e.g. 25201-25210 or 1,5,9")
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--out-dir", default="bench")
+    args = parser.parse_args(argv)
+
+    pairs = []
+    for k, seed in enumerate(args.seeds):
+        pair = {"seed": seed, "first": SIDES[k % 2]}
+        for side in SIDES[::-1] if k % 2 else SIDES:
+            pair[side] = run_once(getattr(args, side), args.workload, seed,
+                                  args.seconds)
+        pairs.append(pair)
+        print(f"seed {seed}: goodput "
+              f"{pair['parent']['metrics']['goodput_per_s']['value']:.6g} -> "
+              f"{pair['change']['metrics']['goodput_per_s']['value']:.6g}/s",
+              flush=True)
+    summary = summarize(pairs, directions(args.change))
+    for line in summary_lines(summary):
+        print(line)
+    os.makedirs(args.out_dir, exist_ok=True)
+    path = os.path.join(args.out_dir, f"BENCH_{args.label}.json")
+    with open(path, "w") as fh:
+        json.dump({"label": args.label, "workload": args.workload,
+                   "seconds": args.seconds, "seeds": args.seeds,
+                   "summary": summary, "pairs": pairs}, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,7 +23,11 @@ modes with the same block formulas.  The inputs are checked once, where
 they enter (ProtocolParams, EpsilonBudget, and the block length and the
 epsilons of the entropy rate); from there the key length is computed on
 floats, its entropy term by eat's private float body of mu_block_opt, and
-the only object built per call is the RateReport, a named tuple.
+the only object built per call is the RateReport, a named tuple.  The
+order is: the checks, then the terms of the budget alone (log correction,
+PA term, the leakage's eps_t-free constants), then the entropy rate and
+the leakage rate.  The log correction is log2(0) in double precision for
+eps_s below about 4.2e-8, so such a budget raises before the cut search.
 
 optimize_rate runs a coarse (gamma, delta_est) grid, an epsilon split grid
 and one zoom, in boxes set by the caps and the rate.  Each stage, and each
@@ -251,6 +255,8 @@ def _block_fixed_terms(params: ProtocolParams, budget: EpsilonBudget,
     eps_s, eps_e = budget.eps_s / 4.0, budget.eps_ea + budget.eps_ec
     eat._check_epsilons(eps_s, eps_e)
     eat._check_block(params.gamma, s_max)
+    log_corr, pa = _log_correction(budget.eps_s), _pa_term(budget.eps_pa)
+    leak_constants = _leak_constants(budget.eps_ec_prime, budget.eps_ec)
     mass = eat._block_mass(params.gamma, s_max)
     sbar = mass / params.gamma
     m = params.n / sbar
@@ -259,9 +265,8 @@ def _block_fixed_terms(params: ProtocolParams, budget: EpsilonBudget,
                                       eps_e)
     leak_rate = _leak_rate(params.gamma, binary_entropy(params.q),
                            binary_entropy(params.omega_exp))
-    return _BlockFixed(sbar, m, cut, m * mu_value, leak_rate,
-                       _leak_constants(budget.eps_ec_prime, budget.eps_ec),
-                       _log_correction(budget.eps_s), _pa_term(budget.eps_pa))
+    return _BlockFixed(sbar, m, cut, m * mu_value, leak_rate, leak_constants,
+                       log_corr, pa)
 
 
 def _block_eps_t_terms(params: ProtocolParams, budget: EpsilonBudget,
@@ -326,11 +331,12 @@ class RateCaps:
     def __post_init__(self):
         if not self.eps_ec > 0:
             raise ValueError("eps_ec must be > 0")
-        if self.soundness <= 2.0 * self.eps_ec:
+        # written so that NaN fails each check
+        if not self.soundness > 2.0 * self.eps_ec:
             raise ValueError("soundness cap must exceed 2*eps_ec")
-        if self.completeness <= self.eps_ec:
+        if not self.completeness > self.eps_ec:
             raise ValueError("completeness cap must exceed eps_ec")
-        if self.completeness >= 1.0:
+        if not self.completeness < 1.0:
             raise ValueError("completeness cap must be below 1")
 
 

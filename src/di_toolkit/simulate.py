@@ -77,22 +77,34 @@ class Transcript:
             raise ValueError("W must be bottom exactly on generation rounds")
 
 
-def _trial_rng(master_seed: int, trial: int) -> np.random.Generator:
+def _trial_rng(master_seed: int, trial: int,
+               rng: np.random.Generator | None = None) -> np.random.Generator:
+    """Philox keyed by (master_seed, trial) at counter 0; a loop over trials
+    passes one such ``rng`` to be rekeyed in place, the same stream without
+    the constructor's OS-entropy seed sequence that the key then replaces."""
     key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, trial], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    if rng is None:
+        return np.random.Generator(np.random.Philox(key=key))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def _run(m: int, block: BlockSpec, omega_exp: float, delta_est: float,
          device: HonestDevice, seed: int, trial: int,
-         transcript: bool = True) -> Transcript | bool:
+         transcript: bool = True,
+         rng: np.random.Generator | None = None) -> Transcript | bool:
     """The one sampler: m blocks of at most s_max rounds, aborting iff fewer
     than (omega_exp * test_mass - delta_est) * m blocks end in a won test
     round.  With ``transcript`` false it skips the input and output draws,
     which the abort decision does not read, stops after the win draws and
-    returns the abort flag alone."""
+    returns the abort flag alone.  ``rng``: see _trial_rng."""
     if m < 1:
         raise ValueError("the number of blocks must be >= 1")
-    rng = _trial_rng(seed, trial)
+    rng = _trial_rng(seed, trial, rng)
     flags = rng.random((m, block.s_max)) < block.gamma
     # a block keeps its rounds up to and including its first test
     kept = np.ones_like(flags)
@@ -141,16 +153,19 @@ def run_protocol(n: int, gamma: float, omega_exp: float, delta_est: float,
 
 def run_protocol_blocks(m_blocks: int, block: BlockSpec, omega_exp: float,
                         delta_est: float, device: HonestDevice, seed: int,
-                        trial: int = 0) -> Transcript:
+                        trial: int = 0, *,
+                        rng: np.random.Generator | None = None) -> Transcript:
     """One run of the block protocol: each block ends at its first test
     round or after s_max rounds; the block result is the last round's game
     outcome, or bottom if no test happened.
 
     Aborts iff the number of winning blocks falls below
     (omega_exp * (1 - (1-gamma)^s_max) - delta_est) * m_blocks.
-    The transcript is per-round; block boundaries follow from t.
+    The transcript is per-round; block boundaries follow from t.  A loop
+    over trials passes one ``rng``, rekeyed per trial (see _trial_rng).
     """
-    return _run(m_blocks, block, omega_exp, delta_est, device, seed, trial)
+    return _run(m_blocks, block, omega_exp, delta_est, device, seed, trial,
+                rng=rng)
 
 
 def block_lengths(transcript: Transcript, s_max: int) -> np.ndarray:
@@ -207,8 +222,10 @@ def estimate_abort_probability(config: SimulationConfig, trials: int,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     block = BlockSpec(config.gamma, 1)
+    rng = _trial_rng(master_seed, 0)
     aborts = sum(_run(config.n, block, config.omega_exp, config.delta_est,
-                      config.device, master_seed, trial, transcript=False)
+                      config.device, master_seed, trial, transcript=False,
+                      rng=rng)
                  for trial in range(trials))
     return aborts / trials, wilson_interval(aborts, trials)
 
@@ -231,9 +248,10 @@ def round_count_statistics(m_blocks: int, block: BlockSpec,
     """Empirical Pr[N >= m*s_bar + tail_t] over full block-protocol runs."""
     nbar = m_blocks * expected_block_length(block)
     exceed = 0
+    rng = _trial_rng(seed, 0)
     for trial in range(trials):
         tr = run_protocol_blocks(m_blocks, block, device.omega_exp, 0.5,
-                                 device, seed, trial=trial)
+                                 device, seed, trial=trial, rng=rng)
         if len(tr.t) >= nbar + tail_t:
             exceed += 1
     return exceed / trials

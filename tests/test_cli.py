@@ -677,3 +677,15 @@ class TestRateCurveCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err == "error: eps_ec must be > 0\n"
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--soundness=nan", "soundness cap must exceed 2*eps_ec"),
+        ("--completeness=nan", "completeness cap must exceed eps_ec")])
+    def test_nan_cap_rejected(self, flag, message, capsys):
+        # once "no feasible parameter point under the caps" and "cannot
+        # convert float NaN to integer", neither naming the cap
+        code = cli.main(["rate-curve", "--axis", "q", "--grid", "0.01", flag])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"

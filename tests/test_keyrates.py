@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -181,11 +182,11 @@ def reference_key_length(params, budget):
     """The per-round key length in its own body, as it stood before
     key_length became the block computation at s_max = 1."""
     eps = eat.EatEpsilons(budget.eps_s / 4.0, budget.eps_ea + budget.eps_ec)
+    log_corr = kr._log_correction(budget.eps_s)
     mu_value, cut = eat.mu_opt(params.omega_exp, params.delta_est,
                                params.gamma, params.n, eps)
     entropy_term = params.n * mu_value
     leak = reference_leak(params.n, params, budget.eps_ec_prime, budget.eps_ec)
-    log_corr = kr._log_correction(budget.eps_s)
     max_ent = params.gamma * params.n + math.sqrt(params.n) * 2.0 * math.log2(
         7.0) * math.sqrt(1.0 - 2.0 * math.log2(
             (budget.eps_s / 4.0) * (budget.eps_ea + budget.eps_ec)))
@@ -240,13 +241,13 @@ def reference_key_length_block(params, budget, s_max):
     eps_e = budget.eps_ea + budget.eps_ec
     eps = eat.EatEpsilons(budget.eps_s / 4.0, eps_e)
     block = eat.BlockSpec(params.gamma, s_max)
+    log_corr = 3.0 * math.log2(1.0 - math.sqrt(1.0 - (budget.eps_s / 4.0)
+                                               ** 2))
     sbar = eat.expected_block_length(block)
     m = params.n / sbar
     mu_value, cut = eat.mu_block_opt(params.omega_exp, params.delta_est,
                                      block, m, eps)
     entropy_term = m * mu_value
-    log_corr = 3.0 * math.log2(1.0 - math.sqrt(1.0 - (budget.eps_s / 4.0)
-                                               ** 2))
     eps_t = budget.eps_t
     shifted = budget.eps_s / 4.0 - math.sqrt(eps_t)
     if shifted <= 0:
@@ -386,6 +387,52 @@ class TestKeyLengthBlockReference:
         assert built == ["BlockSpec", "EatEpsilons"]
 
 
+class TestBudgetTermsFirst:
+    """The budget-only terms come before the entropy rate: a budget whose
+    log correction is log2(0) raises before any cut search."""
+
+    CAPS = kr.RateCaps(soundness=1e-5, completeness=1e-2, eps_ec=1e-10)
+    # eps_s = 1e-9 at equal shares, below the log correction's 4.2e-8
+    TINY_EPS_S = kr.RateCaps(soundness=3.2e-9, completeness=1e-2,
+                             eps_ec=1e-10)
+    TARGET = kr.RateTarget(n=1e10, q=0.005)
+
+    @pytest.fixture
+    def rate_calls(self, monkeypatch):
+        calls = []
+
+        def spy(*args, original=eat._mu_block_opt):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(eat, "_mu_block_opt", spy)
+        return calls
+
+    def test_tiny_eps_s_skips_the_cut_search(self, rate_calls):
+        params = make_params(gamma=0.05)
+        budget = replace(make_budget(eps_t=1e-30), eps_s=1e-9)
+        for call in (lambda: kr.key_length(params, budget),
+                     lambda: kr.key_length_block(params, budget, 20)):
+            assert raised(call) == (ValueError, "math domain error")
+        for mode in (kr.PER_ROUND, kr.BLOCK):
+            point = kr._eval_point(self.TARGET, self.TINY_EPS_S, mode, 0.05,
+                                   1e-4, (1.0, 1.0, 1.0))
+            assert point is None
+        base = kr._budget_for(self.TINY_EPS_S, params, (1.0, 1.0, 1.0), 0.0)
+        assert base.eps_s == pytest.approx(1e-9)
+        assert rate_calls == []
+
+    def test_one_entropy_rate_per_key_length(self, rate_calls):
+        params, budget = make_params(gamma=0.05), make_budget(eps_t=1e-14)
+        kr.key_length(params, budget)
+        kr.key_length_block(params, budget, 20)
+        assert len(rate_calls) == 2
+        for mode in (kr.PER_ROUND, kr.BLOCK):
+            point = kr._eval_point(self.TARGET, self.CAPS, mode, 0.05, 1e-4,
+                                   (1.0, 1.0, 1.0))
+            assert point is not None
+        assert len(rate_calls) == 4
+
+
 class TestKeyLengthBlock:
     def test_reduction_to_per_round(self, rng):
         for _ in range(20):
@@ -461,6 +508,15 @@ class TestOptimizeRate:
         # feasible parameter point
         with pytest.raises(ValueError, match=r"^eps_ec must be > 0$"):
             kr.RateCaps(soundness=1e-5, completeness=1e-2, eps_ec=eps_ec)
+
+    @pytest.mark.parametrize("soundness, completeness, message", [
+        (math.nan, 1e-2, "soundness cap must exceed 2*eps_ec"),
+        (1e-5, math.nan, "completeness cap must exceed eps_ec")])
+    def test_nan_caps_rejected(self, soundness, completeness, message):
+        # NaN once passed the caps' checks, written x <= bound
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            kr.RateCaps(soundness=soundness, completeness=completeness,
+                        eps_ec=1e-10)
 
     def test_rate_curve_ordering_and_monotonicity(self):
         grid = [0.005, 0.02, 0.035]

@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -93,3 +95,51 @@ def test_abort_script_reports_library_exact_abort():
                                    delta_est=float(cells[0]),
                                    device=sim.HonestDevice(0.81, 0.01))
         assert cells[-1] == f"{sim.exact_abort_probability(cfg):.9g}"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(ROOT, "scripts", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def canned_result(goodput, p50, failed=2):
+    """A perfbench result line as run.py prints it last."""
+    return json.dumps({"correct": True, "attempted": 10, "failed": failed,
+                       "metrics": {
+                           "goodput_per_s": {"value": goodput, "unit": "1/s"},
+                           "item_s_p50": {"value": p50, "unit": "s"},
+                           "key_rate_sum": {"value": 1.0,
+                                            "unit": "bit/round"}}})
+
+
+def test_bench_pairs_summary_of_canned_runs():
+    bench = load_script("bench_pairs")
+    assert bench.parse_seeds("7,3-5") == [7, 3, 4, 5]
+    stdout = "env {}\n3 items\n" + canned_result(1.0, 1.0) + "\n"
+    assert bench.last_json_line(stdout)["metrics"]["goodput_per_s"] == {
+        "value": 1.0, "unit": "1/s"}
+    runs = [((100.0, 2e-5), (120.0, 1e-5)), ((90.0, 3e-5), (80.0, 3e-5)),
+            ((110.0, 1e-5), (130.0, 2e-5)), ((105.0, 4e-5), (125.0, 1e-5)),
+            ((95.0, 5e-5), (115.0, 5e-5))]
+    pairs = [{side: bench.last_json_line(canned_result(*run))
+              for side, run in zip(bench.SIDES, pair)} for pair in runs]
+    summary = bench.summarize(pairs, {"goodput_per_s": "higher",
+                                      "item_s_p50": "lower"})
+    goodput = summary["metrics"]["goodput_per_s"]
+    # parent 90, 95, 100, 105, 110; change 80, 115, 120, 125, 130
+    assert goodput["parent"] == {"q1": 95.0, "median": 100.0, "q3": 105.0}
+    assert goodput["change"] == {"q1": 115.0, "median": 120.0, "q3": 125.0}
+    assert goodput["median_change"] == pytest.approx(0.2)
+    assert goodput["wins"] == 4
+    # lower is better; ties are no win
+    assert summary["metrics"]["item_s_p50"]["wins"] == 2
+    assert summary["metrics"]["key_rate_sum"]["wins"] is None
+    assert summary["metrics"]["key_rate_sum"]["median_change"] == 0.0
+    assert summary["pairs"] == 5 and summary["correct"]
+    assert summary["failed"] == {"parent": [2] * 5, "change": [2] * 5}
+    lines = bench.summary_lines(summary)
+    assert lines[1] == ("  goodput_per_s: 100 [95, 105] -> 120 [115, 125] "
+                        "(+20.0%), change better in 4/5")

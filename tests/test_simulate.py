@@ -209,6 +209,72 @@ COUNT_ONLY_CASES = [
 ]
 
 
+REKEY_CASES = [(0, 0), (7, 1), (42, 3), (-1, 5), (2**63 + 11, 2), (9001, 40)]
+
+
+def fresh_rng(seed, trial):
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, trial], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def dirty(rng):
+    """Leave ``rng`` mid-buffer with half a 64-bit word banked."""
+    rng.random(5)
+    rng.integers(0, 2, size=3, dtype=np.int8)
+    return rng
+
+
+class TestRekeyedGenerator:
+    """One generator rekeyed per trial gives a new Philox's stream."""
+
+    def test_raw_outputs(self):
+        rng = sim._trial_rng(3, 9)
+        for seed, trial in REKEY_CASES:
+            got = sim._trial_rng(seed, trial, dirty(rng))
+            assert got is rng
+            assert np.array_equal(got.bit_generator.random_raw(10**4),
+                                  fresh_rng(seed, trial)
+                                  .bit_generator.random_raw(10**4))
+
+    @pytest.mark.parametrize("s_max", [1, 4])
+    def test_transcripts_and_abort_flags(self, s_max):
+        rng = dirty(sim._trial_rng(3, 9))
+        block = BlockSpec(0.3, s_max)
+        for seed, trial in REKEY_CASES:
+            want = sim.run_protocol_blocks(301, block, 0.81, 0.02, device(),
+                                           seed, trial)
+            got = sim.run_protocol_blocks(301, block, 0.81, 0.02, device(),
+                                          seed, trial, rng=dirty(rng))
+            for field in FIELDS:
+                assert np.array_equal(getattr(got, field),
+                                      getattr(want, field))
+            assert (got.aborted, got.win_count) == (want.aborted,
+                                                    want.win_count)
+            assert sim._run(301, block, 0.81, 0.02, device(), seed, trial,
+                            transcript=False, rng=dirty(rng)) == want.aborted
+        if s_max == 1:
+            tr = sim._run(5000, block, 0.81, 0.02, device(), 42, 3,
+                          rng=dirty(rng))
+            assert tr.win_count == sim.run_protocol(
+                5000, 0.3, 0.81, 0.02, device(), seed=42, trial=3).win_count
+
+    def test_loops_match_fresh_generators(self):
+        dev = sim.HonestDevice(0.81, 0.01)
+        cfg = sim.SimulationConfig(n=200, gamma=0.5, omega_exp=0.81,
+                                   delta_est=0.005, device=dev)
+        flags = [sim.run_protocol(200, 0.5, 0.81, 0.005, dev, seed=5,
+                                  trial=k).aborted for k in range(60)]
+        assert 0 < sum(flags) < 60
+        assert sim.estimate_abort_probability(cfg, 60, 5)[0] == sum(flags) / 60
+        block = BlockSpec(0.1, 20)
+        lengths = [sim.run_protocol_blocks(50, block, 0.81, 0.5, dev, 5,
+                                           trial=k).t.size for k in range(40)]
+        tail = float(np.median(lengths))
+        assert sim.round_count_statistics(50, block, dev, 40, 5, tail) == (
+            sum(n >= 50 * expected_block_length(block) + tail
+                for n in lengths) / 40)
+
+
 class TestAbortProbability:
     def test_impossible_to_miss(self):
         cfg = sim.SimulationConfig(n=200, gamma=1.0, omega_exp=0.5,
