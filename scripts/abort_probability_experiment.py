@@ -7,9 +7,8 @@ interval) to exp(-2 n delta_est^2) and to the exact abort probability.
 """
 
 import argparse
-import math
 
-from di_toolkit import simulate as sim
+from di_toolkit import eat, simulate as sim
 
 
 def main():
@@ -31,7 +30,7 @@ def main():
                                    delta_est=delta, device=device)
         freq, (lo, hi) = sim.estimate_abort_probability(cfg, args.trials,
                                                         args.seed)
-        bound = math.exp(-2 * args.n * delta * delta)
+        bound = eat.hoeffding(args.n, delta)
         print(f"{delta:.9g},{freq:.9g},{lo:.9g},{hi:.9g},{bound:.9g},"
               f"{sim.exact_abort_probability(cfg):.9g}")
 

@@ -271,20 +271,22 @@ def mu_opt(omega_exp: float, delta_est: float, gamma: float, n: float,
                          n, eps.eps_s, eps.eps_e)
 
 
-def round_count_tail(m_blocks: float, gamma: float, eps_t: float) -> float:
+def round_count_tail(m_blocks: float, gamma: float, s_max: int,
+                     eps_t: float) -> float:
     """Deviation t with Pr[N >= m*s_bar + t] <= eps_t for the total round
-    count N of m blocks: t = sqrt(-m (1-gamma)^2 ln(eps_t) / (2 gamma^2))."""
+    count N of m independent blocks, each of 1 to s_max rounds: Hoeffding
+    over that range, t = (s_max - 1) sqrt(-m ln(eps_t) / 2).  t = 0 when
+    every block is one round (s_max = 1 or gamma = 1)."""
     if not 0 < eps_t < 1:
         raise ValueError("eps_t must be in (0,1)")
     if gamma >= 1.0:
         return 0.0
-    return _tail(m_blocks, gamma, eps_t)
+    return _tail(m_blocks, s_max, eps_t)
 
 
-def _tail(m_blocks, gamma, eps_t, xp=math):
+def _tail(m_blocks, s_max, eps_t, xp=math):
     """round_count_tail without its checks, in the namespace ``xp``."""
-    return xp.sqrt(-m_blocks * (1.0 - gamma) ** 2 * xp.log(eps_t)
-                   / (2.0 * gamma * gamma))
+    return (s_max - 1.0) * xp.sqrt(-m_blocks * xp.log(eps_t) / 2.0)
 
 
 def hoeffding(n, deviation, xp=math):

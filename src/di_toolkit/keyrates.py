@@ -70,18 +70,24 @@ class ProtocolParams:
     q: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not self.n < math.inf:
-            raise ValueError("n must be finite")
+        _check_n_q(self.n, self.q)
         if not 0 < self.gamma <= 1:
             raise ValueError("gamma must be in (0,1]")
         if not 0 < self.delta_est < 1:
             raise ValueError("delta_est must be in (0,1)")
         if not OMEGA_CLASSICAL <= self.omega_exp <= OMEGA_QUANTUM + 1e-12:
             raise ValueError("omega_exp must lie in the quantum CHSH regime")
-        if not 0 <= self.q <= 0.5:
-            raise ValueError("q must be in [0, 1/2]")
+
+
+def _check_n_q(n, q):
+    """The checks ProtocolParams and RateTarget share, written so that NaN
+    fails each: 1 <= n < inf and 0 <= q <= 1/2."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not n < math.inf:
+        raise ValueError("n must be finite")
+    if not 0 <= q <= 0.5:
+        raise ValueError("q must be in [0, 1/2]")
 
 
 @dataclass(frozen=True)
@@ -234,7 +240,7 @@ def key_length_block(params: ProtocolParams, budget: EpsilonBudget,
     fixed = _block_fixed_terms(params, budget, s_max)
     return _block_report(params, budget, s_max, fixed,
                          _block_eps_t_terms(params, budget, s_max, fixed,
-                                            budget.eps_t))
+                                            budget.eps_t), BLOCK)
 
 
 class _BlockFixed(NamedTuple):
@@ -274,9 +280,10 @@ def _block_eps_t_terms(params: ProtocolParams, budget: EpsilonBudget,
     """(key_length, t, leak, max_ent) of key_length_block at ``eps_t``;
     ``budget.eps_t`` is not read."""
     eps_s_shifted = budget.eps_s / 4.0 - math.sqrt(eps_t)
-    if eps_s_shifted <= 0:
+    if not eps_s_shifted > 0:  # a NaN eps_t fails too
         raise ValueError("eps_t too large: sqrt(eps_t) >= eps_s/4")
-    t = eat.round_count_tail(fixed.m, params.gamma, eps_t) if s_max > 1 else 0.0
+    t = (eat.round_count_tail(fixed.m, params.gamma, s_max, eps_t)
+         if s_max > 1 else 0.0)
     n_eff = params.n + t
     # the leakage over n_eff rounds: its sqrt term's smoothing parameter
     # shifts by 2 sqrt(eps_t) when the round count is random (block mode)
@@ -295,8 +302,7 @@ def _block_eps_t_terms(params: ProtocolParams, budget: EpsilonBudget,
 
 
 def _block_report(params: ProtocolParams, budget: EpsilonBudget, s_max: int,
-                  fixed: _BlockFixed, terms: tuple,
-                  mode: str = BLOCK) -> RateReport:
+                  fixed: _BlockFixed, terms: tuple, mode: str) -> RateReport:
     ell, t, leak, max_ent = terms
     extras = ({"m_blocks": fixed.m, "tail_t": t, "s_bar": fixed.sbar}
               if mode == BLOCK else {})
@@ -318,6 +324,9 @@ class RateTarget:
 
     n: float
     q: float
+
+    def __post_init__(self):
+        _check_n_q(self.n, self.q)
 
 
 @dataclass(frozen=True)
@@ -360,65 +369,43 @@ def _eps_t_ladder(mode: str) -> list:
     return [10.0 ** (-k) for k in range(1, EPS_T_CANDIDATE_DECADES)]
 
 
-def _budget_for(caps: RateCaps, params: ProtocolParams,
-                shares: tuple, eps_t: float) -> EpsilonBudget | None:
-    """Assemble a budget meeting both caps, or None if infeasible.
-
-    The soundness budget S - 2 eps_ec is divided among (eps_s, eps_ea,
-    eps_pa) according to ``shares``; the completeness slack left after the
-    estimation Hoeffding term goes to eps_ec_complete (larger is better: it
-    lowers the leakage).
-    """
+def _split_soundness(caps: RateCaps, s_s, s_ea, s_pa) -> tuple:
+    """(eps_s, eps_ea, eps_pa): the soundness budget S - 2 eps_ec divided in
+    the proportions (s_s, s_ea, s_pa); elementwise on arrays too."""
     s_free = caps.soundness - 2.0 * caps.eps_ec
-    w = sum(shares)
-    eps_s = s_free * shares[0] / w
-    eps_ea = s_free * shares[1] / w
-    eps_pa = s_free * shares[2] / w
-    eps_ec_complete = (caps.completeness - caps.eps_ec
-                       - eat.hoeffding(params.n, params.delta_est))
+    w = s_s + s_ea + s_pa
+    return s_free * s_s / w, s_free * s_ea / w, s_free * s_pa / w
+
+
+def _ec_complete(caps: RateCaps, n, delta_est, xp):
+    """The completeness slack C - eps_ec - exp(-2 n delta_est^2) left to
+    eps_ec_complete after the estimation Hoeffding term, in the namespace
+    ``xp``; each caller clamps it below 1."""
+    return caps.completeness - caps.eps_ec - eat.hoeffding(n, delta_est, xp)
+
+
+def _budget_for(caps: RateCaps, params: ProtocolParams,
+                shares: tuple) -> EpsilonBudget | None:
+    """Assemble a budget meeting both caps, at eps_t = 0, or None if
+    infeasible: the soundness split of ``shares`` and the completeness
+    slack as eps_ec_complete (larger is better: it lowers the leakage)."""
+    eps_s, eps_ea, eps_pa = _split_soundness(caps, *shares)
+    eps_ec_complete = _ec_complete(caps, params.n, params.delta_est, math)
     if eps_ec_complete <= caps.eps_ec:
         return None
     try:
         return EpsilonBudget(eps_ec=caps.eps_ec,
                              eps_ec_complete=min(eps_ec_complete, 1.0 - 1e-12),
-                             eps_s=eps_s, eps_ea=eps_ea, eps_pa=eps_pa,
-                             eps_t=eps_t)
+                             eps_s=eps_s, eps_ea=eps_ea, eps_pa=eps_pa)
     except ValueError:
         return None
 
 
-class _Point(NamedTuple):
-    """_eval_point's result: the best key length at one parameter point and
-    what its report is built from (a tuple: the optimizer compares many
-    points and builds the report of the one it keeps)."""
-
-    params: ProtocolParams
-    budget: EpsilonBudget
-    s_max: int
-    fixed: _BlockFixed
-    terms: tuple
-    index: int
-    mode: str
-    shares: tuple
-
-    @property
-    def key_length(self) -> float:
-        return self.terms[0]
-
-    def report(self) -> RateReport:
-        """The RateReport of this point, at its eps_t; a block-mode report's
-        ``extras`` record its index in the sweep (``eps_t_index``)."""
-        report = _block_report(self.params, self.budget, self.s_max,
-                               self.fixed, self.terms, self.mode)
-        if self.mode == BLOCK:
-            report.extras["eps_t_index"] = self.index
-        return report
-
-
 def _eval_point(target: RateTarget, caps: RateCaps, mode: str, gamma: float,
-                delta_est: float, shares: tuple) -> _Point | None:
-    """Best key length at fixed (gamma, delta_est, shares), None if
-    infeasible.
+                delta_est: float, shares: tuple) -> RateReport | None:
+    """The RateReport of the best key length at fixed (gamma, delta_est,
+    shares), None if infeasible; a block-mode report's ``extras`` record
+    its candidate's index in the eps_t sweep (``eps_t_index``).
 
     Per-round mode is the block computation at s_max = 1 with the single
     candidate eps_t = 0.  Block mode takes s_max = eat.default_s_max(gamma)
@@ -434,7 +421,7 @@ def _eval_point(target: RateTarget, caps: RateCaps, mode: str, gamma: float,
         params = ProtocolParams(target.n, gamma, omega_exp, delta_est, target.q)
     except ValueError:
         return None
-    base = _budget_for(caps, params, shares, 0.0)
+    base = _budget_for(caps, params, shares)
     if base is None:
         return None
     s_max = eat.default_s_max(gamma) if mode == BLOCK else 1
@@ -455,8 +442,11 @@ def _eval_point(target: RateTarget, caps: RateCaps, mode: str, gamma: float,
     if best is None:
         return None
     index, eps_t, terms = best
-    return _Point(params, replace(base, eps_t=eps_t), s_max, fixed, terms,
-                  index, mode, shares)
+    report = _block_report(params, replace(base, eps_t=eps_t), s_max, fixed,
+                           terms, mode)
+    if mode == BLOCK:
+        report.extras["eps_t_index"] = index
+    return report
 
 
 class _ShareAxis(NamedTuple):
@@ -477,14 +467,12 @@ class _ShareAxis(NamedTuple):
 
 def _share_axis(caps: RateCaps, mode: str, shares) -> _ShareAxis:
     """_ShareAxis of the (eps_s, eps_ea, eps_pa) proportions ``shares``:
-    _budget_for's split, EatEpsilons' and EpsilonBudget's checks, the log
+    _split_soundness, EatEpsilons' and EpsilonBudget's checks, the log
     correction, the PA term, the eps_t candidates of _eval_point and the
     max-entropy smoothing root at eps_s/4 - sqrt(eps_t)."""
     sh = np.array(shares, dtype=float).reshape(-1, 3)
-    s_free = caps.soundness - 2.0 * caps.eps_ec
     with np.errstate(all="ignore"):
-        w = sh[:, 0] + sh[:, 1] + sh[:, 2]
-        eps_s, eps_ea, eps_pa = (s_free * sh[:, i] / w for i in range(3))
+        eps_s, eps_ea, eps_pa = _split_soundness(caps, *sh.T)
         es4, eps_e = eps_s / 4.0, eps_ea + caps.eps_ec
         log_corr = _log_correction(eps_s, np)
         ok = ((eps_s > 0) & (eps_s < 1) & (eps_ea > 0) & (eps_ea < 1)
@@ -532,9 +520,6 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
         shares = _share_axis(caps, mode, shares)
     omega, _ = honest_werner(2.0 * target.q)
     n = target.n
-    # ProtocolParams' check on omega_exp
-    if not OMEGA_CLASSICAL <= omega <= OMEGA_QUANTUM + 1e-12:
-        return np.full((len(gammas), len(deltas), len(shares.ok)), -np.inf)
     block = mode == BLOCK
     with np.errstate(all="ignore"):
         # (G, 1, 1): one row per gamma, invalid gammas scored at 1
@@ -559,14 +544,12 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
 
         # (D, 1): one row per delta_est
         delta = np.array(deltas, dtype=float)[:, None]
-        ecc = np.minimum(caps.completeness - caps.eps_ec
-                         - eat.hoeffding(n, delta, np), 1.0 - 1e-12)
+        ecc = np.minimum(_ec_complete(caps, n, delta, np), 1.0 - 1e-12)
         delta_ok = (delta > 0) & (delta < 1) & (ecc > caps.eps_ec)
         prime = ecc - caps.eps_ec
         # (E, G, 1, S), (E, 1, D, S) and (D, 1): the leakage's terms
         if block:
-            n_eff = n + eat._tail(m, np.where(tail, gamma, 1.0),
-                                  shares.eps_t, np)
+            n_eff = n + eat._tail(m, s_max, shares.eps_t, np)
         else:
             n_eff = n
         # A finite log correction needs eps_s > 4.2e-8, so every candidate
@@ -625,7 +608,7 @@ def _band(values: np.ndarray) -> np.ndarray:
 
 
 def _rescore(target, caps, mode, values, args, best, stage, evals) -> tuple:
-    """(point, i): ``best`` or the best of the first RESCORED points of
+    """(report, i): ``best`` or the best of the first RESCORED points of
     _band(values), point i scored by _eval_point(..., *args(i)), if it
     beats ``best``; i is None if none does."""
     index = None
@@ -638,17 +621,19 @@ def _rescore(target, caps, mode, values, args, best, stage, evals) -> tuple:
     return best, index
 
 
-def _split(target, caps, mode, start: _Point, evals: dict) -> _Point:
-    """The best split (r, r, 1) of (eps_s, eps_ea, eps_pa) at ``start``'s
-    gamma and delta_est, r at SPLIT_GRID_PER_DECADE points per decade, or
-    ``start``.  eps_s and eps_ea enter the key length as log2(eps_s eps_e)
-    under square roots that grow with n, eps_pa only as 2 log2(1/eps_pa),
-    so the optimum has eps_s = eps_ea and a small eps_pa.  The box, r
-    within SPLIT_REACH_DECADES decades of 1, widens by as much until the
-    kernel's best moves by less than BAND max(|best|, 1): it ends where
-    the rate is flat.  One kernel call scores SPLIT_SCORED_DECADES
-    decades either way, and each box is a slice of it; a box past that
-    reach is scored by one more call over twice the reach."""
+def _split(target, caps, mode, start: RateReport, evals: dict) -> tuple:
+    """(report, shares): the best split (r, r, 1) of (eps_s, eps_ea,
+    eps_pa) at ``start``'s gamma and delta_est, r at SPLIT_GRID_PER_DECADE
+    points per decade, with its report, or ``start``, a point at the equal
+    split _DEFAULT_SHARES, with that split.  eps_s and eps_ea enter the key
+    length as log2(eps_s eps_e) under square roots that grow with n, eps_pa
+    only as 2 log2(1/eps_pa), so the optimum has eps_s = eps_ea and a small
+    eps_pa.  The box, r within SPLIT_REACH_DECADES decades of 1, widens by
+    as much until the kernel's best moves by less than BAND max(|best|, 1):
+    it ends where the rate is flat.  One kernel call scores
+    SPLIT_SCORED_DECADES decades either way, and each box is a slice of it;
+    a box past that reach is scored by one more call over twice the
+    reach."""
     gamma, delta = start.params.gamma, start.params.delta_est
     step = SPLIT_REACH_DECADES * SPLIT_GRID_PER_DECADE
     reach, top, scored = step, -math.inf, 0
@@ -666,9 +651,10 @@ def _split(target, caps, mode, start: _Point, evals: dict) -> _Point:
         if not values.max() - top >= BAND * max(abs(top), 1.0):
             break
         top, reach = values.max(), reach + step
-    return _rescore(target, caps, mode, values,
-                    lambda i: (gamma, delta, shares[scored - reach + i]),
-                    start, "share", evals)[0]
+    point, i = _rescore(target, caps, mode, values,
+                        lambda i: (gamma, delta, shares[scored - reach + i]),
+                        start, "share", evals)
+    return point, _DEFAULT_SHARES if i is None else shares[scored - reach + i]
 
 
 def _spread(lo: float, hi: float) -> list:
@@ -692,10 +678,10 @@ def _cells(grid: list, members) -> tuple:
             grid[min(max(members) + 1, len(grid) - 1)])
 
 
-def _zoom(target, caps, mode, start: _Point, floor: float,
-          evals: dict) -> tuple:
-    """(point, at_bound): the best key length over (gamma, delta_est) at
-    ``start``'s split, or ``start`` if none beats it.
+def _zoom(target, caps, mode, start: RateReport, shares: tuple,
+          floor: float, evals: dict) -> tuple:
+    """(report, at_bound): the best key length over (gamma, delta_est) at
+    the split ``shares``, start's, or ``start`` if none beats it.
 
     The box is a factor ZOOM_REACH either way of start's gamma (up to 1)
     and delta_est (down to ``floor``).  Per round, gamma is one window; in
@@ -720,7 +706,7 @@ def _zoom(target, caps, mode, start: _Point, floor: float,
         reach = (_bracket(s_win[1])[0], _bracket(s_win[0])[1])
     edges = (reach[0], reach[1] if reach[1] < 1.0 else None,
              dwin[0] if dwin[0] > floor else None, dwin[1])
-    axis = _share_axis(caps, mode, [start.shares])
+    axis = _share_axis(caps, mode, [shares])
     while True:
         if s_win is not None:
             lo, hi = s_win
@@ -755,7 +741,7 @@ def _zoom(target, caps, mode, start: _Point, floor: float,
         live, dwin = shrunk, shrunk_d
     point, i = _rescore(target, caps, mode, values,
                         lambda i: (gammas[i // len(deltas)][0],
-                                   deltas[i % len(deltas)], start.shares),
+                                   deltas[i % len(deltas)], shares),
                         start, "zoom", evals)
     return point, i is not None and any(
         a == b for a, b in zip(live[gammas[i // len(deltas)][1]] + dwin,
@@ -773,20 +759,16 @@ def optimize_rate(target: RateTarget, caps: RateCaps,
     3. one kernel zoom (_zoom) of gamma and delta_est at that split.
 
     Each stage scores its points in numpy (_grid_key_lengths) and rescores
-    the first RESCORED of its band with _eval_point (_rescore), so every
-    number reported, and every point chosen, comes from the scalar path;
-    only the chosen point's RateReport is built.  Its ``extras`` gain
-    ``evals`` (kernel points, ``*_points``, passes, ``*_passes``, and
-    scalar calls, ``*_rescored``, of the stages grid, share and zoom; a
-    zoom pass is a kernel call, a share pass a split box examined) and
-    the zoom's ``at_bound``.
+    the first RESCORED of its band with _eval_point (_rescore), whose
+    RateReports are the points compared, so every number reported, and
+    every point chosen, comes from the scalar path.  The kept report's
+    ``extras`` gain ``evals`` (kernel points, ``*_points``, passes,
+    ``*_passes``, and scalar calls, ``*_rescored``, of the stages grid,
+    share and zoom; a zoom pass is a kernel call, a share pass a split box
+    examined) and the zoom's ``at_bound``.
     """
     if mode not in (PER_ROUND, BLOCK):
         raise ValueError("mode must be 'per-round' or 'block'")
-    if target.n < 1:
-        raise ValueError("n must be >= 1")
-    if not target.n < math.inf:
-        raise ValueError("n must be finite")
     evals = dict.fromkeys(("grid_points", "grid_rescored", "share_passes",
                            "share_points", "share_rescored", "zoom_passes",
                            "zoom_points", "zoom_rescored"), 0)
@@ -803,10 +785,8 @@ def optimize_rate(target: RateTarget, caps: RateCaps,
                          None, "grid", evals)
     if coarse is None:
         raise ValueError("no feasible parameter point under the caps")
-    point, at_bound = _zoom(target, caps, mode,
-                            _split(target, caps, mode, coarse, evals), floor,
-                            evals)
-    report = point.report()
+    point, shares = _split(target, caps, mode, coarse, evals)
+    report, at_bound = _zoom(target, caps, mode, point, shares, floor, evals)
     report.extras.update(evals=evals, at_bound=at_bound)
     return report
 

@@ -689,3 +689,12 @@ class TestRateCurveCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("value", ["0.6", "-0.1", "nan"])
+    def test_bad_qber_rejected(self, value, capsys):
+        # once "error: nu must be in [0,1]", a name the user never set
+        code = cli.main(["rate-curve", "--axis", "q", f"--grid={value}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: q must be in [0, 1/2]\n"

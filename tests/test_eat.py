@@ -541,44 +541,49 @@ class TestBlocks:
 
 class TestRoundCountTail:
     def test_gamma_one(self):
-        assert eat.round_count_tail(100.0, 1.0, 0.5) == 0.0
+        assert eat.round_count_tail(100.0, 1.0, 3, 0.5) == 0.0
+        assert eat.round_count_tail(100.0, 0.5, 1, 0.5) == 0.0
 
     def test_unit_algebra(self):
-        # with m (1-gamma)^2/gamma^2 = 1 and eps_t = e^-2, t = 1
-        gamma = 0.5
-        m = gamma**2 / (1 - gamma)**2
-        assert eat.round_count_tail(m, gamma, math.exp(-2.0)) == \
+        # with (s_max - 1)^2 m = 1 and eps_t = e^-2, t = 1
+        assert eat.round_count_tail(0.25, 0.5, 3, math.exp(-2.0)) == \
             pytest.approx(1.0)
 
     def test_plug_in(self):
-        t = eat.round_count_tail(1e6, 0.01, 1e-10)
-        expected = math.sqrt(1e6 * 0.99**2 * math.log(1e10) / (2 * 0.01**2))
+        # Hoeffding over block lengths in [1, s_max], here s_max > 1/gamma
+        t = eat.round_count_tail(1e6, 0.01, 150, 1e-10)
+        expected = 149.0 * math.sqrt(1e6 * math.log(1e10) / 2.0)
         assert t == pytest.approx(expected)
 
     def test_eps_domain(self):
         with pytest.raises(ValueError):
-            eat.round_count_tail(10.0, 0.5, 0.0)
+            eat.round_count_tail(10.0, 0.5, 2, 0.0)
 
 
 class TestRoundCountTailExact:
-    # (m, gamma, eps_t), s_max = default_s_max(gamma)
-    POINTS = [(50, 0.5, 0.1), (200, 0.3, 0.05), (1000, 0.1, 1e-3),
-              (300, 0.05, 1e-6), (100, 0.01, 0.01), (2000, 0.2, 1e-9),
-              (40, 0.0123, 0.1)]
+    # (m, gamma, s_max, eps_t): s_max = default_s_max(gamma) but in the
+    # last point; gamma in (1/3, 1/2) and s_max above 1/gamma are where a
+    # tail over the range (1 - gamma)/gamma instead of s_max - 1 fails
+    POINTS = [(m, gamma, eat.default_s_max(gamma), eps_t)
+              for m, gamma, eps_t in [
+                  (50, 0.5, 0.1), (200, 0.3, 0.05), (1000, 0.1, 1e-3),
+                  (300, 0.05, 1e-6), (100, 0.01, 0.01), (2000, 0.2, 1e-9),
+                  (40, 0.0123, 0.1), (200, 0.49, 1e-3), (2000, 0.45, 1e-6)]
+              ] + [(500, 0.5, 10, 1e-6)]
 
     def test_tail_bound_against_exact_law(self):
         ratios = []
-        for m, gamma, eps_t in self.POINTS:
-            s_max = eat.default_s_max(gamma)
+        for m, gamma, s_max, eps_t in self.POINTS:
             law = round_count_law(m, gamma, s_max)
             assert len(law) == m * s_max + 1
             assert law.sum() == pytest.approx(1.0, abs=1e-12)
             sbar = eat.expected_block_length(eat.BlockSpec(gamma, s_max))
             mean = float(np.arange(len(law)) @ law)
             assert mean == pytest.approx(m * sbar, rel=1e-12)
-            start = math.ceil(m * sbar + eat.round_count_tail(m, gamma, eps_t))
+            start = math.ceil(m * sbar
+                              + eat.round_count_tail(m, gamma, s_max, eps_t))
             tail = float(law[start:].sum())
-            assert tail <= eps_t
+            assert tail <= eps_t, (m, gamma, s_max, eps_t, tail)
             ratios.append(tail / eps_t)
         # the bound is not vacuous: within a factor 1e3 somewhere
         assert max(ratios) >= 1e-3

@@ -252,7 +252,7 @@ def reference_key_length_block(params, budget, s_max):
     shifted = budget.eps_s / 4.0 - math.sqrt(eps_t)
     if shifted <= 0:
         raise ValueError("eps_t too large: sqrt(eps_t) >= eps_s/4")
-    t = eat.round_count_tail(m, params.gamma, eps_t)
+    t = eat.round_count_tail(m, params.gamma, s_max, eps_t)
     n_eff = params.n + t
     if budget.eps_ec_prime - 2.0 * math.sqrt(eps_t) <= 0:
         raise ValueError("eps_t too large: eps_ec_prime - 2 sqrt(eps_t) <= 0")
@@ -417,7 +417,7 @@ class TestBudgetTermsFirst:
             point = kr._eval_point(self.TARGET, self.TINY_EPS_S, mode, 0.05,
                                    1e-4, (1.0, 1.0, 1.0))
             assert point is None
-        base = kr._budget_for(self.TINY_EPS_S, params, (1.0, 1.0, 1.0), 0.0)
+        base = kr._budget_for(self.TINY_EPS_S, params, (1.0, 1.0, 1.0))
         assert base.eps_s == pytest.approx(1e-9)
         assert rate_calls == []
 
@@ -466,6 +466,13 @@ class TestKeyLengthBlock:
                                   eps_t=1e-6)
         with pytest.raises(ValueError):
             kr.key_length_block(params, budget, s_max=5)
+
+    def test_nan_eps_t_rejected(self):
+        # once a NaN key length at s_max = 1, where no tail is drawn
+        budget = make_budget(eps_t=math.nan)
+        for s_max in (1, 5):
+            with pytest.raises(ValueError, match="eps_t"):
+                kr.key_length_block(make_params(), budget, s_max=s_max)
 
     def test_block_beats_per_round_at_small_gamma(self):
         params = make_params(n=1e9, gamma=0.01, q=0.01, delta=5e-4)
@@ -562,7 +569,7 @@ class TestOptimizeRate:
         for delta, feasible in ((delta_min * (1.0 - 1e-6), False),
                                 (floor, True)):
             params = kr.ProtocolParams(target.n, 0.01, omega, delta, target.q)
-            budget = kr._budget_for(self.CAPS, params, (1.0, 1.0, 1.0), 0.0)
+            budget = kr._budget_for(self.CAPS, params, (1.0, 1.0, 1.0))
             assert (budget is not None) is feasible
         for mode in (kr.BLOCK, kr.PER_ROUND):
             report = kr.optimize_rate(target, self.CAPS, mode=mode)
@@ -656,7 +663,7 @@ def sweep_oracle(target, caps, gamma, delta, shares):
     except ValueError:
         return None
     s_max = max(int(math.ceil(1.0 / gamma - 1e-9)), 1)
-    base = kr._budget_for(caps, params, shares, 0.0)
+    base = kr._budget_for(caps, params, shares)
     if base is None:
         return None
     cap_t = (base.eps_s / 4.0) ** 2
@@ -684,14 +691,13 @@ class TestEpsTSweep:
         return math.sqrt(-math.log(hoeffding) / (2.0 * self.TARGET.n))
 
     def check(self, caps, gamma, delta, shares):
-        point = kr._eval_point(self.TARGET, caps, kr.BLOCK, gamma, delta,
-                               shares)
+        got = kr._eval_point(self.TARGET, caps, kr.BLOCK, gamma, delta,
+                             shares)
         want = sweep_oracle(self.TARGET, caps, gamma, delta, shares)
         if want is None:
-            assert point is None
+            assert got is None
             return None
-        got = point.report()
-        assert point.key_length == got.key_length == want.key_length
+        assert got.key_length == want.key_length
         assert got.budget.eps_t == want.budget.eps_t
         assert got.best_cut == want.best_cut
         assert got.to_json_dict() == want.to_json_dict()
@@ -898,10 +904,12 @@ class TestGridKernel:
                 kr.RateTarget(n=1e8, q=0.01), self.CAPS, mode,
                 [0.0, 0.3, 1.5, 1.0], [0.0, 1e-3, 1.0],
                 [(1.0, 1.0, 1.0), (0.0, 1.0, 1.0)]) == 2
-            # omega_exp below 3/4, and fewer than one round
-            for n, q in ((1e8, 0.2), (0.5, 0.01)):
-                assert self.check(kr.RateTarget(n=n, q=q), self.CAPS, mode,
-                                  [0.3], [1e-3], [(1.0, 1.0, 1.0)]) == 0
+            # omega_exp below 3/4
+            assert self.check(kr.RateTarget(n=1e8, q=0.2), self.CAPS, mode,
+                              [0.3], [1e-3], [(1.0, 1.0, 1.0)]) == 0
+        # fewer than one round is no target
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            kr.RateTarget(n=0.5, q=0.01)
 
     def check_oracle(self, got, want):
         """The key length is at least the golden-section reference's, less
@@ -987,11 +995,12 @@ def reference_grid_key_lengths(target, caps, mode, gammas, deltas, shares):
                               if mode == kr.BLOCK else 1)
         scale, sbar = block.test_mass, eat.expected_block_length(block)
         lo, hi = eat.cut_interval(scale)
-        rows.append((ok and lo < hi, gamma, block.s_max > 1, scale, sbar,
+        rows.append((ok and lo < hi, gamma, block.s_max, scale, sbar,
                      n / sbar, eat._log2_block_dim(block.s_max), lo, hi,
                      (1.0 - gamma) * h_q + gamma * h_omega))
-    (gamma_ok, gamma, tail, scale, sbar, m, log2_do, lo, hi,
+    (gamma_ok, gamma, s_max, scale, sbar, m, log2_do, lo, hi,
      leak_rate) = column(rows, 0)
+    tail = s_max > 1
     rows = []
     for delta in deltas:
         ecc = min(caps.completeness - caps.eps_ec - eat.hoeffding(n, delta),
@@ -1031,7 +1040,9 @@ def reference_grid_key_lengths(target, caps, mode, gammas, deltas, shares):
         f_min = np.where(p1 <= cut,
                          sbar * entropy.secrecy_bound_array(ratio), glued)
         entropy_term = m * (f_min - k_pen * (log2_do + slope))
-        t = np.where(tail, eat._tail(m, gamma, eps_t, np), 0.0)
+        # Hoeffding over block lengths in [1, s_max]
+        t = np.where(tail, (s_max - 1.0) * np.sqrt(-m * np.log(eps_t) / 2.0),
+                     0.0)
         n_eff = n + t
         eps_sqrt_term = prime - 2.0 * np.sqrt(np.where(tail, eps_t, 0.0))
         leak = (n_eff * leak_rate
@@ -1057,7 +1068,7 @@ def below_cut_count(target, caps, mode, gammas, deltas, shares):
                 if point is not None:
                     p1 = (point.params.omega_exp
                           * eat.BlockSpec(g, point.s_max).test_mass - d)
-                    count += p1 <= point.fixed.cut
+                    count += p1 <= point.best_cut
     return count
 
 

@@ -87,13 +87,15 @@ def test_abort_script_reports_library_exact_abort():
     n, trials = 2000, 5
     rows = run_script("abort_probability_experiment", "--n", str(n),
                       "--trials", str(trials)).splitlines()
-    assert rows[0].endswith(",exact_abort")
+    assert rows[0].endswith(",hoeffding_bound,exact_abort")
     assert len(rows) == 6
     for row in rows[1:]:
         cells = row.split(",")
+        delta = float(cells[0])
         cfg = sim.SimulationConfig(n=n, gamma=0.5, omega_exp=0.81,
-                                   delta_est=float(cells[0]),
+                                   delta_est=delta,
                                    device=sim.HonestDevice(0.81, 0.01))
+        assert cells[-2] == f"{eat.hoeffding(n, delta):.9g}"
         assert cells[-1] == f"{sim.exact_abort_probability(cfg):.9g}"
 
 

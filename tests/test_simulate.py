@@ -393,7 +393,7 @@ class TestRoundCountStatistics:
         block = BlockSpec(0.05, 20)
         m = 2000
         eps_t = 0.05
-        t = round_count_tail(m, block.gamma, eps_t)
+        t = round_count_tail(m, block.gamma, block.s_max, eps_t)
         trials = 60
         frac = sim.round_count_statistics(m, block, device(), trials, 17,
                                           tail_t=t)
@@ -404,7 +404,7 @@ class TestRoundCountStatistics:
         block = BlockSpec(0.5, 2)
         frac = sim.round_count_statistics(200, block, device(), 20, 19,
                                           tail_t=round_count_tail(
-                                              200, 0.5, 0.5))
+                                              200, 0.5, 2, 0.5))
         assert frac <= 1.0
 
 
