@@ -168,14 +168,14 @@ def _cmd_definetti_verify(args):
         raise ValueError("--trials must be >= 1")
     al = Alphabets(args.a_size, args.b_size, args.x_size, args.y_size)
     rng = np.random.default_rng(args.seed)
-    tau = definetti.tau_table_exact(args.n, al)
+    tau = definetti.tau_classes(args.n, al)
     factor = definetti.reduction_factor(
         args.n, al.x_size * al.y_size, al.a_size * al.b_size)
     # exact, so that rounding cannot hide a violation
     worst = Fraction(0)
     for _ in range(args.trials):
-        nums, denom = definetti.random_symmetrized_int_table(args.n, al, rng)
-        ratio = definetti.verify_reduction_exact(nums, args.n, al, tau) / denom
+        nums, denom = definetti.random_symmetrized_int_table(tau, rng)
+        ratio = definetti.verify_reduction_exact(nums, tau) / denom
         worst = max(worst, ratio)
     payload = {
         "n": args.n, "trials": args.trials, "max_ratio": float(worst),

@@ -15,9 +15,10 @@ The type counts of an entry are its joint type (boxes._type_classes): the
 multiset of per-round symbols (x, y, a, b), with symbol count row j*m + k
 read as n_{j,k}.  A joint type is passed around as that (l, m) count array
 alone, one row per input pair j = x*|Y| + y, n_j being the row sum.  tau is
-constant on each type class, so every exact computation here (tau, the
-reduction ratio, the integer thresholds) is done once per class and
-gathered back to the entries.
+constant on each type class, where it is a unit fraction 1/d, so it is kept
+per class: tau_classes builds the class index and each class's d once, and
+the random permutation-invariant tables and the reduction ratio take that
+object; tau_table_exact and tau_box expand it to full tables.
 
 All bounds here are computed in exact rational arithmetic: the inequalities
 are the whole point, so rounding must not be able to fake a violation.
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,37 +91,37 @@ def reduction_factor(n: int, l: int, m: int) -> int:
 # full tables
 
 
-def _check_table_size(n: int, alphabets: Alphabets):
-    size = (alphabets.x_size * alphabets.y_size
-            * alphabets.a_size * alphabets.b_size) ** n
+class TauClasses(NamedTuple):
+    """The de Finetti box per joint type class: ``index`` (shaped like
+    MultiRoundBox.p) gives each entry's class, and tau = 1/denominators[c]
+    on class c."""
+
+    n: int
+    index: np.ndarray
+    denominators: list
+
+
+def tau_classes(n: int, alphabets: Alphabets) -> TauClasses:
+    """tau on every joint type class of an n-round table: one
+    tau_entry_exact per class."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    l = alphabets.x_size * alphabets.y_size
+    m = alphabets.a_size * alphabets.b_size
+    size = (l * m) ** n
     if size > 10**7:
         raise EnumerationLimitError(f"table of {size} entries exceeds limit")
+    index, counts = _type_classes(n, alphabets)
+    return TauClasses(n, index, [tau_entry_exact(n_jk).denominator for n_jk
+                                 in counts.reshape(-1, l, m).tolist()])
 
 
 def tau_table_exact(n: int, alphabets: Alphabets) -> np.ndarray:
     """Exact de Finetti table, object array of Fractions, indexed like
-    MultiRoundBox.p: one tau_entry_exact per joint type class."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_table_size(n, alphabets)
-    l = alphabets.x_size * alphabets.y_size
-    m = alphabets.a_size * alphabets.b_size
-    index, counts = _type_classes(n, alphabets)
-    values = np.empty(len(counts), dtype=object)
-    for c, n_jk in enumerate(counts.reshape(-1, l, m).tolist()):
-        values[c] = tau_entry_exact(n_jk)
-    return values[index]
-
-
-def _tau_per_class(n: int, alphabets: Alphabets, tau_exact) -> tuple:
-    """(index, values): the joint type classes of _type_classes and tau's
-    value on each class, which any entry of the class gives."""
-    index, counts = _type_classes(n, alphabets)
-    if tau_exact.shape != index.shape:
-        raise ValueError("tau table must be shaped like MultiRoundBox.p")
-    values = np.empty(len(counts), dtype=object)
-    values[index] = tau_exact
-    return index, values
+    MultiRoundBox.p."""
+    tau = tau_classes(n, alphabets)
+    return np.array([Fraction(1, d) for d in tau.denominators],
+                    dtype=object)[tau.index]
 
 
 def tau_box(n: int, alphabets: Alphabets) -> MultiRoundBox:
@@ -129,70 +131,44 @@ def tau_box(n: int, alphabets: Alphabets) -> MultiRoundBox:
     return MultiRoundBox(n, alphabets, table)
 
 
-def verify_reduction_exact(table, n: int, alphabets: Alphabets,
-                           tau_exact) -> Fraction:
+def verify_reduction_exact(table, tau: TauClasses) -> Fraction:
     """Max entrywise ratio P/tau for an exact table, as a Fraction.
 
     ``table`` is shaped like MultiRoundBox.p and holds integers (numerators
     over a common denominator, as from random_symmetrized_int_table; divide
-    the result by that denominator) or Fractions; ``tau_exact`` is
-    tau_table_exact(n, alphabets).  tau is constant on every joint type
-    class, and there it is a unit fraction 1/d (tau_entry_exact), so the
-    largest ratio in a class is its largest entry times d: one product per
-    class, an integer one for integer tables, and one Fraction at the end.
-    The reduction asserts that the ratio is at most reduction_factor(n, l, m)
+    the result by that denominator) or Fractions; ``tau`` is
+    tau_classes(n, alphabets).  On a class tau is 1/d, so the largest ratio
+    in a class is its largest entry times d: one product per class, an
+    integer one for integer tables, and one Fraction at the end.  The
+    reduction asserts that the ratio is at most reduction_factor(n, l, m)
     for permutation invariant tables.
     """
-    index, tau = _tau_per_class(n, alphabets, tau_exact)
-    if table.shape != index.shape:
+    if table.shape != tau.index.shape:
         raise ValueError("table must be shaped like MultiRoundBox.p")
-    if any(t.numerator != 1 for t in tau):
-        raise ValueError("tau must be a unit fraction on every class")
-    top = np.zeros(len(tau), dtype=table.dtype)
-    np.maximum.at(top, index, table)
-    return Fraction(max(p * t.denominator for p, t in zip(top.tolist(), tau)))
+    top = np.zeros(len(tau.denominators), dtype=table.dtype)
+    np.maximum.at(top, tau.index, table)
+    return Fraction(max(p * d for p, d in zip(top.tolist(), tau.denominators)))
 
 
 # ---------------------------------------------------------------------------
 # random permutation-invariant boxes: integer numerators, exact checks
 
 
-def random_symmetrized_int_table(n: int, alphabets: Alphabets, rng) -> tuple:
+def random_symmetrized_int_table(tau: TauClasses, rng) -> tuple:
     """Random permutation-invariant box as integer numerators over a common
-    denominator.
+    denominator, on the joint type classes of ``tau`` (tau_classes).
 
     Each input-string block is a multinomial draw of 1009 counts (so it
     normalizes exactly), then the table is summed over all n! round
     permutations: an entry of a class of size s receives its class sum n!/s
     times.  Returns (numerators, denominator) with denominator = 1009 * n!.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_table_size(n, alphabets)
-    al = alphabets
-    shape = (al.x_size**n, al.y_size**n, al.a_size**n, al.b_size**n)
+    shape = tau.index.shape
     outs = shape[2] * shape[3]
     blocks = rng.multinomial(1009, np.full(outs, 1.0 / outs),
                              size=shape[0] * shape[1])
-    index, counts = _type_classes(n, al)
-    sums = np.zeros(len(counts), dtype=np.int64)
-    np.add.at(sums, index, blocks.reshape(shape).astype(np.int64))
-    perms = math.factorial(n)
-    return (sums * (perms // np.bincount(index.ravel())))[index], 1009 * perms
-
-
-def reduction_numerator_thresholds(n: int, alphabets: Alphabets, denom: int,
-                                   tau_exact) -> np.ndarray:
-    """Largest integer numerators compatible with the reduction.
-
-    A table P = nums/denom satisfies P <= factor * tau entrywise iff
-    nums[i] <= thresholds[i] for all i (floor of the exact rational bound,
-    valid because numerators are integers); one floor per joint type class.
-    """
-    index, tau = _tau_per_class(n, alphabets, tau_exact)
-    factor = reduction_factor(n, alphabets.x_size * alphabets.y_size,
-                              alphabets.a_size * alphabets.b_size)
-    values = [(factor * f.numerator * denom) // f.denominator for f in tau]
-    if max(values) > np.iinfo(np.int64).max:
-        raise OverflowError("threshold exceeds int64; use verify_reduction_exact")
-    return np.array(values, dtype=np.int64)[index]
+    sums = np.zeros(len(tau.denominators), dtype=np.int64)
+    np.add.at(sums, tau.index, blocks.reshape(shape).astype(np.int64))
+    perms = math.factorial(tau.n)
+    return ((sums * (perms // np.bincount(tau.index.ravel())))[tau.index],
+            1009 * perms)

@@ -108,6 +108,8 @@ class EpsilonBudget:
                 raise ValueError(f"{name} must be in (0,1)")
         if self.eps_ec_complete <= self.eps_ec:
             raise ValueError("eps_ec_complete must exceed eps_ec")
+        if not 0 <= self.eps_t < 1:  # NaN fails too
+            raise ValueError("eps_t must be in [0,1)")
 
     @property
     def eps_ec_prime(self) -> float:

@@ -207,13 +207,6 @@ def signalling_test_flags(data: ObservedData, q: InputDistribution,
     return np.array(flags, dtype=bool)
 
 
-def run_signalling_test(data: ObservedData, q: InputDistribution,
-                        params: TestParams, target: SigTarget) -> bool:
-    """Pass flag of one target: one entry of :func:`signalling_test_flags`."""
-    flags = signalling_test_flags(data, q, params)
-    return bool(flags[target_row(data.alphabets, target)])
-
-
 def guessing_value(q: InputDistribution, x: int, y: int) -> float:
     """Optimal non-signalling success probability of guessing Alice's input:
     the prior Q(x|y)."""

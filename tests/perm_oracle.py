@@ -1,8 +1,7 @@
 """Reference permutation layer for the type-class code in boxes and
 definetti: explicit sweeps over all n! round permutations, a per-entry
 tau loop over round-by-round string tuples, tau and its bounds as running
-Fraction divisions, and the reduction ratio and integer thresholds entry by
-entry, as the package computed them before all of these went through one
+Fraction divisions, and the reduction ratio entry by entry, as the package computed them before all of these went through one
 joint-type map.  Slow by design; the tests compare the package against
 these on small n.
 """
@@ -145,10 +144,3 @@ def verify_reduction_exact(table, tau_exact) -> Fraction:
         if ratio > best:
             best = ratio
     return best
-
-
-def reduction_numerator_thresholds(tau_exact, factor, denom) -> np.ndarray:
-    """floor(factor * tau * denom), one floor per entry."""
-    values = [(factor * f.numerator * denom) // f.denominator
-              for f in tau_exact.reshape(-1)]
-    return np.array(values, dtype=np.int64).reshape(tau_exact.shape)

@@ -104,10 +104,10 @@ def test_05_definetti_reduction():
 
         rng = np.random.default_rng(424242)
         for n in (1, 2, 3):
-            tau = df.tau_table_exact(n, BINARY)
+            tau = df.tau_classes(n, BINARY)
+            factor = df.reduction_factor(n, 4, 4)
             # all deterministic IID boxes (signalling ones included):
             # numerators are 0/1 over denominator 1
-            thr_unit = df.reduction_numerator_thresholds(n, BINARY, 1, tau)
             cells = _round_cell_indices(n)
             for fa in itertools.product(range(2), repeat=4):
                 for fb in itertools.product(range(2), repeat=4):
@@ -115,15 +115,13 @@ def test_05_definetti_reduction():
                     for j in range(4):
                         x, y = j // 2, j % 2
                         single[(x * 2 + y) * 4 + fa[j] * 2 + fb[j]] = 1
-                    table = single[cells].prod(axis=1).reshape(tau.shape)
-                    assert np.all(table <= thr_unit)
+                    table = single[cells].prod(axis=1).reshape(
+                        tau.index.shape)
+                    assert df.verify_reduction_exact(table, tau) <= factor
             # 1000 random symmetrized boxes, exact integer arithmetic
-            nums, denom = df.random_symmetrized_int_table(n, BINARY, rng)
-            thr = df.reduction_numerator_thresholds(n, BINARY, denom, tau)
-            assert np.all(nums <= thr)
-            for _ in range(999):
-                nums, _ = df.random_symmetrized_int_table(n, BINARY, rng)
-                assert np.all(nums <= thr)
+            for _ in range(1000):
+                nums, denom = df.random_symmetrized_int_table(tau, rng)
+                assert df.verify_reduction_exact(nums, tau) / denom <= factor
 
 
 def _round_cell_indices(n):
@@ -183,18 +181,18 @@ def test_07_signalling():
 
         n, trials = 2000, 500
         params = sig.TestParams(zeta=0.06, eps=0.008, n=n)
-        target = sig.SigTarget(sig.A_TO_B, 0, 0, 0)
+        row = sig.target_row(BINARY, sig.SigTarget(sig.A_TO_B, 0, 0, 0))
         delta = min(sig.sanov_delta(n // 2, params.eps, 16), 1.0)
         ns_box = random_classical_box(rng)
         sig_box = bob_echoes_x_box()
         false_pass = false_fail = 0
         for _ in range(trials):
             xs, ys, a, b = sample_iid_data(ns_box, q, n, rng)
-            false_pass += sig.run_signalling_test(
-                ObservedData(n, a, b, xs, ys, BINARY), q, params, target)
+            false_pass += sig.signalling_test_flags(
+                ObservedData(n, a, b, xs, ys, BINARY), q, params)[row]
             xs, ys, a, b = sample_iid_data(sig_box, q, n, rng)
-            false_fail += not sig.run_signalling_test(
-                ObservedData(n, a, b, xs, ys, BINARY), q, params, target)
+            false_fail += not sig.signalling_test_flags(
+                ObservedData(n, a, b, xs, ys, BINARY), q, params)[row]
         slack = 3 * math.sqrt(max(delta * (1 - delta), 0.25 / trials) / trials)
         assert false_pass / trials <= delta + slack
         assert false_fail / trials <= delta + slack

@@ -344,7 +344,7 @@ class TestSigTest:
 
     def test_flags_match_single_target_view(self, tmp_path, capsys, rng):
         """The CLI lists targets in all_sig_targets order, each flag equal
-        to run_signalling_test on that target."""
+        to signalling_test_flags read at that target's row."""
         import numpy as np
 
         from conftest import (bob_echoes_x_box, random_classical_box,
@@ -371,8 +371,8 @@ class TestSigTest:
             assert [(t["direction"], t["x"], t["y"], t["outcome"])
                     for t in payload["targets"]] == [
                 (t.direction, t.x, t.y, t.outcome) for t in targets]
-            single = [sig.run_signalling_test(data, uniform_q(), params, t)
-                      for t in targets]
+            flags = sig.signalling_test_flags(data, uniform_q(), params)
+            single = [bool(flags[sig.target_row(al, t)]) for t in targets]
             assert [t["pass"] for t in payload["targets"]] == single
             assert payload["any_pass"] is any(single)
 
@@ -449,6 +449,26 @@ class TestDefinettiVerify:
         assert code == 1
         assert payload["holds"] is False
         assert payload["max_ratio"] == payload["factor"]
+
+    @pytest.mark.parametrize("trials", ["1", "3"])
+    def test_type_classes_built_once(self, trials, monkeypatch, capsys):
+        """The joint type classes are built once per run, whatever the
+        number of trials."""
+        from di_toolkit import boxes, definetti
+
+        calls = []
+        original = boxes._type_classes
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (boxes, definetti):
+            monkeypatch.setattr(module, "_type_classes", spy)
+        code, _ = run_cli(["definetti-verify", "--n", "3", "--trials",
+                           trials], capsys)
+        assert code == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("flags", [["--n", "-1"], ["--n", "0"],
                                        ["--n", "2", "--trials", "0"],

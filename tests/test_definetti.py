@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from di_toolkit import definetti as df
+from di_toolkit import boxes, definetti as df
 from di_toolkit.boxes import Alphabets, MultiRoundBox, iid_box, symmetrize
 from conftest import BINARY, deterministic_box
 import perm_oracle
@@ -157,44 +157,43 @@ class TestTauBox:
 
 class TestReduction:
     def test_tau_itself_has_ratio_one(self):
-        tau = df.tau_table_exact(2, BINARY)
-        assert df.verify_reduction_exact(tau, 2, BINARY, tau) == 1
+        tau = df.tau_classes(2, BINARY)
+        assert df.verify_reduction_exact(df.tau_table_exact(2, BINARY),
+                                         tau) == 1
 
     def test_iid_deterministic_n2(self):
         multi = iid_box(deterministic_box([0, 1], [1, 0]), 2)
         table = multi.p.astype(np.int64)  # 0/1 entries, denominator 1
         assert np.array_equal(table, multi.p)
-        tau = df.tau_table_exact(2, BINARY)
-        ratio = df.verify_reduction_exact(table, 2, BINARY, tau)
+        tau = df.tau_classes(2, BINARY)
+        ratio = df.verify_reduction_exact(table, tau)
         assert ratio <= df.reduction_factor(2, 4, 4)
 
     def test_exact_reduction_random_boxes(self, rng):
         for n in (1, 2):
-            tau = df.tau_table_exact(n, BINARY)
-            tau_float = np.vectorize(float)(tau)
+            tau = df.tau_classes(n, BINARY)
+            tau_float = np.vectorize(float)(df.tau_table_exact(n, BINARY))
             factor = df.reduction_factor(n, 4, 4)
             for _ in range(25):
-                nums, denom = df.random_symmetrized_int_table(n, BINARY, rng)
-                ratio = df.verify_reduction_exact(nums, n, BINARY, tau) / denom
+                nums, denom = df.random_symmetrized_int_table(tau, rng)
+                ratio = df.verify_reduction_exact(nums, tau) / denom
                 assert isinstance(ratio, Fraction)
                 assert ratio <= factor
-                # oracles: the same table as Fractions, the ratio in floats,
-                # and the integer thresholds of the same bound
+                # oracles: the same table as Fractions and the ratio in
+                # floats
                 exact = np.vectorize(lambda v: Fraction(int(v), denom),
                                      otypes=[object])(nums)
-                assert df.verify_reduction_exact(exact, n, BINARY, tau) == ratio
+                assert df.verify_reduction_exact(exact, tau) == ratio
                 assert float(ratio) == pytest.approx(
                     np.max(nums / (denom * tau_float)), rel=1e-12)
-                thr = df.reduction_numerator_thresholds(n, BINARY, denom, tau)
-                assert bool(np.all(nums <= thr)) == (ratio <= factor)
 
     def test_exact_reduction_all_deterministic_iid_n2(self):
-        tau = df.tau_table_exact(2, BINARY)
+        tau = df.tau_classes(2, BINARY)
         factor = df.reduction_factor(2, 4, 4)
         for fa in itertools.product(range(2), repeat=4):
             for fb in itertools.product(range(2), repeat=4):
                 table = _deterministic_iid_exact(2, fa, fb)
-                ratio = df.verify_reduction_exact(table, 2, BINARY, tau)
+                ratio = df.verify_reduction_exact(table, tau)
                 assert ratio <= factor
 
     @pytest.mark.parametrize("sizes", [(2, 2, 2, 2), (2, 3, 1, 2),
@@ -206,30 +205,26 @@ class TestReduction:
         assert all(isinstance(t, Fraction) and t.numerator == 1
                    for t in tau.ravel().tolist())
 
-    def test_non_unit_tau_rejected(self):
-        tau = df.tau_table_exact(2, BINARY)
-        bad = tau.copy()
-        # the all-zero strings are a class of their own: one entry is the
-        # class value
-        bad[0, 0, 0, 0] = Fraction(2, 3) * tau[0, 0, 0, 0]
-        assert bad[0, 0, 0, 0].numerator != 1
-        table = np.ones(tau.shape, dtype=np.int64)
-        assert df.verify_reduction_exact(table, 2, BINARY, tau) > 0
-        with pytest.raises(ValueError, match="unit fraction"):
-            df.verify_reduction_exact(table, 2, BINARY, bad)
-
     def test_misshaped_tables_rejected(self):
-        tau = df.tau_table_exact(2, BINARY)
-        good = np.zeros(tau.shape, dtype=np.int64)
+        tau = df.tau_classes(2, BINARY)
+        good = np.zeros(tau.index.shape, dtype=np.int64)
         for table in (np.zeros((4, 4, 4, 2), dtype=np.int64),
                       good.reshape(4, 4, 16, 1), good[None]):
             with pytest.raises(ValueError):
-                df.verify_reduction_exact(table, 2, BINARY, tau)
-        for bad_tau in (tau[..., :2], tau.reshape(4, 4, 16, 1)):
-            with pytest.raises(ValueError):
-                df.verify_reduction_exact(good, 2, BINARY, bad_tau)
-            with pytest.raises(ValueError):
-                df.reduction_numerator_thresholds(2, BINARY, 1, bad_tau)
+                df.verify_reduction_exact(table, tau)
+
+    def test_prebuilt_classes_build_none(self, monkeypatch, rng):
+        """With tau_classes built, drawing a table and checking it build no
+        joint type classes."""
+        tau = df.tau_classes(2, BINARY)
+        calls = []
+        for module in (boxes, df):
+            monkeypatch.setattr(module, "_type_classes",
+                                lambda *args: calls.append(args))
+        nums, denom = df.random_symmetrized_int_table(tau, rng)
+        assert df.verify_reduction_exact(nums, tau) / denom <= (
+            df.reduction_factor(2, 4, 4))
+        assert calls == []
 
 
 def _deterministic_iid_exact(n, fa, fb):

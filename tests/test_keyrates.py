@@ -52,6 +52,15 @@ class TestEpsilonBudget:
             kr.EpsilonBudget(eps_ec=1e-2, eps_ec_complete=1e-3, eps_s=1e-6,
                              eps_ea=1e-6, eps_pa=1e-6)
 
+    @pytest.mark.parametrize("eps_t", [-1e-20, math.nan, 1.0, 2.0,
+                                       math.inf])
+    def test_eps_t_outside_unit_interval_rejected(self, eps_t):
+        # once math domain error (negative) or "eps_t too large" from
+        # key_length_block, and at NaN a NaN key length at s_max = 1, where
+        # no tail is drawn
+        with pytest.raises(ValueError, match=r"^eps_t must be in \[0,1\)$"):
+            make_budget(eps_t=eps_t)
+
     def test_soundness_sum(self):
         b = make_budget()
         assert b.soundness_error == pytest.approx(
@@ -466,13 +475,6 @@ class TestKeyLengthBlock:
                                   eps_t=1e-6)
         with pytest.raises(ValueError):
             kr.key_length_block(params, budget, s_max=5)
-
-    def test_nan_eps_t_rejected(self):
-        # once a NaN key length at s_max = 1, where no tail is drawn
-        budget = make_budget(eps_t=math.nan)
-        for s_max in (1, 5):
-            with pytest.raises(ValueError, match="eps_t"):
-                kr.key_length_block(make_params(), budget, s_max=s_max)
 
     def test_block_beats_per_round_at_small_gamma(self):
         params = make_params(n=1e9, gamma=0.01, q=0.01, delta=5e-4)

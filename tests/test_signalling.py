@@ -156,14 +156,16 @@ class TestSignallingTest:
         params = sig.TestParams(zeta=0.07, eps=0.01, n=2)
         data = ObservedData(2, np.zeros(2, int), np.zeros(2, int),
                             np.zeros(2, int), np.zeros(2, int), BINARY)
-        target = sig.SigTarget(sig.A_TO_B, 0, 0, 0)
-        assert sig.run_signalling_test(data, uniform_q(), params, target) is False
+        row = sig.target_row(BINARY, sig.SigTarget(sig.A_TO_B, 0, 0, 0))
+        flags = sig.signalling_test_flags(data, uniform_q(), params)
+        assert bool(flags[row]) is False
 
     def test_all_targets_match_single_target_view(self, rng):
         """signalling_test_flags, read in the CLI's target order, equals one
-        run_signalling_test per target and the joint-marginal oracle on the
-        second-half frequency box, for thresholds below, at and above the
-        echo box's measure 1/8; data missing an input pair rejects."""
+        call per target read at its target_row and the joint-marginal
+        oracle on the second-half frequency box, for thresholds below, at
+        and above the echo box's measure 1/8; data missing an input pair
+        rejects."""
         q = uniform_q()
         targets = sig.all_sig_targets(BINARY)
         n = 400
@@ -180,8 +182,8 @@ class TestSignallingTest:
                 flags = sig.signalling_test_flags(data, q, params)
                 cli_order = [bool(flags[sig.target_row(BINARY, t)])
                              for t in targets]
-                single = [sig.run_signalling_test(data, q, params, t)
-                          for t in targets]
+                single = [bool(sig.signalling_test_flags(data, q, params)[
+                    sig.target_row(BINARY, t)]) for t in targets]
                 assert cli_order == single
                 for t, flag in zip(targets, single):
                     m = joint_marginal_measure(freq, q, t)
@@ -203,7 +205,7 @@ class TestSignallingTest:
         """
         n, trials = 2000, 500
         params = sig.TestParams(zeta=0.06, eps=0.008, n=n)
-        target = sig.SigTarget(sig.A_TO_B, 0, 0, 0)
+        row = sig.target_row(BINARY, sig.SigTarget(sig.A_TO_B, 0, 0, 0))
         q = uniform_q()
         cells = 16
 
@@ -212,14 +214,14 @@ class TestSignallingTest:
         for trial in range(trials):
             xs, ys, a, b = sample_iid_data(ns_box, q, n, rng)
             data = ObservedData(n, a, b, xs, ys, BINARY)
-            false_pass += sig.run_signalling_test(data, q, params, target)
+            false_pass += sig.signalling_test_flags(data, q, params)[row]
 
         false_fail = 0
         sig_box = bob_echoes_x_box()  # Sig = 1/8 >= zeta for this target
         for trial in range(trials):
             xs, ys, a, b = sample_iid_data(sig_box, q, n, rng)
             data = ObservedData(n, a, b, xs, ys, BINARY)
-            false_fail += not sig.run_signalling_test(data, q, params, target)
+            false_fail += not sig.signalling_test_flags(data, q, params)[row]
 
         delta = min(sig.sanov_delta(n // 2, params.eps, cells), 1.0)
         for count in (false_pass, false_fail):

@@ -3,9 +3,8 @@
 boxes and definetti treat two entries of an n-round table as related by a
 round permutation exactly when they share a joint type (the multiset of
 per-round symbols (x, y, a, b)).  perm_oracle keeps the sweeps over all n!
-permutations, the per-entry tau loop and the per-entry reduction ratio and
-thresholds; each test here checks the package's type-class code against
-them.
+permutations, the per-entry tau loop and the per-entry reduction ratio;
+each test here checks the package's type-class code against them.
 """
 
 import math
@@ -59,7 +58,8 @@ def test_tau_table_matches_per_entry_loop(al, n):
 def test_random_table_matches_permutation_sum(al, n):
     for seed in (0, 5, 7):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        nums, denom = df.random_symmetrized_int_table(n, al, rng)
+        nums, denom = df.random_symmetrized_int_table(df.tau_classes(n, al),
+                                                      rng)
         ref_nums, ref_denom = perm_oracle.random_symmetrized_int_table(
             n, al, ref_rng)
         assert denom == ref_denom
@@ -131,15 +131,14 @@ def _product_table(al, n, rng, iid):
 
 
 def test_reduction_matches_per_entry_loop(al, n):
-    """The per-class ratio and thresholds equal the per-entry ones for
-    invariant tables (random symmetrized, deterministic IID) and for tables
-    that are not (raw random integers, per-round deterministic products),
-    as integer numerators and as Fractions."""
+    """The per-class ratio equals the per-entry one for invariant tables
+    (random symmetrized, deterministic IID) and for tables that are not
+    (raw random integers, per-round deterministic products), as integer
+    numerators and as Fractions."""
     tau = df.tau_table_exact(n, al)
-    factor = df.reduction_factor(n, al.x_size * al.y_size,
-                                 al.a_size * al.b_size)
+    classes = df.tau_classes(n, al)
     rng = np.random.default_rng([8, n, al.a_size, al.b_size])
-    sym, denom = df.random_symmetrized_int_table(n, al, rng)
+    sym, denom = df.random_symmetrized_int_table(classes, rng)
     tables = [sym, rng.integers(0, 10**6, size=tau.shape),
               _product_table(al, n, rng, iid=True),
               _product_table(al, n, rng, iid=False)]
@@ -147,16 +146,11 @@ def test_reduction_matches_per_entry_loop(al, n):
         rolled = perm_oracle.permutation_index(al, n, np.roll(np.arange(n), 1))
         assert not np.array_equal(tables[1][rolled], tables[1])
     for table in tables:
-        ratio = df.verify_reduction_exact(table, n, al, tau)
+        ratio = df.verify_reduction_exact(table, classes)
         assert isinstance(ratio, Fraction)
         assert ratio == perm_oracle.verify_reduction_exact(table, tau)
         exact = np.vectorize(lambda v: Fraction(int(v), denom),
                              otypes=[object])(table)
-        assert (df.verify_reduction_exact(exact, n, al, tau)
+        assert (df.verify_reduction_exact(exact, classes)
                 == perm_oracle.verify_reduction_exact(exact, tau)
                 == ratio / denom)
-    for d in (1, denom, 7):
-        thr = df.reduction_numerator_thresholds(n, al, d, tau)
-        ref = perm_oracle.reduction_numerator_thresholds(tau, factor, d)
-        assert thr.dtype == ref.dtype and thr.shape == ref.shape
-        assert thr.tobytes() == ref.tobytes()
