@@ -34,22 +34,23 @@ its floats (_check_block, _check_epsilons) and builds neither.  The
 glued function takes g and g' at its checked cut from one root, as the
 grid kernel does on arrays (entropy._bound_and_slope).  The terms that
 keyrates' numpy grid kernel shares with the scalar path (the s_max rule,
-the test mass, the penalty K, the max-entropy bound and its smoothing
-root, the round count tail, the Hoeffding bound) take the namespace
-``xp`` (math for scalars, numpy for arrays) or are plain arithmetic.
+the test mass, log2 d_O, the penalty K, the max-entropy bound and its
+smoothing root, the round count tail, the Hoeffding bound) take the
+namespace ``xp`` (math for scalars, numpy for arrays) or are plain
+arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .entropy import (OMEGA_CLASSICAL, OMEGA_QUANTUM, _bound_and_slope,
                       secrecy_bound)
 
 # output dimension of B alone, {0,1,bot}: log2(1 + 2*3)
 LOG2_7 = math.log2(7.0)
+LOG2_6 = math.log2(6.0)
 
 CUT_EDGE_SHRINK = 1e-9
 
@@ -178,10 +179,11 @@ def expected_block_length(block: BlockSpec) -> float:
     return block.test_mass / block.gamma
 
 
-@lru_cache(maxsize=None)
-def _log2_block_dim(s_max: int) -> float:
-    """log2(1 + 2 * 2^s_max * 3^s_max), computed exactly for large s_max."""
-    return math.log2(1 + 2 * (2**s_max) * (3**s_max))
+def _log2_block_dim(s_max, xp=math):
+    """log2(1 + 2 * 6^s_max) = s_max log2(6) + log2(2 + 6^-s_max), in the
+    namespace ``xp``: finite for every s_max, within an ulp of the value
+    of the exact integer."""
+    return s_max * LOG2_6 + xp.log2(2.0 + 6.0**-s_max)
 
 
 def _tradeoff(p1_tilde: float, gamma: float, s_max: int, mass: float,

@@ -342,13 +342,13 @@ class RateCaps:
     def __post_init__(self):
         if not self.eps_ec > 0:
             raise ValueError("eps_ec must be > 0")
-        # written so that NaN fails each check
-        if not self.soundness > 2.0 * self.eps_ec:
-            raise ValueError("soundness cap must exceed 2*eps_ec")
-        if not self.completeness > self.eps_ec:
-            raise ValueError("completeness cap must exceed eps_ec")
-        if not self.completeness < 1.0:
-            raise ValueError("completeness cap must be below 1")
+        # written so that NaN fails each check: soundness spends 2 eps_ec,
+        # and every budget has eps_ec_complete > eps_ec
+        for name in ("soundness", "completeness"):
+            if not getattr(self, name) > 2.0 * self.eps_ec:
+                raise ValueError(f"{name} cap must exceed 2*eps_ec")
+            if not getattr(self, name) < 1.0:
+                raise ValueError(f"{name} cap must be below 1")
 
 
 def _log_grid(lo: float, hi: float, per_decade: int) -> list:
@@ -388,19 +388,17 @@ def _ec_complete(caps: RateCaps, n, delta_est, xp):
 
 def _budget_for(caps: RateCaps, params: ProtocolParams,
                 shares: tuple) -> EpsilonBudget | None:
-    """Assemble a budget meeting both caps, at eps_t = 0, or None if
-    infeasible: the soundness split of ``shares`` and the completeness
-    slack as eps_ec_complete (larger is better: it lowers the leakage)."""
+    """Assemble a budget meeting both caps, at eps_t = 0: the soundness
+    split of positive ``shares`` and the completeness slack as
+    eps_ec_complete (larger is better: it lowers the leakage); None where
+    no slack is left, delta_est at or below _delta_floor."""
     eps_s, eps_ea, eps_pa = _split_soundness(caps, *shares)
     eps_ec_complete = _ec_complete(caps, params.n, params.delta_est, math)
     if eps_ec_complete <= caps.eps_ec:
         return None
-    try:
-        return EpsilonBudget(eps_ec=caps.eps_ec,
-                             eps_ec_complete=min(eps_ec_complete, 1.0 - 1e-12),
-                             eps_s=eps_s, eps_ea=eps_ea, eps_pa=eps_pa)
-    except ValueError:
-        return None
+    return EpsilonBudget(eps_ec=caps.eps_ec,
+                         eps_ec_complete=min(eps_ec_complete, 1.0 - 1e-12),
+                         eps_s=eps_s, eps_ea=eps_ea, eps_pa=eps_pa)
 
 
 def _eval_point(target: RateTarget, caps: RateCaps, mode: str, gamma: float,
@@ -457,7 +455,6 @@ class _ShareAxis(NamedTuple):
     stage.  Shape (S,) per split; (E, 1, 1, S) per split and eps_t
     candidate, eps_t first."""
 
-    ok: np.ndarray
     es4: np.ndarray
     eps_e: np.ndarray
     log_corr: np.ndarray
@@ -468,22 +465,18 @@ class _ShareAxis(NamedTuple):
 
 
 def _share_axis(caps: RateCaps, mode: str, shares) -> _ShareAxis:
-    """_ShareAxis of the (eps_s, eps_ea, eps_pa) proportions ``shares``:
-    _split_soundness, EatEpsilons' and EpsilonBudget's checks, the log
-    correction, the PA term, the eps_t candidates of _eval_point and the
-    max-entropy smoothing root at eps_s/4 - sqrt(eps_t)."""
+    """_ShareAxis of the positive (eps_s, eps_ea, eps_pa) proportions
+    ``shares``: _split_soundness, the log correction (log2(0) for eps_s
+    below 4.2e-8), the PA term, the eps_t candidates of _eval_point and
+    the max-entropy smoothing root at eps_s/4 - sqrt(eps_t)."""
     sh = np.array(shares, dtype=float).reshape(-1, 3)
     with np.errstate(all="ignore"):
         eps_s, eps_ea, eps_pa = _split_soundness(caps, *sh.T)
         es4, eps_e = eps_s / 4.0, eps_ea + caps.eps_ec
-        log_corr = _log_correction(eps_s, np)
-        ok = ((eps_s > 0) & (eps_s < 1) & (eps_ea > 0) & (eps_ea < 1)
-              & (eps_pa > 0) & (eps_pa < 1) & (eps_e < 1)
-              & np.isfinite(log_corr))
         eps_t = es4**2 * np.array(_eps_t_ladder(mode))[:, None, None, None]
         sqrt_t = np.sqrt(eps_t)
-        return _ShareAxis(ok, es4, eps_e, log_corr, _pa_term(eps_pa, np),
-                          sqrt_t, eps_t,
+        return _ShareAxis(es4, eps_e, _log_correction(eps_s, np),
+                          _pa_term(eps_pa, np), sqrt_t, eps_t,
                           eat._smoothing_root(es4 - sqrt_t, eps_e, np))
 
 
@@ -494,6 +487,10 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
     len(deltas), len(shares)), -inf wherever _eval_point returns None.
     ``shares`` may also be the _share_axis of the list, which a stage
     computes once for all its passes.
+
+    The contract covers optimize_rate's points: gammas in (0, 1], delta_est
+    > 0 and positive shares.  Masked there: delta_est >= 1, no completeness
+    slack, a statistic below 3/4 and the log correction's log2(0).
 
     Every term is computed once, at the shape of its own inputs, from the
     scalar path's term functions called with xp = numpy.  With axes G =
@@ -524,30 +521,25 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
     n = target.n
     block = mode == BLOCK
     with np.errstate(all="ignore"):
-        # (G, 1, 1): one row per gamma, invalid gammas scored at 1
+        # (G, 1, 1): one row per gamma
         gamma = np.array(gammas, dtype=float)[:, None, None]
-        gamma_ok = (gamma > 0) & (gamma <= 1)
-        gamma = np.where(gamma_ok, gamma, 1.0)
         if block:
             s_max = eat._s_max_rule(gamma, np)
             tail = s_max > 1
             mass = np.where(tail, eat._test_mass(gamma, s_max), gamma)
-            log2_do = np.array([eat._log2_block_dim(s) for s in
-                                s_max.ravel().astype(int).tolist()])
-            log2_do = log2_do[:, None, None]
+            log2_do = eat._log2_block_dim(s_max, np)
         else:
             mass, log2_do = gamma, eat._log2_block_dim(1)
         sbar = mass / gamma
         m = n / sbar
         lo, hi = eat.cut_interval(mass)
-        gamma_ok &= lo < hi
         leak_rate = _leak_rate(gamma, binary_entropy(target.q),
                                binary_entropy(omega))
 
         # (D, 1): one row per delta_est
         delta = np.array(deltas, dtype=float)[:, None]
         ecc = np.minimum(_ec_complete(caps, n, delta, np), 1.0 - 1e-12)
-        delta_ok = (delta > 0) & (delta < 1) & (ecc > caps.eps_ec)
+        delta_ok = (delta < 1) & (ecc > caps.eps_ec)
         prime = ecc - caps.eps_ec
         # (E, G, 1, S), (E, 1, D, S) and (D, 1): the leakage's terms
         if block:
@@ -584,8 +576,8 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
             flat = ~tail.ravel()
             _, scale, root = _leak_terms(n, leak_rate, prime, np)
             paid[flat] = spend[:, flat].min(axis=0) + scale * root
-        ok = (gamma_ok & delta_ok & shares.ok & (ratio >= OMEGA_CLASSICAL)
-              & (ratio <= 1.0))
+        ok = (delta_ok & np.isfinite(shares.log_corr)
+              & (ratio >= OMEGA_CLASSICAL))
         return np.where(ok, fixed - paid, -np.inf)
 
 
@@ -796,10 +788,9 @@ def optimize_rate(target: RateTarget, caps: RateCaps,
 def _delta_floor(target: RateTarget, caps: RateCaps) -> float:
     """delta_min (1 + 1e-9), delta_min = sqrt(ln(1/(C - 2 eps_ec)) / (2n))
     with C the completeness cap: there the Hoeffding term leaves
-    _budget_for no completeness slack, eps_ec_complete = eps_ec."""
+    _budget_for no completeness slack, eps_ec_complete = eps_ec; RateCaps
+    puts C - 2 eps_ec in (0, 1)."""
     slack = caps.completeness - 2.0 * caps.eps_ec
-    if slack <= 0:
-        raise ValueError("no feasible parameter point under the caps")
     return math.sqrt(math.log(1.0 / slack) / (2.0 * target.n)) * (1 + 1e-9)
 
 

@@ -4,7 +4,9 @@ its slope at the cut came from one root: the checked secrecy_bound_slope,
 its unguarded body _slope in the namespace ``xp``, the unguarded array
 bound _bound_open, and eat._tradeoff calling secrecy_bound and
 secrecy_bound_slope separately.  The tests compare entropy._bound_and_slope
-and eat._tradeoff against these bit for bit.
+and eat._tradeoff against these bit for bit.  log2_block_dims keeps the
+block output dimension's exact integer text, the oracle of its closed form
+eat._log2_block_dim.
 """
 
 import math
@@ -55,3 +57,14 @@ def tradeoff(p1_tilde, gamma, s_max, mass, cut, k_pen):
     else:
         value = sbar * secrecy_bound(cut_ratio) + slope * (p1_tilde - cut)
     return value, slope, value - k_pen * (_log2_block_dim(s_max) + slope)
+
+
+def log2_block_dims(s_top: int) -> list:
+    """[log2(1 + 2 * 2^s * 3^s) for s = 1..s_top] from the exact integers,
+    as eat._log2_block_dim computed it before its closed form, with 6^s
+    built by one multiplication per s."""
+    dims, power = [], 1
+    for _ in range(s_top):
+        power *= 6
+        dims.append(math.log2(1 + 2 * power))
+    return dims

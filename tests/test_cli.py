@@ -700,7 +700,7 @@ class TestRateCurveCommand:
 
     @pytest.mark.parametrize("flag, message", [
         ("--soundness=nan", "soundness cap must exceed 2*eps_ec"),
-        ("--completeness=nan", "completeness cap must exceed eps_ec")])
+        ("--completeness=nan", "completeness cap must exceed 2*eps_ec")])
     def test_nan_cap_rejected(self, flag, message, capsys):
         # once "no feasible parameter point under the caps" and "cannot
         # convert float NaN to integer", neither naming the cap
@@ -709,6 +709,15 @@ class TestRateCurveCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_soundness_cap_above_one_rejected(self, capsys):
+        # once exit 0 with a report at soundness error 2 and eps_s near 1
+        code = cli.main(["rate-curve", "--axis", "q", "--grid", "0.005",
+                         "--soundness", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: soundness cap must be below 1\n"
 
     @pytest.mark.parametrize("value", ["0.6", "-0.1", "nan"])
     def test_bad_qber_rejected(self, value, capsys):

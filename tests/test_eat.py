@@ -506,6 +506,15 @@ class TestBlocks:
         # 1 + 2*2*3 = 13: the per-round constant
         assert eat._log2_block_dim(1) == pytest.approx(math.log2(13.0))
 
+    def test_log2_block_dim_closed_form(self):
+        """Within an ulp of the exact integer's log2 for s_max = 1 to
+        60,000, on scalars and on the kernel's float arrays."""
+        exact = np.array(bound_oracle.log2_block_dims(60000))
+        s = np.arange(1, 60001)
+        for got in (np.array([eat._log2_block_dim(int(k)) for k in s]),
+                    eat._log2_block_dim(s.astype(float), np)):
+            assert np.all(np.abs(got - exact) <= np.spacing(exact))
+
     def test_mu_block_second_order_positive(self):
         block = eat.BlockSpec(0.1, 10)
         eps = eat.EatEpsilons(1e-6, 1e-6)

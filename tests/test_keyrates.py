@@ -520,9 +520,24 @@ class TestOptimizeRate:
 
     @pytest.mark.parametrize("soundness, completeness, message", [
         (math.nan, 1e-2, "soundness cap must exceed 2*eps_ec"),
-        (1e-5, math.nan, "completeness cap must exceed eps_ec")])
+        (1e-5, math.nan, "completeness cap must exceed 2*eps_ec")])
     def test_nan_caps_rejected(self, soundness, completeness, message):
         # NaN once passed the caps' checks, written x <= bound
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            kr.RateCaps(soundness=soundness, completeness=completeness,
+                        eps_ec=1e-10)
+
+    @pytest.mark.parametrize("soundness, completeness, message", [
+        (1.0, 1e-2, "soundness cap must be below 1"),
+        (2.0, 1e-2, "soundness cap must be below 1"),
+        (math.inf, 1e-2, "soundness cap must be below 1"),
+        (1e-5, 1.5e-10, "completeness cap must exceed 2*eps_ec"),
+        (1e-5, 2e-10, "completeness cap must exceed 2*eps_ec")])
+    def test_caps_no_budget_meets_rejected(self, soundness, completeness,
+                                           message):
+        # soundness 2 once gave a report with eps_s near 1 and soundness
+        # error 2; a completeness cap in (eps_ec, 2 eps_ec] once failed
+        # later as "no feasible parameter point under the caps"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             kr.RateCaps(soundness=soundness, completeness=completeness,
                         eps_ec=1e-10)
@@ -577,10 +592,10 @@ class TestOptimizeRate:
             report = kr.optimize_rate(target, self.CAPS, mode=mode)
             assert floor < report.params.delta_est < 1e-4 / 2.4**4
             assert report.extras["at_bound"] is False
-        with pytest.raises(ValueError, match="no feasible parameter"):
-            kr.optimize_rate(target, kr.RateCaps(soundness=1e-5,
-                                                 completeness=1.5e-10,
-                                                 eps_ec=1e-10))
+        # no delta_est leaves slack under C <= 2 eps_ec: the caps refuse it
+        with pytest.raises(ValueError,
+                           match=r"^completeness cap must exceed 2\*eps_ec$"):
+            kr.RateCaps(soundness=1e-5, completeness=1.5e-10, eps_ec=1e-10)
 
     def test_at_bound(self, monkeypatch):
         """A zoom box cut down to a factor 1.001 either way stops short of
@@ -901,11 +916,11 @@ class TestGridKernel:
                           SHARE_GRID) == 0
 
     def test_invalid_inputs(self):
+        # the masks optimize_rate's points reach (TestKernelContract)
         for mode in (kr.BLOCK, kr.PER_ROUND):
             assert self.check(
-                kr.RateTarget(n=1e8, q=0.01), self.CAPS, mode,
-                [0.0, 0.3, 1.5, 1.0], [0.0, 1e-3, 1.0],
-                [(1.0, 1.0, 1.0), (0.0, 1.0, 1.0)]) == 2
+                kr.RateTarget(n=1e8, q=0.01), self.CAPS, mode, [0.3, 1.0],
+                [1e-3, 1.0], [(1.0, 1.0, 1.0)]) == 2
             # omega_exp below 3/4
             assert self.check(kr.RateTarget(n=1e8, q=0.2), self.CAPS, mode,
                               [0.3], [1e-3], [(1.0, 1.0, 1.0)]) == 0
@@ -962,6 +977,43 @@ class TestGridKernel:
                 self.check_oracle(got, want)
                 reports.append(got.to_json_dict())
         assert reports[:len(cases)] == reports[len(cases):]
+
+
+class TestKernelContract:
+    """optimize_rate hands the grid kernel only points inside its contract,
+    for n from 1 to 1e15 in both modes under the test caps: gammas in
+    (0, 1], delta_est > 0 and positive, finite shares.  delta_est >= 1
+    does occur, at small n, which is why the kernel still masks it."""
+
+    def test_optimizer_points_in_contract(self, monkeypatch):
+        gammas, deltas, shares = [], {}, []
+        kernel, axis = kr._grid_key_lengths, kr._share_axis
+
+        def kernel_spy(target, caps, mode, g, d, s):
+            gammas.extend(g)
+            deltas.setdefault(target.n, []).extend(d)
+            return kernel(target, caps, mode, g, d, s)
+
+        def axis_spy(caps, mode, s):
+            shares.extend(s)
+            return axis(caps, mode, s)
+
+        monkeypatch.setattr(kr, "_grid_key_lengths", kernel_spy)
+        monkeypatch.setattr(kr, "_share_axis", axis_spy)
+        for caps in (TestGridKernel.CAPS, TestGridKernel.STRICT,
+                     TestBudgetTermsFirst.TINY_EPS_S):
+            for mode in (kr.BLOCK, kr.PER_ROUND):
+                for n, q in ((10.0**k, q) for k in range(16)
+                             for q in (0.0, 0.02)):
+                    error = raised(lambda: kr.optimize_rate(
+                        kr.RateTarget(n=n, q=q), caps, mode=mode))
+                    assert error in (None, (ValueError, "no feasible "
+                                            "parameter point under the caps"))
+        assert len(deltas) == 16 and len(gammas) > 1000
+        assert all(0 < g <= 1 for g in gammas)
+        assert all(math.isfinite(x) and x > 0 for sh in shares for x in sh)
+        assert all(d > 0 for ds in deltas.values() for d in ds)
+        assert max(d for n, ds in deltas.items() if n <= 100 for d in ds) >= 1
 
 
 # the grid kernel's targets and the acceptance targets, each once
@@ -1080,9 +1132,8 @@ class TestKernelOracle:
 
     CAPS = TestGridKernel.CAPS
     STRICT = TestGridKernel.STRICT
-    BAD_GAMMAS = [0.0, -0.2, 1.5]
-    BAD_DELTAS = [0.0, 1.0, -1e-3]
-    BAD_SHARES = [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0)]
+    # masked, and reached by optimize_rate's zoom at small n
+    BAD_DELTA = 1.0
 
     def check(self, target, caps, mode, gammas, deltas, shares):
         got = kr._grid_key_lengths(target, caps, mode, gammas, deltas, shares)
@@ -1103,7 +1154,7 @@ class TestKernelOracle:
     def random_grid(self, rng):
         """(target, caps, mode, gammas, deltas, shares): n from 1e5 to 1e15,
         QBER up to 0.04, gamma = 1 beside gammas below 1 in most grids, and
-        some invalid gammas, deltas and splits."""
+        delta_est = 1 in some."""
         target = kr.RateTarget(n=float(10.0 ** rng.uniform(5.0, 15.0)),
                                q=float(rng.uniform(0.0, 0.04)))
         mode = kr.BLOCK if rng.random() < 0.6 else kr.PER_ROUND
@@ -1115,11 +1166,8 @@ class TestKernelOracle:
             -6.0, -1.0, rng.integers(1, 15))]
         shares = [tuple(float(x) for x in 10.0 ** rng.uniform(-2.0, 2.0, 3))
                   for _ in range(rng.integers(1, 5))]
-        for values, bad in ((gammas, self.BAD_GAMMAS),
-                            (deltas, self.BAD_DELTAS),
-                            (shares, self.BAD_SHARES)):
-            if rng.random() < 0.25:
-                values.append(bad[rng.integers(len(bad))])
+        if rng.random() < 0.25:
+            deltas.append(self.BAD_DELTA)
         caps = self.STRICT if rng.random() < 0.1 else self.CAPS
         return target, caps, mode, gammas, deltas, shares
 
@@ -1132,10 +1180,7 @@ class TestKernelOracle:
             got = self.check(target, caps, mode, gammas, deltas, shares)
             kinds[mode] += 1
             kinds["mixed gamma = 1"] += 1.0 in gammas and min(gammas) < 1.0
-            kinds["invalid"] += bool(
-                set(gammas) & set(self.BAD_GAMMAS)
-                or set(deltas) & set(self.BAD_DELTAS)
-                or set(shares) & set(self.BAD_SHARES))
+            kinds["invalid"] += self.BAD_DELTA in deltas
             kinds["feasible"] += bool(np.isfinite(got).any())
             if caps is self.STRICT:
                 kinds["strict"] += 1
