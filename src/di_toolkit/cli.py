@@ -81,6 +81,8 @@ def _cmd_entropy_curve(args):
     lo, hi, k = args.start, args.stop, args.points
     if k < 1:
         raise ValueError("--points must be >= 1")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("--from and --to must be finite")
     rows = []
     for i in range(k):
         w = lo + (hi - lo) * i / (k - 1) if k > 1 else lo

@@ -13,28 +13,28 @@ at its first test round), n expected rounds and n' = n + t effective ones:
         - 2 log2(1/eps_pa),
 
 with t the tail of the random round count at error eps_t and
-eps_s' = eps_s/4 - sqrt(eps_t).  Only t, the leakage and the max-entropy
-term depend on eps_t, so the optimizer's eps_t sweep computes the other
-terms once per parameter point.  The per-round protocol is the case of
+eps_s' = eps_s/4 - sqrt(eps_t).  The per-round protocol is the case of
 one-round blocks, s_max = 1 (m = n, the entropy rate mu_block_opt at
-s_max = 1) with eps_t = 0 (t = 0): the per-round key_length is that
-computation, not a second text of it, and the grid kernel scores both
-modes with the same block formulas.  The inputs are checked once, where
-they enter (ProtocolParams, EpsilonBudget, and the block length and the
-epsilons of the entropy rate); from there the key length is computed on
-floats, its entropy term by eat's private float body of mu_block_opt, and
-the only object built per call is the RateReport, a named tuple.  The
-order is: the checks, then the terms of the budget alone (log correction,
-PA term, the leakage's eps_t-free constants), then the entropy rate and
-the leakage rate.  The log correction is log2(0) in double precision for
-eps_s below about 4.2e-8, so such a budget raises before the cut search.
+s_max = 1) with eps_t = 0 (t = 0): key_length and key_length_block are
+one body, and the grid kernel scores both modes with the same block
+formulas.  The inputs are checked once, where they enter (ProtocolParams,
+EpsilonBudget, and the block length and the epsilons of the entropy
+rate); from there the key length is computed on floats, its entropy term
+by eat's private float body of mu_block_opt, and the only object built
+per call is the RateReport, a named tuple.  The order is: the checks,
+then the terms of the budget alone (log correction, PA term, the
+leakage's eps_t-free constants), then the entropy rate and the leakage
+rate, then the terms of eps_t (t, the leakage, the max-entropy term).
+The log correction is log2(0) in double precision for eps_s below about
+4.2e-8, so such a budget raises before the cut search.
 
 optimize_rate runs a coarse (gamma, delta_est) grid, an epsilon split grid
 and one zoom, in boxes set by the caps and the rate.  Each stage, and each
 zoom pass, is one numpy call (_grid_key_lengths, the array form of
-_eval_point); a stage rescores the first few values within 1e-9 relative
-of its best, in grid order, with the scalar path, which alone produces the
-points chosen and the numbers reported.
+_eval_point), which also picks eps_t among 13 candidates at each point; a
+stage rescores the first few values within 1e-9 relative of its best, in
+grid order, with one scalar key length each at the kernel's eps_t, and
+the scalar path alone produces the points chosen and the numbers reported.
 
 Negative key lengths are reported as-is so that the zero crossings of rate
 curves can be located; callers clamp for presentation.
@@ -225,10 +225,7 @@ def key_length(params: ProtocolParams, budget: EpsilonBudget) -> RateReport:
     """Per-round-mode key length for a fixed round count n: the block
     computation with one-round blocks (s_max = 1) and no tail (eps_t = 0,
     whatever ``budget.eps_t`` says)."""
-    fixed = _block_fixed_terms(params, budget, 1)
-    return _block_report(params, budget, 1, fixed,
-                         _block_eps_t_terms(params, budget, 1, fixed, 0.0),
-                         PER_ROUND)
+    return _key_length(params, budget, 1, 0.0, PER_ROUND)
 
 
 def key_length_block(params: ProtocolParams, budget: EpsilonBudget,
@@ -239,52 +236,32 @@ def key_length_block(params: ProtocolParams, budget: EpsilonBudget,
     count tail t: n_bar + t effective rounds enter the leakage and
     max-entropy terms, whose smoothing parameters shift by sqrt(eps_t).
     """
-    fixed = _block_fixed_terms(params, budget, s_max)
-    return _block_report(params, budget, s_max, fixed,
-                         _block_eps_t_terms(params, budget, s_max, fixed,
-                                            budget.eps_t), BLOCK)
+    return _key_length(params, budget, s_max, budget.eps_t, BLOCK)
 
 
-class _BlockFixed(NamedTuple):
-    """The eps_t-free terms of key_length_block."""
-
-    sbar: float
-    m: float
-    cut: float
-    entropy_term: float
-    leak_rate: float
-    leak_constants: tuple
-    log_corr: float
-    pa: float
-
-
-def _block_fixed_terms(params: ProtocolParams, budget: EpsilonBudget,
-                       s_max: int) -> _BlockFixed:
+def _key_length(params: ProtocolParams, budget: EpsilonBudget, s_max: int,
+                eps_t: float, mode: str) -> RateReport:
+    """The body of key_length and key_length_block at ``eps_t`` (not
+    ``budget.eps_t``): the checks, the budget's own terms, the entropy rate,
+    then the terms of eps_t (the tail t, the leakage, the max-entropy term)."""
     eps_s, eps_e = budget.eps_s / 4.0, budget.eps_ea + budget.eps_ec
     eat._check_epsilons(eps_s, eps_e)
     eat._check_block(params.gamma, s_max)
     log_corr, pa = _log_correction(budget.eps_s), _pa_term(budget.eps_pa)
-    leak_constants = _leak_constants(budget.eps_ec_prime, budget.eps_ec)
+    prime_term, ec_term = _leak_constants(budget.eps_ec_prime, budget.eps_ec)
     mass = eat._block_mass(params.gamma, s_max)
     sbar = mass / params.gamma
     m = params.n / sbar
     mu_value, cut = eat._mu_block_opt(params.omega_exp, params.delta_est,
                                       params.gamma, s_max, mass, m, eps_s,
                                       eps_e)
+    entropy_term = m * mu_value
     leak_rate = _leak_rate(params.gamma, binary_entropy(params.q),
                            binary_entropy(params.omega_exp))
-    return _BlockFixed(sbar, m, cut, m * mu_value, leak_rate, leak_constants,
-                       log_corr, pa)
-
-
-def _block_eps_t_terms(params: ProtocolParams, budget: EpsilonBudget,
-                       s_max: int, fixed: _BlockFixed, eps_t: float) -> tuple:
-    """(key_length, t, leak, max_ent) of key_length_block at ``eps_t``;
-    ``budget.eps_t`` is not read."""
-    eps_s_shifted = budget.eps_s / 4.0 - math.sqrt(eps_t)
+    eps_s_shifted = eps_s - math.sqrt(eps_t)
     if not eps_s_shifted > 0:  # a NaN eps_t fails too
         raise ValueError("eps_t too large: sqrt(eps_t) >= eps_s/4")
-    t = (eat.round_count_tail(fixed.m, params.gamma, s_max, eps_t)
+    t = (eat.round_count_tail(m, params.gamma, s_max, eps_t)
          if s_max > 1 else 0.0)
     n_eff = params.n + t
     # the leakage over n_eff rounds: its sqrt term's smoothing parameter
@@ -293,27 +270,19 @@ def _block_eps_t_terms(params: ProtocolParams, budget: EpsilonBudget,
         eps_t if s_max > 1 else 0.0)
     if eps_sqrt_term <= 0:
         raise ValueError("eps_t too large: eps_ec_prime - 2 sqrt(eps_t) <= 0")
-    first, scale, root = _leak_terms(n_eff, fixed.leak_rate, eps_sqrt_term)
-    prime_term, ec_term = fixed.leak_constants
+    first, scale, root = _leak_terms(n_eff, leak_rate, eps_sqrt_term)
     leak = first + scale * root + prime_term + ec_term
     # eat.max_entropy_upper, one call shorter
-    max_ent = eat._max_entropy(n_eff, params.gamma, eat._smoothing_root(
-        eps_s_shifted, budget.eps_ea + budget.eps_ec))
-    ell = fixed.entropy_term - leak - fixed.log_corr - max_ent - fixed.pa
-    return ell, t, leak, max_ent
-
-
-def _block_report(params: ProtocolParams, budget: EpsilonBudget, s_max: int,
-                  fixed: _BlockFixed, terms: tuple, mode: str) -> RateReport:
-    ell, t, leak, max_ent = terms
-    extras = ({"m_blocks": fixed.m, "tail_t": t, "s_bar": fixed.sbar}
+    max_ent = eat._max_entropy(n_eff, params.gamma,
+                               eat._smoothing_root(eps_s_shifted, eps_e))
+    ell = entropy_term - leak - log_corr - max_ent - pa
+    extras = ({"m_blocks": m, "tail_t": t, "s_bar": sbar}
               if mode == BLOCK else {})
     # in field order: binding the 15 fields by keyword costs about 1 us
-    return RateReport(ell, ell / params.n, fixed.entropy_term, leak,
-                      fixed.log_corr, max_ent, fixed.pa,
-                      budget.soundness_error,
-                      completeness_error(params, budget), fixed.cut, params,
-                      budget, mode, s_max, extras)
+    return RateReport(ell, ell / params.n, entropy_term, leak, log_corr,
+                      max_ent, pa, budget.soundness_error,
+                      completeness_error(params, budget), cut, params, budget,
+                      mode, s_max, extras)
 
 
 # ---------------------------------------------------------------------------
@@ -402,50 +371,27 @@ def _budget_for(caps: RateCaps, params: ProtocolParams,
 
 
 def _eval_point(target: RateTarget, caps: RateCaps, mode: str, gamma: float,
-                delta_est: float, shares: tuple) -> RateReport | None:
-    """The RateReport of the best key length at fixed (gamma, delta_est,
-    shares), None if infeasible; a block-mode report's ``extras`` record
-    its candidate's index in the eps_t sweep (``eps_t_index``).
-
-    Per-round mode is the block computation at s_max = 1 with the single
-    candidate eps_t = 0.  Block mode takes s_max = eat.default_s_max(gamma)
-    and sweeps eps_t over cap_t * 10^-k, k = 1..13 with cap_t = (eps_s/4)^2,
-    keeping the first strict maximum.  Only the round count tail t, the
-    leakage and the max-entropy term depend on eps_t, so the entropy term
-    (the one eat._mu_block_opt call), the leakage rate, the log
-    correction and the PA term are computed once per point; a candidate
-    whose terms raise ValueError is skipped.
-    """
+                delta_est: float, shares: tuple,
+                eps_t_index: int) -> RateReport | None:
+    """The RateReport at (gamma, delta_est, shares), None if infeasible:
+    key_length per round; in block mode key_length_block at s_max =
+    eat.default_s_max(gamma) and the eps_t candidate the kernel picked,
+    cap_t * _eps_t_ladder(mode)[eps_t_index] with cap_t = (eps_s/4)^2,
+    whose index the report's ``extras`` record (``eps_t_index``)."""
     omega_exp, _ = honest_werner(2.0 * target.q)
     try:
         params = ProtocolParams(target.n, gamma, omega_exp, delta_est, target.q)
+        base = _budget_for(caps, params, shares)
+        if base is None:
+            return None
+        if mode != BLOCK:
+            return key_length(params, base)
+        eps_t = (base.eps_s / 4.0) ** 2 * _eps_t_ladder(mode)[eps_t_index]
+        report = key_length_block(params, replace(base, eps_t=eps_t),
+                                  eat.default_s_max(gamma))
     except ValueError:
         return None
-    base = _budget_for(caps, params, shares)
-    if base is None:
-        return None
-    s_max = eat.default_s_max(gamma) if mode == BLOCK else 1
-    try:
-        fixed = _block_fixed_terms(params, base, s_max)
-    except ValueError:
-        return None
-    cap_t = (base.eps_s / 4.0) ** 2
-    candidates = [cap_t * f for f in _eps_t_ladder(mode)]
-    best = None
-    for index, eps_t in enumerate(candidates):
-        try:
-            terms = _block_eps_t_terms(params, base, s_max, fixed, eps_t)
-        except ValueError:
-            continue
-        if best is None or terms[0] > best[2][0]:
-            best = (index, eps_t, terms)
-    if best is None:
-        return None
-    index, eps_t, terms = best
-    report = _block_report(params, replace(base, eps_t=eps_t), s_max, fixed,
-                           terms, mode)
-    if mode == BLOCK:
-        report.extras["eps_t_index"] = index
+    report.extras["eps_t_index"] = eps_t_index
     return report
 
 
@@ -467,7 +413,7 @@ class _ShareAxis(NamedTuple):
 def _share_axis(caps: RateCaps, mode: str, shares) -> _ShareAxis:
     """_ShareAxis of the positive (eps_s, eps_ea, eps_pa) proportions
     ``shares``: _split_soundness, the log correction (log2(0) for eps_s
-    below 4.2e-8), the PA term, the eps_t candidates of _eval_point and
+    below 4.2e-8), the PA term, the eps_t candidates of _eps_t_ladder and
     the max-entropy smoothing root at eps_s/4 - sqrt(eps_t)."""
     sh = np.array(shares, dtype=float).reshape(-1, 3)
     with np.errstate(all="ignore"):
@@ -481,12 +427,14 @@ def _share_axis(caps: RateCaps, mode: str, shares) -> _ShareAxis:
 
 
 def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
-                      gammas, deltas, shares) -> np.ndarray:
-    """_eval_point's key length at every (gamma, delta_est, shares) of the
-    outer product of the three lists: an array of shape (len(gammas),
-    len(deltas), len(shares)), -inf wherever _eval_point returns None.
-    ``shares`` may also be the _share_axis of the list, which a stage
-    computes once for all its passes.
+                      gammas, deltas, shares) -> tuple:
+    """(values, paid): _eval_point's key length at every (gamma,
+    delta_est, shares) of the outer product of the three lists and its
+    best eps_t candidate, shape (len(gammas), len(deltas), len(shares)),
+    -inf where _eval_point returns None; paid, the terms that depend on
+    the candidate, one row per candidate (E, G, D, S): the first minimum
+    of paid[:, i] is point i's eps_t_index.  ``shares`` may also be the
+    _share_axis of the list, which a stage computes once for all passes.
 
     The contract covers optimize_rate's points: gammas in (0, 1], delta_est
     > 0 and positive shares.  Masked there: delta_est >= 1, no completeness
@@ -506,7 +454,7 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
       term, and the leakage root's factor sqrt(n_eff) 4 log2(2 sqrt(2) + 1);
     - (E, 1, D, S): the leakage root of eps_ec_prime - 2 sqrt(eps_t), +inf
       where that is <= 0 (no key);
-    - (E, G, D, S): one multiply-add, minimized over eps_t.
+    - (E, G, D, S): one multiply-add, paid, then minimized over eps_t.
 
     A row with one-round blocks (gamma = 1 in block mode) has no tail, so
     its leakage root is that of eps_ec_prime alone.  numpy's log2 and log
@@ -567,18 +515,18 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
         fixed = (m * (f_min - k_pen * (log2_do + slope))
                  - (shares.log_corr + shares.pa + prime_term + ec_term))
 
-        # (E, G, 1, S), then (E, G, D, S) minimized over eps_t
+        # (E, G, 1, S), then (E, G, D, S), minimized over eps_t
         spend = first + eat._max_entropy(n_eff, gamma, shares.me_root, np)
         root = np.where(est > 0, root, np.inf)
-        paid = (scale * root + spend).min(axis=0)
+        paid = scale * root + spend
         if block and not tail.all():
             # one-round blocks: no tail, the leakage at eps_t = 0
             flat = ~tail.ravel()
             _, scale, root = _leak_terms(n, leak_rate, prime, np)
-            paid[flat] = spend[:, flat].min(axis=0) + scale * root
+            paid[:, flat] = spend[:, flat] + scale * root
         ok = (delta_ok & np.isfinite(shares.log_corr)
               & (ratio >= OMEGA_CLASSICAL))
-        return np.where(ok, fixed - paid, -np.inf)
+        return np.where(ok, fixed - paid.min(axis=0), -np.inf), paid
 
 
 _DEFAULT_SHARES = (1.0, 1.0, 1.0)
@@ -601,14 +549,18 @@ def _band(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(values >= top - BAND * max(abs(top), 1.0))
 
 
-def _rescore(target, caps, mode, values, args, best, stage, evals) -> tuple:
+def _rescore(target, caps, mode, values, paid, args, best, stage,
+             evals) -> tuple:
     """(report, i): ``best`` or the best of the first RESCORED points of
-    _band(values), point i scored by _eval_point(..., *args(i)), if it
-    beats ``best``; i is None if none does."""
-    index = None
+    _band(values), point i scored by _eval_point(..., *args(i)) at the
+    eps_t candidate the kernel picked, the first minimum of paid[:, i]
+    (paid as _grid_key_lengths', shape (E,) + values.shape), if it beats
+    ``best``; i is None if none does."""
+    index, picks = None, paid.reshape(len(paid), -1)
     for i in _band(values)[:RESCORED]:
         evals[stage + "_rescored"] += 1
-        point = _eval_point(target, caps, mode, *args(i))
+        point = _eval_point(target, caps, mode, *args(i),
+                            int(picks[:, i].argmin()))
         if point is not None and (best is None
                                   or point.key_length > best.key_length):
             best, index = point, i
@@ -637,18 +589,19 @@ def _split(target, caps, mode, start: RateReport, evals: dict) -> tuple:
                          * SPLIT_GRID_PER_DECADE)
             shares = [(10.0 ** (k / SPLIT_GRID_PER_DECADE),) * 2 + (1.0,)
                       for k in range(-scored, scored + 1)]
-            widest = _grid_key_lengths(target, caps, mode, [gamma], [delta],
-                                       shares)[0, 0]
+            widest, paid = _grid_key_lengths(target, caps, mode, [gamma],
+                                             [delta], shares)
             evals["share_points"] += widest.size
-        values = widest[scored - reach:scored + reach + 1]
+        box = slice(scored - reach, scored + reach + 1)
+        values = widest[0, 0, box]
         evals["share_passes"] += 1
         if not values.max() - top >= BAND * max(abs(top), 1.0):
             break
         top, reach = values.max(), reach + step
-    point, i = _rescore(target, caps, mode, values,
-                        lambda i: (gamma, delta, shares[scored - reach + i]),
+    point, i = _rescore(target, caps, mode, values, paid[:, 0, 0, box],
+                        lambda i: (gamma, delta, shares[box][i]),
                         start, "share", evals)
-    return point, _DEFAULT_SHARES if i is None else shares[scored - reach + i]
+    return point, _DEFAULT_SHARES if i is None else shares[box][i]
 
 
 def _spread(lo: float, hi: float) -> list:
@@ -710,8 +663,9 @@ def _zoom(target, caps, mode, start: RateReport, shares: tuple,
         grids = [_spread(*w) for w in live]
         deltas = _spread(*dwin)
         gammas = [(g, k) for k, grid in enumerate(grids) for g in grid]
-        values = _grid_key_lengths(target, caps, mode, [g for g, _ in gammas],
-                                   deltas, axis)[:, :, 0]
+        values, paid = _grid_key_lengths(
+            target, caps, mode, [g for g, _ in gammas], deltas, axis)
+        values = values[:, :, 0]
         evals["zoom_passes"] += 1
         evals["zoom_points"] += values.size
         i, j = np.divmod(_band(values), len(deltas))
@@ -733,7 +687,7 @@ def _zoom(target, caps, mode, start: RateReport, shares: tuple,
         if shrunk == live and shrunk_d == dwin:
             break
         live, dwin = shrunk, shrunk_d
-    point, i = _rescore(target, caps, mode, values,
+    point, i = _rescore(target, caps, mode, values, paid[..., 0],
                         lambda i: (gammas[i // len(deltas)][0],
                                    deltas[i % len(deltas)], shares),
                         start, "zoom", evals)
@@ -770,10 +724,10 @@ def optimize_rate(target: RateTarget, caps: RateCaps,
     gammas = sorted(set(_log_grid(1e-4, 1.0, GAMMA_GRID_PER_DECADE))
                     | {1.0 / k for k in range(1, 41)})
     deltas = _log_grid(floor, 0.1, DELTA_GRID_PER_DECADE)
-    values = _grid_key_lengths(target, caps, mode, gammas, deltas,
-                               [_DEFAULT_SHARES])
+    values, paid = _grid_key_lengths(target, caps, mode, gammas, deltas,
+                                     [_DEFAULT_SHARES])
     evals["grid_points"] = values.size
-    coarse, _ = _rescore(target, caps, mode, values,
+    coarse, _ = _rescore(target, caps, mode, values, paid,
                          lambda i: (gammas[i // len(deltas)],
                                     deltas[i % len(deltas)], _DEFAULT_SHARES),
                          None, "grid", evals)

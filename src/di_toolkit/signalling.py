@@ -15,6 +15,7 @@ threshold is decided the same way whatever the order of the rounds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,7 +48,8 @@ class SigTarget:
 
 @dataclass(frozen=True)
 class TestParams:
-    """Signalling-test thresholds; requires zeta >= 7*eps > 0 and even n."""
+    """Signalling-test thresholds; requires 7*eps <= zeta < inf, eps > 0
+    and even n."""
 
     zeta: float
     eps: float
@@ -56,8 +58,8 @@ class TestParams:
     def __post_init__(self):
         if not self.eps > 0:
             raise ValueError("eps must be positive")
-        if self.zeta < 7 * self.eps:
-            raise ValueError("zeta must be at least 7*eps")
+        if not 7 * self.eps <= self.zeta < math.inf:  # NaN fails too
+            raise ValueError("zeta must be finite and at least 7*eps")
         if self.n % 2 != 0 or self.n < 2:
             raise ValueError("n must be even and >= 2")
 
@@ -230,8 +232,9 @@ def boosted_guessing_bound(w_ns: float, nu: float, o_by: float,
 
 def threshold_precondition(n: int, eps: float, a_size: int, b_size: int,
                            x_size: int, y_size: int) -> bool:
-    """n / ln(n) > 20 |X||Y||A||B| ln(2/eps) / eps^2."""
-    if n < 2 or eps <= 0:
+    """n / ln(n) > 20 |X||Y||A||B| ln(2/eps) / eps^2 (False where eps^2
+    underflows to 0)."""
+    if n < 2 or eps <= 0 or eps**2 == 0:
         return False
     lhs = n / math.log(n)
     rhs = 20.0 * a_size * b_size * x_size * y_size * math.log(2.0 / eps) / eps**2
@@ -254,8 +257,8 @@ def _minimal_n(eps: float, a_size, b_size, x_size, y_size) -> int:
         return threshold_precondition(n, eps, a_size, b_size, x_size, y_size)
 
     lo, hi = 2, 3  # holds(hi), and lo = 2 or not holds(lo)
-    while not holds(hi):
-        lo, hi = hi, 2 * hi
+    while not holds(hi):  # ends: the caller checked holds(largest float)
+        lo, hi = hi, min(2 * hi, int(sys.float_info.max))
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if holds(mid) else (mid, hi)
@@ -272,6 +275,8 @@ def threshold_bound(game: Game, n: int, beta: float) -> float:
     """
     if not 0 <= beta <= 1:
         raise ValueError("beta must be in [0,1]")
+    if not abs(n) <= sys.float_info.max:
+        raise ValueError("n must be within the float range")
     al = game.alphabets
     d = al.num_signalling_constraints
     if beta == 0.0:
@@ -280,10 +285,12 @@ def threshold_bound(game: Game, n: int, beta: float) -> float:
     if float(np.min(game.q.q)) <= eps:
         raise ValueError("question distribution too unbalanced: "
                          f"min entry must exceed {eps}")
-    if not threshold_precondition(n, eps, al.a_size, al.b_size,
-                                  al.x_size, al.y_size):
-        raise ThresholdPreconditionError(
-            _minimal_n(eps, al.a_size, al.b_size, al.x_size, al.y_size))
+    sizes = (al.a_size, al.b_size, al.x_size, al.y_size)
+    if not threshold_precondition(sys.float_info.max, eps, *sizes):
+        raise ValueError("beta too small: the threshold precondition needs "
+                         "n beyond the float range")
+    if not threshold_precondition(n, eps, *sizes):
+        raise ThresholdPreconditionError(_minimal_n(eps, *sizes))
     return math.exp(-n * beta * beta / (30.0 * d) ** 2)
 
 

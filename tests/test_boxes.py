@@ -108,11 +108,29 @@ class TestGames:
         assert classical_value(chsh_qkd) == pytest.approx(best)
 
     def test_classical_value_cap(self):
-        al = Alphabets(4, 4, 6, 6)
-        q = InputDistribution(np.full((6, 6), 1 / 36))
-        game = Game(al, q, np.ones((4, 4, 6, 6), dtype=bool))
+        # the cap counts Alice's functions: 4^11 ~ 4.2e6 of them, one
+        # output for Bob
+        al = Alphabets(4, 1, 11, 1)
+        q = InputDistribution(np.full((11, 1), 1 / 11))
+        game = Game(al, q, np.ones((4, 1, 11, 1), dtype=bool))
         with pytest.raises(EnumerationLimitError):
             classical_value(game)
+
+    def test_classical_value_matches_pair_enumeration(self, rng):
+        """Bob's best response in closed form against every deterministic
+        pair (f, g), on random small games."""
+        for _ in range(60):
+            a, b, x, y = (int(v) for v in rng.integers(1, 4, size=4))
+            q = InputDistribution(rng.dirichlet(np.ones(x * y)).reshape(x, y))
+            game = Game(Alphabets(a, b, x, y), q,
+                        rng.random((a, b, x, y)) < 0.5)
+            best = 0.0
+            for f in itertools.product(range(a), repeat=x):
+                for g in itertools.product(range(b), repeat=y):
+                    best = max(best, sum(
+                        q.q[i, j] * game.win[f[i], g[j], i, j]
+                        for i in range(x) for j in range(y)))
+            assert abs(classical_value(game) - best) <= 1e-12
 
 
 class TestFrequencyBox:

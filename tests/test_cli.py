@@ -223,6 +223,25 @@ class TestGameCommands:
         assert code == 1
         assert "required_n" in out
 
+    @pytest.mark.parametrize("n, beta, message", [
+        # the precondition's bound on n / ln(n) is inf: the search for the
+        # least n once doubled past 2^1024 (OverflowError)
+        ("100", "1e-155", "error: beta too small: the threshold "
+         "precondition needs n beyond the float range\n"),
+        # eps^2 underflows to 0: once a ZeroDivisionError
+        ("100", "1e-200", "error: beta too small: the threshold "
+         "precondition needs n beyond the float range\n"),
+        # 401 digits: once an OverflowError converting n to float
+        ("1" + "0" * 400, "0.25",
+         "error: n must be within the float range\n")],
+        ids=["bound-inf", "eps-squared-underflow", "n-401-digits"])
+    def test_threshold_bound_past_float_range(self, chsh_file, capsys, n,
+                                              beta, message):
+        code = cli.main(["threshold-bound", "--game", chsh_file, "--n", n,
+                         "--beta", beta])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", message)
+
 
 class TestEntropyCurve:
     def test_csv_default(self, capsys):
@@ -244,6 +263,15 @@ class TestEntropyCurve:
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert float(rows[0][1]) == pytest.approx(0.0, abs=1e-9)
         assert float(rows[1][1]) == pytest.approx(1.0, abs=1e-4)
+
+    @pytest.mark.parametrize("bounds", [["--from", "nan"], ["--to", "nan"],
+                                        ["--from", "inf"], ["--to=-inf"]])
+    def test_non_finite_bounds_rejected(self, bounds, capsys):
+        # --from nan once exited 0 with NaN in its JSON, which is not JSON
+        code = cli.main(["entropy-curve", "--format", "json"] + bounds)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: --from and --to must be finite\n"
 
     @pytest.mark.parametrize("points", ["0", "-2"])
     def test_no_points_rejected(self, points, capsys):
@@ -341,6 +369,20 @@ class TestSigTest:
         payload = json.loads(out)
         jsonschema.validate(payload, schema("out_sig_test"))
         assert payload["any_pass"] is True
+
+    @pytest.mark.parametrize("zeta", ["nan", "inf", "1e400"])
+    def test_non_finite_zeta_rejected(self, tmp_path, capsys, zeta):
+        # inf once died in an OverflowError from Fraction, and nan exited
+        # with "cannot convert NaN to integer ratio", naming no flag
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps({
+            "n": 2, "a_size": 2, "b_size": 2, "x_size": 2, "y_size": 2,
+            "a": [0, 1], "b": [0, 1], "x": [0, 1], "y": [1, 0]}))
+        code = cli.main(["sig-test", "--data", str(path), "--zeta", zeta,
+                         "--eps", "0.008"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: zeta must be finite and at least 7*eps\n"
 
     def test_flags_match_single_target_view(self, tmp_path, capsys, rng):
         """The CLI lists targets in all_sig_targets order, each flag equal

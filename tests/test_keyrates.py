@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -424,7 +425,7 @@ class TestBudgetTermsFirst:
             assert raised(call) == (ValueError, "math domain error")
         for mode in (kr.PER_ROUND, kr.BLOCK):
             point = kr._eval_point(self.TARGET, self.TINY_EPS_S, mode, 0.05,
-                                   1e-4, (1.0, 1.0, 1.0))
+                                   1e-4, (1.0, 1.0, 1.0), 0)
             assert point is None
         base = kr._budget_for(self.TINY_EPS_S, params, (1.0, 1.0, 1.0))
         assert base.eps_s == pytest.approx(1e-9)
@@ -437,7 +438,7 @@ class TestBudgetTermsFirst:
         assert len(rate_calls) == 2
         for mode in (kr.PER_ROUND, kr.BLOCK):
             point = kr._eval_point(self.TARGET, self.CAPS, mode, 0.05, 1e-4,
-                                   (1.0, 1.0, 1.0))
+                                   (1.0, 1.0, 1.0), 0)
             assert point is not None
         assert len(rate_calls) == 4
 
@@ -672,8 +673,9 @@ class TestOptimizeRate:
 
 
 def sweep_oracle(target, caps, gamma, delta, shares):
-    """_eval_point's block-mode eps_t sweep as one full key_length_block
-    call per candidate, keeping the first strict maximum."""
+    """The block-mode eps_t sweep as one full key_length_block call per
+    candidate, keeping the first strict maximum, whose index in the sweep
+    its report's extras record (``eps_t_index``), as _eval_point's do."""
     omega, _ = kr.honest_werner(2.0 * target.q)
     try:
         params = kr.ProtocolParams(target.n, gamma, omega, delta, target.q)
@@ -693,7 +695,30 @@ def sweep_oracle(target, caps, gamma, delta, shares):
             continue
         if best is None or report.key_length > best.key_length:
             best = report
+            best.extras["eps_t_index"] = k - 1
     return best
+
+
+def scalar_point(target, caps, mode, gamma, delta, shares):
+    """The scalar reference at a point, None if infeasible: sweep_oracle in
+    block mode, one key_length per round."""
+    if mode == kr.BLOCK:
+        return sweep_oracle(target, caps, gamma, delta, shares)
+    omega, _ = kr.honest_werner(2.0 * target.q)
+    try:
+        params = kr.ProtocolParams(target.n, gamma, omega, delta, target.q)
+        base = kr._budget_for(caps, params, shares)
+        return None if base is None else kr.key_length(params, base)
+    except ValueError:
+        return None
+
+
+def kernel_pick(target, caps, mode, gamma, delta, shares):
+    """(value, eps_t_index): the grid kernel's key length at one point and
+    its pick, the first minimum of ``paid`` over the eps_t candidates."""
+    values, paid = kr._grid_key_lengths(target, caps, mode, [gamma], [delta],
+                                        [shares])
+    return values[0, 0, 0], int(paid[:, 0, 0, 0].argmin())
 
 
 class TestEpsTSweep:
@@ -708,19 +733,23 @@ class TestEpsTSweep:
         return math.sqrt(-math.log(hoeffding) / (2.0 * self.TARGET.n))
 
     def check(self, caps, gamma, delta, shares):
+        """_eval_point at the kernel's eps_t pick against the full sweep:
+        the pick is the sweep's first strict maximum, and the reports are
+        equal."""
+        value, pick = kernel_pick(self.TARGET, caps, kr.BLOCK, gamma, delta,
+                                  shares)
         got = kr._eval_point(self.TARGET, caps, kr.BLOCK, gamma, delta,
-                             shares)
+                             shares, pick)
         want = sweep_oracle(self.TARGET, caps, gamma, delta, shares)
         if want is None:
-            assert got is None
+            assert got is None and value == -math.inf
             return None
+        assert pick == want.extras["eps_t_index"]
         assert got.key_length == want.key_length
         assert got.budget.eps_t == want.budget.eps_t
         assert got.best_cut == want.best_cut
         assert got.to_json_dict() == want.to_json_dict()
-        extras = dict(got.extras)
-        extras.pop("eps_t_index")
-        assert extras == want.extras
+        assert got.extras == want.extras
         return got
 
     def test_matches_full_key_length_per_candidate(self, rng):
@@ -755,9 +784,32 @@ class TestEpsTSweep:
         # eps_s < 4.2e-8: the log correction raises
         assert self.check(self.STRICT, 0.01, 1e-4, (0.01, 1.0, 1.0)) is None
 
+    def test_one_tail_per_rescored_point(self, monkeypatch):
+        """A rescored block point is one key length at the kernel's eps_t:
+        one round count tail, not one per candidate (13 once)."""
+        calls = []
+
+        def spy(*args, original=eat.round_count_tail):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(eat, "round_count_tail", spy)
+        report = kr.optimize_rate(self.TARGET, self.CAPS, kr.BLOCK)
+        evals = report.extras["evals"]
+        rescored = sum(evals[stage + "_rescored"]
+                       for stage in ("grid", "share", "zoom"))
+        assert 0 < len(calls) <= rescored
+        calls.clear()
+        value, pick = kernel_pick(self.TARGET, self.CAPS, kr.BLOCK, 0.01,
+                                  1e-4, (1.0, 1.0, 1.0))
+        assert calls == [] and value > 0
+        kr._eval_point(self.TARGET, self.CAPS, kr.BLOCK, 0.01, 1e-4,
+                       (1.0, 1.0, 1.0), pick)
+        assert len(calls) == 1
+
 
 def scalar_key_length(target, caps, mode, gamma, delta, shares):
-    report = kr._eval_point(target, caps, mode, gamma, delta, shares)
+    report = scalar_point(target, caps, mode, gamma, delta, shares)
     return -math.inf if report is None else report.key_length
 
 
@@ -783,8 +835,8 @@ def reference_golden_max(fn, lo, hi, tol):
 def reference_optimize_rate(target, caps, mode):
     """The optimizer as it stood with four stages (coarse grid, refine,
     split grid, refine) in constant boxes (delta_est >= 1e-4 on the grid, a
-    split of at most two decades), one scalar _eval_point per grid point
-    and golden-section refines."""
+    split of at most two decades), one scalar key length per grid point
+    (the full eps_t sweep in block mode) and golden-section refines."""
 
     def evaluate(gamma, delta, shares):
         return scalar_key_length(target, caps, mode, gamma, delta, shares)
@@ -844,7 +896,7 @@ def reference_optimize_rate(target, caps, mode):
         if v > best_v + 1e-12:
             best_v, best_shares = v, shares
     gamma2, delta2 = refine(gamma1, delta1, best_shares)
-    return kr._eval_point(target, caps, mode, gamma2, delta2, best_shares)
+    return scalar_point(target, caps, mode, gamma2, delta2, best_shares)
 
 
 GRID_GAMMAS = sorted(set(kr._log_grid(1e-4, 1.0, kr.GAMMA_GRID_PER_DECADE))
@@ -876,12 +928,26 @@ class TestGridKernel:
                (1e15, 0.005), (1e15, 0.034)]
 
     def check(self, target, caps, mode, gammas, deltas, shares):
-        """Kernel against _eval_point at every point: the same -inf mask,
-        values within 1e-11 relative; returns the feasible count."""
-        got = kr._grid_key_lengths(target, caps, mode, gammas, deltas, shares)
+        """Kernel against the scalar reference (the full eps_t sweep in
+        block mode) at every point: the same -inf mask, values within 1e-11
+        relative, the kernel's eps_t pick the sweep's first strict maximum,
+        and _eval_point at that pick the reference's key length; returns
+        the feasible count."""
+        got, paid = kr._grid_key_lengths(target, caps, mode, gammas, deltas,
+                                         shares)
         assert got.shape == (len(gammas), len(deltas), len(shares))
-        want = np.array([[[scalar_key_length(target, caps, mode, g, d, s)
-                           for s in shares] for d in deltas] for g in gammas])
+        assert paid.shape == (len(kr._eps_t_ladder(mode)),) + got.shape
+        want = np.full(got.shape, -math.inf)
+        for (i, g), (j, d), (k, s) in itertools.product(
+                enumerate(gammas), enumerate(deltas), enumerate(shares)):
+            pick = int(paid[:, i, j, k].argmin())
+            point = kr._eval_point(target, caps, mode, g, d, s, pick)
+            ref = scalar_point(target, caps, mode, g, d, s)
+            assert (point is None) == (ref is None)
+            if ref is not None:
+                want[i, j, k] = ref.key_length
+                assert point.key_length == ref.key_length
+                assert pick == ref.extras.get("eps_t_index", 0)
         feasible = np.isfinite(want)
         assert np.array_equal(np.isfinite(got), feasible)
         assert np.all(got[~feasible] == -math.inf)
@@ -964,9 +1030,9 @@ class TestGridKernel:
             rng = np.random.default_rng(seed)
 
             def noisy(*args):
-                values = kernel(*args)
-                return values * (1.0 + 1e-12 * rng.uniform(-1.0, 1.0,
-                                                           values.shape))
+                return tuple(a * (1.0 + 1e-12 * rng.uniform(-1.0, 1.0,
+                                                            a.shape))
+                             for a in kernel(*args))
 
             monkeypatch.setattr(kr, "_grid_key_lengths", noisy)
             for (n, q, mode), want in zip(cases, wants):
@@ -1118,7 +1184,7 @@ def below_cut_count(target, caps, mode, gammas, deltas, shares):
     for g in gammas:
         for d in deltas:
             for sh in shares:
-                point = kr._eval_point(target, caps, mode, g, d, sh)
+                point = scalar_point(target, caps, mode, g, d, sh)
                 if point is not None:
                     p1 = (point.params.omega_exp
                           * eat.BlockSpec(g, point.s_max).test_mass - d)
@@ -1136,7 +1202,8 @@ class TestKernelOracle:
     BAD_DELTA = 1.0
 
     def check(self, target, caps, mode, gammas, deltas, shares):
-        got = kr._grid_key_lengths(target, caps, mode, gammas, deltas, shares)
+        got, paid = kr._grid_key_lengths(target, caps, mode, gammas, deltas,
+                                         shares)
         want = reference_grid_key_lengths(target, caps, mode, gammas, deltas,
                                           shares)
         assert got.shape == want.shape
@@ -1146,9 +1213,9 @@ class TestKernelOracle:
         gap = np.abs(got[feasible] - want[feasible])
         assert np.all(gap <= 1e-11 * np.maximum(np.abs(want[feasible]), 1.0))
         axis = kr._share_axis(caps, mode, shares)
-        assert np.array_equal(
-            kr._grid_key_lengths(target, caps, mode, gammas, deltas, axis),
-            got)
+        again = kr._grid_key_lengths(target, caps, mode, gammas, deltas, axis)
+        assert np.array_equal(again[0], got)
+        assert np.array_equal(again[1], paid, equal_nan=True)
         return got
 
     def random_grid(self, rng):
@@ -1187,6 +1254,25 @@ class TestKernelOracle:
                 # eps_s < 4.2e-8 at every split: the log correction's log2(0)
                 assert np.all(got == -math.inf)
         assert min(kinds.values()) >= 5, kinds
+
+    def test_picks_match_scalar_sweep(self):
+        """At every feasible block point of seeded random grids, the
+        kernel's eps_t pick, the first minimum of ``paid``, is the scalar
+        sweep's first strict maximum."""
+        rng = np.random.default_rng(20261019)
+        checked = 0
+        while checked < 1000:
+            target, caps, mode, gammas, deltas, shares = self.random_grid(rng)
+            if mode != kr.BLOCK:
+                continue
+            values, paid = kr._grid_key_lengths(target, caps, mode, gammas,
+                                                deltas, shares)
+            for i, j, k in zip(*np.nonzero(np.isfinite(values))):
+                want = sweep_oracle(target, caps, gammas[i], deltas[j],
+                                    shares[k])
+                assert int(paid[:, i, j, k].argmin()) == \
+                    want.extras["eps_t_index"]
+                checked += 1
 
     def test_below_cut(self):
         """Both branches of the glued function: a grid with some but not all
@@ -1230,7 +1316,7 @@ class TestKernelOracle:
 
 def dense_scan(target, caps, mode):
     """The best key length on a dense grid over a wide box, rescored with
-    _eval_point: gamma log-spaced at 16 per decade from 1e-5 to 1 and, in
+    the scalar reference (scalar_point): gamma log-spaced at 16 per decade from 1e-5 to 1 and, in
     block mode, the bottom and the top of every s_max bracket at 16
     log-spaced s per decade up to 1e5; delta_est log-spaced at 16 per decade
     from delta_min to 0.1; the splits (r, r, 1), r at 3 per decade from 1
@@ -1248,7 +1334,7 @@ def dense_scan(target, caps, mode):
     for k in range(28):
         shares = (10.0 ** (k / 3), 10.0 ** (k / 3), 1.0)
         values = kr._grid_key_lengths(target, caps, mode, gammas, deltas,
-                                      [shares])[:, :, 0]
+                                      [shares])[0][:, :, 0]
         for i in np.argsort(values, axis=None)[-10:]:
             best.append((values.flat[i], gammas[i // len(deltas)],
                          deltas[i % len(deltas)], shares))
@@ -1257,7 +1343,7 @@ def dense_scan(target, caps, mode):
     splits = [(10.0 ** (i / 3), 10.0 ** (j / 3), 1.0)
               for i in range(-6, 31) for j in range(-6, 31)]
     values = kr._grid_key_lengths(target, caps, mode, [gamma], [delta],
-                                  splits)[0, 0]
+                                  splits)[0][0, 0]
     for i in np.argsort(values)[-10:]:
         best.append((values[i], gamma, delta, splits[i]))
     return max(scalar_key_length(target, caps, mode, *point[1:])

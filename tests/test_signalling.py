@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -145,6 +146,13 @@ class TestTestParams:
     def test_zeta_floor(self):
         with pytest.raises(ValueError):
             sig.TestParams(zeta=0.05, eps=0.01, n=100)
+
+    @pytest.mark.parametrize("zeta", [math.nan, math.inf])
+    def test_non_finite_zeta_rejected(self, zeta):
+        # NaN once passed `zeta < 7*eps`, and both failed later in Fraction
+        with pytest.raises(ValueError,
+                           match=r"^zeta must be finite and at least 7\*eps$"):
+            sig.TestParams(zeta=zeta, eps=0.01, n=100)
 
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):
@@ -417,6 +425,30 @@ class TestThresholdBound:
         eps = 0.25 / 160
         assert sig.threshold_precondition(required, eps, 2, 2, 2, 2)
         assert not sig.threshold_precondition(required - 1, eps, 2, 2, 2, 2)
+
+
+    def test_least_n_near_the_float_range_edge(self, chsh):
+        """At the eps where the precondition first holds at the largest
+        float, the least n lies just below it: the search for it stays in
+        the float range (its doubling once overflowed past 2^1024).  Just
+        below that eps, and where eps^2 underflows to 0, the precondition
+        fails at every float n, and threshold_bound names beta."""
+        top = sys.float_info.max
+        lo, hi = 1e-160, 1e-140
+        while hi - lo > 1e-15 * hi:
+            mid = (lo + hi) / 2
+            lo, hi = ((lo, mid) if sig.threshold_precondition(
+                top, mid, 2, 2, 2, 2) else (mid, hi))
+        required = sig._minimal_n(hi, 2, 2, 2, 2)
+        assert 2**1023 < required <= top
+        assert sig.threshold_precondition(required, hi, 2, 2, 2, 2)
+        assert not sig.threshold_precondition(top, 1e-200, 2, 2, 2, 2)
+        for beta in (lo * 160, 1e-200):
+            with pytest.raises(ValueError, match="^beta too small"):
+                sig.threshold_bound(chsh, 100, beta)
+        with pytest.raises(ValueError,
+                           match="^n must be within the float range$"):
+            sig.threshold_bound(chsh, 10**400, 0.25)
 
 
 def _big_enough_n(beta, d):
