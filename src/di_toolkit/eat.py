@@ -31,13 +31,12 @@ The public functions check their inputs; the best-cut rate is one private
 body on floats, _mu_block_opt, which mu_block_opt, mu_opt and keyrates' key
 length call.  The key length makes BlockSpec's and EatEpsilons' checks on
 its floats (_check_block, _check_epsilons) and builds neither.  The
-glued function takes g and g' at its checked cut from one root, as the
-grid kernel does on arrays (entropy._bound_and_slope).  The terms that
-keyrates' numpy grid kernel shares with the scalar path (the s_max rule,
-the test mass, log2 d_O, the penalty K, the max-entropy bound and its
-smoothing root, the round count tail, the Hoeffding bound) take the
-namespace ``xp`` (math for scalars, numpy for arrays) or are plain
-arithmetic.
+terms that keyrates' numpy grid kernel shares with the scalar path (the
+s_max rule, the test mass, log2 d_O, the penalty K, the glued function's
+tangent at the cut with its slope (_tangent: g, g' from one root), the
+max-entropy bound and its smoothing root, the round count tail, the
+Hoeffding bound) take the namespace ``xp`` (math for scalars, numpy for
+arrays) or are plain arithmetic; _tradeoff keeps g itself below the cut.
 """
 
 from __future__ import annotations
@@ -106,9 +105,11 @@ class BlockSpec:
 
 
 def _check_block(gamma, s_max):
-    """BlockSpec's check, on gamma and s_max."""
+    """BlockSpec's check, on gamma and an integer (no float) s_max."""
     if not 0 < gamma <= 1:
         raise ValueError("gamma must be in (0,1]")
+    if not hasattr(s_max, "__index__"):
+        raise ValueError(f"s_max must be an integer, not {s_max!r}")
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
 
@@ -191,22 +192,27 @@ def _tradeoff(p1_tilde: float, gamma: float, s_max: int, mass: float,
     """(f(p~1), f'(c), f(p~1) - k_pen (log2 d_O + f'(c))) of the glued
     function of blocks with test probability gamma, length cap s_max and
     test mass ``mass``, at cut c and penalty factor k_pen: the one text of
-    the glued function, its slope and its entropy rate.  g and g' at the
-    cut come from one root, unguarded past the open-regime check."""
+    the glued function, its slope and its entropy rate on floats: checked,
+    _tangent above the cut and the secrecy bound at or below it."""
     ratio = p1_tilde / mass
     if ratio < OMEGA_CLASSICAL - 1e-12 or ratio > 1.0 + 1e-12:
         raise ValueError(f"normalized statistic {ratio} outside [3/4, 1]")
-    cut_ratio = cut / mass
-    if not OMEGA_CLASSICAL < cut_ratio < OMEGA_QUANTUM:
+    if not OMEGA_CLASSICAL < cut / mass < OMEGA_QUANTUM:
         raise ValueError("cut outside the open quantum regime")
     sbar = mass / gamma
-    at_cut, dg = _bound_and_slope(cut_ratio)
-    slope = sbar * dg / mass
+    value, slope = _tangent(p1_tilde, sbar, mass, cut, math)
     if p1_tilde <= cut:
         value = sbar * secrecy_bound(ratio)
-    else:
-        value = sbar * at_cut + slope * (p1_tilde - cut)
     return value, slope, value - k_pen * (_log2_block_dim(s_max) + slope)
+
+
+def _tangent(p1_tilde, sbar, mass, cut, xp):
+    """(f(c) + f'(c) (p~1 - c), f'(c)) in the namespace ``xp``, f = s_bar
+    g(p~1 / mass): the tangent at the cut, unguarded (c / mass in the open
+    regime)."""
+    at_cut, dg = _bound_and_slope(cut / mass, xp)
+    slope = sbar * dg / mass
+    return sbar * at_cut + slope * (p1_tilde - cut), slope
 
 
 def f_min_block(p1_tilde: float, block: BlockSpec, cut: float) -> float:

@@ -3,17 +3,15 @@ r"""Scalar entropy functions and single-round entropy bounds for CHSH.
 All logarithms are base 2.  The quantum CHSH regime is
 omega in [3/4, (2+sqrt(2))/4].  On the open regime the secrecy bound and
 its slope come from one unguarded body, _bound_and_slope, in the
-namespace ``xp`` (math or numpy): eat's glued function takes both at its
-cut from one root, keyrates' grid kernel both on arrays, and
-secrecy_bound_array the bound on the clamped statistic.
+namespace ``xp`` (math or numpy): eat's glued tangent takes both at its
+cut, on floats and on keyrates' grid kernel arrays; secrecy_bound, flat
+outside the regime, is for floats only and has no array twin.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 OMEGA_CLASSICAL = 0.75
 OMEGA_QUANTUM = (2.0 + math.sqrt(2.0)) / 4.0
@@ -59,20 +57,6 @@ def _bound_and_slope(omega, xp=math):
     # dh/du = log2((1-u)/u); du/dw = 4(2w-1)/root
     slope = xp.log2(u / (1.0 - u)) * 4.0 * (2.0 * omega - 1.0) / root
     return 1.0 - (-u * xp.log2(u) - (1.0 - u) * xp.log2(1.0 - u)), slope
-
-
-def secrecy_bound_array(omega: np.ndarray) -> np.ndarray:
-    """secrecy_bound elementwise, in the same operation order:
-    _bound_and_slope's bound on the clamped statistic, whose root can round
-    below 0 or u to 1 (a nan) only within ulps of the classical or the
-    quantum end, where the bound is 0 or 1."""
-    w = np.clip(omega, OMEGA_CLASSICAL, OMEGA_QUANTUM)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = _bound_and_slope(w, np)[0]
-    value = np.where(np.isnan(value),
-                     w > (OMEGA_CLASSICAL + OMEGA_QUANTUM) / 2.0, value)
-    value = np.where(omega < OMEGA_CLASSICAL - _CLAMP, 0.0, value)
-    return np.where(omega > OMEGA_QUANTUM + _CLAMP, 1.0, value)
 
 
 def bell_diag_bound(omega: float) -> float:

@@ -17,16 +17,17 @@ eps_s' = eps_s/4 - sqrt(eps_t).  The per-round protocol is the case of
 one-round blocks, s_max = 1 (m = n, the entropy rate mu_block_opt at
 s_max = 1) with eps_t = 0 (t = 0): key_length and key_length_block are
 one body, and the grid kernel scores both modes with the same block
-formulas.  The inputs are checked once, where they enter (ProtocolParams,
-EpsilonBudget, and the block length and the epsilons of the entropy
-rate); from there the key length is computed on floats, its entropy term
-by eat's private float body of mu_block_opt, and the only object built
-per call is the RateReport, a named tuple.  The order is: the checks,
-then the terms of the budget alone (log correction, PA term, the
-leakage's eps_t-free constants), then the entropy rate and the leakage
-rate, then the terms of eps_t (t, the leakage, the max-entropy term).
-The log correction is log2(0) in double precision for eps_s below about
-4.2e-8, so such a budget raises before the cut search.
+formulas, per-round mode as its one-round rows.  The inputs are checked
+once, where they enter (ProtocolParams, EpsilonBudget, and the block
+length and the epsilons of the entropy rate); from there the key length
+is computed on floats, its entropy term by eat's private float body of
+mu_block_opt, and the only object built per call is the RateReport, a
+named tuple.  The order is: the checks, then the terms of the budget
+alone (log correction, PA term, the leakage's eps_t-free constants),
+then the entropy rate and the leakage rate, then the terms of eps_t (t,
+the leakage, the max-entropy term).  The log correction is log2(0) in
+double precision for eps_s below about 4.2e-8, so such a budget raises
+before the cut search.
 
 optimize_rate runs a coarse (gamma, delta_est) grid, an epsilon split grid
 and one zoom, in boxes set by the caps and the rate.  Each stage, and each
@@ -49,8 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import eat
-from .entropy import (OMEGA_CLASSICAL, OMEGA_QUANTUM, _bound_and_slope,
-                      binary_entropy, secrecy_bound_array)
+from .entropy import OMEGA_CLASSICAL, OMEGA_QUANTUM, binary_entropy
 
 LOG2_2SQRT2_PLUS_1 = math.log2(2.0 * math.sqrt(2.0) + 1.0)
 
@@ -447,7 +447,7 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
     - (G,): s_max, the block test mass, s_bar, m, log2 d_O, the cut
       interval and the leakage rate; (D,): eps_ec_prime and the leakage's
       two constants; (S,) and (E, S): _share_axis;
-    - (G, D, S): the entropy term (cut, penalty K, glued function and its
+    - (G, D, S): the entropy term (cut, penalty K, eat._tangent and its
       slope) less the log correction, the PA term and the leakage
       constants;
     - (E, G, 1, S): the tail t, n_eff, n_eff * leakage rate + max-entropy
@@ -456,28 +456,26 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
       where that is <= 0 (no key);
     - (E, G, D, S): one multiply-add, paid, then minimized over eps_t.
 
-    A row with one-round blocks (gamma = 1 in block mode) has no tail, so
-    its leakage root is that of eps_ec_prime alone.  numpy's log2 and log
-    may differ from libm's by an ulp, and the terms are summed in another
-    order, so the values agree with _eval_point to about 1e-12 relative,
-    not bit for bit: callers rescore the points they keep with _eval_point.
-    Per-round mode is the s_max = 1, eps_t = 0 case: n rounds, no tail.
+    ``mode`` picks only the s_max rule (1 per round) and, by _share_axis,
+    the eps_t ladder.  A one-round row (each per round, gamma = 1 in block
+    mode) has no tail: its leakage root is eps_ec_prime's, at eps_t = 0.
+    At or below the cut (p~1 within 1e-9 mass of 3/4) the kernel keeps
+    the tangent, about 1e-13 relative from the scalar path's exact bound.
+    With that, numpy's ulps and another summing order, the values agree
+    with _eval_point within 1e-11 max(|l|, 1), not bit for bit: callers
+    rescore the points they keep with _eval_point.
     """
     if not isinstance(shares, _ShareAxis):
         shares = _share_axis(caps, mode, shares)
     omega, _ = honest_werner(2.0 * target.q)
     n = target.n
-    block = mode == BLOCK
     with np.errstate(all="ignore"):
         # (G, 1, 1): one row per gamma
         gamma = np.array(gammas, dtype=float)[:, None, None]
-        if block:
-            s_max = eat._s_max_rule(gamma, np)
-            tail = s_max > 1
-            mass = np.where(tail, eat._test_mass(gamma, s_max), gamma)
-            log2_do = eat._log2_block_dim(s_max, np)
-        else:
-            mass, log2_do = gamma, eat._log2_block_dim(1)
+        s_max = (eat._s_max_rule(gamma, np) if mode == BLOCK
+                 else np.ones_like(gamma))
+        tail = s_max > 1
+        mass = np.where(tail, eat._test_mass(gamma, s_max), gamma)
         sbar = mass / gamma
         m = n / sbar
         lo, hi = eat.cut_interval(mass)
@@ -490,10 +488,7 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
         delta_ok = (delta < 1) & (ecc > caps.eps_ec)
         prime = ecc - caps.eps_ec
         # (E, G, 1, S), (E, 1, D, S) and (D, 1): the leakage's terms
-        if block:
-            n_eff = n + eat._tail(m, s_max, shares.eps_t, np)
-        else:
-            n_eff = n
+        n_eff = n + np.where(tail, eat._tail(m, s_max, shares.eps_t, np), 0.0)
         # A finite log correction needs eps_s > 4.2e-8, so every candidate
         # has 0 <= sqrt(eps_t) <= eps_s / (4 sqrt(10)): neither the eps_t
         # guard nor round_count_tail's range check can fire; only est <= 0 can.
@@ -503,29 +498,23 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
 
         # (G, D, S): the eps_t-free terms
         p1 = omega * mass - delta
-        ratio = p1 / mass
         k_pen = eat._penalty_scale(shares.es4, shares.eps_e, m, np)
         cut = np.minimum(np.maximum(p1 - k_pen, lo), hi)
-        at_cut, dg = _bound_and_slope(cut / mass, np)
-        slope = sbar * dg / mass
-        f_min = sbar * at_cut + slope * (p1 - cut)
-        below = p1 <= cut
-        if below.any():
-            f_min = np.where(below, sbar * secrecy_bound_array(ratio), f_min)
-        fixed = (m * (f_min - k_pen * (log2_do + slope))
+        f_min, slope = eat._tangent(p1, sbar, mass, cut, np)
+        fixed = (m * (f_min - k_pen * (eat._log2_block_dim(s_max, np) + slope))
                  - (shares.log_corr + shares.pa + prime_term + ec_term))
 
         # (E, G, 1, S), then (E, G, D, S), minimized over eps_t
         spend = first + eat._max_entropy(n_eff, gamma, shares.me_root, np)
         root = np.where(est > 0, root, np.inf)
         paid = scale * root + spend
-        if block and not tail.all():
+        if not tail.all():
             # one-round blocks: no tail, the leakage at eps_t = 0
             flat = ~tail.ravel()
             _, scale, root = _leak_terms(n, leak_rate, prime, np)
             paid[:, flat] = spend[:, flat] + scale * root
         ok = (delta_ok & np.isfinite(shares.log_corr)
-              & (ratio >= OMEGA_CLASSICAL))
+              & (p1 / mass >= OMEGA_CLASSICAL))
         return np.where(ok, fixed - paid.min(axis=0), -np.inf), paid
 
 

@@ -232,9 +232,9 @@ def boosted_guessing_bound(w_ns: float, nu: float, o_by: float,
 
 def threshold_precondition(n: int, eps: float, a_size: int, b_size: int,
                            x_size: int, y_size: int) -> bool:
-    """n / ln(n) > 20 |X||Y||A||B| ln(2/eps) / eps^2 (False where eps^2
-    underflows to 0)."""
-    if n < 2 or eps <= 0 or eps**2 == 0:
+    """n / ln(n) > 20 |X||Y||A||B| ln(2/eps) / eps^2; False for any eps
+    outside (0, 1), NaN included, and where eps^2 underflows to 0."""
+    if n < 2 or not 0 < eps < 1 or eps**2 == 0:
         return False
     lhs = n / math.log(n)
     rhs = 20.0 * a_size * b_size * x_size * y_size * math.log(2.0 / eps) / eps**2

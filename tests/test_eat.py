@@ -65,6 +65,13 @@ class TestSpecs:
         with pytest.raises(ValueError):
             eat.BlockSpec(0.5, 0)
 
+    @pytest.mark.parametrize("s_max", [2.5, math.nan, math.inf])
+    def test_block_spec_rejects_non_integer_s_max(self, s_max):
+        """2.5 and inf were accepted (the simulator then failed in numpy),
+        nan failed as a statistic outside the domain."""
+        with pytest.raises(ValueError, match="^s_max must be an integer"):
+            eat.BlockSpec(0.1, s_max)
+
 
 class TestG:
     """The glued function of one-round blocks below its cut is the secrecy

@@ -477,6 +477,14 @@ class TestKeyLengthBlock:
         with pytest.raises(ValueError):
             kr.key_length_block(params, budget, s_max=5)
 
+    @pytest.mark.parametrize("s_max", [2.5, math.nan, math.inf])
+    def test_non_integer_s_max_rejected(self, s_max):
+        """A fractional s_max gave a key length and inf -inf; nan raised
+        "test statistic outside the domain", naming no s_max."""
+        with pytest.raises(ValueError, match="^s_max must be an integer"):
+            kr.key_length_block(make_params(), make_budget(eps_t=1e-14),
+                                s_max)
+
     def test_block_beats_per_round_at_small_gamma(self):
         params = make_params(n=1e9, gamma=0.01, q=0.01, delta=5e-4)
         budget = make_budget(eps_t=1e-16)
@@ -1087,6 +1095,10 @@ ORACLE_TARGETS = TestGridKernel.TARGETS + [
     t for t in ACCEPTANCE_TARGETS if t not in TestGridKernel.TARGETS]
 
 
+# the scalar secrecy bound, entry by entry
+secrecy_bound_each = np.vectorize(entropy.secrecy_bound, otypes=[float])
+
+
 def reference_grid_key_lengths(target, caps, mode, gammas, deltas, shares):
     """The grid kernel before it computed each term at the shape of its own
     inputs: per-axis rows from the scalar functions in Python loops, every
@@ -1155,10 +1167,9 @@ def reference_grid_key_lengths(target, caps, mode, gammas, deltas, shares):
         k_pen = eat._penalty_scale(es4, eps_e, m, np)
         cut = np.minimum(np.maximum(p1 - k_pen, lo), hi)
         slope = sbar * bound_oracle._slope(cut / scale, np) / scale
-        at_cut = sbar * entropy.secrecy_bound_array(cut / scale)
+        at_cut = sbar * secrecy_bound_each(cut / scale)
         glued = at_cut + slope * (p1 - cut)
-        f_min = np.where(p1 <= cut,
-                         sbar * entropy.secrecy_bound_array(ratio), glued)
+        f_min = np.where(p1 <= cut, sbar * secrecy_bound_each(ratio), glued)
         entropy_term = m * (f_min - k_pen * (log2_do + slope))
         # Hoeffding over block lengths in [1, s_max]
         t = np.where(tail, (s_max - 1.0) * np.sqrt(-m * np.log(eps_t) / 2.0),
@@ -1275,26 +1286,30 @@ class TestKernelOracle:
                 checked += 1
 
     def test_below_cut(self):
-        """Both branches of the glued function: a grid with some but not all
-        feasible points at or below their cut, and one with none.  The cut
-        is clamp(p~1 - K) >= p~1 only where p~1 sits on the cut interval's
-        lower end, within 1e-9 mass of the classical bound: there the
-        statistic is p~1 = mass (3/4 + 5e-10)."""
-        target = kr.RateTarget(n=1e6, q=0.02)
-        omega, _ = kr.honest_werner(2.0 * target.q)
-        for mode in (kr.BLOCK, kr.PER_ROUND):
-            gammas = [1.0, 0.5, 0.3]
-            edge = [(omega - 0.75 - 5e-10) * eat.BlockSpec(
-                g, eat.default_s_max(g) if mode == kr.BLOCK else 1).test_mass
-                for g in gammas]
-            args = (target, self.CAPS, mode, gammas, edge + [0.003, 0.03],
-                    [(1.0, 1.0, 1.0)])
-            got = self.check(*args)
-            assert 0 < below_cut_count(*args) < np.isfinite(got).sum()
-            args = (target, self.CAPS, mode, gammas, [0.003, 0.03],
-                    [(1.0, 1.0, 1.0)])
-            got = self.check(*args)
-            assert below_cut_count(*args) == 0 < np.isfinite(got).sum()
+        """Where p~1 sits at or below its cut the scalar path takes the
+        secrecy bound itself, and the kernel keeps the glued function's
+        tangent: within the same 1e-11 max(|ref|, 1) of the oracle's exact
+        branch, on grids with some but not all feasible points there, and
+        on grids with none.  The cut is clamp(p~1 - K) >= p~1 only where
+        p~1 sits on the cut interval's lower end, within 1e-9 mass of the
+        classical bound: there the statistic is p~1 = mass (3/4 + 5e-10).
+        n runs from 1e6 to 1e15, gamma down to 4.1e-5."""
+        for n, gammas in ((1e6, [1.0, 0.5, 0.3]), (1e15, [1.0, 0.5, 4.1e-5])):
+            target = kr.RateTarget(n=n, q=0.02)
+            omega, _ = kr.honest_werner(2.0 * target.q)
+            for mode in (kr.BLOCK, kr.PER_ROUND):
+                edge = [(omega - 0.75 - 5e-10) * eat.BlockSpec(
+                    g, eat.default_s_max(g) if mode == kr.BLOCK else 1
+                ).test_mass for g in gammas]
+                inner = [1e-6, 0.003, 0.03]
+                args = (target, self.CAPS, mode, gammas, edge + inner,
+                        [(1.0, 1.0, 1.0)])
+                got = self.check(*args)
+                assert 0 < below_cut_count(*args) < np.isfinite(got).sum()
+                args = (target, self.CAPS, mode, gammas, inner,
+                        [(1.0, 1.0, 1.0)])
+                got = self.check(*args)
+                assert below_cut_count(*args) == 0 < np.isfinite(got).sum()
 
     def test_completeness_slack_edge(self):
         """delta_est whose Hoeffding term leaves eps_ec_prime between 1e-13

@@ -23,12 +23,14 @@ import di_toolkit
 # sampler's uniform draws, the secrecy bound's slope (taken with the bound
 # from one root), the smoothing root of the max-entropy term and the EAT
 # penalty, the multinomial of the de Finetti bounds, the eps_t candidate
-# ladder, the error budget's soundness split and completeness slack, and
-# the block output dimension's closed form
+# ladder, the error budget's soundness split and completeness slack, the
+# block output dimension's closed form, and the glued function's tangent
+# at its cut
 MARKERS = ["LOG2_7", "LOG2_2SQRT2_PLUS_1", "exp(-2.0 *", "ceil(1.0 / gamma",
            "rng.random(", "log2(u / (1.0 - u))", "1.0 - 2.0 * xp.log2(",
            "math.comb(", "10.0 ** (-k)", "caps.soundness - 2.0 * caps.eps_ec",
-           "caps.completeness - caps.eps_ec", "6.0 ** (-s_max)"]
+           "caps.completeness - caps.eps_ec", "6.0 ** (-s_max)",
+           "at_cut + slope * ("]
 
 
 class _DropNested(ast.NodeTransformer):

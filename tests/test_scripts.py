@@ -145,3 +145,16 @@ def test_bench_pairs_summary_of_canned_runs():
     lines = bench.summary_lines(summary)
     assert lines[1] == ("  goodput_per_s: 100 [95, 105] -> 120 [115, 125] "
                         "(+20.0%), change better in 4/5")
+
+
+def test_same_numbers_against_this_checkout():
+    """Both sides this checkout: every group identical, exit 0 (run_script
+    checks it), with every report, call and README CLI example hashed."""
+    lines = run_script("same_numbers", "--parent", ROOT,
+                       "--change", ROOT).splitlines()
+    assert [line.split(":")[0] for line in lines] == ["optimize", "scalar",
+                                                     "cli"]
+    assert all(line.endswith(" same") for line in lines)
+    assert lines[0].startswith("optimize: 216 lines")
+    assert lines[1].startswith("scalar: 6000 lines")
+    assert lines[2].startswith("cli: 8 lines, 0 raised")

@@ -403,6 +403,13 @@ class TestThresholdBound:
         assert sig.threshold_precondition(10**10, 0.01, 2, 2, 2, 2)
         assert not sig.threshold_precondition(2, 0.01, 2, 2, 2, 2)
 
+    def test_precondition_false_outside_unit_interval(self):
+        """Any eps outside (0, 1) gives False, as eps <= 0 does: 1 and 2
+        read True, 1e200 overflowed in eps^2 and inf raised a math domain
+        error."""
+        for eps in (1.0, 2.0, 1e200, math.inf, math.nan):
+            assert sig.threshold_precondition(10**10, eps, 2, 2, 2, 2) is False
+
     def test_bound_formula(self, chsh):
         d = 16
         beta = 0.25
