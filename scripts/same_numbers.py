@@ -16,7 +16,8 @@ first on PYTHONPATH, and hashes three groups there:
   .hex() and the extras, or the raise by its type and message;
 - cli: the exit code and stdout of each example of the README's CLI
   section (this script's own README), run in a scratch directory that
-  holds the chsh.json and data.json they read.
+  holds the chsh.json and data.json they read; an example that exits
+  non-zero counts as raised.
 
 It prints one SHA-1 per group and side, and exits 1 if any group differs:
 
@@ -150,13 +151,18 @@ def scalar_lines(kr):
 
 
 def cli_lines(cli, examples):
-    """One entry per CLI example: its exit code and stdout."""
+    """One entry per CLI example: its exit code and stdout, led by "raise "
+    where the code is not 0 (cli.main's return, or argparse's exit)."""
     for argv in examples:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(list(argv))
-        yield f"{' '.join(argv)}\n{code}\n{out.getvalue()}"
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        head = "raise " if code else ""
+        yield f"{head}{' '.join(argv)}\n{code}\n{out.getvalue()}"
 
 
 def digest(lines):

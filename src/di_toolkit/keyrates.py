@@ -488,7 +488,8 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
         delta_ok = (delta < 1) & (ecc > caps.eps_ec)
         prime = ecc - caps.eps_ec
         # (E, G, 1, S), (E, 1, D, S) and (D, 1): the leakage's terms
-        n_eff = n + np.where(tail, eat._tail(m, s_max, shares.eps_t, np), 0.0)
+        n_eff = (n + np.where(tail, eat._tail(m, s_max, shares.eps_t, np), 0.0)
+                 if tail.any() else n)
         # A finite log correction needs eps_s > 4.2e-8, so every candidate
         # has 0 <= sqrt(eps_t) <= eps_s / (4 sqrt(10)): neither the eps_t
         # guard nor round_count_tail's range check can fire; only est <= 0 can.
@@ -508,8 +509,8 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
         spend = first + eat._max_entropy(n_eff, gamma, shares.me_root, np)
         root = np.where(est > 0, root, np.inf)
         paid = scale * root + spend
-        if not tail.all():
-            # one-round blocks: no tail, the leakage at eps_t = 0
+        if shares.eps_t.any() and not tail.all():
+            # one-round blocks among eps_t > 0 candidates: eps_t = 0
             flat = ~tail.ravel()
             _, scale, root = _leak_terms(n, leak_rate, prime, np)
             paid[:, flat] = spend[:, flat] + scale * root

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -158,3 +159,26 @@ def test_same_numbers_against_this_checkout():
     assert lines[0].startswith("optimize: 216 lines")
     assert lines[1].startswith("scalar: 6000 lines")
     assert lines[2].startswith("cli: 8 lines, 0 raised")
+
+
+def test_same_numbers_sees_a_one_ulp_change(tmp_path):
+    """A copy of src/ with LOG2_2SQRT2_PLUS_1 one ulp up: the optimize and
+    scalar groups read DIFFERENT and the script exits 1; the CLI's 9-digit
+    output does not move."""
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src")
+    path = tmp_path / "src" / "di_toolkit" / "keyrates.py"
+    text = path.read_text()
+    constant = "LOG2_2SQRT2_PLUS_1 = math.log2(2.0 * math.sqrt(2.0) + 1.0)"
+    assert constant in text
+    path.write_text(text.replace(constant, (
+        "LOG2_2SQRT2_PLUS_1 = math.nextafter("
+        "math.log2(2.0 * math.sqrt(2.0) + 1.0), math.inf)")))
+    out = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "same_numbers.py"),
+         "--parent", ROOT, "--change", str(tmp_path)],
+        capture_output=True, text=True, timeout=120)
+    assert out.returncode == 1
+    verdicts = {line.split(":")[0]: line.rsplit(" ", 1)[1]
+                for line in out.stdout.splitlines()}
+    assert verdicts == {"optimize": "DIFFERENT", "scalar": "DIFFERENT",
+                        "cli": "same"}
