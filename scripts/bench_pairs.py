@@ -6,8 +6,10 @@ once in the changed one.  The first pair runs the parent first, the next
 the change first, and so on, so that slow phases of a shared host and any
 warm-up fall on both sides alike.  Each run's result is the JSON object
 on the last line of its stdout.  The script prints, per end-to-end metric,
-the median and quartiles of each side and the number of pairs the change
-wins (in the metric's direction from BENCHMARK.json), and writes every run
+the median and quartiles of each side, each side's best run (the minimum
+or maximum, in the metric's direction from BENCHMARK.json: on a noisy host
+it moves less than the median) and the number of pairs the change wins,
+and writes every run
 and the summary to bench/BENCH_<label>.json (see --out-dir):
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
@@ -54,15 +56,18 @@ def quartiles(values):
 
 
 def summarize(pairs, better):
-    """Per metric: each side's (q1, median, q3), the change's median
-    relative to the parent's, and in how many pairs the change is strictly
-    better.  ``pairs`` holds {"parent": result, "change": result}; a metric
-    without a direction in ``better`` gets no wins."""
+    """Per metric: each side's (q1, median, q3) and best run, the change's
+    median relative to the parent's, and in how many pairs the change is
+    strictly better.  ``pairs`` holds {"parent": result, "change": result};
+    a metric without a direction in ``better`` gets no best run and no
+    wins."""
     out = {}
     for name in pairs[0]["parent"]["metrics"]:
         values = {side: [p[side]["metrics"][name]["value"] for p in pairs]
                   for side in SIDES}
-        row = {side: dict(zip(("q1", "median", "q3"), quartiles(values[side])))
+        best = {"higher": max, "lower": min}.get(better.get(name))
+        row = {side: dict(zip(("q1", "median", "q3"), quartiles(values[side])),
+                          best=best(values[side]) if best else None)
                for side in SIDES}
         base, new = row["parent"]["median"], row["change"]["median"]
         row["median_change"] = (new - base) / base if base else None
@@ -86,10 +91,14 @@ def summary_lines(summary):
                else f" ({row['median_change']:+.1%})")
         wins = "" if row["wins"] is None else (
             f", change better in {row['wins']}/{summary['pairs']}")
-        lines.append(f"  {name}: {p['median']:.6g} [{p['q1']:.6g}, "
-                     f"{p['q3']:.6g}] -> {c['median']:.6g} [{c['q1']:.6g}, "
-                     f"{c['q3']:.6g}]{rel}{wins}")
+        lines.append(f"  {name}: {_spread(p)} -> {_spread(c)}{rel}{wins}")
     return lines
+
+
+def _spread(side):
+    """'median [q1, q3]', and ', best b' where the metric has a direction."""
+    best = "" if side["best"] is None else f" best {side['best']:.6g}"
+    return f"{side['median']:.6g} [{side['q1']:.6g}, {side['q3']:.6g}]{best}"
 
 
 def run_once(checkout, workload, seed, seconds):

@@ -3,7 +3,7 @@
 CLI compute, so that a refactor can show it moved no number.
 
 For each checkout it runs itself once more with that checkout's ``src/``
-first on PYTHONPATH, and hashes three groups there:
+first on PYTHONPATH, and hashes four groups there:
 
 - optimize: the 216 optimize_rate reports at the caps (soundness,
   completeness, eps_ec) = (1e-5, 1e-2, 1e-10), (1e-7, 1e-3, 1e-12) and
@@ -17,7 +17,14 @@ first on PYTHONPATH, and hashes three groups there:
 - cli: the exit code and stdout of each example of the README's CLI
   section (this script's own README), run in a scratch directory that
   holds the chsh.json and data.json they read; an example that exits
-  non-zero counts as raised.
+  non-zero counts as raised;
+- verify: ns_value (value, kappa) and perturbed_value at the slacks 0,
+  0.01 and 0.05 on CHSH, extended CHSH and 24 seeded random games of the
+  verify-mix shapes; signalling_test_flags on 40 seeded data sets; the
+  exact max ratio of definetti-verify's check at n = 1, 2 and 3;
+  exact_abort_probability on a 108-point grid; and round_count_statistics
+  at fixed seeds (each a raise by its type and message).  The abort
+  estimator's frequencies are left out: they follow the sampler's stream.
 
 It prints one SHA-1 per group and side, and exits 1 if any group differs:
 
@@ -39,13 +46,18 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-GROUPS = ("optimize", "scalar", "cli")
+GROUPS = ("optimize", "scalar", "cli", "verify")
 
 CAPS = [(1e-5, 1e-2, 1e-10), (1e-7, 1e-3, 1e-12), (1e-3, 0.1, 1e-9)]
 NS = [1e6, 1e7, 1e8, 1e10, 1e12, 1e15]
 QS = [0.0, 0.005, 0.02, 0.03, 0.05, 0.08]
 SCALAR_CALLS = 6000
 SCALAR_SEED = 20261019
+# (x, y, a, b) of the random games in perfbench's verify-mix workload
+GAME_SHAPES = [(2, 2, 2, 2), (2, 2, 3, 3), (2, 3, 2, 3), (2, 3, 3, 3),
+               (3, 2, 3, 2), (3, 2, 3, 3), (3, 3, 2, 3), (3, 3, 3, 2)]
+SLACKS = (0.0, 0.01, 0.05)
+VERIFY_SEED = 18121092
 
 
 def readme_examples(readme):
@@ -165,6 +177,72 @@ def cli_lines(cli, examples):
         yield f"{head}{' '.join(argv)}\n{code}\n{out.getvalue()}"
 
 
+def _call_line(call):
+    """_hex of call()'s value, or of each value of a tuple, or the
+    raise."""
+    try:
+        value = call()
+    except Exception as exc:
+        return _raised(exc)
+    return " ".join(map(_hex, value if isinstance(value, tuple) else
+                        (value,)))
+
+
+def verify_lines(lib):
+    """One line per non-signalling program, signalling data set, de
+    Finetti check, exact abort probability and round-count statistic."""
+    import numpy as np
+
+    boxes, nslp, sig, df, sim = (lib.boxes, lib.nslp, lib.signalling,
+                                 lib.definetti, lib.simulate)
+    rng = np.random.default_rng(VERIFY_SEED)
+    games = [boxes.chsh_game(), boxes.extended_chsh_game()]
+    for x, y, a, b in GAME_SHAPES * 3:
+        q = 0.9 * rng.dirichlet(np.ones(x * y)).reshape(x, y) + 0.1 / (x * y)
+        games.append(boxes.Game(boxes.Alphabets(a, b, x, y),
+                                boxes.InputDistribution(q),
+                                rng.random((a, b, x, y)) < 0.5))
+    for game in games:
+        yield _call_line(lambda: nslp.ns_value(game))
+        for slack in SLACKS:
+            yield _call_line(lambda: nslp.perturbed_value(game, slack))
+    n = 2000
+    for k in range(40):
+        a_size, b_size, x_size, y_size = (int(v) for v in
+                                          rng.integers(1, 4, size=4))
+        x, y = rng.integers(0, x_size, n), rng.integers(0, y_size, n)
+        a = rng.integers(0, a_size, n)
+        b = x % b_size if k % 2 else rng.integers(0, b_size, n)
+        q = rng.dirichlet(np.ones(x_size * y_size)).reshape(x_size, y_size)
+        data = (n, a, b, x, y, boxes.Alphabets(a_size, b_size, x_size,
+                                                y_size))
+        yield _call_line(lambda: "".join("01"[bool(f)] for f in (
+            sig.signalling_test_flags(
+                boxes.ObservedData(*data),
+                boxes.InputDistribution(0.9 * q + 0.1 / q.size),
+                sig.TestParams(0.06, 0.008, n)))))
+    binary = boxes.Alphabets(2, 2, 2, 2)
+    for n in (1, 2, 3):
+        tau, draws = df.tau_classes(n, binary), np.random.default_rng(n)
+        yield _call_line(lambda: max(
+            df.verify_reduction_exact(nums, tau) / denom
+            for nums, denom in (df.random_symmetrized_int_table(tau, draws)
+                                for _ in range(10))))
+    for n in (100, 1000, 10**4, 10**5):
+        for gamma in (0.1, 0.5, 1.0):
+            for delta in (0.001, 0.01, 0.05):
+                for omega in (0.78, 0.81, 0.85):
+                    yield _call_line(lambda: sim.exact_abort_probability(
+                        sim.SimulationConfig(n, gamma, 0.81, delta,
+                                             sim.HonestDevice(omega, 0.01))))
+    for m, gamma, s_max, tail in ((200, 0.1, 10, 60.0), (50, 0.3, 4, 5.0),
+                                  (100, 0.2, 6, 10.0)):
+        block = lib.eat.BlockSpec(gamma, s_max)
+        for seed in (1, 2, 3):
+            yield _call_line(lambda: sim.round_count_statistics(
+                m, block, sim.HonestDevice(0.81, 0.01), 40, seed, tail))
+
+
 def digest(lines):
     """(SHA-1 over the lines, line count, lines that record a raise)."""
     sha, count, raised = hashlib.sha1(), 0, 0
@@ -176,15 +254,17 @@ def digest(lines):
 
 
 def side(checkout, examples):
-    """The three groups' digests in ``checkout``'s package; the working
+    """The four groups' digests in ``checkout``'s package; the working
     directory holds the CLI examples' input files."""
+    import di_toolkit
     from di_toolkit import cli, keyrates as kr
     src = os.path.realpath(os.path.join(checkout, "src"))
     if not os.path.realpath(kr.__file__).startswith(src + os.sep):
         raise SystemExit(f"imported {kr.__file__}, not {src}")
     return {"optimize": digest(optimize_lines(kr)),
             "scalar": digest(scalar_lines(kr)),
-            "cli": digest(cli_lines(cli, examples))}
+            "cli": digest(cli_lines(cli, examples)),
+            "verify": digest(verify_lines(di_toolkit))}
 
 
 def run_side(checkout, examples, workdir):

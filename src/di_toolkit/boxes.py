@@ -186,8 +186,11 @@ class Game:
     @staticmethod
     def from_json_dict(d: dict) -> "Game":
         al = Alphabets(d["a_size"], d["b_size"], d["x_size"], d["y_size"])
+        win = np.array(d["win"])
+        if not np.isin(win, (0, 1)).all():
+            raise ValueError("win entries must be 0 or 1")
         return Game(al, InputDistribution(np.array(d["q"], dtype=float)),
-                    np.array(d["win"], dtype=bool))
+                    win.astype(bool))
 
 
 @dataclass(frozen=True)
@@ -224,7 +227,11 @@ class ObservedData:
     def __post_init__(self):
         arrays = {}
         for name in ("a", "b", "x", "y"):
-            v = np.asarray(getattr(self, name), dtype=int)
+            raw = np.asarray(getattr(self, name))
+            if raw.dtype.kind == "f" and not np.all(np.isfinite(raw)
+                                                    & (raw == np.floor(raw))):
+                raise ValueError(f"non-integer entry in {name}")
+            v = raw.astype(int, copy=False)
             if v.shape != (self.n,):
                 raise ValueError(f"{name} must have length n={self.n}")
             if np.any(v < 0):

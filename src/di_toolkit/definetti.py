@@ -162,6 +162,8 @@ def random_symmetrized_int_table(tau: TauClasses, rng) -> tuple:
     normalizes exactly), then the table is summed over all n! round
     permutations: an entry of a class of size s receives its class sum n!/s
     times.  Returns (numerators, denominator) with denominator = 1009 * n!.
+    The numerators reach the denominator: int64 while it fits, exact
+    Python integers (an object array) past that, from n = 19.
     """
     shape = tau.index.shape
     outs = shape[2] * shape[3]
@@ -170,5 +172,7 @@ def random_symmetrized_int_table(tau: TauClasses, rng) -> tuple:
     sums = np.zeros(len(tau.denominators), dtype=np.int64)
     np.add.at(sums, tau.index, blocks.reshape(shape).astype(np.int64))
     perms = math.factorial(tau.n)
-    return ((sums * (perms // np.bincount(tau.index.ravel())))[tau.index],
+    dtype = np.int64 if 1009 * perms <= np.iinfo(np.int64).max else object
+    sizes = np.bincount(tau.index.ravel()).astype(dtype)
+    return ((sums.astype(dtype) * (perms // sizes))[tau.index],
             1009 * perms)

@@ -188,25 +188,16 @@ def signalling_test_flags(data: ObservedData, q: InputDistribution,
     counts = np.zeros((al.x_size, al.y_size, al.a_size, al.b_size),
                       dtype=np.int64)
     np.add.at(counts, (second.x, second.y, second.a, second.b), 1)
-    qq = [[Fraction(v) for v in row] for row in q.q.tolist()]
+    qq = np.array([[Fraction(v) for v in row] for row in q.q.tolist()],
+                  dtype=object)
     threshold = (Fraction(params.zeta) - 2 * Fraction(params.eps)) * second.n
-    flags = []
+    c_xyb = counts.sum(axis=2).astype(object)
+    c_xya = counts.sum(axis=3).astype(object)
+    a_to_b = c_xyb - (qq / qq.sum(axis=0))[:, :, None] * c_xyb.sum(axis=0)
+    b_to_a = (c_xya - (qq / qq.sum(axis=1, keepdims=True))[:, :, None]
+              * c_xya.sum(axis=1)[:, None, :])
     # AtoB (x, y, b), then BtoA (x, y, a): the signalling_matrix row order
-    c_xyb = counts.sum(axis=2).tolist()
-    for x in range(al.x_size):
-        for y in range(al.y_size):
-            q_x_given_y = qq[x][y] / sum(row[y] for row in qq)
-            for b in range(al.b_size):
-                c_by = sum(c[y][b] for c in c_xyb)
-                flags.append(c_xyb[x][y][b] - q_x_given_y * c_by >= threshold)
-    c_xya = counts.sum(axis=3).tolist()
-    for x in range(al.x_size):
-        for y in range(al.y_size):
-            q_y_given_x = qq[x][y] / sum(qq[x])
-            for a in range(al.a_size):
-                c_ax = sum(c[a] for c in c_xya[x])
-                flags.append(c_xya[x][y][a] - q_y_given_x * c_ax >= threshold)
-    return np.array(flags, dtype=bool)
+    return np.concatenate([a_to_b.ravel(), b_to_a.ravel()]) >= threshold
 
 
 def guessing_value(q: InputDistribution, x: int, y: int) -> float:

@@ -9,21 +9,15 @@ simulator is needed.
 One sampler serves both protocols: the per-round protocol is the block
 protocol with s_max = 1.  A run of m blocks draws, in this order: an
 (m, s_max) array of test flags, each block cut at its first test or at
-s_max rounds; then, over the N rounds kept, the test-round inputs, Alice's
-outputs, the test wins and the generation-round agreements.  A run aborts
-iff fewer than (omega_exp * test_mass - delta_est) * m blocks end in a won
-test.  At s_max = 1 the flag array is one uniform per round and the test
-mass is gamma itself, so the per-round stream and abort rule are the block
-ones of one-round blocks.  The abort estimator runs the same sampler on
-the same stream but draws only the flags and the wins: the abort decision
-reads nothing else.  It skips the three draws between them instead of
-making them.  numpy takes each of those bits as one byte of a 32-bit word
-and starts a fresh word on each call; the generator hands out words as
-halves of its uint64 outputs, and the win uniforms read whole uint64s.  So
-the three draws take K = 2 ceil(T / 4) + ceil(N / 4) words, T being the
-number of tests, and advance the stream by ceil(K / 2) uint64s; skipping
-that many raw outputs leaves the wins, and every abort flag, exactly
-run_protocol's.
+s_max rounds; then, over the N rounds kept, the test wins; then the
+test-round inputs, Alice's outputs and the generation-round agreements.
+A run aborts iff fewer than (omega_exp * test_mass - delta_est) * m blocks
+end in a won test.  At s_max = 1 the flag array is one uniform per round
+and the test mass is gamma itself, so the per-round stream and abort rule
+are the block ones of one-round blocks.  The abort decision reads the
+flags and the wins alone, and they come first: the abort estimator's
+stream is a prefix of the transcript's, so its abort flags are
+run_protocol's by construction.
 
 Randomness is a counter-based Philox generator keyed by
 (master_seed, trial_index), so transcripts are bit-identical for identical
@@ -99,9 +93,9 @@ def _run(m: int, block: BlockSpec, omega_exp: float, delta_est: float,
          rng: np.random.Generator | None = None) -> Transcript | bool:
     """The one sampler: m blocks of at most s_max rounds, aborting iff fewer
     than (omega_exp * test_mass - delta_est) * m blocks end in a won test
-    round.  With ``transcript`` false it skips the input and output draws,
-    which the abort decision does not read, stops after the win draws and
-    returns the abort flag alone.  ``rng``: see _trial_rng."""
+    round.  The flags and the wins come first; with ``transcript`` false it
+    stops there and returns the abort flag alone, a prefix of the
+    transcript run's stream.  ``rng``: see _trial_rng."""
     if m < 1:
         raise ValueError("the number of blocks must be >= 1")
     rng = _trial_rng(seed, trial, rng)
@@ -110,24 +104,19 @@ def _run(m: int, block: BlockSpec, omega_exp: float, delta_est: float,
     kept = np.ones_like(flags)
     kept[:, 1:] = ~np.logical_or.accumulate(flags[:, :-1], axis=1)
     test = flags[kept]
-    n, tests = test.size, int(np.count_nonzero(test))
-    if transcript:
-        x_test = rng.integers(0, 2, size=tests, dtype=np.int8)
-        y_test = rng.integers(0, 2, size=tests, dtype=np.int8)
-        a = rng.integers(0, 2, size=n, dtype=np.int8)
-    else:
-        # the 32-bit words of those three draws, skipped as whole uint64s
-        words = 2 * ((tests + 3) // 4) + (n + 3) // 4
-        rng.bit_generator.random_raw((words + 1) // 2)
+    n = test.size
     wins = rng.random(n) < device.omega_exp
     # a block holds at most one test, its last round: won tests = won blocks
     win_count = int(np.count_nonzero(wins & test))
     aborted = bool(win_count < (omega_exp * block.test_mass - delta_est) * m)
     if not transcript:
         return aborted
+    tests = int(np.count_nonzero(test))
     x = np.full(n, GEN_INPUTS[0], dtype=np.int8)
     y = np.full(n, GEN_INPUTS[1], dtype=np.int8)
-    x[test], y[test] = x_test, y_test
+    x[test] = rng.integers(0, 2, size=tests, dtype=np.int8)
+    y[test] = rng.integers(0, 2, size=tests, dtype=np.int8)
+    a = rng.integers(0, 2, size=n, dtype=np.int8)
     agree = rng.random(n) >= device.q
     b = np.where(agree, a, 1 - a).astype(np.int8)
     # test rounds: set b so that the CHSH predicate equals the win draw
@@ -217,8 +206,8 @@ def estimate_abort_probability(config: SimulationConfig, trials: int,
                                master_seed: int) -> tuple:
     """(frequency, (lo, hi)) empirical abort probability with a 95% Wilson
     interval; deterministic given the master seed.  Trial k aborts iff
-    run_protocol(..., master_seed, trial=k) does: the module docstring says
-    why skipping the input and output draws keeps the win draws exact."""
+    run_protocol(..., master_seed, trial=k) does: it draws the prefix of
+    that run's stream that holds the flags and the wins, and stops."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     block = BlockSpec(config.gamma, 1)

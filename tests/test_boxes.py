@@ -52,6 +52,22 @@ class TestConstruction:
                          np.zeros(2, int), np.zeros(2, int), BINARY)
 
 
+    @pytest.mark.parametrize("name", ["a", "b", "x", "y"])
+    @pytest.mark.parametrize("bad", [0.9, 1.5, float("nan"), float("inf")])
+    def test_observed_data_non_integer_rejected(self, name, bad):
+        # 0.9 was once read as symbol 0
+        records = {k: np.zeros(2) for k in "abxy"}
+        records[name][1] = bad
+        with pytest.raises(ValueError, match=f"non-integer entry in {name}"):
+            ObservedData(2, records["a"], records["b"], records["x"],
+                         records["y"], BINARY)
+
+    def test_observed_data_integral_floats_accepted(self):
+        data = ObservedData(2, np.array([0.0, 1.0]), np.zeros(2, int),
+                            np.zeros(2, int), np.ones(2, int), BINARY)
+        assert data.a.tolist() == [0, 1] and data.a.dtype.kind == "i"
+
+
 class TestNonSignalling:
     def test_product_box_is_ns(self, rng):
         pa = rng.dirichlet(np.ones(2), size=2)
@@ -328,6 +344,15 @@ class TestJsonRoundTrip:
         loaded = Game.from_json_dict(json.loads(path.read_text()))
         assert np.array_equal(loaded.win, chsh_qkd.win)
         assert np.allclose(loaded.q.q, chsh_qkd.q.q)
+
+
+    @pytest.mark.parametrize("bad", [0.5, 2, -1])
+    def test_game_win_outside_zero_one_rejected(self, chsh_qkd, bad):
+        # 0.5 and 2 were once read as wins
+        payload = chsh_qkd.to_json_dict()
+        payload["win"][0][1][1][0] = bad
+        with pytest.raises(ValueError, match="win entries must be 0 or 1"):
+            Game.from_json_dict(json.loads(json.dumps(payload)))
 
 
 @given(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1),

@@ -208,6 +208,18 @@ class TestGameCommands:
         assert code == 1 and captured.out == ""
         assert captured.err == "error: game must have complete support\n"
 
+    @pytest.mark.parametrize("bad", [0.5, 2])
+    def test_ns_value_win_outside_zero_one(self, tmp_path, capsys, bad):
+        # once read as a win, and a value printed
+        payload = chsh_game().to_json_dict()
+        payload["win"][1][1][0][0] = bad
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(payload))
+        code = cli.main(["ns-value", "--game", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: win entries must be 0 or 1\n"
+
     def test_threshold_bound(self, chsh_file, capsys):
         code, out = run_cli(["threshold-bound", "--game", chsh_file,
                              "--n", "30000000000", "--beta", "0.25"], capsys)
@@ -384,6 +396,18 @@ class TestSigTest:
         assert (code, captured.out) == (1, "")
         assert captured.err == "error: zeta must be finite and at least 7*eps\n"
 
+    def test_non_integer_symbol_rejected(self, tmp_path, capsys):
+        # 0.9 was once read as symbol 0
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps({
+            "n": 2, "a_size": 2, "b_size": 2, "x_size": 2, "y_size": 2,
+            "a": [0.9, 1], "b": [0, 1], "x": [0, 1], "y": [1, 0]}))
+        code = cli.main(["sig-test", "--data", str(path), "--zeta", "0.06",
+                         "--eps", "0.008"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: non-integer entry in a\n"
+
     def test_flags_match_single_target_view(self, tmp_path, capsys, rng):
         """The CLI lists targets in all_sig_targets order, each flag equal
         to signalling_test_flags read at that target's row."""
@@ -491,6 +515,17 @@ class TestDefinettiVerify:
         assert code == 1
         assert payload["holds"] is False
         assert payload["max_ratio"] == payload["factor"]
+
+    @pytest.mark.parametrize("n", ["19", "20", "25"])
+    def test_one_output_ratio_is_one_past_int64(self, n, capsys):
+        # 1009 n! passes int64 from n = 19: the numerators once wrapped
+        # (0.0 at n = 19, an OverflowError at n = 21)
+        code, out = run_cli(["definetti-verify", "--n", n, "--a-size", "1",
+                             "--b-size", "1", "--x-size", "1", "--y-size",
+                             "1", "--trials", "1"], capsys)
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["max_ratio"], payload["holds"]) == (1.0, True)
 
     @pytest.mark.parametrize("trials", ["1", "3"])
     def test_type_classes_built_once(self, trials, monkeypatch, capsys):

@@ -213,6 +213,26 @@ class TestReduction:
             with pytest.raises(ValueError):
                 df.verify_reduction_exact(table, tau)
 
+    @pytest.mark.parametrize("n, x_size", [(19, 1), (20, 1), (25, 1),
+                                           (19, 2), (20, 2)])
+    def test_numerators_past_int64_one_output(self, n, x_size, rng):
+        """1009 n! passes 2**63 - 1 from n = 19; with one output per input
+        P = tau = 1, so the exact ratio is 1."""
+        tau = df.tau_classes(n, Alphabets(1, 1, x_size, 1))
+        nums, denom = df.random_symmetrized_int_table(tau, rng)
+        assert denom == 1009 * math.factorial(n)
+        assert df.verify_reduction_exact(nums, tau) / denom == 1
+
+    def test_numerators_past_int64_normalize(self, rng):
+        """At n = 19 with two outputs each input string's numerators still
+        sum to the denominator, and the ratio stays under the factor."""
+        n = 19
+        tau = df.tau_classes(n, Alphabets(2, 1, 1, 1))
+        nums, denom = df.random_symmetrized_int_table(tau, rng)
+        assert nums.sum() == denom
+        ratio = df.verify_reduction_exact(nums, tau) / denom
+        assert 1 < ratio <= df.reduction_factor(n, 1, 2)
+
     def test_prebuilt_classes_build_none(self, monkeypatch, rng):
         """With tau_classes built, drawing a table and checking it build no
         joint type classes."""

@@ -79,6 +79,15 @@ def test_no_round_permutation_sweep():
     assert holders == []
 
 
+def test_no_raw_stream_skip():
+    """The abort estimator draws a prefix of the transcript's stream; a
+    skip over raw generator outputs would lean on how numpy packs its
+    bounded-integer draws."""
+    holders = [name for name, code in function_bodies()
+               if "random_raw" in code]
+    assert holders == []
+
+
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = Path(di_toolkit.__file__).parent
 

@@ -133,19 +133,27 @@ def test_bench_pairs_summary_of_canned_runs():
                                       "item_s_p50": "lower"})
     goodput = summary["metrics"]["goodput_per_s"]
     # parent 90, 95, 100, 105, 110; change 80, 115, 120, 125, 130
-    assert goodput["parent"] == {"q1": 95.0, "median": 100.0, "q3": 105.0}
-    assert goodput["change"] == {"q1": 115.0, "median": 120.0, "q3": 125.0}
+    assert goodput["parent"] == {"q1": 95.0, "median": 100.0, "q3": 105.0,
+                                 "best": 110.0}
+    assert goodput["change"] == {"q1": 115.0, "median": 120.0, "q3": 125.0,
+                                 "best": 130.0}
     assert goodput["median_change"] == pytest.approx(0.2)
     assert goodput["wins"] == 4
-    # lower is better; ties are no win
-    assert summary["metrics"]["item_s_p50"]["wins"] == 2
+    # lower is better, so the best run is the minimum; ties are no win
+    p50 = summary["metrics"]["item_s_p50"]
+    assert (p50["parent"]["best"], p50["change"]["best"]) == (1e-5, 1e-5)
+    assert p50["wins"] == 2
+    # no direction: no best run and no wins
+    assert summary["metrics"]["key_rate_sum"]["parent"]["best"] is None
     assert summary["metrics"]["key_rate_sum"]["wins"] is None
     assert summary["metrics"]["key_rate_sum"]["median_change"] == 0.0
     assert summary["pairs"] == 5 and summary["correct"]
     assert summary["failed"] == {"parent": [2] * 5, "change": [2] * 5}
     lines = bench.summary_lines(summary)
-    assert lines[1] == ("  goodput_per_s: 100 [95, 105] -> 120 [115, 125] "
-                        "(+20.0%), change better in 4/5")
+    assert lines[1] == ("  goodput_per_s: 100 [95, 105] best 110 -> "
+                        "120 [115, 125] best 130 (+20.0%), change better "
+                        "in 4/5")
+    assert lines[3] == "  key_rate_sum: 1 [1, 1] -> 1 [1, 1] (+0.0%)"
 
 
 def test_same_numbers_against_this_checkout():
@@ -154,17 +162,18 @@ def test_same_numbers_against_this_checkout():
     lines = run_script("same_numbers", "--parent", ROOT,
                        "--change", ROOT).splitlines()
     assert [line.split(":")[0] for line in lines] == ["optimize", "scalar",
-                                                     "cli"]
+                                                     "cli", "verify"]
     assert all(line.endswith(" same") for line in lines)
     assert lines[0].startswith("optimize: 216 lines")
     assert lines[1].startswith("scalar: 6000 lines")
     assert lines[2].startswith("cli: 8 lines, 0 raised")
+    assert lines[3].startswith("verify: 264 lines, 0 raised")
 
 
 def test_same_numbers_sees_a_one_ulp_change(tmp_path):
     """A copy of src/ with LOG2_2SQRT2_PLUS_1 one ulp up: the optimize and
     scalar groups read DIFFERENT and the script exits 1; the CLI's 9-digit
-    output does not move."""
+    output and the verify group, which reads no key length, do not move."""
     shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src")
     path = tmp_path / "src" / "di_toolkit" / "keyrates.py"
     text = path.read_text()
@@ -181,4 +190,4 @@ def test_same_numbers_sees_a_one_ulp_change(tmp_path):
     verdicts = {line.split(":")[0]: line.rsplit(" ", 1)[1]
                 for line in out.stdout.splitlines()}
     assert verdicts == {"optimize": "DIFFERENT", "scalar": "DIFFERENT",
-                        "cli": "same"}
+                        "cli": "same", "verify": "same"}
