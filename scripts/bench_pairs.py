@@ -8,9 +8,11 @@ warm-up fall on both sides alike.  Each run's result is the JSON object
 on the last line of its stdout.  The script prints, per end-to-end metric,
 the median and quartiles of each side, each side's best run (the minimum
 or maximum, in the metric's direction from BENCHMARK.json: on a noisy host
-it moves less than the median) and the number of pairs the change wins,
-and writes every run
-and the summary to bench/BENCH_<label>.json (see --out-dir):
+it moves less than the median), the number of pairs the change wins and
+whether a gain may be claimed: the change wins at least 9 in 10 pairs,
+and its median is better than the parent's by more than the parent's
+interquartile range.  It writes every run and the summary to
+bench/BENCH_<label>.json (see --out-dir):
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload rate-scalar --seeds 25201-25210 --label rate-scalar-x
@@ -57,10 +59,10 @@ def quartiles(values):
 
 def summarize(pairs, better):
     """Per metric: each side's (q1, median, q3) and best run, the change's
-    median relative to the parent's, and in how many pairs the change is
-    strictly better.  ``pairs`` holds {"parent": result, "change": result};
-    a metric without a direction in ``better`` gets no best run and no
-    wins."""
+    median relative to the parent's, in how many pairs the change is
+    strictly better, and whether that meets the claim rule (``claim``).
+    ``pairs`` holds {"parent": result, "change": result}; a metric without
+    a direction in ``better`` gets no best run, no wins and no claim."""
     out = {}
     for name in pairs[0]["parent"]["metrics"]:
         values = {side: [p[side]["metrics"][name]["value"] for p in pairs]
@@ -72,9 +74,13 @@ def summarize(pairs, better):
         base, new = row["parent"]["median"], row["change"]["median"]
         row["median_change"] = (new - base) / base if base else None
         sign = {"higher": 1, "lower": -1}.get(better.get(name))
-        row["wins"] = None if sign is None else sum(
-            sign * (c - p) > 0 for p, c in zip(values["parent"],
-                                               values["change"]))
+        row["wins"] = row["claim"] = None
+        if sign is not None:
+            row["wins"] = sum(sign * (c - p) > 0 for p, c in
+                              zip(values["parent"], values["change"]))
+            spread = row["parent"]["q3"] - row["parent"]["q1"]
+            row["claim"] = (10 * row["wins"] >= 9 * len(pairs)
+                            and sign * (new - base) > spread)
         out[name] = row
     return {"pairs": len(pairs), "metrics": out,
             "failed": {side: [p[side]["failed"] for p in pairs]
@@ -90,7 +96,8 @@ def summary_lines(summary):
         rel = ("" if row["median_change"] is None
                else f" ({row['median_change']:+.1%})")
         wins = "" if row["wins"] is None else (
-            f", change better in {row['wins']}/{summary['pairs']}")
+            f", change better in {row['wins']}/{summary['pairs']}; claim "
+            + ("met" if row["claim"] else "not met"))
         lines.append(f"  {name}: {_spread(p)} -> {_spread(c)}{rel}{wins}")
     return lines
 

@@ -26,7 +26,10 @@ first on PYTHONPATH, and hashes four groups there:
   at fixed seeds (each a raise by its type and message).  The abort
   estimator's frequencies are left out: they follow the sampler's stream.
 
-It prints one SHA-1 per group and side, and exits 1 if any group differs:
+It prints one SHA-1 per group and side, and exits 1 if any group differs.
+Under a group that differs it says how far it moved: how many lines differ
+and the largest absolute difference over their float fields (.hex() or
+decimal), taken where both sides' lines hold the same number of them:
 
     python3 scripts/same_numbers.py --parent ../parent --change .
 """
@@ -244,13 +247,41 @@ def verify_lines(lib):
 
 
 def digest(lines):
-    """(SHA-1 over the lines, line count, lines that record a raise)."""
-    sha, count, raised = hashlib.sha1(), 0, 0
-    for line in lines:
+    """SHA-1 over the lines, line count, lines that record a raise, and the
+    lines themselves."""
+    sha, text = hashlib.sha1(), list(lines)
+    for line in text:
         sha.update(line.encode() + b"\0")
-        count += 1
-        raised += line.startswith("raise ")
-    return {"sha1": sha.hexdigest(), "lines": count, "raised": raised}
+    return {"sha1": sha.hexdigest(), "lines": len(text),
+            "raised": sum(line.startswith("raise ") for line in text),
+            "text": text}
+
+
+# a float field: float.hex() output or a decimal with a point or exponent
+FLOAT = re.compile(r"-?0x[0-9a-f]+(?:\.[0-9a-f]*)?p[+-]\d+"
+                   r"|-?\d+(?:\.\d*(?:e[+-]?\d+)?|e[+-]?\d+)")
+
+
+def _floats(line):
+    return [float.fromhex(token) if "x" in token else float(token)
+            for token in FLOAT.findall(line)]
+
+
+def moved(parent, change):
+    """(lines that differ, largest |parent - change| over the float fields
+    of the differing lines whose float fields pair up; None where no
+    differing line's do).  Lines pair up by position; a line only one side
+    has counts as differing."""
+    differ, largest = abs(len(parent) - len(change)), None
+    for a, b in zip(parent, change):
+        if a == b:
+            continue
+        differ += 1
+        fa, fb = _floats(a), _floats(b)
+        if len(fa) == len(fb):
+            delta = max((abs(x - y) for x, y in zip(fa, fb)), default=0.0)
+            largest = delta if largest is None else max(largest, delta)
+    return differ, largest
 
 
 def side(checkout, examples):
@@ -302,11 +333,16 @@ def main(argv=None):
     differ = 0
     for group in GROUPS:
         a, b = results["parent"][group], results["change"][group]
-        same = a == b
+        same = a["sha1"] == b["sha1"]
         differ += not same
         print(f"{group}: {b['lines']} lines, {b['raised']} raised; "
               f"parent {a['sha1']} change {b['sha1']} "
               f"{'same' if same else 'DIFFERENT'}")
+        if not same:
+            lines, largest = moved(a["text"], b["text"])
+            size = "-" if largest is None else f"{largest:.2g}"
+            print(f"  {lines} of {b['lines']} lines differ, "
+                  f"largest |Δ| {size}")
     return 1 if differ else 0
 
 

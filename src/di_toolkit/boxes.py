@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,9 @@ NORMALIZATION_TOL = 1e-9
 
 # classical_value refuses to enumerate more deterministic strategies of Alice
 STRATEGY_ENUMERATION_CAP = 10**6
+# best_deterministic_score scores this many of Alice's strategies at once,
+# so that its memory stays bounded up to the cap
+STRATEGY_BATCH = 4096
 
 
 class AlphabetMismatchError(ValueError):
@@ -39,6 +43,16 @@ class AlphabetMismatchError(ValueError):
 
 class EnumerationLimitError(ValueError):
     """A brute-force enumeration would exceed its configured cap."""
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int; a bool, float or string is refused."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
 
 
 @dataclass(frozen=True)
@@ -52,8 +66,10 @@ class Alphabets:
 
     def __post_init__(self):
         for name in ("a_size", "b_size", "x_size", "y_size"):
-            if int(getattr(self, name)) < 1:
+            value = _integer(getattr(self, name), name)
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
+            object.__setattr__(self, name, value)
 
     @property
     def num_signalling_constraints(self) -> int:
@@ -106,7 +122,11 @@ class InputDistribution:
     q: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
+        q = np.asarray(self.q)
+        # the dtype, not each entry: true or "0.25" in a file is no number
+        if q.dtype.kind not in "iuf":
+            raise ValueError("q entries must be numbers")
+        q = q.astype(float, copy=False)
         if q.ndim != 2:
             raise ValueError("q must be a 2-index table")
         if np.any(q < 0):
@@ -187,10 +207,9 @@ class Game:
     def from_json_dict(d: dict) -> "Game":
         al = Alphabets(d["a_size"], d["b_size"], d["x_size"], d["y_size"])
         win = np.array(d["win"])
-        if not np.isin(win, (0, 1)).all():
+        if win.dtype.kind not in "iuf" or not np.isin(win, (0, 1)).all():
             raise ValueError("win entries must be 0 or 1")
-        return Game(al, InputDistribution(np.array(d["q"], dtype=float)),
-                    win.astype(bool))
+        return Game(al, InputDistribution(d["q"]), win.astype(bool))
 
 
 @dataclass(frozen=True)
@@ -225,11 +244,13 @@ class ObservedData:
     alphabets: Alphabets
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         arrays = {}
         for name in ("a", "b", "x", "y"):
             raw = np.asarray(getattr(self, name))
-            if raw.dtype.kind == "f" and not np.all(np.isfinite(raw)
-                                                    & (raw == np.floor(raw))):
+            if raw.dtype.kind not in "iuf" or (
+                    raw.dtype.kind == "f"
+                    and not np.all(np.isfinite(raw) & (raw == np.floor(raw)))):
                 raise ValueError(f"non-integer entry in {name}")
             v = raw.astype(int, copy=False)
             if v.shape != (self.n,):
@@ -300,29 +321,42 @@ def extended_chsh_game() -> Game:
     return Game(al, q, win)
 
 
+def best_deterministic_score(weights: np.ndarray):
+    """max over the deterministic pairs f: X -> A, g: Y -> B of
+    sum_{x,y} weights[x, y, f(x), g(y)], for weights indexed [x][y][a][b].
+
+    Against a fixed f, Bob's best g answers each y with the b maximizing
+    t_f[y, b] = sum_x weights[x, y, f(x), b]: only Alice's a_size**x_size
+    functions are enumerated, STRATEGY_BATCH at a time (function k has
+    f(x) = digit x of k in base a_size).  t_f sums over x, then its maxima
+    over y, in index order; integer weights give an exact integer.
+    """
+    x_size, _, a_size, _ = weights.shape
+    n_f = a_size**x_size
+    best = None
+    for start in range(0, n_f, STRATEGY_BATCH):
+        f = np.arange(start, min(start + STRATEGY_BATCH, n_f))
+        t = sum(weights[x][:, f // a_size**x % a_size]
+                for x in range(x_size))  # [y][f][b]
+        score = t.max(axis=2).sum(axis=0).max()
+        best = score if best is None else max(best, score)
+    return best
+
+
 def classical_value(game: Game) -> float:
     """Optimal winning probability over all classical (shared-randomness) boxes.
 
-    Shared randomness cannot beat the best deterministic pair f: X -> A,
-    g: Y -> B for a linear objective, and against a fixed f Bob's best g
-    answers each y with the b maximizing t_f[y, b] = sum_x Q(x,y)
-    R(f(x),b,x,y): the value is the largest sum_y max_b t_f[y, b] over
-    Alice's functions f alone.
+    Shared randomness cannot beat the best deterministic pair (f, g) for a
+    linear objective: the value is best_deterministic_score of the weights
+    Q(x,y) R(a,b,x,y).
     """
     al = game.alphabets
     n_f = al.a_size**al.x_size
     if n_f > STRATEGY_ENUMERATION_CAP:
         raise EnumerationLimitError(
             f"{n_f} strategies of Alice exceed cap {STRATEGY_ENUMERATION_CAP}")
-    w = np.transpose(game.win, (2, 3, 0, 1)).astype(float)  # [x][y][a][b]
-    qw = game.q.q[:, :, None, None] * w
-    best = 0.0
-    for f in itertools.product(range(al.a_size), repeat=al.x_size):
-        t = np.zeros((al.y_size, al.b_size))
-        for x in range(al.x_size):
-            t += qw[x, :, f[x], :]
-        best = max(best, sum(t.max(axis=1).tolist()))
-    return best
+    w = np.transpose(game.win, (2, 3, 0, 1))  # [x][y][a][b]
+    return float(best_deterministic_score(game.q.q[:, :, None, None] * w))
 
 
 def l1_distance(b1: SingleRoundBox, b2: SingleRoundBox,

@@ -194,7 +194,7 @@ def _cmd_sig_test(args):
     data = ObservedData(d["n"], np.array(d["a"]), np.array(d["b"]),
                         np.array(d["x"]), np.array(d["y"]), al)
     if args.q:
-        q = InputDistribution(np.array(_load_json(args.q, list), dtype=float))
+        q = InputDistribution(_load_json(args.q, list))
     else:
         q = InputDistribution(np.full((al.x_size, al.y_size),
                                       1.0 / (al.x_size * al.y_size)))

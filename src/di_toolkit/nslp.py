@@ -9,6 +9,10 @@ is an LP; its signalling rows are the rows of
 and the signalling test use.  :func:`ns_value` solves the dual of the
 ``<= 0`` form twice, for the value and then for the least kappa, and
 :func:`perturbed_value` the primal with every signalling row ``<= slack``.
+Neither solves anything when a deterministic pair (f, g) wins every
+question that some answer wins: the classical value then meets the
+trivial bound, the sum of Q over those questions, which is the value at
+every slack, and kappa is 0.
 
 The ``<= 0`` and ``=`` forms have the same feasible set: for each (x, y),
 the AtoB rows (x, y, b) summed over b are Q(x,y) N_xy - Q(x|y) sum_x'
@@ -43,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import Game
+from .boxes import Game, best_deterministic_score
 from .signalling import signalling_matrix
 
 SOLVER_TOL = 1e-9
@@ -278,11 +282,36 @@ def build_ns_lp(game: Game, slack: float | None = None) -> LinearProgram:
     return LinearProgram(c, rows)
 
 
+def _outright_value(game: Game) -> float | None:
+    """The trivial bound T = sum of Q(x,y) over the questions that some
+    answer wins, when a deterministic pair (f, g) wins all of them; else
+    None.
+
+    Such a pair is a non-signalling box worth T, and no box is worth more,
+    so T is the optimum at every slack >= 0; the dual's u = 0,
+    v[x,y] = max_ab c[x,y,a,b] is optimal, so the least kappa is 0.  The
+    pair's won questions are counted exactly (integer weights).  Alice's
+    a_size**x_size functions are enumerated only while they are no more
+    than the program's variables; past that: None, and the program runs.
+    """
+    al = game.alphabets
+    if al.a_size**al.x_size > al.x_size * al.y_size * al.a_size * al.b_size:
+        return None
+    wins = np.transpose(game.win, (2, 3, 0, 1))  # [x][y][a][b]
+    winnable = wins.any(axis=(2, 3))
+    if best_deterministic_score(wins.astype(np.int64)) < winnable.sum():
+        return None
+    return float(np.where(winnable, game.q.q, 0.0).sum())
+
+
 def ns_value(game: Game) -> tuple:
     """Optimal non-signalling winning probability and its sensitivity kappa.
 
-    Both come from the dual of max{c.x : Sx <= 0, Nx = 1, x >= 0}, the
-    ``<= 0`` form: min sum(v) over S^T u + N^T v >= c, u >= 0, v free.
+    A game that a deterministic pair wins outright (_outright_value) is
+    worth the trivial bound, with kappa 0.0, and no program is solved.
+    Otherwise both come from the dual of
+    max{c.x : Sx <= 0, Nx = 1, x >= 0}, the ``<= 0`` form:
+    min sum(v) over S^T u + N^T v >= c, u >= 0, v free.
     kappa = sum(u) certifies that relaxing each signalling row by s raises
     the optimum by at most s * kappa; a second solve takes the least kappa
     on the (possibly degenerate) dual optimal face.  kappa is >= 0 and
@@ -293,6 +322,9 @@ def ns_value(game: Game) -> tuple:
     """
     if not game.q.complete_support:
         raise ValueError("game must have complete support")
+    outright = _outright_value(game)
+    if outright is not None:
+        return outright, 0.0
     S = signalling_matrix(game.alphabets, game.q)
     N = _normalization_matrix(game.alphabets)
     d, n_norm = len(S), len(N)
@@ -316,9 +348,16 @@ def ns_value(game: Game) -> tuple:
 
 
 def perturbed_value(game: Game, slack: float) -> float:
-    """Optimum with every signalling constraint relaxed to <= slack."""
-    if slack < 0:
+    """Optimum with every signalling constraint relaxed to <= slack: the
+    trivial bound, with no program solved, on a game that a deterministic
+    pair wins outright (_outright_value), else the primal's optimum."""
+    if not slack >= 0:
         raise ValueError("slack must be >= 0")
+    if not game.q.complete_support:
+        raise ValueError("game must have complete support")
+    outright = _outright_value(game)
+    if outright is not None:
+        return outright
     sol = solve(build_ns_lp(game, slack))
     if sol.status != "optimal":
         raise SolverError(f"perturbed program: {sol.status}")

@@ -24,6 +24,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Alphabets(0, 2, 2, 2)
 
+    @pytest.mark.parametrize("bad", [True, 2.0, "2"])
+    def test_alphabets_reject_non_integer(self, bad):
+        # True once passed as the size 1
+        with pytest.raises(ValueError, match="x_size must be an integer"):
+            Alphabets(2, 2, bad, 2)
+
+    def test_alphabets_numpy_integer_stored_as_int(self):
+        al = Alphabets(np.int64(3), 2, 2, 2)
+        assert al == Alphabets(3, 2, 2, 2) and type(al.a_size) is int
+
+    @pytest.mark.parametrize("bad", [[["0.5", "0.5"]], [[True, False]]],
+                             ids=["strings", "booleans"])
+    def test_input_distribution_non_numbers_rejected(self, bad):
+        # once converted to 0.5 and to 1.0, 0.0
+        with pytest.raises(ValueError, match="q entries must be numbers"):
+            InputDistribution(np.array(bad))
+
     def test_box_normalization_enforced(self):
         p = np.full((2, 2, 2, 2), 0.3)
         with pytest.raises(ValueError):
@@ -61,6 +78,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"non-integer entry in {name}"):
             ObservedData(2, records["a"], records["b"], records["x"],
                          records["y"], BINARY)
+
+    @pytest.mark.parametrize("bad", [np.array(["1", "0"]),
+                                     np.array([True, False])],
+                             ids=["strings", "booleans"])
+    def test_observed_data_non_number_symbols_rejected(self, bad):
+        # once read as the integers 1, 0
+        with pytest.raises(ValueError, match="non-integer entry in b"):
+            ObservedData(2, np.zeros(2, int), bad, np.zeros(2, int),
+                         np.zeros(2, int), BINARY)
 
     def test_observed_data_integral_floats_accepted(self):
         data = ObservedData(2, np.array([0.0, 1.0]), np.zeros(2, int),
@@ -132,9 +158,11 @@ class TestGames:
         with pytest.raises(EnumerationLimitError):
             classical_value(game)
 
-    def test_classical_value_matches_pair_enumeration(self, rng):
+    def test_classical_value_matches_pair_enumeration(self, rng,
+                                                      monkeypatch):
         """Bob's best response in closed form against every deterministic
-        pair (f, g), on random small games."""
+        pair (f, g), on random small games, with Alice's functions scored
+        in one batch and in batches of 3 (across batch edges)."""
         for _ in range(60):
             a, b, x, y = (int(v) for v in rng.integers(1, 4, size=4))
             q = InputDistribution(rng.dirichlet(np.ones(x * y)).reshape(x, y))
@@ -147,6 +175,9 @@ class TestGames:
                         q.q[i, j] * game.win[f[i], g[j], i, j]
                         for i in range(x) for j in range(y)))
             assert abs(classical_value(game) - best) <= 1e-12
+            with monkeypatch.context() as patch:
+                patch.setattr(boxes, "STRATEGY_BATCH", 3)
+                assert abs(classical_value(game) - best) <= 1e-12
 
 
 class TestFrequencyBox:
@@ -346,11 +377,14 @@ class TestJsonRoundTrip:
         assert np.allclose(loaded.q.q, chsh_qkd.q.q)
 
 
-    @pytest.mark.parametrize("bad", [0.5, 2, -1])
+    @pytest.mark.parametrize("bad", [0.5, 2, -1, "booleans"])
     def test_game_win_outside_zero_one_rejected(self, chsh_qkd, bad):
-        # 0.5 and 2 were once read as wins
+        # 0.5 and 2 were once read as wins, and true/false as 1/0
         payload = chsh_qkd.to_json_dict()
-        payload["win"][0][1][1][0] = bad
+        if bad == "booleans":
+            payload["win"] = chsh_qkd.win.tolist()
+        else:
+            payload["win"][0][1][1][0] = bad
         with pytest.raises(ValueError, match="win entries must be 0 or 1"):
             Game.from_json_dict(json.loads(json.dumps(payload)))
 

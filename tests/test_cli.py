@@ -220,6 +220,47 @@ class TestGameCommands:
         assert code == 1 and captured.out == ""
         assert captured.err == "error: win entries must be 0 or 1\n"
 
+    def test_ns_value_won_outright(self, tmp_path, capsys, monkeypatch):
+        """Answers that agree win every question but (1, 1), which no answer
+        wins: a = b = 0 wins the rest, so the value is the trivial bound
+        0.75 and kappa 0.0, with no program solved."""
+        def fail(lp):
+            raise AssertionError("solve called")
+
+        monkeypatch.setattr(nslp, "solve", fail)
+        payload = chsh_game().to_json_dict()
+        payload["win"] = [[[[int(a == b and (x, y) != (1, 1))
+                             for y in range(2)] for x in range(2)]
+                           for b in range(2)] for a in range(2)]
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(payload))
+        code, out = run_cli(["ns-value", "--game", str(path)], capsys)
+        assert code == 0
+        jsonschema.validate(json.loads(out), schema("out_ns_value"))
+        assert json.loads(out) == {"value": 0.75, "d": 16, "kappa": 0.0}
+        assert '"kappa": 0.0' in out
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("q", [["0.25"] * 2] * 2, "q entries must be numbers"),
+        ("q", [[True] * 2] * 2, "q entries must be numbers"),
+        ("win", [[[[True] * 2] * 2] * 2] * 2, "win entries must be 0 or 1"),
+        ("a_size", True, "a_size must be an integer"),
+        ("a_size", 2.0, "a_size must be an integer")],
+        ids=["q-strings", "q-booleans", "win-booleans", "a-size-true",
+             "a-size-float"])
+    def test_ns_value_entry_of_wrong_type(self, tmp_path, capsys, field,
+                                          value, message):
+        # each was once converted, and a value printed (2.0 ended in a
+        # TypeError from numpy instead)
+        payload = chsh_game().to_json_dict()
+        payload[field] = value
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(payload))
+        code = cli.main(["ns-value", "--game", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"error: {message}\n"
+
     def test_threshold_bound(self, chsh_file, capsys):
         code, out = run_cli(["threshold-bound", "--game", chsh_file,
                              "--n", "30000000000", "--beta", "0.25"], capsys)
@@ -407,6 +448,28 @@ class TestSigTest:
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
         assert captured.err == "error: non-integer entry in a\n"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("b", ["1", "0"], "non-integer entry in b"),
+        ("b", [True, False], "non-integer entry in b"),
+        ("n", True, "n must be an integer")],
+        ids=["b-strings", "b-booleans", "n-true"])
+    def test_entry_of_wrong_type_rejected(self, tmp_path, capsys, field,
+                                          value, message):
+        # each was once read as an integer (n: true with one round as 1)
+        payload = {"n": 2, "a_size": 2, "b_size": 2, "x_size": 2,
+                   "y_size": 2, "a": [0, 1], "b": [0, 1], "x": [0, 1],
+                   "y": [1, 0]}
+        if field == "n":
+            payload.update(a=[0], b=[1], x=[1], y=[0])
+        payload[field] = value
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(payload))
+        code = cli.main(["sig-test", "--data", str(path), "--zeta", "0.06",
+                         "--eps", "0.008"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"error: {message}\n"
 
     def test_flags_match_single_target_view(self, tmp_path, capsys, rng):
         """The CLI lists targets in all_sig_targets order, each flag equal

@@ -11,7 +11,8 @@ from di_toolkit.boxes import (Alphabets, Game, InputDistribution,
                               extended_chsh_game, is_nonsignalling,
                               winning_probability)
 from di_toolkit.signalling import signalling_matrix
-from conftest import pr_box, random_box, random_classical_box, random_game
+from conftest import (deterministic_box, pr_box, random_box,
+                      random_classical_box, random_game)
 import lp_oracle
 
 # the slacks of the programs build_ns_lp makes: None is the = form, the
@@ -33,6 +34,36 @@ def stalling_game(index):
     for _ in range(index + 1):
         game = random_game(rng, 4, 3)
     return game
+
+
+def winning_pair(game):
+    """Oracle: a deterministic pair (f, g) that wins every question (x, y)
+    some answer wins, found by trying every pair, or None."""
+    al = game.alphabets
+    winnable = list(zip(*np.nonzero(game.win.any(axis=(0, 1)))))
+    return next(((f, g) for f in itertools.product(range(al.a_size),
+                                                   repeat=al.x_size)
+                 for g in itertools.product(range(al.b_size),
+                                            repeat=al.y_size)
+                 if all(game.win[f[x], g[y], x, y] for x, y in winnable)),
+                None)
+
+
+def won_outright_by_pairs(game):
+    return winning_pair(game) is not None
+
+
+def within_enumeration_bound(game):
+    """Alice's a_size**x_size functions are no more than the program's
+    variables."""
+    al = game.alphabets
+    return al.a_size**al.x_size <= (al.x_size * al.y_size * al.a_size
+                                    * al.b_size)
+
+
+def trivial_bound(game):
+    """T: the sum of Q(x,y) over the questions some answer wins."""
+    return np.where(game.win.any(axis=(0, 1)), game.q.q, 0.0).sum()
 
 
 def _var_index(al, x, y, a, b):
@@ -399,8 +430,10 @@ class TestSingleSolve:
         assert kappa == 0.0 and not np.signbit(kappa)
 
     def test_value_program_has_no_phase_1(self, monkeypatch):
-        """Every dual row's right-hand side is >= 0, so the value program
-        starts from its slack basis: no phase-1 pivot."""
+        """A game won outright within the enumeration bound makes no solve.
+        Every other game makes two, and as every dual row's right-hand side
+        is >= 0, the value program starts from its slack basis: no phase-1
+        pivot."""
         rng = np.random.default_rng(4242)
         games = ([chsh_game(), extended_chsh_game()]
                  + [stalling_game(index) for index in STALLING_GAMES]
@@ -412,11 +445,17 @@ class TestSingleSolve:
             return solutions[-1]
 
         monkeypatch.setattr(nslp, "solve", recording)
+        outright = 0
         for game in games:
             solutions.clear()
             nslp.ns_value(game)
-            assert len(solutions) == 2
-            assert solutions[0].pivots[0] == 0
+            if within_enumeration_bound(game) and won_outright_by_pairs(game):
+                outright += 1
+                assert solutions == []
+            else:
+                assert len(solutions) == 2
+                assert solutions[0].pivots[0] == 0
+        assert 0 < outright < len(games)
 
     def test_incomplete_support_raises(self):
         """The support check comes before the signalling matrix, which
@@ -427,6 +466,113 @@ class TestSingleSolve:
         incomplete = Game(game.alphabets, InputDistribution(q), game.win)
         with pytest.raises(ValueError, match="complete support"):
             nslp.ns_value(incomplete)
+
+
+class TestWonOutright:
+    """A game that a deterministic pair wins outright is worth the trivial
+    bound T at every slack, with kappa 0, and solves no program."""
+
+    def test_agrees_with_pair_enumeration(self):
+        rng = np.random.default_rng(3312)
+        games = ([random_game(rng) for _ in range(120)]
+                 + [random_game(rng, 3, 3) for _ in range(120)])
+        outcomes = []
+        for game in games:
+            assert within_enumeration_bound(game)
+            outright = nslp._outright_value(game) is not None
+            assert outright == won_outright_by_pairs(game)
+            outcomes.append(outright)
+        assert 0 < sum(outcomes) < len(outcomes)
+
+    def won_games(self):
+        rng = np.random.default_rng(3313)
+        games = [game for game in (random_game(rng, 3, 3) for _ in range(80))
+                 if won_outright_by_pairs(game)]
+        binary = Alphabets(2, 2, 2, 2)
+        q = InputDistribution(np.full((2, 2), 0.25))
+        constant = np.ones((2, 2, 2, 2), dtype=bool)
+        agree = np.eye(2, dtype=bool)[:, :, None, None] & constant
+        return games + [Game(binary, q, predicate) for predicate in
+                        (constant, agree, ~constant)]
+
+    def test_value_is_trivial_bound(self):
+        """ns_value returns (T, +0.0) exactly and perturbed_value T at each
+        slack.  The winning pair's box is non-signalling and worth T, and
+        every form of the program that solves agrees within 1e-12."""
+        games = self.won_games()
+        assert len(games) == 45
+        lost = []
+        for i, game in enumerate(games):
+            bound = trivial_bound(game)
+            value, kappa = nslp.ns_value(game)
+            assert value == bound and type(value) is float
+            assert kappa == 0.0 and not np.signbit(kappa)
+            for slack in FORMS[1:]:
+                assert nslp.perturbed_value(game, slack) == bound
+            box = deterministic_box(*winning_pair(game), game.alphabets)
+            assert is_nonsignalling(box)
+            assert winning_probability(box, game) == pytest.approx(
+                bound, abs=1e-15)
+            for form in FORMS:
+                try:
+                    sol = nslp.solve(nslp.build_ns_lp(game, form))
+                except nslp.SolverError:
+                    lost.append((i, form))
+                    continue
+                assert sol.value == pytest.approx(bound, abs=1e-12)
+        # the <= 0 form of one 3x3x3x3 game loses its basis (TestLostBasis):
+        # perturbed_value(game, 0.0) raised SolverError on it, and now
+        # returns T
+        assert lost == [(39, 0.0)]
+        assert games[39].alphabets == Alphabets(3, 3, 3, 3)
+
+    @pytest.mark.parametrize("game", [chsh_game(), extended_chsh_game()] + [
+        stalling_game(index) for index in STALLING_GAMES],
+        ids=["chsh", "extended-chsh"] + [f"stalling-{index}"
+                                         for index in STALLING_GAMES])
+    def test_not_won_outright(self, game):
+        assert not won_outright_by_pairs(game)
+        assert nslp._outright_value(game) is None
+
+    def test_past_enumeration_bound_solves(self, monkeypatch):
+        """Alice answers x mod 2 and wins every question, but her 2^5
+        functions outnumber the 10 variables: the programs are solved."""
+        al = Alphabets(2, 1, 5, 1)
+        win = np.zeros((2, 1, 5, 1), dtype=bool)
+        for x in range(5):
+            win[x % 2, 0, x, 0] = True
+        game = Game(al, InputDistribution(np.full((5, 1), 0.2)), win)
+        assert won_outright_by_pairs(game)
+        assert not within_enumeration_bound(game)
+        programs, solve = [], nslp.solve
+
+        def counting(lp):
+            programs.append(lp)
+            return solve(lp)
+
+        monkeypatch.setattr(nslp, "solve", counting)
+        value, kappa = nslp.ns_value(game)
+        assert len(programs) == 2
+        assert value == pytest.approx(1.0, abs=1e-12)
+        assert kappa == pytest.approx(0.0, abs=1e-12)
+        assert nslp.perturbed_value(game, 0.01) == pytest.approx(1.0,
+                                                                 abs=1e-12)
+        assert len(programs) == 3
+
+    def test_input_checks_come_first(self):
+        """A negative or NaN slack and an incomplete support are errors on
+        a game won outright too."""
+        game = self.won_games()[-3]  # every answer wins
+        for slack in (-0.01, float("nan")):
+            with pytest.raises(ValueError, match="slack must be >= 0"):
+                nslp.perturbed_value(game, slack)
+        q = game.q.q.copy()
+        q[0, 1], q[0, 0] = 0.0, q[0, 0] + q[0, 1]
+        incomplete = Game(game.alphabets, InputDistribution(q), game.win)
+        for call in (nslp.ns_value,
+                     lambda g: nslp.perturbed_value(g, 0.01)):
+            with pytest.raises(ValueError, match="complete support"):
+                call(incomplete)
 
 
 class TestLostBasis:

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -152,8 +153,23 @@ def test_bench_pairs_summary_of_canned_runs():
     lines = bench.summary_lines(summary)
     assert lines[1] == ("  goodput_per_s: 100 [95, 105] best 110 -> "
                         "120 [115, 125] best 130 (+20.0%), change better "
-                        "in 4/5")
+                        "in 4/5; claim not met")
     assert lines[3] == "  key_rate_sum: 1 [1, 1] -> 1 [1, 1] (+0.0%)"
+    # the claim rule: at least 9 in 10 pairs won, and the medians apart by
+    # more than the parent's interquartile range (10 here)
+    assert goodput["claim"] is False  # 4 of 5 pairs
+    assert p50["claim"] is False
+    assert summary["metrics"]["key_rate_sum"]["claim"] is None
+    for lift, met in ((30.0, True), (10.0, False), (5.0, False)):
+        lifted = [{"parent": pair["parent"], "change": json.loads(
+            canned_result(pair["parent"]["metrics"]["goodput_per_s"]["value"]
+                          + lift, 1e-5))} for pair in pairs]
+        row = bench.summarize(lifted, {"goodput_per_s": "higher"})[
+            "metrics"]["goodput_per_s"]
+        assert row["wins"] == 5 and row["claim"] is met
+        assert bench.summary_lines(bench.summarize(
+            lifted, {"goodput_per_s": "higher"}))[1].endswith(
+            "; claim met" if met else "; claim not met")
 
 
 def test_same_numbers_against_this_checkout():
@@ -172,7 +188,8 @@ def test_same_numbers_against_this_checkout():
 
 def test_same_numbers_sees_a_one_ulp_change(tmp_path):
     """A copy of src/ with LOG2_2SQRT2_PLUS_1 one ulp up: the optimize and
-    scalar groups read DIFFERENT and the script exits 1; the CLI's 9-digit
+    scalar groups read DIFFERENT, each with a line saying how many of its
+    lines moved and how far, and the script exits 1; the CLI's 9-digit
     output and the verify group, which reads no key length, do not move."""
     shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src")
     path = tmp_path / "src" / "di_toolkit" / "keyrates.py"
@@ -187,7 +204,24 @@ def test_same_numbers_sees_a_one_ulp_change(tmp_path):
          "--parent", ROOT, "--change", str(tmp_path)],
         capture_output=True, text=True, timeout=120)
     assert out.returncode == 1
+    lines = out.stdout.splitlines()
     verdicts = {line.split(":")[0]: line.rsplit(" ", 1)[1]
-                for line in out.stdout.splitlines()}
+                for line in lines if not line.startswith(" ")}
     assert verdicts == {"optimize": "DIFFERENT", "scalar": "DIFFERENT",
                         "cli": "same", "verify": "same"}
+    # a moved-lines line under each DIFFERENT group, none under the others
+    assert [line.startswith(" ") for line in lines] == [
+        False, True, False, True, False, False]
+    for moved, total in ((lines[1], 216), (lines[3], 6000)):
+        match = re.fullmatch(r"  (\d+) of (\d+) lines differ, "
+                             r"largest \|Δ\| (\S+)", moved)
+        assert match and int(match[2]) == total
+        assert 0 < int(match[1]) <= total and 0 < float(match[3]) < 1e-4
+
+    same_numbers = load_script("same_numbers")
+    parent = ["k 0x1.0000000000000p+0 7", "same 0.25", "raise E: x"]
+    change = ["k 0x1.0000000000001p+0 7", "same 0.25", "value 0.5",
+              "extra"]
+    # the third pair has no float fields to pair up; "extra" has no partner
+    assert same_numbers.moved(parent, change) == (3, 2.0**-52)
+    assert same_numbers.moved(parent[2:], change[2:3]) == (1, None)
