@@ -27,9 +27,11 @@ first on PYTHONPATH, and hashes four groups there:
   estimator's frequencies are left out: they follow the sampler's stream.
 
 It prints one SHA-1 per group and side, and exits 1 if any group differs.
-Under a group that differs it says how far it moved: how many lines differ
-and the largest absolute difference over their float fields (.hex() or
-decimal), taken where both sides' lines hold the same number of them:
+Under a group that differs it says how far it moved: how many lines differ,
+the largest absolute difference over their float fields (.hex() or
+decimal), taken where both sides' lines hold the same number of them, and
+how many differing lines went up and how many down in their first float
+field (an optimize line's key length):
 
     python3 scripts/same_numbers.py --parent ../parent --change .
 """
@@ -284,6 +286,19 @@ def moved(parent, change):
     return differ, largest
 
 
+def directions(parent, change):
+    """(up, down): the differing line pairs, by position, whose first float
+    field is higher, and lower, in ``change`` than in ``parent``; a pair in
+    which a line has no float field counts in neither."""
+    up = down = 0
+    for a, b in zip(parent, change):
+        fa, fb = _floats(a)[:1], _floats(b)[:1]
+        if a != b and fa and fb:
+            up += fb > fa
+            down += fb < fa
+    return up, down
+
+
 def side(checkout, examples):
     """The four groups' digests in ``checkout``'s package; the working
     directory holds the CLI examples' input files."""
@@ -341,8 +356,10 @@ def main(argv=None):
         if not same:
             lines, largest = moved(a["text"], b["text"])
             size = "-" if largest is None else f"{largest:.2g}"
+            up, down = directions(a["text"], b["text"])
             print(f"  {lines} of {b['lines']} lines differ, "
-                  f"largest |Δ| {size}")
+                  f"largest |Δ| {size}; first float up in {up}, "
+                  f"down in {down}")
     return 1 if differ else 0
 
 

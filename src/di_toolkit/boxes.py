@@ -55,6 +55,18 @@ def _integer(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer") from None
 
 
+def _numbers(value, message: str) -> np.ndarray:
+    """np.asarray(value), or ValueError(message) unless every entry is a
+    number: the dtype must be numeric, and since numpy reads [0, true] as
+    integers, a list (as read from JSON) must hold no bool either."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf" or isinstance(value, list) and bool in set(
+            map(type, np.asarray(value, dtype=object).flat if arr.ndim > 1
+                else value)):
+        raise ValueError(message)
+    return arr
+
+
 @dataclass(frozen=True)
 class Alphabets:
     """Sizes of the output sets (a, b) and input sets (x, y) of a box."""
@@ -122,11 +134,8 @@ class InputDistribution:
     q: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q)
-        # the dtype, not each entry: true or "0.25" in a file is no number
-        if q.dtype.kind not in "iuf":
-            raise ValueError("q entries must be numbers")
-        q = q.astype(float, copy=False)
+        q = _numbers(self.q, "q entries must be numbers").astype(
+            float, copy=False)
         if q.ndim != 2:
             raise ValueError("q must be a 2-index table")
         if np.any(q < 0):
@@ -206,9 +215,10 @@ class Game:
     @staticmethod
     def from_json_dict(d: dict) -> "Game":
         al = Alphabets(d["a_size"], d["b_size"], d["x_size"], d["y_size"])
-        win = np.array(d["win"])
-        if win.dtype.kind not in "iuf" or not np.isin(win, (0, 1)).all():
-            raise ValueError("win entries must be 0 or 1")
+        message = "win entries must be 0 or 1"
+        win = _numbers(d["win"], message)
+        if not np.isin(win, (0, 1)).all():
+            raise ValueError(message)
         return Game(al, InputDistribution(d["q"]), win.astype(bool))
 
 
@@ -247,11 +257,11 @@ class ObservedData:
         object.__setattr__(self, "n", _integer(self.n, "n"))
         arrays = {}
         for name in ("a", "b", "x", "y"):
-            raw = np.asarray(getattr(self, name))
-            if raw.dtype.kind not in "iuf" or (
-                    raw.dtype.kind == "f"
-                    and not np.all(np.isfinite(raw) & (raw == np.floor(raw)))):
-                raise ValueError(f"non-integer entry in {name}")
+            message = f"non-integer entry in {name}"
+            raw = _numbers(getattr(self, name), message)
+            if raw.dtype.kind == "f" and not np.all(np.isfinite(raw)
+                                                    & (raw == np.floor(raw))):
+                raise ValueError(message)
             v = raw.astype(int, copy=False)
             if v.shape != (self.n,):
                 raise ValueError(f"{name} must have length n={self.n}")

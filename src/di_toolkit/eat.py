@@ -32,11 +32,11 @@ body on floats, _mu_block_opt, which mu_block_opt, mu_opt and keyrates' key
 length call.  The key length makes BlockSpec's and EatEpsilons' checks on
 its floats (_check_block, _check_epsilons) and builds neither.  The
 terms that keyrates' numpy grid kernel shares with the scalar path (the
-s_max rule, the test mass, log2 d_O, the penalty K, the glued function's
-tangent at the cut with its slope (_tangent: g, g' from one root), the
-max-entropy bound and its smoothing root, the round count tail, the
-Hoeffding bound) take the namespace ``xp`` (math for scalars, numpy for
-arrays) or are plain arithmetic; _tradeoff keeps g itself below the cut.
+test mass, log2 d_O, the penalty K, the glued function's tangent at the
+cut with its slope (_tangent: g, g' from one root), the max-entropy bound
+and its smoothing root, the round count tail, the Hoeffding bound) take
+the namespace ``xp`` (math for scalars, numpy for arrays) or are plain
+arithmetic; _tradeoff keeps g itself below the cut.
 """
 
 from __future__ import annotations
@@ -161,18 +161,13 @@ def _max_entropy(n, gamma, root, xp=math):
 
 
 def default_s_max(gamma: float) -> int:
-    """s_max = ceil(1/gamma), the block length cap that the rate optimizer
-    and the CLI pick: about the mean spacing of test rounds.  The ceiling is
-    guarded against float noise (1/0.1 = 10.000000000000002)."""
+    """s_max = ceil(1/gamma), about the mean spacing of test rounds: the
+    CLI's default block length cap and the seed of the rate optimizer's
+    s_max axis on its coarse grid.  The ceiling is guarded against float
+    noise (1/0.1 = 10.000000000000002)."""
     if not 0 < gamma <= 1:
         raise ValueError("gamma must be in (0,1]")
-    return _s_max_rule(gamma)
-
-
-def _s_max_rule(gamma, xp=math):
-    """default_s_max without its check, in the namespace ``xp`` (an int
-    from math, floats from numpy); at least 1 on (0, 1]."""
-    return xp.ceil(1.0 / gamma - 1e-9)
+    return math.ceil(1.0 / gamma - 1e-9)
 
 
 def expected_block_length(block: BlockSpec) -> float:

@@ -12,30 +12,31 @@ at its first test round), n expected rounds and n' = n + t effective ones:
         - sqrt(n') 2 log2(7) sqrt(1 - 2 log2(eps_s' (eps_ea + eps_ec)))
         - 2 log2(1/eps_pa),
 
-with t the tail of the random round count at error eps_t and
-eps_s' = eps_s/4 - sqrt(eps_t).  The per-round protocol is the case of
-one-round blocks, s_max = 1 (m = n, the entropy rate mu_block_opt at
-s_max = 1) with eps_t = 0 (t = 0): key_length and key_length_block are
-one body, and the grid kernel scores both modes with the same block
-formulas, per-round mode as its one-round rows.  The inputs are checked
-once, where they enter (ProtocolParams, EpsilonBudget, and the block
-length and the epsilons of the entropy rate); from there the key length
-is computed on floats, its entropy term by eat's private float body of
-mu_block_opt, and the only object built per call is the RateReport, a
-named tuple.  The order is: the checks, then the terms of the budget
-alone (log correction, PA term, the leakage's eps_t-free constants),
-then the entropy rate and the leakage rate, then the terms of eps_t (t,
-the leakage, the max-entropy term).  The log correction is log2(0) in
-double precision for eps_s below about 4.2e-8, so such a budget raises
-before the cut search.
+with t the tail of the random round count at error eps_t and eps_s' =
+eps_s/4 - sqrt(eps_t).  The per-round protocol is the case of one-round
+blocks, s_max = 1 (m = n, the entropy rate mu_block_opt at s_max = 1) with
+eps_t = 0 (t = 0): key_length and key_length_block are one body, and the
+grid kernel scores both modes with the same block formulas on (gamma,
+s_max) rows, per-round mode its s_max = 1 rows.  The inputs are checked
+once, where they enter (ProtocolParams, EpsilonBudget, and the block length
+and the epsilons of the entropy rate); from there the key length is
+computed on floats, its entropy term by eat's private float body of
+mu_block_opt, and the only object built per call is the RateReport, a named
+tuple.  The order is: the checks, then the terms of the budget alone (log
+correction, PA term, the leakage's eps_t-free constants), then the entropy
+rate and the leakage rate, then the terms of eps_t (t, the leakage, the
+max-entropy term).  The log correction is log2(0) in double precision for
+eps_s below about 4.2e-8, so such a budget raises before the cut search.
 
 optimize_rate runs a coarse (gamma, delta_est) grid, an epsilon split grid
-and one zoom, in boxes set by the caps and the rate.  Each stage, and each
-zoom pass, is one numpy call (_grid_key_lengths, the array form of
-_eval_point), which also picks eps_t among 13 candidates at each point; a
-stage rescores the first few values within 1e-9 relative of its best, in
-grid order, with one scalar key length each at the kernel's eps_t, and
-the scalar path alone produces the points chosen and the numbers reported.
+and one zoom that also searches the block length cap s_max, a free integer
+of the block protocol (1 per round), in boxes set by the caps and the rate.
+Each stage, and each zoom pass, is one numpy call (_grid_key_lengths, the
+array form of _eval_point), which also picks eps_t among 13 candidates at
+each point; a stage rescores the first few values within 1e-9 relative of
+its best, in grid order, with one scalar key length each at the kernel's
+eps_t, and the scalar path alone produces the points chosen and the numbers
+reported.
 
 Negative key lengths are reported as-is so that the zero crossings of rate
 curves can be located; callers clamp for presentation.
@@ -371,11 +372,11 @@ def _budget_for(caps: RateCaps, params: ProtocolParams,
 
 
 def _eval_point(target: RateTarget, caps: RateCaps, mode: str, gamma: float,
-                delta_est: float, shares: tuple,
+                s_max: int, delta_est: float, shares: tuple,
                 eps_t_index: int) -> RateReport | None:
-    """The RateReport at (gamma, delta_est, shares), None if infeasible:
-    key_length per round; in block mode key_length_block at s_max =
-    eat.default_s_max(gamma) and the eps_t candidate the kernel picked,
+    """The RateReport at (gamma, s_max, delta_est, shares), None if
+    infeasible: key_length per round (s_max = 1); in block mode
+    key_length_block at s_max and the eps_t candidate the kernel picked,
     cap_t * _eps_t_ladder(mode)[eps_t_index] with cap_t = (eps_s/4)^2,
     whose index the report's ``extras`` record (``eps_t_index``)."""
     omega_exp, _ = honest_werner(2.0 * target.q)
@@ -387,8 +388,7 @@ def _eval_point(target: RateTarget, caps: RateCaps, mode: str, gamma: float,
         if mode != BLOCK:
             return key_length(params, base)
         eps_t = (base.eps_s / 4.0) ** 2 * _eps_t_ladder(mode)[eps_t_index]
-        report = key_length_block(params, replace(base, eps_t=eps_t),
-                                  eat.default_s_max(gamma))
+        report = key_length_block(params, replace(base, eps_t=eps_t), s_max)
     except ValueError:
         return None
     report.extras["eps_t_index"] = eps_t_index
@@ -426,54 +426,52 @@ def _share_axis(caps: RateCaps, mode: str, shares) -> _ShareAxis:
                           eat._smoothing_root(es4 - sqrt_t, eps_e, np))
 
 
-def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
-                      gammas, deltas, shares) -> tuple:
-    """(values, paid): _eval_point's key length at every (gamma,
-    delta_est, shares) of the outer product of the three lists and its
-    best eps_t candidate, shape (len(gammas), len(deltas), len(shares)),
-    -inf where _eval_point returns None; paid, the terms that depend on
-    the candidate, one row per candidate (E, G, D, S): the first minimum
-    of paid[:, i] is point i's eps_t_index.  ``shares`` may also be the
-    _share_axis of the list, which a stage computes once for all passes.
+def _grid_key_lengths(target: RateTarget, caps: RateCaps, rows, deltas,
+                      shares: _ShareAxis) -> tuple:
+    """(values, paid): _eval_point's key length at every point of the
+    outer product of the (gamma, s_max) ``rows``, ``deltas`` and the splits
+    of ``shares`` (a _ShareAxis, computed once per stage) at its best eps_t
+    candidate, shape (len(rows), len(deltas), S), -inf where _eval_point
+    returns None; paid, the terms that depend on the candidate, one row per
+    candidate (E, G, D, S): the first minimum of paid[:, i] is point i's
+    eps_t_index.
 
-    The contract covers optimize_rate's points: gammas in (0, 1], delta_est
-    > 0 and positive shares.  Masked there: delta_est >= 1, no completeness
-    slack, a statistic below 3/4 and the log correction's log2(0).
+    The contract covers optimize_rate's points: gammas in (0, 1], integer
+    s_max >= 1 (1 per round), delta_est > 0 and positive shares.  Masked
+    there: delta_est >= 1, no completeness slack, a statistic below 3/4
+    and the log correction's log2(0).
 
     Every term is computed once, at the shape of its own inputs, from the
     scalar path's term functions called with xp = numpy.  With axes G =
-    gamma, D = delta_est, S = split and E = eps_t candidate:
+    row, D = delta_est, S = split and E = eps_t candidate:
 
-    - (G,): s_max, the block test mass, s_bar, m, log2 d_O, the cut
-      interval and the leakage rate; (D,): eps_ec_prime and the leakage's
-      two constants; (S,) and (E, S): _share_axis;
+    - (G,): the block test mass, s_bar, m, log2 d_O, the cut interval and
+      the leakage rate; (D,): eps_ec_prime and the leakage's two
+      constants; (S,) and (E, S): _share_axis;
     - (G, D, S): the entropy term (cut, penalty K, eat._tangent and its
       slope) less the log correction, the PA term and the leakage
       constants;
-    - (E, G, 1, S): the tail t, n_eff, n_eff * leakage rate + max-entropy
-      term, and the leakage root's factor sqrt(n_eff) 4 log2(2 sqrt(2) + 1);
+    - (E, G, 1, S): the tail t (0 at gamma = 1), n_eff, n_eff * leakage
+      rate + max-entropy term, and the leakage root's factor sqrt(n_eff) 4
+      log2(2 sqrt(2) + 1);
     - (E, 1, D, S): the leakage root of eps_ec_prime - 2 sqrt(eps_t), +inf
       where that is <= 0 (no key);
     - (E, G, D, S): one multiply-add, paid, then minimized over eps_t.
 
-    ``mode`` picks only the s_max rule (1 per round) and, by _share_axis,
-    the eps_t ladder.  A one-round row (each per round, gamma = 1 in block
-    mode) has no tail: its leakage root is eps_ec_prime's, at eps_t = 0.
-    At or below the cut (p~1 within 1e-9 mass of 3/4) the kernel keeps
-    the tangent, about 1e-13 relative from the scalar path's exact bound.
-    With that, numpy's ulps and another summing order, the values agree
-    with _eval_point within 1e-11 max(|l|, 1), not bit for bit: callers
-    rescore the points they keep with _eval_point.
+    A one-round row (s_max = 1) has no tail: its leakage root is
+    eps_ec_prime's, at eps_t = 0.  At or below the cut (p~1 within 1e-9
+    mass of 3/4) the kernel keeps the tangent, about 1e-13 relative from
+    the scalar path's exact bound.  With that, numpy's ulps and another
+    summing order, the values agree with _eval_point within 1e-11
+    max(|l|, 1), not bit for bit: callers rescore the points they keep
+    with _eval_point.
     """
-    if not isinstance(shares, _ShareAxis):
-        shares = _share_axis(caps, mode, shares)
     omega, _ = honest_werner(2.0 * target.q)
     n = target.n
     with np.errstate(all="ignore"):
-        # (G, 1, 1): one row per gamma
-        gamma = np.array(gammas, dtype=float)[:, None, None]
-        s_max = (eat._s_max_rule(gamma, np) if mode == BLOCK
-                 else np.ones_like(gamma))
+        # (G, 1, 1): one (gamma, s_max) pair per row
+        columns = np.array(list(zip(*rows)), dtype=float)
+        gamma, s_max = columns[:, :, None, None]
         tail = s_max > 1
         mass = np.where(tail, eat._test_mass(gamma, s_max), gamma)
         sbar = mass / gamma
@@ -488,7 +486,8 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, mode: str,
         delta_ok = (delta < 1) & (ecc > caps.eps_ec)
         prime = ecc - caps.eps_ec
         # (E, G, 1, S), (E, 1, D, S) and (D, 1): the leakage's terms
-        n_eff = (n + np.where(tail, eat._tail(m, s_max, shares.eps_t, np), 0.0)
+        n_eff = (n + np.where(tail & (gamma < 1),
+                              eat._tail(m, s_max, shares.eps_t, np), 0.0)
                  if tail.any() else n)
         # A finite log correction needs eps_s > 4.2e-8, so every candidate
         # has 0 <= sqrt(eps_t) <= eps_s / (4 sqrt(10)): neither the eps_t
@@ -524,7 +523,6 @@ SPLIT_REACH_DECADES = 2
 SPLIT_SCORED_DECADES = 8
 ZOOM_REACH = 2.4**2
 ZOOM_POINTS = 12
-ZOOM_LIVE = 2
 BAND = 1e-9
 RESCORED = 3
 
@@ -559,9 +557,9 @@ def _rescore(target, caps, mode, values, paid, args, best, stage,
 
 def _split(target, caps, mode, start: RateReport, evals: dict) -> tuple:
     """(report, shares): the best split (r, r, 1) of (eps_s, eps_ea,
-    eps_pa) at ``start``'s gamma and delta_est, r at SPLIT_GRID_PER_DECADE
-    points per decade, with its report, or ``start``, a point at the equal
-    split _DEFAULT_SHARES, with that split.  eps_s and eps_ea enter the key
+    eps_pa) at ``start``'s point, r at SPLIT_GRID_PER_DECADE points per
+    decade, with its report, or ``start``, a point at the equal split
+    _DEFAULT_SHARES, with that split.  eps_s and eps_ea enter the key
     length as log2(eps_s eps_e) under square roots that grow with n, eps_pa
     only as 2 log2(1/eps_pa), so the optimum has eps_s = eps_ea and a small
     eps_pa.  The box, r within SPLIT_REACH_DECADES decades of 1, widens by
@@ -570,7 +568,7 @@ def _split(target, caps, mode, start: RateReport, evals: dict) -> tuple:
     SPLIT_SCORED_DECADES decades either way, and each box is a slice of it;
     a box past that reach is scored by one more call over twice the
     reach."""
-    gamma, delta = start.params.gamma, start.params.delta_est
+    row, delta = (start.params.gamma, start.s_max), start.params.delta_est
     step = SPLIT_REACH_DECADES * SPLIT_GRID_PER_DECADE
     reach, top, scored = step, -math.inf, 0
     while True:
@@ -579,8 +577,8 @@ def _split(target, caps, mode, start: RateReport, evals: dict) -> tuple:
                          * SPLIT_GRID_PER_DECADE)
             shares = [(10.0 ** (k / SPLIT_GRID_PER_DECADE),) * 2 + (1.0,)
                       for k in range(-scored, scored + 1)]
-            widest, paid = _grid_key_lengths(target, caps, mode, [gamma],
-                                             [delta], shares)
+            widest, paid = _grid_key_lengths(target, caps, [row], [delta],
+                                             _share_axis(caps, mode, shares))
             evals["share_points"] += widest.size
         box = slice(scored - reach, scored + reach + 1)
         values = widest[0, 0, box]
@@ -589,7 +587,7 @@ def _split(target, caps, mode, start: RateReport, evals: dict) -> tuple:
             break
         top, reach = values.max(), reach + step
     point, i = _rescore(target, caps, mode, values, paid[:, 0, 0, box],
-                        lambda i: (gamma, delta, shares[box][i]),
+                        lambda i: row + (delta, shares[box][i]),
                         start, "share", evals)
     return point, _DEFAULT_SHARES if i is None else shares[box][i]
 
@@ -602,88 +600,69 @@ def _spread(lo: float, hi: float) -> list:
     return [lo] + [lo * step**i for i in range(1, ZOOM_POINTS - 1)] + [hi]
 
 
-def _bracket(s: int) -> tuple:
-    """The gamma window where eat.default_s_max is s: from 1/s to just
-    below the open top 1/(s - 1 + 1e-9) of eat._s_max_rule."""
-    return (1.0 / s, 1.0 / (s - 1 + 2e-9)) if s > 1 else (1.0, 1.0)
-
-
 def _cells(grid: list, members) -> tuple:
-    """The window from one cell below the first of ``members`` (indices
-    into ``grid``) to one cell above the last."""
-    return (grid[max(min(members) - 1, 0)],
-            grid[min(max(members) + 1, len(grid) - 1)])
+    """The window from one cell below the first of ``members`` (an array
+    of indices into ``grid``) to one cell above the last."""
+    return (grid[max(members.min() - 1, 0)],
+            grid[min(members.max() + 1, len(grid) - 1)])
 
 
 def _zoom(target, caps, mode, start: RateReport, shares: tuple,
           floor: float, evals: dict) -> tuple:
-    """(report, at_bound): the best key length over (gamma, delta_est) at
-    the split ``shares``, start's, or ``start`` if none beats it.
+    """(report, at_bound): the best key length over (gamma, s_max,
+    delta_est) at the split ``shares``, start's, or ``start`` if none
+    beats it.
 
-    The box is a factor ZOOM_REACH either way of start's gamma (up to 1)
-    and delta_est (down to ``floor``).  Per round, gamma is one window; in
-    block mode, where the rate jumps with s_max, each window is a bracket
-    (_bracket), and while the box holds over ZOOM_POINTS brackets a pass
-    scores ZOOM_POINTS log-spaced ones and narrows the s_max range to the
-    cells around those holding its _band.  A pass is one _grid_key_lengths
-    call over the windows x the delta_est window.  It keeps the first
-    ZOOM_LIVE windows holding the band, in gamma order (an optimum can sit
-    at a bracket's open top), shrinks each to the cells around its own
-    band and the delta_est window to those around the pass's, down to
-    1e-5 in gamma and 1e-4 in log delta_est.  The pass where nothing
-    shrinks is rescored.  ``at_bound``: the point's final windows touch an
-    edge of the box other than gamma = 1 and delta_est = ``floor``.
+    The box is a factor ZOOM_REACH either way of start's gamma (up to 1),
+    s_max (integers, at least 1; just 1 per round) and delta_est (down to
+    ``floor``).  A pass is one _grid_key_lengths call over the three
+    windows, ZOOM_POINTS log-spaced points each, an s_max window of at
+    most ZOOM_POINTS integers enumerated.  It shrinks each window to the
+    cells around the pass's _band, down to 1e-5 in gamma and 1e-4 in log
+    delta_est, an enumerated s_max window to the band's own values.  The
+    pass where nothing shrinks is rescored.  ``at_bound``: the point's
+    final windows touch an edge of the box other than gamma = 1, s_max = 1
+    and delta_est = ``floor``.
     """
-    gamma, delta = start.params.gamma, start.params.delta_est
-    reach = (gamma / ZOOM_REACH, min(gamma * ZOOM_REACH, 1.0))
+    gamma, s_max = start.params.gamma, start.s_max
+    delta = start.params.delta_est
+    gwin = (gamma / ZOOM_REACH, min(gamma * ZOOM_REACH, 1.0))
+    swin = ((max(math.floor(s_max / ZOOM_REACH), 1),
+             math.ceil(s_max * ZOOM_REACH)) if mode == BLOCK else (1, 1))
     dwin = (max(delta / ZOOM_REACH, floor), delta * ZOOM_REACH)
-    s_win, live = None, [reach]
-    if mode == BLOCK:
-        s_win = (eat.default_s_max(reach[1]), eat.default_s_max(reach[0]))
-        reach = (_bracket(s_win[1])[0], _bracket(s_win[0])[1])
-    edges = (reach[0], reach[1] if reach[1] < 1.0 else None,
-             dwin[0] if dwin[0] > floor else None, dwin[1])
+    # the box's edges, but for gamma = 1, s_max = 1 and delta_est = floor
+    edges = [None if e in (1, floor) else e for e in gwin + swin + dwin]
     axis = _share_axis(caps, mode, [shares])
     while True:
-        if s_win is not None:
-            lo, hi = s_win
-            brackets = sorted({lo, hi} | {round(x) for x in _spread(lo, hi)}
-                              if hi - lo >= ZOOM_POINTS else range(lo, hi + 1))
-            live = [_bracket(s) for s in brackets]
-        grids = [_spread(*w) for w in live]
-        deltas = _spread(*dwin)
-        gammas = [(g, k) for k, grid in enumerate(grids) for g in grid]
-        values, paid = _grid_key_lengths(
-            target, caps, mode, [g for g, _ in gammas], deltas, axis)
+        lo, hi = swin
+        sampled = hi - lo >= ZOOM_POINTS
+        s_axis = (sorted({lo, hi} | {round(x) for x in _spread(lo, hi)})
+                  if sampled else range(lo, hi + 1))
+        gammas, deltas = _spread(*gwin), _spread(*dwin)
+        rows = [(g, s) for s in s_axis for g in gammas]
+        values, paid = _grid_key_lengths(target, caps, rows, deltas, axis)
         values = values[:, :, 0]
         evals["zoom_passes"] += 1
         evals["zoom_points"] += values.size
         i, j = np.divmod(_band(values), len(deltas))
         if not i.size:
             break
-        kept, shrunk_d = sorted({gammas[x][1] for x in i}), _cells(deltas, j)
-        if math.log(dwin[1] / dwin[0]) <= 1e-4:
-            shrunk_d = dwin
-        if s_win is not None and len(brackets) < s_win[1] - s_win[0] + 1:
-            narrowed = _cells(brackets, kept)
-            if (narrowed, shrunk_d) != (s_win, dwin):
-                s_win, dwin = narrowed, shrunk_d
-                continue
-        s_win = None
-        rows = np.split(values, np.cumsum([len(g) for g in grids[:-1]]))
-        shrunk = [live[k] if live[k][1] - live[k][0] <= 1e-5 * live[k][0]
-                  else _cells(grids[k], _band(rows[k]) // len(deltas))
-                  for k in kept[:ZOOM_LIVE]]
-        if shrunk == live and shrunk_d == dwin:
+        k, i = np.divmod(i, len(gammas))
+        shrunk = (gwin if gwin[1] - gwin[0] <= 1e-5 * gwin[0]
+                  else _cells(gammas, i),
+                  _cells(s_axis, k) if sampled
+                  else (s_axis[k.min()], s_axis[k.max()]),
+                  dwin if math.log(dwin[1] / dwin[0]) <= 1e-4
+                  else _cells(deltas, j))
+        if shrunk == (gwin, swin, dwin):
             break
-        live, dwin = shrunk, shrunk_d
+        gwin, swin, dwin = shrunk
     point, i = _rescore(target, caps, mode, values, paid[..., 0],
-                        lambda i: (gammas[i // len(deltas)][0],
-                                   deltas[i % len(deltas)], shares),
+                        lambda i: rows[i // len(deltas)]
+                        + (deltas[i % len(deltas)], shares),
                         start, "zoom", evals)
     return point, i is not None and any(
-        a == b for a, b in zip(live[gammas[i // len(deltas)][1]] + dwin,
-                               edges))
+        a == b for a, b in zip(gwin + swin + dwin, edges))
 
 
 def optimize_rate(target: RateTarget, caps: RateCaps,
@@ -691,10 +670,11 @@ def optimize_rate(target: RateTarget, caps: RateCaps,
     """Deterministic search for the best rate under the caps, in boxes set
     by the caps and the rate:
 
-    1. coarse grid: log grids over gamma and delta_est, equal split, with
-       delta_est from just above delta_min (_delta_floor) to 0.1;
+    1. coarse grid: log grids over gamma (per round also 1/k, k = 1..40)
+       and delta_est, from just above delta_min (_delta_floor) to 0.1, at
+       the equal split and s_max = eat.default_s_max(gamma) (1 per round);
     2. split grid (_split) at that point, widened until the rate is flat;
-    3. one kernel zoom (_zoom) of gamma and delta_est at that split.
+    3. one kernel zoom (_zoom) of gamma, s_max and delta_est there.
 
     Each stage scores its points in numpy (_grid_key_lengths) and rescores
     the first RESCORED of its band with _eval_point (_rescore), whose
@@ -711,15 +691,17 @@ def optimize_rate(target: RateTarget, caps: RateCaps,
                            "share_points", "share_rescored", "zoom_passes",
                            "zoom_points", "zoom_rescored"), 0)
     floor = _delta_floor(target, caps)
-    gammas = sorted(set(_log_grid(1e-4, 1.0, GAMMA_GRID_PER_DECADE))
-                    | {1.0 / k for k in range(1, 41)})
+    gammas = _log_grid(1e-4, 1.0, GAMMA_GRID_PER_DECADE)
+    rows = ([(g, eat.default_s_max(g)) for g in gammas] if mode == BLOCK
+            else [(g, 1) for g in sorted(set(gammas)
+                                         | {1.0 / k for k in range(1, 41)})])
     deltas = _log_grid(floor, 0.1, DELTA_GRID_PER_DECADE)
-    values, paid = _grid_key_lengths(target, caps, mode, gammas, deltas,
-                                     [_DEFAULT_SHARES])
+    axis = _share_axis(caps, mode, [_DEFAULT_SHARES])
+    values, paid = _grid_key_lengths(target, caps, rows, deltas, axis)
     evals["grid_points"] = values.size
     coarse, _ = _rescore(target, caps, mode, values, paid,
-                         lambda i: (gammas[i // len(deltas)],
-                                    deltas[i % len(deltas)], _DEFAULT_SHARES),
+                         lambda i: rows[i // len(deltas)]
+                         + (deltas[i % len(deltas)], _DEFAULT_SHARES),
                          None, "grid", evals)
     if coarse is None:
         raise ValueError("no feasible parameter point under the caps")

@@ -243,15 +243,21 @@ class TestGameCommands:
     @pytest.mark.parametrize("field, value, message", [
         ("q", [["0.25"] * 2] * 2, "q entries must be numbers"),
         ("q", [[True] * 2] * 2, "q entries must be numbers"),
+        ("q", [[0.25, 0.25], [0.25, True]], "q entries must be numbers"),
         ("win", [[[[True] * 2] * 2] * 2] * 2, "win entries must be 0 or 1"),
+        # CHSH's table with one 1 written as true
+        ("win", [[[[True, 1], [1, 0]], [[0, 0], [0, 1]]],
+                 [[[0, 0], [0, 1]], [[1, 1], [1, 0]]]],
+         "win entries must be 0 or 1"),
         ("a_size", True, "a_size must be an integer"),
         ("a_size", 2.0, "a_size must be an integer")],
-        ids=["q-strings", "q-booleans", "win-booleans", "a-size-true",
-             "a-size-float"])
+        ids=["q-strings", "q-booleans", "q-one-boolean", "win-booleans",
+             "win-one-boolean", "a-size-true", "a-size-float"])
     def test_ns_value_entry_of_wrong_type(self, tmp_path, capsys, field,
                                           value, message):
         # each was once converted, and a value printed (2.0 ended in a
-        # TypeError from numpy instead)
+        # TypeError from numpy instead; a q with one true failed as "input
+        # distribution must sum to 1")
         payload = chsh_game().to_json_dict()
         payload[field] = value
         path = tmp_path / "game.json"
@@ -452,8 +458,9 @@ class TestSigTest:
     @pytest.mark.parametrize("field, value, message", [
         ("b", ["1", "0"], "non-integer entry in b"),
         ("b", [True, False], "non-integer entry in b"),
+        ("b", [0, True], "non-integer entry in b"),
         ("n", True, "n must be an integer")],
-        ids=["b-strings", "b-booleans", "n-true"])
+        ids=["b-strings", "b-booleans", "b-one-boolean", "n-true"])
     def test_entry_of_wrong_type_rejected(self, tmp_path, capsys, field,
                                           value, message):
         # each was once read as an integer (n: true with one round as 1)

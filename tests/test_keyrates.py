@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -423,9 +424,9 @@ class TestBudgetTermsFirst:
         for call in (lambda: kr.key_length(params, budget),
                      lambda: kr.key_length_block(params, budget, 20)):
             assert raised(call) == (ValueError, "math domain error")
-        for mode in (kr.PER_ROUND, kr.BLOCK):
+        for mode, s_max in ((kr.PER_ROUND, 1), (kr.BLOCK, 20)):
             point = kr._eval_point(self.TARGET, self.TINY_EPS_S, mode, 0.05,
-                                   1e-4, (1.0, 1.0, 1.0), 0)
+                                   s_max, 1e-4, (1.0, 1.0, 1.0), 0)
             assert point is None
         base = kr._budget_for(self.TINY_EPS_S, params, (1.0, 1.0, 1.0))
         assert base.eps_s == pytest.approx(1e-9)
@@ -436,9 +437,9 @@ class TestBudgetTermsFirst:
         kr.key_length(params, budget)
         kr.key_length_block(params, budget, 20)
         assert len(rate_calls) == 2
-        for mode in (kr.PER_ROUND, kr.BLOCK):
-            point = kr._eval_point(self.TARGET, self.CAPS, mode, 0.05, 1e-4,
-                                   (1.0, 1.0, 1.0), 0)
+        for mode, s_max in ((kr.PER_ROUND, 1), (kr.BLOCK, 20)):
+            point = kr._eval_point(self.TARGET, self.CAPS, mode, 0.05, s_max,
+                                   1e-4, (1.0, 1.0, 1.0), 0)
             assert point is not None
         assert len(rate_calls) == 4
 
@@ -615,6 +616,28 @@ class TestOptimizeRate:
             report = kr.optimize_rate(target, self.CAPS, mode=mode)
             assert report.extras["at_bound"] is True
 
+    def test_at_bound_s_max_edge(self):
+        """A zoom started at the optimum's gamma, delta_est and split but an
+        eighth of its s_max ends on the top of its s_max window,
+        ceil(s_max ZOOM_REACH), with gamma and delta_est well inside their
+        windows: the s_max window's edge alone sets the flag."""
+        target = kr.RateTarget(n=1e10, q=0.005)
+        best = kr.optimize_rate(target, self.CAPS, mode=kr.BLOCK)
+        gamma, delta = best.params.gamma, best.params.delta_est
+        shares = (best.budget.eps_s, best.budget.eps_ea, best.budget.eps_pa)
+        s_max = best.s_max // 8
+        assert math.ceil(s_max * kr.ZOOM_REACH) < best.s_max
+        start = kr._eval_point(target, self.CAPS, kr.BLOCK, gamma, s_max,
+                               delta, shares, best.extras["eps_t_index"])
+        report, at_bound = kr._zoom(target, self.CAPS, kr.BLOCK, start,
+                                    shares, kr._delta_floor(target, self.CAPS),
+                                    collections.Counter())
+        assert at_bound is True
+        assert report.s_max == math.ceil(s_max * kr.ZOOM_REACH)
+        reach = kr.ZOOM_REACH / 2.0
+        assert gamma / reach < report.params.gamma < gamma * reach
+        assert delta / reach < report.params.delta_est < delta * reach
+
     def test_strict_caps_infeasible(self):
         strict = kr.RateCaps(soundness=1e-9, completeness=1e-2, eps_ec=1e-12)
         for mode in (kr.BLOCK, kr.PER_ROUND):
@@ -642,7 +665,8 @@ class TestOptimizeRate:
             deltas = kr._log_grid(kr._delta_floor(kr.RateTarget(n=n, q=q),
                                                   self.CAPS), 0.1,
                                   kr.DELTA_GRID_PER_DECADE)
-            assert evals["grid_points"] == 71 * len(deltas)
+            # the 33 log-spaced gammas, each at s_max = ceil(1/gamma)
+            assert evals["grid_points"] == 33 * len(deltas)
             # boxes of 2, 4, ... decades at 3 points per decade, sliced
             # from one kernel call over 8 decades, or over twice the reach
             # once a box runs past it
@@ -680,7 +704,25 @@ class TestOptimizeRate:
             assert report.budget.eps_t == cap_t * 10.0 ** (-(index + 1))
 
 
-def sweep_oracle(target, caps, gamma, delta, shares):
+def s_rule(gamma):
+    """The coarse grid's block length cap, ceil(1/gamma)."""
+    return max(int(math.ceil(1.0 / gamma - 1e-9)), 1)
+
+
+def rule_rows(mode, gammas):
+    """(gamma, s_max) kernel rows: s_rule(gamma) in block mode, 1 per
+    round."""
+    return [(g, s_rule(g) if mode == kr.BLOCK else 1) for g in gammas]
+
+
+def grid_kernel(target, caps, mode, rows, deltas, shares):
+    """The grid kernel at the (gamma, s_max) ``rows`` and the split list
+    ``shares``, whose _share_axis it builds."""
+    return kr._grid_key_lengths(target, caps, rows, deltas,
+                                kr._share_axis(caps, mode, shares))
+
+
+def sweep_oracle(target, caps, gamma, s_max, delta, shares):
     """The block-mode eps_t sweep as one full key_length_block call per
     candidate, keeping the first strict maximum, whose index in the sweep
     its report's extras record (``eps_t_index``), as _eval_point's do."""
@@ -689,7 +731,6 @@ def sweep_oracle(target, caps, gamma, delta, shares):
         params = kr.ProtocolParams(target.n, gamma, omega, delta, target.q)
     except ValueError:
         return None
-    s_max = max(int(math.ceil(1.0 / gamma - 1e-9)), 1)
     base = kr._budget_for(caps, params, shares)
     if base is None:
         return None
@@ -707,11 +748,11 @@ def sweep_oracle(target, caps, gamma, delta, shares):
     return best
 
 
-def scalar_point(target, caps, mode, gamma, delta, shares):
+def scalar_point(target, caps, mode, gamma, s_max, delta, shares):
     """The scalar reference at a point, None if infeasible: sweep_oracle in
-    block mode, one key_length per round."""
+    block mode, one key_length per round (s_max = 1)."""
     if mode == kr.BLOCK:
-        return sweep_oracle(target, caps, gamma, delta, shares)
+        return sweep_oracle(target, caps, gamma, s_max, delta, shares)
     omega, _ = kr.honest_werner(2.0 * target.q)
     try:
         params = kr.ProtocolParams(target.n, gamma, omega, delta, target.q)
@@ -721,11 +762,11 @@ def scalar_point(target, caps, mode, gamma, delta, shares):
         return None
 
 
-def kernel_pick(target, caps, mode, gamma, delta, shares):
+def kernel_pick(target, caps, mode, gamma, s_max, delta, shares):
     """(value, eps_t_index): the grid kernel's key length at one point and
     its pick, the first minimum of ``paid`` over the eps_t candidates."""
-    values, paid = kr._grid_key_lengths(target, caps, mode, [gamma], [delta],
-                                        [shares])
+    values, paid = grid_kernel(target, caps, mode, [(gamma, s_max)],
+                               [delta], [shares])
     return values[0, 0, 0], int(paid[:, 0, 0, 0].argmin())
 
 
@@ -740,15 +781,16 @@ class TestEpsTSweep:
         hoeffding = self.CAPS.completeness - 2 * self.CAPS.eps_ec - eps_ec_prime
         return math.sqrt(-math.log(hoeffding) / (2.0 * self.TARGET.n))
 
-    def check(self, caps, gamma, delta, shares):
-        """_eval_point at the kernel's eps_t pick against the full sweep:
-        the pick is the sweep's first strict maximum, and the reports are
-        equal."""
-        value, pick = kernel_pick(self.TARGET, caps, kr.BLOCK, gamma, delta,
-                                  shares)
-        got = kr._eval_point(self.TARGET, caps, kr.BLOCK, gamma, delta,
+    def check(self, caps, gamma, delta, shares, s_max=None):
+        """_eval_point at the kernel's eps_t pick against the full sweep,
+        at s_max (s_rule(gamma) if None): the pick is the sweep's first
+        strict maximum, and the reports are equal."""
+        s_max = s_rule(gamma) if s_max is None else s_max
+        value, pick = kernel_pick(self.TARGET, caps, kr.BLOCK, gamma, s_max,
+                                  delta, shares)
+        got = kr._eval_point(self.TARGET, caps, kr.BLOCK, gamma, s_max, delta,
                              shares, pick)
-        want = sweep_oracle(self.TARGET, caps, gamma, delta, shares)
+        want = sweep_oracle(self.TARGET, caps, gamma, s_max, delta, shares)
         if want is None:
             assert got is None and value == -math.inf
             return None
@@ -768,7 +810,10 @@ class TestEpsTSweep:
             delta = float(10.0 ** rng.uniform(-5.0, -1.5))
             shares = tuple(float(10.0 ** rng.uniform(-2.0, 2.0))
                            for _ in range(3))
-            kept += self.check(self.CAPS, gamma, delta, shares) is not None
+            # s_max = ceil(f / gamma), f from 0.3 to 3
+            s_max = s_rule(gamma / 10.0 ** rng.uniform(-0.5, 0.5))
+            kept += self.check(self.CAPS, gamma, delta, shares,
+                               s_max) is not None
         assert kept >= 10
 
     def test_gamma_one(self):
@@ -809,15 +854,15 @@ class TestEpsTSweep:
         assert 0 < len(calls) <= rescored
         calls.clear()
         value, pick = kernel_pick(self.TARGET, self.CAPS, kr.BLOCK, 0.01,
-                                  1e-4, (1.0, 1.0, 1.0))
+                                  100, 1e-4, (1.0, 1.0, 1.0))
         assert calls == [] and value > 0
-        kr._eval_point(self.TARGET, self.CAPS, kr.BLOCK, 0.01, 1e-4,
+        kr._eval_point(self.TARGET, self.CAPS, kr.BLOCK, 0.01, 100, 1e-4,
                        (1.0, 1.0, 1.0), pick)
         assert len(calls) == 1
 
 
-def scalar_key_length(target, caps, mode, gamma, delta, shares):
-    report = scalar_point(target, caps, mode, gamma, delta, shares)
+def scalar_key_length(target, caps, mode, gamma, s_max, delta, shares):
+    report = scalar_point(target, caps, mode, gamma, s_max, delta, shares)
     return -math.inf if report is None else report.key_length
 
 
@@ -844,10 +889,13 @@ def reference_optimize_rate(target, caps, mode):
     """The optimizer as it stood with four stages (coarse grid, refine,
     split grid, refine) in constant boxes (delta_est >= 1e-4 on the grid, a
     split of at most two decades), one scalar key length per grid point
-    (the full eps_t sweep in block mode) and golden-section refines."""
+    (the full eps_t sweep in block mode, at s_max = ceil(1/gamma)) and
+    golden-section refines."""
 
     def evaluate(gamma, delta, shares):
-        return scalar_key_length(target, caps, mode, gamma, delta, shares)
+        return scalar_key_length(target, caps, mode, gamma,
+                                 s_rule(gamma) if mode == kr.BLOCK else 1,
+                                 delta, shares)
 
     gammas = GRID_GAMMAS
     deltas = GRID_DELTAS
@@ -904,7 +952,9 @@ def reference_optimize_rate(target, caps, mode):
         if v > best_v + 1e-12:
             best_v, best_shares = v, shares
     gamma2, delta2 = refine(gamma1, delta1, best_shares)
-    return scalar_point(target, caps, mode, gamma2, delta2, best_shares)
+    return scalar_point(target, caps, mode, gamma2,
+                        s_rule(gamma2) if mode == kr.BLOCK else 1, delta2,
+                        best_shares)
 
 
 GRID_GAMMAS = sorted(set(kr._log_grid(1e-4, 1.0, kr.GAMMA_GRID_PER_DECADE))
@@ -935,22 +985,22 @@ class TestGridKernel:
                (1e8, 0.01), (1e10, 0.005), (1e10, 0.025), (1e12, 0.015),
                (1e15, 0.005), (1e15, 0.034)]
 
-    def check(self, target, caps, mode, gammas, deltas, shares):
+    def check(self, target, caps, mode, rows, deltas, shares):
         """Kernel against the scalar reference (the full eps_t sweep in
-        block mode) at every point: the same -inf mask, values within 1e-11
+        block mode) at every point of the (gamma, s_max) ``rows`` x
+        ``deltas`` x ``shares``: the same -inf mask, values within 1e-11
         relative, the kernel's eps_t pick the sweep's first strict maximum,
         and _eval_point at that pick the reference's key length; returns
         the feasible count."""
-        got, paid = kr._grid_key_lengths(target, caps, mode, gammas, deltas,
-                                         shares)
-        assert got.shape == (len(gammas), len(deltas), len(shares))
+        got, paid = grid_kernel(target, caps, mode, rows, deltas, shares)
+        assert got.shape == (len(rows), len(deltas), len(shares))
         assert paid.shape == (len(kr._eps_t_ladder(mode)),) + got.shape
         want = np.full(got.shape, -math.inf)
-        for (i, g), (j, d), (k, s) in itertools.product(
-                enumerate(gammas), enumerate(deltas), enumerate(shares)):
+        for (i, (g, s_max)), (j, d), (k, s) in itertools.product(
+                enumerate(rows), enumerate(deltas), enumerate(shares)):
             pick = int(paid[:, i, j, k].argmin())
-            point = kr._eval_point(target, caps, mode, g, d, s, pick)
-            ref = scalar_point(target, caps, mode, g, d, s)
+            point = kr._eval_point(target, caps, mode, g, s_max, d, s, pick)
+            ref = scalar_point(target, caps, mode, g, s_max, d, s)
             assert (point is None) == (ref is None)
             if ref is not None:
                 want[i, j, k] = ref.key_length
@@ -967,7 +1017,8 @@ class TestGridKernel:
     def test_coarse_grid(self, mode):
         for n, q in self.TARGETS:
             feasible = self.check(kr.RateTarget(n=n, q=q), self.CAPS, mode,
-                                  GRID_GAMMAS, GRID_DELTAS, [(1.0, 1.0, 1.0)])
+                                  rule_rows(mode, GRID_GAMMAS), GRID_DELTAS,
+                                  [(1.0, 1.0, 1.0)])
             assert 0 < feasible < 71 * 25
 
     @pytest.mark.parametrize("mode", [kr.BLOCK, kr.PER_ROUND])
@@ -976,7 +1027,8 @@ class TestGridKernel:
                                    (1e7, 0.03, 0.09, 2e-3)):
             for shares in (SHARE_GRID, SPLIT_AXIS):
                 feasible = self.check(kr.RateTarget(n=n, q=q), self.CAPS,
-                                      mode, [gamma], [delta], shares)
+                                      mode, rule_rows(mode, [gamma]), [delta],
+                                      shares)
                 # small eps_s shares put eps_s below 4.2e-8: log2(0)
                 assert 0 < feasible < len(shares)
 
@@ -984,23 +1036,39 @@ class TestGridKernel:
     def test_strict_caps(self, mode):
         # eps_s < 4.2e-8 at every split: the log correction's log2(0)
         target = kr.RateTarget(n=1e10, q=0.01)
-        assert self.check(target, self.STRICT, mode, GRID_GAMMAS,
-                          GRID_DELTAS, [(1.0, 1.0, 1.0)]) == 0
-        assert self.check(target, self.STRICT, mode, [0.01], [1e-4],
-                          SHARE_GRID) == 0
+        assert self.check(target, self.STRICT, mode,
+                          rule_rows(mode, GRID_GAMMAS), GRID_DELTAS,
+                          [(1.0, 1.0, 1.0)]) == 0
+        assert self.check(target, self.STRICT, mode, rule_rows(mode, [0.01]),
+                          [1e-4], SHARE_GRID) == 0
 
     def test_invalid_inputs(self):
         # the masks optimize_rate's points reach (TestKernelContract)
         for mode in (kr.BLOCK, kr.PER_ROUND):
             assert self.check(
-                kr.RateTarget(n=1e8, q=0.01), self.CAPS, mode, [0.3, 1.0],
-                [1e-3, 1.0], [(1.0, 1.0, 1.0)]) == 2
+                kr.RateTarget(n=1e8, q=0.01), self.CAPS, mode,
+                rule_rows(mode, [0.3, 1.0]), [1e-3, 1.0],
+                [(1.0, 1.0, 1.0)]) == 2
             # omega_exp below 3/4
             assert self.check(kr.RateTarget(n=1e8, q=0.2), self.CAPS, mode,
-                              [0.3], [1e-3], [(1.0, 1.0, 1.0)]) == 0
+                              rule_rows(mode, [0.3]), [1e-3],
+                              [(1.0, 1.0, 1.0)]) == 0
         # fewer than one round is no target
         with pytest.raises(ValueError, match="n must be >= 1"):
             kr.RateTarget(n=0.5, q=0.01)
+
+    def test_s_max_rows(self):
+        """Block rows whose s_max is not ceil(1/gamma): from 1 to
+        ceil(3/gamma), and s_max > 1 at gamma = 1, where every block is one
+        round, so the tail is 0 but the leakage still pays sqrt(eps_t)."""
+        rows = [(g, s) for g in (1.0, 0.3, 0.0123, 4e-4)
+                for s in sorted({1, 2} | {s_rule(g / f)
+                                          for f in (0.5, 1.5, 3.0)})]
+        for n, q in ((1e10, 0.005), (1e7, 0.03)):
+            feasible = self.check(kr.RateTarget(n=n, q=q), self.CAPS,
+                                  kr.BLOCK, rows, [1e-5, 1e-4, 2e-3],
+                                  [(1.0, 1.0, 1.0)])
+            assert 0 < feasible < 3 * len(rows)
 
     def check_oracle(self, got, want):
         """The key length is at least the golden-section reference's, less
@@ -1060,13 +1128,14 @@ class TestKernelContract:
     does occur, at small n, which is why the kernel still masks it."""
 
     def test_optimizer_points_in_contract(self, monkeypatch):
-        gammas, deltas, shares = [], {}, []
+        rows, deltas, shares = {kr.BLOCK: [], kr.PER_ROUND: []}, {}, []
         kernel, axis = kr._grid_key_lengths, kr._share_axis
+        mode = None
 
-        def kernel_spy(target, caps, mode, g, d, s):
-            gammas.extend(g)
+        def kernel_spy(target, caps, r, d, s):
+            rows[mode].extend(r)
             deltas.setdefault(target.n, []).extend(d)
-            return kernel(target, caps, mode, g, d, s)
+            return kernel(target, caps, r, d, s)
 
         def axis_spy(caps, mode, s):
             shares.extend(s)
@@ -1083,8 +1152,11 @@ class TestKernelContract:
                         kr.RateTarget(n=n, q=q), caps, mode=mode))
                     assert error in (None, (ValueError, "no feasible "
                                             "parameter point under the caps"))
-        assert len(deltas) == 16 and len(gammas) > 1000
-        assert all(0 < g <= 1 for g in gammas)
+        assert len(deltas) == 16 and len(rows[kr.BLOCK]) > 1000
+        assert all(0 < g <= 1 for r in rows.values() for g, _ in r)
+        assert all(isinstance(s, int) and s >= 1 for _, s in rows[kr.BLOCK])
+        assert {s for _, s in rows[kr.PER_ROUND]} == {1}
+        assert max(s for _, s in rows[kr.BLOCK]) > 1
         assert all(math.isfinite(x) and x > 0 for sh in shares for x in sh)
         assert all(d > 0 for ds in deltas.values() for d in ds)
         assert max(d for n, ds in deltas.items() if n <= 100 for d in ds) >= 1
@@ -1099,14 +1171,14 @@ ORACLE_TARGETS = TestGridKernel.TARGETS + [
 secrecy_bound_each = np.vectorize(entropy.secrecy_bound, otypes=[float])
 
 
-def reference_grid_key_lengths(target, caps, mode, gammas, deltas, shares):
+def reference_grid_key_lengths(target, caps, mode, rows, deltas, shares):
     """The grid kernel before it computed each term at the shape of its own
     inputs: per-axis rows from the scalar functions in Python loops, every
-    term on the full (gamma, delta_est, share, eps_t) array, summed in the
-    scalar path's order, masked, then maximized over eps_t."""
+    term on the full ((gamma, s_max), delta_est, share, eps_t) array, summed
+    in the scalar path's order, masked, then maximized over eps_t."""
     omega, _ = kr.honest_werner(2.0 * target.q)
     n = target.n
-    shape = (len(gammas), len(deltas), len(shares))
+    shape = (len(rows), len(deltas), len(shares))
     if not (n >= 1 and entropy.OMEGA_CLASSICAL <= omega
             <= entropy.OMEGA_QUANTUM + 1e-12 and 0 <= target.q <= 0.5
             and 0 < caps.eps_ec < 1):
@@ -1119,19 +1191,18 @@ def reference_grid_key_lengths(target, caps, mode, gammas, deltas, shares):
 
     h_q, h_omega = entropy.binary_entropy(target.q), entropy.binary_entropy(
         omega)
-    rows = []
-    for gamma in gammas:
+    terms = []
+    for gamma, s_max in rows:
         ok = 0 < gamma <= 1
         gamma = gamma if ok else 1.0
-        block = eat.BlockSpec(gamma, eat.default_s_max(gamma)
-                              if mode == kr.BLOCK else 1)
+        block = eat.BlockSpec(gamma, s_max)
         scale, sbar = block.test_mass, eat.expected_block_length(block)
         lo, hi = eat.cut_interval(scale)
-        rows.append((ok and lo < hi, gamma, block.s_max, scale, sbar,
-                     n / sbar, eat._log2_block_dim(block.s_max), lo, hi,
-                     (1.0 - gamma) * h_q + gamma * h_omega))
+        terms.append((ok and lo < hi, gamma, block.s_max, scale, sbar,
+                      n / sbar, eat._log2_block_dim(block.s_max), lo, hi,
+                      (1.0 - gamma) * h_q + gamma * h_omega))
     (gamma_ok, gamma, s_max, scale, sbar, m, log2_do, lo, hi,
-     leak_rate) = column(rows, 0)
+     leak_rate) = column(terms, 0)
     tail = s_max > 1
     rows = []
     for delta in deltas:
@@ -1171,9 +1242,9 @@ def reference_grid_key_lengths(target, caps, mode, gammas, deltas, shares):
         glued = at_cut + slope * (p1 - cut)
         f_min = np.where(p1 <= cut, sbar * secrecy_bound_each(ratio), glued)
         entropy_term = m * (f_min - k_pen * (log2_do + slope))
-        # Hoeffding over block lengths in [1, s_max]
-        t = np.where(tail, (s_max - 1.0) * np.sqrt(-m * np.log(eps_t) / 2.0),
-                     0.0)
+        # Hoeffding over block lengths in [1, s_max]; one round at gamma = 1
+        t = np.where(tail & (gamma < 1),
+                     (s_max - 1.0) * np.sqrt(-m * np.log(eps_t) / 2.0), 0.0)
         n_eff = n + t
         eps_sqrt_term = prime - 2.0 * np.sqrt(np.where(tail, eps_t, 0.0))
         leak = (n_eff * leak_rate
@@ -1188,14 +1259,14 @@ def reference_grid_key_lengths(target, caps, mode, gammas, deltas, shares):
     return np.where(ok, ell, -np.inf).max(axis=3)
 
 
-def below_cut_count(target, caps, mode, gammas, deltas, shares):
+def below_cut_count(target, caps, mode, rows, deltas, shares):
     """Feasible points whose statistic p~1 is at or below the scalar
     optimum's cut, where the glued function is the secrecy bound itself."""
     count = 0
-    for g in gammas:
+    for g, s_max in rows:
         for d in deltas:
             for sh in shares:
-                point = scalar_point(target, caps, mode, g, d, sh)
+                point = scalar_point(target, caps, mode, g, s_max, d, sh)
                 if point is not None:
                     p1 = (point.params.omega_exp
                           * eat.BlockSpec(g, point.s_max).test_mass - d)
@@ -1212,10 +1283,9 @@ class TestKernelOracle:
     # masked, and reached by optimize_rate's zoom at small n
     BAD_DELTA = 1.0
 
-    def check(self, target, caps, mode, gammas, deltas, shares):
-        got, paid = kr._grid_key_lengths(target, caps, mode, gammas, deltas,
-                                         shares)
-        want = reference_grid_key_lengths(target, caps, mode, gammas, deltas,
+    def check(self, target, caps, mode, rows, deltas, shares):
+        got, paid = grid_kernel(target, caps, mode, rows, deltas, shares)
+        want = reference_grid_key_lengths(target, caps, mode, rows, deltas,
                                           shares)
         assert got.shape == want.shape
         feasible = np.isfinite(want)
@@ -1223,16 +1293,13 @@ class TestKernelOracle:
         assert np.all(got[~feasible] == -math.inf)
         gap = np.abs(got[feasible] - want[feasible])
         assert np.all(gap <= 1e-11 * np.maximum(np.abs(want[feasible]), 1.0))
-        axis = kr._share_axis(caps, mode, shares)
-        again = kr._grid_key_lengths(target, caps, mode, gammas, deltas, axis)
-        assert np.array_equal(again[0], got)
-        assert np.array_equal(again[1], paid, equal_nan=True)
         return got
 
     def random_grid(self, rng):
-        """(target, caps, mode, gammas, deltas, shares): n from 1e5 to 1e15,
-        QBER up to 0.04, gamma = 1 beside gammas below 1 in most grids, and
-        delta_est = 1 in some."""
+        """(target, caps, mode, rows, deltas, shares): n from 1e5 to 1e15,
+        QBER up to 0.04, gamma = 1 beside gammas below 1 in most grids,
+        s_max = ceil(f / gamma) with f log-uniform from 0.3 to 3 in block
+        mode (1 per round), and delta_est = 1 in some."""
         target = kr.RateTarget(n=float(10.0 ** rng.uniform(5.0, 15.0)),
                                q=float(rng.uniform(0.0, 0.04)))
         mode = kr.BLOCK if rng.random() < 0.6 else kr.PER_ROUND
@@ -1247,17 +1314,24 @@ class TestKernelOracle:
         if rng.random() < 0.25:
             deltas.append(self.BAD_DELTA)
         caps = self.STRICT if rng.random() < 0.1 else self.CAPS
-        return target, caps, mode, gammas, deltas, shares
+        f = 10.0 ** rng.uniform(-0.5, 0.5, len(gammas))
+        rows = [(g, s_rule(g / x) if mode == kr.BLOCK else 1)
+                for g, x in zip(gammas, f)]
+        return target, caps, mode, rows, deltas, shares
 
     def test_random_grids(self):
         rng = np.random.default_rng(20261018)
         grids = [self.random_grid(rng) for _ in range(120)]
         kinds = {"block": 0, "per-round": 0, "mixed gamma = 1": 0,
-                 "strict": 0, "invalid": 0, "feasible": 0}
-        for target, caps, mode, gammas, deltas, shares in grids:
-            got = self.check(target, caps, mode, gammas, deltas, shares)
+                 "s_max > 1 at gamma = 1": 0, "strict": 0, "invalid": 0,
+                 "feasible": 0}
+        for target, caps, mode, rows, deltas, shares in grids:
+            got = self.check(target, caps, mode, rows, deltas, shares)
+            gammas = [g for g, _ in rows]
             kinds[mode] += 1
             kinds["mixed gamma = 1"] += 1.0 in gammas and min(gammas) < 1.0
+            kinds["s_max > 1 at gamma = 1"] += (1.0, 1) not in rows \
+                and 1.0 in gammas
             kinds["invalid"] += self.BAD_DELTA in deltas
             kinds["feasible"] += bool(np.isfinite(got).any())
             if caps is self.STRICT:
@@ -1273,13 +1347,13 @@ class TestKernelOracle:
         rng = np.random.default_rng(20261019)
         checked = 0
         while checked < 1000:
-            target, caps, mode, gammas, deltas, shares = self.random_grid(rng)
+            target, caps, mode, rows, deltas, shares = self.random_grid(rng)
             if mode != kr.BLOCK:
                 continue
-            values, paid = kr._grid_key_lengths(target, caps, mode, gammas,
-                                                deltas, shares)
+            values, paid = grid_kernel(target, caps, mode, rows, deltas,
+                                       shares)
             for i, j, k in zip(*np.nonzero(np.isfinite(values))):
-                want = sweep_oracle(target, caps, gammas[i], deltas[j],
+                want = sweep_oracle(target, caps, *rows[i], deltas[j],
                                     shares[k])
                 assert int(paid[:, i, j, k].argmin()) == \
                     want.extras["eps_t_index"]
@@ -1298,15 +1372,15 @@ class TestKernelOracle:
             target = kr.RateTarget(n=n, q=0.02)
             omega, _ = kr.honest_werner(2.0 * target.q)
             for mode in (kr.BLOCK, kr.PER_ROUND):
+                rows = rule_rows(mode, gammas)
                 edge = [(omega - 0.75 - 5e-10) * eat.BlockSpec(
-                    g, eat.default_s_max(g) if mode == kr.BLOCK else 1
-                ).test_mass for g in gammas]
+                    *row).test_mass for row in rows]
                 inner = [1e-6, 0.003, 0.03]
-                args = (target, self.CAPS, mode, gammas, edge + inner,
+                args = (target, self.CAPS, mode, rows, edge + inner,
                         [(1.0, 1.0, 1.0)])
                 got = self.check(*args)
                 assert 0 < below_cut_count(*args) < np.isfinite(got).sum()
-                args = (target, self.CAPS, mode, gammas, inner,
+                args = (target, self.CAPS, mode, rows, inner,
                         [(1.0, 1.0, 1.0)])
                 got = self.check(*args)
                 assert below_cut_count(*args) == 0 < np.isfinite(got).sum()
@@ -1320,7 +1394,8 @@ class TestKernelOracle:
         deltas = [sweep.delta_leaving(p)
                   for p in (1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-7)]
         for mode in (kr.BLOCK, kr.PER_ROUND):
-            args = (sweep.TARGET, sweep.CAPS, mode, [1.0, 0.5, 0.01], deltas,
+            args = (sweep.TARGET, sweep.CAPS, mode,
+                    rule_rows(mode, [1.0, 0.5, 0.01]), deltas,
                     [(1.0, 1.0, 1.0)])
             got = self.check(*args)
             assert TestGridKernel().check(*args) == np.isfinite(got).sum()
@@ -1329,40 +1404,44 @@ class TestKernelOracle:
                                 else [True, True, True])
 
 
+# the block length caps of the dense scan, s_max = ceil(f / gamma)
+SCAN_S_FACTORS = (0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
+
+
 def dense_scan(target, caps, mode):
     """The best key length on a dense grid over a wide box, rescored with
-    the scalar reference (scalar_point): gamma log-spaced at 16 per decade from 1e-5 to 1 and, in
-    block mode, the bottom and the top of every s_max bracket at 16
-    log-spaced s per decade up to 1e5; delta_est log-spaced at 16 per decade
-    from delta_min to 0.1; the splits (r, r, 1), r at 3 per decade from 1
-    to 1e9; then at the kernel's best (gamma, delta_est) every split
-    (r_s, r_e, 1), both at 3 per decade from 1e-2 to 1e10.  The ten best
-    kernel points are rescored."""
+    the scalar reference (scalar_point) at the row's s_max: gamma
+    log-spaced at 16 per decade from 1e-5 to 1, each with s_max =
+    ceil(f / gamma) for every f in SCAN_S_FACTORS in block mode (1 per
+    round); delta_est log-spaced at 16 per decade from delta_min to 0.1;
+    the splits (r, r, 1), r at 3 per decade from 1 to 1e9; then at the
+    kernel's best (gamma, s_max, delta_est) every split (r_s, r_e, 1), both
+    at 3 per decade from 1e-2 to 1e10.  The ten best kernel points are
+    rescored."""
     gammas = kr._log_grid(1e-5, 1.0, 16)
-    if mode == kr.BLOCK:
-        for s in sorted({round(10.0 ** (k / 16)) for k in range(81)}):
-            gammas += list(kr._bracket(s))
+    rows = ([(g, s_rule(g / f)) for g in gammas for f in SCAN_S_FACTORS]
+            if mode == kr.BLOCK else rule_rows(mode, gammas))
     delta_min = math.sqrt(math.log(1.0 / (
         caps.completeness - 2.0 * caps.eps_ec)) / (2.0 * target.n))
     deltas = kr._log_grid(delta_min * (1.0 + 1e-9), 0.1, 16)
     best = []
     for k in range(28):
         shares = (10.0 ** (k / 3), 10.0 ** (k / 3), 1.0)
-        values = kr._grid_key_lengths(target, caps, mode, gammas, deltas,
-                                      [shares])[0][:, :, 0]
+        values = grid_kernel(target, caps, mode, rows, deltas,
+                             [shares])[0][:, :, 0]
         for i in np.argsort(values, axis=None)[-10:]:
-            best.append((values.flat[i], gammas[i // len(deltas)],
+            best.append((values.flat[i], rows[i // len(deltas)],
                          deltas[i % len(deltas)], shares))
     best = sorted(best)[-10:]
-    _, gamma, delta, _ = best[-1]
+    _, row, delta, _ = best[-1]
     splits = [(10.0 ** (i / 3), 10.0 ** (j / 3), 1.0)
               for i in range(-6, 31) for j in range(-6, 31)]
-    values = kr._grid_key_lengths(target, caps, mode, [gamma], [delta],
-                                  splits)[0][0, 0]
+    values = grid_kernel(target, caps, mode, [row], [delta],
+                         splits)[0][0, 0]
     for i in np.argsort(values)[-10:]:
-        best.append((values[i], gamma, delta, splits[i]))
-    return max(scalar_key_length(target, caps, mode, *point[1:])
-               for point in best)
+        best.append((values[i], row, delta, splits[i]))
+    return max(scalar_key_length(target, caps, mode, *row, delta, shares)
+               for _, row, delta, shares in best)
 
 
 # the oracle targets and four more, 15 in all

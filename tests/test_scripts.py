@@ -214,9 +214,11 @@ def test_same_numbers_sees_a_one_ulp_change(tmp_path):
         False, True, False, True, False, False]
     for moved, total in ((lines[1], 216), (lines[3], 6000)):
         match = re.fullmatch(r"  (\d+) of (\d+) lines differ, "
-                             r"largest \|Δ\| (\S+)", moved)
+                             r"largest \|Δ\| (\S+); first float up in "
+                             r"(\d+), down in (\d+)", moved)
         assert match and int(match[2]) == total
         assert 0 < int(match[1]) <= total and 0 < float(match[3]) < 1e-4
+        assert int(match[4]) + int(match[5]) <= int(match[1])
 
     same_numbers = load_script("same_numbers")
     parent = ["k 0x1.0000000000000p+0 7", "same 0.25", "raise E: x"]
@@ -225,3 +227,17 @@ def test_same_numbers_sees_a_one_ulp_change(tmp_path):
     # the third pair has no float fields to pair up; "extra" has no partner
     assert same_numbers.moved(parent, change) == (3, 2.0**-52)
     assert same_numbers.moved(parent[2:], change[2:3]) == (1, None)
+
+
+def test_same_numbers_directions_of_canned_lines():
+    """Each differing pair counts up or down by its first float field
+    alone; a pair with a line holding no float field, an unmoved first
+    field, equal lines and a line without a partner count in neither."""
+    same_numbers = load_script("same_numbers")
+    parent = ["k 0x1.0000000000000p+0 7", "same 0.25", "raise E: x",
+              "v 2.5 1.0", "w 1e-3 0.5", "e 0.5 [('a', 3)] False", "extra"]
+    change = ["k 0x1.0000000000001p+0 7", "same 0.25", "value 0.5",
+              "v 2.0 9.0", "w 0.001 0.75", "e 0.25 [('a', 4)] True"]
+    assert same_numbers.directions(parent, change) == (1, 2)
+    assert same_numbers.directions(change, parent) == (2, 1)
+    assert same_numbers.directions(parent, parent) == (0, 0)
