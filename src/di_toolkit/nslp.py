@@ -26,7 +26,11 @@ The solver is a dense two-phase simplex with Bland's rule: the programs
 here have at most a few hundred variables and we need deterministic,
 reproducible solutions.  At this size a pivot's cost is numpy call
 overhead, not arithmetic, so the cost row is the tableau's last row and
-one row update per pivot clears the entering column from it too.
+one row update per pivot clears the entering column from it too.  A
+program may carry a start (:func:`perturbed_value`'s is the deterministic
+box (0, 0)), and phase 2 runs from it when its basis is feasible as
+computed.  An optimum is checked against every row and x >= 0 before it
+is returned.
 
 Bland's rule ends only in exact arithmetic.  When a column that is
 already basic enters again, its tableau column is compared with its unit
@@ -43,7 +47,7 @@ scales.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,16 +57,25 @@ from .signalling import signalling_matrix
 SOLVER_TOL = 1e-9
 # how far a re-entering basic column may sit from its unit vector
 BASIS_TOL = 1e-6
+# how far an optimum may break a row, per unit of the row's scale: past
+# the 6e-13 of optimal solves of random games, below the 1e-6 of a false
+# optimum (a dual variant of the perturbed program, on a stalling game)
+RESIDUAL_TOL = 1e-9
 
 LE, EQ, GE = "<=", "=", ">="
 
 
 @dataclass
 class LinearProgram:
-    """max c.x subject to rows (coeffs, relation, rhs); variables x >= 0."""
+    """max c.x subject to rows (coeffs, relation, rhs); variables x >= 0.
+
+    ``start`` holds (row, column) pairs, one per = row: solve pivots on
+    each to make that column basic there, and runs phase 2 from the
+    result if it is a feasible basis (_start)."""
 
     c: np.ndarray
     rows: list  # list of (np.ndarray, relation, float)
+    start: tuple = ()
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -83,7 +96,10 @@ class LPSolution:
     """A solve's outcome and its record: the final basis (the basic column
     of each row of the equality form; an artificial left basic has an
     index past its columns) and the pivot counts of phase 1 (including
-    the pivots that drive artificials out) and phase 2."""
+    the pivots that drive artificials out) and phase 2.  From an accepted
+    start, phase 1 is the start's pivots.  A refused start's pivots were
+    made on a tableau that is dropped, and are not counted: the record is
+    the two-phase solve's."""
 
     status: str  # optimal | infeasible | unbounded
     value: float = float("nan")
@@ -163,70 +179,71 @@ def _simplex_phase(tableau, basis, n_cols, max_iter, phase):
 
 
 def solve(lp: LinearProgram) -> LPSolution:
-    """Two-phase dense simplex with Bland's anti-cycling rule.
+    """Dense simplex with Bland's anti-cycling rule: phase 2 from the
+    program's start where solve accepts it (_start), else two phases.
 
     Returns an optimal basic solution, its basis and pivot counts.
-    Deterministic given the program.
+    Deterministic given the program.  Raises SolverError if the tableau
+    loses its basis or the optimum breaks a row (_certify).
     """
     n = lp.num_vars
     m = len(lp.rows)
     rels = [rel for _, rel, _ in lp.rows]
 
     # Equality standard form: A x + S slack = b with slack >= 0 for <= rows
-    # (>= rows get -1 slack), then flip rows to make b >= 0.
+    # (>= rows get -1 slack); rows 0..m-1 are the constraints, row m the
+    # cost row, and the last column the rhs.
     slack_rows = [i for i, rel in enumerate(rels) if rel != EQ]
     n_total = n + len(slack_rows)
-    M = np.zeros((m, n_total))
-    M[:, :n] = [coeffs for coeffs, _, _ in lp.rows]
-    b = np.array([rhs for _, _, rhs in lp.rows], dtype=float)
+    form = np.zeros((m + 1, n_total + 1))
+    form[:m, :n] = [coeffs for coeffs, _, _ in lp.rows]
+    form[:m, -1] = [rhs for _, _, rhs in lp.rows]
     slack_col = {i: n + k for k, i in enumerate(slack_rows)}
     for i, j in slack_col.items():
-        M[i, j] = 1.0 if rels[i] == LE else -1.0
-    sign = np.where(b < 0, -1.0, 1.0)
-    M[b < 0] *= -1.0
-    b *= sign
+        form[i, j] = 1.0 if rels[i] == LE else -1.0
 
-    # Phase 1: artificials where the slack cannot start basic.
-    basis = [-1] * m
-    art_rows = []
-    for i in range(m):
-        j = slack_col.get(i)
-        if j is not None and M[i, j] == 1.0:
-            basis[i] = j
-        else:
-            art_rows.append(i)
-    n_art = len(art_rows)
-    for k, i in enumerate(art_rows):
-        basis[i] = n_total + k
-    # rows 0..m-1 are the constraints, row m the cost row
-    tableau = np.zeros((m + 1, n_total + n_art + 1))
-    tableau[:m, :n_total] = M
-    tableau[:m, -1] = b
-    tableau[art_rows, n_total + np.arange(n_art)] = 1.0
+    started = _start(form, rels, slack_col, lp.start) if lp.start else None
+    if started is not None:
+        tableau, basis = started
+        phase1, max_iter = len(lp.start), 50000 + 200 * n_total
+    else:
+        # Flip rows to make b >= 0; artificials where the slack cannot
+        # start basic.
+        tableau, basis = _flipped(form, np.flatnonzero(form[:m, -1] < 0),
+                                  slack_col)
+        art_rows = [i for i in range(m) if basis[i] < 0]
+        n_art = len(art_rows)
+        for k, i in enumerate(art_rows):
+            basis[i] = n_total + k
+        tableau = np.insert(tableau, [n_total] * n_art, 0.0, axis=1)
+        tableau[art_rows, n_total + np.arange(n_art)] = 1.0
 
-    max_iter = 50000 + 200 * (n_total + n_art)
-    phase1 = 0
-    if n_art:
-        # auxiliary objective: maximize -(sum of artificials); reduced cost
-        # row starts at sum of the artificial rows, rhs column = -objective
-        cost = tableau[m]
-        for i in art_rows:
-            cost += tableau[i]
-        cost[n_total:n_total + n_art] = 0.0
-        status, phase1 = _simplex_phase(tableau, basis, n_total + n_art,
-                                        max_iter, 1)
-        if status != "optimal" or cost[-1] > 1e-7:
-            return LPSolution(status="infeasible", basis=np.array(basis),
-                              pivots=(phase1, 0))
-        # pivot artificials out of the basis where possible
-        for i in range(m):
-            if basis[i] >= n_total:
-                nz = np.flatnonzero(np.abs(tableau[i, :n_total]) > SOLVER_TOL)
-                if nz.size:
-                    _pivot(tableau, i, nz[0])
-                    basis[i] = int(nz[0])
-                    phase1 += 1
-        tableau = np.delete(tableau, np.s_[n_total:n_total + n_art], axis=1)
+        max_iter = 50000 + 200 * (n_total + n_art)
+        phase1 = 0
+        if n_art:
+            # auxiliary objective: maximize -(sum of artificials); reduced
+            # cost row starts at sum of the artificial rows, rhs column =
+            # -objective
+            cost = tableau[m]
+            for i in art_rows:
+                cost += tableau[i]
+            cost[n_total:n_total + n_art] = 0.0
+            status, phase1 = _simplex_phase(tableau, basis, n_total + n_art,
+                                            max_iter, 1)
+            if status != "optimal" or cost[-1] > 1e-7:
+                return LPSolution(status="infeasible", basis=np.array(basis),
+                                  pivots=(phase1, 0))
+            # pivot artificials out of the basis where possible
+            for i in range(m):
+                if basis[i] >= n_total:
+                    nz = np.flatnonzero(
+                        np.abs(tableau[i, :n_total]) > SOLVER_TOL)
+                    if nz.size:
+                        _pivot(tableau, i, nz[0])
+                        basis[i] = int(nz[0])
+                        phase1 += 1
+            tableau = np.delete(tableau, np.s_[n_total:n_total + n_art],
+                                axis=1)
 
     # Phase 2.
     cost = tableau[m]
@@ -245,8 +262,59 @@ def solve(lp: LinearProgram) -> LPSolution:
     real = basis < n_total  # the rest are artificials left basic at zero
     primal = np.zeros(n_total)
     primal[basis[real]] = tableau[:m][real, -1]
+    _certify(form, rels, primal[:n])
     return LPSolution(status="optimal", value=float(lp.c @ primal[:n]),
                       primal=primal[:n], basis=basis, pivots=(phase1, phase2))
+
+
+def _flipped(form, rows, slack_col):
+    """A copy of ``form`` with ``rows`` negated, and the basic column of
+    each row whose slack then enters with +1 (-1 on the other rows)."""
+    tableau = form.copy()
+    tableau[rows] *= -1.0
+    basis = [-1] * (len(tableau) - 1)
+    for i, j in slack_col.items():
+        if tableau[i, j] == 1.0:
+            basis[i] = j
+    return tableau, basis
+
+
+def _start(form, rels, slack_col, start):
+    """The program's start as (tableau, basis), or None where it is refused.
+
+    Each >= row is written as its negated <= row, so every slack enters
+    with +1 and starts basic, and the start pivots give the = rows their
+    basic columns.  The start is refused if a pivot entry is within
+    SOLVER_TOL of 0, a row is left without a basic column, or a
+    right-hand side is < 0 as computed: it is taken as it stands, with no
+    clean-up of rounding.
+    """
+    tableau, basis = _flipped(
+        form, [i for i, rel in enumerate(rels) if rel == GE], slack_col)
+    for i, j in start:
+        if not abs(tableau[i, j]) > SOLVER_TOL:
+            return None
+        _pivot(tableau, i, j)
+        basis[i] = j
+    if -1 in basis or not (tableau[:-1, -1] >= 0.0).all():
+        return None
+    return tableau, basis
+
+
+def _certify(form, rels, x):
+    """Raise SolverError if x < 0, or if x breaks a row a.x (rel) b of the
+    equality form's tableau ``form`` by more than RESIDUAL_TOL times the
+    row's scale 1 + |a|.|x| + |b|."""
+    a, b, rel = form[:-1, :len(x)], form[:-1, -1], np.array(rels)
+    excess = a @ x - b
+    excess = np.select([rel == EQ, rel == GE], [abs(excess), -excess], excess)
+    scale = 1.0 + np.abs(a) @ np.abs(x) + np.abs(b)
+    broken = np.flatnonzero(excess > RESIDUAL_TOL * scale)
+    if broken.size:
+        i = broken[0]
+        raise SolverError(f"simplex optimum breaks row {i} by {excess[i]:.3g}")
+    if x.min(initial=0.0) < -RESIDUAL_TOL:
+        raise SolverError(f"simplex optimum breaks x >= 0 by {-x.min():.3g}")
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +418,17 @@ def ns_value(game: Game) -> tuple:
 def perturbed_value(game: Game, slack: float) -> float:
     """Optimum with every signalling constraint relaxed to <= slack: the
     trivial bound, with no program solved, on a game that a deterministic
-    pair wins outright (_outright_value), else the primal's optimum."""
+    pair wins outright (_outright_value), else the primal's optimum.
+
+    The primal starts at the deterministic box that answers (0, 0) on
+    every (x, y): P(0,0|x,y) basic on each normalization row, every slack
+    basic.  The box is non-signalling, so the signalling rows' right-hand
+    sides are slack - S x = slack, and phase 2 starts there with no phase
+    1.  At slack 0 the start is degenerate: S x is 0 only in exact
+    arithmetic and is computed a few 1e-17 either side, so solve refuses
+    the start on most programs and runs both phases (the stalling games'
+    lost basis in phase 1 stands).
+    """
     if not slack >= 0:
         raise ValueError("slack must be >= 0")
     if not game.q.complete_support:
@@ -358,7 +436,10 @@ def perturbed_value(game: Game, slack: float) -> float:
     outright = _outright_value(game)
     if outright is not None:
         return outright
-    sol = solve(build_ns_lp(game, slack))
+    al = game.alphabets
+    d, answers = al.num_signalling_constraints, al.a_size * al.b_size
+    sol = solve(replace(build_ns_lp(game, slack), start=tuple(
+        (d + k, k * answers) for k in range(al.x_size * al.y_size))))
     if sol.status != "optimal":
         raise SolverError(f"perturbed program: {sol.status}")
     return float(sol.value)

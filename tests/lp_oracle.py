@@ -3,15 +3,19 @@ simplex with a separate cost row, a boolean row mask per pivot and the duals
 computed in every solve, as nslp.solve was before the cost row moved into
 the tableau.  The only additions are the records the tests compare: the
 final basis and the pivot counts of phase 1 (driving artificials out
-included) and phase 2.  duals(lp, basis) gives the tests the multipliers
-of any solver's final basis, nslp.solve's included.
+included) and phase 2, and a program's start, taken by the same rule as
+nslp.solve's: start_tableau makes its pivots, and phase 2 runs from there
+if every row has a basic column and every right-hand side is >= 0 as
+computed; else the solve is the two-phase one.  duals(lp, basis) gives
+the tests the multipliers of any solver's final basis, nslp.solve's
+included.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 
-from di_toolkit.nslp import EQ, LE, SOLVER_TOL, SolverError
+from di_toolkit.nslp import EQ, GE, LE, SOLVER_TOL, SolverError
 
 
 def _pivot(tableau, leave, enter):
@@ -98,9 +102,53 @@ def duals(lp, basis):
     return y * sign
 
 
-def solve(lp):
+def start_tableau(lp):
+    """(tableau, basis) after the program's start pivots, or None if a
+    pivot entry is within SOLVER_TOL of 0: the rows A x + s = b with a +1
+    slack on <= rows, >= rows negated so their slack is +1 too, each slack
+    basic, then one pivot per (row, column) pair of lp.start.  A row left
+    without a basic column has -1."""
     n = lp.num_vars
     m = len(lp.rows)
+    rels = [rel for _, rel, _ in lp.rows]
+    slack_rows = [i for i, rel in enumerate(rels) if rel != EQ]
+    tableau = np.zeros((m, n + len(slack_rows) + 1))
+    tableau[:, :n] = [coeffs for coeffs, _, _ in lp.rows]
+    tableau[:, -1] = [rhs for _, _, rhs in lp.rows]
+    basis = np.full(m, -1)
+    for k, i in enumerate(slack_rows):
+        tableau[i, n + k] = 1.0 if rels[i] == LE else -1.0
+        if rels[i] == GE:
+            tableau[i] *= -1.0
+        basis[i] = n + k
+    for i, j in lp.start:
+        if abs(tableau[i, j]) <= SOLVER_TOL:
+            return None
+        _pivot(tableau, i, j)
+        basis[i] = j
+    return tableau, basis
+
+
+def _started(lp):
+    """The start's tableau and basis where solve takes it, else None."""
+    started = start_tableau(lp) if lp.start else None
+    if started is None:
+        return None
+    tableau, basis = started
+    if (basis < 0).any() or not (tableau[:, -1] >= 0).all():
+        return None
+    return tableau, basis
+
+
+def solve(lp):
+    m = len(lp.rows)
+    started = _started(lp)
+    if started is not None:
+        tableau, basis = started
+        n_total = tableau.shape[1] - 1
+        return _phase_2(lp, tableau, basis, n_total, len(lp.start),
+                        50000 + 200 * n_total)
+
     M, b, _, slack_col = _equality_form(lp)
     n_total = M.shape[1]
 
@@ -138,7 +186,12 @@ def solve(lp):
                     basis[i] = nz[0]
                     phase1 += 1
         tableau = np.delete(tableau, np.s_[n_total:n_total + n_art], axis=1)
+    return _phase_2(lp, tableau, basis, n_total, phase1, max_iter)
 
+
+def _phase_2(lp, tableau, basis, n_total, phase1, max_iter):
+    n = lp.num_vars
+    m = len(lp.rows)
     cost = np.zeros(n_total + 1)
     cost[:n] = lp.c
     for i in range(m):

@@ -127,6 +127,32 @@ def loop_ns_lp(game, slack):
     return c, rows
 
 
+def zero_box_start(al):
+    """Oracle: the (row, column) pairs that make P(0,0|x,y) basic on the
+    normalization row of each (x, y), which follows the d signalling
+    rows."""
+    d = al.num_signalling_constraints
+    return tuple((d + x * al.y_size + y, _var_index(al, x, y, 0, 0))
+                 for x in range(al.x_size) for y in range(al.y_size))
+
+
+def started_lp(game, slack):
+    """build_ns_lp's <= slack program with the deterministic box's start."""
+    lp = nslp.build_ns_lp(game, slack)
+    lp.start = zero_box_start(game.alphabets)
+    return lp
+
+
+def same_record(got, want):
+    """The two solutions' status, value, primal, basis and pivots agree
+    byte for byte."""
+    return (got.status == want.status
+            and got.value.hex() == want.value.hex()
+            and got.primal.tobytes() == want.primal.tobytes()
+            and got.basis.tolist() == want.basis.tolist()
+            and got.pivots == want.pivots)
+
+
 def oracle_games():
     rng = np.random.default_rng(606)
     return ([chsh_game(), extended_chsh_game()]
@@ -221,6 +247,38 @@ class TestSolver:
             rhs = np.array([r[2] for r in rows])
             y = lp_oracle.duals(lp, sol.basis)
             assert float(y @ rhs) == pytest.approx(sol.value, abs=1e-8)
+
+    def _nudged(self, monkeypatch, nudge):
+        """Shift every right-hand side by ``nudge`` once phase 2 ends."""
+        phase = nslp._simplex_phase
+
+        def nudging(tableau, basis, n_cols, max_iter, which):
+            status, pivots = phase(tableau, basis, n_cols, max_iter, which)
+            if which == 2:
+                tableau[:-1, -1] += nudge
+            return status, pivots
+
+        monkeypatch.setattr(nslp, "_simplex_phase", nudging)
+
+    def test_residual_guard_breaks_a_row(self, monkeypatch, chsh):
+        """An optimum 1e-6 off its rows raises SolverError; 1e-13 off, well
+        under RESIDUAL_TOL, is returned."""
+        lp = nslp.build_ns_lp(chsh, 0.01)
+        exact = nslp.solve(lp).value
+        self._nudged(monkeypatch, 1e-13)
+        assert nslp.solve(lp).value == pytest.approx(exact, abs=1e-11)
+        self._nudged(monkeypatch, 1e-6)
+        with pytest.raises(nslp.SolverError, match="optimum breaks row"):
+            nslp.solve(lp)
+
+    def test_residual_guard_breaks_nonnegativity(self, monkeypatch):
+        """max x s.t. x <= 1, with x moved to -1: the row holds, x >= 0
+        does not."""
+        lp = nslp.LinearProgram(np.array([1.0]),
+                                [(np.array([1.0]), "<=", 1.0)])
+        self._nudged(monkeypatch, -2.0)
+        with pytest.raises(nslp.SolverError, match="breaks x >= 0"):
+            nslp.solve(lp)
 
 
 class TestGamePrograms:
@@ -468,6 +526,75 @@ class TestSingleSolve:
             nslp.ns_value(incomplete)
 
 
+class TestStart:
+    """perturbed_value's program starts at the deterministic box (0, 0):
+    phase 2 runs from there when every computed right-hand side is >= 0,
+    else the solve is the two-phase one."""
+
+    def games(self):
+        rng = np.random.default_rng(3535)
+        return ([chsh_game(), extended_chsh_game()]
+                + [random_game(rng) for _ in range(120)])
+
+    def test_taken_exactly_when_rhs_nonnegative(self):
+        """The start's right-hand sides as the reference computes them:
+        all >= 0, and the start is taken, with the X*Y start pivots as
+        phase 1 and the two-phase optimum within 1e-12; one < 0, and the
+        record is the two-phase solve's.  At slack > 0 every start is
+        taken."""
+        games = self.games()
+        taken = {slack: 0 for slack in FORMS[1:]}
+        for game in games:
+            xy = game.alphabets.x_size * game.alphabets.y_size
+            for slack in FORMS[1:]:
+                lp = started_lp(game, slack)
+                tableau, basis = lp_oracle.start_tableau(lp)
+                assert (basis >= 0).all()
+                plain = nslp.solve(nslp.build_ns_lp(game, slack))
+                got = nslp.solve(lp)
+                if (tableau[:, -1] >= 0).all():
+                    taken[slack] += 1
+                    assert got.pivots[0] == xy != plain.pivots[0]
+                    assert got.value == pytest.approx(plain.value, abs=1e-12)
+                else:
+                    assert same_record(got, plain)
+        # at slack 0 the start is degenerate: the rounding of S x decides
+        assert 0 < taken[0.0] < len(games)
+        assert taken[0.01] == taken[0.05] == len(games)
+
+    def test_refused_start_is_two_phase_solve(self, chsh):
+        """A start whose pivot entry is 0, or that leaves a normalization
+        row without a basic column, is refused."""
+        plain = nslp.solve(nslp.build_ns_lp(chsh, 0.01))
+        zero_entry, missing = started_lp(chsh, 0.01), started_lp(chsh, 0.01)
+        (row, _), (_, column) = zero_entry.start[:2]
+        zero_entry.start = ((row, column),) + zero_entry.start[1:]
+        missing.start = missing.start[1:]
+        for lp in (zero_entry, missing):
+            assert same_record(nslp.solve(lp), plain)
+
+    def test_only_perturbed_value_starts(self, monkeypatch):
+        """perturbed_value's program carries the deterministic box's start
+        and ns_value's two do not; the value is the started solve's."""
+        programs, solve = [], nslp.solve
+
+        def recording(lp):
+            programs.append(lp)
+            return solve(lp)
+
+        monkeypatch.setattr(nslp, "solve", recording)
+        games = [game for game in self.games()[:20]
+                 if nslp._outright_value(game) is None]
+        assert games
+        for game in games:
+            programs.clear()
+            nslp.ns_value(game)
+            assert [lp.start for lp in programs] == [(), ()]
+            value = nslp.perturbed_value(game, 0.01)
+            assert programs[-1].start == zero_box_start(game.alphabets)
+            assert value == solve(started_lp(game, 0.01)).value
+
+
 class TestWonOutright:
     """A game that a deterministic pair wins outright is worth the trivial
     bound T at every slack, with kappa 0, and solves no program."""
@@ -645,15 +772,16 @@ class _Enough(Exception):
 
 class TestReferenceSolver:
     """solve against tests/lp_oracle.py, the simplex with a separate cost
-    row: the same pivots, so the same bytes."""
+    row: the same pivots, so the same bytes, from a start too."""
 
     def test_same_solutions_and_records(self):
         rng = np.random.default_rng(1812)
         games = ([chsh_game(), extended_chsh_game()]
                  + [random_game(rng) for _ in range(120)])
         for game in games:
-            for form in FORMS:
-                lp = nslp.build_ns_lp(game, form)
+            # every form, and perturbed_value's started programs
+            for lp in ([nslp.build_ns_lp(game, form) for form in FORMS]
+                       + [started_lp(game, slack) for slack in (0.01, 0.05)]):
                 got, want = nslp.solve(lp), lp_oracle.solve(lp)
                 assert got.status == want.status
                 assert got.value.hex() == want.value.hex()
@@ -693,7 +821,8 @@ class TestReferenceSolver:
         assert reference == made
 
     def test_pivot_counts_are_pivots(self, monkeypatch):
-        """The two phase counts add up to the pivots made."""
+        """The two phase counts add up to the pivots made, from a taken
+        start too."""
         made = []
         pivot = nslp._pivot
 
@@ -708,4 +837,9 @@ class TestReferenceSolver:
                 made.clear()
                 sol = nslp.solve(nslp.build_ns_lp(game, form))
                 assert sol.pivots[0] > 0  # the = rows start on artificials
+                assert sum(sol.pivots) == len(made)
+            for slack in (0.01, 0.05):
+                made.clear()
+                sol = nslp.solve(started_lp(game, slack))
+                assert sol.pivots[0] == len(zero_box_start(game.alphabets))
                 assert sum(sol.pivots) == len(made)

@@ -172,6 +172,30 @@ def test_bench_pairs_summary_of_canned_runs():
             "; claim met" if met else "; claim not met")
 
 
+def test_lp_pivots_counts(tmp_path):
+    """CHSH, extended CHSH and the 27 random games of verify-mix passes
+    0-2 that no deterministic pair wins outright: two ns_value solves and
+    one perturbed_value solve per slack for each; at slack > 0 every start
+    is taken, so phase 1 is the X*Y start pivots of each game."""
+    out = run_script("lp_pivots", "--label", "smoke",
+                     "--out-dir", str(tmp_path))
+    assert out.splitlines()[-1].endswith("BENCH_lp-pivots-smoke.json")
+    with open(tmp_path / "BENCH_lp-pivots-smoke.json") as fh:
+        record = json.load(fh)
+    games, counts = record["games"], record["counts"]
+    assert list(games)[:2] == ["chsh", "extended-chsh"]
+    assert len(games) == 29
+    assert counts["ns_value"]["solves"] == 2 * len(games)
+    assert counts["perturbed_value"]["solves"] == 3 * len(games)
+    start_pivots = sum(x * y for x, y, _, _ in games.values())
+    for slack in ("0.01", "0.05"):
+        row = counts[f"perturbed_value@{slack}"]
+        assert row["solves"] == row["starts_taken"] == len(games)
+        assert row["phase1"] == start_pivots
+    for row in counts.values():
+        assert row["pivots"] == row["phase1"] + row["phase2"]
+
+
 def test_same_numbers_against_this_checkout():
     """Both sides this checkout: every group identical, exit 0 (run_script
     checks it), with every report, call and README CLI example hashed."""
