@@ -22,9 +22,10 @@ first on PYTHONPATH, and hashes four groups there:
   0.01 and 0.05 on CHSH, extended CHSH and 24 seeded random games of the
   verify-mix shapes; signalling_test_flags on 40 seeded data sets; the
   exact max ratio of definetti-verify's check at n = 1, 2 and 3;
-  exact_abort_probability on a 108-point grid; and round_count_statistics
-  at fixed seeds (each a raise by its type and message).  The abort
-  estimator's frequencies are left out: they follow the sampler's stream.
+  exact_abort_probability on a 108-point grid; estimate_abort_probability
+  at seed 7 on the per-round configurations of the abort law tests
+  (COUNT_ONLY_CASES in tests/test_simulate.py); and round_count_statistics
+  at fixed seeds (each a raise by its type and message).
 
 It prints one SHA-1 per group and side, and exits 1 if any group differs.
 Under a group that differs it says how far it moved: how many lines differ,
@@ -63,6 +64,11 @@ GAME_SHAPES = [(2, 2, 2, 2), (2, 2, 3, 3), (2, 3, 2, 3), (2, 3, 3, 3),
                (3, 2, 3, 2), (3, 2, 3, 3), (3, 3, 2, 3), (3, 3, 3, 2)]
 SLACKS = (0.0, 0.01, 0.05)
 VERIFY_SEED = 18121092
+# (n, gamma, delta_est, trials) of the abort estimator lines
+ESTIMATOR_CASES = [(10**4, 0.5, 0.02, 500), (1000, 0.5, 0.001, 200),
+                   (2000, 1.0, 0.01, 200), (5, 0.5, 0.001, 300),
+                   (777, 1.0, 0.001, 200), (1001, 0.3, 0.001, 200),
+                   (40, 0.02, 0.001, 300)]
 
 
 def readme_examples(readme):
@@ -195,7 +201,8 @@ def _call_line(call):
 
 def verify_lines(lib):
     """One line per non-signalling program, signalling data set, de
-    Finetti check, exact abort probability and round-count statistic."""
+    Finetti check, exact or estimated abort probability and round-count
+    statistic."""
     import numpy as np
 
     boxes, nslp, sig, df, sim = (lib.boxes, lib.nslp, lib.signalling,
@@ -240,6 +247,10 @@ def verify_lines(lib):
                     yield _call_line(lambda: sim.exact_abort_probability(
                         sim.SimulationConfig(n, gamma, 0.81, delta,
                                              sim.HonestDevice(omega, 0.01))))
+    for n, gamma, delta, trials in ESTIMATOR_CASES:
+        yield _call_line(lambda: sim.estimate_abort_probability(
+            sim.SimulationConfig(n, gamma, 0.81, delta,
+                                 sim.HonestDevice(0.81, 0.01)), trials, 7))
     for m, gamma, s_max, tail in ((200, 0.1, 10, 60.0), (50, 0.3, 4, 5.0),
                                   (100, 0.2, 6, 10.0)):
         block = lib.eat.BlockSpec(gamma, s_max)

@@ -196,7 +196,7 @@ def solve(lp: LinearProgram) -> LPSolution:
     slack_rows = [i for i, rel in enumerate(rels) if rel != EQ]
     n_total = n + len(slack_rows)
     form = np.zeros((m + 1, n_total + 1))
-    form[:m, :n] = [coeffs for coeffs, _, _ in lp.rows]
+    form[:m, :n] = np.reshape([coeffs for coeffs, _, _ in lp.rows], (m, n))
     form[:m, -1] = [rhs for _, _, rhs in lp.rows]
     slack_col = {i: n + k for k, i in enumerate(slack_rows)}
     for i, j in slack_col.items():
@@ -254,7 +254,7 @@ def solve(lp: LinearProgram) -> LPSolution:
         if c_basic != 0.0:
             cost -= c_basic * tableau[i]
     status, phase2 = _simplex_phase(tableau, basis, n_total, max_iter, 2)
-    basis = np.array(basis)
+    basis = np.array(basis, dtype=int)
     if status == "unbounded":
         return LPSolution(status="unbounded", basis=basis,
                           pivots=(phase1, phase2))

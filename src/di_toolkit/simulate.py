@@ -14,10 +14,10 @@ test-round inputs, Alice's outputs and the generation-round agreements.
 A run aborts iff fewer than (omega_exp * test_mass - delta_est) * m blocks
 end in a won test.  At s_max = 1 the flag array is one uniform per round
 and the test mass is gamma itself, so the per-round stream and abort rule
-are the block ones of one-round blocks.  The abort decision reads the
-flags and the wins alone, and they come first: the abort estimator's
-stream is a prefix of the transcript's, so its abort flags are
-run_protocol's by construction.
+are the block ones of one-round blocks.  The abort estimator runs no
+sampler: the rounds are independent, so the per-round protocol's won test
+rounds are Bin(n, gamma omega_dev); it draws each trial's count from that
+law and applies the same threshold.
 
 Randomness is a counter-based Philox generator keyed by
 (master_seed, trial_index), so transcripts are bit-identical for identical
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eat import BlockSpec, expected_block_length
+from .eat import BlockSpec, _check_block, expected_block_length
 from .signalling import _binomial_upper_tail
 
 GEN_INPUTS = (0, 2)  # (x, y) used in generation rounds
@@ -87,15 +87,16 @@ def _trial_rng(master_seed: int, trial: int,
     return rng
 
 
+def _abort_threshold(m, test_mass, omega_exp, delta_est):
+    """A run of m blocks aborts iff fewer blocks end in a won test."""
+    return (omega_exp * test_mass - delta_est) * m
+
+
 def _run(m: int, block: BlockSpec, omega_exp: float, delta_est: float,
          device: HonestDevice, seed: int, trial: int,
-         transcript: bool = True,
-         rng: np.random.Generator | None = None) -> Transcript | bool:
-    """The one sampler: m blocks of at most s_max rounds, aborting iff fewer
-    than (omega_exp * test_mass - delta_est) * m blocks end in a won test
-    round.  The flags and the wins come first; with ``transcript`` false it
-    stops there and returns the abort flag alone, a prefix of the
-    transcript run's stream.  ``rng``: see _trial_rng."""
+         rng: np.random.Generator | None = None) -> Transcript:
+    """The one sampler: m blocks of at most s_max rounds, aborting by
+    _abort_threshold.  ``rng``: see _trial_rng."""
     if m < 1:
         raise ValueError("the number of blocks must be >= 1")
     rng = _trial_rng(seed, trial, rng)
@@ -108,9 +109,8 @@ def _run(m: int, block: BlockSpec, omega_exp: float, delta_est: float,
     wins = rng.random(n) < device.omega_exp
     # a block holds at most one test, its last round: won tests = won blocks
     win_count = int(np.count_nonzero(wins & test))
-    aborted = bool(win_count < (omega_exp * block.test_mass - delta_est) * m)
-    if not transcript:
-        return aborted
+    aborted = win_count < _abort_threshold(m, block.test_mass, omega_exp,
+                                           delta_est)
     tests = int(np.count_nonzero(test))
     x = np.full(n, GEN_INPUTS[0], dtype=np.int8)
     y = np.full(n, GEN_INPUTS[1], dtype=np.int8)
@@ -198,37 +198,36 @@ class SimulationConfig:
     device: HonestDevice
 
     def __post_init__(self):
+        _check_block(self.gamma, 1)
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
         if not 0 < self.delta_est < 1:
             raise ValueError("delta_est must be in (0,1)")
 
 
 def estimate_abort_probability(config: SimulationConfig, trials: int,
                                master_seed: int) -> tuple:
-    """(frequency, (lo, hi)) empirical abort probability with a 95% Wilson
-    interval; deterministic given the master seed.  Trial k aborts iff
-    run_protocol(..., master_seed, trial=k) does: it draws the prefix of
-    that run's stream that holds the flags and the wins, and stops."""
+    """(frequency, (lo, hi)) abort frequency with its 95% Wilson interval:
+    trial k aborts as run_protocol does on draw k of Bin(n, gamma omega_dev),
+    the won test rounds, from the master seed's trial-0 generator."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    block = BlockSpec(config.gamma, 1)
-    rng = _trial_rng(master_seed, 0)
-    aborts = sum(_run(config.n, block, config.omega_exp, config.delta_est,
-                      config.device, master_seed, trial, transcript=False,
-                      rng=rng)
-                 for trial in range(trials))
+    wins = _trial_rng(master_seed, 0).binomial(
+        config.n, config.gamma * config.device.omega_exp, size=trials)
+    aborts = int(np.count_nonzero(wins < _abort_threshold(
+        config.n, config.gamma, config.omega_exp, config.delta_est)))
     return aborts / trials, wilson_interval(aborts, trials)
 
 
 def exact_abort_probability(config: SimulationConfig) -> float:
-    """Pr[abort] of the per-round protocol: each round is a won test round
-    with probability p = gamma omega_dev, so the win count X ~ Bin(n, p) and
-    the run aborts iff X < (omega_exp gamma - delta_est) n, i.e. iff
-    X <= k = ceil(threshold) - 1.  Summed as the upper tail of the
-    complement count n - X ~ Bin(n, 1 - p), with no 1 - tail cancellation."""
-    threshold = (config.omega_exp * config.gamma - config.delta_est) * config.n
+    """Pr[abort] of the per-round protocol: the won test rounds are
+    X ~ Bin(n, p), p = gamma omega_dev, and a run aborts iff X is below
+    _abort_threshold, i.e. iff X <= k = ceil(threshold) - 1: the upper tail
+    of n - X ~ Bin(n, 1 - p), summed with no 1 - tail cancellation."""
     p = config.gamma * config.device.omega_exp
-    return _binomial_upper_tail(config.n, 1.0 - p,
-                                config.n - (math.ceil(threshold) - 1))
+    k = math.ceil(_abort_threshold(config.n, config.gamma, config.omega_exp,
+                                   config.delta_est)) - 1
+    return _binomial_upper_tail(config.n, 1.0 - p, config.n - k)
 
 
 def round_count_statistics(m_blocks: int, block: BlockSpec,

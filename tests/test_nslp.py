@@ -216,6 +216,16 @@ class TestSolver:
                                 [(np.array([1.0]), ">=", 1.0)])
         assert nslp.solve(lp).status == "unbounded"
 
+    def test_no_rows_optimal_at_origin(self):
+        # a program with no rows once raised numpy's broadcast ValueError
+        sol = nslp.solve(nslp.LinearProgram(np.array([-1.0, 0.0]), []))
+        assert (sol.status, sol.value) == ("optimal", 0.0)
+        assert sol.primal.tolist() == [0.0, 0.0]
+
+    def test_no_rows_unbounded(self):
+        lp = nslp.LinearProgram(np.array([-1.0, 2.0]), [])
+        assert nslp.solve(lp).status == "unbounded"
+
     def test_equality_and_duals(self):
         # max x + y s.t. x + y = 1, x <= 0.3
         lp = nslp.LinearProgram(

@@ -16,6 +16,22 @@ def device(omega=0.81, q=0.05):
     return sim.HonestDevice(omega_exp=omega, q=q)
 
 
+def abort_law(m, block, omega, delta_est):
+    """Pr[abort] of m blocks on a device that wins with the protocol's
+    omega, summed term by term: the won-block count is
+    Bin(m, omega * test_mass)."""
+    p = omega * block.test_mass
+    return sum(math.comb(m, k) * p**k * (1 - p)**(m - k)
+               for k in range(m + 1)
+               if k < (omega * block.test_mass - delta_est) * m)
+
+
+def within_5_sigma(freq, trials, exact):
+    """An abort frequency over ``trials`` runs within five binomial
+    standard deviations of the exact abort probability."""
+    return abs(freq - exact) <= 5 * math.sqrt(exact * (1 - exact) / trials)
+
+
 class TestRunProtocol:
     def test_transcript_invariant(self):
         tr = sim.run_protocol(1000, 0.3, 0.81, 0.02, device(), seed=1)
@@ -151,13 +167,9 @@ class TestOneSampler:
         assert ks <= math.sqrt(math.log(2 / 1e-3) / (2 * trials))
 
     def test_block_abort_frequency_covers_exact(self):
-        # the block win count is Bin(m, omega_dev * test_mass)
         m, block, omega, delta, trials = 400, BlockSpec(0.1, 10), 0.81, \
             0.025, 1000
-        rate = omega * block.test_mass - delta
-        p = omega * block.test_mass
-        exact = sum(math.comb(m, k) * p**k * (1 - p)**(m - k)
-                    for k in range(m + 1) if k < rate * m)
+        exact = abort_law(m, block, omega, delta)
         assert 0.05 < exact < 0.5
         aborts = sum(sim.run_protocol_blocks(m, block, omega, delta,
                                              device(omega), seed=31,
@@ -195,18 +207,21 @@ class TestOneSampler:
             assert sim.block_lengths(tr, s_max).tolist() == scan(t, s_max)
 
 
-# (id, m, gamma, s_max, delta_est, trials) for the abort estimator
+# (id, m, gamma, s_max, delta_est) at which the abort estimator and the
+# transcripts are checked against the exact abort law
 COUNT_ONLY_CASES = [
-    ("acceptance-09", 10**4, 0.5, 1, 0.02, 500),
-    ("frequent-aborts", 1000, 0.5, 1, 0.001, 200),  # aborts about half
-    ("gamma-1", 2000, 1.0, 1, 0.01, 200),  # every round a test
-    ("n-5", 5, 0.5, 1, 0.001, 300),
-    ("n-777-gamma-1", 777, 1.0, 1, 0.001, 200),
-    ("n-1001", 1001, 0.3, 1, 0.001, 200),
-    ("no-tests", 40, 0.02, 1, 0.001, 300),  # about half the runs untested
-    ("blocks-3", 500, 0.2, 3, 0.001, 200),
-    ("blocks-10", 300, 0.05, 10, 0.001, 200),
+    ("acceptance-09", 10**4, 0.5, 1, 0.02),
+    ("frequent-aborts", 1000, 0.5, 1, 0.001),  # aborts about half
+    ("gamma-1", 2000, 1.0, 1, 0.01),  # every round a test
+    ("n-5", 5, 0.5, 1, 0.001),
+    ("n-777-gamma-1", 777, 1.0, 1, 0.001),
+    ("n-1001", 1001, 0.3, 1, 0.001),
+    ("no-tests", 40, 0.02, 1, 0.001),  # about half the runs untested
+    ("blocks-3", 500, 0.2, 3, 0.001),
+    ("blocks-10", 300, 0.05, 10, 0.001),
 ]
+ESTIMATOR_TRIALS = 10**5
+RUN_TRIALS = 2000
 
 
 REKEY_CASES = [(0, 0), (7, 1), (42, 3), (-1, 5), (2**63 + 11, 2), (9001, 40)]
@@ -250,8 +265,6 @@ class TestRekeyedGenerator:
                                       getattr(want, field))
             assert (got.aborted, got.win_count) == (want.aborted,
                                                     want.win_count)
-            assert sim._run(301, block, 0.81, 0.02, device(), seed, trial,
-                            transcript=False, rng=dirty(rng)) == want.aborted
         if s_max == 1:
             tr = sim._run(5000, block, 0.81, 0.02, device(), 42, 3,
                           rng=dirty(rng))
@@ -260,12 +273,6 @@ class TestRekeyedGenerator:
 
     def test_loops_match_fresh_generators(self):
         dev = sim.HonestDevice(0.81, 0.01)
-        cfg = sim.SimulationConfig(n=200, gamma=0.5, omega_exp=0.81,
-                                   delta_est=0.005, device=dev)
-        flags = [sim.run_protocol(200, 0.5, 0.81, 0.005, dev, seed=5,
-                                  trial=k).aborted for k in range(60)]
-        assert 0 < sum(flags) < 60
-        assert sim.estimate_abort_probability(cfg, 60, 5)[0] == sum(flags) / 60
         block = BlockSpec(0.1, 20)
         lengths = [sim.run_protocol_blocks(50, block, 0.81, 0.5, dev, 5,
                                            trial=k).t.size for k in range(40)]
@@ -298,69 +305,64 @@ class TestAbortProbability:
         assert sim.estimate_abort_probability(cfg, 100, 11) == \
             sim.estimate_abort_probability(cfg, 100, 11)
 
-    @pytest.mark.parametrize("m, gamma, s_max, delta_est, trials",
+    @pytest.mark.parametrize("m, gamma, s_max, delta_est",
                              [case[1:] for case in COUNT_ONLY_CASES],
                              ids=[case[0] for case in COUNT_ONLY_CASES])
-    def test_count_only_matches_transcripts(self, m, gamma, s_max, delta_est,
-                                            trials):
-        """The estimator's per-trial abort flag, read off the stream's
-        prefix of flags and wins, is run_protocol's (or
-        run_protocol_blocks') on every trial."""
+    def test_count_only_matches_transcripts(self, m, gamma, s_max,
+                                            delta_est):
+        """The estimator draws only each trial's won-test count, from its
+        binomial law, and agrees with the transcripts in law: the abort
+        frequency of RUN_TRIALS run_protocol (or run_protocol_blocks)
+        transcripts, and the estimator's over ESTIMATOR_TRIALS, lie within
+        5 sigma of the exact abort probability."""
         dev = sim.HonestDevice(0.81, 0.01)
         block = BlockSpec(gamma, s_max)
         if s_max == 1:
-            runs = [sim.run_protocol(m, gamma, 0.81, delta_est, dev, seed=7,
-                                     trial=k) for k in range(trials)]
-        else:
-            runs = [sim.run_protocol_blocks(m, block, 0.81, delta_est, dev,
-                                            seed=7, trial=k)
-                    for k in range(trials)]
-        flags = [tr.aborted for tr in runs]
-        assert [sim._run(m, block, 0.81, delta_est, dev, 7, k,
-                         transcript=False) for k in range(trials)] == flags
-        if s_max == 1:
             cfg = sim.SimulationConfig(n=m, gamma=gamma, omega_exp=0.81,
                                        delta_est=delta_est, device=dev)
-            assert sim.estimate_abort_probability(cfg, trials, 7)[0] == (
-                sum(flags) / trials)
+            exact = sim.exact_abort_probability(cfg)
+            freq, _ = sim.estimate_abort_probability(cfg, ESTIMATOR_TRIALS, 7)
+            assert within_5_sigma(freq, ESTIMATOR_TRIALS, exact)
+            runs = (sim.run_protocol(m, gamma, 0.81, delta_est, dev, seed=7,
+                                     trial=k) for k in range(RUN_TRIALS))
+        else:
+            exact = abort_law(m, block, 0.81, delta_est)
+            runs = (sim.run_protocol_blocks(m, block, 0.81, delta_est, dev,
+                                            seed=7, trial=k)
+                    for k in range(RUN_TRIALS))
+        freq = sum(tr.aborted for tr in runs) / RUN_TRIALS
+        assert within_5_sigma(freq, RUN_TRIALS, exact)
 
-    def test_count_only_cases_cover_the_shapes(self):
-        """The cases above reach rounds not a multiple of 4, runs with no
-        test round, every round a test, and blocks."""
-        dev = sim.HonestDevice(0.81, 0.01)
-        tests, everyone = set(), False
-        for _, m, gamma, s_max, delta_est, trials in COUNT_ONLY_CASES:
-            for k in range(trials):
-                tr = sim.run_protocol_blocks(m, BlockSpec(gamma, s_max), 0.81,
-                                             delta_est, dev, seed=7, trial=k)
-                n, t = tr.t.size, int(tr.t.sum())
-                tests.add(min(t, 1))
-                everyone |= t == n
-        assert tests == {0, 1} and everyone
-        assert any(m % 4 for _, m, *_ in COUNT_ONLY_CASES)
-        assert {s_max for _, _, _, s_max, *_ in COUNT_ONLY_CASES} >= {3, 10}
+    def test_law_at_integer_threshold(self):
+        """(0.75 * 0.5 - 0.125) * 8 is exactly 2: a run with 2 won tests
+        passes.  X ~ Bin(8, 0.375) has Pr[X < 2] = 0.135 and
+        Pr[X <= 2] = 0.370, so the estimator and the transcripts tell the
+        two apart."""
+        dev = sim.HonestDevice(0.75, 0.01)
+        cfg = sim.SimulationConfig(n=8, gamma=0.5, omega_exp=0.75,
+                                   delta_est=0.125, device=dev)
+        assert sim._abort_threshold(8, 0.5, 0.75, 0.125) == 2.0
+        exact = sim.exact_abort_probability(cfg)
+        assert exact == pytest.approx(0.625**8 + 8 * 0.375 * 0.625**7,
+                                      rel=1e-12)
+        freq, _ = sim.estimate_abort_probability(cfg, ESTIMATOR_TRIALS, 7)
+        assert within_5_sigma(freq, ESTIMATOR_TRIALS, exact)
+        freq = sum(sim.run_protocol(8, 0.5, 0.75, 0.125, dev, seed=7,
+                                    trial=k).aborted
+                   for k in range(RUN_TRIALS)) / RUN_TRIALS
+        assert within_5_sigma(freq, RUN_TRIALS, exact)
 
-    def test_estimator_makes_no_integer_draw(self, monkeypatch):
-        class NoIntegers:
-            def __init__(self, rng):
-                self._rng = rng
+    @pytest.mark.parametrize("gamma", [0.0, -0.2, 1.5, math.nan])
+    def test_gamma_outside_unit_interval_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            sim.SimulationConfig(n=100, gamma=gamma, omega_exp=0.81,
+                                 delta_est=0.02, device=device())
 
-            def __getattr__(self, name):
-                return getattr(self._rng, name)
-
-            def integers(self, *args, **kwargs):
-                raise AssertionError("bounded-integer draw")
-
-        dev = sim.HonestDevice(0.81, 0.01)
-        cfg = sim.SimulationConfig(n=1001, gamma=0.5, omega_exp=0.81,
-                                   delta_est=0.001, device=dev)
-        want = sim.estimate_abort_probability(cfg, 50, 7)
-        trial_rng = sim._trial_rng
-        monkeypatch.setattr(sim, "_trial_rng",
-                            lambda *args: NoIntegers(trial_rng(*args)))
-        with pytest.raises(AssertionError, match="bounded-integer"):
-            sim.run_protocol(1001, 0.5, 0.81, 0.001, dev, seed=7)
-        assert sim.estimate_abort_probability(cfg, 50, 7) == want
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            sim.SimulationConfig(n=n, gamma=0.5, omega_exp=0.81,
+                                 delta_est=0.02, device=device())
 
     @pytest.mark.parametrize("delta_est", [-0.1, 0.0, 1.0, 1.5])
     def test_delta_est_outside_unit_interval_rejected(self, delta_est):
