@@ -55,6 +55,14 @@ def _integer(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer") from None
 
 
+def _json_integer(value, name: str) -> int:
+    """_integer of a field typed ``integer`` in a file's schema, which JSON
+    Schema meets with any integral number: 2.0 reads as 2, 2.5 is refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return _integer(value, name)
+
+
 def _numbers(value, message: str) -> np.ndarray:
     """np.asarray(value), or ValueError(message) unless every entry is a
     number: the dtype must be numeric, and since numpy reads [0, true] as
@@ -82,6 +90,12 @@ class Alphabets:
             if value < 1:
                 raise ValueError(f"{name} must be >= 1")
             object.__setattr__(self, name, value)
+
+    @staticmethod
+    def from_json_dict(d: dict) -> "Alphabets":
+        """The four sizes of a game or data file (_json_integer)."""
+        return Alphabets(*(_json_integer(d[name], name) for name in
+                           ("a_size", "b_size", "x_size", "y_size")))
 
     @property
     def num_signalling_constraints(self) -> int:
@@ -214,7 +228,7 @@ class Game:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Game":
-        al = Alphabets(d["a_size"], d["b_size"], d["x_size"], d["y_size"])
+        al = Alphabets.from_json_dict(d)
         message = "win entries must be 0 or 1"
         win = _numbers(d["win"], message)
         if not np.isin(win, (0, 1)).all():
@@ -254,7 +268,7 @@ class ObservedData:
     alphabets: Alphabets
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _integer(self.n, "n"))
+        object.__setattr__(self, "n", _json_integer(self.n, "n"))
         arrays = {}
         for name in ("a", "b", "x", "y"):
             message = f"non-integer entry in {name}"

@@ -190,7 +190,7 @@ def _cmd_definetti_verify(args):
 
 def _cmd_sig_test(args):
     d = _load_json(args.data, dict)
-    al = Alphabets(d["a_size"], d["b_size"], d["x_size"], d["y_size"])
+    al = Alphabets.from_json_dict(d)
     data = ObservedData(d["n"], d["a"], d["b"], d["x"], d["y"], al)
     if args.q:
         q = InputDistribution(_load_json(args.q, list))

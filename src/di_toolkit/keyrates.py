@@ -13,30 +13,24 @@ at its first test round), n expected rounds and n' = n + t effective ones:
         - 2 log2(1/eps_pa),
 
 with t the tail of the random round count at error eps_t and eps_s' =
-eps_s/4 - sqrt(eps_t).  The per-round protocol is the case of one-round
-blocks, s_max = 1 (m = n, the entropy rate mu_block_opt at s_max = 1) with
-eps_t = 0 (t = 0): key_length and key_length_block are one body, and the
-grid kernel scores both modes with the same block formulas on (gamma,
-s_max) rows, per-round mode its s_max = 1 rows.  The inputs are checked
-once, where they enter (ProtocolParams, EpsilonBudget, and the block length
-and the epsilons of the entropy rate); from there the key length is
-computed on floats, its entropy term by eat's private float body of
-mu_block_opt, and the only object built per call is the RateReport, a named
-tuple.  The order is: the checks, then the terms of the budget alone (log
-correction, PA term, the leakage's eps_t-free constants), then the entropy
-rate and the leakage rate, then the terms of eps_t (t, the leakage, the
-max-entropy term).  The log correction is log2(0) in double precision for
-eps_s below about 4.2e-8, so such a budget raises before the cut search.
+eps_s/4 - sqrt(eps_t).  The round count has a tail only if a block can
+hold more than one round, s_max > 1 and gamma < 1; without one eps_t = 0
+in every term.  The per-round protocol is the case of one-round blocks,
+s_max = 1 (m = n): key_length and key_length_block are one body, and the
+grid kernel scores every (gamma, s_max) row with the same formulas.  The
+inputs are checked once, where they enter; from there the key length is
+computed on floats, its entropy term by eat's float body of mu_block_opt,
+the budget's own terms first (the log correction is log2(0) for eps_s
+below about 4.2e-8, so such a budget raises before the cut search).
 
 optimize_rate runs a coarse (gamma, delta_est) grid, an epsilon split grid
-and one zoom that also searches the block length cap s_max, a free integer
-of the block protocol (1 per round), in boxes set by the caps and the rate.
-Each stage, and each zoom pass, is one numpy call (_grid_key_lengths, the
-array form of _eval_point), which also picks eps_t among 13 candidates at
-each point; a stage rescores the first few values within 1e-9 relative of
-its best, in grid order, with one scalar key length each at the kernel's
-eps_t, and the scalar path alone produces the points chosen and the numbers
-reported.
+and one zoom that also searches s_max, in boxes set by the caps and the
+rate; the mode sets only the s_max window, {1} per round.  Each stage and
+zoom pass is one numpy call (_grid_key_lengths, the array form of
+_eval_point), which also picks eps_t among 13 candidates at each point
+with a tail; a stage rescores the first few values within 1e-9 relative
+of its best, in grid order, with scalar key lengths, which alone produce
+the points chosen and the numbers reported.
 
 Negative key lengths are reported as-is so that the zero crossings of rate
 curves can be located; callers clamp for presentation.
@@ -45,7 +39,7 @@ curves can be located; callers clamp for presentation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -93,7 +87,7 @@ def _check_n_q(n, q):
 
 @dataclass(frozen=True)
 class EpsilonBudget:
-    """Error terms of the protocol; eps_t only matters in block mode."""
+    """Error terms of the protocol; eps_t only counts where there is a tail."""
 
     eps_ec: float
     eps_ec_complete: float
@@ -146,33 +140,14 @@ class RateReport(NamedTuple):
                 - self.max_entropy_term - self.pa_term)
 
     def to_json_dict(self) -> dict:
-        return {
-            "key_length": self.key_length,
-            "rate": self.rate,
-            "entropy_term": self.entropy_term,
-            "leak_ec": self.leak_ec,
-            "log_correction": self.log_correction,
-            "max_entropy_term": self.max_entropy_term,
-            "pa_term": self.pa_term,
-            "soundness_error": self.soundness_error,
-            "completeness_error": self.completeness_error,
-            "best_cut": self.best_cut,
-            "mode": self.mode,
-            "s_max": self.s_max,
-            "n": self.params.n,
-            "gamma": self.params.gamma,
-            "omega_exp": self.params.omega_exp,
-            "delta_est": self.params.delta_est,
-            "qber": self.params.q,
-            "eps": {
-                "eps_ec": self.budget.eps_ec,
-                "eps_ec_complete": self.budget.eps_ec_complete,
-                "eps_s": self.budget.eps_s,
-                "eps_ea": self.budget.eps_ea,
-                "eps_pa": self.budget.eps_pa,
-                "eps_t": self.budget.eps_t,
-            },
-        }
+        """The fields in order, but for ``extras``, with the parameters'
+        fields in place of ``params`` (q as qber) and the budget's as eps."""
+        out = {k: v for k, v in zip(self._fields, self)
+               if k not in ("params", "budget", "extras")}
+        p = self.params
+        out.update(n=p.n, gamma=p.gamma, omega_exp=p.omega_exp,
+                   delta_est=p.delta_est, qber=p.q, eps=asdict(self.budget))
+        return out
 
 
 def honest_werner(nu: float) -> tuple:
@@ -222,11 +197,17 @@ def _pa_term(eps_pa, xp=math):
     return 2.0 * xp.log2(1.0 / eps_pa)
 
 
+def _has_tail(gamma, s_max):
+    """Whether the round count has a tail: some block can hold more than one
+    round (s_max > 1 and gamma < 1); elementwise on arrays too."""
+    return (s_max > 1) & (gamma < 1)
+
+
 def key_length(params: ProtocolParams, budget: EpsilonBudget) -> RateReport:
     """Per-round-mode key length for a fixed round count n: the block
-    computation with one-round blocks (s_max = 1) and no tail (eps_t = 0,
-    whatever ``budget.eps_t`` says)."""
-    return _key_length(params, budget, 1, 0.0, PER_ROUND)
+    computation with one-round blocks (s_max = 1), which have no tail
+    (eps_t = 0, whatever ``budget.eps_t`` says)."""
+    return RateReport(*_key_length(params, budget, 1)[0], PER_ROUND, 1, {})
 
 
 def key_length_block(params: ProtocolParams, budget: EpsilonBudget,
@@ -235,16 +216,19 @@ def key_length_block(params: ProtocolParams, budget: EpsilonBudget,
 
     Uses m = n_bar / s_bar blocks, the block entropy rate, and the round
     count tail t: n_bar + t effective rounds enter the leakage and
-    max-entropy terms, whose smoothing parameters shift by sqrt(eps_t).
+    max-entropy terms, whose smoothing parameters shift by sqrt(eps_t);
+    without a tail (_has_tail) eps_t = 0, whatever ``budget.eps_t`` says.
     """
-    return _key_length(params, budget, s_max, budget.eps_t, BLOCK)
+    fields, m, t, sbar = _key_length(params, budget, s_max)
+    return RateReport(*fields, BLOCK, s_max,
+                      {"m_blocks": m, "tail_t": t, "s_bar": sbar})
 
 
-def _key_length(params: ProtocolParams, budget: EpsilonBudget, s_max: int,
-                eps_t: float, mode: str) -> RateReport:
-    """The body of key_length and key_length_block at ``eps_t`` (not
-    ``budget.eps_t``): the checks, the budget's own terms, the entropy rate,
-    then the terms of eps_t (the tail t, the leakage, the max-entropy term)."""
+def _key_length(params: ProtocolParams, budget: EpsilonBudget,
+                s_max: int) -> tuple:
+    """(fields, m, t, s_bar), fields the RateReport's up to its mode: the
+    checks, the budget's own terms, the entropy rate, then the terms of
+    eps_t (t, the leakage, the max-entropy term), at 0 without a tail."""
     eps_s, eps_e = budget.eps_s / 4.0, budget.eps_ea + budget.eps_ec
     eat._check_epsilons(eps_s, eps_e)
     eat._check_block(params.gamma, s_max)
@@ -259,16 +243,15 @@ def _key_length(params: ProtocolParams, budget: EpsilonBudget, s_max: int,
     entropy_term = m * mu_value
     leak_rate = _leak_rate(params.gamma, binary_entropy(params.q),
                            binary_entropy(params.omega_exp))
+    tail = _has_tail(params.gamma, s_max)
+    eps_t = budget.eps_t if tail else 0.0
     eps_s_shifted = eps_s - math.sqrt(eps_t)
-    if not eps_s_shifted > 0:  # a NaN eps_t fails too
+    if not eps_s_shifted > 0:
         raise ValueError("eps_t too large: sqrt(eps_t) >= eps_s/4")
-    t = (eat.round_count_tail(m, params.gamma, s_max, eps_t)
-         if s_max > 1 else 0.0)
+    t = eat.round_count_tail(m, params.gamma, s_max, eps_t) if tail else 0.0
     n_eff = params.n + t
-    # the leakage over n_eff rounds: its sqrt term's smoothing parameter
-    # shifts by 2 sqrt(eps_t) when the round count is random (block mode)
-    eps_sqrt_term = budget.eps_ec_prime - 2.0 * math.sqrt(
-        eps_t if s_max > 1 else 0.0)
+    # the leakage over n_eff rounds, at a smoothing shifted by 2 sqrt(eps_t)
+    eps_sqrt_term = budget.eps_ec_prime - 2.0 * math.sqrt(eps_t)
     if eps_sqrt_term <= 0:
         raise ValueError("eps_t too large: eps_ec_prime - 2 sqrt(eps_t) <= 0")
     first, scale, root = _leak_terms(n_eff, leak_rate, eps_sqrt_term)
@@ -277,13 +260,9 @@ def _key_length(params: ProtocolParams, budget: EpsilonBudget, s_max: int,
     max_ent = eat._max_entropy(n_eff, params.gamma,
                                eat._smoothing_root(eps_s_shifted, eps_e))
     ell = entropy_term - leak - log_corr - max_ent - pa
-    extras = ({"m_blocks": m, "tail_t": t, "s_bar": sbar}
-              if mode == BLOCK else {})
-    # in field order: binding the 15 fields by keyword costs about 1 us
-    return RateReport(ell, ell / params.n, entropy_term, leak, log_corr,
-                      max_ent, pa, budget.soundness_error,
-                      completeness_error(params, budget), cut, params, budget,
-                      mode, s_max, extras)
+    return ((ell, ell / params.n, entropy_term, leak, log_corr, max_ent, pa,
+             budget.soundness_error, completeness_error(params, budget), cut,
+             params, budget), m, t, sbar)
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +312,10 @@ SPLIT_GRID_PER_DECADE = 3
 EPS_T_CANDIDATE_DECADES = 14
 
 
-def _eps_t_ladder(mode: str) -> list:
-    """The eps_t candidates as fractions of cap_t = (eps_s/4)^2:
-    10^-k, k = 1..13, in block mode; the single eps_t = 0 per round."""
-    if mode != BLOCK:
-        return [0.0]
-    return [10.0 ** (-k) for k in range(1, EPS_T_CANDIDATE_DECADES)]
+def _eps_t_ladder() -> tuple:
+    """The eps_t candidates of a point with a tail, as fractions of cap_t =
+    (eps_s/4)^2: 10^-k, k = 1..13."""
+    return tuple(10.0 ** (-k) for k in range(1, EPS_T_CANDIDATE_DECADES))
 
 
 def _split_soundness(caps: RateCaps, s_s, s_ea, s_pa) -> tuple:
@@ -356,50 +333,52 @@ def _ec_complete(caps: RateCaps, n, delta_est, xp):
     return caps.completeness - caps.eps_ec - eat.hoeffding(n, delta_est, xp)
 
 
-def _budget_for(caps: RateCaps, params: ProtocolParams,
-                shares: tuple) -> EpsilonBudget | None:
-    """Assemble a budget meeting both caps, at eps_t = 0: the soundness
-    split of positive ``shares`` and the completeness slack as
-    eps_ec_complete (larger is better: it lowers the leakage); None where
-    no slack is left, delta_est at or below _delta_floor."""
+def _budget_for(caps: RateCaps, params: ProtocolParams, shares: tuple,
+                eps_t_share: float) -> EpsilonBudget | None:
+    """Assemble a budget meeting both caps, at eps_t = eps_t_share
+    (eps_s/4)^2: the soundness split of positive ``shares`` and the
+    completeness slack as eps_ec_complete (larger is better: it lowers the
+    leakage); None where no slack is left, delta_est at or below
+    _delta_floor."""
     eps_s, eps_ea, eps_pa = _split_soundness(caps, *shares)
     eps_ec_complete = _ec_complete(caps, params.n, params.delta_est, math)
     if eps_ec_complete <= caps.eps_ec:
         return None
     return EpsilonBudget(eps_ec=caps.eps_ec,
                          eps_ec_complete=min(eps_ec_complete, 1.0 - 1e-12),
-                         eps_s=eps_s, eps_ea=eps_ea, eps_pa=eps_pa)
+                         eps_s=eps_s, eps_ea=eps_ea, eps_pa=eps_pa,
+                         eps_t=(eps_s / 4.0) ** 2 * eps_t_share)
 
 
-def _eval_point(target: RateTarget, caps: RateCaps, mode: str, gamma: float,
+def _eval_point(target: RateTarget, caps: RateCaps, gamma: float,
                 s_max: int, delta_est: float, shares: tuple,
                 eps_t_index: int) -> RateReport | None:
     """The RateReport at (gamma, s_max, delta_est, shares), None if
-    infeasible: key_length per round (s_max = 1); in block mode
-    key_length_block at s_max and the eps_t candidate the kernel picked,
-    cap_t * _eps_t_ladder(mode)[eps_t_index] with cap_t = (eps_s/4)^2,
-    whose index the report's ``extras`` record (``eps_t_index``)."""
+    infeasible: key_length_block at s_max and, where the round count has
+    a tail (_has_tail), the eps_t candidate the kernel picked, cap_t *
+    _eps_t_ladder()[eps_t_index] with cap_t = (eps_s/4)^2, whose index the
+    report's ``extras`` record (``eps_t_index``); eps_t = 0 without one."""
     omega_exp, _ = honest_werner(2.0 * target.q)
+    tail = _has_tail(gamma, s_max)
     try:
         params = ProtocolParams(target.n, gamma, omega_exp, delta_est, target.q)
-        base = _budget_for(caps, params, shares)
-        if base is None:
+        budget = _budget_for(caps, params, shares,
+                             _eps_t_ladder()[eps_t_index] if tail else 0.0)
+        if budget is None:
             return None
-        if mode != BLOCK:
-            return key_length(params, base)
-        eps_t = (base.eps_s / 4.0) ** 2 * _eps_t_ladder(mode)[eps_t_index]
-        report = key_length_block(params, replace(base, eps_t=eps_t), s_max)
+        report = key_length_block(params, budget, s_max)
     except ValueError:
         return None
-    report.extras["eps_t_index"] = eps_t_index
+    if tail:
+        report.extras["eps_t_index"] = eps_t_index
     return report
 
 
 class _ShareAxis(NamedTuple):
     """The share axis of _grid_key_lengths: the terms that depend on the
     epsilon split and eps_t alone, computed once for every pass of a
-    stage.  Shape (S,) per split; (E, 1, 1, S) per split and eps_t
-    candidate, eps_t first."""
+    stage.  Shape (S,) per split; (1 + E, 1, 1, S) per split and eps_t,
+    eps_t first: eps_t = 0, then the E candidates."""
 
     es4: np.ndarray
     eps_e: np.ndarray
@@ -410,16 +389,17 @@ class _ShareAxis(NamedTuple):
     me_root: np.ndarray
 
 
-def _share_axis(caps: RateCaps, mode: str, shares) -> _ShareAxis:
+def _share_axis(caps: RateCaps, shares) -> _ShareAxis:
     """_ShareAxis of the positive (eps_s, eps_ea, eps_pa) proportions
     ``shares``: _split_soundness, the log correction (log2(0) for eps_s
-    below 4.2e-8), the PA term, the eps_t candidates of _eps_t_ladder and
-    the max-entropy smoothing root at eps_s/4 - sqrt(eps_t)."""
+    below 4.2e-8), the PA term, eps_t = 0 and the candidates of
+    _eps_t_ladder, and the max-entropy smoothing root at eps_s/4 -
+    sqrt(eps_t)."""
     sh = np.array(shares, dtype=float).reshape(-1, 3)
     with np.errstate(all="ignore"):
         eps_s, eps_ea, eps_pa = _split_soundness(caps, *sh.T)
         es4, eps_e = eps_s / 4.0, eps_ea + caps.eps_ec
-        eps_t = es4**2 * np.array(_eps_t_ladder(mode))[:, None, None, None]
+        eps_t = es4**2 * np.reshape((0.0,) + _eps_t_ladder(), (-1, 1, 1, 1))
         sqrt_t = np.sqrt(eps_t)
         return _ShareAxis(es4, eps_e, _log_correction(eps_s, np),
                           _pa_term(eps_pa, np), sqrt_t, eps_t,
@@ -437,7 +417,7 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, rows, deltas,
     eps_t_index.
 
     The contract covers optimize_rate's points: gammas in (0, 1], integer
-    s_max >= 1 (1 per round), delta_est > 0 and positive shares.  Masked
+    s_max >= 1, delta_est > 0 and positive shares.  Masked
     there: delta_est >= 1, no completeness slack, a statistic below 3/4
     and the log correction's log2(0).
 
@@ -447,24 +427,26 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, rows, deltas,
 
     - (G,): the block test mass, s_bar, m, log2 d_O, the cut interval and
       the leakage rate; (D,): eps_ec_prime and the leakage's two
-      constants; (S,) and (E, S): _share_axis;
+      constants; (S,) and (1 + E, S): _share_axis;
     - (G, D, S): the entropy term (cut, penalty K, eat._tangent and its
       slope) less the log correction, the PA term and the leakage
       constants;
-    - (E, G, 1, S): the tail t (0 at gamma = 1), n_eff, n_eff * leakage
-      rate + max-entropy term, and the leakage root's factor sqrt(n_eff) 4
-      log2(2 sqrt(2) + 1);
-    - (E, 1, D, S): the leakage root of eps_ec_prime - 2 sqrt(eps_t), +inf
-      where that is <= 0 (no key);
+    - (E, G, 1, S): the tail t, n_eff, n_eff * leakage rate + max-entropy
+      term, and the leakage root's factor sqrt(n_eff) 4 log2(2 sqrt(2) +
+      1);
+    - (1 + E, 1, D, S): the leakage root of eps_ec_prime - 2 sqrt(eps_t),
+      +inf where that is <= 0 (no key);
     - (E, G, D, S): one multiply-add, paid, then minimized over eps_t.
 
-    A one-round row (s_max = 1) has no tail: its leakage root is
-    eps_ec_prime's, at eps_t = 0.  At or below the cut (p~1 within 1e-9
-    mass of 3/4) the kernel keeps the tangent, about 1e-13 relative from
-    the scalar path's exact bound.  With that, numpy's ulps and another
-    summing order, the values agree with _eval_point within 1e-11
-    max(|l|, 1), not bit for bit: callers rescore the points they keep
-    with _eval_point.
+    A row without a tail (_has_tail) takes eps_t = 0 in every term: t = 0
+    and both roots at the share axis' eps_t = 0 (by_row), so it pays the
+    same at every candidate (pick 0); a grid of such rows alone keeps one
+    candidate.  No log or sqrt runs on more than the shapes above.  At or
+    below the cut (p~1 within 1e-9 mass of 3/4) the kernel keeps the
+    tangent, about 1e-13 relative from the scalar path's exact bound.  With
+    that, numpy's ulps and another summing order, the values agree with
+    _eval_point within 1e-11 max(|l|, 1), not bit for bit: callers rescore
+    the points they keep with _eval_point.
     """
     omega, _ = honest_werner(2.0 * target.q)
     n = target.n
@@ -472,7 +454,15 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, rows, deltas,
         # (G, 1, 1): one (gamma, s_max) pair per row
         columns = np.array(list(zip(*rows)), dtype=float)
         gamma, s_max = columns[:, :, None, None]
-        tail = s_max > 1
+        tail = _has_tail(gamma, s_max)
+        some, every = tail.any(), tail.all()
+
+        def by_row(x):
+            """x, eps_t = 0 first, on each row: x[:1] without a tail, the
+            candidates x[1:] with one."""
+            return (x[1:] if every else np.where(tail, x[1:], x[:1]) if some
+                    else x[:1])
+
         mass = np.where(tail, eat._test_mass(gamma, s_max), gamma)
         sbar = mass / gamma
         m = n / sbar
@@ -486,14 +476,14 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, rows, deltas,
         delta_ok = (delta < 1) & (ecc > caps.eps_ec)
         prime = ecc - caps.eps_ec
         # (E, G, 1, S), (E, 1, D, S) and (D, 1): the leakage's terms
-        n_eff = (n + np.where(tail & (gamma < 1),
-                              eat._tail(m, s_max, shares.eps_t, np), 0.0)
-                 if tail.any() else n)
+        t = eat._tail(m, s_max, shares.eps_t[1:], np) if some else 0.0
+        n_eff = n + np.where(tail, t, 0.0)
         # A finite log correction needs eps_s > 4.2e-8, so every candidate
         # has 0 <= sqrt(eps_t) <= eps_s / (4 sqrt(10)): neither the eps_t
         # guard nor round_count_tail's range check can fire; only est <= 0 can.
         est = prime - 2.0 * shares.sqrt_t
         first, scale, root = _leak_terms(n_eff, leak_rate, est, np)
+        root = by_row(np.where(est > 0, root, np.inf))
         prime_term, ec_term = _leak_constants(prime, caps.eps_ec, np)
 
         # (G, D, S): the eps_t-free terms
@@ -505,14 +495,9 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, rows, deltas,
                  - (shares.log_corr + shares.pa + prime_term + ec_term))
 
         # (E, G, 1, S), then (E, G, D, S), minimized over eps_t
-        spend = first + eat._max_entropy(n_eff, gamma, shares.me_root, np)
-        root = np.where(est > 0, root, np.inf)
+        spend = first + eat._max_entropy(n_eff, gamma, by_row(shares.me_root),
+                                         np)
         paid = scale * root + spend
-        if shares.eps_t.any() and not tail.all():
-            # one-round blocks among eps_t > 0 candidates: eps_t = 0
-            flat = ~tail.ravel()
-            _, scale, root = _leak_terms(n, leak_rate, prime, np)
-            paid[:, flat] = spend[:, flat] + scale * root
         ok = (delta_ok & np.isfinite(shares.log_corr)
               & (p1 / mass >= OMEGA_CLASSICAL))
         return np.where(ok, fixed - paid.min(axis=0), -np.inf), paid
@@ -537,17 +522,18 @@ def _band(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(values >= top - BAND * max(abs(top), 1.0))
 
 
-def _rescore(target, caps, mode, values, paid, args, best, stage,
-             evals) -> tuple:
+def _rescore(target, caps, grid, values, paid, best, stage, evals) -> tuple:
     """(report, i): ``best`` or the best of the first RESCORED points of
-    _band(values), point i scored by _eval_point(..., *args(i)) at the
-    eps_t candidate the kernel picked, the first minimum of paid[:, i]
-    (paid as _grid_key_lengths', shape (E,) + values.shape), if it beats
-    ``best``; i is None if none does."""
+    _band(values), values and paid as _grid_key_lengths returns them over
+    ``grid`` = (rows, deltas, shares), point i (a flat index) scored by
+    _eval_point at the eps_t candidate the kernel picked, the first minimum
+    of paid[:, i], if it beats ``best``; i is None if none does."""
+    rows, deltas, shares = grid
     index, picks = None, paid.reshape(len(paid), -1)
     for i in _band(values)[:RESCORED]:
         evals[stage + "_rescored"] += 1
-        point = _eval_point(target, caps, mode, *args(i),
+        g, d, s = np.unravel_index(i, values.shape)
+        point = _eval_point(target, caps, *rows[g], deltas[d], shares[s],
                             int(picks[:, i].argmin()))
         if point is not None and (best is None
                                   or point.key_length > best.key_length):
@@ -555,7 +541,7 @@ def _rescore(target, caps, mode, values, paid, args, best, stage,
     return best, index
 
 
-def _split(target, caps, mode, start: RateReport, evals: dict) -> tuple:
+def _split(target, caps, start: RateReport, evals: dict) -> tuple:
     """(report, shares): the best split (r, r, 1) of (eps_s, eps_ea,
     eps_pa) at ``start``'s point, r at SPLIT_GRID_PER_DECADE points per
     decade, with its report, or ``start``, a point at the equal split
@@ -578,7 +564,7 @@ def _split(target, caps, mode, start: RateReport, evals: dict) -> tuple:
             shares = [(10.0 ** (k / SPLIT_GRID_PER_DECADE),) * 2 + (1.0,)
                       for k in range(-scored, scored + 1)]
             widest, paid = _grid_key_lengths(target, caps, [row], [delta],
-                                             _share_axis(caps, mode, shares))
+                                             _share_axis(caps, shares))
             evals["share_points"] += widest.size
         box = slice(scored - reach, scored + reach + 1)
         values = widest[0, 0, box]
@@ -586,9 +572,9 @@ def _split(target, caps, mode, start: RateReport, evals: dict) -> tuple:
         if not values.max() - top >= BAND * max(abs(top), 1.0):
             break
         top, reach = values.max(), reach + step
-    point, i = _rescore(target, caps, mode, values, paid[:, 0, 0, box],
-                        lambda i: row + (delta, shares[box][i]),
-                        start, "share", evals)
+    point, i = _rescore(target, caps, ([row], [delta], shares[box]),
+                        widest[:, :, box], paid[..., box], start, "share",
+                        evals)
     return point, _DEFAULT_SHARES if i is None else shares[box][i]
 
 
@@ -607,14 +593,14 @@ def _cells(grid: list, members) -> tuple:
             grid[min(members.max() + 1, len(grid) - 1)])
 
 
-def _zoom(target, caps, mode, start: RateReport, shares: tuple,
-          floor: float, evals: dict) -> tuple:
+def _zoom(target, caps, start: RateReport, shares: tuple, floor: float,
+          s_cap: float, evals: dict) -> tuple:
     """(report, at_bound): the best key length over (gamma, s_max,
     delta_est) at the split ``shares``, start's, or ``start`` if none
     beats it.
 
     The box is a factor ZOOM_REACH either way of start's gamma (up to 1),
-    s_max (integers, at least 1; just 1 per round) and delta_est (down to
+    s_max (integers from 1 to ``s_cap``) and delta_est (down to
     ``floor``).  A pass is one _grid_key_lengths call over the three
     windows, ZOOM_POINTS log-spaced points each, an s_max window of at
     most ZOOM_POINTS integers enumerated.  It shrinks each window to the
@@ -627,12 +613,12 @@ def _zoom(target, caps, mode, start: RateReport, shares: tuple,
     gamma, s_max = start.params.gamma, start.s_max
     delta = start.params.delta_est
     gwin = (gamma / ZOOM_REACH, min(gamma * ZOOM_REACH, 1.0))
-    swin = ((max(math.floor(s_max / ZOOM_REACH), 1),
-             math.ceil(s_max * ZOOM_REACH)) if mode == BLOCK else (1, 1))
+    swin = (max(math.floor(s_max / ZOOM_REACH), 1),
+            min(math.ceil(s_max * ZOOM_REACH), s_cap))
     dwin = (max(delta / ZOOM_REACH, floor), delta * ZOOM_REACH)
     # the box's edges, but for gamma = 1, s_max = 1 and delta_est = floor
     edges = [None if e in (1, floor) else e for e in gwin + swin + dwin]
-    axis = _share_axis(caps, mode, [shares])
+    axis = _share_axis(caps, [shares])
     while True:
         lo, hi = swin
         sampled = hi - lo >= ZOOM_POINTS
@@ -641,7 +627,6 @@ def _zoom(target, caps, mode, start: RateReport, shares: tuple,
         gammas, deltas = _spread(*gwin), _spread(*dwin)
         rows = [(g, s) for s in s_axis for g in gammas]
         values, paid = _grid_key_lengths(target, caps, rows, deltas, axis)
-        values = values[:, :, 0]
         evals["zoom_passes"] += 1
         evals["zoom_points"] += values.size
         i, j = np.divmod(_band(values), len(deltas))
@@ -657,9 +642,7 @@ def _zoom(target, caps, mode, start: RateReport, shares: tuple,
         if shrunk == (gwin, swin, dwin):
             break
         gwin, swin, dwin = shrunk
-    point, i = _rescore(target, caps, mode, values, paid[..., 0],
-                        lambda i: rows[i // len(deltas)]
-                        + (deltas[i % len(deltas)], shares),
+    point, i = _rescore(target, caps, (rows, deltas, [shares]), values, paid,
                         start, "zoom", evals)
     return point, i is not None and any(
         a == b for a, b in zip(gwin + swin + dwin, edges))
@@ -670,9 +653,10 @@ def optimize_rate(target: RateTarget, caps: RateCaps,
     """Deterministic search for the best rate under the caps, in boxes set
     by the caps and the rate:
 
-    1. coarse grid: log grids over gamma (per round also 1/k, k = 1..40)
-       and delta_est, from just above delta_min (_delta_floor) to 0.1, at
-       the equal split and s_max = eat.default_s_max(gamma) (1 per round);
+    1. coarse grid: log grids over gamma and delta_est, from just above
+       delta_min (_delta_floor) to 0.1, at the equal split and s_max =
+       eat.default_s_max(gamma) (1 per round: ``mode`` sets only the s_max
+       window, {1} per round and free in block mode, and the label);
     2. split grid (_split) at that point, widened until the rate is flat;
     3. one kernel zoom (_zoom) of gamma, s_max and delta_est there.
 
@@ -687,28 +671,25 @@ def optimize_rate(target: RateTarget, caps: RateCaps,
     """
     if mode not in (PER_ROUND, BLOCK):
         raise ValueError("mode must be 'per-round' or 'block'")
+    s_cap = 1 if mode == PER_ROUND else math.inf
     evals = dict.fromkeys(("grid_points", "grid_rescored", "share_passes",
                            "share_points", "share_rescored", "zoom_passes",
                            "zoom_points", "zoom_rescored"), 0)
     floor = _delta_floor(target, caps)
     gammas = _log_grid(1e-4, 1.0, GAMMA_GRID_PER_DECADE)
-    rows = ([(g, eat.default_s_max(g)) for g in gammas] if mode == BLOCK
-            else [(g, 1) for g in sorted(set(gammas)
-                                         | {1.0 / k for k in range(1, 41)})])
-    deltas = _log_grid(floor, 0.1, DELTA_GRID_PER_DECADE)
-    axis = _share_axis(caps, mode, [_DEFAULT_SHARES])
-    values, paid = _grid_key_lengths(target, caps, rows, deltas, axis)
+    rows = [(g, min(eat.default_s_max(g), s_cap)) for g in gammas]
+    grid = (rows, _log_grid(floor, 0.1, DELTA_GRID_PER_DECADE),
+            [_DEFAULT_SHARES])
+    values, paid = _grid_key_lengths(target, caps, *grid[:2],
+                                     _share_axis(caps, grid[2]))
     evals["grid_points"] = values.size
-    coarse, _ = _rescore(target, caps, mode, values, paid,
-                         lambda i: rows[i // len(deltas)]
-                         + (deltas[i % len(deltas)], _DEFAULT_SHARES),
-                         None, "grid", evals)
+    coarse, _ = _rescore(target, caps, grid, values, paid, None, "grid", evals)
     if coarse is None:
         raise ValueError("no feasible parameter point under the caps")
-    point, shares = _split(target, caps, mode, coarse, evals)
-    report, at_bound = _zoom(target, caps, mode, point, shares, floor, evals)
+    point, shares = _split(target, caps, coarse, evals)
+    report, at_bound = _zoom(target, caps, point, shares, floor, s_cap, evals)
     report.extras.update(evals=evals, at_bound=at_bound)
-    return report
+    return report._replace(mode=mode)
 
 
 def _delta_floor(target: RateTarget, caps: RateCaps) -> float:

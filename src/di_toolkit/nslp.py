@@ -142,6 +142,8 @@ def _simplex_phase(tableau, basis, n_cols, max_iter, phase):
     'unbounded' and the number of pivots made.
     """
     body, rhs, cost = tableau[:-1], tableau[:-1, -1], tableau[-1, :n_cols]
+    if not n_cols:  # no column can enter
+        return "optimal", 0
     basic = set(basis)
     for pivots in range(max_iter):
         enter = int((cost > SOLVER_TOL).argmax())

@@ -250,14 +250,16 @@ class TestGameCommands:
                  [[[0, 0], [0, 1]], [[1, 1], [1, 0]]]],
          "win entries must be 0 or 1"),
         ("a_size", True, "a_size must be an integer"),
-        ("a_size", 2.0, "a_size must be an integer")],
+        ("a_size", 2.5, "a_size must be an integer"),
+        ("a_size", "2", "a_size must be an integer")],
         ids=["q-strings", "q-booleans", "q-one-boolean", "win-booleans",
-             "win-one-boolean", "a-size-true", "a-size-float"])
+             "win-one-boolean", "a-size-true", "a-size-float",
+             "a-size-string"])
     def test_ns_value_entry_of_wrong_type(self, tmp_path, capsys, field,
                                           value, message):
-        # each was once converted, and a value printed (2.0 ended in a
-        # TypeError from numpy instead; a q with one true failed as "input
-        # distribution must sum to 1")
+        # each was once converted, and a value printed (a float size ended
+        # in a TypeError from numpy instead; a q with one true failed as
+        # "input distribution must sum to 1")
         payload = chsh_game().to_json_dict()
         payload[field] = value
         path = tmp_path / "game.json"
@@ -266,6 +268,22 @@ class TestGameCommands:
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
         assert captured.err == f"error: {message}\n"
+
+    def test_integral_float_sizes_accepted(self, tmp_path, capsys):
+        """The schema types the sizes ``integer``, which 2.0 meets: such a
+        file passes the schema and gives the bytes of the file with 2."""
+        outs = []
+        for size in (2, 2.0):
+            payload = chsh_game().to_json_dict()
+            payload.update(a_size=size, x_size=float(size))
+            jsonschema.validate(payload, schema("game"))
+            path = tmp_path / f"game-{size!r}.json"
+            path.write_text(json.dumps(payload))
+            code, out = run_cli(["ns-value", "--game", str(path)], capsys)
+            assert code == 0
+            outs.append(out)
+        assert '"a_size": 2.0' in (tmp_path / "game-2.0.json").read_text()
+        assert outs[0] == outs[1]
 
     def test_threshold_bound(self, chsh_file, capsys):
         code, out = run_cli(["threshold-bound", "--game", chsh_file,
@@ -454,6 +472,25 @@ class TestSigTest:
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
         assert captured.err == "error: non-integer entry in a\n"
+
+    def test_integral_float_counts_accepted(self, tmp_path, capsys):
+        """n and the sizes of a data file as 2.0: the schema's integers,
+        and the bytes of the file with 2 (2.5 stays refused)."""
+        outs = []
+        for n, size in ((2, 2), (2.0, 2.0), (2.5, 2)):
+            payload = {"n": n, "a_size": size, "b_size": 2, "x_size": size,
+                       "y_size": 2, "a": [0, 1], "b": [0, 1], "x": [0, 1],
+                       "y": [1, 0]}
+            if n != 2.5:
+                jsonschema.validate(payload, schema("observed_data"))
+            path = tmp_path / "data.json"
+            path.write_text(json.dumps(payload))
+            code = cli.main(["sig-test", "--data", str(path), "--zeta",
+                             "0.06", "--eps", "0.008"])
+            outs.append((code, capsys.readouterr()))
+        assert outs[0][1].out == outs[1][1].out != ""
+        assert outs[2][0] == 1
+        assert outs[2][1].err == "error: n must be an integer\n"
 
     @pytest.mark.parametrize("field, value, message", [
         ("b", ["1", "0"], "non-integer entry in b"),

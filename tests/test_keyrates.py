@@ -424,11 +424,12 @@ class TestBudgetTermsFirst:
         for call in (lambda: kr.key_length(params, budget),
                      lambda: kr.key_length_block(params, budget, 20)):
             assert raised(call) == (ValueError, "math domain error")
-        for mode, s_max in ((kr.PER_ROUND, 1), (kr.BLOCK, 20)):
-            point = kr._eval_point(self.TARGET, self.TINY_EPS_S, mode, 0.05,
-                                   s_max, 1e-4, (1.0, 1.0, 1.0), 0)
+        for s_max in (1, 20):
+            point = kr._eval_point(self.TARGET, self.TINY_EPS_S, 0.05, s_max,
+                                   1e-4, (1.0, 1.0, 1.0), 0)
             assert point is None
-        base = kr._budget_for(self.TINY_EPS_S, params, (1.0, 1.0, 1.0))
+        base = kr._budget_for(self.TINY_EPS_S, params, (1.0, 1.0, 1.0),
+                              0.0)
         assert base.eps_s == pytest.approx(1e-9)
         assert rate_calls == []
 
@@ -437,9 +438,9 @@ class TestBudgetTermsFirst:
         kr.key_length(params, budget)
         kr.key_length_block(params, budget, 20)
         assert len(rate_calls) == 2
-        for mode, s_max in ((kr.PER_ROUND, 1), (kr.BLOCK, 20)):
-            point = kr._eval_point(self.TARGET, self.CAPS, mode, 0.05, s_max,
-                                   1e-4, (1.0, 1.0, 1.0), 0)
+        for s_max in (1, 20):
+            point = kr._eval_point(self.TARGET, self.CAPS, 0.05, s_max, 1e-4,
+                                   (1.0, 1.0, 1.0), 0)
             assert point is not None
         assert len(rate_calls) == 4
 
@@ -463,6 +464,27 @@ class TestKeyLengthBlock:
                                      make_budget(eps_t=1e-14), s_max=20)
         assert report.key_length == pytest.approx(report.breakdown_sum(),
                                                   abs=1e-9)
+
+    @pytest.mark.parametrize("gamma, s_max", [(0.2, 1), (1.0, 1), (1.0, 3),
+                                              (1.0, 50)])
+    def test_no_tail_is_eps_t_zero(self, gamma, s_max):
+        """Where every block is one round (s_max = 1 or gamma = 1) the round
+        count has no tail, and eps_t = 0 in every term: the report at
+        eps_t = 0 but for the budget it echoes.  Each eps_t > 0 once cost
+        key length (at n = 1e10 and eps_t = 1e-14: 44,760 bits at s_max = 1
+        from the max-entropy shift, 66 bits at gamma = 1 and s_max = 3 from
+        the leakage's), 1e-6 raised "eps_t too large", and eps_t = 0 raised
+        at gamma = 1 with s_max > 1."""
+        params = make_params(n=1e10, gamma=gamma)
+        zero = kr.key_length_block(params, make_budget(eps_t=0.0), s_max)
+        assert zero.extras["tail_t"] == 0.0
+        for eps_t in (1e-30, 1e-14, 1e-6):
+            budget = make_budget(eps_t=eps_t)
+            got = kr.key_length_block(params, budget, s_max)
+            assert got.budget is budget
+            assert got._replace(budget=zero.budget) == zero
+        if s_max == 1:
+            assert kr.key_length(params, budget).key_length == zero.key_length
 
     def test_gamma_one_no_tail(self):
         params = make_params(gamma=1.0)
@@ -552,17 +574,20 @@ class TestOptimizeRate:
             kr.RateCaps(soundness=soundness, completeness=completeness,
                         eps_ec=1e-10)
 
-    def test_rate_curve_ordering_and_monotonicity(self):
+    @pytest.mark.parametrize("mode", [kr.BLOCK, kr.PER_ROUND])
+    def test_rate_curve_ordering_and_monotonicity(self, mode):
         grid = [0.005, 0.02, 0.035]
         reports = kr.rate_curve("q", grid, {"n": 1e9, "q": None}, self.CAPS,
-                                mode=kr.BLOCK)
+                                mode=mode)
+        assert {r.mode for r in reports} == {mode}
         rates = [r.rate for r in reports]
         assert rates[0] > rates[1] > rates[2]
 
-    def test_rate_monotone_in_n(self):
+    @pytest.mark.parametrize("mode", [kr.BLOCK, kr.PER_ROUND])
+    def test_rate_monotone_in_n(self, mode):
         grid = [1e8, 1e9]
         reports = kr.rate_curve("n", grid, {"q": 0.02, "n": None}, self.CAPS,
-                                mode=kr.BLOCK)
+                                mode=mode)
         assert reports[0].rate < reports[1].rate
 
     def test_search_provenance(self):
@@ -596,7 +621,7 @@ class TestOptimizeRate:
         for delta, feasible in ((delta_min * (1.0 - 1e-6), False),
                                 (floor, True)):
             params = kr.ProtocolParams(target.n, 0.01, omega, delta, target.q)
-            budget = kr._budget_for(self.CAPS, params, (1.0, 1.0, 1.0))
+            budget = kr._budget_for(self.CAPS, params, (1.0, 1.0, 1.0), 0.0)
             assert (budget is not None) is feasible
         for mode in (kr.BLOCK, kr.PER_ROUND):
             report = kr.optimize_rate(target, self.CAPS, mode=mode)
@@ -627,11 +652,11 @@ class TestOptimizeRate:
         shares = (best.budget.eps_s, best.budget.eps_ea, best.budget.eps_pa)
         s_max = best.s_max // 8
         assert math.ceil(s_max * kr.ZOOM_REACH) < best.s_max
-        start = kr._eval_point(target, self.CAPS, kr.BLOCK, gamma, s_max,
-                               delta, shares, best.extras["eps_t_index"])
-        report, at_bound = kr._zoom(target, self.CAPS, kr.BLOCK, start,
-                                    shares, kr._delta_floor(target, self.CAPS),
-                                    collections.Counter())
+        start = kr._eval_point(target, self.CAPS, gamma, s_max, delta, shares,
+                               best.extras["eps_t_index"])
+        report, at_bound = kr._zoom(target, self.CAPS, start, shares,
+                                    kr._delta_floor(target, self.CAPS),
+                                    math.inf, collections.Counter())
         assert at_bound is True
         assert report.s_max == math.ceil(s_max * kr.ZOOM_REACH)
         reach = kr.ZOOM_REACH / 2.0
@@ -715,23 +740,29 @@ def rule_rows(mode, gammas):
     return [(g, s_rule(g) if mode == kr.BLOCK else 1) for g in gammas]
 
 
-def grid_kernel(target, caps, mode, rows, deltas, shares):
+def grid_kernel(target, caps, rows, deltas, shares):
     """The grid kernel at the (gamma, s_max) ``rows`` and the split list
     ``shares``, whose _share_axis it builds."""
     return kr._grid_key_lengths(target, caps, rows, deltas,
-                                kr._share_axis(caps, mode, shares))
+                                kr._share_axis(caps, shares))
+
+
+def has_tail(gamma, s_max):
+    """Whether the round count is random: some block can hold more than
+    one round."""
+    return s_max > 1 and gamma < 1
 
 
 def sweep_oracle(target, caps, gamma, s_max, delta, shares):
-    """The block-mode eps_t sweep as one full key_length_block call per
-    candidate, keeping the first strict maximum, whose index in the sweep
-    its report's extras record (``eps_t_index``), as _eval_point's do."""
+    """The eps_t sweep as one full key_length_block call per candidate,
+    keeping the first strict maximum, whose index in the sweep its report's
+    extras record (``eps_t_index``), as _eval_point's do."""
     omega, _ = kr.honest_werner(2.0 * target.q)
     try:
         params = kr.ProtocolParams(target.n, gamma, omega, delta, target.q)
     except ValueError:
         return None
-    base = kr._budget_for(caps, params, shares)
+    base = kr._budget_for(caps, params, shares, 0.0)
     if base is None:
         return None
     cap_t = (base.eps_s / 4.0) ** 2
@@ -748,25 +779,27 @@ def sweep_oracle(target, caps, gamma, s_max, delta, shares):
     return best
 
 
-def scalar_point(target, caps, mode, gamma, s_max, delta, shares):
-    """The scalar reference at a point, None if infeasible: sweep_oracle in
-    block mode, one key_length per round (s_max = 1)."""
-    if mode == kr.BLOCK:
+def scalar_point(target, caps, gamma, s_max, delta, shares):
+    """The scalar reference at a point, None if infeasible: sweep_oracle
+    where the round count has a tail, else one key_length_block at
+    eps_t = 0."""
+    if has_tail(gamma, s_max):
         return sweep_oracle(target, caps, gamma, s_max, delta, shares)
     omega, _ = kr.honest_werner(2.0 * target.q)
     try:
         params = kr.ProtocolParams(target.n, gamma, omega, delta, target.q)
-        base = kr._budget_for(caps, params, shares)
-        return None if base is None else kr.key_length(params, base)
+        base = kr._budget_for(caps, params, shares, 0.0)
+        return (None if base is None
+                else kr.key_length_block(params, base, s_max))
     except ValueError:
         return None
 
 
-def kernel_pick(target, caps, mode, gamma, s_max, delta, shares):
+def kernel_pick(target, caps, gamma, s_max, delta, shares):
     """(value, eps_t_index): the grid kernel's key length at one point and
     its pick, the first minimum of ``paid`` over the eps_t candidates."""
-    values, paid = grid_kernel(target, caps, mode, [(gamma, s_max)],
-                               [delta], [shares])
+    values, paid = grid_kernel(target, caps, [(gamma, s_max)], [delta],
+                               [shares])
     return values[0, 0, 0], int(paid[:, 0, 0, 0].argmin())
 
 
@@ -782,19 +815,20 @@ class TestEpsTSweep:
         return math.sqrt(-math.log(hoeffding) / (2.0 * self.TARGET.n))
 
     def check(self, caps, gamma, delta, shares, s_max=None):
-        """_eval_point at the kernel's eps_t pick against the full sweep,
-        at s_max (s_rule(gamma) if None): the pick is the sweep's first
-        strict maximum, and the reports are equal."""
+        """_eval_point at the kernel's eps_t pick against scalar_point (the
+        full sweep where the round count has a tail), at s_max
+        (s_rule(gamma) if None): the pick is the sweep's first strict
+        maximum (0 without a tail), and the reports are equal."""
         s_max = s_rule(gamma) if s_max is None else s_max
-        value, pick = kernel_pick(self.TARGET, caps, kr.BLOCK, gamma, s_max,
-                                  delta, shares)
-        got = kr._eval_point(self.TARGET, caps, kr.BLOCK, gamma, s_max, delta,
-                             shares, pick)
-        want = sweep_oracle(self.TARGET, caps, gamma, s_max, delta, shares)
+        value, pick = kernel_pick(self.TARGET, caps, gamma, s_max, delta,
+                                  shares)
+        got = kr._eval_point(self.TARGET, caps, gamma, s_max, delta, shares,
+                             pick)
+        want = scalar_point(self.TARGET, caps, gamma, s_max, delta, shares)
         if want is None:
             assert got is None and value == -math.inf
             return None
-        assert pick == want.extras["eps_t_index"]
+        assert pick == want.extras.get("eps_t_index", 0)
         assert got.key_length == want.key_length
         assert got.budget.eps_t == want.budget.eps_t
         assert got.best_cut == want.best_cut
@@ -819,6 +853,9 @@ class TestEpsTSweep:
     def test_gamma_one(self):
         report = self.check(self.CAPS, 1.0, 1e-4, (1.0, 1.0, 1.0))
         assert report.s_max == 1 and report.extras["tail_t"] == 0.0
+        # no tail: eps_t = 0, and no candidate to record
+        assert report.budget.eps_t == 0.0
+        assert "eps_t_index" not in report.extras
 
     def test_some_candidates_raise(self):
         # eps_ec_prime ~ 1e-9 < 2 sqrt(eps_t) for the largest candidates
@@ -853,16 +890,16 @@ class TestEpsTSweep:
                        for stage in ("grid", "share", "zoom"))
         assert 0 < len(calls) <= rescored
         calls.clear()
-        value, pick = kernel_pick(self.TARGET, self.CAPS, kr.BLOCK, 0.01,
-                                  100, 1e-4, (1.0, 1.0, 1.0))
+        value, pick = kernel_pick(self.TARGET, self.CAPS, 0.01, 100, 1e-4,
+                                  (1.0, 1.0, 1.0))
         assert calls == [] and value > 0
-        kr._eval_point(self.TARGET, self.CAPS, kr.BLOCK, 0.01, 100, 1e-4,
+        kr._eval_point(self.TARGET, self.CAPS, 0.01, 100, 1e-4,
                        (1.0, 1.0, 1.0), pick)
         assert len(calls) == 1
 
 
-def scalar_key_length(target, caps, mode, gamma, s_max, delta, shares):
-    report = scalar_point(target, caps, mode, gamma, s_max, delta, shares)
+def scalar_key_length(target, caps, gamma, s_max, delta, shares):
+    report = scalar_point(target, caps, gamma, s_max, delta, shares)
     return -math.inf if report is None else report.key_length
 
 
@@ -893,7 +930,7 @@ def reference_optimize_rate(target, caps, mode):
     golden-section refines."""
 
     def evaluate(gamma, delta, shares):
-        return scalar_key_length(target, caps, mode, gamma,
+        return scalar_key_length(target, caps, gamma,
                                  s_rule(gamma) if mode == kr.BLOCK else 1,
                                  delta, shares)
 
@@ -952,7 +989,7 @@ def reference_optimize_rate(target, caps, mode):
         if v > best_v + 1e-12:
             best_v, best_shares = v, shares
     gamma2, delta2 = refine(gamma1, delta1, best_shares)
-    return scalar_point(target, caps, mode, gamma2,
+    return scalar_point(target, caps, gamma2,
                         s_rule(gamma2) if mode == kr.BLOCK else 1, delta2,
                         best_shares)
 
@@ -985,22 +1022,25 @@ class TestGridKernel:
                (1e8, 0.01), (1e10, 0.005), (1e10, 0.025), (1e12, 0.015),
                (1e15, 0.005), (1e15, 0.034)]
 
-    def check(self, target, caps, mode, rows, deltas, shares):
-        """Kernel against the scalar reference (the full eps_t sweep in
-        block mode) at every point of the (gamma, s_max) ``rows`` x
-        ``deltas`` x ``shares``: the same -inf mask, values within 1e-11
-        relative, the kernel's eps_t pick the sweep's first strict maximum,
-        and _eval_point at that pick the reference's key length; returns
-        the feasible count."""
-        got, paid = grid_kernel(target, caps, mode, rows, deltas, shares)
+    def check(self, target, caps, rows, deltas, shares):
+        """Kernel against the scalar reference (the full eps_t sweep where
+        the round count has a tail) at every point of the (gamma, s_max)
+        ``rows`` x ``deltas`` x ``shares``: the same -inf mask, values
+        within 1e-11 relative, the kernel's eps_t pick the sweep's first
+        strict maximum (0 without a tail), and _eval_point at that pick the
+        reference's key length; returns the feasible count."""
+        got, paid = grid_kernel(target, caps, rows, deltas, shares)
         assert got.shape == (len(rows), len(deltas), len(shares))
-        assert paid.shape == (len(kr._eps_t_ladder(mode)),) + got.shape
+        # one candidate on a grid without a tail, where all pay the same
+        tails = any(has_tail(*row) for row in rows)
+        assert paid.shape == (len(kr._eps_t_ladder()) if tails else 1,) \
+            + got.shape
         want = np.full(got.shape, -math.inf)
         for (i, (g, s_max)), (j, d), (k, s) in itertools.product(
                 enumerate(rows), enumerate(deltas), enumerate(shares)):
             pick = int(paid[:, i, j, k].argmin())
-            point = kr._eval_point(target, caps, mode, g, s_max, d, s, pick)
-            ref = scalar_point(target, caps, mode, g, s_max, d, s)
+            point = kr._eval_point(target, caps, g, s_max, d, s, pick)
+            ref = scalar_point(target, caps, g, s_max, d, s)
             assert (point is None) == (ref is None)
             if ref is not None:
                 want[i, j, k] = ref.key_length
@@ -1016,7 +1056,7 @@ class TestGridKernel:
     @pytest.mark.parametrize("mode", [kr.BLOCK, kr.PER_ROUND])
     def test_coarse_grid(self, mode):
         for n, q in self.TARGETS:
-            feasible = self.check(kr.RateTarget(n=n, q=q), self.CAPS, mode,
+            feasible = self.check(kr.RateTarget(n=n, q=q), self.CAPS,
                                   rule_rows(mode, GRID_GAMMAS), GRID_DELTAS,
                                   [(1.0, 1.0, 1.0)])
             assert 0 < feasible < 71 * 25
@@ -1027,7 +1067,7 @@ class TestGridKernel:
                                    (1e7, 0.03, 0.09, 2e-3)):
             for shares in (SHARE_GRID, SPLIT_AXIS):
                 feasible = self.check(kr.RateTarget(n=n, q=q), self.CAPS,
-                                      mode, rule_rows(mode, [gamma]), [delta],
+                                      rule_rows(mode, [gamma]), [delta],
                                       shares)
                 # small eps_s shares put eps_s below 4.2e-8: log2(0)
                 assert 0 < feasible < len(shares)
@@ -1036,21 +1076,20 @@ class TestGridKernel:
     def test_strict_caps(self, mode):
         # eps_s < 4.2e-8 at every split: the log correction's log2(0)
         target = kr.RateTarget(n=1e10, q=0.01)
-        assert self.check(target, self.STRICT, mode,
-                          rule_rows(mode, GRID_GAMMAS), GRID_DELTAS,
-                          [(1.0, 1.0, 1.0)]) == 0
-        assert self.check(target, self.STRICT, mode, rule_rows(mode, [0.01]),
+        assert self.check(target, self.STRICT, rule_rows(mode, GRID_GAMMAS),
+                          GRID_DELTAS, [(1.0, 1.0, 1.0)]) == 0
+        assert self.check(target, self.STRICT, rule_rows(mode, [0.01]),
                           [1e-4], SHARE_GRID) == 0
 
     def test_invalid_inputs(self):
         # the masks optimize_rate's points reach (TestKernelContract)
         for mode in (kr.BLOCK, kr.PER_ROUND):
             assert self.check(
-                kr.RateTarget(n=1e8, q=0.01), self.CAPS, mode,
+                kr.RateTarget(n=1e8, q=0.01), self.CAPS,
                 rule_rows(mode, [0.3, 1.0]), [1e-3, 1.0],
                 [(1.0, 1.0, 1.0)]) == 2
             # omega_exp below 3/4
-            assert self.check(kr.RateTarget(n=1e8, q=0.2), self.CAPS, mode,
+            assert self.check(kr.RateTarget(n=1e8, q=0.2), self.CAPS,
                               rule_rows(mode, [0.3]), [1e-3],
                               [(1.0, 1.0, 1.0)]) == 0
         # fewer than one round is no target
@@ -1060,15 +1099,32 @@ class TestGridKernel:
     def test_s_max_rows(self):
         """Block rows whose s_max is not ceil(1/gamma): from 1 to
         ceil(3/gamma), and s_max > 1 at gamma = 1, where every block is one
-        round, so the tail is 0 but the leakage still pays sqrt(eps_t)."""
+        round, so there is no tail and eps_t = 0 in every term."""
         rows = [(g, s) for g in (1.0, 0.3, 0.0123, 4e-4)
                 for s in sorted({1, 2} | {s_rule(g / f)
                                           for f in (0.5, 1.5, 3.0)})]
         for n, q in ((1e10, 0.005), (1e7, 0.03)):
-            feasible = self.check(kr.RateTarget(n=n, q=q), self.CAPS,
-                                  kr.BLOCK, rows, [1e-5, 1e-4, 2e-3],
-                                  [(1.0, 1.0, 1.0)])
+            feasible = self.check(kr.RateTarget(n=n, q=q), self.CAPS, rows,
+                                  [1e-5, 1e-4, 2e-3], [(1.0, 1.0, 1.0)])
             assert 0 < feasible < 3 * len(rows)
+
+    def test_rows_with_and_without_tail(self):
+        """One grid that mixes rows with a tail and rows without one
+        (s_max = 1, and gamma = 1 with s_max > 1), interleaved, at several
+        splits: the kernel meets _eval_point and the scalar reference, and
+        a row without a tail pays the same at every candidate (pick 0)."""
+        rows = [(0.3, 4), (1.0, 3), (0.0123, 1), (0.0123, 90), (1.0, 1),
+                (4e-4, 2500), (0.3, 1)]
+        assert 0 < sum(has_tail(*row) for row in rows) < len(rows)
+        target = kr.RateTarget(n=1e10, q=0.005)
+        shares = [(1.0, 1.0, 1.0), (10.0, 10.0, 1.0), (0.1, 1.0, 1.0)]
+        deltas = [1e-5, 1e-4, 2e-3]
+        assert 0 < self.check(target, self.CAPS, rows, deltas, shares) \
+            < len(rows) * len(deltas) * len(shares)
+        _, paid = grid_kernel(target, self.CAPS, rows, deltas, shares)
+        for i, row in enumerate(rows):
+            if not has_tail(*row):
+                assert np.all(paid[:, i] == paid[:1, i])
 
     def check_oracle(self, got, want):
         """The key length is at least the golden-section reference's, less
@@ -1137,9 +1193,9 @@ class TestKernelContract:
             deltas.setdefault(target.n, []).extend(d)
             return kernel(target, caps, r, d, s)
 
-        def axis_spy(caps, mode, s):
+        def axis_spy(caps, s):
             shares.extend(s)
-            return axis(caps, mode, s)
+            return axis(caps, s)
 
         monkeypatch.setattr(kr, "_grid_key_lengths", kernel_spy)
         monkeypatch.setattr(kr, "_share_axis", axis_spy)
@@ -1171,11 +1227,13 @@ ORACLE_TARGETS = TestGridKernel.TARGETS + [
 secrecy_bound_each = np.vectorize(entropy.secrecy_bound, otypes=[float])
 
 
-def reference_grid_key_lengths(target, caps, mode, rows, deltas, shares):
+def reference_grid_key_lengths(target, caps, rows, deltas, shares):
     """The grid kernel before it computed each term at the shape of its own
     inputs: per-axis rows from the scalar functions in Python loops, every
     term on the full ((gamma, s_max), delta_est, share, eps_t) array, summed
-    in the scalar path's order, masked, then maximized over eps_t."""
+    in the scalar path's order, masked, then maximized over eps_t; eps_t is
+    0 on the rows whose blocks are all one round (s_max = 1 or gamma =
+    1)."""
     omega, _ = kr.honest_werner(2.0 * target.q)
     n = target.n
     shape = (len(rows), len(deltas), len(shares))
@@ -1203,7 +1261,7 @@ def reference_grid_key_lengths(target, caps, mode, rows, deltas, shares):
                       (1.0 - gamma) * h_q + gamma * h_omega))
     (gamma_ok, gamma, s_max, scale, sbar, m, log2_do, lo, hi,
      leak_rate) = column(terms, 0)
-    tail = s_max > 1
+    tail = (s_max > 1) & (gamma < 1)
     rows = []
     for delta in deltas:
         ecc = min(caps.completeness - caps.eps_ec - eat.hoeffding(n, delta),
@@ -1228,8 +1286,8 @@ def reference_grid_key_lengths(target, caps, mode, rows, deltas, shares):
                 pass
         rows.append(row)
     share_ok, es4, eps_e, log_corr, pa, cap_t = column(rows, 2)
-    eps_t = cap_t * np.array([10.0 ** (-k) for k in range(
-        1, kr.EPS_T_CANDIDATE_DECADES)] if mode == kr.BLOCK else [0.0])
+    eps_t = np.where(tail, cap_t * np.array([10.0 ** (-k) for k in range(
+        1, kr.EPS_T_CANDIDATE_DECADES)]), 0.0)
     with np.errstate(all="ignore"):
         p1 = omega * scale - delta
         ratio = p1 / scale
@@ -1242,11 +1300,11 @@ def reference_grid_key_lengths(target, caps, mode, rows, deltas, shares):
         glued = at_cut + slope * (p1 - cut)
         f_min = np.where(p1 <= cut, sbar * secrecy_bound_each(ratio), glued)
         entropy_term = m * (f_min - k_pen * (log2_do + slope))
-        # Hoeffding over block lengths in [1, s_max]; one round at gamma = 1
-        t = np.where(tail & (gamma < 1),
-                     (s_max - 1.0) * np.sqrt(-m * np.log(eps_t) / 2.0), 0.0)
+        # Hoeffding over block lengths in [1, s_max]
+        t = np.where(tail, (s_max - 1.0) * np.sqrt(-m * np.log(eps_t) / 2.0),
+                     0.0)
         n_eff = n + t
-        eps_sqrt_term = prime - 2.0 * np.sqrt(np.where(tail, eps_t, 0.0))
+        eps_sqrt_term = prime - 2.0 * np.sqrt(eps_t)
         leak = (n_eff * leak_rate
                 + np.sqrt(n_eff) * 4.0 * kr.LOG2_2SQRT2_PLUS_1 * np.sqrt(
                     2.0 * np.log2(8.0 / eps_sqrt_term**2))
@@ -1259,14 +1317,14 @@ def reference_grid_key_lengths(target, caps, mode, rows, deltas, shares):
     return np.where(ok, ell, -np.inf).max(axis=3)
 
 
-def below_cut_count(target, caps, mode, rows, deltas, shares):
+def below_cut_count(target, caps, rows, deltas, shares):
     """Feasible points whose statistic p~1 is at or below the scalar
     optimum's cut, where the glued function is the secrecy bound itself."""
     count = 0
     for g, s_max in rows:
         for d in deltas:
             for sh in shares:
-                point = scalar_point(target, caps, mode, g, s_max, d, sh)
+                point = scalar_point(target, caps, g, s_max, d, sh)
                 if point is not None:
                     p1 = (point.params.omega_exp
                           * eat.BlockSpec(g, point.s_max).test_mass - d)
@@ -1283,10 +1341,9 @@ class TestKernelOracle:
     # masked, and reached by optimize_rate's zoom at small n
     BAD_DELTA = 1.0
 
-    def check(self, target, caps, mode, rows, deltas, shares):
-        got, paid = grid_kernel(target, caps, mode, rows, deltas, shares)
-        want = reference_grid_key_lengths(target, caps, mode, rows, deltas,
-                                          shares)
+    def check(self, target, caps, rows, deltas, shares):
+        got, paid = grid_kernel(target, caps, rows, deltas, shares)
+        want = reference_grid_key_lengths(target, caps, rows, deltas, shares)
         assert got.shape == want.shape
         feasible = np.isfinite(want)
         assert np.array_equal(np.isfinite(got), feasible)
@@ -1326,7 +1383,7 @@ class TestKernelOracle:
                  "s_max > 1 at gamma = 1": 0, "strict": 0, "invalid": 0,
                  "feasible": 0}
         for target, caps, mode, rows, deltas, shares in grids:
-            got = self.check(target, caps, mode, rows, deltas, shares)
+            got = self.check(target, caps, rows, deltas, shares)
             gammas = [g for g, _ in rows]
             kinds[mode] += 1
             kinds["mixed gamma = 1"] += 1.0 in gammas and min(gammas) < 1.0
@@ -1350,8 +1407,7 @@ class TestKernelOracle:
             target, caps, mode, rows, deltas, shares = self.random_grid(rng)
             if mode != kr.BLOCK:
                 continue
-            values, paid = grid_kernel(target, caps, mode, rows, deltas,
-                                       shares)
+            values, paid = grid_kernel(target, caps, rows, deltas, shares)
             for i, j, k in zip(*np.nonzero(np.isfinite(values))):
                 want = sweep_oracle(target, caps, *rows[i], deltas[j],
                                     shares[k])
@@ -1376,11 +1432,11 @@ class TestKernelOracle:
                 edge = [(omega - 0.75 - 5e-10) * eat.BlockSpec(
                     *row).test_mass for row in rows]
                 inner = [1e-6, 0.003, 0.03]
-                args = (target, self.CAPS, mode, rows, edge + inner,
+                args = (target, self.CAPS, rows, edge + inner,
                         [(1.0, 1.0, 1.0)])
                 got = self.check(*args)
                 assert 0 < below_cut_count(*args) < np.isfinite(got).sum()
-                args = (target, self.CAPS, mode, rows, inner,
+                args = (target, self.CAPS, rows, inner,
                         [(1.0, 1.0, 1.0)])
                 got = self.check(*args)
                 assert below_cut_count(*args) == 0 < np.isfinite(got).sum()
@@ -1394,7 +1450,7 @@ class TestKernelOracle:
         deltas = [sweep.delta_leaving(p)
                   for p in (1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-7)]
         for mode in (kr.BLOCK, kr.PER_ROUND):
-            args = (sweep.TARGET, sweep.CAPS, mode,
+            args = (sweep.TARGET, sweep.CAPS,
                     rule_rows(mode, [1.0, 0.5, 0.01]), deltas,
                     [(1.0, 1.0, 1.0)])
             got = self.check(*args)
@@ -1427,7 +1483,7 @@ def dense_scan(target, caps, mode):
     best = []
     for k in range(28):
         shares = (10.0 ** (k / 3), 10.0 ** (k / 3), 1.0)
-        values = grid_kernel(target, caps, mode, rows, deltas,
+        values = grid_kernel(target, caps, rows, deltas,
                              [shares])[0][:, :, 0]
         for i in np.argsort(values, axis=None)[-10:]:
             best.append((values.flat[i], rows[i // len(deltas)],
@@ -1436,11 +1492,11 @@ def dense_scan(target, caps, mode):
     _, row, delta, _ = best[-1]
     splits = [(10.0 ** (i / 3), 10.0 ** (j / 3), 1.0)
               for i in range(-6, 31) for j in range(-6, 31)]
-    values = grid_kernel(target, caps, mode, [row], [delta],
+    values = grid_kernel(target, caps, [row], [delta],
                          splits)[0][0, 0]
     for i in np.argsort(values)[-10:]:
         best.append((values[i], row, delta, splits[i]))
-    return max(scalar_key_length(target, caps, mode, *row, delta, shares)
+    return max(scalar_key_length(target, caps, *row, delta, shares)
                for _, row, delta, shares in best)
 
 

@@ -222,6 +222,12 @@ class TestSolver:
         assert (sol.status, sol.value) == ("optimal", 0.0)
         assert sol.primal.tolist() == [0.0, 0.0]
 
+    def test_no_variables_no_rows_optimal(self):
+        # once numpy's "attempt to get argmax of an empty sequence"
+        sol = nslp.solve(nslp.LinearProgram(np.zeros(0), []))
+        assert (sol.status, sol.value) == ("optimal", 0.0)
+        assert sol.primal.tolist() == [] and sol.pivots == (0, 0)
+
     def test_no_rows_unbounded(self):
         lp = nslp.LinearProgram(np.array([-1.0, 2.0]), [])
         assert nslp.solve(lp).status == "unbounded"
