@@ -28,9 +28,9 @@ and one zoom that also searches s_max, in boxes set by the caps and the
 rate; the mode sets only the s_max window, {1} per round.  Each stage and
 zoom pass is one numpy call (_grid_key_lengths, the array form of
 _eval_point), which also picks eps_t among 13 candidates at each point
-with a tail; a stage rescores the first few values within 1e-9 relative
-of its best, in grid order, with scalar key lengths, which alone produce
-the points chosen and the numbers reported.
+with a tail; a stage rescores the best few values within 1e-9 relative
+of its top, best first, with scalar key lengths, which alone produce the
+points chosen and the numbers reported.
 
 Negative key lengths are reported as-is so that the zero crossings of rate
 curves can be located; callers clamp for presentation.
@@ -523,14 +523,16 @@ def _band(values: np.ndarray) -> np.ndarray:
 
 
 def _rescore(target, caps, grid, values, paid, best, stage, evals) -> tuple:
-    """(report, i): ``best`` or the best of the first RESCORED points of
-    _band(values), values and paid as _grid_key_lengths returns them over
-    ``grid`` = (rows, deltas, shares), point i (a flat index) scored by
-    _eval_point at the eps_t candidate the kernel picked, the first minimum
-    of paid[:, i], if it beats ``best``; i is None if none does."""
+    """(report, i): ``best`` or the best of the RESCORED largest values of
+    _band(values) (ties in grid order), values and paid as
+    _grid_key_lengths returns them over ``grid`` = (rows, deltas, shares):
+    point i (a flat index) scored by _eval_point at the eps_t candidate the
+    kernel picked, the first minimum of paid[:, i], if it beats ``best``; i
+    is None if none does."""
     rows, deltas, shares = grid
     index, picks = None, paid.reshape(len(paid), -1)
-    for i in _band(values)[:RESCORED]:
+    band = _band(values)
+    for i in band[np.argsort(-values.ravel()[band], kind="stable")][:RESCORED]:
         evals[stage + "_rescored"] += 1
         g, d, s = np.unravel_index(i, values.shape)
         point = _eval_point(target, caps, *rows[g], deltas[d], shares[s],
@@ -661,7 +663,7 @@ def optimize_rate(target: RateTarget, caps: RateCaps,
     3. one kernel zoom (_zoom) of gamma, s_max and delta_est there.
 
     Each stage scores its points in numpy (_grid_key_lengths) and rescores
-    the first RESCORED of its band with _eval_point (_rescore), whose
+    the RESCORED best of its band with _eval_point (_rescore), whose
     RateReports are the points compared, so every number reported, and
     every point chosen, comes from the scalar path.  The kept report's
     ``extras`` gain ``evals`` (kernel points, ``*_points``, passes,

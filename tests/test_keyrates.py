@@ -663,6 +663,24 @@ class TestOptimizeRate:
         assert gamma / reach < report.params.gamma < gamma * reach
         assert delta / reach < report.params.delta_est < delta * reach
 
+    def test_rescore_ranks_band_by_value(self, monkeypatch):
+        """The band is rescored best kernel value first, ties in grid order,
+        RESCORED points of it: not its first members in grid order."""
+        gammas = []
+        monkeypatch.setattr(kr, "_eval_point",
+                            lambda target, caps, gamma, *rest: gammas.append(
+                                gamma))
+        values = np.array([5.0, 10.0, 10.0 - 1e-9, 10.0, 1.0,
+                           10.0 + 1e-9])[:, None, None]
+        rows = [(g, 1) for g in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)]
+        assert kr._band(values).tolist() == [1, 2, 3, 5]
+        evals = collections.Counter()
+        report, i = kr._rescore(None, None, (rows, [1e-3], [(1.0, 1.0, 1.0)]),
+                                values, np.zeros((1,) + values.shape), None,
+                                "grid", evals)
+        assert gammas == [0.6, 0.2, 0.4] and evals["grid_rescored"] == 3
+        assert report is None and i is None
+
     def test_strict_caps_infeasible(self):
         strict = kr.RateCaps(soundness=1e-9, completeness=1e-2, eps_ec=1e-12)
         for mode in (kr.BLOCK, kr.PER_ROUND):
