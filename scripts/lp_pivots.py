@@ -7,11 +7,13 @@ verify-mix workload (``perfbench/workloads.py``): CHSH, extended CHSH and
 the random games of passes 0, 1 and 2, keeping those that no
 deterministic pair wins outright (a game won outright solves no program).
 The stalling game of each pass is left out: its ``<= 0`` program raises
-SolverError, so it has no record.  For each game it calls ``ns_value`` and
-``perturbed_value`` at verify-mix's slacks, and counts every ``nslp.solve``
-call under the function that made it: solves, phase-1 and phase-2 pivots
-and seconds in the solver, and for ``perturbed_value`` per slack also the
-starts the solver took (phase 1 is then the start's X*Y pivots).  It
+SolverError, so it has no record.  For each game it calls ``ns_value``
+(one solve: the value, continued to the least kappa) and
+``perturbed_value`` at verify-mix's slacks, and counts every
+``nslp.solve`` call under the function that made it: solves, phase-1 and
+phase-2 pivots (a continuation's included) and seconds in the solver, and
+for ``perturbed_value`` per slack also the starts the solver took (phase
+1 is then the start's X*Y pivots).  It
 writes bench/BENCH_lp-pivots-<label>.json (see --out-dir):
 
     python3 scripts/lp_pivots.py --checkout ../parent --label parent

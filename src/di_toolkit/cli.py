@@ -56,11 +56,11 @@ def rate_curve_table(grid, reports) -> tuple:
     RateReport."""
     header = ["axis_value", "rate", "rate_clamped", "key_length", "gamma",
               "delta_est", "cut", "entropy_term", "leak_ec", "log_correction",
-              "max_entropy_term", "pa_term"]
+              "max_entropy_term", "pa_term", "s_max"]
     rows = [(value, rep.rate, max(rep.rate, 0.0), rep.key_length,
              rep.params.gamma, rep.params.delta_est, rep.best_cut,
              rep.entropy_term, rep.leak_ec, rep.log_correction,
-             rep.max_entropy_term, rep.pa_term)
+             rep.max_entropy_term, rep.pa_term, rep.s_max)
             for value, rep in zip(grid, reports)]
     return header, rows
 

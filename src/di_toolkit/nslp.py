@@ -7,8 +7,9 @@ the table entries P(a,b|x,y), so the optimal non-signalling value of a game
 is an LP; its signalling rows are the rows of
 :func:`signalling.signalling_matrix`, the same matrix the signalling measure
 and the signalling test use.  :func:`ns_value` solves the dual of the
-``<= 0`` form twice, for the value and then for the least kappa, and
-:func:`perturbed_value` the primal with every signalling row ``<= slack``.
+``<= 0`` form once: phase 2 finds the value and continues on its optimal
+face to the least kappa.  :func:`perturbed_value` solves the primal with
+every signalling row ``<= slack``.
 Neither solves anything when a deterministic pair (f, g) wins every
 question that some answer wins: the classical value then meets the
 trivial bound, the sum of Q over those questions, which is the value at
@@ -71,15 +72,21 @@ class LinearProgram:
 
     ``start`` holds (row, column) pairs, one per = row: solve pivots on
     each to make that column basic there, and runs phase 2 from the
-    result if it is a feasible basis (_start)."""
+    result if it is a feasible basis (_start).  ``then``, if given, is a
+    second objective, maximized over the optima of c (_onto_face)."""
 
     c: np.ndarray
     rows: list  # list of (np.ndarray, relation, float)
     start: tuple = ()
+    then: np.ndarray | None = None
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
         n = self.c.shape[0]
+        if self.then is not None:
+            self.then = np.asarray(self.then, dtype=float)
+            if self.then.shape != (n,):
+                raise ValueError("then length != variable count")
         for coeffs, rel, _ in self.rows:
             if np.asarray(coeffs).shape != (n,):
                 raise ValueError("row length != variable count")
@@ -96,10 +103,11 @@ class LPSolution:
     """A solve's outcome and its record: the final basis (the basic column
     of each row of the equality form; an artificial left basic has an
     index past its columns) and the pivot counts of phase 1 (including
-    the pivots that drive artificials out) and phase 2.  From an accepted
-    start, phase 1 is the start's pivots.  A refused start's pivots were
-    made on a tableau that is dropped, and are not counted: the record is
-    the two-phase solve's."""
+    the pivots that drive artificials out) and phase 2 (including a
+    ``then`` continuation's, whose end is ``primal``; ``value`` is c's
+    optimum).  From an accepted start, phase 1 is the start's pivots.  A
+    refused start's pivots were made on a tableau that is dropped, and
+    are not counted: the record is the two-phase solve's."""
 
     status: str  # optimal | infeasible | unbounded
     value: float = float("nan")
@@ -247,26 +255,63 @@ def solve(lp: LinearProgram) -> LPSolution:
             tableau = np.delete(tableau, np.s_[n_total:n_total + n_art],
                                 axis=1)
 
-    # Phase 2.
-    cost = tableau[m]
-    cost[:] = 0.0
-    cost[:n] = lp.c
-    for i in range(m):
-        c_basic = lp.c[basis[i]] if basis[i] < n else 0.0
-        if c_basic != 0.0:
-            cost -= c_basic * tableau[i]
+    # Phase 2, then on to lp.then over the optima of c.
+    _price(tableau, basis, lp.c)
     status, phase2 = _simplex_phase(tableau, basis, n_total, max_iter, 2)
+    if status == "optimal" and lp.then is not None:
+        value = float(lp.c @ _primal(tableau, basis, n_total)[:n])
+        _onto_face(tableau, basis, lp.then)
+        status, more = _simplex_phase(tableau, basis, n_total, max_iter, 2)
+        phase2 += more
     basis = np.array(basis, dtype=int)
     if status == "unbounded":
         return LPSolution(status="unbounded", basis=basis,
                           pivots=(phase1, phase2))
 
-    real = basis < n_total  # the rest are artificials left basic at zero
+    primal = _primal(tableau, basis, n_total)[:n]
+    _certify(form, rels, primal)
+    reached = float(lp.c @ primal)
+    if lp.then is None:
+        value = reached
+    elif value - reached > RESIDUAL_TOL * (
+            1.0 + np.abs(lp.c) @ np.abs(primal)):
+        raise SolverError(f"simplex continuation leaves the optimum by "
+                          f"{value - reached:.3g}")
+    return LPSolution(status="optimal", value=value, primal=primal,
+                      basis=basis, pivots=(phase1, phase2))
+
+
+def _price(tableau, basis, c):
+    """Write objective c's reduced costs into the cost row: c on its
+    columns, less c_B times each row whose basic column is one of them."""
+    cost = tableau[-1]
+    cost[:] = 0.0
+    cost[:len(c)] = c
+    for i, j in enumerate(basis):
+        c_basic = c[j] if j < len(c) else 0.0
+        if c_basic != 0.0:
+            cost -= c_basic * tableau[i]
+
+
+def _onto_face(tableau, basis, then):
+    """Restrict an optimal tableau to its objective's optimal face and
+    price ``then`` there.  A nonbasic column whose reduced cost is below
+    -SOLVER_TOL is 0 at every optimum (Chvatal, *Linear Programming*,
+    1983), so it is zeroed, its cost entry too, and never enters; every
+    later pivot keeps the objective at its optimum."""
+    off_face = np.flatnonzero(tableau[-1, :-1] < -SOLVER_TOL)
+    _price(tableau, basis, then)
+    tableau[:, off_face] = 0.0
+
+
+def _primal(tableau, basis, n_total):
+    """The basic solution of a tableau: each basic column at its row's
+    rhs, the rest 0 (an artificial left basic at zero is dropped)."""
+    basis = np.asarray(basis)
+    real = basis < n_total
     primal = np.zeros(n_total)
-    primal[basis[real]] = tableau[:m][real, -1]
-    _certify(form, rels, primal[:n])
-    return LPSolution(status="optimal", value=float(lp.c @ primal[:n]),
-                      primal=primal[:n], basis=basis, pivots=(phase1, phase2))
+    primal[basis[real]] = tableau[:-1][real, -1]
+    return primal
 
 
 def _flipped(form, rows, slack_col):
@@ -383,12 +428,13 @@ def ns_value(game: Game) -> tuple:
     max{c.x : Sx <= 0, Nx = 1, x >= 0}, the ``<= 0`` form:
     min sum(v) over S^T u + N^T v >= c, u >= 0, v free.
     kappa = sum(u) certifies that relaxing each signalling row by s raises
-    the optimum by at most s * kappa; a second solve takes the least kappa
-    on the (possibly degenerate) dual optimal face.  kappa is >= 0 and
+    the optimum by at most s * kappa.  One solve gives both: phase 2 finds
+    the value, then continues on the (possibly degenerate) dual optimal
+    face to the least kappa (LinearProgram.then).  kappa is >= 0 and
     never -0.0.  With v = v0 + w+ - w-, v0[x,y] = max over (a,b) of
     c[x,y,a,b], each dual row -(S^T u + N^T w) <= N^T v0 - c has rhs >= 0,
-    so the first solve starts from the slack basis: no phase 1.  Raises
-    SolverError if either program is not solved to optimality.
+    so the solve starts from the slack basis: no phase 1.  Raises
+    SolverError if the program is not solved to optimality.
     """
     if not game.q.complete_support:
         raise ValueError("game must have complete support")
@@ -403,18 +449,14 @@ def ns_value(game: Game) -> tuple:
     rhs = np.where(wins, 0.0, v0[:, :, None, None]).reshape(-1)
     dual_rows = -np.hstack([S.T, N.T, -N.T])
     rows = [(r, LE, float(b)) for r, b in zip(dual_rows, rhs)]
-    ones_w = np.repeat([0.0, 1.0, -1.0], [d, n_norm, n_norm])
-
-    first = solve(LinearProgram(-ones_w, rows))  # maximize -sum(w)
-    if first.status != "optimal":
-        raise SolverError(f"non-signalling program: {first.status}")
-    kappa_obj = np.repeat([-1.0, 0.0], [d, 2 * n_norm])  # maximize -sum(u)
-    at_value = (ones_w, EQ, -first.value)
-    second = solve(LinearProgram(kappa_obj, rows + [at_value]))
-    if second.status != "optimal":
-        raise SolverError(f"minimal-kappa dual program: {second.status}")
+    # maximize -sum(w), then -sum(u) over its optima
+    minus_sum_w = np.repeat([0.0, -1.0, 1.0], [d, n_norm, n_norm])
+    minus_sum_u = np.repeat([-1.0, 0.0], [d, 2 * n_norm])
+    sol = solve(LinearProgram(minus_sum_w, rows, then=minus_sum_u))
+    if sol.status != "optimal":
+        raise SolverError(f"non-signalling program: {sol.status}")
     # sum(u) >= 0; +0.0, not -0.0 or rounding noise, at a zero optimum
-    return float(v0.sum() - first.value), max(0.0, -second.value)
+    return float(v0.sum() - sol.value), max(0.0, float(sol.primal[:d].sum()))
 
 
 def perturbed_value(game: Game, slack: float) -> float:

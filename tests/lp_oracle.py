@@ -6,8 +6,11 @@ final basis and the pivot counts of phase 1 (driving artificials out
 included) and phase 2, and a program's start, taken by the same rule as
 nslp.solve's: start_tableau makes its pivots, and phase 2 runs from there
 if every row has a basic column and every right-hand side is >= 0 as
-computed; else the solve is the two-phase one.  duals(lp, basis) gives
-the tests the multipliers of any solver's final basis, nslp.solve's
+computed; else the solve is the two-phase one.  A program with a second
+objective ``then`` continues phase 2 from the first optimum with the
+columns off its optimal face zeroed, as nslp.solve does; its value is the
+first optimum's and its primal the continuation's end.  duals(lp, basis)
+gives the tests the multipliers of any solver's final basis, nslp.solve's
 included.
 """
 
@@ -189,22 +192,44 @@ def solve(lp):
     return _phase_2(lp, tableau, basis, n_total, phase1, max_iter)
 
 
-def _phase_2(lp, tableau, basis, n_total, phase1, max_iter):
-    n = lp.num_vars
-    m = len(lp.rows)
+def _cost_row(c, tableau, basis, n_total):
     cost = np.zeros(n_total + 1)
-    cost[:n] = lp.c
-    for i in range(m):
-        c_basic = lp.c[basis[i]] if basis[i] < n else 0.0
+    cost[:len(c)] = c
+    for i in range(len(basis)):
+        c_basic = c[basis[i]] if basis[i] < len(c) else 0.0
         if c_basic != 0.0:
             cost -= c_basic * tableau[i]
+    return cost
+
+
+def _phase_2(lp, tableau, basis, n_total, phase1, max_iter):
+    n = lp.num_vars
+    cost = _cost_row(lp.c, tableau, basis, n_total)
     status, phase2 = _simplex_phase(tableau, basis, n_total, cost, max_iter)
+    value = None
+    if status == "optimal" and lp.then is not None:
+        value = float(lp.c @ _basic_solution(tableau, basis, n_total)[:n])
+        # the optimal face: columns with a reduced cost below -SOLVER_TOL
+        # are 0 at every optimum, so they are zeroed and never enter
+        off_face = np.flatnonzero(cost[:n_total] < -SOLVER_TOL)
+        cost = _cost_row(lp.then, tableau, basis, n_total)
+        tableau[:, off_face] = 0.0
+        cost[off_face] = 0.0
+        status, more = _simplex_phase(tableau, basis, n_total, cost,
+                                      max_iter)
+        phase2 += more
     if status == "unbounded":
         return _result("unbounded", basis, (phase1, phase2))
 
+    primal = _basic_solution(tableau, basis, n_total)[:n]
+    if value is None:
+        value = float(lp.c @ primal)
+    return _result("optimal", basis, (phase1, phase2), value, primal,
+                   duals(lp, basis))
+
+
+def _basic_solution(tableau, basis, n_total):
     real = basis < n_total
     primal = np.zeros(n_total)
     primal[basis[real]] = tableau[real, -1]
-    value = float(lp.c @ primal[:n])
-    return _result("optimal", basis, (phase1, phase2), value, primal[:n],
-                   duals(lp, basis))
+    return primal

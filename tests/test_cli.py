@@ -4,10 +4,11 @@ import sys
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 from di_toolkit import cli, nslp, simulate
-from di_toolkit.boxes import chsh_game
+from di_toolkit.boxes import Alphabets, Game, InputDistribution, chsh_game
 
 
 def run_cli(args, capsys):
@@ -146,8 +147,8 @@ class TestGameCommands:
         assert payload["d"] == 16
         assert '"kappa": 0.0' in out  # +0.0: no binding signalling row
 
-    def test_ns_value_two_solves(self, chsh_file, capsys, monkeypatch):
-        """One non-signalling solve and one minimal-kappa solve."""
+    def test_ns_value_one_solve(self, chsh_file, capsys, monkeypatch):
+        """One solve gives the value and, continued, the least kappa."""
         programs = []
         solve = nslp.solve
 
@@ -158,31 +159,40 @@ class TestGameCommands:
         monkeypatch.setattr(nslp, "solve", counting)
         code, _ = run_cli(["ns-value", "--game", chsh_file], capsys)
         assert code == 0
-        assert len(programs) == 2
+        assert len(programs) == 1
 
-    def test_ns_value_kappa_program_not_optimal(self, chsh_file, capsys,
-                                                monkeypatch):
-        """A minimal-kappa program that is not solved to optimality is an
-        error, not a silent fallback to the signalling duals' l1 norm."""
-        solve = nslp.solve
+    def test_ns_value_continuation_leaves_optimum(self, tmp_path, capsys,
+                                                  monkeypatch):
+        """Alice guessing Bob's input is worth 1/2 with kappa 4.  Priced
+        over every feasible point, not the value's optimal face, the least
+        kappa is 0 at value 1: the continuation leaves the optimum, and
+        that is an error, not a smaller kappa."""
+        win = np.zeros((2, 2, 2, 2), dtype=bool)
+        for a in range(2):
+            win[a, :, :, a] = True  # a == y
+        game = Game(Alphabets(2, 2, 2, 2),
+                    InputDistribution(np.full((2, 2), 0.25)), win)
+        path = tmp_path / "guess.json"
+        path.write_text(json.dumps(game.to_json_dict()))
+        code, out = run_cli(["ns-value", "--game", str(path)], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["value"], payload["kappa"]) == (0.5, 4.0)
 
-        def failing(lp):
-            # the minimal-kappa program is the one with an = row: it fixes
-            # sum(w) at the value program's optimum
-            if any(rel == nslp.EQ for _, rel, _ in lp.rows):
-                return nslp.LPSolution(status="unbounded")
-            return solve(lp)
-
-        monkeypatch.setattr(nslp, "solve", failing)
-        code = cli.main(["ns-value", "--game", chsh_file])
+        monkeypatch.setattr(nslp, "_onto_face", nslp._price)
+        with pytest.raises(nslp.SolverError,
+                           match="continuation leaves the optimum by 0.5"):
+            nslp.ns_value(game)
+        code = cli.main(["ns-value", "--game", str(path)])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert captured.err == "error: minimal-kappa dual program: unbounded\n"
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
     def test_ns_value_value_program_not_optimal(self, chsh_file, capsys,
                                                 monkeypatch):
-        """The value program (the first solve) not solved to optimality is
-        an error, and the kappa program is never built."""
+        """The program not solved to optimality is an error, after one
+        solve."""
         programs = []
 
         def failing(lp):
@@ -836,6 +846,23 @@ class TestRateCurveCommand:
         assert header[:7] == ["axis_value", "rate", "rate_clamped",
                               "key_length", "gamma", "delta_est", "cut"]
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("mode", ["block", "per-round"])
+    def test_csv_s_max_is_json_s_max(self, mode, capsys):
+        """The CSV's last column is the block length cap each rate was
+        found at, the JSON report's s_max (1 per round)."""
+        argv = ["rate-curve", "--mode", mode, "--axis", "n", "--grid",
+                "1e8,1e9", "--q", "0.02"]
+        _, out = run_cli(argv, capsys)
+        header, *rows = [line.split(",") for line in out.splitlines()]
+        assert header == [
+            "axis_value", "rate", "rate_clamped", "key_length", "gamma",
+            "delta_est", "cut", "entropy_term", "leak_ec", "log_correction",
+            "max_entropy_term", "pa_term", "s_max"]
+        _, out = run_cli(argv + ["--format", "json"], capsys)
+        s_max = [point["s_max"] for point in json.loads(out)["points"]]
+        assert [int(row[-1]) for row in rows] == s_max
+        assert (s_max == [1, 1]) == (mode == "per-round")
 
     def test_json_schema(self, capsys):
         code, out = run_cli([

@@ -296,6 +296,35 @@ class TestSolver:
         with pytest.raises(nslp.SolverError, match="breaks x >= 0"):
             nslp.solve(lp)
 
+    def test_then_picks_among_optima(self):
+        """max x0 + x1 on x0 + x1 <= 1 is optimal on a segment: then = x0
+        keeps phase 2's end (1, 0), then = x1 pivots once more to (0, 1),
+        and the continuation's pivot counts in phase 2."""
+        rows = [(np.array([1.0, 1.0]), "<=", 1.0)]
+        for then, end, pivots in (([1.0, 0.0], [1.0, 0.0], (0, 1)),
+                                  ([0.0, 1.0], [0.0, 1.0], (0, 2))):
+            sol = nslp.solve(nslp.LinearProgram(np.ones(2), rows, then=then))
+            assert sol.status == "optimal" and sol.value == 1.0
+            assert sol.primal.tolist() == end and sol.pivots == pivots
+
+    def test_then_stays_on_optimal_face(self, monkeypatch):
+        """max x0 on x0 + x1 <= 1 has one optimum, (1, 0): then = x1
+        cannot move it, since x1's reduced cost is -1.  Priced without the
+        face, the continuation leaves the optimum and solve raises."""
+        lp = nslp.LinearProgram(np.array([1.0, 0.0]),
+                                [(np.array([1.0, 1.0]), "<=", 1.0)],
+                                then=np.array([0.0, 1.0]))
+        sol = nslp.solve(lp)
+        assert sol.primal.tolist() == [1.0, 0.0] and sol.pivots == (0, 1)
+        monkeypatch.setattr(nslp, "_onto_face", nslp._price)
+        with pytest.raises(nslp.SolverError,
+                           match="continuation leaves the optimum by 1"):
+            nslp.solve(lp)
+
+    def test_then_length_checked(self):
+        with pytest.raises(ValueError, match="then length"):
+            nslp.LinearProgram(np.ones(2), [], then=np.ones(3))
+
 
 class TestGamePrograms:
     @pytest.mark.parametrize("form", FORMS,
@@ -505,9 +534,8 @@ class TestSingleSolve:
 
     def test_value_program_has_no_phase_1(self, monkeypatch):
         """A game won outright within the enumeration bound makes no solve.
-        Every other game makes two, and as every dual row's right-hand side
-        is >= 0, the value program starts from its slack basis: no phase-1
-        pivot."""
+        Every other game makes one, and as every dual row's right-hand side
+        is >= 0, it starts from its slack basis: no phase-1 pivot."""
         rng = np.random.default_rng(4242)
         games = ([chsh_game(), extended_chsh_game()]
                  + [stalling_game(index) for index in STALLING_GAMES]
@@ -527,7 +555,7 @@ class TestSingleSolve:
                 outright += 1
                 assert solutions == []
             else:
-                assert len(solutions) == 2
+                assert len(solutions) == 1
                 assert solutions[0].pivots[0] == 0
         assert 0 < outright < len(games)
 
@@ -591,7 +619,7 @@ class TestStart:
 
     def test_only_perturbed_value_starts(self, monkeypatch):
         """perturbed_value's program carries the deterministic box's start
-        and ns_value's two do not; the value is the started solve's."""
+        and ns_value's one does not; the value is the started solve's."""
         programs, solve = [], nslp.solve
 
         def recording(lp):
@@ -605,7 +633,7 @@ class TestStart:
         for game in games:
             programs.clear()
             nslp.ns_value(game)
-            assert [lp.start for lp in programs] == [(), ()]
+            assert [lp.start for lp in programs] == [()]
             value = nslp.perturbed_value(game, 0.01)
             assert programs[-1].start == zero_box_start(game.alphabets)
             assert value == solve(started_lp(game, 0.01)).value
@@ -679,7 +707,8 @@ class TestWonOutright:
 
     def test_past_enumeration_bound_solves(self, monkeypatch):
         """Alice answers x mod 2 and wins every question, but her 2^5
-        functions outnumber the 10 variables: the programs are solved."""
+        functions outnumber the 10 variables: the programs are solved,
+        one for ns_value and one for perturbed_value."""
         al = Alphabets(2, 1, 5, 1)
         win = np.zeros((2, 1, 5, 1), dtype=bool)
         for x in range(5):
@@ -695,12 +724,12 @@ class TestWonOutright:
 
         monkeypatch.setattr(nslp, "solve", counting)
         value, kappa = nslp.ns_value(game)
-        assert len(programs) == 2
+        assert len(programs) == 1
         assert value == pytest.approx(1.0, abs=1e-12)
         assert kappa == pytest.approx(0.0, abs=1e-12)
         assert nslp.perturbed_value(game, 0.01) == pytest.approx(1.0,
                                                                  abs=1e-12)
-        assert len(programs) == 3
+        assert len(programs) == 2
 
     def test_input_checks_come_first(self):
         """A negative or NaN slack and an incomplete support are errors on
@@ -788,22 +817,38 @@ class _Enough(Exception):
 
 class TestReferenceSolver:
     """solve against tests/lp_oracle.py, the simplex with a separate cost
-    row: the same pivots, so the same bytes, from a start too."""
+    row: the same pivots, so the same bytes, from a start and through a
+    second objective too."""
 
-    def test_same_solutions_and_records(self):
+    def test_same_solutions_and_records(self, monkeypatch):
         rng = np.random.default_rng(1812)
         games = ([chsh_game(), extended_chsh_game()]
                  + [random_game(rng) for _ in range(120)])
+        programs, solve = [], nslp.solve
+
+        def recording(lp):
+            programs.append(lp)
+            return solve(lp)
+
+        monkeypatch.setattr(nslp, "solve", recording)
+        continued = 0
         for game in games:
+            # ns_value's program (none for a game won outright)
+            programs.clear()
+            nslp.ns_value(game)
+            assert all(lp.then is not None for lp in programs)
+            continued += len(programs)
             # every form, and perturbed_value's started programs
-            for lp in ([nslp.build_ns_lp(game, form) for form in FORMS]
+            for lp in (programs
+                       + [nslp.build_ns_lp(game, form) for form in FORMS]
                        + [started_lp(game, slack) for slack in (0.01, 0.05)]):
-                got, want = nslp.solve(lp), lp_oracle.solve(lp)
+                got, want = solve(lp), lp_oracle.solve(lp)
                 assert got.status == want.status
                 assert got.value.hex() == want.value.hex()
                 assert got.primal.tobytes() == want.primal.tobytes()
                 assert got.basis.tolist() == want.basis.tolist()
                 assert got.pivots == want.pivots
+        assert 0 < continued < len(games)
 
     @pytest.mark.parametrize("index", STALLING_GAMES)
     def test_stalling_pivot_sequence(self, index, monkeypatch):

@@ -17,7 +17,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 RATE_CURVE_HEADER = (
     "axis_value,rate,rate_clamped,key_length,gamma,delta_est,cut,"
-    "entropy_term,leak_ec,log_correction,max_entropy_term,pa_term\n")
+    "entropy_term,leak_ec,log_correction,max_entropy_term,pa_term,s_max\n")
 
 
 def run_script(name, *args):
@@ -174,9 +174,10 @@ def test_bench_pairs_summary_of_canned_runs():
 
 def test_lp_pivots_counts(tmp_path):
     """CHSH, extended CHSH and the 27 random games of verify-mix passes
-    0-2 that no deterministic pair wins outright: two ns_value solves and
-    one perturbed_value solve per slack for each; at slack > 0 every start
-    is taken, so phase 1 is the X*Y start pivots of each game."""
+    0-2 that no deterministic pair wins outright: one ns_value solve, with
+    no phase-1 pivot, and one perturbed_value solve per slack for each; at
+    slack > 0 every start is taken, so phase 1 is the X*Y start pivots of
+    each game."""
     out = run_script("lp_pivots", "--label", "smoke",
                      "--out-dir", str(tmp_path))
     assert out.splitlines()[-1].endswith("BENCH_lp-pivots-smoke.json")
@@ -185,7 +186,8 @@ def test_lp_pivots_counts(tmp_path):
     games, counts = record["games"], record["counts"]
     assert list(games)[:2] == ["chsh", "extended-chsh"]
     assert len(games) == 29
-    assert counts["ns_value"]["solves"] == 2 * len(games)
+    assert counts["ns_value"]["solves"] == len(games)
+    assert counts["ns_value"]["phase1"] == 0
     assert counts["perturbed_value"]["solves"] == 3 * len(games)
     start_pivots = sum(x * y for x, y, _, _ in games.values())
     for slack in ("0.01", "0.05"):
