@@ -13,8 +13,8 @@ SolverError, so it has no record.  For each game it calls ``ns_value``
 ``nslp.solve`` call under the function that made it: solves, phase-1 and
 phase-2 pivots (a continuation's included) and seconds in the solver, and
 for ``perturbed_value`` per slack also the starts the solver took (phase
-1 is then the start's X*Y pivots).  It
-writes bench/BENCH_lp-pivots-<label>.json (see --out-dir):
+1 is then the start's X*Y pivots).  It writes
+bench/BENCH_lp-pivots-<label>.json (see --out-dir):
 
     python3 scripts/lp_pivots.py --checkout ../parent --label parent
     python3 scripts/lp_pivots.py --label change
