@@ -21,7 +21,7 @@ _CLAMP = 1e-12
 
 def binary_entropy(p: float) -> float:
     """h(p) = -p log2 p - (1-p) log2(1-p), with h(0) = h(1) = 0."""
-    if p < -_CLAMP or p > 1.0 + _CLAMP:
+    if not -_CLAMP <= p <= 1.0 + _CLAMP:  # NaN fails too
         raise ValueError(f"binary_entropy argument {p} outside [0,1]")
     p = min(max(p, 0.0), 1.0)
     if p == 0.0 or p == 1.0:
@@ -36,8 +36,10 @@ def secrecy_bound(omega: float) -> float:
         1 - h(1/2 + 1/2 sqrt(16 w (w-1) + 3)).
 
     Outside the quantum regime the bound extends flat: 0 below the
-    classical value, 1 above the quantum optimum.
+    classical value, 1 above the quantum optimum; NaN raises.
     """
+    if math.isnan(omega):
+        raise ValueError("omega must not be NaN")
     if omega < OMEGA_CLASSICAL - _CLAMP:
         return 0.0
     if omega > OMEGA_QUANTUM + _CLAMP:
@@ -62,7 +64,7 @@ def _bound_and_slope(omega, xp=math):
 def bell_diag_bound(omega: float) -> float:
     """Upper bound 2 h(1/2 - (2w-1)/sqrt(2)) - 1 on H(Q_A|Q_B) of any
     Bell-diagonal two-qubit state with CHSH winning probability w."""
-    if omega < OMEGA_CLASSICAL - _CLAMP or omega > OMEGA_QUANTUM + _CLAMP:
+    if not OMEGA_CLASSICAL - _CLAMP <= omega <= OMEGA_QUANTUM + _CLAMP:
         raise ValueError(f"omega {omega} outside the quantum CHSH regime")
     omega = min(max(omega, OMEGA_CLASSICAL), OMEGA_QUANTUM)
     arg = 0.5 - (2.0 * omega - 1.0) / math.sqrt(2.0)

@@ -504,7 +504,7 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, rows, deltas,
 
 
 _DEFAULT_SHARES = (1.0, 1.0, 1.0)
-SPLIT_REACH_DECADES = 2
+SPLIT_EDGE_DECADES = 2
 SPLIT_SCORED_DECADES = 8
 ZOOM_REACH = 2.4**2
 ZOOM_POINTS = 12
@@ -550,34 +550,28 @@ def _split(target, caps, start: RateReport, evals: dict) -> tuple:
     _DEFAULT_SHARES, with that split.  eps_s and eps_ea enter the key
     length as log2(eps_s eps_e) under square roots that grow with n, eps_pa
     only as 2 log2(1/eps_pa), so the optimum has eps_s = eps_ea and a small
-    eps_pa.  The box, r within SPLIT_REACH_DECADES decades of 1, widens by
-    as much until the kernel's best moves by less than BAND max(|best|, 1):
-    it ends where the rate is flat.  One kernel call scores
-    SPLIT_SCORED_DECADES decades either way, and each box is a slice of it;
-    a box past that reach is scored by one more call over twice the
-    reach."""
+    eps_pa.  One kernel call scores r within SPLIT_SCORED_DECADES decades
+    of 1; while the outer SPLIT_EDGE_DECADES decades of either end hold a
+    value above the best inside them by at least BAND max(|best|, 1), one
+    more call scores twice the reach, so the axis ends where the rate is
+    flat.  The band of the whole scored axis is rescored."""
     row, delta = (start.params.gamma, start.s_max), start.params.delta_est
-    step = SPLIT_REACH_DECADES * SPLIT_GRID_PER_DECADE
-    reach, top, scored = step, -math.inf, 0
+    edge = SPLIT_EDGE_DECADES * SPLIT_GRID_PER_DECADE
+    reach = SPLIT_SCORED_DECADES * SPLIT_GRID_PER_DECADE
     while True:
-        if reach > scored:
-            scored = max(2 * scored, SPLIT_SCORED_DECADES
-                         * SPLIT_GRID_PER_DECADE)
-            shares = [(10.0 ** (k / SPLIT_GRID_PER_DECADE),) * 2 + (1.0,)
-                      for k in range(-scored, scored + 1)]
-            widest, paid = _grid_key_lengths(target, caps, [row], [delta],
-                                             _share_axis(caps, shares))
-            evals["share_points"] += widest.size
-        box = slice(scored - reach, scored + reach + 1)
-        values = widest[0, 0, box]
+        shares = [(10.0 ** (k / SPLIT_GRID_PER_DECADE),) * 2 + (1.0,)
+                  for k in range(-reach, reach + 1)]
+        values, paid = _grid_key_lengths(target, caps, [row], [delta],
+                                         _share_axis(caps, shares))
         evals["share_passes"] += 1
-        if not values.max() - top >= BAND * max(abs(top), 1.0):
+        evals["share_points"] += values.size
+        inner = values[0, 0, edge:-edge].max()
+        if not values.max() - inner >= BAND * max(abs(inner), 1.0):
             break
-        top, reach = values.max(), reach + step
-    point, i = _rescore(target, caps, ([row], [delta], shares[box]),
-                        widest[:, :, box], paid[..., box], start, "share",
-                        evals)
-    return point, _DEFAULT_SHARES if i is None else shares[box][i]
+        reach *= 2
+    point, i = _rescore(target, caps, ([row], [delta], shares), values, paid,
+                        start, "share", evals)
+    return point, _DEFAULT_SHARES if i is None else shares[i]
 
 
 def _spread(lo: float, hi: float) -> list:
@@ -666,10 +660,9 @@ def optimize_rate(target: RateTarget, caps: RateCaps,
     the RESCORED best of its band with _eval_point (_rescore), whose
     RateReports are the points compared, so every number reported, and
     every point chosen, comes from the scalar path.  The kept report's
-    ``extras`` gain ``evals`` (kernel points, ``*_points``, passes,
+    ``extras`` gain ``evals`` (kernel points, ``*_points``, kernel calls,
     ``*_passes``, and scalar calls, ``*_rescored``, of the stages grid,
-    share and zoom; a zoom pass is a kernel call, a share pass a split box
-    examined) and the zoom's ``at_bound``.
+    share and zoom) and the zoom's ``at_bound``.
     """
     if mode not in (PER_ROUND, BLOCK):
         raise ValueError("mode must be 'per-round' or 'block'")

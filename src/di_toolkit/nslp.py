@@ -491,6 +491,6 @@ def perturbed_value(game: Game, slack: float) -> float:
 
 def sensitivity_bound(ns_val: float, slack: float, kappa_or_d: float) -> float:
     """Upper bound ns_val + slack * kappa on the slack-relaxed optimum."""
-    if ns_val < 0 or slack < 0 or kappa_or_d < 0:
+    if not (ns_val >= 0 and slack >= 0 and kappa_or_d >= 0):  # NaN fails too
         raise ValueError("inputs must be >= 0")
     return ns_val + slack * kappa_or_d

@@ -137,7 +137,7 @@ def sanov_delta(n: int, eps: float, cells: int) -> float:
     """(n+1)^(cells-1) * exp(-n*eps^2/2): Sanov bound on the probability
     that the empirical conditional distribution of n samples is more than
     eps away in (input-averaged) L1."""
-    if n < 1 or eps <= 0 or cells < 1:
+    if not (n >= 1 and eps > 0 and cells >= 1):  # NaN fails too
         raise ValueError("need n >= 1, eps > 0, cells >= 1")
     return (n + 1.0) ** (cells - 1) * math.exp(-n * eps * eps / 2.0)
 
@@ -214,9 +214,9 @@ def boosted_guessing_bound(w_ns: float, nu: float, o_by: float,
     """(1 - sqrt(cdelta)) * (nu / o_by + w_ns): guessing success achievable
     by selecting a copy where the signalling test fired."""
     for name, v in (("w_ns", w_ns), ("nu", nu), ("cdelta", cdelta)):
-        if v < 0:
+        if not v >= 0:  # NaN fails too
             raise ValueError(f"{name} must be >= 0")
-    if o_by <= 0:
+    if not o_by > 0:
         raise ValueError("o_by must be positive")
     return (1.0 - math.sqrt(cdelta)) * (nu / o_by + w_ns)
 

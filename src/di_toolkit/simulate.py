@@ -176,8 +176,10 @@ def block_lengths(transcript: Transcript, s_max: int) -> np.ndarray:
 
 def wilson_interval(successes: int, trials: int) -> tuple:
     """95% Wilson score interval for a binomial proportion."""
-    if trials < 1:
+    if not trials >= 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= successes <= trials:  # NaN fails too
+        raise ValueError("successes must be in [0, trials]")
     z = 1.96  # the two-sided 95% normal quantile
     phat = successes / trials
     denom = 1.0 + z * z / trials

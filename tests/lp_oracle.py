@@ -11,9 +11,11 @@ objective ``then`` continues phase 2 from the first optimum with the
 columns off its optimal face zeroed, as nslp.solve does; its value is the
 first optimum's and its primal the continuation's end.  duals(lp, basis)
 gives the tests the multipliers of any solver's final basis, nslp.solve's
-included.
+included, and certificate(lp, basis) rebuilds that basis in exact
+arithmetic.
 """
 
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -233,3 +235,72 @@ def _basic_solution(tableau, basis, n_total):
     primal = np.zeros(n_total)
     primal[basis[real]] = tableau[real, -1]
     return primal
+
+
+def certificate(lp, basis):
+    """The basis of a solve, rebuilt in exact arithmetic from the program's
+    float coefficients (each read exactly as a Fraction), in the equality
+    form that nslp.solve pivots on: A x + S s = b, a +1 slack on <= rows and
+    a -1 slack on >= rows, no row flipped.
+
+    Returns x (every column's value: x_B = B^-1 b on the basis, 0 off it),
+    the residual b - B x_B (exactly 0 where B x_B = b), and for c, and for
+    lp.then where given, the multipliers y = c_B B^-1, the reduced costs
+    c_j - y.a_j of every column and the dual objective y.b.  A basis that
+    holds an artificial or a singular B raises AssertionError."""
+    n, m = lp.num_vars, len(lp.rows)
+    columns = [[Fraction(float(v)) for v in coeffs]
+               for coeffs, _, _ in lp.rows]
+    slack_rows = [i for i, (_, rel, _) in enumerate(lp.rows) if rel != EQ]
+    for k, i in enumerate(slack_rows):
+        for row in columns:
+            row.append(Fraction(0))
+        columns[i][n + k] = Fraction(1 if lp.rows[i][1] == LE else -1)
+    n_total = len(columns[0]) if m else n
+    basis = [int(j) for j in basis]
+    assert all(j < n_total for j in basis), "an artificial is left basic"
+    b = [Fraction(float(rhs)) for _, _, rhs in lp.rows]
+    inverse = _inverse([[row[j] for j in basis] for row in columns])
+    x = [Fraction(0)] * n_total
+    for k, j in enumerate(basis):
+        x[j] = sum((inverse[k][i] * b[i] for i in range(m)), Fraction(0))
+    residual = [b[i] - sum((columns[i][j] * x[j] for j in basis), Fraction(0))
+                for i in range(m)]
+
+    def priced(objective):
+        c = [Fraction(float(v)) for v in objective] + [Fraction(0)] * (
+            n_total - n)
+        y = [sum((c[j] * inverse[k][i] for k, j in enumerate(basis)),
+                 Fraction(0)) for i in range(m)]
+        reduced = [c[j] - sum((y[i] * columns[i][j] for i in range(m)
+                               if columns[i][j]), Fraction(0))
+                   for j in range(n_total)]
+        return SimpleNamespace(y=y, reduced=reduced,
+                               primal=sum(c[j] * x[j] for j in basis),
+                               dual=sum(y[i] * b[i] for i in range(m)))
+
+    return SimpleNamespace(
+        x=x, residual=residual, c=priced(lp.c),
+        then=None if lp.then is None else priced(lp.then))
+
+
+def _inverse(matrix):
+    """The inverse of a square Fraction matrix by Gauss-Jordan elimination
+    with any nonzero pivot; AssertionError if it is singular."""
+    size = len(matrix)
+    rows = [row[:] + [Fraction(int(i == k)) for k in range(size)]
+            for i, row in enumerate(matrix)]
+    for col in range(size):
+        pivot = next((i for i in range(col, size) if rows[i][col]), None)
+        assert pivot is not None, "the basis matrix is singular"
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col]
+        scale = head[col]
+        head[:] = [v / scale for v in head]
+        live = [k for k, v in enumerate(head) if v]
+        for i, row in enumerate(rows):
+            factor = row[col]
+            if i != col and factor:
+                for k in live:
+                    row[k] -= factor * head[k]
+    return [row[size:] for row in rows]

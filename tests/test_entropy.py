@@ -27,6 +27,12 @@ class TestBinaryEntropy:
         with pytest.raises(ValueError):
             ent.binary_entropy(1.1)
 
+    @pytest.mark.parametrize("p", [math.nan, -0.1, 1.1, -math.inf, math.inf])
+    def test_outside_unit_interval_raises(self, p):
+        # NaN once passed both comparisons and came out as a nan entropy
+        with pytest.raises(ValueError, match="outside \\[0,1\\]$"):
+            ent.binary_entropy(p)
+
     @given(st.floats(0.0, 1.0))
     def test_symmetry(self, p):
         assert ent.binary_entropy(p) == pytest.approx(
@@ -34,6 +40,12 @@ class TestBinaryEntropy:
 
 
 class TestSecrecyBound:
+    @pytest.mark.parametrize("omega", [math.nan, np.float64("nan")])
+    def test_nan_raises(self, omega):
+        # NaN once passed both flat-extension comparisons and came out nan
+        with pytest.raises(ValueError, match="^omega must not be NaN$"):
+            ent.secrecy_bound(omega)
+
     def test_classical_endpoint(self):
         assert ent.secrecy_bound(0.75) == pytest.approx(0.0, abs=1e-12)
 
@@ -137,6 +149,12 @@ class TestBellDiagBound:
     def test_domain(self):
         with pytest.raises(ValueError):
             ent.bell_diag_bound(0.5)
+
+    @pytest.mark.parametrize("omega", [0.9, math.nan, -math.inf, math.inf])
+    def test_outside_regime_raises(self, omega):
+        # NaN once passed the range check and came out as a nan bound
+        with pytest.raises(ValueError, match="outside the quantum CHSH"):
+            ent.bell_diag_bound(omega)
 
 
 class TestBellEigenvalues:

@@ -602,11 +602,30 @@ class TestOptimizeRate:
                                       "zoom_points", "zoom_rescored"}
                 for stage in ("grid", "share", "zoom"):
                     assert 1 <= evals[stage + "_rescored"] <= kr.RESCORED
-                # the split box widens at least once; the zoom shrinks
-                assert evals["share_passes"] >= 2
+                # the split is one kernel call over 49 points, or two, the
+                # second over twice the reach; the zoom shrinks
+                assert (evals["share_passes"], evals["share_points"]) in (
+                    (1, 49), (2, 49 + 97))
                 assert evals["zoom_passes"] >= 4
                 assert report.extras["at_bound"] is False
                 assert "evals" not in report.to_json_dict()
+
+    def test_split_widens_past_first_call(self):
+        """Per round at n = 1e17, q = 0.07 under loose caps the rate still
+        rises in the outer SPLIT_EDGE_DECADES decades of the first split
+        call, so a second call scores twice the reach, and the band of the
+        whole axis is rescored: the split lands at r = 1e12, past the first
+        call's 1e8.
+        The nested-box walk that this search replaced stopped at r = 1e10
+        with a key length of 0x1.2a6d13f1ae0bcp+50; this one is no lower."""
+        caps = kr.RateCaps(soundness=1e-3, completeness=0.1, eps_ec=1e-9)
+        report = kr.optimize_rate(kr.RateTarget(n=1e17, q=0.07), caps,
+                                  mode=kr.PER_ROUND)
+        evals = report.extras["evals"]
+        assert (evals["share_passes"], evals["share_points"]) == (2, 49 + 97)
+        assert report.budget.eps_s / report.budget.eps_pa == pytest.approx(
+            1e12, rel=1e-9)
+        assert report.key_length >= float.fromhex("0x1.2a6d13f1ae0bcp+50")
 
     def test_delta_floor(self):
         """The coarse grid and the zoom start just above delta_min, where
@@ -710,15 +729,10 @@ class TestOptimizeRate:
                                   kr.DELTA_GRID_PER_DECADE)
             # the 33 log-spaced gammas, each at s_max = ceil(1/gamma)
             assert evals["grid_points"] == 33 * len(deltas)
-            # boxes of 2, 4, ... decades at 3 points per decade, sliced
-            # from one kernel call over 8 decades, or over twice the reach
-            # once a box runs past it
-            reach, scored = 6 * evals["share_passes"], 24
-            points = 2 * scored + 1
-            while scored < reach:
-                scored *= 2
-                points += 2 * scored + 1
-            assert evals["share_points"] == points
+            # one split call over 8 decades either way at 3 points per
+            # decade, or a second over twice the reach
+            assert (evals["share_passes"], evals["share_points"]) in (
+                (1, 49), (2, 49 + 97))
             scalar = (evals["grid_rescored"] + evals["zoom_rescored"]
                       + evals["share_rescored"])
             assert scalar == len(calls)

@@ -422,6 +422,15 @@ class TestGamePrograms:
         with pytest.raises(ValueError):
             nslp.sensitivity_bound(-0.1, 0.0, 1.0)
 
+    @pytest.mark.parametrize("args", [
+        (0.75, -0.01, 1.0), (0.75, 0.01, -1.0),
+        (float("nan"), 0.0, 1.0), (0.75, float("nan"), 1.0),
+        (0.75, 0.01, float("nan"))])
+    def test_sensitivity_bound_rejects_negative_and_nan(self, args):
+        # a NaN argument once passed the check and gave a nan bound
+        with pytest.raises(ValueError, match="^inputs must be >= 0$"):
+            nslp.sensitivity_bound(*args)
+
 
 class TestRandomGameProperties:
     def test_suite_on_random_games(self, rng):
@@ -745,6 +754,90 @@ class TestWonOutright:
                      lambda g: nslp.perturbed_value(g, 0.01)):
             with pytest.raises(ValueError, match="complete support"):
                 call(incomplete)
+
+
+class TestExactCertificate:
+    """The final basis of each solve, rebuilt in Fraction from the
+    program's float coefficients (lp_oracle.certificate), is optimal:
+    B x_B = b exactly, x_B >= 0, every reduced cost <= 0 and the primal
+    and dual objectives equal.  With ``then`` the basis is optimal for c,
+    and for ``then`` on the columns of c's optimal face, those whose c
+    reduced cost is >= -SOLVER_TOL (the face nslp.solve continues on).
+
+    The float coefficients are not the exact program (Q(x|y) = 1/3 is
+    rounded), so a degenerate optimum sits a few ulps off: x_B down to
+    -4.2e-16 and reduced costs up to 1.3e-14 were seen.  The bounds are
+    X_TOL and COST_TOL, 1e-5 and 1e-4 times SOLVER_TOL, the float
+    solver's own stopping threshold."""
+
+    X_TOL = 1e-5 * nslp.SOLVER_TOL
+    COST_TOL = 1e-4 * nslp.SOLVER_TOL
+
+    def games(self):
+        """CHSH, extended CHSH and four seeded 2x2x2x2 random games that no
+        deterministic pair wins outright."""
+        rng = np.random.default_rng(2024)
+        games = [chsh_game(), extended_chsh_game()]
+        while len(games) < 6:
+            game = random_game(rng, 2, 2)
+            if nslp._outright_value(game) is None:
+                games.append(game)
+        return games
+
+    def check(self, lp, sol):
+        cert = lp_oracle.certificate(lp, sol.basis)
+        assert all(r == 0 for r in cert.residual)
+        assert min(cert.x) >= -self.X_TOL
+        assert max(cert.c.reduced) <= self.COST_TOL
+        assert cert.c.primal == cert.c.dual
+        assert sol.value == pytest.approx(float(cert.c.primal),
+                                          abs=self.X_TOL)
+        assert np.allclose(sol.primal, [float(v) for v in
+                                        cert.x[:lp.num_vars]],
+                           rtol=0.0, atol=self.X_TOL)
+        if lp.then is not None:
+            face = [j for j, r in enumerate(cert.c.reduced)
+                    if r >= -nslp.SOLVER_TOL]
+            assert max(cert.then.reduced[j] for j in face) <= self.COST_TOL
+            assert cert.then.primal == cert.then.dual
+        return cert
+
+    def test_optimal_bases_certified(self, monkeypatch):
+        """ns_value's program with its continuation, and perturbed_value's
+        at slack 0 and 0.01 (started or two-phase, as solve takes them);
+        ns_value's kappa is the continuation's exact optimum."""
+        solves, solve = [], nslp.solve
+
+        def recording(lp):
+            solves.append((lp, solve(lp)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(nslp, "solve", recording)
+        for game in self.games():
+            solves.clear()
+            _, kappa = nslp.ns_value(game)
+            for slack in (0.0, 0.01):
+                nslp.perturbed_value(game, slack)
+            assert [lp.then is not None for lp, _ in solves] == [
+                True, False, False]
+            certs = [self.check(lp, sol) for lp, sol in solves]
+            # then = -sum(u), so kappa = -(its optimum)
+            assert kappa == pytest.approx(-float(certs[0].then.primal),
+                                          abs=self.X_TOL)
+
+    def test_slack_basis_is_not_certified(self, chsh, monkeypatch):
+        """The certificate is not vacuous: ns_value's program at its
+        starting slack basis, feasible but not optimal, has a reduced cost
+        of 1 (a w- column), far above COST_TOL."""
+        programs, solve = [], nslp.solve
+        monkeypatch.setattr(nslp, "solve",
+                            lambda lp: programs.append(lp) or solve(lp))
+        nslp.ns_value(chsh)
+        lp, = programs
+        n = lp.num_vars
+        cert = lp_oracle.certificate(lp, range(n, n + len(lp.rows)))
+        assert all(r == 0 for r in cert.residual) and min(cert.x) >= 0
+        assert max(cert.c.reduced) == 1
 
 
 class TestLostBasis:

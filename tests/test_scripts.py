@@ -172,6 +172,30 @@ def test_bench_pairs_summary_of_canned_runs():
             "; claim met" if met else "; claim not met")
 
 
+def test_bench_pairs_runs_without_bytecode(tmp_path, monkeypatch):
+    """Each run of either side gets PYTHONDONTWRITEBYTECODE=1 and its own
+    fresh, empty PYTHONPYCACHEPREFIX: no checkout's __pycache__ is read."""
+    bench = load_script("bench_pairs")
+    runs = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        cache = env["PYTHONPYCACHEPREFIX"]
+        runs.append((cwd, env["PYTHONDONTWRITEBYTECODE"], cache,
+                     os.listdir(cache)))
+        return subprocess.CompletedProcess(cmd, 0, canned_result(1.0, 1.0))
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    parent = str(tmp_path / "parent")
+    bench.main(["--parent", parent, "--change", ROOT, "--workload",
+                "verify-mix", "--seeds", "1-2", "--label", "bytecode",
+                "--out-dir", str(tmp_path)])
+    assert [cwd for cwd, *_ in runs] == [parent, ROOT, ROOT, parent]
+    assert all(flag == "1" and listed == [] for _, flag, _, listed in runs)
+    caches = [cache for _, _, cache, _ in runs]
+    assert len(set(caches)) == 4
+    assert not any(os.path.exists(cache) for cache in caches)
+
+
 def test_lp_pivots_counts(tmp_path):
     """CHSH, extended CHSH and the 27 random games of verify-mix passes
     0-2 that no deterministic pair wins outright: one ns_value solve, with

@@ -128,6 +128,15 @@ class TestSanov:
     def test_trivial_for_small_eps(self):
         assert sig.sanov_delta(100, 1e-9, 4) >= 1.0
 
+    @pytest.mark.parametrize("n, eps, cells", [
+        (0, 0.1, 4), (100, 0.0, 4), (100, -0.1, 4), (100, 0.1, 0),
+        (math.nan, 0.1, 4), (100, math.nan, 4), (100, 0.1, math.nan)])
+    def test_domain(self, n, eps, cells):
+        # a NaN eps once passed the check and gave a nan bound
+        with pytest.raises(ValueError,
+                           match="^need n >= 1, eps > 0, cells >= 1$"):
+            sig.sanov_delta(n, eps, cells)
+
     def test_halved_n_matches_use_site(self):
         n, eps, cells = 2000, 0.01, 16
         direct = (n / 2 + 1.0)**(cells - 1) * math.exp(-n * eps**2 / 4)
@@ -378,6 +387,18 @@ class TestGuessing:
 
 
 class TestBoostedGuessing:
+    @pytest.mark.parametrize("args, message", [
+        ((-0.1, 0.1, 0.25, 0.0), "w_ns must be >= 0"),
+        ((math.nan, 0.1, 0.25, 0.0), "w_ns must be >= 0"),
+        ((0.5, math.nan, 0.25, 0.0), "nu must be >= 0"),
+        ((0.5, 0.1, 0.25, math.nan), "cdelta must be >= 0"),
+        ((0.5, 0.1, 0.0, 0.0), "o_by must be positive"),
+        ((0.5, 0.1, math.nan, 0.0), "o_by must be positive")])
+    def test_domain(self, args, message):
+        # a NaN argument once passed the checks and gave a nan bound
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sig.boosted_guessing_bound(*args)
+
     def test_no_failure_term(self):
         assert sig.boosted_guessing_bound(0.5, 0.1, 0.25, 0.0) == \
             pytest.approx(0.1 / 0.25 + 0.5)

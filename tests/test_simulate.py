@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import time
 
 import numpy as np
@@ -380,6 +381,17 @@ class TestWilson:
         lo, hi = sim.wilson_interval(0, 100)
         assert lo == 0.0
         assert hi < 0.05
+
+    @pytest.mark.parametrize("successes, trials, message", [
+        (5, 3, "successes must be in [0, trials]"),
+        (-1, 3, "successes must be in [0, trials]"),
+        (math.nan, 3, "successes must be in [0, trials]"),
+        (0, 0, "trials must be >= 1"),
+        (0, math.nan, "trials must be >= 1")])
+    def test_domain(self, successes, trials, message):
+        # successes > trials once died in a math domain error
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sim.wilson_interval(successes, trials)
 
 
 class TestRoundCountStatistics:
