@@ -21,11 +21,14 @@ first on PYTHONPATH, and hashes four groups there:
 - verify: ns_value (value, kappa) and perturbed_value at the slacks 0,
   0.01 and 0.05 on CHSH, extended CHSH and 24 seeded random games of the
   verify-mix shapes; signalling_test_flags on 40 seeded data sets; the
-  exact max ratio of definetti-verify's check at n = 1, 2 and 3;
+  exact max ratio of definetti-verify's check at n = 1, 2 and 3; the
+  class count and a SHA-1 of the tau denominators at n = 4 on
+  Alphabets(4, 8, 1, 1), where they pass 2**63;
   exact_abort_probability on a 108-point grid; estimate_abort_probability
   at seed 7 on the per-round configurations of the abort law tests
   (COUNT_ONLY_CASES in tests/test_simulate.py); and round_count_statistics
-  at fixed seeds (each a raise by its type and message).
+  at fixed seeds, gamma = 1 and s_max = 1 among them (each a raise by its
+  type and message).
 
 It prints one SHA-1 per group and side, and exits 1 if any group differs.
 Under a group that differs it says how far it moved: how many lines differ,
@@ -251,8 +254,12 @@ def verify_lines(lib):
         yield _call_line(lambda: sim.estimate_abort_probability(
             sim.SimulationConfig(n, gamma, 0.81, delta,
                                  sim.HonestDevice(0.81, 0.01)), trials, 7))
+    tau = df.tau_classes(4, boxes.Alphabets(4, 8, 1, 1))
+    yield f"{len(tau.denominators)} " + hashlib.sha1(
+        " ".join(map(str, tau.denominators)).encode()).hexdigest()
     for m, gamma, s_max, tail in ((200, 0.1, 10, 60.0), (50, 0.3, 4, 5.0),
-                                  (100, 0.2, 6, 10.0)):
+                                  (100, 0.2, 6, 10.0), (80, 1.0, 4, 0.0),
+                                  (120, 0.3, 1, 0.0)):
         block = lib.eat.BlockSpec(gamma, s_max)
         for seed in (1, 2, 3):
             yield _call_line(lambda: sim.round_count_statistics(
@@ -270,9 +277,10 @@ def digest(lines):
             "text": text}
 
 
-# a float field: float.hex() output or a decimal with a point or exponent
-FLOAT = re.compile(r"-?0x[0-9a-f]+(?:\.[0-9a-f]*)?p[+-]\d+"
-                   r"|-?\d+(?:\.\d*(?:e[+-]?\d+)?|e[+-]?\d+)")
+# a float field: float.hex() output or a decimal with a point or exponent,
+# standing alone: digits inside a word or a SHA-1 such as "a3e45" are none
+FLOAT = re.compile(r"(?<![\w.])(?:-?0x[0-9a-f]+(?:\.[0-9a-f]*)?p[+-]\d+"
+                   r"|-?\d+(?:\.\d*(?:e[+-]?\d+)?|e[+-]?\d+))(?!\w)")
 
 
 def _floats(line):

@@ -16,8 +16,9 @@ multiset of per-round symbols (x, y, a, b), with symbol count row j*m + k
 read as n_{j,k}.  A joint type is passed around as that (l, m) count array
 alone, one row per input pair j = x*|Y| + y, n_j being the row sum.  tau is
 constant on each type class, where it is a unit fraction 1/d, so it is kept
-per class: tau_classes builds the class index and each class's d once, and
-the random permutation-invariant tables and the reduction ratio take that
+per class: tau_classes builds the class index and each class's d once, a
+product of per-input-pair row factors taken once per distinct row, and the
+random permutation-invariant tables and the reduction ratio take that
 object; tau_table_exact and tau_box expand it to full tables.
 
 All bounds here are computed in exact rational arithmetic: the inequalities
@@ -34,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .boxes import (Alphabets, EnumerationLimitError, MultiRoundBox,
-                    _type_classes)
+                    _integer, _type_classes)
 
 
 def _multinomial(row) -> int:
@@ -47,21 +48,24 @@ def _multinomial(row) -> int:
     return out
 
 
+def _row_denominator(row) -> int:
+    """Input pair j's factor of tau's denominator:
+    multinomial(n_j; n_jk) * prod_{k<m-1} (r_jk + 1), where
+    r_jk = n_{j,k} + ... + n_{j,m-1} is the remainder before output k."""
+    d, rest = _multinomial(row), sum(row)
+    for c in row[:-1]:
+        d *= rest + 1
+        rest -= c
+    return d
+
+
 def tau_entry_exact(n_jk) -> Fraction:
     """Exact entry of the de Finetti box for the joint type counts n_jk.
 
     Per input pair j the nested stick-breaking integral telescopes into
-    1 / (multinomial(n_j; n_jk) * prod_{k<m-1} (r_jk + 1)), where
-    r_jk = n_{j,k} + ... + n_{j,m-1} is the remainder before output k.
+    1 / _row_denominator(n_j), so tau is the inverse of their product.
     """
-    d = 1
-    for row in n_jk:
-        d *= _multinomial(row)
-        rest = sum(row)
-        for c in row[:-1]:
-            d *= rest + 1
-            rest -= c
-    return Fraction(1, d)
+    return Fraction(1, math.prod(map(_row_denominator, n_jk)))
 
 
 def tau_lower_bound(n_jk) -> Fraction:
@@ -82,6 +86,7 @@ def perm_upper_bound(n_jk) -> Fraction:
 
 def reduction_factor(n: int, l: int, m: int) -> int:
     """(n+1)^(l(m-1)), the polynomial cost of the reduction."""
+    n, l, m = _integer(n, "n"), _integer(l, "l"), _integer(m, "m")
     if n < 0 or l < 1 or m < 1:
         raise ValueError("need n >= 0, l >= 1, m >= 1")
     return (n + 1) ** (l * (m - 1))
@@ -102,8 +107,9 @@ class TauClasses(NamedTuple):
 
 
 def tau_classes(n: int, alphabets: Alphabets) -> TauClasses:
-    """tau on every joint type class of an n-round table: one
-    tau_entry_exact per class."""
+    """tau on every joint type class of an n-round table: d is the product
+    of the class's _row_denominator factors, one per distinct row, in exact
+    Python integers (d passes 2**63 at n = 4 on |A||B| = 32)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     l = alphabets.x_size * alphabets.y_size
@@ -112,8 +118,14 @@ def tau_classes(n: int, alphabets: Alphabets) -> TauClasses:
     if size > 10**7:
         raise EnumerationLimitError(f"table of {size} entries exceeds limit")
     index, counts = _type_classes(n, alphabets)
-    return TauClasses(n, index, [tau_entry_exact(n_jk).denominator for n_jk
-                                 in counts.reshape(-1, l, m).tolist()])
+    rows = counts.reshape(-1, m)
+    # one void scalar per row, its bytes: equal rows, equal keys
+    _, first, row_of = np.unique(rows.view(f"V{rows.itemsize * m}").ravel(),
+                                 return_index=True, return_inverse=True)
+    factors = np.array([_row_denominator(row) for row in
+                        rows[first].tolist()], dtype=object)
+    return TauClasses(n, index, factors[row_of.reshape(-1, l)]
+                      .prod(axis=1).tolist())
 
 
 def tau_table_exact(n: int, alphabets: Alphabets) -> np.ndarray:

@@ -12,12 +12,14 @@ protocol with s_max = 1.  A run of m blocks draws, in this order: an
 s_max rounds; then, over the N rounds kept, the test wins; then the
 test-round inputs, Alice's outputs and the generation-round agreements.
 A run aborts iff fewer than (omega_exp * test_mass - delta_est) * m blocks
-end in a won test.  At s_max = 1 the flag array is one uniform per round
-and the test mass is gamma itself, so the per-round stream and abort rule
-are the block ones of one-round blocks.  The abort estimator runs no
-sampler: the rounds are independent, so the per-round protocol's won test
-rounds are Bin(n, gamma omega_dev); it draws each trial's count from that
-law and applies the same threshold.
+end in a won test.  The flag draw alone fixes a run's round count N, so
+round_count_statistics makes only that draw of each trial's stream.  At
+s_max = 1 the flag array is one uniform per round and the test mass is
+gamma itself, so the per-round stream and abort rule are the block ones of
+one-round blocks.  The abort estimator runs no sampler: the rounds are
+independent, so the per-round protocol's won test rounds are
+Bin(n, gamma omega_dev); it draws each trial's count from that law and
+applies the same threshold.
 
 Randomness is a counter-based Philox generator keyed by
 (master_seed, trial_index), so transcripts are bit-identical for identical
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boxes import _integer
 from .eat import BlockSpec, _check_block, expected_block_length
 from .signalling import _binomial_upper_tail
 
@@ -92,19 +95,25 @@ def _abort_threshold(m, test_mass, omega_exp, delta_est):
     return (omega_exp * test_mass - delta_est) * m
 
 
-def _run(m: int, block: BlockSpec, omega_exp: float, delta_est: float,
-         device: HonestDevice, seed: int, trial: int,
-         rng: np.random.Generator | None = None) -> Transcript:
-    """The one sampler: m blocks of at most s_max rounds, aborting by
-    _abort_threshold.  ``rng``: see _trial_rng."""
+def _test_flags(m: int, block: BlockSpec,
+                rng: np.random.Generator) -> np.ndarray:
+    """The first draw of a trial's stream: the (m, s_max) test flags, each
+    block cut at its first test.  Returns the kept rounds' flags in order,
+    so their number is the run's round count N."""
     if m < 1:
         raise ValueError("the number of blocks must be >= 1")
-    rng = _trial_rng(seed, trial, rng)
     flags = rng.random((m, block.s_max)) < block.gamma
-    # a block keeps its rounds up to and including its first test
     kept = np.ones_like(flags)
     kept[:, 1:] = ~np.logical_or.accumulate(flags[:, :-1], axis=1)
-    test = flags[kept]
+    return flags[kept]
+
+
+def _run(m: int, block: BlockSpec, omega_exp: float, delta_est: float,
+         device: HonestDevice, seed: int, trial: int) -> Transcript:
+    """The one sampler: m blocks of at most s_max rounds, aborting by
+    _abort_threshold."""
+    rng = _trial_rng(seed, trial)
+    test = _test_flags(m, block, rng)
     n = test.size
     wins = rng.random(n) < device.omega_exp
     # a block holds at most one test, its last round: won tests = won blocks
@@ -142,19 +151,16 @@ def run_protocol(n: int, gamma: float, omega_exp: float, delta_est: float,
 
 def run_protocol_blocks(m_blocks: int, block: BlockSpec, omega_exp: float,
                         delta_est: float, device: HonestDevice, seed: int,
-                        trial: int = 0, *,
-                        rng: np.random.Generator | None = None) -> Transcript:
+                        trial: int) -> Transcript:
     """One run of the block protocol: each block ends at its first test
     round or after s_max rounds; the block result is the last round's game
     outcome, or bottom if no test happened.
 
     Aborts iff the number of winning blocks falls below
     (omega_exp * (1 - (1-gamma)^s_max) - delta_est) * m_blocks.
-    The transcript is per-round; block boundaries follow from t.  A loop
-    over trials passes one ``rng``, rekeyed per trial (see _trial_rng).
+    The transcript is per-round; block boundaries follow from t.
     """
-    return _run(m_blocks, block, omega_exp, delta_est, device, seed, trial,
-                rng=rng)
+    return _run(m_blocks, block, omega_exp, delta_est, device, seed, trial)
 
 
 def block_lengths(transcript: Transcript, s_max: int) -> np.ndarray:
@@ -235,13 +241,17 @@ def exact_abort_probability(config: SimulationConfig) -> float:
 def round_count_statistics(m_blocks: int, block: BlockSpec,
                            device: HonestDevice, trials: int, seed: int,
                            tail_t: float) -> float:
-    """Empirical Pr[N >= m*s_bar + tail_t] over full block-protocol runs."""
+    """Empirical Pr[N >= m*s_bar + tail_t] over ``trials`` seeded block
+    protocol runs, N read from each trial's flag draw alone (_test_flags):
+    run_protocol_blocks' transcript length at that seed and trial, for any
+    ``device``."""
+    if _integer(trials, "trials") < 1:
+        raise ValueError("trials must be >= 1")
+    if math.isnan(tail_t):
+        raise ValueError("tail_t must not be NaN")
     nbar = m_blocks * expected_block_length(block)
-    exceed = 0
     rng = _trial_rng(seed, 0)
-    for trial in range(trials):
-        tr = run_protocol_blocks(m_blocks, block, device.omega_exp, 0.5,
-                                 device, seed, trial=trial, rng=rng)
-        if len(tr.t) >= nbar + tail_t:
-            exceed += 1
+    exceed = sum(_test_flags(m_blocks, block,
+                             _trial_rng(seed, trial, rng)).size
+                 >= nbar + tail_t for trial in range(trials))
     return exceed / trials

@@ -116,6 +116,15 @@ class TestBounds:
         # big-integer safe
         assert df.reduction_factor(50, 4, 4) == 51**12
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2.5,
+                                       True])
+    @pytest.mark.parametrize("name", ["n", "l", "m"])
+    def test_reduction_factor_takes_integers(self, name, value):
+        # nan and 2.5 once returned nan and 12.25
+        args = {"n": 2, "l": 2, "m": 2, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            df.reduction_factor(**args)
+
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 4), min_size=2, max_size=4),
@@ -132,6 +141,31 @@ def test_bound_chain_property(rows):
     assert lo == perm_oracle.tau_lower_bound(rows)
     assert mid == perm_oracle.tau_entry_exact(rows)
     assert hi == perm_oracle.perm_upper_bound(rows)
+
+
+# (sizes, n): n = 1..3 on four alphabets, n = 4 binary, and |A||B| = 32 at
+# n = 4, where 5,092 of the 52,360 denominators pass 2**63
+DENOMINATOR_CASES = ([(sizes, n) for sizes in ((2, 2, 2, 2), (2, 3, 1, 2),
+                                               (3, 2, 2, 1), (1, 2, 3, 2))
+                      for n in (1, 2, 3)]
+                     + [((2, 2, 2, 2), 4), ((4, 8, 1, 1), 4)])
+
+
+@pytest.mark.parametrize("sizes, n", DENOMINATOR_CASES, ids=[
+    f"{''.join(map(str, sizes))}-n{n}" for sizes, n in DENOMINATOR_CASES])
+def test_class_denominators_match_oracle(sizes, n):
+    """Each class's d, from the distinct rows' factors, is the inverse of
+    the running-division tau of that class's own counts."""
+    al = Alphabets(*sizes)
+    _, counts = boxes._type_classes(n, al)
+    rows = counts.reshape(len(counts), al.x_size * al.y_size, -1).tolist()
+    tau = df.tau_classes(n, al)
+    assert len(tau.denominators) == len(rows)
+    assert all(type(d) is int for d in tau.denominators)
+    assert [Fraction(1, d) for d in tau.denominators] == [
+        perm_oracle.tau_entry_exact(row) for row in rows]
+    if sizes == (4, 8, 1, 1):
+        assert max(tau.denominators) > 2**63
 
 
 class TestTauBox:

@@ -20,14 +20,16 @@ import di_toolkit
 
 # one marker per formula: the max-entropy term, the leakage sum, the
 # Hoeffding bound, the s_max = ceil(1/gamma) rule, the honest-device
-# sampler's uniform draws, the secrecy bound's slope (taken with the bound
+# sampler's test-flag draw (shared with the round-count statistic) and its
+# per-round uniform draws, the secrecy bound's slope (taken with the bound
 # from one root), the smoothing root of the max-entropy term and the EAT
 # penalty, the multinomial of the de Finetti bounds, the eps_t candidate
 # ladder, the error budget's soundness split and completeness slack, the
 # block output dimension's closed form, and the glued function's tangent
 # at its cut
 MARKERS = ["LOG2_7", "LOG2_2SQRT2_PLUS_1", "exp(-2.0 *", "ceil(1.0 / gamma",
-           "rng.random(", "log2(u / (1.0 - u))", "1.0 - 2.0 * xp.log2(",
+           "rng.random((m, block.s_max))", "rng.random(n)",
+           "log2(u / (1.0 - u))", "1.0 - 2.0 * xp.log2(",
            "math.comb(", "10.0 ** (-k)", "caps.soundness - 2.0 * caps.eps_ec",
            "caps.completeness - caps.eps_ec", "6.0 ** (-s_max)",
            "at_cut + slope * ("]

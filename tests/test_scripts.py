@@ -233,7 +233,7 @@ def test_same_numbers_against_this_checkout():
     assert lines[0].startswith("optimize: 216 lines")
     assert lines[1].startswith("scalar: 6000 lines")
     assert lines[2].startswith("cli: 8 lines, 0 raised")
-    assert lines[3].startswith("verify: 271 lines, 0 raised")
+    assert lines[3].startswith("verify: 278 lines, 0 raised")
 
 
 def test_same_numbers_sees_a_one_ulp_change(tmp_path):
@@ -277,6 +277,17 @@ def test_same_numbers_sees_a_one_ulp_change(tmp_path):
     # the third pair has no float fields to pair up; "extra" has no partner
     assert same_numbers.moved(parent, change) == (3, 2.0**-52)
     assert same_numbers.moved(parent[2:], change[2:3]) == (1, None)
+
+
+def test_same_numbers_floats_stand_alone():
+    """A SHA-1's digit runs are no float fields: "3e45" in "0a3e45cd" once
+    read as 3e45 and made a moved digest line report |Δ| 3e47."""
+    same_numbers = load_script("same_numbers")
+    assert same_numbers._floats("52360 0a3e45cd9f 3e45ab") == []
+    assert same_numbers._floats("k [('p', -0x1.8p+1)], 1e-3 (2.5)") == [
+        -3.0, 0.001, 2.5]
+    assert same_numbers.moved(["52360 0a3e45cd9f"],
+                              ["52360 0a3e47cd9f"]) == (1, 0.0)
 
 
 def test_same_numbers_directions_of_canned_lines():

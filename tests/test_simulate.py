@@ -91,19 +91,22 @@ class TestRunProtocol:
 class TestRunProtocolBlocks:
     def test_smax_one_matches_per_round_shape(self):
         block = BlockSpec(0.4, 1)
-        tr = sim.run_protocol_blocks(300, block, 0.81, 0.02, device(), seed=3)
+        tr = sim.run_protocol_blocks(300, block, 0.81, 0.02, device(),
+                                     seed=3, trial=0)
         assert len(tr.t) == 300  # every block is exactly one round
 
     def test_gamma_one_all_length_one(self):
         block = BlockSpec(1.0, 7)
-        tr = sim.run_protocol_blocks(200, block, 0.81, 0.02, device(), seed=4)
+        tr = sim.run_protocol_blocks(200, block, 0.81, 0.02, device(),
+                                     seed=4, trial=0)
         assert len(tr.t) == 200
         assert np.all(tr.t == 1)
 
     def test_mean_block_length(self):
         block = BlockSpec(0.1, 10)
         m = 5000
-        tr = sim.run_protocol_blocks(m, block, 0.81, 0.02, device(), seed=6)
+        tr = sim.run_protocol_blocks(m, block, 0.81, 0.02, device(),
+                                     seed=6, trial=0)
         lengths = sim.block_lengths(tr, block.s_max)
         assert len(lengths) == m
         sbar = expected_block_length(block)
@@ -114,7 +117,8 @@ class TestRunProtocolBlocks:
     def test_bot_probability(self):
         block = BlockSpec(0.1, 10)
         m = 5000
-        tr = sim.run_protocol_blocks(m, block, 0.81, 0.02, device(), seed=8)
+        tr = sim.run_protocol_blocks(m, block, 0.81, 0.02, device(),
+                                     seed=8, trial=0)
         bots = m - np.count_nonzero(tr.t)
         expected = (1 - 0.1)**10
         sigma = math.sqrt(expected * (1 - expected) / m)
@@ -122,8 +126,10 @@ class TestRunProtocolBlocks:
 
     def test_reproducible(self):
         block = BlockSpec(0.2, 5)
-        a = sim.run_protocol_blocks(100, block, 0.81, 0.02, device(), seed=1)
-        b = sim.run_protocol_blocks(100, block, 0.81, 0.02, device(), seed=1)
+        a = sim.run_protocol_blocks(100, block, 0.81, 0.02, device(),
+                                    seed=1, trial=0)
+        b = sim.run_protocol_blocks(100, block, 0.81, 0.02, device(),
+                                    seed=1, trial=0)
         assert np.array_equal(a.t, b.t) and np.array_equal(a.b, b.b)
 
 
@@ -181,7 +187,8 @@ class TestOneSampler:
 
     def test_block_lengths_of_block_transcript(self):
         block, m = BlockSpec(0.2, 6), 500
-        tr = sim.run_protocol_blocks(m, block, 0.81, 0.02, device(), seed=12)
+        tr = sim.run_protocol_blocks(m, block, 0.81, 0.02, device(),
+                                     seed=12, trial=0)
         lengths = sim.block_lengths(tr, block.s_max)
         assert len(lengths) == m
         assert lengths.min() >= 1 and lengths.max() <= block.s_max
@@ -253,24 +260,17 @@ class TestRekeyedGenerator:
                                   .bit_generator.random_raw(10**4))
 
     @pytest.mark.parametrize("s_max", [1, 4])
-    def test_transcripts_and_abort_flags(self, s_max):
+    def test_flag_draws_match_transcripts(self, s_max):
+        """round_count_statistics' loop draws each trial's test flags from
+        one rekeyed generator: they are the fresh transcript's t."""
         rng = dirty(sim._trial_rng(3, 9))
         block = BlockSpec(0.3, s_max)
         for seed, trial in REKEY_CASES:
             want = sim.run_protocol_blocks(301, block, 0.81, 0.02, device(),
                                            seed, trial)
-            got = sim.run_protocol_blocks(301, block, 0.81, 0.02, device(),
-                                          seed, trial, rng=dirty(rng))
-            for field in FIELDS:
-                assert np.array_equal(getattr(got, field),
-                                      getattr(want, field))
-            assert (got.aborted, got.win_count) == (want.aborted,
-                                                    want.win_count)
-        if s_max == 1:
-            tr = sim._run(5000, block, 0.81, 0.02, device(), 42, 3,
-                          rng=dirty(rng))
-            assert tr.win_count == sim.run_protocol(
-                5000, 0.3, 0.81, 0.02, device(), seed=42, trial=3).win_count
+            got = sim._test_flags(301, block,
+                                  sim._trial_rng(seed, trial, dirty(rng)))
+            assert np.array_equal(got.astype(np.int8), want.t)
 
     def test_loops_match_fresh_generators(self):
         dev = sim.HonestDevice(0.81, 0.01)
@@ -418,6 +418,39 @@ class TestRoundCountStatistics:
                                           tail_t=round_count_tail(
                                               200, 0.5, 2, 0.5))
         assert frac <= 1.0
+
+    @pytest.mark.parametrize("m", [1, 3, 40])
+    @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("s_max", [1, 4, 12])
+    def test_prefix_round_count_is_transcript_length(self, m, gamma, s_max):
+        """The flag draw alone gives each trial's round count: the kept
+        flags are the transcript's t, and the statistic is the one over
+        transcript lengths."""
+        block = BlockSpec(gamma, s_max)
+        for seed in (0, 7):
+            lengths = []
+            for trial in range(6):
+                tr = sim.run_protocol_blocks(m, block, 0.81, 0.5, device(),
+                                             seed, trial)
+                flags = sim._test_flags(m, block, sim._trial_rng(seed, trial))
+                assert np.array_equal(flags.astype(np.int8), tr.t)
+                lengths.append(tr.t.size)
+            nbar = m * expected_block_length(block)
+            for tail in (-1.0, 0.0, float(np.median(lengths)) - nbar):
+                assert sim.round_count_statistics(
+                    m, block, device(), 6, seed, tail) == (
+                        sum(n >= nbar + tail for n in lengths) / 6)
+
+    @pytest.mark.parametrize("trials, tail_t, message", [
+        (0, 1.0, "trials must be >= 1"),  # was ZeroDivisionError
+        (-1, 1.0, "trials must be >= 1"),  # returned -0.0
+        (2.5, 1.0, "trials must be an integer"),
+        (True, 1.0, "trials must be an integer"),
+        (20, math.nan, "tail_t must not be NaN")])  # returned 0.0
+    def test_domain(self, trials, tail_t, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sim.round_count_statistics(50, BlockSpec(0.2, 5), device(),
+                                       trials, 3, tail_t)
 
 
 class TestExactAbort:
