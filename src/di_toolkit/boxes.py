@@ -12,9 +12,8 @@ Index conventions, fixed throughout the package:
 * string flattening is little-endian: round i contributes ``digit * size**(i-1)``,
 * the *joint type* of an n-round entry is the multiset of its per-round
   symbols (x, y, a, b); two entries are related by a round permutation
-  exactly when their joint types agree, so symmetrizing and invariance
-  checks work per type class (``_type_classes``), never over all n!
-  permutations.
+  exactly when their joint types agree, so the de Finetti code works per
+  type class (``_type_classes``), never over all n! permutations.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# the tolerance of every box check: normalization, non-signalling and
-# permutation invariance
+# the tolerance of every box check: negative entries and normalization
 NORMALIZATION_TOL = 1e-9
 
 # classical_value refuses to enumerate more deterministic strategies of Alice
@@ -296,20 +294,6 @@ class ObservedData:
 # single-round operations
 
 
-def is_nonsignalling(box: SingleRoundBox) -> bool:
-    """True iff Alice's marginal is independent of y and Bob's of x.
-
-    Checks, entrywise within NORMALIZATION_TOL,
-    sum_b P(a,b|x,y) == sum_b P(a,b|x,y') and
-    sum_a P(a,b|x,y) == sum_a P(a,b|x',y).
-    """
-    pa = box.p.sum(axis=3)  # (x, y, a)
-    pb = box.p.sum(axis=2)  # (x, y, b)
-    alice_ok = np.all(np.abs(pa - pa[:, :1, :]) <= NORMALIZATION_TOL)
-    bob_ok = np.all(np.abs(pb - pb[:1, :, :]) <= NORMALIZATION_TOL)
-    return bool(alice_ok and bob_ok)
-
-
 def winning_probability(box: SingleRoundBox, game: Game) -> float:
     """sum_{abxy} Q(x,y) P(a,b|x,y) R(a,b,x,y)."""
     if box.alphabets != game.alphabets:
@@ -424,59 +408,3 @@ def _type_classes(n: int, alphabets: Alphabets) -> tuple:
     np.add.at(counts, (np.arange(len(first))[:, None],
                        ordered.reshape(keys.size, n)[first]), 1)
     return index.reshape(keys.shape), counts
-
-
-def permute(box: MultiRoundBox, perm) -> MultiRoundBox:
-    """Compose a multi-round box with a permutation of the rounds.
-
-    Entry (a⃗,b⃗|x⃗,y⃗) of the result is the input box's entry at
-    (π(a⃗),π(b⃗)|π(x⃗),π(y⃗)).
-    """
-    perm = np.asarray(perm, dtype=int)
-    n, al = box.n, box.alphabets
-    if sorted(perm.tolist()) != list(range(n)):
-        raise ValueError("not a permutation of range(n)")
-    # split each string index into its digits, round n first; digit axis u
-    # of the result (round n-1-u) reads round perm[n-1-u] of the input
-    digits = box.p.reshape([size for size in (al.x_size, al.y_size,
-                                              al.a_size, al.b_size)
-                            for _ in range(n)])
-    axes = (n - 1 - perm)[::-1]
-    return MultiRoundBox(n, al, digits.transpose(np.concatenate(
-        [axes + g * n for g in range(4)])).reshape(box.p.shape))
-
-
-def symmetrize(box: MultiRoundBox) -> MultiRoundBox:
-    """Average the box over all n! round permutations: the mean over each
-    joint type class."""
-    index = _type_classes(box.n, box.alphabets)[0].ravel()
-    means = np.bincount(index, weights=box.p.ravel()) / np.bincount(index)
-    return MultiRoundBox(box.n, box.alphabets,
-                         means[index].reshape(box.p.shape))
-
-
-def is_permutation_invariant(box: MultiRoundBox) -> bool:
-    """True iff the box equals itself composed with every round permutation:
-    within each joint type class, max - min <= NORMALIZATION_TOL."""
-    index, counts = _type_classes(box.n, box.alphabets)
-    hi = np.full(len(counts), -np.inf)
-    lo = np.full(len(counts), np.inf)
-    np.maximum.at(hi, index, box.p)
-    np.minimum.at(lo, index, box.p)
-    return bool(np.all(hi - lo <= NORMALIZATION_TOL))
-
-
-def iid_box(single: SingleRoundBox, n: int) -> MultiRoundBox:
-    """Product box: n independent identical copies of a single-round box."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    al = single.alphabets
-    cell = al.x_size * al.y_size * al.a_size * al.b_size
-    if cell**n > 10**8:
-        raise EnumerationLimitError("iid table too large")
-    table = single.p.copy()
-    # identical factors, so which kron operand carries the low digit is
-    # immaterial; the result is symmetric under any digit relabeling
-    for _ in range(n - 1):
-        table = np.kron(table, single.p)
-    return MultiRoundBox(n, al, table)

@@ -19,11 +19,11 @@ constant on each type class, where it is a unit fraction 1/d, so it is kept
 per class: tau_classes builds the class index and each class's d once, a
 product of per-input-pair row factors taken once per distinct row, and the
 random permutation-invariant tables and the reduction ratio take that
-object; tau_table_exact and tau_box expand it to full tables.
+object; tau_table_exact expands it to a full table.
 
-All bounds here are computed in exact rational arithmetic: the inequalities
-are the whole point, so rounding must not be able to fake a violation.
-Floats appear only when exporting tables.
+tau and the reduction ratio are computed in exact arithmetic, integers and
+Fractions: the inequality is the whole point, so rounding must not be able
+to fake a violation.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boxes import (Alphabets, EnumerationLimitError, MultiRoundBox,
-                    _integer, _type_classes)
+from .boxes import Alphabets, EnumerationLimitError, _integer, _type_classes
 
 
 def _multinomial(row) -> int:
@@ -51,37 +50,14 @@ def _multinomial(row) -> int:
 def _row_denominator(row) -> int:
     """Input pair j's factor of tau's denominator:
     multinomial(n_j; n_jk) * prod_{k<m-1} (r_jk + 1), where
-    r_jk = n_{j,k} + ... + n_{j,m-1} is the remainder before output k."""
+    r_jk = n_{j,k} + ... + n_{j,m-1} is the remainder before output k.
+    Per input pair the nested stick-breaking integral telescopes into
+    1 / this factor, so tau is the inverse of their product."""
     d, rest = _multinomial(row), sum(row)
     for c in row[:-1]:
         d *= rest + 1
         rest -= c
     return d
-
-
-def tau_entry_exact(n_jk) -> Fraction:
-    """Exact entry of the de Finetti box for the joint type counts n_jk.
-
-    Per input pair j the nested stick-breaking integral telescopes into
-    1 / _row_denominator(n_j), so tau is the inverse of their product.
-    """
-    return Fraction(1, math.prod(map(_row_denominator, n_jk)))
-
-
-def tau_lower_bound(n_jk) -> Fraction:
-    """Product over j of 1 / (multinomial(n_j; n_jk) * (n_j+1)^(m-1))."""
-    return Fraction(1, math.prod(
-        _multinomial(row) * (sum(row) + 1) ** (len(row) - 1) for row in n_jk))
-
-
-def perm_upper_bound(n_jk) -> Fraction:
-    """Entry bound for permutation-invariant boxes: inverse orbit size.
-
-    Permutations fixing the input strings permute rounds within each input
-    pair, producing multinomial(n_j; n_jk) distinct output strings of equal
-    probability.
-    """
-    return Fraction(1, math.prod(map(_multinomial, n_jk)))
 
 
 def reduction_factor(n: int, l: int, m: int) -> int:
@@ -134,13 +110,6 @@ def tau_table_exact(n: int, alphabets: Alphabets) -> np.ndarray:
     tau = tau_classes(n, alphabets)
     return np.array([Fraction(1, d) for d in tau.denominators],
                     dtype=object)[tau.index]
-
-
-def tau_box(n: int, alphabets: Alphabets) -> MultiRoundBox:
-    """The de Finetti box as a float table."""
-    exact = tau_table_exact(n, alphabets)
-    table = np.vectorize(float)(exact)
-    return MultiRoundBox(n, alphabets, table)
 
 
 def verify_reduction_exact(table, tau: TauClasses) -> Fraction:

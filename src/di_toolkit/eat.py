@@ -141,14 +141,6 @@ def cut_interval(gamma: float) -> tuple:
     return lo, hi
 
 
-def max_entropy_upper(n, gamma, eps_s, eps_e):
-    """gamma n + sqrt(n) 2 log2(7) sqrt(1 - 2 log2(eps_s eps_e)): upper
-    bound on the smooth max-entropy of Bob's test outputs over n rounds,
-    with the key length's smoothing eps_s/4 - sqrt(eps_t) and
-    eps_e = eps_ea + eps_ec."""
-    return _max_entropy(n, gamma, _smoothing_root(eps_s, eps_e))
-
-
 def _smoothing_root(eps_s, eps_e, xp=math):
     """sqrt(1 - 2 log2(eps_s eps_e)), the max-entropy bound's smoothing
     root, in the namespace ``xp``."""
@@ -156,7 +148,9 @@ def _smoothing_root(eps_s, eps_e, xp=math):
 
 
 def _max_entropy(n, gamma, root, xp=math):
-    """max_entropy_upper with its smoothing root given."""
+    """gamma n + sqrt(n) 2 log2(7) root in the namespace ``xp``: upper bound
+    on the smooth max-entropy of Bob's test outputs over n rounds, root
+    being the smoothing root of the key length's smoothing and eps_e."""
     return gamma * n + xp.sqrt(n) * 2.0 * LOG2_7 * root
 
 
@@ -190,7 +184,7 @@ def _tradeoff(p1_tilde: float, gamma: float, s_max: int, mass: float,
     the glued function, its slope and its entropy rate on floats: checked,
     _tangent above the cut and the secrecy bound at or below it."""
     ratio = p1_tilde / mass
-    if ratio < OMEGA_CLASSICAL - 1e-12 or ratio > 1.0 + 1e-12:
+    if not OMEGA_CLASSICAL - 1e-12 <= ratio <= 1.0 + 1e-12:  # NaN fails too
         raise ValueError(f"normalized statistic {ratio} outside [3/4, 1]")
     if not OMEGA_CLASSICAL < cut / mass < OMEGA_QUANTUM:
         raise ValueError("cut outside the open quantum regime")
@@ -218,19 +212,10 @@ def f_min_block(p1_tilde: float, block: BlockSpec, cut: float) -> float:
                      0.0)[0]
 
 
-def mu_block(p1_tilde: float, block: BlockSpec, cut: float,
-             eps: EatEpsilons, m_blocks: float) -> float:
-    """Per-block entropy rate with dimension term log2(1 + 2*2^s*3^s)."""
-    if m_blocks <= 0:
-        raise ValueError("m_blocks must be positive")
-    return _tradeoff(p1_tilde, block.gamma, block.s_max, block.test_mass, cut,
-                     _penalty_scale(eps.eps_s, eps.eps_e, m_blocks))[2]
-
-
 def mu_block_opt(omega_exp: float, delta_est: float, block: BlockSpec,
                  m_blocks: float, eps: EatEpsilons) -> tuple:
-    """Maximize mu_block at p~1 = omega_exp * test_mass - delta_est over the
-    cut.  Returns (value, best_cut) with the cut on the p~(1) scale:
+    """Maximize the rate mu(c) at p~1 = omega_exp * test_mass - delta_est
+    over the cut c.  Returns (value, best_cut), the cut on the p~(1) scale:
     best_cut = clamp(p~1 - K) to cut_interval(test_mass), the maximizer of
     the rate, whose derivative f''(c) (p~1 - c - K) has the sign of
     p~1 - K - c because f is strictly convex."""
@@ -282,7 +267,13 @@ def round_count_tail(m_blocks: float, gamma: float, s_max: int,
     every block is one round (s_max = 1 or gamma = 1)."""
     if not 0 < eps_t < 1:
         raise ValueError("eps_t must be in (0,1)")
-    if gamma >= 1.0:
+    if not 0 < m_blocks < math.inf:  # NaN fails too
+        raise ValueError("m_blocks must be positive and finite")
+    if not 0 < gamma <= 1:
+        raise ValueError("gamma must be in (0,1]")
+    if not (s_max >= 1 and s_max % 1 == 0):
+        raise ValueError("s_max must be an integer >= 1")
+    if gamma == 1.0:
         return 0.0
     return _tail(m_blocks, s_max, eps_t)
 

@@ -11,7 +11,6 @@ outside the regime, is for floats only and has no array twin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 OMEGA_CLASSICAL = 0.75
 OMEGA_QUANTUM = (2.0 + math.sqrt(2.0)) / 4.0
@@ -69,71 +68,3 @@ def bell_diag_bound(omega: float) -> float:
     omega = min(max(omega, OMEGA_CLASSICAL), OMEGA_QUANTUM)
     arg = 0.5 - (2.0 * omega - 1.0) / math.sqrt(2.0)
     return 2.0 * binary_entropy(arg) - 1.0
-
-
-def bell_opt_eigenvalues(beta: float) -> tuple:
-    """Eigenvalues of the entropy-maximizing Bell-diagonal state at CHSH
-    value beta in [2, 2*sqrt(2)], ordered (phi+, psi+, phi-, psi-)."""
-    if beta < 2.0 - _CLAMP or beta > 2.0 * math.sqrt(2.0) + _CLAMP:
-        raise ValueError(f"beta {beta} outside [2, 2*sqrt(2)]")
-    beta = min(max(beta, 2.0), 2.0 * math.sqrt(2.0))
-    lo = 0.5 - beta / (4.0 * math.sqrt(2.0))
-    hi = 0.5 + beta / (4.0 * math.sqrt(2.0))
-    return (lo * lo, hi * hi, lo * hi, lo * hi)
-
-
-def shannon_entropy(dist) -> float:
-    """Base-2 Shannon entropy of a probability vector."""
-    total = 0.0
-    for p in dist:
-        if p < -_CLAMP:
-            raise ValueError("negative probability")
-        if p > _CLAMP:
-            total -= p * math.log2(p)
-    return total
-
-
-def aep_nu(hmax_single: float) -> float:
-    """nu = 2 sqrt(2^hmax) + 1, the dimension surrogate in the AEP terms."""
-    return 2.0 * math.sqrt(2.0**hmax_single) + 1.0
-
-
-def aep_delta(eps: float, nu: float) -> float:
-    """delta(eps, nu) = 4 log2(nu) sqrt(log2(2/eps^2))."""
-    if not 0 < eps < math.sqrt(2.0):
-        raise ValueError("eps must be in (0, sqrt(2))")
-    return 4.0 * math.log2(nu) * math.sqrt(math.log2(2.0 / (eps * eps)))
-
-
-@dataclass(frozen=True)
-class AepParams:
-    """Round count, smoothing parameter, and per-round max-entropy bound."""
-
-    n: int
-    eps: float
-    hmax_single: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not 0 < self.eps < 1:
-            raise ValueError("eps must be in (0,1)")
-
-
-def aep_min_lower(params: AepParams, h_single: float) -> float:
-    """Smooth min-entropy lower bound for n IID copies:
-    n*h - sqrt(n)*delta(eps, nu)."""
-    return (params.n * h_single
-            - math.sqrt(params.n) * aep_delta(params.eps, aep_nu(params.hmax_single)))
-
-
-def aep_max_upper(params: AepParams, h_single: float) -> float:
-    """Smooth max-entropy upper bound for n IID copies:
-    n*h + sqrt(n)*delta(eps, nu)."""
-    return (params.n * h_single
-            + math.sqrt(params.n) * aep_delta(params.eps, aep_nu(params.hmax_single)))
-
-
-def dw_rate(h_ae: float, h_ab: float) -> float:
-    """Asymptotic one-way key rate H(A|E) - H(A|B)."""
-    return h_ae - h_ab

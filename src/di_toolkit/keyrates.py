@@ -256,7 +256,7 @@ def _key_length(params: ProtocolParams, budget: EpsilonBudget,
         raise ValueError("eps_t too large: eps_ec_prime - 2 sqrt(eps_t) <= 0")
     first, scale, root = _leak_terms(n_eff, leak_rate, eps_sqrt_term)
     leak = first + scale * root + prime_term + ec_term
-    # eat.max_entropy_upper, one call shorter
+    # the max-entropy term over n_eff rounds, at the shifted smoothing
     max_ent = eat._max_entropy(n_eff, params.gamma,
                                eat._smoothing_root(eps_s_shifted, eps_e))
     ell = entropy_term - leak - log_corr - max_ent - pa

@@ -1,6 +1,6 @@
 r"""Linear programs over boxes: optimal non-signalling winning probability,
-its slack-relaxed (approximately signalling) variant, the minimal dual
-kappa, and the sensitivity bound connecting the two.
+its slack-relaxed (approximately signalling) variant, and the minimal dual
+kappa, with which value + slack * kappa bounds the relaxed value.
 
 The non-signalling conditions and the winning probability are both linear in
 the table entries P(a,b|x,y), so the optimal non-signalling value of a game
@@ -487,10 +487,3 @@ def perturbed_value(game: Game, slack: float) -> float:
     if sol.status != "optimal":
         raise SolverError(f"perturbed program: {sol.status}")
     return float(sol.value)
-
-
-def sensitivity_bound(ns_val: float, slack: float, kappa_or_d: float) -> float:
-    """Upper bound ns_val + slack * kappa on the slack-relaxed optimum."""
-    if not (ns_val >= 0 and slack >= 0 and kappa_or_d >= 0):  # NaN fails too
-        raise ValueError("inputs must be >= 0")
-    return ns_val + slack * kappa_or_d

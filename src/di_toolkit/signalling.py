@@ -1,5 +1,5 @@
-r"""Signalling measure, the L1 signalling test, Sanov bound, guessing-game
-values, and the non-signalling threshold-theorem bound.
+r"""Signalling measure, the L1 signalling test, Sanov bound, the
+non-signalling threshold-theorem bound and exact IID binomial tails.
 
 The signalling measure quantifies how much observing one party's output
 shifts the posterior over the other party's input relative to the prior; it
@@ -23,7 +23,7 @@ import numpy as np
 
 from .boxes import (AlphabetMismatchError, Alphabets, Game,
                     InputDistribution, ObservedData, SingleRoundBox,
-                    winning_probability)
+                    _integer, winning_probability)
 from .eat import hoeffding
 
 A_TO_B = "AtoB"
@@ -200,27 +200,6 @@ def signalling_test_flags(data: ObservedData, q: InputDistribution,
     return np.concatenate([a_to_b.ravel(), b_to_a.ravel()]) >= threshold
 
 
-def guessing_value(q: InputDistribution, x: int, y: int) -> float:
-    """Optimal non-signalling success probability of guessing Alice's input:
-    the prior Q(x|y)."""
-    qy = q.marginal_y()[y]
-    if qy <= 0:
-        raise ValueError("q(y) must be positive")
-    return float(q.q[x, y] / qy)
-
-
-def boosted_guessing_bound(w_ns: float, nu: float, o_by: float,
-                           cdelta: float) -> float:
-    """(1 - sqrt(cdelta)) * (nu / o_by + w_ns): guessing success achievable
-    by selecting a copy where the signalling test fired."""
-    for name, v in (("w_ns", w_ns), ("nu", nu), ("cdelta", cdelta)):
-        if not v >= 0:  # NaN fails too
-            raise ValueError(f"{name} must be >= 0")
-    if not o_by > 0:
-        raise ValueError("o_by must be positive")
-    return (1.0 - math.sqrt(cdelta)) * (nu / o_by + w_ns)
-
-
 def threshold_precondition(n: int, eps: float, a_size: int, b_size: int,
                            x_size: int, y_size: int) -> bool:
     """n / ln(n) > 20 |X||Y||A||B| ln(2/eps) / eps^2; False for any eps
@@ -293,10 +272,11 @@ def iid_threshold_probability(single: SingleRoundBox, game: Game, n: int,
 
     The exact value is the binomial upper tail; the bound is exp(-2 n beta^2).
     """
+    n = _integer(n, "n")
     if n < 1 or n > 200000:
         raise ValueError("n must be in [1, 200000]")
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    if not 0 <= beta < math.inf:  # NaN fails too
+        raise ValueError("beta must be finite and >= 0")
     omega = winning_probability(single, game)
     threshold = (omega + beta) * n
     k0 = math.ceil(threshold - 1e-12)

@@ -163,23 +163,6 @@ def run_protocol_blocks(m_blocks: int, block: BlockSpec, omega_exp: float,
     return _run(m_blocks, block, omega_exp, delta_est, device, seed, trial)
 
 
-def block_lengths(transcript: Transcript, s_max: int) -> np.ndarray:
-    """Recover the block lengths from a block-protocol transcript: the r
-    untested rounds before a test make r // s_max full blocks and one of
-    r % s_max + 1 rounds ending at the test; the untested rounds after the
-    last test make full blocks and a shorter last one."""
-    tests = np.flatnonzero(transcript.t)
-    untested = np.append(np.diff(tests, prepend=-1) - 1,
-                         len(transcript.t) - 1 - (tests[-1] if tests.size
-                                                  else -1))
-    last = untested % s_max + 1
-    last[-1] -= 1  # the rounds after the last test end on no test
-    values = np.stack([np.full_like(last, s_max), last], axis=1).ravel()
-    counts = np.stack([untested // s_max, np.ones_like(last)], axis=1).ravel()
-    lengths = np.repeat(values, counts)
-    return lengths[lengths > 0]
-
-
 def wilson_interval(successes: int, trials: int) -> tuple:
     """95% Wilson score interval for a binomial proportion."""
     if not trials >= 1:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from di_toolkit.boxes import (AlphabetMismatchError, Alphabets, Game,
-                              InputDistribution, SingleRoundBox, chsh_game,
-                              extended_chsh_game)
+                              InputDistribution, MultiRoundBox,
+                              SingleRoundBox, chsh_game, extended_chsh_game)
 
 BINARY = Alphabets(2, 2, 2, 2)
 
@@ -21,14 +21,6 @@ def pr_box():
         if (a ^ b) == (x & y):
             p[x, y, a, b] = 0.5
     return SingleRoundBox(BINARY, p)
-
-
-def product_box(pa, pb):
-    """P(a|x) * P(b|y) from tables pa[x][a], pb[y][b]."""
-    pa, pb = np.asarray(pa), np.asarray(pb)
-    p = np.einsum("xa,yb->xyab", pa, pb)
-    al = Alphabets(pa.shape[1], pb.shape[1], pa.shape[0], pb.shape[0])
-    return SingleRoundBox(al, p)
 
 
 def deterministic_box(f, g, alphabets=BINARY):
@@ -47,6 +39,25 @@ def bob_echoes_x_box():
     for x, y, a in itertools.product(range(2), repeat=3):
         p[x, y, a, x] = 0.5
     return SingleRoundBox(BINARY, p)
+
+
+def is_nonsignalling(box, tol=1e-9):
+    """Oracle: Alice's marginal P(a|x,y) does not depend on y and Bob's
+    P(b|x,y) not on x, entrywise within ``tol``."""
+    pa = box.p.sum(axis=3)  # (x, y, a)
+    pb = box.p.sum(axis=2)  # (x, y, b)
+    return bool(np.all(np.abs(pa - pa[:, :1, :]) <= tol)
+                and np.all(np.abs(pb - pb[:1, :, :]) <= tol))
+
+
+def iid_box(single, n):
+    """n independent copies of a single-round box as an n-round box; the
+    factors are identical, so which Kronecker operand holds the low digit
+    of each string index does not matter."""
+    table = single.p
+    for _ in range(n - 1):
+        table = np.kron(table, single.p)
+    return MultiRoundBox(n, single.alphabets, table)
 
 
 def random_box(rng, alphabets=BINARY):

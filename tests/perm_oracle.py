@@ -1,9 +1,11 @@
 """Reference permutation layer for the type-class code in boxes and
 definetti: explicit sweeps over all n! round permutations, a per-entry
-tau loop over round-by-round string tuples, tau and its bounds as running
-Fraction divisions, and the reduction ratio entry by entry, as the package computed them before all of these went through one
-joint-type map.  Slow by design; the tests compare the package against
-these on small n.
+tau loop over round-by-round string tuples, tau as running Fraction
+divisions, and the reduction ratio entry by entry, as the package computed
+them before all of these went through one joint-type map.  Slow by design;
+the tests compare the package against these on small n.  Two bounds on
+tau's entries live only here: tau_lower_bound, and perm_upper_bound, the
+entry bound of every permutation-invariant box.
 """
 
 import itertools
@@ -44,11 +46,6 @@ def symmetrize(box: MultiRoundBox) -> np.ndarray:
     for perm in perms:
         acc += permute(box, perm)
     return acc / len(perms)
-
-
-def is_permutation_invariant(box: MultiRoundBox, tol: float) -> bool:
-    return not any(np.any(np.abs(permute(box, perm) - box.p) > tol)
-                   for perm in itertools.permutations(range(box.n)))
 
 
 def random_symmetrized_int_table(n, alphabets, rng, total=1009):

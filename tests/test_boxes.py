@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 from di_toolkit import boxes, signalling
 from di_toolkit.boxes import (Alphabets, EnumerationLimitError, Game,
-                              InputDistribution, MultiRoundBox, ObservedData,
+                              InputDistribution, ObservedData,
                               SingleRoundBox, chsh_game, classical_value,
-                              iid_box, is_nonsignalling,
-                              is_permutation_invariant, l1_distance, permute,
-                              symmetrize, winning_probability)
+                              l1_distance, winning_probability)
 from conftest import (BINARY, bob_echoes_x_box, deterministic_box,
-                      frequency_box, pr_box, product_box, random_box,
+                      frequency_box, iid_box, pr_box, random_box,
                       random_classical_box, sample_iid_data, uniform_q)
 
 
@@ -92,19 +90,6 @@ class TestConstruction:
         data = ObservedData(2, np.array([0.0, 1.0]), np.zeros(2, int),
                             np.zeros(2, int), np.ones(2, int), BINARY)
         assert data.a.tolist() == [0, 1] and data.a.dtype.kind == "i"
-
-
-class TestNonSignalling:
-    def test_product_box_is_ns(self, rng):
-        pa = rng.dirichlet(np.ones(2), size=2)
-        pb = rng.dirichlet(np.ones(2), size=2)
-        assert is_nonsignalling(product_box(pa, pb))
-
-    def test_bob_echoes_x_is_signalling(self):
-        assert not is_nonsignalling(bob_echoes_x_box())
-
-    def test_pr_box_is_ns(self):
-        assert is_nonsignalling(pr_box())
 
 
 class TestGames:
@@ -226,129 +211,6 @@ class TestFrequencyBox:
             assert violations / 30 <= min(bound, 1.0) + 3 * math.sqrt(
                 min(bound, 1.0) * (1 - min(bound, 1.0)) / 30 + 1e-12) + 1e-12
         assert means[10**4] < means[10**3]
-
-
-class TestMultiRound:
-    def test_iid_box_n1_identity(self):
-        single = pr_box()
-        assert np.allclose(iid_box(single, 1).p, single.p)
-
-    def test_iid_box_deterministic(self):
-        single = deterministic_box([0, 1], [1, 0])
-        multi = iid_box(single, 2)
-        assert set(np.unique(multi.p)) <= {0.0, 1.0}
-
-    def test_iid_box_product_entries(self):
-        single = deterministic_box([0, 0], [0, 0])
-        multi = iid_box(single, 2)
-        # spot-check one entry against the direct product
-        # strings are little-endian: index = d1 + 2*d2
-        x = (0, 1)
-        y = (1, 0)
-        a = (0, 0)
-        b = (0, 0)
-        ix, iy = x[0] + 2 * x[1], y[0] + 2 * y[1]
-        ia, ib = a[0] + 2 * a[1], b[0] + 2 * b[1]
-        expected = np.prod([single.p[x[i], y[i], a[i], b[i]] for i in range(2)])
-        assert multi.p[ix, iy, ia, ib] == pytest.approx(expected)
-
-    def test_iid_preserves_nonsignalling_exhaustive(self, rng):
-        singles = [pr_box(), random_classical_box(rng),
-                   product_box(rng.dirichlet(np.ones(2), size=2),
-                               rng.dirichlet(np.ones(2), size=2))]
-        for single in singles:
-            assert is_nonsignalling(single)
-            for n in (1, 2, 3):
-                assert is_nonsignalling(_as_single_round(iid_box(single, n)))
-
-    def test_permute_identity(self):
-        multi = iid_box(pr_box(), 2)
-        assert np.allclose(permute(multi, [0, 1]).p, multi.p)
-
-    def test_permute_composition_inverse(self):
-        multi = _wired_box()
-        perm = np.array([1, 0])
-        back = permute(permute(multi, perm), np.argsort(perm))
-        assert np.allclose(back.p, multi.p)
-
-    def test_permute_inverse_three_rounds(self):
-        multi = iid_box(bob_echoes_x_box(), 3)
-        perm = np.array([2, 0, 1])
-        back = permute(permute(multi, perm), np.argsort(perm))
-        assert np.allclose(back.p, multi.p)
-
-    def test_iid_box_permutation_invariant(self):
-        multi = iid_box(pr_box(), 3)
-        assert is_permutation_invariant(multi)
-
-    def test_wired_box_not_invariant(self):
-        assert not is_permutation_invariant(_wired_box())
-
-    def test_symmetrize_fixes_invariance(self):
-        sym = symmetrize(_wired_box())
-        assert is_permutation_invariant(sym)
-
-    def test_symmetrize_noop_on_invariant(self):
-        multi = iid_box(pr_box(), 2)
-        assert np.allclose(symmetrize(multi).p, multi.p)
-
-    def test_symmetrize_preserves_threshold_value(self, chsh, rng):
-        # winning probability of any threshold game is permutation
-        # indifferent, so symmetrizing keeps it
-        wired = _wired_box()
-        sym = symmetrize(wired)
-        for thresh in (0.5, 1.0):
-            assert _threshold_win_prob(wired, chsh, thresh) == pytest.approx(
-                _threshold_win_prob(sym, chsh, thresh), abs=1e-12)
-
-    def test_permute_preserves_ns_and_normalization(self, rng):
-        multi = iid_box(random_classical_box(rng), 2)
-        perm = np.array([1, 0])
-        permuted = permute(multi, perm)
-        assert np.all(np.abs(permuted.p.sum(axis=(2, 3)) - 1.0) <= 1e-12)
-        assert is_nonsignalling(_as_single_round(permuted))
-
-
-def _as_single_round(multi):
-    """The n-round box as a single-round box over the product alphabets."""
-    al, n = multi.alphabets, multi.n
-    return SingleRoundBox(Alphabets(al.a_size**n, al.b_size**n,
-                                    al.x_size**n, al.y_size**n), multi.p)
-
-
-def _wired_box():
-    """Two rounds with a1 = x2 wired in; other outputs uniform."""
-    al = BINARY
-    p = np.zeros((4, 4, 4, 4))
-    for ix, iy, ia, ib in itertools.product(range(4), repeat=4):
-        x = (ix % 2, ix // 2)
-        a = (ia % 2, ia // 2)
-        if a[0] == x[1]:
-            p[ix, iy, ia, ib] = 1.0 / 8.0
-    return MultiRoundBox(2, al, p)
-
-
-def _threshold_win_prob(multi, game, fraction):
-    """Brute-force winning probability of the n-round threshold game."""
-    al = multi.alphabets
-    n = multi.n
-    q = np.full((al.x_size, al.y_size), 1.0 / (al.x_size * al.y_size))
-    total = 0.0
-    for ix, iy, ia, ib in itertools.product(
-            range(al.x_size**n), range(al.y_size**n),
-            range(al.a_size**n), range(al.b_size**n)):
-        wins = 0
-        qprob = 1.0
-        for i in range(n):
-            x = (ix // al.x_size**i) % al.x_size
-            y = (iy // al.y_size**i) % al.y_size
-            a = (ia // al.a_size**i) % al.a_size
-            b = (ib // al.b_size**i) % al.b_size
-            qprob *= q[x, y]
-            wins += bool(game.win[a, b, x, y])
-        if wins / n >= fraction:
-            total += qprob * multi.p[ix, iy, ia, ib]
-    return total
 
 
 class TestL1Distance:

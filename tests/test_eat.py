@@ -93,6 +93,15 @@ class TestG:
         with pytest.raises(ValueError):
             eat.f_min_block(0.5 * 0.7, _one_round(0.5), 0.5 * 0.8)
 
+    @pytest.mark.parametrize("call", [
+        lambda: eat.f_min_block(math.nan, eat.BlockSpec(0.5, 2), 0.6),
+        lambda: eat.f_min(math.nan, eat.TradeoffSpec(0.5, 0.4))],
+        ids=["f_min_block", "f_min"])
+    def test_nan_statistic_rejected(self, call):
+        # a NaN statistic once passed the range check and gave nan
+        with pytest.raises(ValueError, match="^normalized statistic nan "):
+            call()
+
 
 class TestGSlope:
     def test_positive_on_interior(self):
@@ -157,36 +166,6 @@ class TestFMin:
         assert np.all(np.diff(ys, 2) > -1e-9)  # convexity
 
 
-class TestMu:
-    def test_approaches_f_min(self):
-        block = _one_round(1.0)
-        eps = eat.EatEpsilons(1e-6, 1e-6)
-        p1 = 0.81
-        f = eat.f_min_block(p1, block, 0.82)
-        assert eat.mu_block(p1, block, 0.82, eps, 1e18) == pytest.approx(
-            f, abs=1e-4)
-        assert eat.mu_block(p1, block, 0.82, eps, 1e6) < f
-
-    def test_convergence_rate(self):
-        # (f_min - mu) * sqrt(n) equals 2(log2 13 + slope) sqrt(1-2log2(es ee))
-        block = _one_round(1.0)
-        eps = eat.EatEpsilons(1e-6, 1e-5)
-        p1 = 0.80
-        slope = f_min_block_slope(block, 0.82)
-        expected_c = 2.0 * (math.log2(13) + slope) * \
-            math.sqrt(1.0 - 2.0 * math.log2(1e-6 * 1e-5))
-        for n in (1e6, 1e8, 1e10):
-            measured = (eat.f_min_block(p1, block, 0.82)
-                        - eat.mu_block(p1, block, 0.82, eps, n)) * math.sqrt(n)
-            assert measured == pytest.approx(expected_c, rel=1e-2)
-
-    def test_second_order_positive(self):
-        block = _one_round(1.0)
-        eps = eat.EatEpsilons(0.5, 0.5)
-        assert eat.mu_block(0.8, block, 0.82, eps, 100.0) < \
-            eat.f_min_block(0.8, block, 0.82)
-
-
 class TestPerRoundReference:
     def test_test_mass_of_one_round_blocks(self, rng):
         for gamma in [1.0, 0.5, 0.1, 1e-4] + list(10.0 ** rng.uniform(
@@ -194,7 +173,7 @@ class TestPerRoundReference:
             assert _one_round(float(gamma)).test_mass == gamma
 
     def test_rate_against_reference(self, rng):
-        """mu_opt, mu_block_opt and mu_block at s_max = 1 agree with
+        """mu_opt and mu_block_opt at s_max = 1 agree with
         reference_mu_round within 1e-14 of the size of its terms, and pick
         its cut clamp(p1 - K) exactly."""
         ends = set()
@@ -223,8 +202,7 @@ class TestPerRoundReference:
             want, _, size = reference_mu_round(p1, gamma, cut, eps, n)
             block = _one_round(gamma)
             for value, at in (eat.mu_opt(omega, delta, gamma, n, eps),
-                              eat.mu_block_opt(omega, delta, block, n, eps),
-                              (eat.mu_block(p1, block, cut, eps, n), cut)):
+                              eat.mu_block_opt(omega, delta, block, n, eps)):
                 assert at == cut
                 assert abs(value - want) <= 1e-14 * size
         assert ends == {"low", "inside", "high"}
@@ -327,14 +305,19 @@ def _random_point(rng):
     return omega, gamma, count, eat.EatEpsilons(es, ee)
 
 
-def _round_objective(omega, delta, gamma, n, eps):
-    p1 = omega * gamma - delta
-    return lambda c: eat.mu_block(p1, _one_round(gamma), c, eps, n)
-
-
 def _block_objective(omega, delta, block, m, eps):
+    """The rate of m blocks at cut c, in bound_oracle's text of the glued
+    function, with the penalty K = (2/sqrt(m)) sqrt(1 - 2 log2(eps_s eps_e))
+    spelled out."""
     p1 = omega * block.test_mass - delta
-    return lambda c: eat.mu_block(p1, block, c, eps, m)
+    k_pen = (2.0 / math.sqrt(m)) * math.sqrt(
+        1.0 - 2.0 * math.log2(eps.eps_s * eps.eps_e))
+    return lambda c: bound_oracle.tradeoff(p1, block.gamma, block.s_max,
+                                           block.test_mass, c, k_pen)[2]
+
+
+def _round_objective(omega, delta, gamma, n, eps):
+    return _block_objective(omega, delta, _one_round(gamma), n, eps)
 
 
 def _block_for(gamma):
@@ -448,9 +431,10 @@ class TestKeyLengthHelpers:
     def test_max_entropy_upper(self):
         # smoothing eps_s/4 and event eps_ea + eps_ec of a budget with
         # eps_s = eps_ea = 1e-6, eps_ec = 1e-10
-        val = eat.max_entropy_upper(1e10, 0.01, 1e-6 / 4, 1e-6 + 1e-10)
+        root = eat._smoothing_root(1e-6 / 4, 1e-6 + 1e-10)
+        val = eat._max_entropy(1e10, 0.01, root)
         assert val > 0.01 * 1e10
-        pure_sqrt = eat.max_entropy_upper(1e10, 0.0, 1e-6 / 4, 1e-6 + 1e-10)
+        pure_sqrt = eat._max_entropy(1e10, 0.0, root)
         assert pure_sqrt == pytest.approx(
             math.sqrt(1e10) * 2 * math.log2(7)
             * math.sqrt(1 - 2 * math.log2(0.25e-6 * (1e-6 + 1e-10))))
@@ -522,15 +506,6 @@ class TestBlocks:
                     eat._log2_block_dim(s.astype(float), np)):
             assert np.all(np.abs(got - exact) <= np.spacing(exact))
 
-    def test_mu_block_second_order_positive(self):
-        block = eat.BlockSpec(0.1, 10)
-        eps = eat.EatEpsilons(1e-6, 1e-6)
-        mass = block.test_mass
-        cut = mass * 0.8
-        p1 = mass * 0.82
-        assert eat.mu_block(p1, block, cut, eps, 1e6) < \
-            eat.f_min_block(p1, block, cut)
-
     def test_mu_block_opt_matches_per_round_at_smax_1(self):
         gamma = 0.5
         eps = eat.EatEpsilons(1e-6, 1e-6)
@@ -574,6 +549,23 @@ class TestRoundCountTail:
     def test_eps_domain(self):
         with pytest.raises(ValueError):
             eat.round_count_tail(10.0, 0.5, 2, 0.0)
+
+    # what each call once returned: a negative or a wrong tail, 0, nan, inf
+    # or a "math domain error"
+    @pytest.mark.parametrize("m, gamma, s_max, message", [
+        (100, 0.5, 0.5, "s_max must be an integer >= 1"),  # -7.59
+        (100, 0.5, 2.5, "s_max must be an integer >= 1"),  # 22.8
+        (100, math.nan, 10, r"gamma must be in \(0,1\]"),  # 136.6
+        (100, -0.1, 10, r"gamma must be in \(0,1\]"),  # 136.6
+        (100, 1.5, 10, r"gamma must be in \(0,1\]"),  # 0.0
+        (math.nan, 0.5, 10, "m_blocks must be positive and finite"),
+        (math.inf, 0.5, 10, "m_blocks must be positive and finite"),
+        (-5, 0.5, 10, "m_blocks must be positive and finite")],
+        ids=["s_max-0.5", "s_max-2.5", "gamma-nan", "gamma-negative",
+             "gamma-1.5", "m-nan", "m-inf", "m-negative"])
+    def test_inputs_checked(self, m, gamma, s_max, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            eat.round_count_tail(m, gamma, s_max, 0.01)
 
 
 class TestRoundCountTailExact:

@@ -155,79 +155,3 @@ class TestBellDiagBound:
         # NaN once passed the range check and came out as a nan bound
         with pytest.raises(ValueError, match="outside the quantum CHSH"):
             ent.bell_diag_bound(omega)
-
-
-class TestBellEigenvalues:
-    def test_max_violation(self):
-        lams = ent.bell_opt_eigenvalues(2.0 * math.sqrt(2.0))
-        assert lams == pytest.approx((0.0, 1.0, 0.0, 0.0), abs=1e-12)
-
-    def test_sum_to_one_and_nonnegative(self):
-        for beta in np.linspace(2.0, 2.0 * math.sqrt(2.0), 100):
-            lams = ent.bell_opt_eigenvalues(beta)
-            assert sum(lams) == pytest.approx(1.0, abs=1e-12)
-            assert all(l >= 0 for l in lams)
-
-    def test_entropy_identity(self):
-        # H(lambda*) = 2 h(1/2 - beta/(4 sqrt(2)))
-        for beta in np.linspace(2.0, 2.0 * math.sqrt(2.0) - 1e-9, 50):
-            lams = ent.bell_opt_eigenvalues(beta)
-            expected = 2.0 * ent.binary_entropy(
-                0.5 - beta / (4.0 * math.sqrt(2.0)))
-            assert ent.shannon_entropy(lams) == pytest.approx(expected,
-                                                              abs=1e-10)
-
-    def test_consistent_with_conditional_bound(self):
-        # plugging the optimal eigenvalues into H - 1 reproduces the
-        # Bell-diagonal conditional-entropy bound
-        for omega in np.linspace(0.7501, ent.OMEGA_QUANTUM, 25):
-            beta = 8.0 * omega - 4.0
-            lams = ent.bell_opt_eigenvalues(beta)
-            assert ent.shannon_entropy(lams) - 1.0 == pytest.approx(
-                ent.bell_diag_bound(omega), abs=1e-10)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            ent.bell_opt_eigenvalues(1.9)
-
-
-class TestAep:
-    def test_nu_for_one_bit(self):
-        assert ent.aep_nu(1.0) == pytest.approx(2.0 * math.sqrt(2.0) + 1.0)
-
-    def test_eps_domain(self):
-        with pytest.raises(ValueError):
-            ent.aep_delta(math.sqrt(2.0), 3.0)
-
-    def test_bounds_bracket_mean(self):
-        for n in (10**3, 10**6):
-            for eps in (1e-3, 1e-6):
-                params = ent.AepParams(n=n, eps=eps, hmax_single=1.0)
-                lo = ent.aep_min_lower(params, 0.5)
-                hi = ent.aep_max_upper(params, 0.5)
-                assert lo <= n * 0.5 <= hi
-
-    def test_plug_in_value(self):
-        params = ent.AepParams(n=10**6, eps=1e-5, hmax_single=1.0)
-        nu = 2.0 * math.sqrt(2.0) + 1.0
-        delta = 4.0 * math.log2(nu) * math.sqrt(math.log2(2.0 / 1e-10))
-        assert ent.aep_min_lower(params, 0.5) == pytest.approx(
-            0.5e6 - 1e3 * delta)
-
-
-class TestDwRate:
-    def test_equal_entropies(self):
-        assert ent.dw_rate(0.7, 0.7) == 0.0
-
-    def test_noiseless_quantum_optimum(self):
-        assert ent.dw_rate(ent.secrecy_bound(ent.OMEGA_QUANTUM),
-                           ent.binary_entropy(0.0)) == pytest.approx(1.0,
-                                                                     abs=1e-9)
-
-    def test_werner_composition(self):
-        from di_toolkit.keyrates import honest_werner
-
-        omega, q = honest_werner(0.1)
-        rate = ent.dw_rate(ent.secrecy_bound(omega), ent.binary_entropy(q))
-        assert rate == pytest.approx(
-            ent.secrecy_bound(omega) - ent.binary_entropy(0.05))

@@ -8,11 +8,10 @@ import pytest
 from di_toolkit import nslp
 from di_toolkit.boxes import (Alphabets, Game, InputDistribution,
                               chsh_game, classical_value,
-                              extended_chsh_game, is_nonsignalling,
-                              winning_probability)
+                              extended_chsh_game, winning_probability)
 from di_toolkit.signalling import signalling_matrix
-from conftest import (deterministic_box, pr_box, random_box,
-                      random_classical_box, random_game)
+from conftest import (deterministic_box, is_nonsignalling, pr_box,
+                      random_box, random_classical_box, random_game)
 import lp_oracle
 
 # the slacks of the programs build_ns_lp makes: None is the = form, the
@@ -415,21 +414,6 @@ class TestGamePrograms:
         # the non-signalling optimum of CHSH is 1, reached on the interior
         # of the signalling polytope face: no signalling constraint binds
         assert nslp.ns_value(chsh)[1] == pytest.approx(0.0, abs=1e-9)
-
-    def test_sensitivity_bound_arithmetic(self):
-        assert nslp.sensitivity_bound(0.75, 0.0, 16.0) == 0.75
-        assert nslp.sensitivity_bound(0.75, 0.01, 16.0) == pytest.approx(0.91)
-        with pytest.raises(ValueError):
-            nslp.sensitivity_bound(-0.1, 0.0, 1.0)
-
-    @pytest.mark.parametrize("args", [
-        (0.75, -0.01, 1.0), (0.75, 0.01, -1.0),
-        (float("nan"), 0.0, 1.0), (0.75, float("nan"), 1.0),
-        (0.75, 0.01, float("nan"))])
-    def test_sensitivity_bound_rejects_negative_and_nan(self, args):
-        # a NaN argument once passed the check and gave a nan bound
-        with pytest.raises(ValueError, match="^inputs must be >= 0$"):
-            nslp.sensitivity_bound(*args)
 
 
 class TestRandomGameProperties:

@@ -2,12 +2,12 @@
 function body of the package: the scalar path and the numpy grid kernel
 call it rather than spelling it out again.  Likewise the honest-device
 Monte Carlo has one sampler, and the glued min-tradeoff function one
-scalar text, which the per-round and block protocols both call.  Round
-permutations of n-round tables go through one joint-type map, and the
-de Finetti bounds through one multinomial.  Every public function and
-class has a caller outside the unit tests or a role in the README, every
-public method a caller, and every default is set somewhere outside the
-unit tests."""
+scalar text, which the per-round and block protocols both call.  The de
+Finetti tables go through one joint-type map, and tau's denominators
+through one multinomial.  Every public function and class has a caller
+outside the unit tests or, for a short named list, a role in the README;
+every public method has a caller, and every default is set somewhere
+outside the unit tests."""
 
 import ast
 import re
@@ -23,7 +23,7 @@ import di_toolkit
 # sampler's test-flag draw (shared with the round-count statistic) and its
 # per-round uniform draws, the secrecy bound's slope (taken with the bound
 # from one root), the smoothing root of the max-entropy term and the EAT
-# penalty, the multinomial of the de Finetti bounds, the eps_t candidate
+# penalty, the multinomial of tau's denominators, the eps_t candidate
 # ladder, the error budget's soundness split and completeness slack, the
 # block output dimension's closed form, and the glued function's tangent
 # at its cut
@@ -72,10 +72,10 @@ def test_no_golden_section_search():
 
 
 def test_no_round_permutation_sweep():
-    """Symmetrizing, invariance checks and the de Finetti tables go through
-    boxes._type_classes; an n! sweep over round permutations would be a
-    second text of the same classes (tests/perm_oracle.py keeps one as the
-    reference)."""
+    """The de Finetti tables and the random permutation-invariant tables go
+    through boxes._type_classes; an n! sweep over round permutations would
+    be a second text of the same classes (tests/perm_oracle.py keeps one as
+    the reference)."""
     sweep = "itertools.permutations("
     holders = [name for name, code in function_bodies() if sweep in code]
     assert holders == []
@@ -192,6 +192,23 @@ def test_public_names_have_a_role():
     property."""
     used, read = referenced_names()
     assert orphans(public_names(), used, read, readme_layout_names()) == []
+
+
+# the public names whose one role is a word in the README's Layout block:
+# the block protocol's sampler, on which a block mode of the simulate
+# command would build, and the n-round box, whose table layout the de
+# Finetti functions take
+README_ONLY = {"simulate:run_protocol_blocks", "boxes:MultiRoundBox"}
+
+
+def test_readme_only_names_are_listed():
+    """A public function or class that nothing outside the unit tests
+    calls passes test_public_names_have_a_role on the README alone; each
+    such name is listed in README_ONLY, so a new one fails here until it is
+    listed or given a caller."""
+    used, _ = referenced_names()
+    assert {label for label, name, kind in public_names()
+            if kind == "module" and name not in used} == README_ONLY
 
 
 def test_role_rules():

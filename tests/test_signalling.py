@@ -361,62 +361,6 @@ class TestExactTies:
                         sig.signalling_test_flags(shuffled, q, params), want)
 
 
-class TestGuessing:
-    def test_uniform(self):
-        assert sig.guessing_value(uniform_q(), 0, 0) == pytest.approx(0.5)
-
-    def test_concentrated(self):
-        from di_toolkit.boxes import InputDistribution
-
-        q = InputDistribution(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        assert sig.guessing_value(q, 0, 0) == pytest.approx(1.0)
-
-    def test_third(self):
-        from di_toolkit.boxes import InputDistribution
-
-        q = InputDistribution(np.array([[1 / 6, 1 / 6], [2 / 6, 2 / 6]]) )
-        # Q(x=0|y=0) = (1/6) / (1/6 + 2/6) = 1/3
-        assert sig.guessing_value(q, 0, 0) == pytest.approx(1 / 3)
-
-    def test_zero_marginal_rejected(self):
-        from di_toolkit.boxes import InputDistribution
-
-        q = InputDistribution(np.array([[0.5, 0.0], [0.5, 0.0]]))
-        with pytest.raises(ValueError):
-            sig.guessing_value(q, 0, 1)
-
-
-class TestBoostedGuessing:
-    @pytest.mark.parametrize("args, message", [
-        ((-0.1, 0.1, 0.25, 0.0), "w_ns must be >= 0"),
-        ((math.nan, 0.1, 0.25, 0.0), "w_ns must be >= 0"),
-        ((0.5, math.nan, 0.25, 0.0), "nu must be >= 0"),
-        ((0.5, 0.1, 0.25, math.nan), "cdelta must be >= 0"),
-        ((0.5, 0.1, 0.0, 0.0), "o_by must be positive"),
-        ((0.5, 0.1, math.nan, 0.0), "o_by must be positive")])
-    def test_domain(self, args, message):
-        # a NaN argument once passed the checks and gave a nan bound
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            sig.boosted_guessing_bound(*args)
-
-    def test_no_failure_term(self):
-        assert sig.boosted_guessing_bound(0.5, 0.1, 0.25, 0.0) == \
-            pytest.approx(0.1 / 0.25 + 0.5)
-
-    def test_no_signalling_advantage(self):
-        assert sig.boosted_guessing_bound(0.5, 0.0, 0.25, 0.04) == \
-            pytest.approx((1 - 0.2) * 0.5)
-
-    def test_beats_baseline_when_nu_large_enough(self):
-        w_ns, o_by, cdelta = 0.5, 0.25, 1e-4
-        root = math.sqrt(cdelta)
-        nu_crit = root / (1 - root) * w_ns * o_by
-        assert sig.boosted_guessing_bound(w_ns, nu_crit * 1.01, o_by,
-                                          cdelta) > w_ns
-        assert sig.boosted_guessing_bound(w_ns, nu_crit * 0.99, o_by,
-                                          cdelta) < w_ns
-
-
 class TestThresholdBound:
     def test_precondition_examples(self):
         # CHSH-sized alphabets at eps = 0.01
@@ -496,6 +440,16 @@ class TestIidThreshold:
         exact, bound = sig.iid_threshold_probability(box, chsh, 10, 0.25)
         assert exact == pytest.approx(0.75**10, rel=1e-9)
         assert bound == pytest.approx(math.exp(-2 * 10 * 0.25**2))
+
+    @pytest.mark.parametrize("n, beta, message", [
+        (math.nan, 0.1, "n must be an integer"),  # cannot convert NaN
+        (2.5, 0.1, "n must be an integer"),  # TypeError
+        (10, math.nan, "beta must be finite and >= 0"),  # cannot convert NaN
+        (10, math.inf, "beta must be finite and >= 0")],  # OverflowError
+        ids=["n-nan", "n-2.5", "beta-nan", "beta-inf"])
+    def test_inputs_checked(self, chsh, n, beta, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sig.iid_threshold_probability(pr_box(), chsh, n, beta)
 
     def test_exact_below_hoeffding_sweep(self, chsh, rng):
         boxes = [pr_box(), random_classical_box(rng),

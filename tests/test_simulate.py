@@ -107,12 +107,11 @@ class TestRunProtocolBlocks:
         m = 5000
         tr = sim.run_protocol_blocks(m, block, 0.81, 0.02, device(),
                                      seed=6, trial=0)
-        lengths = sim.block_lengths(tr, block.s_max)
-        assert len(lengths) == m
+        # the m blocks' lengths sum to the transcript's length
         sbar = expected_block_length(block)
         # block length variance is at most s_max^2 / 4
-        assert abs(lengths.mean() - sbar) <= 3 * block.s_max / (2 *
-                                                                math.sqrt(m))
+        assert abs(len(tr.t) / m - sbar) <= 3 * block.s_max / (2 *
+                                                               math.sqrt(m))
 
     def test_bot_probability(self):
         block = BlockSpec(0.1, 10)
@@ -184,35 +183,6 @@ class TestOneSampler:
                      for k in range(trials))
         lo, hi = sim.wilson_interval(aborts, trials)
         assert lo <= exact <= hi
-
-    def test_block_lengths_of_block_transcript(self):
-        block, m = BlockSpec(0.2, 6), 500
-        tr = sim.run_protocol_blocks(m, block, 0.81, 0.02, device(),
-                                     seed=12, trial=0)
-        lengths = sim.block_lengths(tr, block.s_max)
-        assert len(lengths) == m
-        assert lengths.min() >= 1 and lengths.max() <= block.s_max
-        assert lengths.sum() == len(tr.t)
-
-    def test_block_lengths_against_scan(self):
-        def scan(t, s_max):
-            lengths, run = [], 0
-            for ti in t:
-                run += 1
-                if ti == 1 or run == s_max:
-                    lengths.append(run)
-                    run = 0
-            return lengths + ([run] if run else [])
-
-        rng = np.random.default_rng(2)
-        for _ in range(500):
-            t = (rng.random(int(rng.integers(0, 30))) < rng.random()).astype(
-                np.int8)
-            s_max = int(rng.integers(1, 7))
-            w = np.where(t == 1, 1, sim.W_BOT).astype(np.int8)
-            tr = sim.Transcript(t=t, x=t, y=t, a=t, b=t, w=w, aborted=False,
-                                win_count=0)
-            assert sim.block_lengths(tr, s_max).tolist() == scan(t, s_max)
 
 
 # (id, m, gamma, s_max, delta_est) at which the abort estimator and the
