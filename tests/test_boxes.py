@@ -92,6 +92,30 @@ class TestConstruction:
         assert data.a.tolist() == [0, 1] and data.a.dtype.kind == "i"
 
 
+def _largest_sig_measure(box):
+    q = uniform_q(box.alphabets.x_size, box.alphabets.y_size)
+    return max(abs(signalling.sig_measure(box, q, t))
+               for t in signalling.all_sig_targets(box.alphabets))
+
+
+class TestNonSignalling:
+    """Every signalling measure of signalling.sig_measure is 0 on a
+    non-signalling box and some is not on a signalling one."""
+
+    def test_product_box_is_ns(self, rng):
+        pa = rng.dirichlet(np.ones(2), size=2)
+        pb = rng.dirichlet(np.ones(2), size=2)
+        box = SingleRoundBox(BINARY, np.einsum("xa,yb->xyab", pa, pb))
+        assert _largest_sig_measure(box) <= 1e-12
+
+    def test_bob_echoes_x_is_signalling(self):
+        # O(x, y, b=x) = 1/4 against Q(x|y) O_BY(b, y) = 1/8
+        assert _largest_sig_measure(bob_echoes_x_box()) == pytest.approx(1 / 8)
+
+    def test_pr_box_is_ns(self):
+        assert _largest_sig_measure(pr_box()) <= 1e-12
+
+
 class TestGames:
     def test_chsh_predicate(self, chsh):
         assert chsh.win[0, 0, 0, 0]

@@ -16,7 +16,7 @@ import pytest
 
 from di_toolkit import boxes
 from di_toolkit import definetti as df
-from di_toolkit.boxes import Alphabets
+from di_toolkit.boxes import Alphabets, MultiRoundBox
 from conftest import BINARY
 import perm_oracle
 
@@ -60,6 +60,33 @@ def test_random_table_matches_permutation_sum(al, n):
         assert nums.dtype == ref_nums.dtype
         assert nums.tobytes() == ref_nums.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _random_box(al, n, seed):
+    rng = np.random.default_rng([seed, n, al.a_size, al.b_size])
+    shape = (al.x_size**n, al.y_size**n, al.a_size**n, al.b_size**n)
+    p = rng.random(shape)
+    return MultiRoundBox(n, al, p / p.sum(axis=(2, 3), keepdims=True))
+
+
+def test_permute_matches_index_maps(al, n):
+    """A round permutation maps every entry into its own class."""
+    index, _ = boxes._type_classes(n, al)
+    rng = np.random.default_rng([2, n])
+    for _ in range(4):
+        perm = rng.permutation(n)
+        moved = index[perm_oracle.permutation_index(al, n, perm)]
+        assert moved.tobytes() == index.tobytes()
+
+
+def test_symmetrize_matches_permutation_mean(al, n):
+    """The mean of a table over each class and input-string block is its
+    mean over all n! round permutations, so each class is one orbit."""
+    index, _ = boxes._type_classes(n, al)
+    box = _random_box(al, n, 3)
+    sums = np.bincount(index.ravel(), weights=box.p.ravel())
+    sym = (sums / np.bincount(index.ravel()))[index]
+    assert np.max(np.abs(sym - perm_oracle.symmetrize(box))) <= 1e-15
 
 
 def _digits(size, n):
