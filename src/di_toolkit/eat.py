@@ -27,16 +27,18 @@ mu_block_opt's best cut is therefore c* = clamp(p~1 - K) to the cut
 interval, with no numerical search.  The per-round names (TradeoffSpec,
 f_min, mu_opt) are these functions at s_max = 1, with m = n rounds.
 
-The public functions check their inputs; the best-cut rate is one private
-body on floats, _mu_block_opt, which mu_block_opt, mu_opt and keyrates' key
-length call.  The key length makes BlockSpec's and EatEpsilons' checks on
-its floats (_check_block, _check_epsilons) and builds neither.  The
-terms that keyrates' numpy grid kernel shares with the scalar path (the
-test mass, log2 d_O, the penalty K, the glued function's tangent at the
+The public functions check their inputs and call private bodies, which
+keyrates calls on its own checked floats: _mu_block_opt, the one text of
+the best-cut rate (of mu_block_opt and mu_opt), and _cut_bounds, _tail
+and _hoeffding (of cut_interval, round_count_tail and hoeffding).  The
+key length makes BlockSpec's and EatEpsilons' checks on its floats
+(_check_block, _check_epsilons) and builds neither.  The terms that its
+numpy grid kernel shares with the scalar path (the test mass, the cut
+interval, log2 d_O, the penalty K, the glued function's tangent at the
 cut with its slope (_tangent: g, g' from one root), the max-entropy bound
 and its smoothing root, the round count tail, the Hoeffding bound) take
-the namespace ``xp`` (math for scalars, numpy for arrays) or are plain
-arithmetic; _tradeoff keeps g itself below the cut.
+the namespace ``xp`` or are plain arithmetic; _tradeoff keeps g itself
+below the cut.
 """
 
 from __future__ import annotations
@@ -105,10 +107,10 @@ class BlockSpec:
 
 
 def _check_block(gamma, s_max):
-    """BlockSpec's check, on gamma and an integer (no float) s_max."""
+    """BlockSpec's check, on gamma and an int (no float or bool) s_max."""
     if not 0 < gamma <= 1:
         raise ValueError("gamma must be in (0,1]")
-    if not hasattr(s_max, "__index__"):
+    if isinstance(s_max, bool) or not hasattr(s_max, "__index__"):
         raise ValueError(f"s_max must be an integer, not {s_max!r}")
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
@@ -117,9 +119,7 @@ def _check_block(gamma, s_max):
 def _block_mass(gamma, s_max):
     """1 - (1-gamma)^s_max, exactly gamma for one-round blocks, where the
     formula would round."""
-    if s_max == 1:
-        return gamma
-    return _test_mass(gamma, s_max)
+    return gamma if s_max == 1 else _test_mass(gamma, s_max)
 
 
 def _test_mass(gamma, s_max):
@@ -134,11 +134,18 @@ def _penalty_scale(eps_s, eps_e, count, xp=math):
     return (2.0 / xp.sqrt(count)) * _smoothing_root(eps_s, eps_e, xp)
 
 
-def cut_interval(gamma: float) -> tuple:
-    """Open cut interval, shrunk away from the infinite-slope upper edge."""
-    lo = gamma * OMEGA_CLASSICAL + CUT_EDGE_SHRINK * gamma
-    hi = gamma * OMEGA_QUANTUM - CUT_EDGE_SHRINK * gamma
-    return lo, hi
+def cut_interval(mass: float) -> tuple:
+    """Open cut interval on the p~(1) scale of blocks with test mass
+    ``mass`` in (0, 1], shrunk away from the infinite-slope upper edge."""
+    if not 0 < mass <= 1:  # NaN fails too
+        raise ValueError("test mass must be in (0,1]")
+    return _cut_bounds(mass)
+
+
+def _cut_bounds(mass):
+    """cut_interval without its check, elementwise on arrays too."""
+    return (mass * OMEGA_CLASSICAL + CUT_EDGE_SHRINK * mass,
+            mass * OMEGA_QUANTUM - CUT_EDGE_SHRINK * mass)
 
 
 def _smoothing_root(eps_s, eps_e, xp=math):
@@ -235,7 +242,7 @@ def _mu_block_opt(omega_exp, delta_est, gamma, s_max, mass, count, eps_s,
         raise ValueError("round or block count must be positive")
     if not count < math.inf:
         raise ValueError("round or block count must be finite")
-    lo, hi = cut_interval(mass)
+    lo, hi = _cut_bounds(mass)
     if lo >= hi:
         raise ValueError("empty cut interval")
     k_pen = _penalty_scale(eps_s, eps_e, count)
@@ -269,13 +276,8 @@ def round_count_tail(m_blocks: float, gamma: float, s_max: int,
         raise ValueError("eps_t must be in (0,1)")
     if not 0 < m_blocks < math.inf:  # NaN fails too
         raise ValueError("m_blocks must be positive and finite")
-    if not 0 < gamma <= 1:
-        raise ValueError("gamma must be in (0,1]")
-    if not (s_max >= 1 and s_max % 1 == 0):
-        raise ValueError("s_max must be an integer >= 1")
-    if gamma == 1.0:
-        return 0.0
-    return _tail(m_blocks, s_max, eps_t)
+    _check_block(gamma, s_max)
+    return 0.0 if gamma == 1.0 else _tail(m_blocks, s_max, eps_t)
 
 
 def _tail(m_blocks, s_max, eps_t, xp=math):
@@ -283,8 +285,16 @@ def _tail(m_blocks, s_max, eps_t, xp=math):
     return (s_max - 1.0) * xp.sqrt(-m_blocks * xp.log(eps_t) / 2.0)
 
 
-def hoeffding(n, deviation, xp=math):
-    """exp(-2 n deviation^2) in the namespace ``xp``: Hoeffding's bound on
-    the probability that the mean of n trials in [0, 1] exceeds its
-    expectation by ``deviation``."""
+def hoeffding(n, deviation):
+    """exp(-2 n deviation^2), Hoeffding's bound on the probability that the
+    mean of n >= 0 trials in [0, 1] exceeds its expectation by deviation."""
+    if not 0 <= n < math.inf:  # NaN fails too
+        raise ValueError("n must be in [0, inf)")
+    if not abs(deviation) < math.inf:
+        raise ValueError("deviation must be finite")
+    return _hoeffding(n, deviation, math)
+
+
+def _hoeffding(n, deviation, xp):
+    """hoeffding without its checks, in the namespace ``xp``."""
     return xp.exp(-2.0 * n * deviation**2)

@@ -27,10 +27,10 @@ optimize_rate runs a coarse (gamma, delta_est) grid, an epsilon split grid
 and one zoom that also searches s_max, in boxes set by the caps and the
 rate; the mode sets only the s_max window, {1} per round.  Each stage and
 zoom pass is one numpy call (_grid_key_lengths, the array form of
-_eval_point), which also picks eps_t among 13 candidates at each point
-with a tail; a stage rescores the best few values within 1e-9 relative
-of its top, best first, with scalar key lengths, which alone produce the
-points chosen and the numbers reported.
+_eval_point), which also picks eps_t at each point among 14 candidates,
+0 first (every point without a tail picks 0); a stage rescores the best
+few values within 1e-9 relative of its top, best first, with scalar key
+lengths, which alone produce the points chosen and the numbers reported.
 
 Negative key lengths are reported as-is so that the zero crossings of rate
 curves can be located; callers clamp for presentation.
@@ -164,15 +164,18 @@ def _leak_rate(gamma, h_q, h_omega):
     return (1.0 - gamma) * h_q + gamma * h_omega
 
 
-def _leak_terms(n_eff, rate, eps_sqrt_term, xp=math):
-    """The leakage's terms that depend on eps_t, in the namespace ``xp``,
-    each at the shape of its own inputs: first = n_eff * rate, scale =
-    sqrt(n_eff) 4 log2(2 sqrt(2) + 1) and root = sqrt(2 log2(8 /
-    eps_sqrt_term^2)) of the shifted smoothing parameter eps_sqrt_term =
-    eps_ec_prime - 2 sqrt(eps_t) > 0.  The leakage is first + scale * root
-    + prime_term + ec_term, the last two from _leak_constants."""
+def _eps_t_terms(n, gamma, t, rate, est, me_root, xp):
+    """(first, scale, root, max_ent), in the namespace ``xp`` at the shapes
+    of the inputs: the key length's terms that depend on eps_t, over n_eff
+    = n + t rounds.  The leakage is first + scale * root + _leak_constants'
+    two terms: first = n_eff rate, scale = sqrt(n_eff) 4 log2(2 sqrt(2) +
+    1), root = sqrt(2 log2(8 / est^2)) at est = eps_ec_prime - 2
+    sqrt(eps_t) > 0; max_ent is the max-entropy term at the smoothing root
+    ``me_root``."""
+    n_eff = n + t
     return (n_eff * rate, xp.sqrt(n_eff) * 4.0 * LOG2_2SQRT2_PLUS_1,
-            xp.sqrt(2.0 * xp.log2(8.0 / eps_sqrt_term**2)))
+            xp.sqrt(2.0 * xp.log2(8.0 / est**2)),
+            eat._max_entropy(n_eff, gamma, me_root, xp))
 
 
 def _leak_constants(eps_ec_prime, eps_ec, xp=math):
@@ -186,7 +189,7 @@ def completeness_error(params: ProtocolParams, budget: EpsilonBudget) -> float:
     """eps_ec_complete + eps_ec + exp(-2 n delta_est^2), with n the (expected)
     round count of the protocol."""
     return (budget.eps_ec_complete + budget.eps_ec
-            + eat.hoeffding(params.n, params.delta_est))
+            + eat._hoeffding(params.n, params.delta_est, math))
 
 
 def _log_correction(eps_s, xp=math):
@@ -217,8 +220,7 @@ def key_length_block(params: ProtocolParams, budget: EpsilonBudget,
     Uses m = n_bar / s_bar blocks, the block entropy rate, and the round
     count tail t: n_bar + t effective rounds enter the leakage and
     max-entropy terms, whose smoothing parameters shift by sqrt(eps_t);
-    without a tail (_has_tail) eps_t = 0, whatever ``budget.eps_t`` says.
-    """
+    without a tail (_has_tail) eps_t = 0, whatever ``budget.eps_t`` says."""
     fields, m, t, sbar = _key_length(params, budget, s_max)
     return RateReport(*fields, BLOCK, s_max,
                       {"m_blocks": m, "tail_t": t, "s_bar": sbar})
@@ -249,16 +251,14 @@ def _key_length(params: ProtocolParams, budget: EpsilonBudget,
     if not eps_s_shifted > 0:
         raise ValueError("eps_t too large: sqrt(eps_t) >= eps_s/4")
     t = eat.round_count_tail(m, params.gamma, s_max, eps_t) if tail else 0.0
-    n_eff = params.n + t
-    # the leakage over n_eff rounds, at a smoothing shifted by 2 sqrt(eps_t)
-    eps_sqrt_term = budget.eps_ec_prime - 2.0 * math.sqrt(eps_t)
-    if eps_sqrt_term <= 0:
+    # the leakage's smoothing, shifted by 2 sqrt(eps_t)
+    est = budget.eps_ec_prime - 2.0 * math.sqrt(eps_t)
+    if est <= 0:
         raise ValueError("eps_t too large: eps_ec_prime - 2 sqrt(eps_t) <= 0")
-    first, scale, root = _leak_terms(n_eff, leak_rate, eps_sqrt_term)
+    first, scale, root, max_ent = _eps_t_terms(
+        params.n, params.gamma, t, leak_rate, est,
+        eat._smoothing_root(eps_s_shifted, eps_e), math)
     leak = first + scale * root + prime_term + ec_term
-    # the max-entropy term over n_eff rounds, at the shifted smoothing
-    max_ent = eat._max_entropy(n_eff, params.gamma,
-                               eat._smoothing_root(eps_s_shifted, eps_e))
     ell = entropy_term - leak - log_corr - max_ent - pa
     return ((ell, ell / params.n, entropy_term, leak, log_corr, max_ent, pa,
              budget.soundness_error, completeness_error(params, budget), cut,
@@ -313,9 +313,10 @@ EPS_T_CANDIDATE_DECADES = 14
 
 
 def _eps_t_ladder() -> tuple:
-    """The eps_t candidates of a point with a tail, as fractions of cap_t =
-    (eps_s/4)^2: 10^-k, k = 1..13."""
-    return tuple(10.0 ** (-k) for k in range(1, EPS_T_CANDIDATE_DECADES))
+    """The eps_t candidates of every point, as fractions of cap_t =
+    (eps_s/4)^2: 0, which a point with a tail cannot take, then 10^-k."""
+    return (0.0,) + tuple(10.0 ** (-k)
+                          for k in range(1, EPS_T_CANDIDATE_DECADES))
 
 
 def _split_soundness(caps: RateCaps, s_s, s_ea, s_pa) -> tuple:
@@ -329,8 +330,8 @@ def _split_soundness(caps: RateCaps, s_s, s_ea, s_pa) -> tuple:
 def _ec_complete(caps: RateCaps, n, delta_est, xp):
     """The completeness slack C - eps_ec - exp(-2 n delta_est^2) left to
     eps_ec_complete after the estimation Hoeffding term, in the namespace
-    ``xp``; each caller clamps it below 1."""
-    return caps.completeness - caps.eps_ec - eat.hoeffding(n, delta_est, xp)
+    ``xp``: below C, which RateCaps puts below 1."""
+    return caps.completeness - caps.eps_ec - eat._hoeffding(n, delta_est, xp)
 
 
 def _budget_for(caps: RateCaps, params: ProtocolParams, shares: tuple,
@@ -344,8 +345,7 @@ def _budget_for(caps: RateCaps, params: ProtocolParams, shares: tuple,
     eps_ec_complete = _ec_complete(caps, params.n, params.delta_est, math)
     if eps_ec_complete <= caps.eps_ec:
         return None
-    return EpsilonBudget(eps_ec=caps.eps_ec,
-                         eps_ec_complete=min(eps_ec_complete, 1.0 - 1e-12),
+    return EpsilonBudget(eps_ec=caps.eps_ec, eps_ec_complete=eps_ec_complete,
                          eps_s=eps_s, eps_ea=eps_ea, eps_pa=eps_pa,
                          eps_t=(eps_s / 4.0) ** 2 * eps_t_share)
 
@@ -354,22 +354,21 @@ def _eval_point(target: RateTarget, caps: RateCaps, gamma: float,
                 s_max: int, delta_est: float, shares: tuple,
                 eps_t_index: int) -> RateReport | None:
     """The RateReport at (gamma, s_max, delta_est, shares), None if
-    infeasible: key_length_block at s_max and, where the round count has
-    a tail (_has_tail), the eps_t candidate the kernel picked, cap_t *
-    _eps_t_ladder()[eps_t_index] with cap_t = (eps_s/4)^2, whose index the
-    report's ``extras`` record (``eps_t_index``); eps_t = 0 without one."""
+    infeasible: key_length_block at s_max and the eps_t candidate the
+    kernel picked, cap_t * _eps_t_ladder()[eps_t_index], cap_t =
+    (eps_s/4)^2, whose index the report's ``extras`` record where the round
+    count has a tail (``eps_t_index``; _has_tail)."""
     omega_exp, _ = honest_werner(2.0 * target.q)
-    tail = _has_tail(gamma, s_max)
     try:
         params = ProtocolParams(target.n, gamma, omega_exp, delta_est, target.q)
         budget = _budget_for(caps, params, shares,
-                             _eps_t_ladder()[eps_t_index] if tail else 0.0)
+                             _eps_t_ladder()[eps_t_index])
         if budget is None:
             return None
         report = key_length_block(params, budget, s_max)
     except ValueError:
         return None
-    if tail:
+    if _has_tail(gamma, s_max):
         report.extras["eps_t_index"] = eps_t_index
     return report
 
@@ -377,8 +376,8 @@ def _eval_point(target: RateTarget, caps: RateCaps, gamma: float,
 class _ShareAxis(NamedTuple):
     """The share axis of _grid_key_lengths: the terms that depend on the
     epsilon split and eps_t alone, computed once for every pass of a
-    stage.  Shape (S,) per split; (1 + E, 1, 1, S) per split and eps_t,
-    eps_t first: eps_t = 0, then the E candidates."""
+    stage.  Shape (S,) per split; (E, 1, 1, S) per split and eps_t
+    candidate, _eps_t_ladder's, eps_t = 0 first."""
 
     es4: np.ndarray
     eps_e: np.ndarray
@@ -392,14 +391,13 @@ class _ShareAxis(NamedTuple):
 def _share_axis(caps: RateCaps, shares) -> _ShareAxis:
     """_ShareAxis of the positive (eps_s, eps_ea, eps_pa) proportions
     ``shares``: _split_soundness, the log correction (log2(0) for eps_s
-    below 4.2e-8), the PA term, eps_t = 0 and the candidates of
-    _eps_t_ladder, and the max-entropy smoothing root at eps_s/4 -
-    sqrt(eps_t)."""
+    below 4.2e-8), the PA term, the eps_t candidates of _eps_t_ladder and
+    the max-entropy smoothing root at eps_s/4 - sqrt(eps_t)."""
     sh = np.array(shares, dtype=float).reshape(-1, 3)
     with np.errstate(all="ignore"):
         eps_s, eps_ea, eps_pa = _split_soundness(caps, *sh.T)
         es4, eps_e = eps_s / 4.0, eps_ea + caps.eps_ec
-        eps_t = es4**2 * np.reshape((0.0,) + _eps_t_ladder(), (-1, 1, 1, 1))
+        eps_t = es4**2 * np.reshape(_eps_t_ladder(), (-1, 1, 1, 1))
         sqrt_t = np.sqrt(eps_t)
         return _ShareAxis(es4, eps_e, _log_correction(eps_s, np),
                           _pa_term(eps_pa, np), sqrt_t, eps_t,
@@ -427,26 +425,26 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, rows, deltas,
 
     - (G,): the block test mass, s_bar, m, log2 d_O, the cut interval and
       the leakage rate; (D,): eps_ec_prime and the leakage's two
-      constants; (S,) and (1 + E, S): _share_axis;
+      constants; (S,) and (E, S): _share_axis;
     - (G, D, S): the entropy term (cut, penalty K, eat._tangent and its
       slope) less the log correction, the PA term and the leakage
       constants;
-    - (E, G, 1, S): the tail t, n_eff, n_eff * leakage rate + max-entropy
-      term, and the leakage root's factor sqrt(n_eff) 4 log2(2 sqrt(2) +
-      1);
-    - (1 + E, 1, D, S): the leakage root of eps_ec_prime - 2 sqrt(eps_t),
-      +inf where that is <= 0 (no key);
+    - (E, G, 1, S): the tail t and _eps_t_terms' n_eff * leakage rate,
+      max-entropy term and root factor sqrt(n_eff) 4 log2(2 sqrt(2) + 1);
+    - (E, 1, D, S): the leakage root, +inf where eps_ec_prime - 2
+      sqrt(eps_t) <= 0 (no key);
     - (E, G, D, S): one multiply-add, paid, then minimized over eps_t.
 
-    A row without a tail (_has_tail) takes eps_t = 0 in every term: t = 0
-    and both roots at the share axis' eps_t = 0 (by_row), so it pays the
-    same at every candidate (pick 0); a grid of such rows alone keeps one
-    candidate.  No log or sqrt runs on more than the shapes above.  At or
-    below the cut (p~1 within 1e-9 mass of 3/4) the kernel keeps the
-    tangent, about 1e-13 relative from the scalar path's exact bound.  With
-    that, numpy's ulps and another summing order, the values agree with
-    _eval_point within 1e-11 max(|l|, 1), not bit for bit: callers rescore
-    the points they keep with _eval_point.
+    Every row is scored on every candidate of _eps_t_ladder.  A row with a
+    tail pays +inf at the first, eps_t = 0 (t = +inf, the Hoeffding tail's
+    limit); one without (_has_tail) has t = 0 and pays least there, its
+    first minimum, and a grid of such rows alone is scored there only.  No
+    log or sqrt runs on more than the shapes above.  At or below the cut
+    (p~1 within 1e-9 mass of 3/4) the kernel keeps the tangent, about
+    1e-13 relative from the scalar path's exact bound.  With that, numpy's
+    ulps and another summing order, the values agree with _eval_point
+    within 1e-11 max(|l|, 1), not bit for bit: callers rescore the points
+    they keep with _eval_point.
     """
     omega, _ = honest_werner(2.0 * target.q)
     n = target.n
@@ -455,35 +453,28 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, rows, deltas,
         columns = np.array(list(zip(*rows)), dtype=float)
         gamma, s_max = columns[:, :, None, None]
         tail = _has_tail(gamma, s_max)
-        some, every = tail.any(), tail.all()
-
-        def by_row(x):
-            """x, eps_t = 0 first, on each row: x[:1] without a tail, the
-            candidates x[1:] with one."""
-            return (x[1:] if every else np.where(tail, x[1:], x[:1]) if some
-                    else x[:1])
-
         mass = np.where(tail, eat._test_mass(gamma, s_max), gamma)
         sbar = mass / gamma
         m = n / sbar
-        lo, hi = eat.cut_interval(mass)
+        lo, hi = eat._cut_bounds(mass)
         leak_rate = _leak_rate(gamma, binary_entropy(target.q),
                                binary_entropy(omega))
 
         # (D, 1): one row per delta_est
         delta = np.array(deltas, dtype=float)[:, None]
-        ecc = np.minimum(_ec_complete(caps, n, delta, np), 1.0 - 1e-12)
+        ecc = _ec_complete(caps, n, delta, np)
         delta_ok = (delta < 1) & (ecc > caps.eps_ec)
         prime = ecc - caps.eps_ec
-        # (E, G, 1, S), (E, 1, D, S) and (D, 1): the leakage's terms
-        t = eat._tail(m, s_max, shares.eps_t[1:], np) if some else 0.0
-        n_eff = n + np.where(tail, t, 0.0)
-        # A finite log correction needs eps_s > 4.2e-8, so every candidate
-        # has 0 <= sqrt(eps_t) <= eps_s / (4 sqrt(10)): neither the eps_t
-        # guard nor round_count_tail's range check can fire; only est <= 0 can.
-        est = prime - 2.0 * shares.sqrt_t
-        first, scale, root = _leak_terms(n_eff, leak_rate, est, np)
-        root = by_row(np.where(est > 0, root, np.inf))
+        # (E, G, 1, S), (E, 1, D, S) and (D, 1): the eps_t terms, at
+        # candidate 0 alone where no row has a tail.  A finite log
+        # correction needs eps_s > 4.2e-8, so sqrt(eps_t) <= eps_s / (4
+        # sqrt(10)): the eps_t guard cannot fire; est <= 0 can.
+        k = None if tail.any() else 1
+        t = np.where(tail, eat._tail(m, s_max, shares.eps_t[:k], np), 0.0)
+        est = prime - 2.0 * shares.sqrt_t[:k]
+        first, scale, root, max_ent = _eps_t_terms(
+            n, gamma, t, leak_rate, est, shares.me_root[:k], np)
+        root = np.where(est > 0, root, np.inf)
         prime_term, ec_term = _leak_constants(prime, caps.eps_ec, np)
 
         # (G, D, S): the eps_t-free terms
@@ -495,9 +486,7 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, rows, deltas,
                  - (shares.log_corr + shares.pa + prime_term + ec_term))
 
         # (E, G, 1, S), then (E, G, D, S), minimized over eps_t
-        spend = first + eat._max_entropy(n_eff, gamma, by_row(shares.me_root),
-                                         np)
-        paid = scale * root + spend
+        paid = scale * root + (first + max_ent)
         ok = (delta_ok & np.isfinite(shares.log_corr)
               & (p1 / mass >= OMEGA_CLASSICAL))
         return np.where(ok, fixed - paid.min(axis=0), -np.inf), paid

@@ -65,10 +65,11 @@ class TestSpecs:
         with pytest.raises(ValueError):
             eat.BlockSpec(0.5, 0)
 
-    @pytest.mark.parametrize("s_max", [2.5, math.nan, math.inf])
+    @pytest.mark.parametrize("s_max", [2.5, math.nan, math.inf, True, False])
     def test_block_spec_rejects_non_integer_s_max(self, s_max):
         """2.5 and inf were accepted (the simulator then failed in numpy),
-        nan failed as a statistic outside the domain."""
+        nan failed as a statistic outside the domain, and True was taken as
+        s_max = 1."""
         with pytest.raises(ValueError, match="^s_max must be an integer"):
             eat.BlockSpec(0.1, s_max)
 
@@ -553,16 +554,20 @@ class TestRoundCountTail:
     # what each call once returned: a negative or a wrong tail, 0, nan, inf
     # or a "math domain error"
     @pytest.mark.parametrize("m, gamma, s_max, message", [
-        (100, 0.5, 0.5, "s_max must be an integer >= 1"),  # -7.59
-        (100, 0.5, 2.5, "s_max must be an integer >= 1"),  # 22.8
+        (100, 0.5, 0.5, "s_max must be an integer, not 0.5"),  # -7.59
+        (100, 0.5, 2.5, "s_max must be an integer, not 2.5"),  # 22.8
+        (100, 0.5, 2.0, "s_max must be an integer, not 2.0"),  # 10.73
+        (100, 0.5, True, "s_max must be an integer, not True"),  # 0.0
+        (100, 0.5, 0, "s_max must be >= 1"),
         (100, math.nan, 10, r"gamma must be in \(0,1\]"),  # 136.6
         (100, -0.1, 10, r"gamma must be in \(0,1\]"),  # 136.6
         (100, 1.5, 10, r"gamma must be in \(0,1\]"),  # 0.0
         (math.nan, 0.5, 10, "m_blocks must be positive and finite"),
         (math.inf, 0.5, 10, "m_blocks must be positive and finite"),
         (-5, 0.5, 10, "m_blocks must be positive and finite")],
-        ids=["s_max-0.5", "s_max-2.5", "gamma-nan", "gamma-negative",
-             "gamma-1.5", "m-nan", "m-inf", "m-negative"])
+        ids=["s_max-0.5", "s_max-2.5", "s_max-2.0", "s_max-True", "s_max-0",
+             "gamma-nan", "gamma-negative", "gamma-1.5", "m-nan", "m-inf",
+             "m-negative"])
     def test_inputs_checked(self, m, gamma, s_max, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             eat.round_count_tail(m, gamma, s_max, 0.01)
@@ -595,3 +600,32 @@ class TestRoundCountTailExact:
             ratios.append(tail / eps_t)
         # the bound is not vacuous: within a factor 1e3 somewhere
         assert max(ratios) >= 1e-3
+
+
+class TestCheckedBounds:
+    """cut_interval and hoeffding check their inputs; the key length and
+    the grid kernel call their private bodies, _cut_bounds and
+    _hoeffding, on checked inputs."""
+
+    # what each call once returned: (nan, nan), (1.5, 1.71), a negative
+    # interval, (0, 0), (inf, nan)
+    @pytest.mark.parametrize("mass", [math.nan, 2.0, -1.0, 0.0, math.inf])
+    def test_cut_interval_takes_a_test_mass(self, mass):
+        with pytest.raises(ValueError, match=r"^test mass must be in \(0,1\]$"):
+            eat.cut_interval(mass)
+
+    # what each call once returned: nan, nan, 1.105, 0.0, 0.0
+    @pytest.mark.parametrize("n, deviation, message", [
+        (math.nan, 0.1, r"^n must be in \[0, inf\)$"),
+        (10, math.nan, "^deviation must be finite$"),
+        (-5, 0.1, r"^n must be in \[0, inf\)$"),
+        (10, math.inf, "^deviation must be finite$"),
+        (math.inf, 0.1, r"^n must be in \[0, inf\)$")])
+    def test_hoeffding_checks_inputs(self, n, deviation, message):
+        with pytest.raises(ValueError, match=message):
+            eat.hoeffding(n, deviation)
+
+    # the domain's edges: no trials, and a deviation of either sign
+    @pytest.mark.parametrize("n, deviation", [(0, 0.3), (10, -0.2)])
+    def test_hoeffding_domain_edges_accepted(self, n, deviation):
+        assert eat.hoeffding(n, deviation) == math.exp(-2.0 * n * deviation**2)

@@ -424,9 +424,9 @@ class TestBudgetTermsFirst:
         for call in (lambda: kr.key_length(params, budget),
                      lambda: kr.key_length_block(params, budget, 20)):
             assert raised(call) == (ValueError, "math domain error")
-        for s_max in (1, 20):
+        for s_max, index in ((1, 0), (20, 1)):
             point = kr._eval_point(self.TARGET, self.TINY_EPS_S, 0.05, s_max,
-                                   1e-4, (1.0, 1.0, 1.0), 0)
+                                   1e-4, (1.0, 1.0, 1.0), index)
             assert point is None
         base = kr._budget_for(self.TINY_EPS_S, params, (1.0, 1.0, 1.0),
                               0.0)
@@ -438,9 +438,9 @@ class TestBudgetTermsFirst:
         kr.key_length(params, budget)
         kr.key_length_block(params, budget, 20)
         assert len(rate_calls) == 2
-        for s_max in (1, 20):
+        for s_max, index in ((1, 0), (20, 1)):
             point = kr._eval_point(self.TARGET, self.CAPS, 0.05, s_max, 1e-4,
-                                   (1.0, 1.0, 1.0), 0)
+                                   (1.0, 1.0, 1.0), index)
             assert point is not None
         assert len(rate_calls) == 4
 
@@ -500,10 +500,11 @@ class TestKeyLengthBlock:
         with pytest.raises(ValueError):
             kr.key_length_block(params, budget, s_max=5)
 
-    @pytest.mark.parametrize("s_max", [2.5, math.nan, math.inf])
+    @pytest.mark.parametrize("s_max", [2.5, math.nan, math.inf, True])
     def test_non_integer_s_max_rejected(self, s_max):
         """A fractional s_max gave a key length and inf -inf; nan raised
-        "test statistic outside the domain", naming no s_max."""
+        "test statistic outside the domain", naming no s_max; True was
+        taken as s_max = 1."""
         with pytest.raises(ValueError, match="^s_max must be an integer"):
             kr.key_length_block(make_params(), make_budget(eps_t=1e-14),
                                 s_max)
@@ -753,12 +754,12 @@ class TestOptimizeRate:
             kr.optimize_rate(kr.RateTarget(n=n, q=0.01), self.CAPS, mode)
 
     def test_eps_t_provenance(self):
-        for n, index in ((1e15, 0), (1e10, 1)):
+        for n, index in ((1e15, 1), (1e10, 2)):
             report = kr.optimize_rate(kr.RateTarget(n=n, q=0.005), self.CAPS,
                                       mode=kr.BLOCK)
             cap_t = (report.budget.eps_s / 4.0) ** 2
             assert report.extras["eps_t_index"] == index
-            assert report.budget.eps_t == cap_t * 10.0 ** (-(index + 1))
+            assert report.budget.eps_t == cap_t * 10.0 ** (-index)
 
 
 def s_rule(gamma):
@@ -786,9 +787,10 @@ def has_tail(gamma, s_max):
 
 
 def sweep_oracle(target, caps, gamma, s_max, delta, shares):
-    """The eps_t sweep as one full key_length_block call per candidate,
-    keeping the first strict maximum, whose index in the sweep its report's
-    extras record (``eps_t_index``), as _eval_point's do."""
+    """The eps_t sweep as one full key_length_block call per candidate
+    eps_t = cap_t 10^-k, k = 1..13 (eps_t = 0 is no candidate where the
+    round count has a tail), keeping the first strict maximum, whose k its
+    report's extras record (``eps_t_index``), as _eval_point's do."""
     omega, _ = kr.honest_werner(2.0 * target.q)
     try:
         params = kr.ProtocolParams(target.n, gamma, omega, delta, target.q)
@@ -807,7 +809,7 @@ def sweep_oracle(target, caps, gamma, s_max, delta, shares):
             continue
         if best is None or report.key_length > best.key_length:
             best = report
-            best.extras["eps_t_index"] = k - 1
+            best.extras["eps_t_index"] = k
     return best
 
 
@@ -893,7 +895,7 @@ class TestEpsTSweep:
         # eps_ec_prime ~ 1e-9 < 2 sqrt(eps_t) for the largest candidates
         report = self.check(self.CAPS, 0.01, self.delta_leaving(1e-9),
                             (1.0, 1.0, 1.0))
-        assert report.extras["eps_t_index"] > 0
+        assert report.extras["eps_t_index"] > 1
 
     def test_every_candidate_raises(self):
         # eps_ec_prime ~ 1e-13 < 2 sqrt(eps_t) for every candidate
@@ -1047,6 +1049,10 @@ def reference_result(n, q, mode):
 class TestGridKernel:
     CAPS = kr.RateCaps(soundness=1e-5, completeness=1e-2, eps_ec=1e-10)
     STRICT = kr.RateCaps(soundness=1e-9, completeness=1e-2, eps_ec=1e-12)
+    # eps_ec_complete = C - eps_ec - exp(-2 n delta_est^2) can pass
+    # 1 - 1e-12 only where the completeness cap C is that close to 1
+    NEAR_ONE = kr.RateCaps(soundness=1e-5, completeness=1.0 - 1e-13,
+                           eps_ec=1e-15)
     # n from 1e6 to 1e15, q from 0 to 0.034, the zero-crossing window
     # included; at n = 1e6 the Hoeffding term leaves no completeness
     # slack for delta_est below ~1.5e-3
@@ -1063,7 +1069,7 @@ class TestGridKernel:
         reference's key length; returns the feasible count."""
         got, paid = grid_kernel(target, caps, rows, deltas, shares)
         assert got.shape == (len(rows), len(deltas), len(shares))
-        # one candidate on a grid without a tail, where all pay the same
+        # candidate 0 alone on a grid without a tail, the least paid there
         tails = any(has_tail(*row) for row in rows)
         assert paid.shape == (len(kr._eps_t_ladder()) if tails else 1,) \
             + got.shape
@@ -1131,20 +1137,29 @@ class TestGridKernel:
     def test_s_max_rows(self):
         """Block rows whose s_max is not ceil(1/gamma): from 1 to
         ceil(3/gamma), and s_max > 1 at gamma = 1, where every block is one
-        round, so there is no tail and eps_t = 0 in every term."""
+        round, so there is no tail and eps_t = 0 in every term; under the
+        test caps and under a completeness cap of 1 - 1e-13, where the
+        budget's eps_ec_complete passes 1 - 1e-12 and stays below 1."""
         rows = [(g, s) for g in (1.0, 0.3, 0.0123, 4e-4)
                 for s in sorted({1, 2} | {s_rule(g / f)
                                           for f in (0.5, 1.5, 3.0)})]
-        for n, q in ((1e10, 0.005), (1e7, 0.03)):
-            feasible = self.check(kr.RateTarget(n=n, q=q), self.CAPS, rows,
+        for caps, (n, q) in itertools.product(
+                (self.CAPS, self.NEAR_ONE), ((1e10, 0.005), (1e7, 0.03))):
+            feasible = self.check(kr.RateTarget(n=n, q=q), caps, rows,
                                   [1e-5, 1e-4, 2e-3], [(1.0, 1.0, 1.0)])
             assert 0 < feasible < 3 * len(rows)
+        params = kr.ProtocolParams(1e10, 0.3, 0.85, 2e-3, 0.005)
+        budget = kr._budget_for(self.NEAR_ONE, params, (1.0, 1.0, 1.0), 0.0)
+        assert 1.0 - 1e-12 < budget.eps_ec_complete == (
+            self.NEAR_ONE.completeness - self.NEAR_ONE.eps_ec) < 1.0
 
     def test_rows_with_and_without_tail(self):
         """One grid that mixes rows with a tail and rows without one
         (s_max = 1, and gamma = 1 with s_max > 1), interleaved, at several
-        splits: the kernel meets _eval_point and the scalar reference, and
-        a row without a tail pays the same at every candidate (pick 0)."""
+        splits: the kernel meets _eval_point and the scalar reference; a
+        row without a tail picks candidate 0, eps_t = 0, and a row with one
+        pays +inf there; and each row's values and picks are bit-equal to
+        those of the row scored alone."""
         rows = [(0.3, 4), (1.0, 3), (0.0123, 1), (0.0123, 90), (1.0, 1),
                 (4e-4, 2500), (0.3, 1)]
         assert 0 < sum(has_tail(*row) for row in rows) < len(rows)
@@ -1153,10 +1168,17 @@ class TestGridKernel:
         deltas = [1e-5, 1e-4, 2e-3]
         assert 0 < self.check(target, self.CAPS, rows, deltas, shares) \
             < len(rows) * len(deltas) * len(shares)
-        _, paid = grid_kernel(target, self.CAPS, rows, deltas, shares)
+        values, paid = grid_kernel(target, self.CAPS, rows, deltas, shares)
+        picks = paid.argmin(axis=0)
         for i, row in enumerate(rows):
-            if not has_tail(*row):
-                assert np.all(paid[:, i] == paid[:1, i])
+            if has_tail(*row):
+                assert np.all(paid[0, i] == math.inf)
+            else:
+                assert np.all(picks[i] == 0)
+            alone, alone_paid = grid_kernel(target, self.CAPS, [row], deltas,
+                                            shares)
+            assert np.array_equal(values[i], alone[0])
+            assert np.array_equal(picks[i], alone_paid.argmin(axis=0)[0])
 
     def check_oracle(self, got, want):
         """The key length is at least the golden-section reference's, less
@@ -1296,8 +1318,7 @@ def reference_grid_key_lengths(target, caps, rows, deltas, shares):
     tail = (s_max > 1) & (gamma < 1)
     rows = []
     for delta in deltas:
-        ecc = min(caps.completeness - caps.eps_ec - eat.hoeffding(n, delta),
-                  1.0 - 1e-12)
+        ecc = caps.completeness - caps.eps_ec - eat.hoeffding(n, delta)
         if 0 < delta < 1 and ecc > caps.eps_ec:
             rows.append((True, delta, ecc - caps.eps_ec))
         else:
@@ -1432,7 +1453,7 @@ class TestKernelOracle:
     def test_picks_match_scalar_sweep(self):
         """At every feasible block point of seeded random grids, the
         kernel's eps_t pick, the first minimum of ``paid``, is the scalar
-        sweep's first strict maximum."""
+        sweep's first strict maximum, 0 without a tail (scalar_point)."""
         rng = np.random.default_rng(20261019)
         checked = 0
         while checked < 1000:
@@ -1441,10 +1462,10 @@ class TestKernelOracle:
                 continue
             values, paid = grid_kernel(target, caps, rows, deltas, shares)
             for i, j, k in zip(*np.nonzero(np.isfinite(values))):
-                want = sweep_oracle(target, caps, *rows[i], deltas[j],
+                want = scalar_point(target, caps, *rows[i], deltas[j],
                                     shares[k])
                 assert int(paid[:, i, j, k].argmin()) == \
-                    want.extras["eps_t_index"]
+                    want.extras.get("eps_t_index", 0)
                 checked += 1
 
     def test_below_cut(self):

@@ -19,15 +19,16 @@ import pytest
 import di_toolkit
 
 # one marker per formula: the max-entropy term, the leakage sum, the
-# Hoeffding bound, the s_max = ceil(1/gamma) rule, the honest-device
-# sampler's test-flag draw (shared with the round-count statistic) and its
-# per-round uniform draws, the secrecy bound's slope (taken with the bound
+# leakage root of the eps_t terms, the Hoeffding bound, the s_max =
+# ceil(1/gamma) rule, the honest-device sampler's test-flag draw (shared
+# with the round-count statistic) and its per-round uniform draws, the secrecy bound's slope (taken with the bound
 # from one root), the smoothing root of the max-entropy term and the EAT
 # penalty, the multinomial of tau's denominators, the eps_t candidate
 # ladder, the error budget's soundness split and completeness slack, the
 # block output dimension's closed form, and the glued function's tangent
 # at its cut
-MARKERS = ["LOG2_7", "LOG2_2SQRT2_PLUS_1", "exp(-2.0 *", "ceil(1.0 / gamma",
+MARKERS = ["LOG2_7", "LOG2_2SQRT2_PLUS_1", "xp.log2(8.0 / est",
+           "exp(-2.0 *", "ceil(1.0 / gamma",
            "rng.random((m, block.s_max))", "rng.random(n)",
            "log2(u / (1.0 - u))", "1.0 - 2.0 * xp.log2(",
            "math.comb(", "10.0 ** (-k)", "caps.soundness - 2.0 * caps.eps_ec",
@@ -196,9 +197,11 @@ def test_public_names_have_a_role():
 
 # the public names whose one role is a word in the README's Layout block:
 # the block protocol's sampler, on which a block mode of the simulate
-# command would build, and the n-round box, whose table layout the de
-# Finetti functions take
-README_ONLY = {"simulate:run_protocol_blocks", "boxes:MultiRoundBox"}
+# command would build, the n-round box, whose table layout the de Finetti
+# functions take, and the checked cut interval, whose private body the key
+# length and the grid kernel call
+README_ONLY = {"simulate:run_protocol_blocks", "boxes:MultiRoundBox",
+               "eat:cut_interval"}
 
 
 def test_readme_only_names_are_listed():
