@@ -20,8 +20,10 @@ first on PYTHONPATH, and hashes four groups there:
   holds the chsh.json and data.json they read; an example that exits
   non-zero counts as raised;
 - verify: ns_value (value, kappa) and perturbed_value at the slacks 0,
-  0.01 and 0.05 on CHSH, extended CHSH and 24 seeded random games of the
-  verify-mix shapes; signalling_test_flags on 40 seeded data sets; the
+  0.01 and 0.05 on CHSH, extended CHSH, 24 seeded random games of the
+  verify-mix shapes and the three stalling games (whose slack-0 program
+  loses its basis: the raise names the pivots made, so a change to the
+  pivot path shows); signalling_test_flags on 40 seeded data sets; the
   exact max ratio of definetti-verify's check at n = 1, 2 and 3; the
   class count and a SHA-1 of the tau denominators at n = 4 on
   Alphabets(4, 8, 1, 1), where they pass 2**63;
@@ -69,6 +71,10 @@ GAME_SHAPES = [(2, 2, 2, 2), (2, 2, 3, 3), (2, 3, 2, 3), (2, 3, 3, 3),
                (3, 2, 3, 2), (3, 2, 3, 3), (3, 3, 2, 3), (3, 3, 3, 2)]
 SLACKS = (0.0, 0.01, 0.05)
 VERIFY_SEED = 18121092
+# games 9, 19 and 45 of tests/conftest.py's random_game(default_rng(5), 4,
+# 3): perturbed_value at slack 0 loses its basis in phase 1 on each
+STALLING_SEED = 5
+STALLING_GAMES = (9, 19, 45)
 # (n, gamma, delta_est, trials) of the abort estimator lines
 ESTIMATOR_CASES = [(10**4, 0.5, 0.02, 500), (1000, 0.5, 0.001, 200),
                    (2000, 1.0, 0.01, 200), (5, 0.5, 0.001, 300),
@@ -204,6 +210,23 @@ def _call_line(call):
                         (value,)))
 
 
+def stalling_games(boxes):
+    """The STALLING_GAMES draws of random_game(default_rng(STALLING_SEED),
+    4, 3), drawn as tests/conftest.py draws them."""
+    import numpy as np
+
+    rng = np.random.default_rng(STALLING_SEED)
+    games = []
+    for k in range(max(STALLING_GAMES) + 1):
+        a, b, x, y = (int(rng.integers(2, top + 1)) for top in (3, 3, 4, 4))
+        q = 0.9 * rng.dirichlet(np.ones(x * y)).reshape(x, y) + 0.1 / (x * y)
+        win = rng.random((a, b, x, y)) < 0.5
+        if k in STALLING_GAMES:
+            games.append(boxes.Game(boxes.Alphabets(a, b, x, y),
+                                    boxes.InputDistribution(q), win))
+    return games
+
+
 def verify_lines(lib):
     """One line per non-signalling program, signalling data set, de
     Finetti check, exact or estimated abort probability and round-count
@@ -219,7 +242,7 @@ def verify_lines(lib):
         games.append(boxes.Game(boxes.Alphabets(a, b, x, y),
                                 boxes.InputDistribution(q),
                                 rng.random((a, b, x, y)) < 0.5))
-    for game in games:
+    for game in games + stalling_games(boxes):
         yield _call_line(lambda: nslp.ns_value(game))
         for slack in SLACKS:
             yield _call_line(lambda: nslp.perturbed_value(game, slack))

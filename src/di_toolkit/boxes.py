@@ -63,12 +63,15 @@ def _json_integer(value, name: str) -> int:
 
 def _numbers(value, message: str) -> np.ndarray:
     """np.asarray(value), or ValueError(message) unless every entry is a
-    number: the dtype must be numeric, and since numpy reads [0, true] as
-    integers, a list (as read from JSON) must hold no bool either."""
+    number: the dtype must be numeric with no NaN (which Python's json
+    reads), and since numpy reads [0, true] as integers, a list (as read
+    from JSON) must hold no bool either."""
     arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf" or isinstance(value, list) and bool in set(
-            map(type, np.asarray(value, dtype=object).flat if arr.ndim > 1
-                else value)):
+    kind = arr.dtype.kind
+    if kind not in "iuf" or kind == "f" and np.isnan(arr).any() or (
+            isinstance(value, list) and bool in set(
+                map(type, np.asarray(value, dtype=object).flat
+                    if arr.ndim > 1 else value))):
         raise ValueError(message)
     return arr
 
@@ -108,14 +111,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _box_table(p, expected: tuple) -> np.ndarray:
-    """``p`` as a frozen box table: shape ``expected``, entries >= 0 and the
-    outputs of each input summing to 1, both within NORMALIZATION_TOL
-    (entries that small below 0 become 0)."""
+    """``p`` as a frozen box table: shape ``expected``, entries >= 0 (NaN
+    refused) and the outputs of each input summing to 1, both within
+    NORMALIZATION_TOL (entries that small below 0 become 0)."""
     p = np.asarray(p, dtype=float)
     if p.shape != expected:
         raise ValueError(f"table shape {p.shape} != {expected}")
-    if np.any(p < -NORMALIZATION_TOL):
-        raise ValueError("negative probability entry")
+    if not np.all(p >= -NORMALIZATION_TOL):  # NaN fails too
+        raise ValueError("negative or NaN probability entry")
     p = np.clip(p, 0.0, None)
     if np.any(np.abs(p.sum(axis=(2, 3)) - 1.0) > NORMALIZATION_TOL):
         raise ValueError("per-input normalization violated")

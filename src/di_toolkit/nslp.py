@@ -28,10 +28,11 @@ here have at most a few hundred variables and we need deterministic,
 reproducible solutions.  At this size a pivot's cost is numpy call
 overhead, not arithmetic, so the cost row is the tableau's last row and
 one row update per pivot clears the entering column from it too.  A
-program may carry a start (:func:`perturbed_value`'s is the deterministic
-box (0, 0)), and phase 2 runs from it when its basis is feasible as
-computed.  An optimum is checked against every row and x >= 0 before it
-is returned.
+program is a constraint matrix with a relation and a right-hand side per
+row ([S; N; I] in :func:`build_ns_lp`).  solve takes a program's start
+where its basis is feasible as computed, else flips rows to b >= 0 and
+adds artificials on the rows left without a basic column.  An optimum is
+checked against every row and x >= 0 before it is returned.
 
 Bland's rule ends only in exact arithmetic.  When a column that is
 already basic enters again, its tableau column is compared with its unit
@@ -42,8 +43,8 @@ no later pivot means anything, and the solve raises SolverError.  Over
 solves that end optimal sat at most 2e-9 off unit, and the first broken
 column of each lost basis 1.6e-3 to 39 off unit (9 programs, all of the
 ``<= 0`` form; without the check they ran for seconds into the iteration
-cap or ended in a false "infeasible").  BASIS_TOL = 1e-6 sits near the geometric mean of the two
-scales.
+cap or ended in a false "infeasible").  BASIS_TOL = 1e-6 sits near the
+geometric mean of the two scales.
 """
 
 from __future__ import annotations
@@ -68,15 +69,17 @@ LE, EQ, GE = "<=", "=", ">="
 
 @dataclass
 class LinearProgram:
-    """max c.x subject to rows (coeffs, relation, rhs); variables x >= 0.
-
-    ``start`` holds (row, column) pairs, one per = row: solve pivots on
-    each to make that column basic there, and runs phase 2 from the
-    result if it is a feasible basis (_start).  ``then``, if given, is a
-    second objective, maximized over the optima of c (_onto_face)."""
+    """max c.x subject to rows @ x (rels) rhs and x >= 0, for an (m, n)
+    matrix ``rows``, one relation per row and an (m,) ``rhs``.  ``start``
+    holds (row, column) pairs, one per = row: solve pivots on each to
+    make that column basic there, and runs phase 2 from the result if it
+    is a feasible basis (_start).  ``then``, if given, is a second
+    objective, maximized over the optima of c (_onto_face)."""
 
     c: np.ndarray
-    rows: list  # list of (np.ndarray, relation, float)
+    rows: np.ndarray
+    rels: np.ndarray
+    rhs: np.ndarray
     start: tuple = ()
     then: np.ndarray | None = None
 
@@ -87,11 +90,18 @@ class LinearProgram:
             self.then = np.asarray(self.then, dtype=float)
             if self.then.shape != (n,):
                 raise ValueError("then length != variable count")
-        for coeffs, rel, _ in self.rows:
-            if np.asarray(coeffs).shape != (n,):
-                raise ValueError("row length != variable count")
-            if rel not in (LE, EQ, GE):
-                raise ValueError(f"unknown relation {rel!r}")
+        self.rows = np.asarray(self.rows, dtype=float)
+        if not self.rows.size:  # [] has shape (0,), not (0, n)
+            self.rows = self.rows.reshape(len(self.rows), n)
+        self.rels = np.asarray(self.rels, dtype=str)
+        self.rhs = np.asarray(self.rhs, dtype=float)
+        m = len(self.rows)
+        if (self.rows.shape, self.rels.shape, self.rhs.shape) != (
+                (m, n), (m,), (m,)):
+            raise ValueError("rows, rels and rhs must be (m, n), (m,), (m,)")
+        unknown = set(self.rels.tolist()) - {LE, EQ, GE}
+        if unknown:
+            raise ValueError(f"unknown relation {min(unknown)!r}")
 
     @property
     def num_vars(self) -> int:
@@ -101,13 +111,13 @@ class LinearProgram:
 @dataclass
 class LPSolution:
     """A solve's outcome and its record: the final basis (the basic column
-    of each row of the equality form; an artificial left basic has an
-    index past its columns) and the pivot counts of phase 1 (including
-    the pivots that drive artificials out) and phase 2 (including a
-    ``then`` continuation's, whose end is ``primal``; ``value`` is c's
-    optimum).  From an accepted start, phase 1 is the start's pivots.  A
-    refused start's pivots were made on a tableau that is dropped, and
-    are not counted: the record is the two-phase solve's."""
+    of each of the program's rows; an artificial left basic has an index
+    past its columns) and the pivot counts of phase 1 (an accepted
+    start's pivots, else the artificials' phase and the pivots that
+    drive them out) and phase 2 (including a ``then`` continuation's,
+    whose end is ``primal``; ``value`` is c's optimum).  A refused
+    start's pivots were made on a tableau that is dropped, and are not
+    counted: the record is the two-phase solve's."""
 
     status: str  # optimal | infeasible | unbounded
     value: float = float("nan")
@@ -196,64 +206,54 @@ def solve(lp: LinearProgram) -> LPSolution:
     Deterministic given the program.  Raises SolverError if the tableau
     loses its basis or the optimum breaks a row (_certify).
     """
-    n = lp.num_vars
-    m = len(lp.rows)
-    rels = [rel for _, rel, _ in lp.rows]
+    n, m = lp.num_vars, len(lp.rows)
 
     # Equality standard form: A x + S slack = b with slack >= 0 for <= rows
     # (>= rows get -1 slack); rows 0..m-1 are the constraints, row m the
     # cost row, and the last column the rhs.
-    slack_rows = [i for i, rel in enumerate(rels) if rel != EQ]
+    slack_rows = np.flatnonzero(lp.rels != EQ)
     n_total = n + len(slack_rows)
+    slacks = slack_rows, np.arange(n, n_total)
     form = np.zeros((m + 1, n_total + 1))
-    form[:m, :n] = np.reshape([coeffs for coeffs, _, _ in lp.rows], (m, n))
-    form[:m, -1] = [rhs for _, _, rhs in lp.rows]
-    slack_col = {i: n + k for k, i in enumerate(slack_rows)}
-    for i, j in slack_col.items():
-        form[i, j] = 1.0 if rels[i] == LE else -1.0
+    form[:m, :n] = lp.rows
+    form[:m, -1] = lp.rhs
+    form[slacks] = np.where(lp.rels[slack_rows] == LE, 1.0, -1.0)
 
-    started = _start(form, rels, slack_col, lp.start) if lp.start else None
-    if started is not None:
-        tableau, basis = started
-        phase1, max_iter = len(lp.start), 50000 + 200 * n_total
-    else:
-        # Flip rows to make b >= 0; artificials where the slack cannot
-        # start basic.
-        tableau, basis = _flipped(form, np.flatnonzero(form[:m, -1] < 0),
-                                  slack_col)
-        art_rows = [i for i in range(m) if basis[i] < 0]
-        n_art = len(art_rows)
+    # the accepted start, else the rows flipped to b >= 0; artificials on
+    # the rows left without a basic column (none after an accepted start)
+    started = _start(form, lp.rels, slacks, lp.start) if lp.start else None
+    tableau, basis = started or _flipped(
+        form, np.flatnonzero(form[:m, -1] < 0), slacks)
+    phase1 = len(lp.start) if started else 0
+    art_rows = [i for i in range(m) if basis[i] < 0]
+    n_art = len(art_rows)
+    max_iter = 50000 + 200 * (n_total + n_art)
+    if n_art:
         for k, i in enumerate(art_rows):
             basis[i] = n_total + k
         tableau = np.insert(tableau, [n_total] * n_art, 0.0, axis=1)
         tableau[art_rows, n_total + np.arange(n_art)] = 1.0
-
-        max_iter = 50000 + 200 * (n_total + n_art)
-        phase1 = 0
-        if n_art:
-            # auxiliary objective: maximize -(sum of artificials); reduced
-            # cost row starts at sum of the artificial rows, rhs column =
-            # -objective
-            cost = tableau[m]
-            for i in art_rows:
-                cost += tableau[i]
-            cost[n_total:n_total + n_art] = 0.0
-            status, phase1 = _simplex_phase(tableau, basis, n_total + n_art,
-                                            max_iter, 1)
-            if status != "optimal" or cost[-1] > 1e-7:
-                return LPSolution(status="infeasible", basis=np.array(basis),
-                                  pivots=(phase1, 0))
-            # pivot artificials out of the basis where possible
-            for i in range(m):
-                if basis[i] >= n_total:
-                    nz = np.flatnonzero(
-                        np.abs(tableau[i, :n_total]) > SOLVER_TOL)
-                    if nz.size:
-                        _pivot(tableau, i, nz[0])
-                        basis[i] = int(nz[0])
-                        phase1 += 1
-            tableau = np.delete(tableau, np.s_[n_total:n_total + n_art],
-                                axis=1)
+        # auxiliary objective: maximize -(sum of artificials); the cost row
+        # starts at the sum of the artificial rows (rhs column = -objective)
+        cost = tableau[m]
+        for i in art_rows:
+            cost += tableau[i]
+        cost[n_total:n_total + n_art] = 0.0
+        status, pivots = _simplex_phase(tableau, basis, n_total + n_art,
+                                        max_iter, 1)
+        phase1 += pivots
+        if status != "optimal" or cost[-1] > 1e-7:
+            return LPSolution(status="infeasible", basis=np.array(basis),
+                              pivots=(phase1, 0))
+        # pivot artificials out of the basis where possible
+        for i in range(m):
+            if basis[i] >= n_total:
+                nz = np.flatnonzero(np.abs(tableau[i, :n_total]) > SOLVER_TOL)
+                if nz.size:
+                    _pivot(tableau, i, nz[0])
+                    basis[i] = int(nz[0])
+                    phase1 += 1
+        tableau = np.delete(tableau, np.s_[n_total:n_total + n_art], axis=1)
 
     # Phase 2, then on to lp.then over the optima of c.
     _price(tableau, basis, lp.c)
@@ -269,7 +269,7 @@ def solve(lp: LinearProgram) -> LPSolution:
                           pivots=(phase1, phase2))
 
     primal = _primal(tableau, basis, n_total)[:n]
-    _certify(form, rels, primal)
+    _certify(lp, primal)
     reached = float(lp.c @ primal)
     if lp.then is None:
         value = reached
@@ -314,19 +314,19 @@ def _primal(tableau, basis, n_total):
     return primal
 
 
-def _flipped(form, rows, slack_col):
-    """A copy of ``form`` with ``rows`` negated, and the basic column of
-    each row whose slack then enters with +1 (-1 on the other rows)."""
+def _flipped(form, rows, slacks):
+    """A copy of ``form`` with ``rows`` negated, and its basis: each row's
+    slack column (``slacks``: rows, columns) where that entry is then +1,
+    else -1."""
     tableau = form.copy()
     tableau[rows] *= -1.0
-    basis = [-1] * (len(tableau) - 1)
-    for i, j in slack_col.items():
-        if tableau[i, j] == 1.0:
-            basis[i] = j
-    return tableau, basis
+    basis = np.full(len(tableau) - 1, -1)
+    enters = tableau[slacks] == 1.0
+    basis[slacks[0][enters]] = slacks[1][enters]
+    return tableau, basis.tolist()
 
 
-def _start(form, rels, slack_col, start):
+def _start(form, rels, slacks, start):
     """The program's start as (tableau, basis), or None where it is refused.
 
     Each >= row is written as its negated <= row, so every slack enters
@@ -336,8 +336,7 @@ def _start(form, rels, slack_col, start):
     right-hand side is < 0 as computed: it is taken as it stands, with no
     clean-up of rounding.
     """
-    tableau, basis = _flipped(
-        form, [i for i, rel in enumerate(rels) if rel == GE], slack_col)
+    tableau, basis = _flipped(form, np.flatnonzero(rels == GE), slacks)
     for i, j in start:
         if not abs(tableau[i, j]) > SOLVER_TOL:
             return None
@@ -348,11 +347,11 @@ def _start(form, rels, slack_col, start):
     return tableau, basis
 
 
-def _certify(form, rels, x):
+def _certify(lp, x):
     """Raise SolverError if x < 0, or if x breaks a row a.x (rel) b of the
-    equality form's tableau ``form`` by more than RESIDUAL_TOL times the
-    row's scale 1 + |a|.|x| + |b|."""
-    a, b, rel = form[:-1, :len(x)], form[:-1, -1], np.array(rels)
+    program by more than RESIDUAL_TOL times the row's scale
+    1 + |a|.|x| + |b|."""
+    a, b, rel = lp.rows, lp.rhs, lp.rels
     excess = a @ x - b
     excess = np.select([rel == EQ, rel == GE], [abs(excess), -excess], excess)
     scale = 1.0 + np.abs(a) @ np.abs(x) + np.abs(b)
@@ -390,11 +389,12 @@ def build_ns_lp(game: Game, slack: float | None = None) -> LinearProgram:
     nvar = al.x_size * al.y_size * al.a_size * al.b_size
     wins = np.transpose(game.win, (2, 3, 0, 1))  # [x][y][a][b]
     c = np.where(wins, game.q.q[:, :, None, None], 0.0).reshape(-1)
-    sig = (EQ, 0.0) if slack is None else (LE, slack)
-    rows = [(r, *sig) for r in signalling_matrix(al, game.q)]
-    rows += [(r, EQ, 1.0) for r in _normalization_matrix(al)]
-    rows += [(r, GE, 0.0) for r in np.eye(nvar)]
-    return LinearProgram(c, rows)
+    S, N = signalling_matrix(al, game.q), _normalization_matrix(al)
+    sig_rel, sig_rhs = (EQ, 0.0) if slack is None else (LE, slack)
+    sizes = [len(S), len(N), nvar]
+    return LinearProgram(c, np.vstack([S, N, np.eye(nvar)]),
+                         np.repeat([sig_rel, EQ, GE], sizes),
+                         np.repeat([sig_rhs, 1.0, 0.0], sizes))
 
 
 def _outright_value(game: Game) -> float | None:
@@ -448,11 +448,11 @@ def ns_value(game: Game) -> tuple:
     v0 = np.where(wins.any(axis=(2, 3)), game.q.q, 0.0)
     rhs = np.where(wins, 0.0, v0[:, :, None, None]).reshape(-1)
     dual_rows = -np.hstack([S.T, N.T, -N.T])
-    rows = [(r, LE, float(b)) for r, b in zip(dual_rows, rhs)]
     # maximize -sum(w), then -sum(u) over its optima
     minus_sum_w = np.repeat([0.0, -1.0, 1.0], [d, n_norm, n_norm])
     minus_sum_u = np.repeat([-1.0, 0.0], [d, 2 * n_norm])
-    sol = solve(LinearProgram(minus_sum_w, rows, then=minus_sum_u))
+    sol = solve(LinearProgram(minus_sum_w, dual_rows, np.full(len(rhs), LE),
+                              rhs, then=minus_sum_u))
     if sol.status != "optimal":
         raise SolverError(f"non-signalling program: {sol.status}")
     # sum(u) >= 0; +0.0, not -0.0 or rounding noise, at a zero optimum

@@ -49,7 +49,7 @@ class SigTarget:
 @dataclass(frozen=True)
 class TestParams:
     """Signalling-test thresholds; requires 7*eps <= zeta < inf, eps > 0
-    and even n."""
+    and an even integer n."""
 
     zeta: float
     eps: float
@@ -60,6 +60,7 @@ class TestParams:
             raise ValueError("eps must be positive")
         if not 7 * self.eps <= self.zeta < math.inf:  # NaN fails too
             raise ValueError("zeta must be finite and at least 7*eps")
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n % 2 != 0 or self.n < 2:
             raise ValueError("n must be even and >= 2")
 
@@ -136,28 +137,11 @@ def all_sig_targets(alphabets: Alphabets) -> list:
 def sanov_delta(n: int, eps: float, cells: int) -> float:
     """(n+1)^(cells-1) * exp(-n*eps^2/2): Sanov bound on the probability
     that the empirical conditional distribution of n samples is more than
-    eps away in (input-averaged) L1."""
-    if not (n >= 1 and eps > 0 and cells >= 1):  # NaN fails too
-        raise ValueError("need n >= 1, eps > 0, cells >= 1")
+    eps away in (input-averaged) L1; n finite, cells an integer."""
+    if not (1 <= n < math.inf and eps > 0 and cells >= 1):  # NaN fails too
+        raise ValueError("need 1 <= n < inf, eps > 0, cells >= 1")
+    _integer(cells, "cells")
     return (n + 1.0) ** (cells - 1) * math.exp(-n * eps * eps / 2.0)
-
-
-def split_halves(data: ObservedData) -> tuple:
-    """First-half / second-half split of observed data (n must be even)."""
-    if data.n % 2 != 0:
-        raise ValueError("n must be even")
-    h = data.n // 2
-    first = ObservedData(h, data.a[:h], data.b[:h], data.x[:h], data.y[:h],
-                         data.alphabets)
-    second = ObservedData(h, data.a[h:], data.b[h:], data.x[h:], data.y[h:],
-                          data.alphabets)
-    return first, second
-
-
-def _all_pairs_present(data: ObservedData, q: InputDistribution) -> bool:
-    seen = np.zeros((q.x_size, q.y_size), dtype=bool)
-    seen[data.x, data.y] = True
-    return bool(seen.all())
 
 
 def signalling_test_flags(data: ObservedData, q: InputDistribution,
@@ -173,24 +157,27 @@ def signalling_test_flags(data: ObservedData, q: InputDistribution,
     and eps entering as the exact rationals of their floats.  If any input
     pair is missing from either half every target rejects by definition
     (the frequency boxes are not defined for all inputs).  ``q`` must have
-    complete support.
+    complete support.  Both halves are counted in one pass, as
+    c[half, x, y, a, b].
     """
     if data.n != params.n:
         raise ValueError("data length does not match test parameters")
-    first, second = split_halves(data)
     al = data.alphabets
     if (al.x_size, al.y_size) != (q.x_size, q.y_size):
         raise AlphabetMismatchError("data and q input alphabets differ")
-    if not (_all_pairs_present(first, q) and _all_pairs_present(second, q)):
+    h = data.n // 2  # params.n is even
+    counts = np.zeros((2, al.x_size, al.y_size, al.a_size, al.b_size),
+                      dtype=np.int64)
+    np.add.at(counts, (np.repeat([0, 1], h), data.x, data.y, data.a,
+                       data.b), 1)
+    if not counts.any(axis=(3, 4)).all():
         return np.zeros(al.num_signalling_constraints, dtype=bool)
     if not q.complete_support:
         raise ValueError("input distribution must have complete support")
-    counts = np.zeros((al.x_size, al.y_size, al.a_size, al.b_size),
-                      dtype=np.int64)
-    np.add.at(counts, (second.x, second.y, second.a, second.b), 1)
+    counts = counts[1]
     qq = np.array([[Fraction(v) for v in row] for row in q.q.tolist()],
                   dtype=object)
-    threshold = (Fraction(params.zeta) - 2 * Fraction(params.eps)) * second.n
+    threshold = (Fraction(params.zeta) - 2 * Fraction(params.eps)) * h
     c_xyb = counts.sum(axis=2).astype(object)
     c_xya = counts.sum(axis=3).astype(object)
     a_to_b = c_xyb - (qq / qq.sum(axis=0))[:, :, None] * c_xyb.sum(axis=0)

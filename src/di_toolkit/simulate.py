@@ -165,8 +165,9 @@ def run_protocol_blocks(m_blocks: int, block: BlockSpec, omega_exp: float,
 
 def wilson_interval(successes: int, trials: int) -> tuple:
     """95% Wilson score interval for a binomial proportion."""
-    if not trials >= 1:
+    if not trials >= 1:  # NaN fails too
         raise ValueError("trials must be >= 1")
+    _integer(trials, "trials")
     if not 0 <= successes <= trials:  # NaN fails too
         raise ValueError("successes must be in [0, trials]")
     z = 1.96  # the two-sided 95% normal quantile
@@ -190,8 +191,11 @@ class SimulationConfig:
 
     def __post_init__(self):
         _check_block(self.gamma, 1)
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if not 0 <= self.omega_exp <= 1:  # NaN fails too
+            raise ValueError("omega_exp must be in [0,1]")
         if not 0 < self.delta_est < 1:
             raise ValueError("delta_est must be in (0,1)")
 

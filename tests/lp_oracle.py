@@ -70,12 +70,12 @@ def _equality_form(lp):
     rhs is negative, and the slack column of each inequality row."""
     n = lp.num_vars
     m = len(lp.rows)
-    rels = [rel for _, rel, _ in lp.rows]
+    rels = lp.rels.tolist()
 
     slack_rows = [i for i, rel in enumerate(rels) if rel != EQ]
     M = np.zeros((m, n + len(slack_rows)))
-    M[:, :n] = [coeffs for coeffs, _, _ in lp.rows]
-    b = np.array([rhs for _, _, rhs in lp.rows], dtype=float)
+    M[:, :n] = lp.rows
+    b = lp.rhs.copy()
     slack_col = {i: n + k for k, i in enumerate(slack_rows)}
     for i, j in slack_col.items():
         M[i, j] = 1.0 if rels[i] == LE else -1.0
@@ -115,11 +115,11 @@ def start_tableau(lp):
     without a basic column has -1."""
     n = lp.num_vars
     m = len(lp.rows)
-    rels = [rel for _, rel, _ in lp.rows]
+    rels = lp.rels.tolist()
     slack_rows = [i for i, rel in enumerate(rels) if rel != EQ]
     tableau = np.zeros((m, n + len(slack_rows) + 1))
-    tableau[:, :n] = [coeffs for coeffs, _, _ in lp.rows]
-    tableau[:, -1] = [rhs for _, _, rhs in lp.rows]
+    tableau[:, :n] = lp.rows
+    tableau[:, -1] = lp.rhs
     basis = np.full(m, -1)
     for k, i in enumerate(slack_rows):
         tableau[i, n + k] = 1.0 if rels[i] == LE else -1.0
@@ -249,17 +249,16 @@ def certificate(lp, basis):
     c_j - y.a_j of every column and the dual objective y.b.  A basis that
     holds an artificial or a singular B raises AssertionError."""
     n, m = lp.num_vars, len(lp.rows)
-    columns = [[Fraction(float(v)) for v in coeffs]
-               for coeffs, _, _ in lp.rows]
-    slack_rows = [i for i, (_, rel, _) in enumerate(lp.rows) if rel != EQ]
+    columns = [[Fraction(v) for v in coeffs] for coeffs in lp.rows.tolist()]
+    slack_rows = [i for i, rel in enumerate(lp.rels) if rel != EQ]
     for k, i in enumerate(slack_rows):
         for row in columns:
             row.append(Fraction(0))
-        columns[i][n + k] = Fraction(1 if lp.rows[i][1] == LE else -1)
+        columns[i][n + k] = Fraction(1 if lp.rels[i] == LE else -1)
     n_total = len(columns[0]) if m else n
     basis = [int(j) for j in basis]
     assert all(j < n_total for j in basis), "an artificial is left basic"
-    b = [Fraction(float(rhs)) for _, _, rhs in lp.rows]
+    b = [Fraction(rhs) for rhs in lp.rhs.tolist()]
     inverse = _inverse([[row[j] for j in basis] for row in columns])
     x = [Fraction(0)] * n_total
     for k, j in enumerate(basis):

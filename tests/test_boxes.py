@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from di_toolkit import boxes, signalling
 from di_toolkit.boxes import (Alphabets, EnumerationLimitError, Game,
-                              InputDistribution, ObservedData,
+                              InputDistribution, MultiRoundBox, ObservedData,
                               SingleRoundBox, chsh_game, classical_value,
                               l1_distance, winning_probability)
 from conftest import (BINARY, bob_echoes_x_box, deterministic_box,
@@ -32,12 +32,22 @@ class TestConstruction:
         al = Alphabets(np.int64(3), 2, 2, 2)
         assert al == Alphabets(3, 2, 2, 2) and type(al.a_size) is int
 
-    @pytest.mark.parametrize("bad", [[["0.5", "0.5"]], [[True, False]]],
-                             ids=["strings", "booleans"])
+    @pytest.mark.parametrize("bad", [[["0.5", "0.5"]], [[True, False]],
+                                     [[np.nan, 0.5], [0.25, 0.25]]],
+                             ids=["strings", "booleans", "nan"])
     def test_input_distribution_non_numbers_rejected(self, bad):
-        # once converted to 0.5 and to 1.0, 0.0
+        # once converted to 0.5 and to 1.0, 0.0; NaN once passed every
+        # check, each a comparison that NaN fails
         with pytest.raises(ValueError, match="q entries must be numbers"):
             InputDistribution(np.array(bad))
+
+    def test_nan_box_entries_rejected(self):
+        # once accepted: NaN failed both the < 0 and the normalization test
+        one = Alphabets(1, 1, 1, 1)
+        with pytest.raises(ValueError, match="NaN probability entry"):
+            SingleRoundBox(one, [[[[np.nan]]]])
+        with pytest.raises(ValueError, match="NaN probability entry"):
+            MultiRoundBox(2, one, np.full((1, 1, 1, 1), np.nan))
 
     def test_box_normalization_enforced(self):
         p = np.full((2, 2, 2, 2), 0.3)

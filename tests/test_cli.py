@@ -254,6 +254,9 @@ class TestGameCommands:
         ("q", [["0.25"] * 2] * 2, "q entries must be numbers"),
         ("q", [[True] * 2] * 2, "q entries must be numbers"),
         ("q", [[0.25, 0.25], [0.25, True]], "q entries must be numbers"),
+        # Python's json reads NaN
+        ("q", [[float("nan"), 0.25], [0.25, 0.25]],
+         "q entries must be numbers"),
         ("win", [[[[True] * 2] * 2] * 2] * 2, "win entries must be 0 or 1"),
         # CHSH's table with one 1 written as true
         ("win", [[[[True, 1], [1, 0]], [[0, 0], [0, 1]]],
@@ -262,14 +265,16 @@ class TestGameCommands:
         ("a_size", True, "a_size must be an integer"),
         ("a_size", 2.5, "a_size must be an integer"),
         ("a_size", "2", "a_size must be an integer")],
-        ids=["q-strings", "q-booleans", "q-one-boolean", "win-booleans",
+        ids=["q-strings", "q-booleans", "q-one-boolean", "q-nan",
+             "win-booleans",
              "win-one-boolean", "a-size-true", "a-size-float",
              "a-size-string"])
     def test_ns_value_entry_of_wrong_type(self, tmp_path, capsys, field,
                                           value, message):
         # each was once converted, and a value printed (a float size ended
         # in a TypeError from numpy instead; a q with one true failed as
-        # "input distribution must sum to 1")
+        # "input distribution must sum to 1", and one NaN as "game must
+        # have complete support")
         payload = chsh_game().to_json_dict()
         payload[field] = value
         path = tmp_path / "game.json"
@@ -303,6 +308,19 @@ class TestGameCommands:
         jsonschema.validate(payload, schema("out_threshold_bound"))
         assert 0 <= payload["bound"] < 1
         assert payload["log10_bound"] < -100
+
+    def test_threshold_bound_nan_q_named(self, tmp_path, capsys):
+        # a q entry NaN (which Python's json reads) once passed the checks,
+        # and the answer was a precondition error
+        payload = chsh_game().to_json_dict()
+        payload["q"][0][0] = float("nan")
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(payload))
+        code = cli.main(["threshold-bound", "--game", str(path), "--n",
+                         "1000", "--beta", "0.25"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: q entries must be numbers\n"
 
     def test_threshold_bound_small_n(self, chsh_file, capsys):
         code, out = run_cli(["threshold-bound", "--game", chsh_file,

@@ -168,14 +168,13 @@ def le_route_kappa(game):
     al = game.alphabets
     d = al.num_signalling_constraints
     n_norm = al.x_size * al.y_size
-    S = np.array([r for r, _, _ in lp.rows[:d]])
-    N = np.array([r for r, _, _ in lp.rows[d:d + n_norm]])
+    S, N = lp.rows[:d], lp.rows[d:d + n_norm]
     obj = np.concatenate([-np.ones(d), np.zeros(2 * n_norm)])
-    dual_rows = np.hstack([S.T, N.T, -N.T])
-    rows = [(r, ">=", float(ci)) for r, ci in zip(dual_rows, lp.c)]
-    rows.append((np.concatenate([np.zeros(d), np.ones(n_norm),
-                                 -np.ones(n_norm)]), "=", float(sol.value)))
-    kappa_sol = nslp.solve(nslp.LinearProgram(obj, rows))
+    rows = np.vstack([np.hstack([S.T, N.T, -N.T]),
+                      np.repeat([0.0, 1.0, -1.0], [d, n_norm, n_norm])])
+    rels = [">="] * len(lp.c) + ["="]
+    kappa_sol = nslp.solve(nslp.LinearProgram(
+        obj, rows, rels, np.append(lp.c, sol.value)))
     assert kappa_sol.status == "optimal"
     return -kappa_sol.value
 
@@ -197,51 +196,47 @@ def deadline(seconds):
 
 class TestSolver:
     def test_simple_bounded(self):
-        lp = nslp.LinearProgram(np.array([1.0]),
-                                [(np.array([1.0]), "<=", 1.0)])
+        lp = nslp.LinearProgram(np.array([1.0]), [[1.0]], ["<="], [1.0])
         sol = nslp.solve(lp)
         assert sol.status == "optimal"
         assert sol.value == pytest.approx(1.0)
         assert sol.primal[0] == pytest.approx(1.0)
 
     def test_infeasible(self):
-        lp = nslp.LinearProgram(np.array([1.0]),
-                                [(np.array([1.0]), "<=", -1.0),
-                                 (np.array([1.0]), ">=", 0.0)])
+        lp = nslp.LinearProgram(np.array([1.0]), [[1.0], [1.0]],
+                                ["<=", ">="], [-1.0, 0.0])
         assert nslp.solve(lp).status == "infeasible"
 
     def test_unbounded(self):
-        lp = nslp.LinearProgram(np.array([1.0]),
-                                [(np.array([1.0]), ">=", 1.0)])
+        lp = nslp.LinearProgram(np.array([1.0]), [[1.0]], [">="], [1.0])
         assert nslp.solve(lp).status == "unbounded"
 
     def test_no_rows_optimal_at_origin(self):
         # a program with no rows once raised numpy's broadcast ValueError
-        sol = nslp.solve(nslp.LinearProgram(np.array([-1.0, 0.0]), []))
+        sol = nslp.solve(nslp.LinearProgram(np.array([-1.0, 0.0]), [], [],
+                                            []))
         assert (sol.status, sol.value) == ("optimal", 0.0)
         assert sol.primal.tolist() == [0.0, 0.0]
 
     def test_no_variables_no_rows_optimal(self):
         # once numpy's "attempt to get argmax of an empty sequence"
-        sol = nslp.solve(nslp.LinearProgram(np.zeros(0), []))
+        sol = nslp.solve(nslp.LinearProgram(np.zeros(0), [], [], []))
         assert (sol.status, sol.value) == ("optimal", 0.0)
         assert sol.primal.tolist() == [] and sol.pivots == (0, 0)
 
     def test_no_rows_unbounded(self):
-        lp = nslp.LinearProgram(np.array([-1.0, 2.0]), [])
+        lp = nslp.LinearProgram(np.array([-1.0, 2.0]), [], [], [])
         assert nslp.solve(lp).status == "unbounded"
 
     def test_equality_and_duals(self):
         # max x + y s.t. x + y = 1, x <= 0.3
-        lp = nslp.LinearProgram(
-            np.array([1.0, 1.0]),
-            [(np.array([1.0, 1.0]), "=", 1.0),
-             (np.array([1.0, 0.0]), "<=", 0.3)])
+        lp = nslp.LinearProgram(np.array([1.0, 1.0]),
+                                [[1.0, 1.0], [1.0, 0.0]], ["=", "<="],
+                                [1.0, 0.3])
         sol = nslp.solve(lp)
         assert sol.value == pytest.approx(1.0)
-        rhs = np.array([1.0, 0.3])
         y = lp_oracle.duals(lp, sol.basis)
-        assert float(y @ rhs) == pytest.approx(1.0, abs=1e-9)
+        assert float(y @ lp.rhs) == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_duals_still_strong(self, rng):
         # random small LPs: strong duality within 1e-8 whenever optimal
@@ -249,19 +244,19 @@ class TestSolver:
             nvar = int(rng.integers(2, 5))
             nrow = int(rng.integers(2, 6))
             c = rng.normal(size=nvar)
-            rows = []
+            rows, rels, rhs = [], [], []
             for _ in range(nrow):
-                coeffs = rng.normal(size=nvar)
-                rel = "<=" if rng.random() < 0.8 else "="
-                rows.append((coeffs, rel, float(rng.random())))
-            rows.append((np.ones(nvar), "<=", 5.0))  # keep it bounded
-            lp = nslp.LinearProgram(c, rows)
+                rows.append(rng.normal(size=nvar))
+                rels.append("<=" if rng.random() < 0.8 else "=")
+                rhs.append(float(rng.random()))
+            # keep it bounded
+            lp = nslp.LinearProgram(c, rows + [np.ones(nvar)], rels + ["<="],
+                                    rhs + [5.0])
             sol = nslp.solve(lp)
             if sol.status != "optimal":
                 continue
-            rhs = np.array([r[2] for r in rows])
             y = lp_oracle.duals(lp, sol.basis)
-            assert float(y @ rhs) == pytest.approx(sol.value, abs=1e-8)
+            assert float(y @ lp.rhs) == pytest.approx(sol.value, abs=1e-8)
 
     def _nudged(self, monkeypatch, nudge):
         """Shift every right-hand side by ``nudge`` once phase 2 ends."""
@@ -289,8 +284,7 @@ class TestSolver:
     def test_residual_guard_breaks_nonnegativity(self, monkeypatch):
         """max x s.t. x <= 1, with x moved to -1: the row holds, x >= 0
         does not."""
-        lp = nslp.LinearProgram(np.array([1.0]),
-                                [(np.array([1.0]), "<=", 1.0)])
+        lp = nslp.LinearProgram(np.array([1.0]), [[1.0]], ["<="], [1.0])
         self._nudged(monkeypatch, -2.0)
         with pytest.raises(nslp.SolverError, match="breaks x >= 0"):
             nslp.solve(lp)
@@ -299,10 +293,10 @@ class TestSolver:
         """max x0 + x1 on x0 + x1 <= 1 is optimal on a segment: then = x0
         keeps phase 2's end (1, 0), then = x1 pivots once more to (0, 1),
         and the continuation's pivot counts in phase 2."""
-        rows = [(np.array([1.0, 1.0]), "<=", 1.0)]
         for then, end, pivots in (([1.0, 0.0], [1.0, 0.0], (0, 1)),
                                   ([0.0, 1.0], [0.0, 1.0], (0, 2))):
-            sol = nslp.solve(nslp.LinearProgram(np.ones(2), rows, then=then))
+            sol = nslp.solve(nslp.LinearProgram(np.ones(2), [[1.0, 1.0]],
+                                                ["<="], [1.0], then=then))
             assert sol.status == "optimal" and sol.value == 1.0
             assert sol.primal.tolist() == end and sol.pivots == pivots
 
@@ -310,9 +304,8 @@ class TestSolver:
         """max x0 on x0 + x1 <= 1 has one optimum, (1, 0): then = x1
         cannot move it, since x1's reduced cost is -1.  Priced without the
         face, the continuation leaves the optimum and solve raises."""
-        lp = nslp.LinearProgram(np.array([1.0, 0.0]),
-                                [(np.array([1.0, 1.0]), "<=", 1.0)],
-                                then=np.array([0.0, 1.0]))
+        lp = nslp.LinearProgram(np.array([1.0, 0.0]), [[1.0, 1.0]], ["<="],
+                                [1.0], then=np.array([0.0, 1.0]))
         sol = nslp.solve(lp)
         assert sol.primal.tolist() == [1.0, 0.0] and sol.pivots == (0, 1)
         monkeypatch.setattr(nslp, "_onto_face", nslp._price)
@@ -322,7 +315,7 @@ class TestSolver:
 
     def test_then_length_checked(self):
         with pytest.raises(ValueError, match="then length"):
-            nslp.LinearProgram(np.ones(2), [], then=np.ones(3))
+            nslp.LinearProgram(np.ones(2), [], [], [], then=np.ones(3))
 
 
 class TestGamePrograms:
@@ -334,10 +327,11 @@ class TestGamePrograms:
             lp = nslp.build_ns_lp(game, form)
             c, rows = loop_ns_lp(game, form)
             assert lp.c.tobytes() == c.tobytes()
-            assert len(lp.rows) == len(rows)
-            for (got, rel, rhs), (want, rel0, rhs0) in zip(lp.rows, rows):
-                assert got.tobytes() == want.tobytes()
-                assert (rel, rhs) == (rel0, rhs0)
+            assert lp.rows.tobytes() == np.array(
+                [r for r, _, _ in rows]).tobytes()
+            assert lp.rels.tolist() == [rel for _, rel, _ in rows]
+            assert lp.rhs.tobytes() == np.array(
+                [rhs for _, _, rhs in rows]).tobytes()
 
     def test_dual_feasibility_certificate(self):
         """A^T y >= c with y >= 0 on <= rows, y <= 0 on >= rows and y free
@@ -349,25 +343,22 @@ class TestGamePrograms:
                 lp = nslp.build_ns_lp(game, form)
                 sol = nslp.solve(lp)
                 assert sol.status == "optimal"
-                A = np.array([r[0] for r in lp.rows])
-                rels = np.array([r[1] for r in lp.rows])
                 y = lp_oracle.duals(lp, sol.basis)
-                assert np.all(A.T @ y >= lp.c - 1e-9)
-                assert np.all(y[rels == "<="] >= -1e-9)
-                assert np.all(y[rels == ">="] <= 1e-9)
-                rhs = np.array([r[2] for r in lp.rows])
-                assert float(y @ rhs) == pytest.approx(sol.value, abs=1e-8)
+                assert np.all(lp.rows.T @ y >= lp.c - 1e-9)
+                assert np.all(y[lp.rels == "<="] >= -1e-9)
+                assert np.all(y[lp.rels == ">="] <= 1e-9)
+                assert float(y @ lp.rhs) == pytest.approx(sol.value,
+                                                          abs=1e-8)
 
     def test_chsh_row_counts(self, chsh):
         lp = nslp.build_ns_lp(chsh)
         assert lp.num_vars == 16
         d = chsh.alphabets.num_signalling_constraints
         assert d == 16
-        sig_rows = [r for r in lp.rows[:d]]
-        assert all(rel == "=" for _, rel, _ in sig_rows)
-        norm_rows = lp.rows[d:d + 4]
-        assert all(rel == "=" and rhs == 1.0 for _, rel, rhs in norm_rows)
-        assert len(lp.rows) == d + 4 + 16  # signalling + normalization + positivity
+        assert all(lp.rels[:d + 4] == "=")
+        assert lp.rhs[d:d + 4].tolist() == [1.0] * 4
+        # signalling + normalization + positivity
+        assert lp.rows.shape == (d + 4 + 16, 16)
 
     def test_extended_chsh_row_count(self, chsh_qkd):
         assert chsh_qkd.alphabets.num_signalling_constraints == 24
@@ -427,9 +418,8 @@ class TestRandomGameProperties:
             value, kappa = nslp.ns_value(game)
             lp = nslp.build_ns_lp(game)
             sol = nslp.solve(lp)
-            rhs = np.array([r[2] for r in lp.rows])
             y = lp_oracle.duals(lp, sol.basis)
-            assert float(y @ rhs) == pytest.approx(sol.value, abs=1e-8)
+            assert float(y @ lp.rhs) == pytest.approx(sol.value, abs=1e-8)
 
             assert kappa <= d + 1e-9
 
@@ -468,8 +458,7 @@ class TestRandomGameProperties:
             X, Y, A, B = al.x_size, al.y_size, al.a_size, al.b_size
             d = al.num_signalling_constraints
             S = signalling_matrix(al, game.q)
-            N = np.array([r for r, _, _ in
-                          nslp.build_ns_lp(game).rows[d:d + X * Y]])
+            N = nslp.build_ns_lp(game).rows[d:d + X * Y]
             sums = []
             for x, y in itertools.product(range(X), range(Y)):
                 atob = (x * Y + y) * B

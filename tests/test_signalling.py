@@ -128,13 +128,21 @@ class TestSanov:
     def test_trivial_for_small_eps(self):
         assert sig.sanov_delta(100, 1e-9, 4) >= 1.0
 
-    @pytest.mark.parametrize("n, eps, cells", [
-        (0, 0.1, 4), (100, 0.0, 4), (100, -0.1, 4), (100, 0.1, 0),
-        (math.nan, 0.1, 4), (100, math.nan, 4), (100, 0.1, math.nan)])
-    def test_domain(self, n, eps, cells):
-        # a NaN eps once passed the check and gave a nan bound
-        with pytest.raises(ValueError,
-                           match="^need n >= 1, eps > 0, cells >= 1$"):
+    RANGE = "need 1 <= n < inf, eps > 0, cells >= 1"
+
+    @pytest.mark.parametrize("n, eps, cells, message", [
+        pytest.param(*case, id="-".join(map(str, case[:3]))) for case in (
+            (0, 0.1, 4, RANGE), (100, 0.0, 4, RANGE), (100, -0.1, 4, RANGE),
+            (100, 0.1, 0, RANGE), (math.nan, 0.1, 4, RANGE),
+            (100, math.nan, 4, RANGE), (100, 0.1, math.nan, RANGE),
+            (math.inf, 0.1, 3, RANGE),
+            (10, 0.1, 1.5, "cells must be an integer"),
+            (10, 0.1, 2.0, "cells must be an integer"),
+            (10, 0.1, True, "cells must be an integer"))])
+    def test_domain(self, n, eps, cells, message):
+        # a NaN eps once passed the check and gave a nan bound; an infinite
+        # n gave nan and cells = 1.5 the bound 3.15
+        with pytest.raises(ValueError, match=f"^{message}$"):
             sig.sanov_delta(n, eps, cells)
 
     def test_halved_n_matches_use_site(self):
@@ -166,6 +174,12 @@ class TestTestParams:
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):
             sig.TestParams(zeta=0.07, eps=0.01, n=101)
+
+    @pytest.mark.parametrize("n", [4.0, 4.5, True, "4"])
+    def test_non_integer_n_rejected(self, n):
+        # 4.0 was once accepted as the n of 4 rounds
+        with pytest.raises(ValueError, match="^n must be an integer$"):
+            sig.TestParams(zeta=0.07, eps=0.01, n=n)
 
 
 class TestSignallingTest:

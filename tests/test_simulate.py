@@ -329,10 +329,24 @@ class TestAbortProbability:
             sim.SimulationConfig(n=100, gamma=gamma, omega_exp=0.81,
                                  delta_est=0.02, device=device())
 
-    @pytest.mark.parametrize("n", [0, -3])
-    def test_n_below_one_rejected(self, n):
-        with pytest.raises(ValueError, match="n must be >= 1"):
+    @pytest.mark.parametrize("n, message", [
+        pytest.param(n, message, id=repr(n)) for n, message in (
+            (0, "n must be >= 1"), (-3, "n must be >= 1"),
+            (2.5, "n must be an integer"), (100.0, "n must be an integer"),
+            (True, "n must be an integer"))])
+    def test_n_below_one_rejected(self, n, message):
+        # 2.5 once passed: the estimate returned (0.8, ...) and the exact
+        # probability raised TypeError
+        with pytest.raises(ValueError, match=f"^{message}$"):
             sim.SimulationConfig(n=n, gamma=0.5, omega_exp=0.81,
+                                 delta_est=0.02, device=device())
+
+    @pytest.mark.parametrize("omega_exp", [-0.1, 1.5, math.nan])
+    def test_omega_exp_outside_unit_interval_rejected(self, omega_exp):
+        # NaN once passed, and the exact probability raised "cannot
+        # convert float NaN to integer"
+        with pytest.raises(ValueError, match=r"^omega_exp must be in \[0,1\]$"):
+            sim.SimulationConfig(n=100, gamma=0.5, omega_exp=omega_exp,
                                  delta_est=0.02, device=device())
 
     @pytest.mark.parametrize("delta_est", [-0.1, 0.0, 1.0, 1.5])
@@ -357,7 +371,9 @@ class TestWilson:
         (-1, 3, "successes must be in [0, trials]"),
         (math.nan, 3, "successes must be in [0, trials]"),
         (0, 0, "trials must be >= 1"),
-        (0, math.nan, "trials must be >= 1")])
+        (0, math.nan, "trials must be >= 1"),
+        (1, 2.5, "trials must be an integer"),
+        (1, True, "trials must be an integer")])
     def test_domain(self, successes, trials, message):
         # successes > trials once died in a math domain error
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
