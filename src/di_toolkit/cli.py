@@ -153,8 +153,8 @@ def _cmd_threshold_bound(args):
         raise SystemExit(1)
     d = game.alphabets.num_signalling_constraints
     # the bound routinely underflows double precision; report its log too
-    log10_bound = (-args.n * args.beta**2 / (30.0 * d) ** 2 / math.log(10.0)
-                   if args.beta > 0 else 0.0)
+    log10_bound = (signalling._log_threshold_bound(args.n, args.beta, d)
+                   / math.log(10.0) if args.beta > 0 else 0.0)
     payload = {
         "bound": bound,
         "log10_bound": log10_bound,

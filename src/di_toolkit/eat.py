@@ -35,10 +35,10 @@ key length makes BlockSpec's and EatEpsilons' checks on its floats
 (_check_block, _check_epsilons) and builds neither.  The terms that its
 numpy grid kernel shares with the scalar path (the test mass, the cut
 interval, log2 d_O, the penalty K, the glued function's tangent at the
-cut with its slope (_tangent: g, g' from one root), the max-entropy bound
-and its smoothing root, the round count tail, the Hoeffding bound) take
-the namespace ``xp`` or are plain arithmetic; _tradeoff keeps g itself
-below the cut.
+cut with its slope (_tangent: g, g' from one root), the rate mu (_rate),
+the max-entropy bound and its smoothing root, the round count tail, the
+Hoeffding bound) take the namespace ``xp`` or are plain arithmetic;
+_tradeoff keeps g itself below the cut.
 """
 
 from __future__ import annotations
@@ -199,7 +199,13 @@ def _tradeoff(p1_tilde: float, gamma: float, s_max: int, mass: float,
     value, slope = _tangent(p1_tilde, sbar, mass, cut, math)
     if p1_tilde <= cut:
         value = sbar * secrecy_bound(ratio)
-    return value, slope, value - k_pen * (_log2_block_dim(s_max) + slope)
+    return value, slope, _rate(value, slope, s_max, k_pen, math)
+
+
+def _rate(value, slope, s_max, k_pen, xp):
+    """f(p~1) - k_pen (log2 d_O + f'(c)) in the namespace ``xp``: the EAT
+    rate of the glued function's value and slope at its cut."""
+    return value - k_pen * (_log2_block_dim(s_max, xp) + slope)
 
 
 def _tangent(p1_tilde, sbar, mass, cut, xp):

@@ -427,8 +427,8 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, rows, deltas,
       the leakage rate; (D,): eps_ec_prime and the leakage's two
       constants; (S,) and (E, S): _share_axis;
     - (G, D, S): the entropy term (cut, penalty K, eat._tangent and its
-      slope) less the log correction, the PA term and the leakage
-      constants;
+      slope, eat._rate) less the log correction, the PA term and the
+      leakage constants;
     - (E, G, 1, S): the tail t and _eps_t_terms' n_eff * leakage rate,
       max-entropy term and root factor sqrt(n_eff) 4 log2(2 sqrt(2) + 1);
     - (E, 1, D, S): the leakage root, +inf where eps_ec_prime - 2
@@ -482,7 +482,7 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, rows, deltas,
         k_pen = eat._penalty_scale(shares.es4, shares.eps_e, m, np)
         cut = np.minimum(np.maximum(p1 - k_pen, lo), hi)
         f_min, slope = eat._tangent(p1, sbar, mass, cut, np)
-        fixed = (m * (f_min - k_pen * (eat._log2_block_dim(s_max, np) + slope))
+        fixed = (m * eat._rate(f_min, slope, s_max, k_pen, np)
                  - (shares.log_corr + shares.pa + prime_term + ec_term))
 
         # (E, G, 1, S), then (E, G, D, S), minimized over eps_t

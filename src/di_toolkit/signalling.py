@@ -248,7 +248,13 @@ def threshold_bound(game: Game, n: int, beta: float) -> float:
                          "n beyond the float range")
     if not threshold_precondition(n, eps, *sizes):
         raise ThresholdPreconditionError(_minimal_n(eps, *sizes))
-    return math.exp(-n * beta * beta / (30.0 * d) ** 2)
+    return math.exp(_log_threshold_bound(n, beta, d))
+
+
+def _log_threshold_bound(n, beta, d):
+    """-n beta^2 / (30 d)^2, the natural log of threshold_bound: the CLI
+    reports it, as the bound itself routinely underflows."""
+    return -n * beta * beta / (30.0 * d) ** 2
 
 
 def iid_threshold_probability(single: SingleRoundBox, game: Game, n: int,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bound_oracle
+import key_length_oracle
 from bound_oracle import secrecy_bound_slope
 from di_toolkit import eat, keyrates
 from di_toolkit.entropy import OMEGA_CLASSICAL, OMEGA_QUANTUM, secrecy_bound
@@ -18,7 +19,8 @@ def reference_mu_round(p1, gamma, cut, eps, n):
     """The per-round entropy rate in its own text, kept as the oracle of the
     block functions at s_max = 1: g(p1) = secrecy_bound(p1/gamma) up to the
     cut, the tangent a p1 + b above it, minus
-    K (log2 13 + a), K = (2/sqrt(n)) sqrt(1 - 2 log2(eps_s eps_e)).
+    K (log2 13 + a), K = (2/sqrt(n)) sqrt(1 - 2 log2(eps_s eps_e)) from
+    key_length_oracle.
 
     Returns (rate, f_min, size), size being the sum of the magnitudes of
     the terms added up: the scale of this text's own rounding (the rate
@@ -34,8 +36,8 @@ def reference_mu_round(p1, gamma, cut, eps, n):
         b = secrecy_bound(cut / gamma) - a * cut
         f = a * p1 + b
         size = abs(a * p1) + abs(b)
-    penalty = (2.0 / math.sqrt(n)) * math.sqrt(
-        1.0 - 2.0 * math.log2(eps.eps_s * eps.eps_e)) * (LOG2_13 + a)
+    penalty = key_length_oracle.penalty(eps.eps_s, eps.eps_e, n, math) * (
+        LOG2_13 + a)
     return f - penalty, f, size + penalty
 
 
@@ -193,8 +195,7 @@ class TestPerRoundReference:
                 omega = float(rng.uniform(0.76, 1.0))
                 delta = float(rng.uniform(0.0, 1e-6)) * gamma
             p1 = omega * gamma - delta
-            k_pen = (2.0 / math.sqrt(n)) * math.sqrt(
-                1.0 - 2.0 * math.log2(es * ee))
+            k_pen = key_length_oracle.penalty(es, ee, n, math)
             lo = gamma * OMEGA_CLASSICAL + 1e-9 * gamma
             hi = gamma * OMEGA_QUANTUM - 1e-9 * gamma
             cut = min(max(p1 - k_pen, lo), hi)
@@ -308,11 +309,10 @@ def _random_point(rng):
 
 def _block_objective(omega, delta, block, m, eps):
     """The rate of m blocks at cut c, in bound_oracle's text of the glued
-    function, with the penalty K = (2/sqrt(m)) sqrt(1 - 2 log2(eps_s eps_e))
-    spelled out."""
+    function, with key_length_oracle's penalty K = (2/sqrt(m)) sqrt(1 - 2
+    log2(eps_s eps_e))."""
     p1 = omega * block.test_mass - delta
-    k_pen = (2.0 / math.sqrt(m)) * math.sqrt(
-        1.0 - 2.0 * math.log2(eps.eps_s * eps.eps_e))
+    k_pen = key_length_oracle.penalty(eps.eps_s, eps.eps_e, m, math)
     return lambda c: bound_oracle.tradeoff(p1, block.gamma, block.s_max,
                                            block.test_mass, c, k_pen)[2]
 
@@ -436,9 +436,8 @@ class TestKeyLengthHelpers:
         val = eat._max_entropy(1e10, 0.01, root)
         assert val > 0.01 * 1e10
         pure_sqrt = eat._max_entropy(1e10, 0.0, root)
-        assert pure_sqrt == pytest.approx(
-            math.sqrt(1e10) * 2 * math.log2(7)
-            * math.sqrt(1 - 2 * math.log2(0.25e-6 * (1e-6 + 1e-10))))
+        assert pure_sqrt == pytest.approx(key_length_oracle.max_entropy(
+            1e10, 0.0, 1e-6 / 4, 1e-6 + 1e-10, math))
 
 
 class TestBlocks:

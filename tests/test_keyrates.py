@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import bound_oracle
+import key_length_oracle as oracle
 from reference_curves import (KEY_RATE_POINTS, ZERO_CROSSING_N,
                               ZERO_CROSSING_WINDOW)
 
@@ -69,20 +70,11 @@ class TestEpsilonBudget:
             2 * b.eps_ec + b.eps_pa + b.eps_s + b.eps_ea)
 
 
-def reference_leak(n_eff, params, eps_ec_prime, eps_ec, eps_t=0.0):
-    """The error-correction leakage spelled out, in the package's operation
-    order: n_eff [(1-gamma) h(Q) + gamma h(omega_exp)]
-    + sqrt(n_eff) 4 log2(2 sqrt(2) + 1) sqrt(2 log2(8 / e^2))
-    + log2(8 / eps_ec_prime^2 + 2 / (2 - eps_ec_prime)) + log2(1 / eps_ec),
-    with e = eps_ec_prime - 2 sqrt(eps_t)."""
-    rate = ((1.0 - params.gamma) * entropy.binary_entropy(params.q)
-            + params.gamma * entropy.binary_entropy(params.omega_exp))
-    shifted = eps_ec_prime - 2.0 * math.sqrt(eps_t)
-    return (n_eff * rate
-            + math.sqrt(n_eff) * 4.0 * math.log2(2.0 * math.sqrt(2.0) + 1.0)
-            * math.sqrt(2.0 * math.log2(8.0 / shifted**2))
-            + math.log2(8.0 / eps_ec_prime**2 + 2.0 / (2.0 - eps_ec_prime))
-            + math.log2(1.0 / eps_ec))
+def leak_at(n_eff, params, budget, eps_t):
+    """key_length_oracle's leakage at the parameters and budget."""
+    return oracle.leak(n_eff, params.gamma, entropy.binary_entropy(params.q),
+                       entropy.binary_entropy(params.omega_exp),
+                       budget.eps_ec_prime, budget.eps_ec, eps_t, math)
 
 
 class TestLeakEc:
@@ -105,16 +97,7 @@ class TestLeakEc:
         budget = kr.EpsilonBudget(eps_ec=1e-10, eps_ec_complete=2e-10,
                                   eps_s=3e-6, eps_ea=3e-6, eps_pa=3e-6)
         leak = kr.key_length(params, budget).leak_ec
-        epsp, epsec = budget.eps_ec_prime, budget.eps_ec
-        first = params.n * ((1 - params.gamma)
-                            * entropy.binary_entropy(params.q)
-                            + params.gamma
-                            * entropy.binary_entropy(params.omega_exp))
-        second = math.sqrt(params.n) * 4 * math.log2(2 * math.sqrt(2) + 1) \
-            * math.sqrt(2 * math.log2(8 / epsp**2))
-        third = math.log2(8 / epsp**2 + 2 / (2 - epsp))
-        fourth = math.log2(1 / epsec)
-        assert leak == pytest.approx(first + second + third + fourth)
+        assert leak == leak_at(params.n, params, budget, 0.0)
 
     def test_eps_t_shift_increases_leak(self):
         """Block mode: the leakage over n + t rounds, its sqrt term at the
@@ -123,10 +106,9 @@ class TestLeakEc:
         params, budget = make_params(), make_budget(eps_t=1e-14)
         report = kr.key_length_block(params, budget, 5)
         n_eff = params.n + report.extras["tail_t"]
-        prime, ec = budget.eps_ec_prime, budget.eps_ec
-        assert report.leak_ec == pytest.approx(
-            reference_leak(n_eff, params, prime, ec, budget.eps_t))
-        assert report.leak_ec > reference_leak(n_eff, params, prime, ec)
+        assert report.leak_ec == leak_at(n_eff, params, budget,
+                                                budget.eps_t)
+        assert report.leak_ec > leak_at(n_eff, params, budget, 0.0)
 
     def test_eps_t_too_large(self):
         # sqrt(eps_t) < eps_s / 4, so only the leakage's shift fails
@@ -189,35 +171,20 @@ class TestKeyLength:
         assert report.rate < 0
 
 
-def reference_key_length(params, budget):
-    """The per-round key length in its own body, as it stood before
-    key_length became the block computation at s_max = 1."""
-    eps = eat.EatEpsilons(budget.eps_s / 4.0, budget.eps_ea + budget.eps_ec)
-    log_corr = kr._log_correction(budget.eps_s)
-    mu_value, cut = eat.mu_opt(params.omega_exp, params.delta_est,
-                               params.gamma, params.n, eps)
-    entropy_term = params.n * mu_value
-    leak = reference_leak(params.n, params, budget.eps_ec_prime, budget.eps_ec)
-    max_ent = params.gamma * params.n + math.sqrt(params.n) * 2.0 * math.log2(
-        7.0) * math.sqrt(1.0 - 2.0 * math.log2(
-            (budget.eps_s / 4.0) * (budget.eps_ea + budget.eps_ec)))
-    pa = 2.0 * math.log2(1.0 / budget.eps_pa)
-    ell = entropy_term - leak - log_corr - max_ent - pa
-    return kr.RateReport(
-        key_length=ell, rate=ell / params.n, entropy_term=entropy_term,
-        leak_ec=leak, log_correction=log_corr, max_entropy_term=max_ent,
-        pa_term=pa, soundness_error=budget.soundness_error,
-        completeness_error=kr.completeness_error(params, budget),
-        best_cut=cut, params=params, budget=budget, mode=kr.PER_ROUND,
-        s_max=1, extras={})
+def per_round_reference(params, budget):
+    """key_length_oracle's key length with one-round blocks under the
+    per-round label: m = n / 1.0 = n, no tail."""
+    return oracle.key_length(params, budget, 1)._replace(mode=kr.PER_ROUND,
+                                                         extras={})
 
 
 class TestKeyLengthReference:
     def test_matches_retired_body(self, rng):
-        """Bit-identical reports where the reference computes one, and a
-        ValueError from both where it raises: a statistic outside the
-        domain (delta_est too large) or log2(0) (eps_s below 4.2e-8)."""
-        kept = raised = 0
+        """Bit-identical reports, field by field, where the oracle computes
+        one, and the same exception type and message where it raises: a
+        statistic outside the domain (delta_est too large) or log2(0)
+        (eps_s below 4.2e-8)."""
+        kept = raised_count = 0
         for _ in range(480):
             q = float(rng.uniform(0.0, 0.05))
             omega, qber = kr.honest_werner(2 * q)
@@ -231,55 +198,16 @@ class TestKeyLengthReference:
                 eps_ec=eps[0], eps_ec_complete=eps[0] + eps[1], eps_s=eps[2],
                 eps_ea=eps[3], eps_pa=eps[4],
                 eps_t=float(10.0 ** rng.uniform(-30.0, -2.0)))
-            try:
-                want = reference_key_length(params, budget)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    kr.key_length(params, budget)
-                raised += 1
+            want = raised(lambda: per_round_reference(params, budget))
+            if want is not None:
+                assert raised(lambda: kr.key_length(params, budget)) == want
+                raised_count += 1
                 continue
             got = kr.key_length(params, budget)
-            assert got.to_json_dict() == want.to_json_dict()
-            assert got.extras == {}
+            assert hex_fields(got) == hex_fields(
+                per_round_reference(params, budget))
             kept += 1
-        assert kept >= 300 and raised >= 20
-
-
-def reference_key_length_block(params, budget, s_max):
-    """key_length_block with its entropy term from the public
-    eat.mu_block_opt on a BlockSpec and EatEpsilons, and the other terms
-    spelled out in the package's operation order."""
-    eps_e = budget.eps_ea + budget.eps_ec
-    eps = eat.EatEpsilons(budget.eps_s / 4.0, eps_e)
-    block = eat.BlockSpec(params.gamma, s_max)
-    log_corr = 3.0 * math.log2(1.0 - math.sqrt(1.0 - (budget.eps_s / 4.0)
-                                               ** 2))
-    sbar = eat.expected_block_length(block)
-    m = params.n / sbar
-    mu_value, cut = eat.mu_block_opt(params.omega_exp, params.delta_est,
-                                     block, m, eps)
-    entropy_term = m * mu_value
-    eps_t = budget.eps_t
-    shifted = budget.eps_s / 4.0 - math.sqrt(eps_t)
-    if shifted <= 0:
-        raise ValueError("eps_t too large: sqrt(eps_t) >= eps_s/4")
-    t = eat.round_count_tail(m, params.gamma, s_max, eps_t)
-    n_eff = params.n + t
-    if budget.eps_ec_prime - 2.0 * math.sqrt(eps_t) <= 0:
-        raise ValueError("eps_t too large: eps_ec_prime - 2 sqrt(eps_t) <= 0")
-    leak = reference_leak(n_eff, params, budget.eps_ec_prime, budget.eps_ec,
-                          eps_t)
-    max_ent = params.gamma * n_eff + math.sqrt(n_eff) * 2.0 * math.log2(
-        7.0) * math.sqrt(1.0 - 2.0 * math.log2(shifted * eps_e))
-    pa = 2.0 * math.log2(1.0 / budget.eps_pa)
-    ell = entropy_term - leak - log_corr - max_ent - pa
-    return kr.RateReport(
-        key_length=ell, rate=ell / params.n, entropy_term=entropy_term,
-        leak_ec=leak, log_correction=log_corr, max_entropy_term=max_ent,
-        pa_term=pa, soundness_error=budget.soundness_error,
-        completeness_error=kr.completeness_error(params, budget),
-        best_cut=cut, params=params, budget=budget, mode=kr.BLOCK,
-        s_max=s_max, extras={"m_blocks": m, "tail_t": t, "s_bar": sbar})
+        assert kept >= 300 and raised_count >= 20
 
 
 def raised(call):
@@ -322,8 +250,7 @@ class TestKeyLengthBlockReference:
                 eps_ea=eps[3], eps_pa=eps[4],
                 eps_t=(eps[2] / 4.0) ** 2 * float(10.0 ** rng.uniform(-14.0,
                                                                     0.3)))
-            want = raised(lambda: reference_key_length_block(params, budget,
-                                                             s_max))
+            want = raised(lambda: oracle.key_length(params, budget, s_max))
             if want is not None:
                 assert raised(lambda: kr.key_length_block(
                     params, budget, s_max)) == want
@@ -331,7 +258,7 @@ class TestKeyLengthBlockReference:
                 continue
             got = kr.key_length_block(params, budget, s_max)
             assert hex_fields(got) == hex_fields(
-                reference_key_length_block(params, budget, s_max))
+                oracle.key_length(params, budget, s_max))
             kept += 1
         assert kept >= 400 and raised_count >= 50
 
@@ -347,15 +274,15 @@ class TestKeyLengthBlockReference:
         low = make_params(gamma=0.2, delta=0.1)
         cases = [
             (lambda: kr.key_length(params, big_ea),
-             lambda: reference_key_length(params, big_ea)),
+             lambda: per_round_reference(params, big_ea)),
             (lambda: kr.key_length_block(params, big_ea, 5),
-             lambda: reference_key_length_block(params, big_ea, 5)),
+             lambda: oracle.key_length(params, big_ea, 5)),
             (lambda: kr.key_length_block(params, make_budget(), 0),
-             lambda: reference_key_length_block(params, make_budget(), 0)),
+             lambda: oracle.key_length(params, make_budget(), 0)),
             (lambda: kr.key_length(low, make_budget()),
-             lambda: reference_key_length(low, make_budget())),
+             lambda: per_round_reference(low, make_budget())),
             (lambda: kr.key_length_block(low, make_budget(), 5),
-             lambda: reference_key_length_block(low, make_budget(), 5)),
+             lambda: oracle.key_length(low, make_budget(), 5)),
         ]
         for gamma in (0.0, -0.5, 1.5):
             cases.append((lambda g=gamma: eat.mu_opt(0.84, 1e-4, g, 1e8, eps),
@@ -1283,11 +1210,12 @@ secrecy_bound_each = np.vectorize(entropy.secrecy_bound, otypes=[float])
 
 def reference_grid_key_lengths(target, caps, rows, deltas, shares):
     """The grid kernel before it computed each term at the shape of its own
-    inputs: per-axis rows from the scalar functions in Python loops, every
-    term on the full ((gamma, s_max), delta_est, share, eps_t) array, summed
-    in the scalar path's order, masked, then maximized over eps_t; eps_t is
-    0 on the rows whose blocks are all one round (s_max = 1 or gamma =
-    1)."""
+    inputs: per-axis rows from public scalar functions in Python loops
+    (log2 d_O from the exact integer), every term on the full ((gamma,
+    s_max), delta_est, share, eps_t) array, the key-length terms from
+    key_length_oracle, summed in the scalar path's order, masked, then
+    maximized over eps_t; eps_t is 0 on the rows whose blocks are all one
+    round (s_max = 1 or gamma = 1)."""
     omega, _ = kr.honest_werner(2.0 * target.q)
     n = target.n
     shape = (len(rows), len(deltas), len(shares))
@@ -1311,10 +1239,8 @@ def reference_grid_key_lengths(target, caps, rows, deltas, shares):
         scale, sbar = block.test_mass, eat.expected_block_length(block)
         lo, hi = eat.cut_interval(scale)
         terms.append((ok and lo < hi, gamma, block.s_max, scale, sbar,
-                      n / sbar, eat._log2_block_dim(block.s_max), lo, hi,
-                      (1.0 - gamma) * h_q + gamma * h_omega))
-    (gamma_ok, gamma, s_max, scale, sbar, m, log2_do, lo, hi,
-     leak_rate) = column(terms, 0)
+                      n / sbar, math.log2(1 + 2 * 6**block.s_max), lo, hi))
+    gamma_ok, gamma, s_max, scale, sbar, m, log2_do, lo, hi = column(terms, 0)
     tail = (s_max > 1) & (gamma < 1)
     rows = []
     for delta in deltas:
@@ -1333,8 +1259,9 @@ def reference_grid_key_lengths(target, caps, rows, deltas, shares):
         if 0 < eps_s < 1 and 0 < eps_ea < 1 and 0 < eps_pa < 1:
             try:
                 eps = eat.EatEpsilons(eps_s / 4.0, eps_ea + caps.eps_ec)
-                row = (True, eps.eps_s, eps.eps_e, kr._log_correction(eps_s),
-                       kr._pa_term(eps_pa), eps.eps_s**2)
+                row = (True, eps.eps_s, eps.eps_e,
+                       oracle.log_correction(eps_s, math),
+                       oracle.pa_term(eps_pa, math), eps.eps_s**2)
             except ValueError:
                 pass
         rows.append(row)
@@ -1346,7 +1273,7 @@ def reference_grid_key_lengths(target, caps, rows, deltas, shares):
         ratio = p1 / scale
         ok = (gamma_ok & delta_ok & share_ok
               & (ratio >= entropy.OMEGA_CLASSICAL) & (ratio <= 1.0))
-        k_pen = eat._penalty_scale(es4, eps_e, m, np)
+        k_pen = oracle.penalty(es4, eps_e, m, np)
         cut = np.minimum(np.maximum(p1 - k_pen, lo), hi)
         slope = sbar * bound_oracle._slope(cut / scale, np) / scale
         at_cut = sbar * secrecy_bound_each(cut / scale)
@@ -1357,16 +1284,12 @@ def reference_grid_key_lengths(target, caps, rows, deltas, shares):
         t = np.where(tail, (s_max - 1.0) * np.sqrt(-m * np.log(eps_t) / 2.0),
                      0.0)
         n_eff = n + t
-        eps_sqrt_term = prime - 2.0 * np.sqrt(eps_t)
-        leak = (n_eff * leak_rate
-                + np.sqrt(n_eff) * 4.0 * kr.LOG2_2SQRT2_PLUS_1 * np.sqrt(
-                    2.0 * np.log2(8.0 / eps_sqrt_term**2))
-                + np.log2(8.0 / prime**2 + 2.0 / (2.0 - prime))
-                + np.log2(1.0 / caps.eps_ec))
-        max_ent = gamma * n_eff + np.sqrt(n_eff) * 2.0 * math.log2(
-            7.0) * np.sqrt(1.0 - 2.0 * np.log2((es4 - np.sqrt(eps_t)) * eps_e))
-        ell = entropy_term - leak - log_corr - max_ent - pa
-    ok = ok & (eps_sqrt_term > 0)
+        leak = oracle.leak(n_eff, gamma, h_q, h_omega, prime, caps.eps_ec,
+                           eps_t, np)
+        max_ent = oracle.max_entropy(n_eff, gamma, es4 - np.sqrt(eps_t),
+                                     eps_e, np)
+        ell = oracle.total(entropy_term, leak, log_corr, max_ent, pa)
+    ok = ok & (prime - 2.0 * np.sqrt(eps_t) > 0)
     return np.where(ok, ell, -np.inf).max(axis=3)
 
 

@@ -21,19 +21,21 @@ import di_toolkit
 # one marker per formula: the max-entropy term, the leakage sum, the
 # leakage root of the eps_t terms, the Hoeffding bound, the s_max =
 # ceil(1/gamma) rule, the honest-device sampler's test-flag draw (shared
-# with the round-count statistic) and its per-round uniform draws, the secrecy bound's slope (taken with the bound
-# from one root), the smoothing root of the max-entropy term and the EAT
-# penalty, the multinomial of tau's denominators, the eps_t candidate
-# ladder, the error budget's soundness split and completeness slack, the
-# block output dimension's closed form, and the glued function's tangent
-# at its cut
+# with the round-count statistic) and its per-round uniform draws, the
+# secrecy bound's slope (taken with the bound from one root), the
+# smoothing root of the max-entropy term and the EAT penalty, the
+# multinomial of tau's denominators, the eps_t candidate ladder, the error
+# budget's soundness split and completeness slack, the block output
+# dimension's closed form, the glued function's tangent at its cut, the
+# threshold bound's exponent (the bound and the CLI's log10_bound) and the
+# EAT rate f - K (log2 d_O + f') (the scalar path and the grid kernel)
 MARKERS = ["LOG2_7", "LOG2_2SQRT2_PLUS_1", "xp.log2(8.0 / est",
            "exp(-2.0 *", "ceil(1.0 / gamma",
            "rng.random((m, block.s_max))", "rng.random(n)",
            "log2(u / (1.0 - u))", "1.0 - 2.0 * xp.log2(",
            "math.comb(", "10.0 ** (-k)", "caps.soundness - 2.0 * caps.eps_ec",
            "caps.completeness - caps.eps_ec", "6.0 ** (-s_max)",
-           "at_cut + slope * ("]
+           "at_cut + slope * (", "(30.0 * d) ** 2", "k_pen * ("]
 
 
 class _DropNested(ast.NodeTransformer):
@@ -93,6 +95,46 @@ def test_no_raw_stream_skip():
 
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = Path(di_toolkit.__file__).parent
+
+
+def private_package_reads(tree):
+    """The private names that a module's syntax tree imports from the
+    package, and the private attributes it reads off a package module
+    (bound by ``import di_toolkit.m`` or ``from di_toolkit import m``)."""
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name.split(".")[0] == "di_toolkit")
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[0] == "di_toolkit"):
+            found += [a.name for a in node.names if a.name.startswith("_")]
+            if node.module == "di_toolkit":
+                modules.update(a.asname or a.name for a in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and ast.unparse(node.value) in modules):
+            found.append(f"{ast.unparse(node.value)}.{node.attr}")
+    return found
+
+
+def test_key_length_oracle_reads_no_private_name():
+    """tests/key_length_oracle.py restates the key length's terms on its
+    own: it imports no private name of the package and reads no private
+    attribute of a package module, so a fault in a private body cannot
+    pass through it into the tests' expected values."""
+    tree = ast.parse((REPO / "tests" / "key_length_oracle.py").read_text())
+    assert private_package_reads(tree) == []
+    caught = ast.parse("import di_toolkit.eat\n"
+                       "from di_toolkit import eat, keyrates as kr\n"
+                       "from di_toolkit.keyrates import _pa_term, BLOCK\n"
+                       "kr._log_correction(1e-6)\n"
+                       "eat._penalty_scale\n"
+                       "di_toolkit.eat._max_entropy\n"
+                       "BLOCK._x, kr.BLOCK\n")
+    assert sorted(private_package_reads(caught)) == [
+        "_pa_term", "di_toolkit.eat._max_entropy", "eat._penalty_scale",
+        "kr._log_correction"]
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
