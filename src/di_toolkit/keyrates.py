@@ -1,27 +1,43 @@
 r"""Finite-size device-independent QKD key length and rate curves.
 
-The extractable key length combines the accumulated-entropy lower bound with
-the error-correction leakage of the honest implementation and the remaining
-finite-size corrections.  Over m blocks of at most s_max rounds (each ends
-at its first test round), n expected rounds and n' = n + t effective ones:
+The extractable key length is the accumulated-entropy lower bound less
+four costs, each reported as a non-negative number and subtracted.  Over
+m blocks of at most s_max rounds (each ends at its first test round), n
+expected rounds and n' = n + t effective ones:
 
     l = m * mu_block_opt(eps_s/4, eps_ea + eps_ec)
         - leak(n', eps_t)
-        - 3 log2(1 - sqrt(1 - (eps_s/4)^2))
-        - gamma n'
-        - sqrt(n') 2 log2(7) sqrt(1 - 2 log2(eps_s' (eps_ea + eps_ec)))
+        - (-3 log2(1 - sqrt(1 - (eps_s/4)^2)))
+        - (gamma n' + sqrt(n') 2 log2(7) sqrt(1 - 2 log2(eps_s' eps_e)))
         - 2 log2(1/eps_pa),
 
-with t the tail of the random round count at error eps_t and eps_s' =
-eps_s/4 - sqrt(eps_t).  The round count has a tail only if a block can
-hold more than one round, s_max > 1 and gamma < 1; without one eps_t = 0
-in every term.  The per-round protocol is the case of one-round blocks,
-s_max = 1 (m = n): key_length and key_length_block are one body, and the
-grid kernel scores every (gamma, s_max) row with the same formulas.  The
-inputs are checked once, where they enter; from there the key length is
-computed on floats, its entropy term by eat's float body of mu_block_opt,
-the budget's own terms first (the log correction is log2(0) for eps_s
-below about 4.2e-8, so such a budget raises before the cut search).
+with eps_e = eps_ea + eps_ec, t the tail of the random round count at
+error eps_t and eps_s' = eps_s/4 - sqrt(eps_t).  Each term's source and
+the direction of its inequality, in report order:
+
+- entropy_term: the entropy accumulation theorem (Dupuis, Fawzi, Renner)
+  over the blocks of Arnon-Friedman, Renner and Vidick, a lower bound on
+  the smooth min-entropy H_min^{eps_s/4}(AB|E) of the outputs given Eve;
+- leak_ec: the error-correction leakage, an upper bound on the bits that
+  error correction publishes (h(Q) per key round, h(omega_exp) per test
+  round and second-order terms at eps_ec_prime and eps_ec);
+- log_correction: the chain rule of Vitanov, Dupuis, Tomamichel and
+  Renner, H_min^{eps_s}(A|BE) >= H_min^{eps_s/4}(AB|E) -
+  H_max^{eps_s/4}(B|E) - log_correction, whose correction lowers the
+  bound: a cost;
+- max_entropy_term: an upper bound on that H_max(B|E), of Bob's test
+  outputs, which the chain rule subtracts;
+- pa_term: the leftover hash lemma's cost of privacy amplification.
+
+The round count has a tail only if a block can hold more than one round,
+s_max > 1 and gamma < 1; without one eps_t = 0 in every term.  The
+per-round protocol is the case of one-round blocks, s_max = 1 (m = n):
+key_length and key_length_block are one body, and the grid kernel scores
+every (gamma, s_max) row with the same formulas.  The inputs are checked
+once, where they enter; from there the key length is computed on floats,
+its entropy term by eat's float body of mu_block_opt, the budget's own
+terms first (the log correction takes log2(0) for eps_s below about
+4.2e-8, so such a budget raises before the cut search).
 
 optimize_rate runs a coarse (gamma, delta_est) grid, an epsilon split grid
 and one zoom that also searches s_max, in boxes set by the caps and the
@@ -193,7 +209,10 @@ def completeness_error(params: ProtocolParams, budget: EpsilonBudget) -> float:
 
 
 def _log_correction(eps_s, xp=math):
-    return 3.0 * xp.log2(1.0 - xp.sqrt(1.0 - (eps_s / 4.0) ** 2))
+    """-3 log2(1 - sqrt(1 - (eps_s/4)^2)) >= 0, the chain rule's cost; at
+    eps_s below about 4.2e-8 the log2 of 0 (math raises, numpy gives
+    +inf)."""
+    return -3.0 * xp.log2(1.0 - xp.sqrt(1.0 - (eps_s / 4.0) ** 2))
 
 
 def _pa_term(eps_pa, xp=math):

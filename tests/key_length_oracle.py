@@ -9,7 +9,7 @@ effective ones (t the round count's tail at error eps_t, 0 without a tail):
     l = m mu - leak(n') - log_correction - max_entropy(n') - pa_term,
 
 the EAT entropy term (Arnon-Friedman, Renner, Vidick, arXiv:1607.01797)
-less four costs.  Each term follows the package's operation order, so
+less four non-negative costs.  Each term follows the package's operation order, so
 that key_length's reports match keyrates.key_length_block bit for bit and
 it raises the same exception type and message wherever the package does.  Nothing here reads a private name of the package
 (tests/test_one_text.py checks this): the entropy rate comes from the
@@ -61,10 +61,11 @@ def max_entropy(n_eff, gamma, eps_s, eps_e, xp):
 
 
 def log_correction(eps_s, xp):
-    """3 log2(1 - sqrt(1 - (eps_s/4)^2)), the chain rule's correction
-    (Vitanov, Dupuis, Tomamichel, Renner, arXiv:1205.5231); log2(0) below
-    eps_s of about 4.2e-8."""
-    return 3.0 * xp.log2(1.0 - xp.sqrt(1.0 - (eps_s / 4.0) ** 2))
+    """-3 log2(1 - sqrt(1 - (eps_s/4)^2)) >= 0, the cost of the chain rule
+    (Vitanov, Dupuis, Tomamichel, Renner, arXiv:1205.5231), whose
+    correction lowers the min-entropy bound; log2(0) below eps_s of about
+    4.2e-8."""
+    return -3.0 * xp.log2(1.0 - xp.sqrt(1.0 - (eps_s / 4.0) ** 2))
 
 
 def pa_term(eps_pa, xp):

@@ -178,6 +178,45 @@ def per_round_reference(params, budget):
                                                          extras={})
 
 
+def per_round_draw(rng):
+    """(params, budget) of a random per-round point: gamma = 1 one time in
+    ten, delta_est up to 1.1 times the statistic's room, epsilons from 1e-9
+    to 0.1 and eps_t, which one-round blocks ignore, up to 1e-2."""
+    q = float(rng.uniform(0.0, 0.05))
+    omega, qber = kr.honest_werner(2 * q)
+    gamma = 1.0 if rng.random() < 0.1 else float(
+        10.0 ** rng.uniform(-4.0, 0.0))
+    delta = float(rng.uniform(1e-9, 1.1) * (omega - 0.75) * gamma)
+    params = kr.ProtocolParams(float(10.0 ** rng.uniform(2, 16)),
+                               gamma, omega, delta, qber)
+    eps = [float(10.0 ** rng.uniform(-9.0, -1.0)) for _ in range(5)]
+    budget = kr.EpsilonBudget(
+        eps_ec=eps[0], eps_ec_complete=eps[0] + eps[1], eps_s=eps[2],
+        eps_ea=eps[3], eps_pa=eps[4],
+        eps_t=float(10.0 ** rng.uniform(-30.0, -2.0)))
+    return params, budget
+
+
+def block_draw(rng):
+    """(params, budget, s_max) of a random block point: gamma from 1e-3 to
+    0.95, s_max from 2 to 3 ceil(1/gamma) + 1 and eps_t up to twice
+    (eps_s/4)^2, past which the key length raises."""
+    q = float(rng.uniform(0.0, 0.05))
+    omega, qber = kr.honest_werner(2 * q)
+    gamma = float(10.0 ** rng.uniform(-3.0, np.log10(0.95)))
+    s_max = int(rng.integers(2, 3 * math.ceil(1.0 / gamma) + 2))
+    mass = eat.BlockSpec(gamma, s_max).test_mass
+    delta = float(rng.uniform(1e-9, 1.1) * (omega - 0.75) * mass)
+    params = kr.ProtocolParams(float(10.0 ** rng.uniform(2, 16)),
+                               gamma, omega, delta, qber)
+    eps = [float(10.0 ** rng.uniform(-9.0, -1.0)) for _ in range(5)]
+    budget = kr.EpsilonBudget(
+        eps_ec=eps[0], eps_ec_complete=eps[0] + eps[1], eps_s=eps[2],
+        eps_ea=eps[3], eps_pa=eps[4],
+        eps_t=(eps[2] / 4.0) ** 2 * float(10.0 ** rng.uniform(-14.0, 0.3)))
+    return params, budget, s_max
+
+
 class TestKeyLengthReference:
     def test_matches_retired_body(self, rng):
         """Bit-identical reports, field by field, where the oracle computes
@@ -186,18 +225,7 @@ class TestKeyLengthReference:
         (eps_s below 4.2e-8)."""
         kept = raised_count = 0
         for _ in range(480):
-            q = float(rng.uniform(0.0, 0.05))
-            omega, qber = kr.honest_werner(2 * q)
-            gamma = 1.0 if rng.random() < 0.1 else float(
-                10.0 ** rng.uniform(-4.0, 0.0))
-            delta = float(rng.uniform(1e-9, 1.1) * (omega - 0.75) * gamma)
-            params = kr.ProtocolParams(float(10.0 ** rng.uniform(2, 16)),
-                                       gamma, omega, delta, qber)
-            eps = [float(10.0 ** rng.uniform(-9.0, -1.0)) for _ in range(5)]
-            budget = kr.EpsilonBudget(
-                eps_ec=eps[0], eps_ec_complete=eps[0] + eps[1], eps_s=eps[2],
-                eps_ea=eps[3], eps_pa=eps[4],
-                eps_t=float(10.0 ** rng.uniform(-30.0, -2.0)))
+            params, budget = per_round_draw(rng)
             want = raised(lambda: per_round_reference(params, budget))
             if want is not None:
                 assert raised(lambda: kr.key_length(params, budget)) == want
@@ -236,20 +264,7 @@ class TestKeyLengthBlockReference:
         large."""
         kept = raised_count = 0
         for _ in range(800):
-            q = float(rng.uniform(0.0, 0.05))
-            omega, qber = kr.honest_werner(2 * q)
-            gamma = float(10.0 ** rng.uniform(-3.0, np.log10(0.95)))
-            s_max = int(rng.integers(2, 3 * math.ceil(1.0 / gamma) + 2))
-            mass = eat.BlockSpec(gamma, s_max).test_mass
-            delta = float(rng.uniform(1e-9, 1.1) * (omega - 0.75) * mass)
-            params = kr.ProtocolParams(float(10.0 ** rng.uniform(2, 16)),
-                                       gamma, omega, delta, qber)
-            eps = [float(10.0 ** rng.uniform(-9.0, -1.0)) for _ in range(5)]
-            budget = kr.EpsilonBudget(
-                eps_ec=eps[0], eps_ec_complete=eps[0] + eps[1], eps_s=eps[2],
-                eps_ea=eps[3], eps_pa=eps[4],
-                eps_t=(eps[2] / 4.0) ** 2 * float(10.0 ** rng.uniform(-14.0,
-                                                                    0.3)))
+            params, budget, s_max = block_draw(rng)
             want = raised(lambda: oracle.key_length(params, budget, s_max))
             if want is not None:
                 assert raised(lambda: kr.key_length_block(
@@ -323,6 +338,37 @@ class TestKeyLengthBlockReference:
         assert built == []
         eat.BlockSpec(0.5, 2), eat.EatEpsilons(0.1, 0.1)
         assert built == ["BlockSpec", "EatEpsilons"]
+
+
+class TestCostSigns:
+    """Every cost a report subtracts from its entropy term is >= 0: the
+    leakage, the chain rule's log correction, the max-entropy term and the
+    PA term."""
+
+    def test_scalar_costs_non_negative(self, rng):
+        draws = ([per_round_draw(rng) + (1,) for _ in range(480)]
+                 + [block_draw(rng) for _ in range(800)])
+        checked = 0
+        for params, budget, s_max in draws:
+            try:
+                report = kr.key_length_block(params, budget, s_max)
+            except ValueError:
+                continue
+            assert min(report.leak_ec, report.log_correction,
+                       report.max_entropy_term, report.pa_term) >= 0, report
+            checked += 1
+        assert checked >= 700
+
+    def test_kernel_log_correction_non_negative(self):
+        """The grid kernel's log corrections over split grids, +inf where
+        eps_s is below 4.2e-8 (every split of STRICT)."""
+        shares = [(10.0 ** (k / 3),) * 2 + (1.0,) for k in range(-24, 25)]
+        finite = 0
+        for caps in (TestGridKernel.CAPS, TestGridKernel.STRICT):
+            log_corr = kr._share_axis(caps, shares).log_corr
+            assert np.all(log_corr >= 0)
+            finite += np.isfinite(log_corr).sum()
+        assert finite >= 30
 
 
 class TestBudgetTermsFirst:
