@@ -205,7 +205,7 @@ def estimate_abort_probability(config: SimulationConfig, trials: int,
     """(frequency, (lo, hi)) abort frequency with its 95% Wilson interval:
     trial k aborts as run_protocol does on draw k of Bin(n, gamma omega_dev),
     the won test rounds, from the master seed's trial-0 generator."""
-    if trials < 1:
+    if _integer(trials, "trials") < 1:
         raise ValueError("trials must be >= 1")
     wins = _trial_rng(master_seed, 0).binomial(
         config.n, config.gamma * config.device.omega_exp, size=trials)

@@ -276,6 +276,19 @@ class TestAbortProbability:
         assert sim.estimate_abort_probability(cfg, 100, 11) == \
             sim.estimate_abort_probability(cfg, 100, 11)
 
+    @pytest.mark.parametrize("trials, message", [
+        pytest.param(trials, message, id=repr(trials)) for trials, message in (
+            (0, "trials must be >= 1"), (-2, "trials must be >= 1"),
+            # each once reached numpy, which raised TypeError
+            (2.5, "trials must be an integer"),
+            (3.0, "trials must be an integer"),
+            (True, "trials must be an integer"))])
+    def test_trials_domain(self, trials, message):
+        cfg = sim.SimulationConfig(n=1000, gamma=0.5, omega_exp=0.81,
+                                   delta_est=0.005, device=device())
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sim.estimate_abort_probability(cfg, trials, 7)
+
     @pytest.mark.parametrize("m, gamma, s_max, delta_est",
                              [case[1:] for case in COUNT_ONLY_CASES],
                              ids=[case[0] for case in COUNT_ONLY_CASES])
