@@ -209,9 +209,9 @@ def completeness_error(params: ProtocolParams, budget: EpsilonBudget) -> float:
 
 
 def _log_correction(eps_s, xp=math):
-    """-3 log2(1 - sqrt(1 - (eps_s/4)^2)) >= 0, the chain rule's cost; at
-    eps_s below about 4.2e-8 the log2 of 0 (math raises, numpy gives
-    +inf)."""
+    """-3 log2(1 - sqrt(1 - (eps_s/4)^2)) >= 0, the chain rule's cost;
+    log2(0) below eps_s of about 4.2e-8, where math raises and numpy gives
+    +inf."""
     return -3.0 * xp.log2(1.0 - xp.sqrt(1.0 - (eps_s / 4.0) ** 2))
 
 

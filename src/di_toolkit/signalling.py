@@ -252,8 +252,7 @@ def threshold_bound(game: Game, n: int, beta: float) -> float:
 
 
 def _log_threshold_bound(n, beta, d):
-    """-n beta^2 / (30 d)^2, the natural log of threshold_bound: the CLI
-    reports it, as the bound itself routinely underflows."""
+    """ln threshold_bound = -n beta^2 / (30 d)^2, which the CLI reports."""
     return -n * beta * beta / (30.0 * d) ** 2
 
 

@@ -7,7 +7,8 @@ Finetti tables go through one joint-type map, and tau's denominators
 through one multinomial.  Every public function and class has a caller
 outside the unit tests or, for a short named list, a role in the README;
 every public method has a caller, and every default is set somewhere
-outside the unit tests."""
+outside the unit tests.  The tests' key-length oracle reads no private
+name of the package."""
 
 import ast
 import re
