@@ -38,13 +38,16 @@ Under a group that differs it says how far it moved: how many lines differ,
 the largest absolute difference over their float fields (.hex() or
 decimal), taken where both sides' lines hold the same number of them, and
 how many differing lines went up and how many down in their first float
-field (an optimize line's key length):
+field (an optimize line's key length).  A last line, "src:", gives each
+side's src/di_toolkit/*.py line total as wc -l counts it and the change's
+delta:
 
     python3 scripts/same_numbers.py --parent ../parent --change .
 """
 
 import argparse
 import contextlib
+import glob
 import hashlib
 import io
 import json
@@ -357,6 +360,17 @@ def side(checkout, examples):
             "verify": digest(verify_lines(di_toolkit))}
 
 
+def src_lines(checkout):
+    """The line total of checkout/src/di_toolkit/*.py as wc -l counts it:
+    newline characters, so a last line without one does not count."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "di_toolkit",
+                                       "*.py")):
+        with open(path, "rb") as f:
+            total += f.read().count(b"\n")
+    return total
+
+
 def run_side(checkout, examples, workdir):
     """side(checkout) in a fresh interpreter with checkout/src first on
     PYTHONPATH."""
@@ -404,6 +418,10 @@ def main(argv=None):
             print(f"  {lines} of {b['lines']} lines differ, "
                   f"largest |Δ| {size}; first float up in {up}, "
                   f"down in {down}")
+    lines = {name: src_lines(getattr(args, name))
+             for name in ("parent", "change")}
+    print(f"src: parent {lines['parent']} lines, change {lines['change']} "
+          f"lines ({lines['change'] - lines['parent']:+d})")
     return 1 if differ else 0
 
 

@@ -252,6 +252,7 @@ class MultiRoundBox:
 
     def __post_init__(self):
         al = self.alphabets
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         object.__setattr__(self, "p", _box_table(
             self.p, (al.x_size**self.n, al.y_size**self.n,
                      al.a_size**self.n, al.b_size**self.n)))

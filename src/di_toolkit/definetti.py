@@ -86,6 +86,7 @@ def tau_classes(n: int, alphabets: Alphabets) -> TauClasses:
     """tau on every joint type class of an n-round table: d is the product
     of the class's _row_denominator factors, one per distinct row, in exact
     Python integers (d passes 2**63 at n = 4 on |A||B| = 32)."""
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     l = alphabets.x_size * alphabets.y_size

@@ -33,12 +33,12 @@ the best-cut rate (of mu_block_opt and mu_opt), and _cut_bounds, _tail
 and _hoeffding (of cut_interval, round_count_tail and hoeffding).  The
 key length makes BlockSpec's and EatEpsilons' checks on its floats
 (_check_block, _check_epsilons) and builds neither.  The terms that its
-numpy grid kernel shares with the scalar path (the test mass, the cut
-interval, log2 d_O, the penalty K, the glued function's tangent at the
-cut with its slope (_tangent: g, g' from one root), the rate mu (_rate),
-the max-entropy bound and its smoothing root, the round count tail, the
-Hoeffding bound) take the namespace ``xp`` or are plain arithmetic;
-_tradeoff keeps g itself below the cut.
+numpy grid kernel shares with the scalar path (the tail rule _has_tail,
+the test mass, the cut interval, log2 d_O, the penalty K, the glued
+function's tangent at the cut with its slope (_tangent: g, g' from one
+root), the rate mu (_rate), the max-entropy bound and its smoothing root,
+the round count tail, the Hoeffding bound) take the namespace ``xp`` or
+are plain arithmetic; _tradeoff keeps g itself below the cut.
 """
 
 from __future__ import annotations
@@ -117,9 +117,15 @@ def _check_block(gamma, s_max):
 
 
 def _block_mass(gamma, s_max):
-    """1 - (1-gamma)^s_max, exactly gamma for one-round blocks, where the
-    formula would round."""
-    return gamma if s_max == 1 else _test_mass(gamma, s_max)
+    """1 - (1-gamma)^s_max, exactly gamma where every block is one round
+    (no _has_tail), where the formula would round."""
+    return _test_mass(gamma, s_max) if _has_tail(gamma, s_max) else gamma
+
+
+def _has_tail(gamma, s_max):
+    """Whether the round count has a tail: some block can hold more than one
+    round (s_max > 1 and gamma < 1); elementwise on arrays too."""
+    return (s_max > 1) & (gamma < 1)
 
 
 def _test_mass(gamma, s_max):
@@ -277,13 +283,13 @@ def round_count_tail(m_blocks: float, gamma: float, s_max: int,
     """Deviation t with Pr[N >= m*s_bar + t] <= eps_t for the total round
     count N of m independent blocks, each of 1 to s_max rounds: Hoeffding
     over that range, t = (s_max - 1) sqrt(-m ln(eps_t) / 2).  t = 0 when
-    every block is one round (s_max = 1 or gamma = 1)."""
+    every block is one round (no _has_tail: s_max = 1 or gamma = 1)."""
     if not 0 < eps_t < 1:
         raise ValueError("eps_t must be in (0,1)")
     if not 0 < m_blocks < math.inf:  # NaN fails too
         raise ValueError("m_blocks must be positive and finite")
     _check_block(gamma, s_max)
-    return 0.0 if gamma == 1.0 else _tail(m_blocks, s_max, eps_t)
+    return _tail(m_blocks, s_max, eps_t) if _has_tail(gamma, s_max) else 0.0
 
 
 def _tail(m_blocks, s_max, eps_t, xp=math):

@@ -30,14 +30,15 @@ the direction of its inequality, in report order:
 - pa_term: the leftover hash lemma's cost of privacy amplification.
 
 The round count has a tail only if a block can hold more than one round,
-s_max > 1 and gamma < 1; without one eps_t = 0 in every term.  The
-per-round protocol is the case of one-round blocks, s_max = 1 (m = n):
-key_length and key_length_block are one body, and the grid kernel scores
-every (gamma, s_max) row with the same formulas.  The inputs are checked
-once, where they enter; from there the key length is computed on floats,
-its entropy term by eat's float body of mu_block_opt, the budget's own
-terms first (the log correction takes log2(0) for eps_s below about
-4.2e-8, so such a budget raises before the cut search).
+s_max > 1 and gamma < 1 (eat._has_tail, the one text of that rule);
+without one eps_t = 0 in every term.  The per-round protocol is the case
+of one-round blocks, s_max = 1 (m = n): key_length and key_length_block
+are one body, and the grid kernel scores every (gamma, s_max) row with
+the same formulas.  The inputs are checked once, where they enter; from
+there the key length is computed on floats, its entropy term by eat's
+float body of mu_block_opt, the budget's own terms first (the log
+correction takes log2(0) for eps_s below about 4.2e-8, so such a budget
+raises before the cut search).
 
 optimize_rate runs a coarse (gamma, delta_est) grid, an epsilon split grid
 and one zoom that also searches s_max, in boxes set by the caps and the
@@ -219,12 +220,6 @@ def _pa_term(eps_pa, xp=math):
     return 2.0 * xp.log2(1.0 / eps_pa)
 
 
-def _has_tail(gamma, s_max):
-    """Whether the round count has a tail: some block can hold more than one
-    round (s_max > 1 and gamma < 1); elementwise on arrays too."""
-    return (s_max > 1) & (gamma < 1)
-
-
 def key_length(params: ProtocolParams, budget: EpsilonBudget) -> RateReport:
     """Per-round-mode key length for a fixed round count n: the block
     computation with one-round blocks (s_max = 1), which have no tail
@@ -239,7 +234,7 @@ def key_length_block(params: ProtocolParams, budget: EpsilonBudget,
     Uses m = n_bar / s_bar blocks, the block entropy rate, and the round
     count tail t: n_bar + t effective rounds enter the leakage and
     max-entropy terms, whose smoothing parameters shift by sqrt(eps_t);
-    without a tail (_has_tail) eps_t = 0, whatever ``budget.eps_t`` says."""
+    without a tail (eat._has_tail) eps_t = 0, whatever the budget says."""
     fields, m, t, sbar = _key_length(params, budget, s_max)
     return RateReport(*fields, BLOCK, s_max,
                       {"m_blocks": m, "tail_t": t, "s_bar": sbar})
@@ -264,7 +259,7 @@ def _key_length(params: ProtocolParams, budget: EpsilonBudget,
     entropy_term = m * mu_value
     leak_rate = _leak_rate(params.gamma, binary_entropy(params.q),
                            binary_entropy(params.omega_exp))
-    tail = _has_tail(params.gamma, s_max)
+    tail = eat._has_tail(params.gamma, s_max)
     eps_t = budget.eps_t if tail else 0.0
     eps_s_shifted = eps_s - math.sqrt(eps_t)
     if not eps_s_shifted > 0:
@@ -354,16 +349,14 @@ def _ec_complete(caps: RateCaps, n, delta_est, xp):
 
 
 def _budget_for(caps: RateCaps, params: ProtocolParams, shares: tuple,
-                eps_t_share: float) -> EpsilonBudget | None:
+                eps_t_share: float) -> EpsilonBudget:
     """Assemble a budget meeting both caps, at eps_t = eps_t_share
     (eps_s/4)^2: the soundness split of positive ``shares`` and the
     completeness slack as eps_ec_complete (larger is better: it lowers the
-    leakage); None where no slack is left, delta_est at or below
-    _delta_floor."""
+    leakage).  Where no slack is left, delta_est at or below _delta_floor,
+    EpsilonBudget raises its ValueError."""
     eps_s, eps_ea, eps_pa = _split_soundness(caps, *shares)
     eps_ec_complete = _ec_complete(caps, params.n, params.delta_est, math)
-    if eps_ec_complete <= caps.eps_ec:
-        return None
     return EpsilonBudget(eps_ec=caps.eps_ec, eps_ec_complete=eps_ec_complete,
                          eps_s=eps_s, eps_ea=eps_ea, eps_pa=eps_pa,
                          eps_t=(eps_s / 4.0) ** 2 * eps_t_share)
@@ -376,18 +369,16 @@ def _eval_point(target: RateTarget, caps: RateCaps, gamma: float,
     infeasible: key_length_block at s_max and the eps_t candidate the
     kernel picked, cap_t * _eps_t_ladder()[eps_t_index], cap_t =
     (eps_s/4)^2, whose index the report's ``extras`` record where the round
-    count has a tail (``eps_t_index``; _has_tail)."""
+    count has a tail (``eps_t_index``; eat._has_tail)."""
     omega_exp, _ = honest_werner(2.0 * target.q)
     try:
         params = ProtocolParams(target.n, gamma, omega_exp, delta_est, target.q)
         budget = _budget_for(caps, params, shares,
                              _eps_t_ladder()[eps_t_index])
-        if budget is None:
-            return None
         report = key_length_block(params, budget, s_max)
     except ValueError:
         return None
-    if _has_tail(gamma, s_max):
+    if eat._has_tail(gamma, s_max):
         report.extras["eps_t_index"] = eps_t_index
     return report
 
@@ -456,7 +447,7 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, rows, deltas,
 
     Every row is scored on every candidate of _eps_t_ladder.  A row with a
     tail pays +inf at the first, eps_t = 0 (t = +inf, the Hoeffding tail's
-    limit); one without (_has_tail) has t = 0 and pays least there, its
+    limit); one without (eat._has_tail) has t = 0 and pays least there, its
     first minimum, and a grid of such rows alone is scored there only.  No
     log or sqrt runs on more than the shapes above.  At or below the cut
     (p~1 within 1e-9 mass of 3/4) the kernel keeps the tangent, about
@@ -471,7 +462,7 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, rows, deltas,
         # (G, 1, 1): one (gamma, s_max) pair per row
         columns = np.array(list(zip(*rows)), dtype=float)
         gamma, s_max = columns[:, :, None, None]
-        tail = _has_tail(gamma, s_max)
+        tail = eat._has_tail(gamma, s_max)
         mass = np.where(tail, eat._test_mass(gamma, s_max), gamma)
         sbar = mass / gamma
         m = n / sbar

@@ -6,20 +6,20 @@ with probability omega_exp, generation rounds agree except with probability
 Q.  These marginals are all the completeness analysis uses, so no state
 simulator is needed.
 
-One sampler serves both protocols: the per-round protocol is the block
-protocol with s_max = 1.  A run of m blocks draws, in this order: an
-(m, s_max) array of test flags, each block cut at its first test or at
-s_max rounds; then, over the N rounds kept, the test wins; then the
-test-round inputs, Alice's outputs and the generation-round agreements.
-A run aborts iff fewer than (omega_exp * test_mass - delta_est) * m blocks
-end in a won test.  The flag draw alone fixes a run's round count N, so
-round_count_statistics makes only that draw of each trial's stream.  At
-s_max = 1 the flag array is one uniform per round and the test mass is
-gamma itself, so the per-round stream and abort rule are the block ones of
-one-round blocks.  The abort estimator runs no sampler: the rounds are
-independent, so the per-round protocol's won test rounds are
-Bin(n, gamma omega_dev); it draws each trial's count from that law and
-applies the same threshold.
+One sampler, run_protocol_blocks, serves both protocols: run_protocol
+calls it with one-round blocks, s_max = 1.  A run of m blocks draws, in
+this order: an (m, s_max) array of test flags, each block cut at its
+first test or at s_max rounds; then, over the N rounds kept, the test
+wins; then the test-round inputs, Alice's outputs and the generation-round
+agreements.  A run aborts iff fewer than (omega_exp * test_mass -
+delta_est) * m blocks end in a won test.  The flag draw alone fixes a
+run's round count N, so round_count_statistics makes only that draw of
+each trial's stream.  At s_max = 1 the flag array is one uniform per
+round and the test mass is gamma itself, so the per-round stream and
+abort rule are the block ones of one-round blocks.  The abort estimator
+runs no sampler: the rounds are independent, so the per-round protocol's
+won test rounds are Bin(n, gamma omega_dev); it draws each trial's count
+from that law and applies the same threshold.
 
 Randomness is a counter-based Philox generator keyed by
 (master_seed, trial_index), so transcripts are bit-identical for identical
@@ -76,10 +76,12 @@ class Transcript:
 
 def _trial_rng(master_seed: int, trial: int,
                rng: np.random.Generator | None = None) -> np.random.Generator:
-    """Philox keyed by (master_seed, trial) at counter 0; a loop over trials
-    passes one such ``rng`` to be rekeyed in place, the same stream without
-    the constructor's OS-entropy seed sequence that the key then replaces."""
-    key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, trial], dtype=np.uint64)
+    """Philox keyed by (master_seed, trial) at counter 0, the seed an integer
+    taken mod 2^64 (-1 keys as 2^64 - 1); a loop over trials passes one such
+    ``rng`` to be rekeyed in place, the same stream without the
+    constructor's OS-entropy seed sequence that the key then replaces."""
+    key = np.array([_integer(master_seed, "seed") & 0xFFFFFFFFFFFFFFFF,
+                    trial], dtype=np.uint64)
     if rng is None:
         return np.random.Generator(np.random.Philox(key=key))
     rng.bit_generator.state = {
@@ -108,18 +110,39 @@ def _test_flags(m: int, block: BlockSpec,
     return flags[kept]
 
 
-def _run(m: int, block: BlockSpec, omega_exp: float, delta_est: float,
-         device: HonestDevice, seed: int, trial: int) -> Transcript:
-    """The one sampler: m blocks of at most s_max rounds, aborting by
-    _abort_threshold."""
+def run_protocol(n: int, gamma: float, omega_exp: float, delta_est: float,
+                 device: HonestDevice, seed: int, trial: int = 0) -> Transcript:
+    """One run of the per-round protocol, the block protocol with one-round
+    blocks; aborts iff the number of winning test rounds falls below
+    (omega_exp * gamma - delta_est) * n.
+
+    ``omega_exp`` and ``delta_est`` are the protocol's acceptance
+    parameters; the device may have a different actual winning probability.
+    """
+    return run_protocol_blocks(n, BlockSpec(gamma, 1), omega_exp, delta_est,
+                               device, seed, trial)
+
+
+def run_protocol_blocks(m_blocks: int, block: BlockSpec, omega_exp: float,
+                        delta_est: float, device: HonestDevice, seed: int,
+                        trial: int) -> Transcript:
+    """One run of the block protocol, the one sampler: each block ends at
+    its first test round or after s_max rounds; the block result is the
+    last round's game outcome, or bottom if no test happened.
+
+    Aborts iff the number of winning blocks falls below
+    (omega_exp * (1 - (1-gamma)^s_max) - delta_est) * m_blocks
+    (_abort_threshold).  The transcript is per-round; block boundaries
+    follow from t.
+    """
     rng = _trial_rng(seed, trial)
-    test = _test_flags(m, block, rng)
+    test = _test_flags(m_blocks, block, rng)
     n = test.size
     wins = rng.random(n) < device.omega_exp
     # a block holds at most one test, its last round: won tests = won blocks
     win_count = int(np.count_nonzero(wins & test))
-    aborted = win_count < _abort_threshold(m, block.test_mass, omega_exp,
-                                           delta_est)
+    aborted = win_count < _abort_threshold(m_blocks, block.test_mass,
+                                           omega_exp, delta_est)
     tests = int(np.count_nonzero(test))
     x = np.full(n, GEN_INPUTS[0], dtype=np.int8)
     y = np.full(n, GEN_INPUTS[1], dtype=np.int8)
@@ -134,33 +157,6 @@ def _run(m: int, block: BlockSpec, omega_exp: float, delta_est: float,
     w = np.where(test, wins.astype(np.int8), np.int8(W_BOT)).astype(np.int8)
     return Transcript(t=test.astype(np.int8), x=x, y=y, a=a, b=b, w=w,
                       aborted=aborted, win_count=win_count)
-
-
-def run_protocol(n: int, gamma: float, omega_exp: float, delta_est: float,
-                 device: HonestDevice, seed: int, trial: int = 0) -> Transcript:
-    """One run of the per-round protocol, the block protocol with one-round
-    blocks; aborts iff the number of winning test rounds falls below
-    (omega_exp * gamma - delta_est) * n.
-
-    ``omega_exp`` and ``delta_est`` are the protocol's acceptance
-    parameters; the device may have a different actual winning probability.
-    """
-    return _run(n, BlockSpec(gamma, 1), omega_exp, delta_est, device, seed,
-                trial)
-
-
-def run_protocol_blocks(m_blocks: int, block: BlockSpec, omega_exp: float,
-                        delta_est: float, device: HonestDevice, seed: int,
-                        trial: int) -> Transcript:
-    """One run of the block protocol: each block ends at its first test
-    round or after s_max rounds; the block result is the last round's game
-    outcome, or bottom if no test happened.
-
-    Aborts iff the number of winning blocks falls below
-    (omega_exp * (1 - (1-gamma)^s_max) - delta_est) * m_blocks.
-    The transcript is per-round; block boundaries follow from t.
-    """
-    return _run(m_blocks, block, omega_exp, delta_est, device, seed, trial)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple:

@@ -49,6 +49,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="NaN probability entry"):
             MultiRoundBox(2, one, np.full((1, 1, 1, 1), np.nan))
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "2"])
+    def test_multi_round_box_takes_integer_n(self, n):
+        # 2.5 once failed on the table shape: (1,) != (5.65..., ...)
+        with pytest.raises(ValueError, match="^n must be an integer$"):
+            MultiRoundBox(n, BINARY, np.full((4, 4, 4, 4), 1 / 16))
+
+    def test_multi_round_box_numpy_integer_n(self):
+        box = MultiRoundBox(np.int64(2), BINARY, np.full((4, 4, 4, 4), 1 / 16))
+        assert type(box.n) is int and box.n == 2
+
     def test_box_normalization_enforced(self):
         p = np.full((2, 2, 2, 2), 0.3)
         with pytest.raises(ValueError):

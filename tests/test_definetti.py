@@ -163,6 +163,18 @@ class TestTauBox:
 
 
 class TestReduction:
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, math.nan, "2"])
+    def test_tau_classes_takes_integer_n(self, n):
+        # 2.5 once reached numpy, which raised TypeError
+        with pytest.raises(ValueError, match="^n must be an integer$"):
+            df.tau_classes(n, BINARY)
+
+    def test_tau_classes_numpy_integer_n(self):
+        tau = df.tau_classes(np.int64(2), BINARY)
+        want = df.tau_classes(2, BINARY)
+        assert type(tau.n) is int and tau.denominators == want.denominators
+        assert np.array_equal(tau.index, want.index)
+
     def test_tau_itself_has_ratio_one(self):
         tau = df.tau_classes(2, BINARY)
         assert df.verify_reduction_exact(df.tau_table_exact(2, BINARY),

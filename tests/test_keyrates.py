@@ -603,19 +603,22 @@ class TestOptimizeRate:
 
     def test_delta_floor(self):
         """The coarse grid and the zoom start just above delta_min, where
-        _budget_for runs out of completeness slack, and reach below the
-        old constant floor 1e-4 / 2.4^4 at n = 1e15."""
+        _budget_for runs out of completeness slack (EpsilonBudget refuses
+        its eps_ec_complete), and reach below the old constant floor 1e-4
+        / 2.4^4 at n = 1e15."""
         target = kr.RateTarget(n=1e15, q=1e-10)
         floor = kr._delta_floor(target, self.CAPS)
         delta_min = math.sqrt(math.log(1.0 / (
             self.CAPS.completeness - 2.0 * self.CAPS.eps_ec)) / (2.0 * 1e15))
         assert delta_min < floor <= delta_min * (1.0 + 1e-9) * (1.0 + 1e-15)
         omega, _ = kr.honest_werner(2.0 * target.q)
-        for delta, feasible in ((delta_min * (1.0 - 1e-6), False),
-                                (floor, True)):
+
+        def budget(delta):
             params = kr.ProtocolParams(target.n, 0.01, omega, delta, target.q)
-            budget = kr._budget_for(self.CAPS, params, (1.0, 1.0, 1.0), 0.0)
-            assert (budget is not None) is feasible
+            return kr._budget_for(self.CAPS, params, (1.0, 1.0, 1.0), 0.0)
+        with pytest.raises(ValueError, match="eps_ec_complete"):
+            budget(delta_min * (1.0 - 1e-6))
+        assert budget(floor).eps_ec_complete > self.CAPS.eps_ec
         for mode in (kr.BLOCK, kr.PER_ROUND):
             report = kr.optimize_rate(target, self.CAPS, mode=mode)
             assert floor < report.params.delta_est < 1e-4 / 2.4**4
@@ -767,10 +770,8 @@ def sweep_oracle(target, caps, gamma, s_max, delta, shares):
     omega, _ = kr.honest_werner(2.0 * target.q)
     try:
         params = kr.ProtocolParams(target.n, gamma, omega, delta, target.q)
+        base = kr._budget_for(caps, params, shares, 0.0)
     except ValueError:
-        return None
-    base = kr._budget_for(caps, params, shares, 0.0)
-    if base is None:
         return None
     cap_t = (base.eps_s / 4.0) ** 2
     best = None
@@ -796,8 +797,7 @@ def scalar_point(target, caps, gamma, s_max, delta, shares):
     try:
         params = kr.ProtocolParams(target.n, gamma, omega, delta, target.q)
         base = kr._budget_for(caps, params, shares, 0.0)
-        return (None if base is None
-                else kr.key_length_block(params, base, s_max))
+        return kr.key_length_block(params, base, s_max)
     except ValueError:
         return None
 

@@ -28,15 +28,18 @@ import di_toolkit
 # multinomial of tau's denominators, the eps_t candidate ladder, the error
 # budget's soundness split and completeness slack, the block output
 # dimension's closed form, the glued function's tangent at its cut, the
-# threshold bound's exponent (the bound and the CLI's log10_bound) and the
-# EAT rate f - K (log2 d_O + f') (the scalar path and the grid kernel)
+# threshold bound's exponent (the bound and the CLI's log10_bound), the
+# EAT rate f - K (log2 d_O + f') (the scalar path and the grid kernel) and
+# the tail rule: the round count has a tail iff a block can hold more than
+# one round (the test mass, the tail, the key length and the grid kernel)
 MARKERS = ["LOG2_7", "LOG2_2SQRT2_PLUS_1", "xp.log2(8.0 / est",
            "exp(-2.0 *", "ceil(1.0 / gamma",
            "rng.random((m, block.s_max))", "rng.random(n)",
            "log2(u / (1.0 - u))", "1.0 - 2.0 * xp.log2(",
            "math.comb(", "10.0 ** (-k)", "caps.soundness - 2.0 * caps.eps_ec",
            "caps.completeness - caps.eps_ec", "6.0 ** (-s_max)",
-           "at_cut + slope * (", "(30.0 * d) ** 2", "k_pen * ("]
+           "at_cut + slope * (", "(30.0 * d) ** 2", "k_pen * (",
+           "(s_max > 1) & (gamma < 1)"]
 
 
 class _DropNested(ast.NodeTransformer):
@@ -239,12 +242,10 @@ def test_public_names_have_a_role():
 
 
 # the public names whose one role is a word in the README's Layout block:
-# the block protocol's sampler, on which a block mode of the simulate
-# command would build, the n-round box, whose table layout the de Finetti
-# functions take, and the checked cut interval, whose private body the key
-# length and the grid kernel call
-README_ONLY = {"simulate:run_protocol_blocks", "boxes:MultiRoundBox",
-               "eat:cut_interval"}
+# the n-round box, whose table layout the de Finetti functions take, and
+# the checked cut interval, whose private body the key length and the grid
+# kernel call
+README_ONLY = {"boxes:MultiRoundBox", "eat:cut_interval"}
 
 
 def test_readme_only_names_are_listed():

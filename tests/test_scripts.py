@@ -1,3 +1,4 @@
+import glob
 import importlib.util
 import json
 import math
@@ -222,14 +223,26 @@ def test_lp_pivots_counts(tmp_path):
         assert row["pivots"] == row["phase1"] + row["phase2"]
 
 
+def wc_lines(checkout):
+    """wc -l's total over checkout/src/di_toolkit/*.py."""
+    paths = sorted(glob.glob(os.path.join(checkout, "src", "di_toolkit",
+                                          "*.py")))
+    out = subprocess.run(["wc", "-l", *paths], capture_output=True,
+                         text=True, check=True).stdout
+    return int(out.splitlines()[-1].split()[0])
+
+
 def test_same_numbers_against_this_checkout():
     """Both sides this checkout: every group identical, exit 0 (run_script
-    checks it), with every report, call and README CLI example hashed."""
+    checks it), with every report, call and README CLI example hashed, and
+    a last line with both sides' src line totals as wc -l counts them."""
     lines = run_script("same_numbers", "--parent", ROOT,
                        "--change", ROOT).splitlines()
     assert [line.split(":")[0] for line in lines] == ["optimize", "scalar",
-                                                     "cli", "verify"]
-    assert all(line.endswith(" same") for line in lines)
+                                                     "cli", "verify", "src"]
+    assert all(line.endswith(" same") for line in lines[:4])
+    total = wc_lines(ROOT)
+    assert lines[4] == f"src: parent {total} lines, change {total} lines (+0)"
     assert lines[0].startswith("optimize: 288 lines")
     assert lines[1].startswith("scalar: 6000 lines")
     assert lines[2].startswith("cli: 8 lines, 0 raised")
@@ -240,7 +253,9 @@ def test_same_numbers_sees_a_one_ulp_change(tmp_path):
     """A copy of src/ with LOG2_2SQRT2_PLUS_1 one ulp up: the optimize and
     scalar groups read DIFFERENT, each with a line saying how many of its
     lines moved and how far, and the script exits 1; the CLI's 9-digit
-    output and the verify group, which reads no key length, do not move."""
+    output and the verify group, which reads no key length, do not move.
+    The copy's keyrates.py ends in one more newline, and the src line
+    counts it."""
     shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src")
     path = tmp_path / "src" / "di_toolkit" / "keyrates.py"
     text = path.read_text()
@@ -248,7 +263,7 @@ def test_same_numbers_sees_a_one_ulp_change(tmp_path):
     assert constant in text
     path.write_text(text.replace(constant, (
         "LOG2_2SQRT2_PLUS_1 = math.nextafter("
-        "math.log2(2.0 * math.sqrt(2.0) + 1.0), math.inf)")))
+        "math.log2(2.0 * math.sqrt(2.0) + 1.0), math.inf)")) + "\n")
     out = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "same_numbers.py"),
          "--parent", ROOT, "--change", str(tmp_path)],
@@ -256,12 +271,16 @@ def test_same_numbers_sees_a_one_ulp_change(tmp_path):
     assert out.returncode == 1
     lines = out.stdout.splitlines()
     verdicts = {line.split(":")[0]: line.rsplit(" ", 1)[1]
-                for line in lines if not line.startswith(" ")}
+                for line in lines[:-1] if not line.startswith(" ")}
     assert verdicts == {"optimize": "DIFFERENT", "scalar": "DIFFERENT",
                         "cli": "same", "verify": "same"}
     # a moved-lines line under each DIFFERENT group, none under the others
     assert [line.startswith(" ") for line in lines] == [
-        False, True, False, True, False, False]
+        False, True, False, True, False, False, False]
+    total = wc_lines(ROOT)
+    assert wc_lines(tmp_path) == total + 1
+    assert lines[-1] == (f"src: parent {total} lines, change {total + 1} "
+                         "lines (+1)")
     for moved, total in ((lines[1], 288), (lines[3], 6000)):
         match = re.fullmatch(r"  (\d+) of (\d+) lines differ, "
                              r"largest \|Δ\| (\S+); first float up in "
@@ -277,6 +296,21 @@ def test_same_numbers_sees_a_one_ulp_change(tmp_path):
     # the third pair has no float fields to pair up; "extra" has no partner
     assert same_numbers.moved(parent, change) == (3, 2.0**-52)
     assert same_numbers.moved(parent[2:], change[2:3]) == (1, None)
+
+
+def test_same_numbers_src_lines_count_as_wc(tmp_path):
+    """src_lines counts newline characters of src/di_toolkit/*.py alone,
+    as wc -l does: a last line without one, a file of another suffix and
+    a nested module do not count."""
+    package = tmp_path / "src" / "di_toolkit"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\ny = 2\n")
+    (package / "b.py").write_text("z = 3\nw = 4")
+    (package / "notes.txt").write_text("one\ntwo\n")
+    (package / "sub" / "c.py").write_text("v = 5\n")
+    same_numbers = load_script("same_numbers")
+    assert same_numbers.src_lines(str(tmp_path)) == wc_lines(tmp_path) == 4
+    assert same_numbers.src_lines(ROOT) == wc_lines(ROOT)
 
 
 def test_same_numbers_floats_stand_alone():

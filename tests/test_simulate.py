@@ -369,6 +369,45 @@ class TestAbortProbability:
                                  delta_est=delta_est, device=device())
 
 
+class TestSeeds:
+    """The master seed of every seeded entry point is read as an integer
+    (the float 2.5 once raised numpy's TypeError, and True ran as seed 1),
+    and an integer keys the generator mod 2^64."""
+
+    CFG = sim.SimulationConfig(n=1000, gamma=0.5, omega_exp=0.81,
+                               delta_est=0.005, device=device())
+
+    def calls(self, seed):
+        return (lambda: sim.estimate_abort_probability(self.CFG, 10, seed),
+                lambda: sim.run_protocol(100, 0.5, 0.81, 0.005, device(),
+                                         seed),
+                lambda: sim.run_protocol_blocks(20, BlockSpec(0.3, 4), 0.81,
+                                                0.005, device(), seed, 0),
+                lambda: sim.round_count_statistics(
+                    20, BlockSpec(0.3, 4), device(), 5, seed, 1.0))
+
+    @pytest.mark.parametrize("seed", [2.5, 3.0, True, "7", math.nan])
+    def test_non_integer_rejected(self, seed):
+        for call in self.calls(seed):
+            with pytest.raises(ValueError, match="^seed must be an integer$"):
+                call()
+
+    def test_negative_seed_keys_mod_2_64(self):
+        """The CLI's --seed -1 runs as 2^64 - 1; a numpy integer as its
+        value."""
+        for a, b in ((-1, 2**64 - 1), (np.int64(7), 7), (2**64 + 3, 3)):
+            for first, second in zip(self.calls(a), self.calls(b)):
+                x, y = first(), second()
+                if isinstance(x, sim.Transcript):
+                    assert (x.aborted, x.win_count) == (y.aborted,
+                                                        y.win_count)
+                    for field in FIELDS:
+                        assert np.array_equal(getattr(x, field),
+                                              getattr(y, field))
+                else:
+                    assert x == y
+
+
 class TestWilson:
     def test_contains_proportion(self):
         lo, hi = sim.wilson_interval(50, 100)
