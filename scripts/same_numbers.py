@@ -418,10 +418,9 @@ def main(argv=None):
             print(f"  {lines} of {b['lines']} lines differ, "
                   f"largest |Δ| {size}; first float up in {up}, "
                   f"down in {down}")
-    lines = {name: src_lines(getattr(args, name))
-             for name in ("parent", "change")}
-    print(f"src: parent {lines['parent']} lines, change {lines['change']} "
-          f"lines ({lines['change'] - lines['parent']:+d})")
+    parent, change = src_lines(args.parent), src_lines(args.change)
+    print(f"src: parent {parent} lines, change {change} lines "
+          f"({change - parent:+d})")
     return 1 if differ else 0
 
 
