@@ -174,6 +174,10 @@ class TestReduction:
         want = df.tau_classes(2, BINARY)
         assert type(tau.n) is int and tau.denominators == want.denominators
         assert np.array_equal(tau.index, want.index)
+        # a numpy n once reached the size check as 16 ** np.int64(16),
+        # which wraps to 0 and passed the 1e7-entry limit
+        with pytest.raises(boxes.EnumerationLimitError):
+            df.tau_classes(np.int64(16), BINARY)
 
     def test_tau_itself_has_ratio_one(self):
         tau = df.tau_classes(2, BINARY)
