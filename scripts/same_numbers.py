@@ -23,7 +23,9 @@ first on PYTHONPATH, and hashes four groups there:
   0.01 and 0.05 on CHSH, extended CHSH, 24 seeded random games of the
   verify-mix shapes and the three stalling games (whose slack-0 program
   loses its basis: the raise names the pivots made, so a change to the
-  pivot path shows); signalling_test_flags on 40 seeded data sets; the
+  pivot path shows); signalling_test_flags on 40 seeded data sets; a
+  SHA-1 of the float64 bytes of signalling_matrix on each of
+  ZERO_ENTRY_QS, input distributions with zero entries; the
   exact max ratio of definetti-verify's check at n = 1, 2 and 3; the
   class count and a SHA-1 of the tau denominators at n = 4 on
   Alphabets(4, 8, 1, 1), where they pass 2**63;
@@ -78,6 +80,14 @@ VERIFY_SEED = 18121092
 # 3): perturbed_value at slack 0 loses its basis in phase 1 on each
 STALLING_SEED = 5
 STALLING_GAMES = (9, 19, 45)
+# (alphabet sizes (a, b, x, y), Q(x,y)) of the signalling_matrix lines: a
+# zero entry, an all-zero column (Q(y) = 0), an all-zero row (Q(x) = 0)
+# and both at once, so each conditional's zero-marginal rule is hashed
+ZERO_ENTRY_QS = [((2, 2, 2, 2), [[0.5, 0.0], [0.25, 0.25]]),
+                 ((2, 3, 2, 3), [[0.2, 0.0, 0.1], [0.3, 0.0, 0.4]]),
+                 ((3, 2, 3, 2), [[0.3, 0.2], [0.0, 0.0], [0.1, 0.4]]),
+                 ((2, 2, 3, 3), [[0.0, 0.0, 0.0], [0.0, 0.6, 0.1],
+                                 [0.0, 0.2, 0.1]])]
 # (n, gamma, delta_est, trials) of the abort estimator lines
 ESTIMATOR_CASES = [(10**4, 0.5, 0.02, 500), (1000, 0.5, 0.001, 200),
                    (2000, 1.0, 0.01, 200), (5, 0.5, 0.001, 300),
@@ -231,9 +241,9 @@ def stalling_games(boxes):
 
 
 def verify_lines(lib):
-    """One line per non-signalling program, signalling data set, de
-    Finetti check, exact or estimated abort probability and round-count
-    statistic."""
+    """One line per non-signalling program, signalling data set,
+    signalling matrix, de Finetti check, exact or estimated abort
+    probability and round-count statistic."""
     import numpy as np
 
     boxes, nslp, sig, df, sim = (lib.boxes, lib.nslp, lib.signalling,
@@ -264,6 +274,10 @@ def verify_lines(lib):
                 boxes.ObservedData(*data),
                 boxes.InputDistribution(0.9 * q + 0.1 / q.size),
                 sig.TestParams(0.06, 0.008, n)))))
+    for sizes, q in ZERO_ENTRY_QS:
+        yield _call_line(lambda: hashlib.sha1(sig.signalling_matrix(
+            boxes.Alphabets(*sizes), boxes.InputDistribution(q))
+            .tobytes()).hexdigest())
     binary = boxes.Alphabets(2, 2, 2, 2)
     for n in (1, 2, 3):
         tau, draws = df.tau_classes(n, binary), np.random.default_rng(n)

@@ -171,27 +171,6 @@ class InputDistribution:
     def y_size(self) -> int:
         return self.q.shape[1]
 
-    def marginal_y(self) -> np.ndarray:
-        return self.q.sum(axis=0)
-
-    def marginal_x(self) -> np.ndarray:
-        return self.q.sum(axis=1)
-
-    def x_given_y(self) -> np.ndarray:
-        """Q(x|y), defined where Q(y) > 0 (0 elsewhere)."""
-        qy = self.marginal_y()
-        out = np.zeros_like(self.q)
-        nz = qy > 0
-        out[:, nz] = self.q[:, nz] / qy[nz]
-        return out
-
-    def y_given_x(self) -> np.ndarray:
-        qx = self.marginal_x()
-        out = np.zeros_like(self.q)
-        nz = qx > 0
-        out[nz, :] = self.q[nz, :] / qx[nz, None]
-        return out
-
 
 @dataclass(frozen=True)
 class Game:

@@ -173,6 +173,9 @@ def _cmd_definetti_verify(args):
     tau = definetti.tau_classes(args.n, al)
     factor = definetti.reduction_factor(
         args.n, al.x_size * al.y_size, al.a_size * al.b_size)
+    if factor > sys.float_info.max:
+        raise ValueError("the reduction factor (n+1)^(|X||Y|(|A||B|-1)) is "
+                         "beyond the float range")
     # exact, so that rounding cannot hide a violation
     worst = Fraction(0)
     for _ in range(args.trials):

@@ -107,13 +107,18 @@ class BlockSpec:
 
 
 def _check_block(gamma, s_max):
-    """BlockSpec's check, on gamma and an int (no float or bool) s_max."""
+    """BlockSpec's check, on gamma and an int (no float or bool) s_max; a
+    block whose test mass 1 - (1-gamma)^s_max rounds to 0 (1 - gamma rounds
+    to 1: gamma <= 2^-54) is refused."""
     if not 0 < gamma <= 1:
         raise ValueError("gamma must be in (0,1]")
     if isinstance(s_max, bool) or not hasattr(s_max, "__index__"):
         raise ValueError(f"s_max must be an integer, not {s_max!r}")
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
+    if s_max > 1 and 1.0 - gamma == 1.0:
+        raise ValueError("gamma too small: the test mass 1 - (1-gamma)^s_max "
+                         "rounds to 0")
 
 
 def _block_mass(gamma, s_max):

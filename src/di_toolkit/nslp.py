@@ -13,7 +13,8 @@ every signalling row ``<= slack``.
 Neither solves anything when a deterministic pair (f, g) wins every
 question that some answer wins: the classical value then meets the
 trivial bound, the sum of Q over those questions, which is the value at
-every slack, and kappa is 0.
+every slack, and kappa is 0.  The program, the dual and that check read
+a game's support, win table and trivial bound from one body, _win_table.
 
 The ``<= 0`` and ``=`` forms have the same feasible set: for each (x, y),
 the AtoB rows (x, y, b) summed over b are Q(x,y) N_xy - Q(x|y) sum_x'
@@ -373,22 +374,31 @@ def _normalization_matrix(al) -> np.ndarray:
                      axis=1)
 
 
+def _win_table(game: Game) -> tuple:
+    """(wins, v0) of a game with complete support: its win table in
+    ``[x][y][a][b]`` order and v0[x,y], Q(x,y) on the questions that some
+    answer wins and 0 elsewhere, whose sum is the trivial bound."""
+    if not game.q.complete_support:
+        raise ValueError("game must have complete support")
+    wins = np.transpose(game.win, (2, 3, 0, 1))
+    return wins, np.where(wins.any(axis=(2, 3)), game.q.q, 0.0)
+
+
 def build_ns_lp(game: Game, slack: float | None = None) -> LinearProgram:
     """LP for the optimal non-signalling winning probability of a game.
 
     Variables are the table entries P(a,b|x,y) in ``[x][y][a][b]`` order;
-    the objective is the winning probability, Q(x,y) on every winning entry.
+    the objective is the winning probability, Q(x,y) on every winning entry
+    (_win_table's v0, which refuses a game without complete support).
     The first d rows are the rows of :func:`signalling.signalling_matrix`:
     equalities at 0 for the non-signalling program (``slack=None``), or
     ``<= slack`` for the perturbed one.  They are followed by one
     normalization row per input pair and one positivity row per variable.
     """
-    if not game.q.complete_support:
-        raise ValueError("game must have complete support")
+    wins, v0 = _win_table(game)
     al = game.alphabets
     nvar = al.x_size * al.y_size * al.a_size * al.b_size
-    wins = np.transpose(game.win, (2, 3, 0, 1))  # [x][y][a][b]
-    c = np.where(wins, game.q.q[:, :, None, None], 0.0).reshape(-1)
+    c = np.where(wins, v0[:, :, None, None], 0.0).reshape(-1)
     S, N = signalling_matrix(al, game.q), _normalization_matrix(al)
     sig_rel, sig_rhs = (EQ, 0.0) if slack is None else (LE, slack)
     sizes = [len(S), len(N), nvar]
@@ -408,15 +418,16 @@ def _outright_value(game: Game) -> float | None:
     pair's won questions are counted exactly (integer weights).  Alice's
     a_size**x_size functions are enumerated only while they are no more
     than the program's variables; past that: None, and the program runs.
+    A game without complete support raises ValueError (_win_table).
     """
+    wins, v0 = _win_table(game)
     al = game.alphabets
     if al.a_size**al.x_size > al.x_size * al.y_size * al.a_size * al.b_size:
         return None
-    wins = np.transpose(game.win, (2, 3, 0, 1))  # [x][y][a][b]
-    winnable = wins.any(axis=(2, 3))
-    if best_deterministic_score(wins.astype(np.int64)) < winnable.sum():
+    # Q > 0 on every question, so v0's nonzero entries are the winnable ones
+    if best_deterministic_score(wins.astype(np.int64)) < np.count_nonzero(v0):
         return None
-    return float(np.where(winnable, game.q.q, 0.0).sum())
+    return float(v0.sum())
 
 
 def ns_value(game: Game) -> tuple:
@@ -432,20 +443,18 @@ def ns_value(game: Game) -> tuple:
     the value, then continues on the (possibly degenerate) dual optimal
     face to the least kappa (LinearProgram.then).  kappa is >= 0 and
     never -0.0.  With v = v0 + w+ - w-, v0[x,y] = max over (a,b) of
-    c[x,y,a,b], each dual row -(S^T u + N^T w) <= N^T v0 - c has rhs >= 0,
-    so the solve starts from the slack basis: no phase 1.  Raises
-    SolverError if the program is not solved to optimality.
+    c[x,y,a,b] (_win_table's v0), each dual row -(S^T u + N^T w) <=
+    N^T v0 - c has rhs >= 0, so the solve starts from the slack basis: no
+    phase 1.  Raises SolverError if the program is not solved to
+    optimality.
     """
-    if not game.q.complete_support:
-        raise ValueError("game must have complete support")
     outright = _outright_value(game)
     if outright is not None:
         return outright, 0.0
+    wins, v0 = _win_table(game)
     S = signalling_matrix(game.alphabets, game.q)
     N = _normalization_matrix(game.alphabets)
     d, n_norm = len(S), len(N)
-    wins = np.transpose(game.win, (2, 3, 0, 1))  # [x][y][a][b]
-    v0 = np.where(wins.any(axis=(2, 3)), game.q.q, 0.0)
     rhs = np.where(wins, 0.0, v0[:, :, None, None]).reshape(-1)
     dual_rows = -np.hstack([S.T, N.T, -N.T])
     # maximize -sum(w), then -sum(u) over its optima
@@ -462,7 +471,8 @@ def ns_value(game: Game) -> tuple:
 def perturbed_value(game: Game, slack: float) -> float:
     """Optimum with every signalling constraint relaxed to <= slack: the
     trivial bound, with no program solved, on a game that a deterministic
-    pair wins outright (_outright_value), else the primal's optimum.
+    pair wins outright (_outright_value), else the primal's optimum.  A
+    game without complete support is refused there (_win_table).
 
     The primal starts at the deterministic box that answers (0, 0) on
     every (x, y): P(0,0|x,y) basic on each normalization row, every slack
@@ -475,8 +485,6 @@ def perturbed_value(game: Game, slack: float) -> float:
     """
     if not slack >= 0:
         raise ValueError("slack must be >= 0")
-    if not game.q.complete_support:
-        raise ValueError("game must have complete support")
     outright = _outright_value(game)
     if outright is not None:
         return outright

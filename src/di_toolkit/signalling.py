@@ -65,6 +65,13 @@ class TestParams:
             raise ValueError("n must be even and >= 2")
 
 
+def _conditionals(qq: np.ndarray) -> tuple:
+    """(Q(x|y), Q(y|x)) of the Q(x,y) table ``qq`` in the table's own
+    arithmetic, float or Fraction; each is 0 where its marginal is 0."""
+    qy, qx = qq.sum(axis=0), qq.sum(axis=1, keepdims=True)
+    return qq / np.where(qy > 0, qy, 1), qq / np.where(qx > 0, qx, 1)
+
+
 def signalling_matrix(alphabets: Alphabets, q: InputDistribution
                       ) -> np.ndarray:
     """All d = |X||Y|(|A|+|B|) signalling measures as a d x |X||Y||A||B| array.
@@ -80,16 +87,17 @@ def signalling_matrix(alphabets: Alphabets, q: InputDistribution
     if q.q.shape != (X, Y):
         raise AlphabetMismatchError("input distribution shape mismatch")
     qq = q.q
+    x_given_y, y_given_x = _conditionals(qq)
     out = np.zeros((alphabets.num_signalling_constraints, X * Y * A * B))
     # AtoB (x, y, b): coefficient of P(a,b|x',y) for every a
     coef = (np.eye(X)[:, None, :] * qq[:, :, None]
-            - q.x_given_y()[:, :, None] * qq.T[None, :, :])  # (x, y, x')
+            - x_given_y[:, :, None] * qq.T[None, :, :])  # (x, y, x')
     xx, yy, bb, xs, aa = np.ix_(*(np.arange(k) for k in (X, Y, B, X, A)))
     out[(xx * Y + yy) * B + bb,
         ((xs * Y + yy) * A + aa) * B + bb] = coef[xx, yy, xs]
     # BtoA (x, y, a): coefficient of P(a,b|x,y') for every b
     coef = (np.eye(Y)[None, :, :] * qq[:, :, None]
-            - q.y_given_x()[:, :, None] * qq[:, None, :])  # (x, y, y')
+            - y_given_x[:, :, None] * qq[:, None, :])  # (x, y, y')
     xx, yy, aa, ys, bb = np.ix_(*(np.arange(k) for k in (X, Y, A, Y, B)))
     out[X * Y * B + (xx * Y + yy) * A + aa,
         ((xx * Y + ys) * A + aa) * B + bb] = coef[xx, yy, ys]
@@ -154,11 +162,12 @@ def signalling_test_flags(data: ObservedData, q: InputDistribution,
     the BtoA measure (x, y, a) is [c(x,y,a) - Q(y|x) C_AX(a,x)] / (n/2), with
     c(x,y,b) = sum_a c, C_BY(b,y) = sum_x c(x,y,b) and likewise for BtoA.
     Each is compared with (zeta - 2*eps) n/2 in Fraction arithmetic, Q, zeta
-    and eps entering as the exact rationals of their floats.  If any input
-    pair is missing from either half every target rejects by definition
-    (the frequency boxes are not defined for all inputs).  ``q`` must have
-    complete support.  Both halves are counted in one pass, as
-    c[half, x, y, a, b].
+    and eps entering as the exact rationals of their floats; Q(x|y) and
+    Q(y|x) are signalling_matrix's conditionals (_conditionals) taken on
+    those Fractions.  If any input pair is missing from either half every
+    target rejects by definition (the frequency boxes are not defined for
+    all inputs).  ``q`` must have complete support.  Both halves are
+    counted in one pass, as c[half, x, y, a, b].
     """
     if data.n != params.n:
         raise ValueError("data length does not match test parameters")
@@ -180,9 +189,9 @@ def signalling_test_flags(data: ObservedData, q: InputDistribution,
     threshold = (Fraction(params.zeta) - 2 * Fraction(params.eps)) * h
     c_xyb = counts.sum(axis=2).astype(object)
     c_xya = counts.sum(axis=3).astype(object)
-    a_to_b = c_xyb - (qq / qq.sum(axis=0))[:, :, None] * c_xyb.sum(axis=0)
-    b_to_a = (c_xya - (qq / qq.sum(axis=1, keepdims=True))[:, :, None]
-              * c_xya.sum(axis=1)[:, None, :])
+    x_given_y, y_given_x = _conditionals(qq)
+    a_to_b = c_xyb - x_given_y[:, :, None] * c_xyb.sum(axis=0)
+    b_to_a = c_xya - y_given_x[:, :, None] * c_xya.sum(axis=1)[:, None, :]
     # AtoB (x, y, b), then BtoA (x, y, a): the signalling_matrix row order
     return np.concatenate([a_to_b.ravel(), b_to_a.ravel()]) >= threshold
 

@@ -21,9 +21,10 @@ runs no sampler: the rounds are independent, so the per-round protocol's
 won test rounds are Bin(n, gamma omega_dev); it draws each trial's count
 from that law and applies the same threshold.
 
-Randomness is a counter-based Philox generator keyed by
-(master_seed, trial_index), so transcripts are bit-identical for identical
-configuration and seed, and trials can run in any order or in parallel.
+Randomness is a counter-based Philox generator, built fresh for each
+trial and keyed by (master_seed, trial_index), so transcripts are
+bit-identical for identical configuration and seed, and trials can run in
+any order or in parallel.
 """
 
 from __future__ import annotations
@@ -74,22 +75,12 @@ class Transcript:
             raise ValueError("W must be bottom exactly on generation rounds")
 
 
-def _trial_rng(master_seed: int, trial: int,
-               rng: np.random.Generator | None = None) -> np.random.Generator:
-    """Philox keyed by (master_seed, trial) at counter 0, the seed an integer
-    taken mod 2^64 (-1 keys as 2^64 - 1); a loop over trials passes one such
-    ``rng`` to be rekeyed in place, the same stream without the
-    constructor's OS-entropy seed sequence that the key then replaces."""
+def _trial_rng(master_seed: int, trial: int) -> np.random.Generator:
+    """A fresh Philox keyed by (master_seed, trial) at counter 0, the seed
+    an integer taken mod 2^64 (-1 keys as 2^64 - 1)."""
     key = np.array([_integer(master_seed, "seed") & 0xFFFFFFFFFFFFFFFF,
                     trial], dtype=np.uint64)
-    if rng is None:
-        return np.random.Generator(np.random.Philox(key=key))
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0}
-    return rng
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _abort_threshold(m, test_mass, omega_exp, delta_est):
@@ -190,6 +181,8 @@ class SimulationConfig:
         object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.n >= 2**63:  # Generator.binomial's limit
+            raise ValueError("n must be below 2**63")
         if not 0 <= self.omega_exp <= 1:  # NaN fails too
             raise ValueError("omega_exp must be in [0,1]")
         if not 0 < self.delta_est < 1:
@@ -225,16 +218,14 @@ def round_count_statistics(m_blocks: int, block: BlockSpec,
                            device: HonestDevice, trials: int, seed: int,
                            tail_t: float) -> float:
     """Empirical Pr[N >= m*s_bar + tail_t] over ``trials`` seeded block
-    protocol runs, N read from each trial's flag draw alone (_test_flags):
-    run_protocol_blocks' transcript length at that seed and trial, for any
-    ``device``."""
+    protocol runs, N read from each trial's flag draw alone (_test_flags)
+    on the trial's own fresh generator: run_protocol_blocks' transcript
+    length at that seed and trial, for any ``device``."""
     if _integer(trials, "trials") < 1:
         raise ValueError("trials must be >= 1")
     if math.isnan(tail_t):
         raise ValueError("tail_t must not be NaN")
     nbar = m_blocks * expected_block_length(block)
-    rng = _trial_rng(seed, 0)
-    exceed = sum(_test_flags(m_blocks, block,
-                             _trial_rng(seed, trial, rng)).size
+    exceed = sum(_test_flags(m_blocks, block, _trial_rng(seed, trial)).size
                  >= nbar + tail_t for trial in range(trials))
     return exceed / trials

@@ -409,7 +409,9 @@ class TestMuOpt:
         assert payload["mode"] == "block"
         assert payload["s_max"] == 100
 
-    @pytest.mark.parametrize("gamma", ["0", "1.5", "-0.2"])
+    # 1e-17: in block mode 1 - gamma rounds to 1, the test mass to 0, and a
+    # ZeroDivisionError traceback once followed
+    @pytest.mark.parametrize("gamma", ["0", "1.5", "-0.2", "1e-17"])
     @pytest.mark.parametrize("mode", [[], ["--block"]])
     def test_gamma_outside_unit_interval_rejected(self, gamma, mode,
                                                   capsys):
@@ -622,6 +624,19 @@ class TestSimulateCommand:
         assert captured.err == "error: delta_est must be in (0,1)\n"
 
 
+    @pytest.mark.parametrize("n", ["9223372036854775808",
+                                   "100000000000000000000"])
+    def test_n_past_binomial_range_rejected(self, n, capsys):
+        # 10**20 once raised numpy's OverflowError in Generator.binomial
+        code = cli.main(["simulate", "--n", n, "--gamma", "0.5",
+                         "--omega-exp", "0.81", "--delta-est", "0.02",
+                         "--trials", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: n must be below 2**63\n"
+
+
 class TestDefinettiVerify:
     def test_holds(self, capsys):
         code, out = run_cli(["definetti-verify", "--n", "2", "--trials", "20",
@@ -684,10 +699,14 @@ class TestDefinettiVerify:
 
     @pytest.mark.parametrize("flags", [["--n", "-1"], ["--n", "0"],
                                        ["--n", "2", "--trials", "0"],
-                                       ["--n", "2", "--trials", "-3"]])
+                                       ["--n", "2", "--trials", "-3"],
+                                       ["--n", "1", "--trials", "2",
+                                        "--a-size", "1000"]])
     def test_bad_inputs_rejected(self, flags, capsys):
         # n < 1 has no round permutations to symmetrize over, and no
-        # trials would report "holds" having checked nothing
+        # trials would report "holds" having checked nothing; at
+        # --a-size 1000 the factor 2^7996 is past the float range, which
+        # once raised an OverflowError traceback
         code = cli.main(["definetti-verify", *flags])
         captured = capsys.readouterr()
         assert code == 1

@@ -67,6 +67,20 @@ class TestSpecs:
         with pytest.raises(ValueError):
             eat.BlockSpec(0.5, 0)
 
+    @pytest.mark.parametrize("gamma, s_max", [(2.0**-54, 2), (1e-17, 2),
+                                              (1e-17, 10**17)])
+    def test_block_spec_refuses_zero_test_mass(self, gamma, s_max):
+        """1 - gamma rounds to 1, so 1 - (1-gamma)^s_max is 0: s_bar once
+        read 0 and the key length's n / s_bar raised ZeroDivisionError."""
+        with pytest.raises(ValueError, match="^gamma too small"):
+            eat.BlockSpec(gamma, s_max)
+
+    def test_smallest_gammas_with_a_test_mass(self):
+        """One-round blocks keep gamma as the test mass at any gamma, and
+        gamma = 2^-53 still has 1 - gamma < 1."""
+        assert eat.BlockSpec(1e-17, 1).test_mass == 1e-17
+        assert eat.BlockSpec(2.0**-53, 2).test_mass == 2.0**-52
+
     @pytest.mark.parametrize("s_max", [2.5, math.nan, math.inf, True, False])
     def test_block_spec_rejects_non_integer_s_max(self, s_max):
         """2.5 and inf were accepted (the simulator then failed in numpy),

@@ -71,11 +71,12 @@ def _var_index(al, x, y, a, b):
 
 def loop_signalling_rows(game):
     """Oracle: the d signalling rows written out term by term, AtoB targets
-    (x, y, b) then BtoA targets (x, y, a)."""
+    (x, y, b) then BtoA targets (x, y, a), with Q(x|y) and Q(y|x) taken
+    from the game's Q(x,y) table (complete support)."""
     al = game.alphabets
     q = game.q.q
-    qx_given_y = game.q.x_given_y()
-    qy_given_x = game.q.y_given_x()
+    qx_given_y = q / q.sum(axis=0)
+    qy_given_x = q / q.sum(axis=1, keepdims=True)
     nvar = al.x_size * al.y_size * al.a_size * al.b_size
     rows = []
     for x in range(al.x_size):

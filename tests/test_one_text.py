@@ -29,9 +29,12 @@ import di_toolkit
 # budget's soundness split and completeness slack, the block output
 # dimension's closed form, the glued function's tangent at its cut, the
 # threshold bound's exponent (the bound and the CLI's log10_bound), the
-# EAT rate f - K (log2 d_O + f') (the scalar path and the grid kernel) and
-# the tail rule: the round count has a tail iff a block can hold more than
-# one round (the test mass, the tail, the key length and the grid kernel)
+# EAT rate f - K (log2 d_O + f') (the scalar path and the grid kernel), the
+# tail rule: the round count has a tail iff a block can hold more than one
+# round (the test mass, the tail, the key length and the grid kernel), a
+# game's complete-support check (the non-signalling program, its dual and
+# the outright check) and the conditionals Q(x|y), Q(y|x) (the signalling
+# matrix on floats, the signalling test on Fractions)
 MARKERS = ["LOG2_7", "LOG2_2SQRT2_PLUS_1", "xp.log2(8.0 / est",
            "exp(-2.0 *", "ceil(1.0 / gamma",
            "rng.random((m, block.s_max))", "rng.random(n)",
@@ -39,7 +42,8 @@ MARKERS = ["LOG2_7", "LOG2_2SQRT2_PLUS_1", "xp.log2(8.0 / est",
            "math.comb(", "10.0 ** (-k)", "caps.soundness - 2.0 * caps.eps_ec",
            "caps.completeness - caps.eps_ec", "6.0 ** (-s_max)",
            "at_cut + slope * (", "(30.0 * d) ** 2", "k_pen * (",
-           "(s_max > 1) & (gamma < 1)"]
+           "(s_max > 1) & (gamma < 1)", "game must have complete support",
+           "np.where(qy > 0, qy, 1)"]
 
 
 class _DropNested(ast.NodeTransformer):

@@ -246,7 +246,7 @@ def test_same_numbers_against_this_checkout():
     assert lines[0].startswith("optimize: 288 lines")
     assert lines[1].startswith("scalar: 6000 lines")
     assert lines[2].startswith("cli: 8 lines, 0 raised")
-    assert lines[3].startswith("verify: 290 lines, 3 raised")
+    assert lines[3].startswith("verify: 294 lines, 3 raised")
 
 
 def test_same_numbers_sees_a_one_ulp_change(tmp_path):

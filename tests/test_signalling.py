@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,8 @@ from conftest import (BINARY, bob_echoes_x_box, frequency_box, pr_box,
 def joint_marginal_measure(p, q, target):
     """Oracle: O_BY(b,y) * [O_{X|BY}(x|b,y) - Q_{X|Y}(x|y)] (mirrored for
     BtoA) from the joint O = Q(x,y) P(a,b|x,y) of the table ``p`` and its
-    marginals; 0 where the conditioning mass is 0."""
+    marginals, Q(x|y) and Q(y|x) taken from q's table itself; 0 where the
+    conditioning mass is 0."""
     joint = q.q[:, :, None, None] * p  # (x, y, a, b)
     if target.direction == sig.A_TO_B:
         x, y, b = target.x, target.y, target.outcome
@@ -26,13 +28,13 @@ def joint_marginal_measure(p, q, target):
         mass = o_bxy.sum(axis=0)[y, b]
         if mass == 0.0:
             return 0.0
-        return float(o_bxy[x, y, b] - q.x_given_y()[x, y] * mass)
+        return float(o_bxy[x, y, b] - q.q[x, y] / q.q[:, y].sum() * mass)
     x, y, a = target.x, target.y, target.outcome
     o_axy = joint.sum(axis=3)  # (x, y, a)
     mass = o_axy.sum(axis=1)[x, a]
     if mass == 0.0:
         return 0.0
-    return float(o_axy[x, y, a] - q.y_given_x()[x, y] * mass)
+    return float(o_axy[x, y, a] - q.q[x, y] / q.q[x, :].sum() * mass)
 
 
 def random_alphabets_and_q(rng):
@@ -118,6 +120,23 @@ class TestSigMeasure:
             sig.target_row(al, sig.SigTarget(sig.A_TO_B, 0, 0, al.b_size))
         with pytest.raises(ValueError):
             sig.signalling_matrix(al, uniform_q(al.x_size + 1, al.y_size))
+
+    def test_zero_column_gives_zero_rows(self, rng):
+        """Q(y) = 0 on column y = 1: every target at y = 1 has a zero row,
+        no 0/0 is taken (no NaN, no warning), and each row dotted with a
+        random box is the oracle's measure."""
+        al = Alphabets(2, 3, 2, 3)
+        q = InputDistribution(np.array([[0.2, 0.0, 0.1], [0.3, 0.0, 0.4]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            S = sig.signalling_matrix(al, q)
+        assert np.isfinite(S).all()
+        p = random_box(rng, al).p
+        for target in sig.all_sig_targets(al):
+            row = S[sig.target_row(al, target)]
+            assert (not row.any()) == (target.y == 1)
+            assert row @ p.reshape(-1) == pytest.approx(
+                joint_marginal_measure(p, q, target), abs=1e-15)
 
 
 class TestSanov:
