@@ -11,9 +11,11 @@ SolverError, so it has no record.  For each game it calls ``ns_value``
 (one solve: the value, continued to the least kappa) and
 ``perturbed_value`` at verify-mix's slacks, and counts every
 ``nslp.solve`` call under the function that made it: solves, phase-1 and
-phase-2 pivots (a continuation's included) and seconds in the solver, and
-for ``perturbed_value`` per slack also the starts the solver took (phase
-1 is then the start's X*Y pivots).  It writes
+phase-2 pivots (a continuation's included), seconds in the solver and
+their split into pivot seconds (in ``nslp._simplex_phase``) and set-up
+seconds (the rest: the tableau, the start, pricing and the optimum's
+check), and for ``perturbed_value`` per slack also the starts the solver
+took (phase 1 is then the start's X*Y pivots).  It writes
 bench/BENCH_lp-pivots-<label>.json (see --out-dir):
 
     python3 scripts/lp_pivots.py --checkout ../parent --label parent
@@ -64,15 +66,26 @@ def shape(game):
 
 def count(nslp, game_list, slacks):
     """Per caller (and per slack for perturbed_value): solves, phase-1 and
-    phase-2 pivots, seconds in solve, and starts taken."""
+    phase-2 pivots, seconds in solve, of them in _simplex_phase (pivot_s)
+    and outside it (setup_s), and starts taken."""
     tally = defaultdict(lambda: dict(solves=0, phase1=0, phase2=0,
-                                     starts_taken=0, solve_s=0.0))
-    solve, caller = nslp.solve, []
+                                     starts_taken=0, solve_s=0.0,
+                                     pivot_s=0.0, setup_s=0.0))
+    solve, phase, caller, in_phases = nslp.solve, nslp._simplex_phase, [], []
+
+    def timed_phase(*args):
+        began = time.perf_counter()
+        try:
+            return phase(*args)
+        finally:
+            in_phases.append(time.perf_counter() - began)
 
     def counting(lp):
+        in_phases.clear()
         began = time.perf_counter()
         sol = solve(lp)
         seconds = time.perf_counter() - began
+        pivot_s = sum(in_phases)
         start = getattr(lp, "start", ())
         for key in caller:
             row = tally[key]
@@ -84,9 +97,11 @@ def count(nslp, game_list, slacks):
             # artificial for each of the X*Y + nvar = and >= rows
             row["starts_taken"] += bool(start) and sol.pivots[0] == len(start)
             row["solve_s"] += seconds
+            row["pivot_s"] += pivot_s
+            row["setup_s"] += seconds - pivot_s
         return sol
 
-    nslp.solve = counting
+    nslp.solve, nslp._simplex_phase = counting, timed_phase
     try:
         for _, game in game_list:
             caller[:] = ["ns_value"]
@@ -95,7 +110,7 @@ def count(nslp, game_list, slacks):
                 caller[:] = ["perturbed_value", f"perturbed_value@{slack:g}"]
                 nslp.perturbed_value(game, slack)
     finally:
-        nslp.solve = solve
+        nslp.solve, nslp._simplex_phase = solve, phase
     return {key: dict(row, pivots=row["phase1"] + row["phase2"])
             for key, row in tally.items()}
 
@@ -114,7 +129,8 @@ def main(argv=None):
     for key, row in counts.items():
         print(f"{key}: {row['solves']} solves, {row['pivots']} pivots "
               f"({row['phase1']} phase 1, {row['phase2']} phase 2), "
-              f"{row['starts_taken']} starts taken, {row['solve_s']:.3f} s")
+              f"{row['starts_taken']} starts taken, {row['solve_s']:.3f} s "
+              f"({row['setup_s']:.3f} s set-up)")
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, f"BENCH_lp-pivots-{args.label}.json")
     with open(path, "w") as fh:

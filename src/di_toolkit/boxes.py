@@ -211,7 +211,7 @@ class Game:
         al = Alphabets.from_json_dict(d)
         message = "win entries must be 0 or 1"
         win = _numbers(d["win"], message)
-        if not np.isin(win, (0, 1)).all():
+        if not ((win == 0) | (win == 1)).all():
             raise ValueError(message)
         return Game(al, InputDistribution(d["q"]), win.astype(bool))
 

@@ -8,6 +8,7 @@ error, 1 computation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -231,8 +232,8 @@ def _cmd_simulate(args):
 
 
 def _subcommand_parser(**kw) -> argparse.ArgumentParser:
-    """A subcommand's parser with the flags every subcommand takes; built
-    afresh for each, so a subcommand's set_defaults changes only its own."""
+    """A parser with the flags every subcommand takes; each subcommand has
+    its own, so its set_defaults changes only its own."""
     p = argparse.ArgumentParser(allow_abbrev=False, **kw)
     p.add_argument("--config", help="JSON file whose keys mirror the flags; "
                                     "explicit flags win")
@@ -353,6 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """``name``'s parser, built once: parsing leaves a parser as it was."""
+    p = _subcommand_parser(prog=f"di-toolkit {name}")
+    _COMMANDS[name][1](p)
+    return p
+
+
 def _parse_args(argv: list) -> argparse.Namespace:
     """Parse with only the invoked subcommand's parser, the one that
     build_parser would hand the arguments to.  A command line it does not
@@ -360,9 +369,7 @@ def _parse_args(argv: list) -> argparse.Namespace:
     build_parser's full parse, so help and errors read the same either
     way."""
     if argv and argv[0] in _COMMANDS:
-        p = _subcommand_parser(prog=f"di-toolkit {argv[0]}")
-        _COMMANDS[argv[0]][1](p)
-        args, rest = p.parse_known_args(argv[1:])
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
         if not rest:
             args.command = argv[0]
             return args

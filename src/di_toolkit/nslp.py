@@ -50,7 +50,7 @@ geometric mean of the two scales.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -208,21 +208,22 @@ def solve(lp: LinearProgram) -> LPSolution:
     loses its basis or the optimum breaks a row (_certify).
     """
     n, m = lp.num_vars, len(lp.rows)
+    le, eq, ge = (lp.rels == rel for rel in (LE, EQ, GE))
 
     # Equality standard form: A x + S slack = b with slack >= 0 for <= rows
     # (>= rows get -1 slack); rows 0..m-1 are the constraints, row m the
     # cost row, and the last column the rhs.
-    slack_rows = np.flatnonzero(lp.rels != EQ)
+    slack_rows = np.flatnonzero(~eq)
     n_total = n + len(slack_rows)
     slacks = slack_rows, np.arange(n, n_total)
     form = np.zeros((m + 1, n_total + 1))
     form[:m, :n] = lp.rows
     form[:m, -1] = lp.rhs
-    form[slacks] = np.where(lp.rels[slack_rows] == LE, 1.0, -1.0)
+    form[slacks] = np.where(le[slack_rows], 1.0, -1.0)
 
     # the accepted start, else the rows flipped to b >= 0; artificials on
     # the rows left without a basic column (none after an accepted start)
-    started = _start(form, lp.rels, slacks, lp.start) if lp.start else None
+    started = _start(form, ge, slacks, lp.start) if lp.start else None
     tableau, basis = started or _flipped(
         form, np.flatnonzero(form[:m, -1] < 0), slacks)
     phase1 = len(lp.start) if started else 0
@@ -270,7 +271,7 @@ def solve(lp: LinearProgram) -> LPSolution:
                           pivots=(phase1, phase2))
 
     primal = _primal(tableau, basis, n_total)[:n]
-    _certify(lp, primal)
+    _certify(lp, primal, eq, ge)
     reached = float(lp.c @ primal)
     if lp.then is None:
         value = reached
@@ -284,14 +285,14 @@ def solve(lp: LinearProgram) -> LPSolution:
 
 def _price(tableau, basis, c):
     """Write objective c's reduced costs into the cost row: c on its
-    columns, less c_B times each row whose basic column is one of them."""
+    columns, less c_B times each row whose basic column is one of them,
+    row by row in order (rows whose c_B is 0 change nothing)."""
     cost = tableau[-1]
     cost[:] = 0.0
     cost[:len(c)] = c
-    for i, j in enumerate(basis):
-        c_basic = c[j] if j < len(c) else 0.0
-        if c_basic != 0.0:
-            cost -= c_basic * tableau[i]
+    c_basic = np.append(c, 0.0)[np.minimum(basis, len(c)).astype(int)]
+    for i in np.flatnonzero(c_basic).tolist():
+        cost -= c_basic[i] * tableau[i]
 
 
 def _onto_face(tableau, basis, then):
@@ -327,7 +328,7 @@ def _flipped(form, rows, slacks):
     return tableau, basis.tolist()
 
 
-def _start(form, rels, slacks, start):
+def _start(form, ge, slacks, start):
     """The program's start as (tableau, basis), or None where it is refused.
 
     Each >= row is written as its negated <= row, so every slack enters
@@ -335,9 +336,9 @@ def _start(form, rels, slacks, start):
     basic columns.  The start is refused if a pivot entry is within
     SOLVER_TOL of 0, a row is left without a basic column, or a
     right-hand side is < 0 as computed: it is taken as it stands, with no
-    clean-up of rounding.
+    clean-up of rounding.  ``ge`` marks the >= rows.
     """
-    tableau, basis = _flipped(form, np.flatnonzero(rels == GE), slacks)
+    tableau, basis = _flipped(form, np.flatnonzero(ge), slacks)
     for i, j in start:
         if not abs(tableau[i, j]) > SOLVER_TOL:
             return None
@@ -348,13 +349,13 @@ def _start(form, rels, slacks, start):
     return tableau, basis
 
 
-def _certify(lp, x):
+def _certify(lp, x, eq, ge):
     """Raise SolverError if x < 0, or if x breaks a row a.x (rel) b of the
     program by more than RESIDUAL_TOL times the row's scale
-    1 + |a|.|x| + |b|."""
-    a, b, rel = lp.rows, lp.rhs, lp.rels
+    1 + |a|.|x| + |b|; ``eq`` and ``ge`` mark the = and >= rows."""
+    a, b = lp.rows, lp.rhs
     excess = a @ x - b
-    excess = np.select([rel == EQ, rel == GE], [abs(excess), -excess], excess)
+    excess = np.select([eq, ge], [abs(excess), -excess], excess)
     scale = 1.0 + np.abs(a) @ np.abs(x) + np.abs(b)
     broken = np.flatnonzero(excess > RESIDUAL_TOL * scale)
     if broken.size:
@@ -384,18 +385,22 @@ def _win_table(game: Game) -> tuple:
     return wins, np.where(wins.any(axis=(2, 3)), game.q.q, 0.0)
 
 
-def build_ns_lp(game: Game, slack: float | None = None) -> LinearProgram:
+def build_ns_lp(game: Game, slack: float | None = None, table=None,
+                start=()) -> LinearProgram:
     """LP for the optimal non-signalling winning probability of a game.
 
     Variables are the table entries P(a,b|x,y) in ``[x][y][a][b]`` order;
     the objective is the winning probability, Q(x,y) on every winning entry
-    (_win_table's v0, which refuses a game without complete support).
+    (_win_table's v0, which refuses a game without complete support;
+    ``table`` is that (wins, v0) where the caller has it).
     The first d rows are the rows of :func:`signalling.signalling_matrix`:
     equalities at 0 for the non-signalling program (``slack=None``), or
     ``<= slack`` for the perturbed one.  They are followed by one
     normalization row per input pair and one positivity row per variable.
+    ``start`` is the program's LinearProgram.start, the (row, column)
+    pivots that solve tries first.
     """
-    wins, v0 = _win_table(game)
+    wins, v0 = table or _win_table(game)
     al = game.alphabets
     nvar = al.x_size * al.y_size * al.a_size * al.b_size
     c = np.where(wins, v0[:, :, None, None], 0.0).reshape(-1)
@@ -404,10 +409,10 @@ def build_ns_lp(game: Game, slack: float | None = None) -> LinearProgram:
     sizes = [len(S), len(N), nvar]
     return LinearProgram(c, np.vstack([S, N, np.eye(nvar)]),
                          np.repeat([sig_rel, EQ, GE], sizes),
-                         np.repeat([sig_rhs, 1.0, 0.0], sizes))
+                         np.repeat([sig_rhs, 1.0, 0.0], sizes), start)
 
 
-def _outright_value(game: Game) -> float | None:
+def _outright_value(game: Game, table=None) -> float | None:
     """The trivial bound T = sum of Q(x,y) over the questions that some
     answer wins, when a deterministic pair (f, g) wins all of them; else
     None.
@@ -418,9 +423,10 @@ def _outright_value(game: Game) -> float | None:
     pair's won questions are counted exactly (integer weights).  Alice's
     a_size**x_size functions are enumerated only while they are no more
     than the program's variables; past that: None, and the program runs.
-    A game without complete support raises ValueError (_win_table).
+    A game without complete support raises ValueError (_win_table);
+    ``table`` is its (wins, v0) where the caller has it.
     """
-    wins, v0 = _win_table(game)
+    wins, v0 = table or _win_table(game)
     al = game.alphabets
     if al.a_size**al.x_size > al.x_size * al.y_size * al.a_size * al.b_size:
         return None
@@ -448,10 +454,10 @@ def ns_value(game: Game) -> tuple:
     phase 1.  Raises SolverError if the program is not solved to
     optimality.
     """
-    outright = _outright_value(game)
+    wins, v0 = table = _win_table(game)
+    outright = _outright_value(game, table)
     if outright is not None:
         return outright, 0.0
-    wins, v0 = _win_table(game)
     S = signalling_matrix(game.alphabets, game.q)
     N = _normalization_matrix(game.alphabets)
     d, n_norm = len(S), len(N)
@@ -472,7 +478,7 @@ def perturbed_value(game: Game, slack: float) -> float:
     """Optimum with every signalling constraint relaxed to <= slack: the
     trivial bound, with no program solved, on a game that a deterministic
     pair wins outright (_outright_value), else the primal's optimum.  A
-    game without complete support is refused there (_win_table).
+    game without complete support is refused (_win_table).
 
     The primal starts at the deterministic box that answers (0, 0) on
     every (x, y): P(0,0|x,y) basic on each normalization row, every slack
@@ -485,12 +491,13 @@ def perturbed_value(game: Game, slack: float) -> float:
     """
     if not slack >= 0:
         raise ValueError("slack must be >= 0")
-    outright = _outright_value(game)
+    table = _win_table(game)
+    outright = _outright_value(game, table)
     if outright is not None:
         return outright
     al = game.alphabets
     d, answers = al.num_signalling_constraints, al.a_size * al.b_size
-    sol = solve(replace(build_ns_lp(game, slack), start=tuple(
+    sol = solve(build_ns_lp(game, slack, table, tuple(
         (d + k, k * answers) for k in range(al.x_size * al.y_size))))
     if sol.status != "optimal":
         raise SolverError(f"perturbed program: {sol.status}")

@@ -89,18 +89,23 @@ def signalling_matrix(alphabets: Alphabets, q: InputDistribution
     qq = q.q
     x_given_y, y_given_x = _conditionals(qq)
     out = np.zeros((alphabets.num_signalling_constraints, X * Y * A * B))
+    x_eye, y_eye = np.eye(X, dtype=bool), np.eye(Y, dtype=bool)
     # AtoB (x, y, b): coefficient of P(a,b|x',y) for every a
-    coef = (np.eye(X)[:, None, :] * qq[:, :, None]
+    coef = (x_eye[:, None, :] * qq[:, :, None]
             - x_given_y[:, :, None] * qq.T[None, :, :])  # (x, y, x')
-    xx, yy, bb, xs, aa = np.ix_(*(np.arange(k) for k in (X, Y, B, X, A)))
-    out[(xx * Y + yy) * B + bb,
-        ((xs * Y + yy) * A + aa) * B + bb] = coef[xx, yy, xs]
+    # written on axes (x, y, b, x', y', a', b') where y' = y and b' = b
+    np.copyto(out[:X * Y * B].reshape(X, Y, B, X, Y, A, B),
+              coef[:, :, None, :, None, None, None],
+              where=(y_eye[:, None, None, :, None, None]
+                     & np.eye(B, dtype=bool)[:, None, None, None, :]))
     # BtoA (x, y, a): coefficient of P(a,b|x,y') for every b
-    coef = (np.eye(Y)[None, :, :] * qq[:, :, None]
+    coef = (y_eye[None, :, :] * qq[:, :, None]
             - y_given_x[:, :, None] * qq[:, None, :])  # (x, y, y')
-    xx, yy, aa, ys, bb = np.ix_(*(np.arange(k) for k in (X, Y, A, Y, B)))
-    out[X * Y * B + (xx * Y + yy) * A + aa,
-        ((xx * Y + ys) * A + aa) * B + bb] = coef[xx, yy, ys]
+    # written on axes (x, y, a, x', y', a', b) where x' = x and a' = a
+    np.copyto(out[X * Y * B:].reshape(X, Y, A, X, Y, A, B),
+              coef[:, :, None, None, :, None, None],
+              where=(x_eye[:, None, None, :, None, None, None]
+                     & np.eye(A, dtype=bool)[:, None, None, :, None]))
     return out
 
 

@@ -21,10 +21,11 @@ runs no sampler: the rounds are independent, so the per-round protocol's
 won test rounds are Bin(n, gamma omega_dev); it draws each trial's count
 from that law and applies the same threshold.
 
-Randomness is a counter-based Philox generator, built fresh for each
-trial and keyed by (master_seed, trial_index), so transcripts are
-bit-identical for identical configuration and seed, and trials can run in
-any order or in parallel.
+Randomness is a counter-based Philox generator keyed by
+(master_seed, trial_index) at counter 0, so transcripts are bit-identical
+for identical configuration and seed, and trials can run in any order or
+in parallel.  round_count_statistics rekeys one generator, without the
+OS-entropy seed that each new Philox draws and its key then replaces.
 """
 
 from __future__ import annotations
@@ -219,13 +220,17 @@ def round_count_statistics(m_blocks: int, block: BlockSpec,
                            tail_t: float) -> float:
     """Empirical Pr[N >= m*s_bar + tail_t] over ``trials`` seeded block
     protocol runs, N read from each trial's flag draw alone (_test_flags)
-    on the trial's own fresh generator: run_protocol_blocks' transcript
-    length at that seed and trial, for any ``device``."""
+    on trial 0's generator rekeyed to each trial's: run_protocol_blocks'
+    transcript length at that seed and trial, for any ``device``."""
     if _integer(trials, "trials") < 1:
         raise ValueError("trials must be >= 1")
     if math.isnan(tail_t):
         raise ValueError("tail_t must not be NaN")
     nbar = m_blocks * expected_block_length(block)
-    exceed = sum(_test_flags(m_blocks, block, _trial_rng(seed, trial)).size
-                 >= nbar + tail_t for trial in range(trials))
+    rng = _trial_rng(seed, 0)
+    fresh, exceed = rng.bit_generator.state, 0
+    for trial in range(trials):
+        fresh["state"]["key"][1] = trial
+        rng.bit_generator.state = fresh
+        exceed += _test_flags(m_blocks, block, rng).size >= nbar + tail_t
     return exceed / trials

@@ -283,9 +283,10 @@ class TestJsonRoundTrip:
         assert np.allclose(loaded.q.q, chsh_qkd.q.q)
 
 
-    @pytest.mark.parametrize("bad", [0.5, 2, -1, "booleans"])
+    @pytest.mark.parametrize("bad", [0.5, 2, -1, math.nan, "booleans"])
     def test_game_win_outside_zero_one_rejected(self, chsh_qkd, bad):
-        # 0.5 and 2 were once read as wins, and true/false as 1/0
+        # 0.5 and 2 were once read as wins, and true/false as 1/0; Python's
+        # json reads NaN
         payload = chsh_qkd.to_json_dict()
         if bad == "booleans":
             payload["win"] = chsh_qkd.win.tolist()

@@ -136,6 +136,25 @@ class TestOneSubcommandParser:
         code, out = run_cli(["entropy-curve", "--points", "3"], capsys)
         assert code == 0 and out.startswith("omega,")
 
+    def test_subcommand_parser_built_once(self, monkeypatch, capsys):
+        """Two main calls of one subcommand build its parser once."""
+        built, make = [], cli._subcommand_parser
+
+        def counting(**kw):
+            built.append(kw)
+            return make(**kw)
+
+        monkeypatch.setattr(cli, "_subcommand_parser", counting)
+        cli._command_parser.cache_clear()
+        try:
+            for points in ("3", "4"):
+                code, out = run_cli(["entropy-curve", "--points", points],
+                                    capsys)
+                assert code == 0 and len(out.splitlines()) == 1 + int(points)
+        finally:
+            cli._command_parser.cache_clear()
+        assert built == [{"prog": "di-toolkit entropy-curve"}]
+
 
 class TestGameCommands:
     def test_ns_value_chsh(self, chsh_file, capsys):

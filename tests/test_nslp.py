@@ -318,6 +318,32 @@ class TestSolver:
         with pytest.raises(ValueError, match="then length"):
             nslp.LinearProgram(np.ones(2), [], [], [], then=np.ones(3))
 
+    def test_price_matches_every_row_loop(self, rng):
+        """_price subtracts c_B times each row whose basic cost is nonzero,
+        in row order: bit for bit the loop over every row, on random
+        tableaux whose bases hold columns past c (slacks, artificials), c
+        entries 0 and -0.0, and on the empty basis of a program with no
+        rows."""
+        def every_row(tableau, basis, c):
+            cost = tableau[-1]
+            cost[:] = 0.0
+            cost[:len(c)] = c
+            for i, j in enumerate(basis):
+                c_basic = c[j] if j < len(c) else 0.0
+                if c_basic != 0.0:
+                    cost -= c_basic * tableau[i]
+
+        for m, n, extra in [(0, 3, 0), (0, 0, 0), (1, 1, 0), (5, 4, 3),
+                            (12, 20, 12), (40, 36, 45)]:
+            for _ in range(20):
+                c = rng.normal(size=n) * (rng.random(n) < 0.6)  # -0.0 too
+                basis = rng.permutation(n + extra)[:m].tolist()
+                tableau = rng.normal(size=(m + 1, n + extra + 1))
+                want = tableau.copy()
+                every_row(want, basis, c)
+                nslp._price(tableau, basis, c)
+                assert tableau.tobytes() == want.tobytes()
+
 
 class TestGamePrograms:
     @pytest.mark.parametrize("form", FORMS,

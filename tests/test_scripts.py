@@ -202,7 +202,8 @@ def test_lp_pivots_counts(tmp_path):
     0-2 that no deterministic pair wins outright: one ns_value solve, with
     no phase-1 pivot, and one perturbed_value solve per slack for each; at
     slack > 0 every start is taken, so phase 1 is the X*Y start pivots of
-    each game."""
+    each game.  Each caller's seconds in solve split into pivot seconds and
+    set-up seconds."""
     out = run_script("lp_pivots", "--label", "smoke",
                      "--out-dir", str(tmp_path))
     assert out.splitlines()[-1].endswith("BENCH_lp-pivots-smoke.json")
@@ -221,6 +222,9 @@ def test_lp_pivots_counts(tmp_path):
         assert row["phase1"] == start_pivots
     for row in counts.values():
         assert row["pivots"] == row["phase1"] + row["phase2"]
+        assert row["setup_s"] >= 0 and row["pivot_s"] >= 0
+        assert row["setup_s"] + row["pivot_s"] == pytest.approx(
+            row["solve_s"])
 
 
 def wc_lines(checkout):

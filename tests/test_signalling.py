@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import warnings
@@ -35,6 +36,27 @@ def joint_marginal_measure(p, q, target):
     if mass == 0.0:
         return 0.0
     return float(o_axy[x, y, a] - q.q[x, y] / q.q[x, :].sum() * mass)
+
+
+def scatter_signalling_matrix(al, qq):
+    """Reference: the signalling matrix scattered through np.ix_ index
+    grids, with Q(x|y) and Q(y|x) 0 where their marginal is 0."""
+    X, Y, A, B = al.x_size, al.y_size, al.a_size, al.b_size
+    qy, qx = qq.sum(axis=0), qq.sum(axis=1, keepdims=True)
+    x_given_y = qq / np.where(qy > 0, qy, 1)
+    y_given_x = qq / np.where(qx > 0, qx, 1)
+    out = np.zeros((al.num_signalling_constraints, X * Y * A * B))
+    coef = (np.eye(X)[:, None, :] * qq[:, :, None]
+            - x_given_y[:, :, None] * qq.T[None, :, :])  # (x, y, x')
+    xx, yy, bb, xs, aa = np.ix_(*(np.arange(k) for k in (X, Y, B, X, A)))
+    out[(xx * Y + yy) * B + bb,
+        ((xs * Y + yy) * A + aa) * B + bb] = coef[xx, yy, xs]
+    coef = (np.eye(Y)[None, :, :] * qq[:, :, None]
+            - y_given_x[:, :, None] * qq[:, None, :])  # (x, y, y')
+    xx, yy, aa, ys, bb = np.ix_(*(np.arange(k) for k in (X, Y, A, Y, B)))
+    out[X * Y * B + (xx * Y + yy) * A + aa,
+        ((xx * Y + ys) * A + aa) * B + bb] = coef[xx, yy, ys]
+    return out
 
 
 def random_alphabets_and_q(rng):
@@ -120,6 +142,25 @@ class TestSigMeasure:
             sig.target_row(al, sig.SigTarget(sig.A_TO_B, 0, 0, al.b_size))
         with pytest.raises(ValueError):
             sig.signalling_matrix(al, uniform_q(al.x_size + 1, al.y_size))
+
+    def test_matches_scatter_reference(self, rng):
+        """The same bytes as the np.ix_ scatter, on every alphabet up to
+        4x4x3x3 and on q with random zero entries, a zero row and a zero
+        column."""
+        for x, y, a, b in itertools.product(range(1, 5), range(1, 5),
+                                            range(1, 4), range(1, 4)):
+            al = Alphabets(a, b, x, y)
+            dense = rng.dirichlet(np.ones(x * y)).reshape(x, y)
+            sparse = dense * (rng.random((x, y)) < 0.5)
+            sparse[0, 0] += 1.0 - sparse.sum()
+            zero_row, zero_col = dense.copy(), dense.copy()
+            zero_row[-1, :], zero_col[:, -1] = 0.0, 0.0
+            zero_row[0, 0] += 1.0 - zero_row.sum()
+            zero_col[0, 0] += 1.0 - zero_col.sum()
+            for qq in (dense, sparse, zero_row, zero_col):
+                q = InputDistribution(qq)
+                assert sig.signalling_matrix(al, q).tobytes() == (
+                    scatter_signalling_matrix(al, q.q).tobytes())
 
     def test_zero_column_gives_zero_rows(self, rng):
         """Q(y) = 0 on column y = 1: every target at y = 1 has a zero row,

@@ -225,6 +225,30 @@ class TestRekeyedGenerator:
             got = sim._test_flags(301, block, fresh_rng(seed, trial))
             assert np.array_equal(got.astype(np.int8), want.t)
 
+    @pytest.mark.parametrize("s_max", [1, 4, 10])
+    @pytest.mark.parametrize("seed", [-1, 2**64 - 1, 9001])
+    def test_statistic_rekeys_one_generator(self, s_max, seed, monkeypatch):
+        """round_count_statistics draws OS entropy at most once per call
+        (each new Philox draws a seed that its key then replaces), and
+        reads each trial's flags from that trial's own _trial_rng stream."""
+        block, m, trials = BlockSpec(0.2, s_max), 40, 25
+        lengths = [sim._test_flags(m, block, sim._trial_rng(seed, k)).size
+                   for k in range(trials)]
+        draws, randbits = [], np.random.bit_generator.randbits
+
+        def spy(*args):
+            draws.append(args)
+            return randbits(*args)
+
+        monkeypatch.setattr(np.random.bit_generator, "randbits", spy)
+        nbar = m * expected_block_length(block)
+        for tail in (-1.0, 0.0, float(np.median(lengths)) - nbar):
+            draws.clear()
+            got = sim.round_count_statistics(m, block, device(), trials,
+                                             seed, tail)
+            assert len(draws) <= 1
+            assert got == sum(n >= nbar + tail for n in lengths) / trials
+
     def test_loops_match_fresh_generators(self):
         dev = sim.HonestDevice(0.81, 0.01)
         block = BlockSpec(0.1, 20)
