@@ -15,10 +15,13 @@ first on PYTHONPATH, and hashes four groups there:
 - scalar: 6,000 seeded key_length / key_length_block calls (the inputs
   come from this script, not from the checkout): every float field's
   .hex() and the extras, or the raise by its type and message;
-- cli: the exit code and stdout of each example of the README's CLI
-  section (this script's own README), run in a scratch directory that
-  holds the chsh.json and data.json they read; an example that exits
-  non-zero counts as raised;
+- cli: the exit code, stdout and stderr of each example of the README's
+  CLI section (this script's own README) and of the parser lines (top-level
+  lines, and each subcommand's required flags alone and with output flags,
+  a missing config file, stray, unknown or missing arguments and help),
+  run under COLUMNS=80 in a scratch directory that holds the chsh.json
+  and data.json the examples read; a line that exits non-zero counts as
+  raised;
 - verify: ns_value (value, kappa) and perturbed_value at the slacks 0,
   0.01 and 0.05 on CHSH, extended CHSH, 24 seeded random games of the
   verify-mix shapes and the three stalling games (whose slack-0 program
@@ -88,6 +91,19 @@ ZERO_ENTRY_QS = [((2, 2, 2, 2), [[0.5, 0.0], [0.25, 0.25]]),
                  ((3, 2, 3, 2), [[0.3, 0.2], [0.0, 0.0], [0.1, 0.4]]),
                  ((2, 2, 3, 3), [[0.0, 0.0, 0.0], [0.0, 0.6, 0.1],
                                  [0.0, 0.2, 0.1]])]
+# each subcommand with its required flags, for the parser lines; the files
+# they name are not there
+REQUIRED_FLAGS = [
+    ["entropy-curve"],
+    ["mu-opt", "--n", "1", "--gamma", "1", "--omega-exp", "0.8",
+     "--delta-est", "0", "--eps-s", "0.1", "--eps-e", "0.1"],
+    ["rate-curve", "--axis", "q", "--grid", "0.01"],
+    ["ns-value", "--game", "g.json"],
+    ["threshold-bound", "--game", "g.json", "--n", "1", "--beta", "0"],
+    ["definetti-verify", "--n", "1"],
+    ["sig-test", "--data", "d.json", "--zeta", "0", "--eps", "0"],
+    ["simulate", "--n", "1", "--gamma", "1", "--omega-exp", "0.8",
+     "--delta-est", "0"]]
 # (n, gamma, delta_est, trials) of the abort estimator lines
 ESTIMATOR_CASES = [(10**4, 0.5, 0.02, 500), (1000, 0.5, 0.001, 200),
                    (2000, 1.0, 0.01, 200), (5, 0.5, 0.001, 300),
@@ -197,19 +213,35 @@ def scalar_lines(kr):
         yield " ".join(map(str, fields))
 
 
+def parser_argvs():
+    """The command lines of the parser lines: 7 top-level ones and 11 for
+    each subcommand."""
+    yield from ([], ["--help"], ["-h"], ["frobnicate"],
+                ["frobnicate", "--game", "g.json"], ["--format", "csv"],
+                ["--config", "c.json"])
+    for valid in REQUIRED_FLAGS:
+        name = valid[0]
+        yield from (valid, valid + ["--format", "csv", "--out", "o.json"],
+                    valid + ["--config", "c.json"], valid + ["extra"],
+                    valid + ["--nope"], valid + ["--", "x"], [name, "--help"],
+                    [name, "-h", "--nope"], [name], [name, "--config"],
+                    [name, "--format", "xml"])
+
+
 def cli_lines(cli, examples):
-    """One entry per CLI example: its exit code and stdout, led by "raise "
-    where the code is not 0 (cli.main's return, or argparse's exit)."""
-    for argv in examples:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(io.StringIO()):
+    """One entry per CLI example and parser line: its exit code, stdout and
+    stderr, led by "raise " where the code is not 0 (cli.main's return, or
+    argparse's exit)."""
+    for argv in examples + list(parser_argvs()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(list(argv))
             except SystemExit as exc:
                 code = exc.code
         head = "raise " if code else ""
-        yield f"{head}{' '.join(argv)}\n{code}\n{out.getvalue()}"
+        yield (f"{head}{' '.join(argv)}\n{code}\n{out.getvalue()}"
+               f"stderr:\n{err.getvalue()}")
 
 
 def _call_line(call):
@@ -388,7 +420,7 @@ def src_lines(checkout):
 def run_side(checkout, examples, workdir):
     """side(checkout) in a fresh interpreter with checkout/src first on
     PYTHONPATH."""
-    env = dict(os.environ)
+    env = dict(os.environ, COLUMNS="80")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(os.path.abspath(checkout), "src"),
                     env.get("PYTHONPATH")) if p)

@@ -2,7 +2,8 @@
 
 Numeric output is rounded to 9 significant digits; JSON uses plain doubles,
 CSV uses '.' decimals regardless of locale.  Exit codes: 0 success, 2 usage
-error, 1 computation error.
+error, 1 computation error.  Every command line, help and usage errors too,
+goes through build_parser's one parser, built on the first call.
 """
 
 from __future__ import annotations
@@ -232,8 +233,8 @@ def _cmd_simulate(args):
 
 
 def _subcommand_parser(**kw) -> argparse.ArgumentParser:
-    """A parser with the flags every subcommand takes; each subcommand has
-    its own, so its set_defaults changes only its own."""
+    """build_parser's parser class for each subcommand: the flags all of
+    them take, in a parser of its own, so set_defaults changes only it."""
     p = argparse.ArgumentParser(allow_abbrev=False, **kw)
     p.add_argument("--config", help="JSON file whose keys mirror the flags; "
                                     "explicit flags win")
@@ -341,8 +342,11 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser with every subcommand's parser."""
+    """The top-level parser with every subcommand's, built on the first
+    call and shared by later ones (parsing leaves it as it was): callers
+    must not change it."""
     parser = argparse.ArgumentParser(
         prog="di-toolkit", allow_abbrev=False,
         description="non-signalling boxes, de Finetti reductions, and "
@@ -352,28 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_line, add_flags) in _COMMANDS.items():
         add_flags(sub.add_parser(name, help=help_line))
     return parser
-
-
-@functools.cache
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """``name``'s parser, built once: parsing leaves a parser as it was."""
-    p = _subcommand_parser(prog=f"di-toolkit {name}")
-    _COMMANDS[name][1](p)
-    return p
-
-
-def _parse_args(argv: list) -> argparse.Namespace:
-    """Parse with only the invoked subcommand's parser, the one that
-    build_parser would hand the arguments to.  A command line it does not
-    take whole (no known subcommand first, or arguments left over) goes to
-    build_parser's full parse, so help and errors read the same either
-    way."""
-    if argv and argv[0] in _COMMANDS:
-        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return build_parser().parse_args(argv)
 
 
 def _inject_config(argv: list) -> list:
@@ -410,7 +392,7 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    args = _parse_args(argv)
+    args = build_parser().parse_args(argv)
     # allow the documented `--out csv` / `--out json` shorthand for --format
     if args.out in ("csv", "json"):
         args.format = args.out

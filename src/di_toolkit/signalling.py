@@ -291,25 +291,25 @@ def iid_threshold_probability(single: SingleRoundBox, game: Game, n: int,
 
 
 def _binomial_upper_tail(n: int, p: float, k0: int) -> float:
-    """Pr[Bin(n,p) >= k0]: the terms, each from its logarithm, summed from
-    k0 up.  Past the mode (k >= (n+1) p) the terms fall, so once one no
-    longer changes the sum neither does any later one: the loop stops
-    there, with the full sum's value."""
+    """Pr[Bin(n,p) >= k0], each term from its logarithm.  From the mode
+    up (k0 >= (n+1) p) it sums the terms from k0 up; below it, it is
+    1 - Pr[Bin(n,p) <= k0 - 1], summed from k0 - 1 down.  Either way the
+    terms fall away from the mode, so once one no longer changes the sum
+    neither does any later one: the loop stops there, with the full sum's
+    value, after O(sqrt(n)) terms."""
     if k0 <= 0:
         return 1.0
-    if k0 > n:
+    if k0 > n or p <= 0.0:
         return 0.0
-    if p <= 0.0:
-        return 0.0 if k0 > 0 else 1.0
     if p >= 1.0:
         return 1.0
     logp, log1p = math.log(p), math.log1p(-p)
+    below = k0 < (n + 1) * p
     total = 0.0
-    mode = (n + 1) * p
-    for k in range(k0, n + 1):
+    for k in range(k0 - 1, -1, -1) if below else range(k0, n + 1):
         term = math.exp(math.lgamma(n + 1) - math.lgamma(k + 1)
                         - math.lgamma(n - k + 1) + k * logp + (n - k) * log1p)
-        if total + term == total and k >= mode:
+        if total + term == total:
             break
         total += term
-    return min(total, 1.0)
+    return 1.0 - total if below else min(total, 1.0)

@@ -208,7 +208,7 @@ def exact_abort_probability(config: SimulationConfig) -> float:
     """Pr[abort] of the per-round protocol: the won test rounds are
     X ~ Bin(n, p), p = gamma omega_dev, and a run aborts iff X is below
     _abort_threshold, i.e. iff X <= k = ceil(threshold) - 1: the upper tail
-    of n - X ~ Bin(n, 1 - p), summed with no 1 - tail cancellation."""
+    of n - X ~ Bin(n, 1 - p) from n - k."""
     p = config.gamma * config.device.omega_exp
     k = math.ceil(_abort_threshold(config.n, config.gamma, config.omega_exp,
                                    config.delta_est)) - 1

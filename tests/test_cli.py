@@ -81,25 +81,37 @@ options:
 """
 
 
+NS_VALUE_HELP = """\
+usage: di-toolkit ns-value [-h] [--config CONFIG] [--format {json,csv}]
+                           [--out OUT] --game GAME
+
+options:
+  -h, --help           show this help message and exit
+  --config CONFIG      JSON file whose keys mirror the flags; explicit flags
+                       win
+  --format {json,csv}
+  --out OUT
+  --game GAME
+"""
+
+NS_VALUE_NO_GAME = """\
+usage: di-toolkit ns-value [-h] [--config CONFIG] [--format {json,csv}]
+                           [--out OUT] --game GAME
+di-toolkit ns-value: error: the following arguments are required: --game
+"""
+
+
 class TestOneSubcommandParser:
-    """main parses a command line with the invoked subcommand's parser
-    alone; whatever it prints and returns is what build_parser's full
-    parse gives."""
+    """main parses every command line with build_parser's one parser: its
+    help and usage errors, byte for byte, and the exit code of each kind
+    of command line."""
 
     @staticmethod
-    def outcome(parse, argv, capsys):
+    def exit_code(argv):
         try:
-            result = vars(parse(list(argv)))
+            return cli.main(list(argv))
         except SystemExit as exc:
-            result = ("exit", exc.code)
-        captured = capsys.readouterr()
-        return result, captured.out, captured.err
-
-    def assert_same(self, argvs, capsys, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")
-        for argv in argvs:
-            full = self.outcome(cli.build_parser().parse_args, argv, capsys)
-            assert self.outcome(cli._parse_args, argv, capsys) == full, argv
+            return exc.code
 
     def test_top_level_help(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
@@ -108,52 +120,69 @@ class TestOneSubcommandParser:
         assert exc.value.code == 0
         assert capsys.readouterr().out == TOP_LEVEL_HELP
 
-    def test_top_level_lines(self, capsys, monkeypatch):
-        self.assert_same([[], ["--help"], ["-h"], ["frobnicate"],
-                          ["frobnicate", "--game", "g.json"],
-                          ["--format", "csv"], ["--config", "c.json"]],
-                         capsys, monkeypatch)
+    def test_subcommand_help(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert self.exit_code(["ns-value", "--help"]) == 0
+        assert capsys.readouterr() == (NS_VALUE_HELP, "")
 
-    @pytest.mark.parametrize("name", list(cli._COMMANDS))
-    def test_subcommand_lines(self, name, capsys, monkeypatch):
-        valid = next(argv for argv, _ in TestConfigAndOut.DEFAULT_FORMATS
-                     if argv[0] == name)
-        self.assert_same([
-            valid, valid + ["--format", "csv", "--out", "o.json"],
-            valid + ["--config", "c.json"], valid + ["extra"],
-            valid + ["--nope"], valid + ["--", "x"],
-            [name, "--help"], [name, "-h", "--nope"], [name],
-            [name, "--config"], [name, "--format", "xml"],
-        ], capsys, monkeypatch)
+    def test_subcommand_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert self.exit_code(["ns-value"]) == 2
+        assert capsys.readouterr() == ("", NS_VALUE_NO_GAME)
 
-    def test_full_parser_not_built(self, monkeypatch, capsys):
-        """A command line the subcommand's parser takes whole never builds
-        the other seven."""
-        def fail():
-            raise AssertionError("build_parser called")
+    # exit code of each subcommand's required flags alone: ns-value,
+    # threshold-bound and sig-test name files that are not there, and
+    # simulate's --delta-est 0 is refused
+    REQUIRED_FLAGS_EXIT = {"entropy-curve": 0, "mu-opt": 0, "rate-curve": 0,
+                           "ns-value": 1, "threshold-bound": 1,
+                           "definetti-verify": 0, "sig-test": 1,
+                           "simulate": 1}
 
-        monkeypatch.setattr(cli, "build_parser", fail)
-        code, out = run_cli(["entropy-curve", "--points", "3"], capsys)
-        assert code == 0 and out.startswith("omega,")
+    def test_command_line_exit_codes(self, tmp_path, monkeypatch, capsys):
+        """Top-level lines, and each subcommand's required flags alone and
+        with output flags, a config file that is not there, stray,
+        unknown or missing arguments and help: usage errors exit 2, help
+        0, an error in the computation or its files 1."""
+        monkeypatch.chdir(tmp_path)
+        for argv, code in [([], 2), (["--help"], 0), (["-h"], 0),
+                           (["frobnicate"], 2),
+                           (["frobnicate", "--game", "g.json"], 2),
+                           (["--format", "csv"], 2),
+                           (["--config", "c.json"], 2)]:
+            assert self.exit_code(argv) == code, argv
+        for valid, _ in TestConfigAndOut.DEFAULT_FORMATS:
+            name = valid[0]
+            ran = self.REQUIRED_FLAGS_EXIT[name]
+            for argv, code in [
+                    (valid, ran),
+                    (valid + ["--format", "csv", "--out", "o.json"], ran),
+                    (valid + ["--config", "c.json"], 1),
+                    (valid + ["extra"], 2), (valid + ["--nope"], 2),
+                    (valid + ["--", "x"], 2), ([name, "--help"], 0),
+                    ([name, "-h", "--nope"], 0),
+                    ([name], ran if valid == [name] else 2),
+                    ([name, "--config"], 2), ([name, "--format", "xml"], 2)]:
+                assert self.exit_code(argv) == code, argv
 
-    def test_subcommand_parser_built_once(self, monkeypatch, capsys):
-        """Two main calls of one subcommand build its parser once."""
+    def test_parser_built_once(self, monkeypatch, capsys):
+        """Two main calls build the parser once: one subcommand parser for
+        each of the eight subcommands."""
         built, make = [], cli._subcommand_parser
 
         def counting(**kw):
-            built.append(kw)
+            built.append(kw["prog"])
             return make(**kw)
 
         monkeypatch.setattr(cli, "_subcommand_parser", counting)
-        cli._command_parser.cache_clear()
+        cli.build_parser.cache_clear()
         try:
             for points in ("3", "4"):
                 code, out = run_cli(["entropy-curve", "--points", points],
                                     capsys)
                 assert code == 0 and len(out.splitlines()) == 1 + int(points)
         finally:
-            cli._command_parser.cache_clear()
-        assert built == [{"prog": "di-toolkit entropy-curve"}]
+            cli.build_parser.cache_clear()
+        assert built == [f"di-toolkit {name}" for name in cli._COMMANDS]
 
 
 class TestGameCommands:

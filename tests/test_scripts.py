@@ -249,7 +249,7 @@ def test_same_numbers_against_this_checkout():
     assert lines[4] == f"src: parent {total} lines, change {total} lines (+0)"
     assert lines[0].startswith("optimize: 288 lines")
     assert lines[1].startswith("scalar: 6000 lines")
-    assert lines[2].startswith("cli: 8 lines, 0 raised")
+    assert lines[2].startswith("cli: 103 lines, 68 raised")
     assert lines[3].startswith("verify: 294 lines, 3 raised")
 
 

@@ -549,16 +549,32 @@ class TestIidThreshold:
                 assert sig._binomial_upper_tail(n, p, k0) == pytest.approx(
                     brute, abs=1e-12)
 
+    @pytest.mark.parametrize("p", [1e-3, 0.2, 0.5, 0.81, 0.999])
+    def test_binomial_tail_against_exact_sum(self, p):
+        """Every k0 from 0 to n + 1, on both sides of the mode, within
+        1e-13 of the tail of the float p summed exactly in rationals."""
+        exact_p = Fraction(p)
+        for n in (1, 2, 9, 60, 300):
+            tail = Fraction(0)
+            for k0 in range(n + 1, -1, -1):
+                if k0 <= n:
+                    tail += (math.comb(n, k0) * exact_p**k0
+                             * (1 - exact_p)**(n - k0))
+                assert sig._binomial_upper_tail(n, p, k0) == pytest.approx(
+                    float(tail), rel=0, abs=1e-13), (n, k0)
+
     def test_binomial_tail_stop_keeps_full_sum(self):
         def full_sum(n, p, k0):
-            # every term from k0 to n, with no early stop
+            # every term from k0 to n, or below the mode 1 - every term
+            # from k0 - 1 down to 0, with no early stop
             logp, log1p = math.log(p), math.log1p(-p)
+            below = k0 < (n + 1) * p
             total = 0.0
-            for k in range(k0, n + 1):
+            for k in range(k0 - 1, -1, -1) if below else range(k0, n + 1):
                 total += math.exp(math.lgamma(n + 1) - math.lgamma(k + 1)
                                   - math.lgamma(n - k + 1) + k * logp
                                   + (n - k) * log1p)
-            return min(total, 1.0)
+            return 1.0 - total if below else min(total, 1.0)
 
         for n in (1, 10, 137, 2000, 20000):
             for p in (1e-9, 1e-3, 0.3, 0.5, 0.81, 1 - 1e-3, 1 - 1e-9):

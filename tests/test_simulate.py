@@ -512,3 +512,16 @@ class TestExactAbort:
         value = sim.exact_abort_probability(cfg)
         assert time.perf_counter() - start < 0.1
         assert 0.0 < value < 1e-30
+
+    def test_large_n_below_mode_stops_early(self):
+        # a run aborts unless the won test rounds X ~ Bin(1e8, 0.39) reach
+        # 0.404 n, 90 standard deviations past their mean: the abort
+        # probability is one minus a tail whose terms round away, not a
+        # sum of ~1.4e6 terms up to the mode of n - X
+        cfg = sim.SimulationConfig(n=10**8, gamma=0.5, omega_exp=0.81,
+                                   delta_est=0.001,
+                                   device=sim.HonestDevice(0.78, 0.01))
+        start = time.perf_counter()
+        value = sim.exact_abort_probability(cfg)
+        assert time.perf_counter() - start < 0.1
+        assert value == 1.0
