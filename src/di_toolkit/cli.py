@@ -243,15 +243,27 @@ def _subcommand_parser(**kw) -> argparse.ArgumentParser:
     return p
 
 
-def _entropy_curve_flags(p):
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser with every subcommand's, built on the first
+    call and shared by later ones (parsing leaves it as it was): callers
+    must not change it."""
+    parser = argparse.ArgumentParser(
+        prog="di-toolkit", allow_abbrev=False,
+        description="non-signalling boxes, de Finetti reductions, and "
+                    "finite-size device-independent key rates")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_subcommand_parser)
+
+    p = sub.add_parser("entropy-curve", help="secrecy bounds vs winning "
+                                             "probability (CSV)")
     p.add_argument("--from", dest="start", type=float, default=0.75)
     p.add_argument("--to", dest="stop", type=float,
                    default=entropy.OMEGA_QUANTUM)
     p.add_argument("--points", type=int, default=50)
     p.set_defaults(func=_cmd_entropy_curve, format="csv")
 
-
-def _mu_opt_flags(p):
+    p = sub.add_parser("mu-opt", help="optimized finite-size entropy rate")
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--omega-exp", dest="omega_exp", type=float, required=True)
@@ -264,8 +276,7 @@ def _mu_opt_flags(p):
                         "ceil(1/gamma))")
     p.set_defaults(func=_cmd_mu_opt)
 
-
-def _rate_curve_flags(p):
+    p = sub.add_parser("rate-curve", help="optimized key-rate sweep")
     p.add_argument("--mode", choices=[keyrates.PER_ROUND, keyrates.BLOCK],
                    default=keyrates.BLOCK)
     p.add_argument("--axis", choices=["q", "n"], required=True)
@@ -280,20 +291,20 @@ def _rate_curve_flags(p):
     p.add_argument("--completeness", type=float, default=1e-2)
     p.set_defaults(func=_cmd_rate_curve, format="csv")
 
-
-def _ns_value_flags(p):
+    p = sub.add_parser("ns-value", help="optimal non-signalling winning "
+                                        "probability of a game")
     p.add_argument("--game", required=True)
     p.set_defaults(func=_cmd_ns_value)
 
-
-def _threshold_bound_flags(p):
+    p = sub.add_parser("threshold-bound", help="non-signalling threshold "
+                                               "theorem bound")
     p.add_argument("--game", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.set_defaults(func=_cmd_threshold_bound)
 
-
-def _definetti_verify_flags(p):
+    p = sub.add_parser("definetti-verify", help="exact reduction check on "
+                                                "random symmetrized boxes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
@@ -303,8 +314,7 @@ def _definetti_verify_flags(p):
     p.add_argument("--y-size", dest="y_size", type=int, default=2)
     p.set_defaults(func=_cmd_definetti_verify)
 
-
-def _sig_test_flags(p):
+    p = sub.add_parser("sig-test", help="signalling tests on observed data")
     p.add_argument("--data", required=True)
     p.add_argument("--zeta", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
@@ -312,8 +322,7 @@ def _sig_test_flags(p):
                                "(default uniform)")
     p.set_defaults(func=_cmd_sig_test)
 
-
-def _simulate_flags(p):
+    p = sub.add_parser("simulate", help="honest-device abort probability")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--omega-exp", dest="omega_exp", type=float, required=True)
@@ -322,39 +331,6 @@ def _simulate_flags(p):
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_simulate)
-
-
-# subcommand: (its --help line, the function adding its flags), in the
-# order the top-level help lists them
-_COMMANDS = {
-    "entropy-curve": ("secrecy bounds vs winning probability (CSV)",
-                      _entropy_curve_flags),
-    "mu-opt": ("optimized finite-size entropy rate", _mu_opt_flags),
-    "rate-curve": ("optimized key-rate sweep", _rate_curve_flags),
-    "ns-value": ("optimal non-signalling winning probability of a game",
-                 _ns_value_flags),
-    "threshold-bound": ("non-signalling threshold theorem bound",
-                        _threshold_bound_flags),
-    "definetti-verify": ("exact reduction check on random symmetrized "
-                         "boxes", _definetti_verify_flags),
-    "sig-test": ("signalling tests on observed data", _sig_test_flags),
-    "simulate": ("honest-device abort probability", _simulate_flags),
-}
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser with every subcommand's, built on the first
-    call and shared by later ones (parsing leaves it as it was): callers
-    must not change it."""
-    parser = argparse.ArgumentParser(
-        prog="di-toolkit", allow_abbrev=False,
-        description="non-signalling boxes, de Finetti reductions, and "
-                    "finite-size device-independent key rates")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_subcommand_parser)
-    for name, (help_line, add_flags) in _COMMANDS.items():
-        add_flags(sub.add_parser(name, help=help_line))
     return parser
 
 

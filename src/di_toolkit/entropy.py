@@ -4,8 +4,8 @@ All logarithms are base 2.  The quantum CHSH regime is
 omega in [3/4, (2+sqrt(2))/4].  On the open regime the secrecy bound and
 its slope come from one unguarded body, _bound_and_slope, in the
 namespace ``xp`` (math or numpy): eat's glued tangent takes both at its
-cut, on floats and on keyrates' grid kernel arrays; secrecy_bound, flat
-outside the regime, is for floats only and has no array twin.
+cut, on floats and on keyrates' grid kernel arrays; secrecy_bound reads
+its value there, is flat outside the regime, and is for floats only.
 """
 
 from __future__ import annotations
@@ -39,14 +39,11 @@ def secrecy_bound(omega: float) -> float:
     """
     if math.isnan(omega):
         raise ValueError("omega must not be NaN")
-    if omega < OMEGA_CLASSICAL - _CLAMP:
+    if omega <= OMEGA_CLASSICAL:
         return 0.0
     if omega > OMEGA_QUANTUM + _CLAMP:
         return 1.0
-    omega = min(max(omega, OMEGA_CLASSICAL), OMEGA_QUANTUM)
-    radicand = 16.0 * omega * (omega - 1.0) + 3.0
-    radicand = max(radicand, 0.0)
-    return 1.0 - binary_entropy(0.5 + 0.5 * math.sqrt(radicand))
+    return _bound_and_slope(min(omega, OMEGA_QUANTUM))[0]
 
 
 def _bound_and_slope(omega, xp=math):

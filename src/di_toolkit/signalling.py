@@ -42,8 +42,11 @@ class SigTarget:
     def __post_init__(self):
         if self.direction not in (A_TO_B, B_TO_A):
             raise ValueError("direction must be AtoB or BtoA")
-        if min(self.x, self.y, self.outcome) < 0:
-            raise ValueError("indices must be non-negative")
+        for name in ("x", "y", "outcome"):
+            value = _integer(getattr(self, name), name)
+            if value < 0:
+                raise ValueError("indices must be non-negative")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

@@ -78,10 +78,22 @@ class Transcript:
 
 def _trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     """A fresh Philox keyed by (master_seed, trial) at counter 0, the seed
-    an integer taken mod 2^64 (-1 keys as 2^64 - 1)."""
+    an integer taken mod 2^64 (-1 keys as 2^64 - 1), the trial an integer
+    in [0, 2^64)."""
+    if not 0 <= _integer(trial, "trial") < 2**64:
+        raise ValueError("trial must be in [0, 2**64)")
     key = np.array([_integer(master_seed, "seed") & 0xFFFFFFFFFFFFFFFF,
                     trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _check_acceptance(omega_exp, delta_est):
+    """The protocol's acceptance parameters: omega_exp in [0,1] and
+    delta_est in (0,1); NaN fails either."""
+    if not 0 <= omega_exp <= 1:
+        raise ValueError("omega_exp must be in [0,1]")
+    if not 0 < delta_est < 1:
+        raise ValueError("delta_est must be in (0,1)")
 
 
 def _abort_threshold(m, test_mass, omega_exp, delta_est):
@@ -94,7 +106,7 @@ def _test_flags(m: int, block: BlockSpec,
     """The first draw of a trial's stream: the (m, s_max) test flags, each
     block cut at its first test.  Returns the kept rounds' flags in order,
     so their number is the run's round count N."""
-    if m < 1:
+    if _integer(m, "m_blocks") < 1:
         raise ValueError("the number of blocks must be >= 1")
     flags = rng.random((m, block.s_max)) < block.gamma
     kept = np.ones_like(flags)
@@ -111,8 +123,8 @@ def run_protocol(n: int, gamma: float, omega_exp: float, delta_est: float,
     ``omega_exp`` and ``delta_est`` are the protocol's acceptance
     parameters; the device may have a different actual winning probability.
     """
-    return run_protocol_blocks(n, BlockSpec(gamma, 1), omega_exp, delta_est,
-                               device, seed, trial)
+    return run_protocol_blocks(_integer(n, "n"), BlockSpec(gamma, 1),
+                               omega_exp, delta_est, device, seed, trial)
 
 
 def run_protocol_blocks(m_blocks: int, block: BlockSpec, omega_exp: float,
@@ -127,6 +139,7 @@ def run_protocol_blocks(m_blocks: int, block: BlockSpec, omega_exp: float,
     (_abort_threshold).  The transcript is per-round; block boundaries
     follow from t.
     """
+    _check_acceptance(omega_exp, delta_est)
     rng = _trial_rng(seed, trial)
     test = _test_flags(m_blocks, block, rng)
     n = test.size
@@ -158,6 +171,7 @@ def wilson_interval(successes: int, trials: int) -> tuple:
     _integer(trials, "trials")
     if not 0 <= successes <= trials:  # NaN fails too
         raise ValueError("successes must be in [0, trials]")
+    _integer(successes, "successes")
     z = 1.96  # the two-sided 95% normal quantile
     phat = successes / trials
     denom = 1.0 + z * z / trials
@@ -184,10 +198,7 @@ class SimulationConfig:
             raise ValueError("n must be >= 1")
         if self.n >= 2**63:  # Generator.binomial's limit
             raise ValueError("n must be below 2**63")
-        if not 0 <= self.omega_exp <= 1:  # NaN fails too
-            raise ValueError("omega_exp must be in [0,1]")
-        if not 0 < self.delta_est < 1:
-            raise ValueError("delta_est must be in (0,1)")
+        _check_acceptance(self.omega_exp, self.delta_est)
 
 
 def estimate_abort_probability(config: SimulationConfig, trials: int,

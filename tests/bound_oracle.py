@@ -1,12 +1,13 @@
-"""Reference texts of the CHSH secrecy bound's slope and of the glued
+"""Reference texts of the CHSH secrecy bound, its slope and the glued
 min-tradeoff function, as the package computed them before the bound and
-its slope at the cut came from one root: the checked secrecy_bound_slope,
-its unguarded body _slope in the namespace ``xp``, the unguarded array
-bound _bound_open, and eat._tradeoff calling secrecy_bound and
-secrecy_bound_slope separately.  The tests compare entropy._bound_and_slope
-and eat._tradeoff against these bit for bit.  log2_block_dims keeps the
-block output dimension's exact integer text, the oracle of its closed form
-eat._log2_block_dim.
+its slope came from one root: secrecy_bound with its own clamp, radicand
+and binary_entropy call, the checked secrecy_bound_slope, its unguarded
+body _slope in the namespace ``xp``, the unguarded array bound
+_bound_open, and eat._tradeoff calling secrecy_bound and
+secrecy_bound_slope separately.  The tests compare entropy.secrecy_bound,
+entropy._bound_and_slope and eat._tradeoff against these bit for bit.
+log2_block_dims keeps the block output dimension's exact integer text,
+the oracle of its closed form eat._log2_block_dim.
 """
 
 import math
@@ -14,7 +15,23 @@ import math
 import numpy as np
 
 from di_toolkit.eat import _log2_block_dim
-from di_toolkit.entropy import OMEGA_CLASSICAL, OMEGA_QUANTUM, secrecy_bound
+from di_toolkit.entropy import (OMEGA_CLASSICAL, OMEGA_QUANTUM, _CLAMP,
+                                binary_entropy)
+
+
+def secrecy_bound(omega: float) -> float:
+    """1 - h(1/2 + 1/2 sqrt(16 w (w-1) + 3)) on the quantum regime, flat
+    outside it (0 below, 1 above); NaN raises."""
+    if math.isnan(omega):
+        raise ValueError("omega must not be NaN")
+    if omega < OMEGA_CLASSICAL - _CLAMP:
+        return 0.0
+    if omega > OMEGA_QUANTUM + _CLAMP:
+        return 1.0
+    omega = min(max(omega, OMEGA_CLASSICAL), OMEGA_QUANTUM)
+    radicand = 16.0 * omega * (omega - 1.0) + 3.0
+    radicand = max(radicand, 0.0)
+    return 1.0 - binary_entropy(0.5 + 0.5 * math.sqrt(radicand))
 
 
 def secrecy_bound_slope(omega: float) -> float:

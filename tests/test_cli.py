@@ -166,7 +166,8 @@ class TestOneSubcommandParser:
 
     def test_parser_built_once(self, monkeypatch, capsys):
         """Two main calls build the parser once: one subcommand parser for
-        each of the eight subcommands."""
+        each of the eight subcommands, in the order of the top-level
+        help."""
         built, make = [], cli._subcommand_parser
 
         def counting(**kw):
@@ -182,7 +183,8 @@ class TestOneSubcommandParser:
                 assert code == 0 and len(out.splitlines()) == 1 + int(points)
         finally:
             cli.build_parser.cache_clear()
-        assert built == [f"di-toolkit {name}" for name in cli._COMMANDS]
+        assert built == [f"di-toolkit {name}"
+                         for name in self.REQUIRED_FLAGS_EXIT]
 
 
 class TestGameCommands:

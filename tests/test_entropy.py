@@ -77,6 +77,25 @@ class TestSecrecyBound:
             analytic = ent._bound_and_slope(omega)[1]
             assert analytic == pytest.approx(numeric, rel=1e-6)
 
+    def test_matches_retired_body_bitwise(self):
+        """secrecy_bound takes its value from _bound_and_slope: the same
+        floats as its retired body (tests/bound_oracle.py) on a dense grid
+        across the regime, on the 2,000 floats either side of each end and
+        of each end's clamp, and at the infinities."""
+        c, q, clamp = ent.OMEGA_CLASSICAL, ent.OMEGA_QUANTUM, ent._CLAMP
+        points = [np.linspace(0.74, 0.86, 100001), [-math.inf, math.inf]]
+        for end in (c, q, c - clamp, q + clamp):
+            for toward in (0.0, 1.0):
+                walk = [end]
+                for _ in range(2000):
+                    walk.append(np.nextafter(walk[-1], toward))
+                points.append(walk)
+        points = np.concatenate(points).tolist()
+        assert len(points) > 116000
+        for w in points:
+            assert (ent.secrecy_bound(w).hex()
+                    == bound_oracle.secrecy_bound(w).hex()), w
+
     def test_array_forms_match_scalar(self):
         q, c = ent.OMEGA_QUANTUM, ent.OMEGA_CLASSICAL
         inside = np.linspace(c, q, 2001)[1:-1]
@@ -118,7 +137,7 @@ class TestBoundAndSlope:
         points = _open_regime_points(np.random.default_rng(20231))
         assert points.size >= 10000
         for w in points.tolist():
-            want = _outcome(lambda x: (ent.secrecy_bound(x),
+            want = _outcome(lambda x: (bound_oracle.secrecy_bound(x),
                                        bound_oracle.secrecy_bound_slope(x)),
                             w)
             assert _hex(_outcome(ent._bound_and_slope, w)) == _hex(want), w

@@ -33,8 +33,9 @@ import di_toolkit
 # tail rule: the round count has a tail iff a block can hold more than one
 # round (the test mass, the tail, the key length and the grid kernel), a
 # game's complete-support check (the non-signalling program, its dual and
-# the outright check) and the conditionals Q(x|y), Q(y|x) (the signalling
-# matrix on floats, the signalling test on Fractions)
+# the outright check), the conditionals Q(x|y), Q(y|x) (the signalling
+# matrix on floats, the signalling test on Fractions) and the secrecy
+# bound's radicand (the flat-extended bound and its slope on the regime)
 MARKERS = ["LOG2_7", "LOG2_2SQRT2_PLUS_1", "xp.log2(8.0 / est",
            "exp(-2.0 *", "ceil(1.0 / gamma",
            "rng.random((m, block.s_max))", "rng.random(n)",
@@ -43,7 +44,8 @@ MARKERS = ["LOG2_7", "LOG2_2SQRT2_PLUS_1", "xp.log2(8.0 / est",
            "caps.completeness - caps.eps_ec", "6.0 ** (-s_max)",
            "at_cut + slope * (", "(30.0 * d) ** 2", "k_pen * (",
            "(s_max > 1) & (gamma < 1)", "game must have complete support",
-           "np.where(qy > 0, qy, 1)"]
+           "np.where(qy > 0, qy, 1)",
+           "16.0 * omega * (omega - 1.0) + 3.0"]
 
 
 class _DropNested(ast.NodeTransformer):
