@@ -29,16 +29,17 @@ f_min, mu_opt) are these functions at s_max = 1, with m = n rounds.
 
 The public functions check their inputs and call private bodies, which
 keyrates calls on its own checked floats: _mu_block_opt, the one text of
-the best-cut rate (of mu_block_opt and mu_opt), and _cut_bounds, _tail
-and _hoeffding (of cut_interval, round_count_tail and hoeffding).  The
-key length makes BlockSpec's and EatEpsilons' checks on its floats
-(_check_block, _check_epsilons) and builds neither.  The terms that its
-numpy grid kernel shares with the scalar path (the tail rule _has_tail,
-the test mass, the cut interval, log2 d_O, the penalty K, the glued
-function's tangent at the cut with its slope (_tangent: g, g' from one
-root), the rate mu (_rate), the max-entropy bound and its smoothing root,
-the round count tail, the Hoeffding bound) take the namespace ``xp`` or
-are plain arithmetic; _tradeoff keeps g itself below the cut.
+the best-cut rate (of mu_block_opt and mu_opt), and _tail and _hoeffding
+(of round_count_tail and hoeffding); the cut interval _cut_bounds has no
+public form.  BlockSpec's check _check_block is the one text of gamma's
+domain; the key length makes it and EatEpsilons' (_check_epsilons) on its
+floats and builds neither.  The terms that its numpy grid kernel shares
+with the scalar path (the tail rule _has_tail, the test mass, the cut
+interval, log2 d_O, the penalty K, the glued function's tangent at the
+cut with its slope (_tangent: g, g' from one root), the rate mu (_rate),
+the max-entropy bound and its smoothing root, the round count tail, the
+Hoeffding bound) take the namespace ``xp`` or are plain arithmetic;
+_tradeoff keeps g itself below the cut.
 """
 
 from __future__ import annotations
@@ -65,8 +66,7 @@ class TradeoffSpec:
     p_cut1: float
 
     def __post_init__(self):
-        if not 0 < self.gamma <= 1:
-            raise ValueError("gamma must be in (0,1]")
+        _check_block(self.gamma, 1)
         ratio = self.p_cut1 / self.gamma
         if not OMEGA_CLASSICAL < ratio < OMEGA_QUANTUM:
             raise ValueError("p_cut1/gamma must lie strictly inside the "
@@ -145,16 +145,10 @@ def _penalty_scale(eps_s, eps_e, count, xp=math):
     return (2.0 / xp.sqrt(count)) * _smoothing_root(eps_s, eps_e, xp)
 
 
-def cut_interval(mass: float) -> tuple:
-    """Open cut interval on the p~(1) scale of blocks with test mass
-    ``mass`` in (0, 1], shrunk away from the infinite-slope upper edge."""
-    if not 0 < mass <= 1:  # NaN fails too
-        raise ValueError("test mass must be in (0,1]")
-    return _cut_bounds(mass)
-
-
 def _cut_bounds(mass):
-    """cut_interval without its check, elementwise on arrays too."""
+    """Open cut interval on the p~(1) scale of blocks with test mass
+    ``mass`` in (0, 1], shrunk away from the infinite-slope upper edge;
+    unchecked, elementwise on arrays too."""
     return (mass * OMEGA_CLASSICAL + CUT_EDGE_SHRINK * mass,
             mass * OMEGA_QUANTUM - CUT_EDGE_SHRINK * mass)
 
@@ -177,8 +171,7 @@ def default_s_max(gamma: float) -> int:
     CLI's default block length cap and the seed of the rate optimizer's
     s_max axis on its coarse grid.  The ceiling is guarded against float
     noise (1/0.1 = 10.000000000000002)."""
-    if not 0 < gamma <= 1:
-        raise ValueError("gamma must be in (0,1]")
+    _check_block(gamma, 1)
     return math.ceil(1.0 / gamma - 1e-9)
 
 
@@ -240,7 +233,7 @@ def mu_block_opt(omega_exp: float, delta_est: float, block: BlockSpec,
                  m_blocks: float, eps: EatEpsilons) -> tuple:
     """Maximize the rate mu(c) at p~1 = omega_exp * test_mass - delta_est
     over the cut c.  Returns (value, best_cut), the cut on the p~(1) scale:
-    best_cut = clamp(p~1 - K) to cut_interval(test_mass), the maximizer of
+    best_cut = clamp(p~1 - K) to _cut_bounds(test_mass), the maximizer of
     the rate, whose derivative f''(c) (p~1 - c - K) has the sign of
     p~1 - K - c because f is strictly convex."""
     return _mu_block_opt(omega_exp, delta_est, block.gamma, block.s_max,

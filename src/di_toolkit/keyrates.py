@@ -83,8 +83,7 @@ class ProtocolParams:
 
     def __post_init__(self):
         _check_n_q(self.n, self.q)
-        if not 0 < self.gamma <= 1:
-            raise ValueError("gamma must be in (0,1]")
+        eat._check_block(self.gamma, 1)
         if not 0 < self.delta_est < 1:
             raise ValueError("delta_est must be in (0,1)")
         if not OMEGA_CLASSICAL <= self.omega_exp <= OMEGA_QUANTUM + 1e-12:
@@ -574,9 +573,8 @@ def _split(target, caps, start: RateReport, evals: dict) -> tuple:
 
 
 def _spread(lo: float, hi: float) -> list:
-    """ZOOM_POINTS log-spaced points from lo to hi, both ends exact."""
-    if lo == hi:
-        return [lo]
+    """ZOOM_POINTS log-spaced points from lo < hi to hi, both ends
+    exact."""
     step = (hi / lo) ** (1.0 / (ZOOM_POINTS - 1))
     return [lo] + [lo * step**i for i in range(1, ZOOM_POINTS - 1)] + [hi]
 

@@ -385,8 +385,8 @@ def _win_table(game: Game) -> tuple:
     return wins, np.where(wins.any(axis=(2, 3)), game.q.q, 0.0)
 
 
-def build_ns_lp(game: Game, slack: float | None = None, table=None,
-                start=()) -> LinearProgram:
+def build_ns_lp(game: Game, slack: float | None = None,
+                table=None) -> LinearProgram:
     """LP for the optimal non-signalling winning probability of a game.
 
     Variables are the table entries P(a,b|x,y) in ``[x][y][a][b]`` order;
@@ -397,17 +397,19 @@ def build_ns_lp(game: Game, slack: float | None = None, table=None,
     equalities at 0 for the non-signalling program (``slack=None``), or
     ``<= slack`` for the perturbed one.  They are followed by one
     normalization row per input pair and one positivity row per variable.
-    ``start`` is the program's LinearProgram.start, the (row, column)
-    pivots that solve tries first.
+    The ``<= slack`` program starts (LinearProgram.start) at the
+    deterministic box (0, 0): P(0,0|x,y) basic on each normalization row;
+    the ``=`` form has no start.
     """
     wins, v0 = table or _win_table(game)
     al = game.alphabets
-    nvar = al.x_size * al.y_size * al.a_size * al.b_size
+    pairs, answers = al.x_size * al.y_size, al.a_size * al.b_size
     c = np.where(wins, v0[:, :, None, None], 0.0).reshape(-1)
     S, N = signalling_matrix(al, game.q), _normalization_matrix(al)
-    sig_rel, sig_rhs = (EQ, 0.0) if slack is None else (LE, slack)
-    sizes = [len(S), len(N), nvar]
-    return LinearProgram(c, np.vstack([S, N, np.eye(nvar)]),
+    sig_rel, sig_rhs, start = (EQ, 0.0, ()) if slack is None else (
+        LE, slack, tuple((len(S) + k, k * answers) for k in range(pairs)))
+    sizes = [len(S), pairs, pairs * answers]
+    return LinearProgram(c, np.vstack([S, N, np.eye(pairs * answers)]),
                          np.repeat([sig_rel, EQ, GE], sizes),
                          np.repeat([sig_rhs, 1.0, 0.0], sizes), start)
 
@@ -480,8 +482,7 @@ def perturbed_value(game: Game, slack: float) -> float:
     pair wins outright (_outright_value), else the primal's optimum.  A
     game without complete support is refused (_win_table).
 
-    The primal starts at the deterministic box that answers (0, 0) on
-    every (x, y): P(0,0|x,y) basic on each normalization row, every slack
+    The primal starts at build_ns_lp's deterministic box, every slack
     basic.  The box is non-signalling, so the signalling rows' right-hand
     sides are slack - S x = slack, and phase 2 starts there with no phase
     1.  At slack 0 the start is degenerate: S x is 0 only in exact
@@ -495,10 +496,7 @@ def perturbed_value(game: Game, slack: float) -> float:
     outright = _outright_value(game, table)
     if outright is not None:
         return outright
-    al = game.alphabets
-    d, answers = al.num_signalling_constraints, al.a_size * al.b_size
-    sol = solve(build_ns_lp(game, slack, table, tuple(
-        (d + k, k * answers) for k in range(al.x_size * al.y_size))))
+    sol = solve(build_ns_lp(game, slack, table))
     if sol.status != "optimal":
         raise SolverError(f"perturbed program: {sol.status}")
     return float(sol.value)

@@ -52,8 +52,7 @@ class HonestDevice:
     q: float
 
     def __post_init__(self):
-        if not 0 <= self.omega_exp <= 1:
-            raise ValueError("omega_exp must be in [0,1]")
+        _check_omega(self.omega_exp)
         if not 0 <= self.q <= 0.5:
             raise ValueError("q must be in [0, 1/2]")
 
@@ -87,11 +86,16 @@ def _trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _check_acceptance(omega_exp, delta_est):
-    """The protocol's acceptance parameters: omega_exp in [0,1] and
-    delta_est in (0,1); NaN fails either."""
-    if not 0 <= omega_exp <= 1:
+def _check_omega(omega_exp):
+    """The device's or the protocol's omega_exp: in [0,1], no NaN or bool."""
+    if isinstance(omega_exp, bool) or not 0 <= omega_exp <= 1:
         raise ValueError("omega_exp must be in [0,1]")
+
+
+def _check_acceptance(omega_exp, delta_est):
+    """The protocol's acceptance parameters: omega_exp in [0,1]
+    (_check_omega) and delta_est in (0,1); NaN fails either."""
+    _check_omega(omega_exp)
     if not 0 < delta_est < 1:
         raise ValueError("delta_est must be in (0,1)")
 
@@ -165,10 +169,12 @@ def run_protocol_blocks(m_blocks: int, block: BlockSpec, omega_exp: float,
 
 
 def wilson_interval(successes: int, trials: int) -> tuple:
-    """95% Wilson score interval for a binomial proportion."""
+    """95% Wilson score interval for a binomial proportion, over fewer than
+    2**63 trials (SimulationConfig's limit on n)."""
     if not trials >= 1:  # NaN fails too
         raise ValueError("trials must be >= 1")
-    _integer(trials, "trials")
+    if _integer(trials, "trials") >= 2**63:
+        raise ValueError("trials must be below 2**63")
     if not 0 <= successes <= trials:  # NaN fails too
         raise ValueError("successes must be in [0, trials]")
     _integer(successes, "successes")

@@ -303,7 +303,7 @@ def _check_cut_optimum(value, cut, objective, scale):
     of the cut interval, and no worse than the objective 1e-6*scale away."""
     assert value == objective(cut)
     tol = 1e-9 * max(1.0, abs(value))
-    lo, hi = eat.cut_interval(scale)
+    lo, hi = eat._cut_bounds(scale)
     assert lo <= cut <= hi
     scan_best = max(objective(c) for c in np.linspace(lo, hi, SCAN_POINTS))
     assert value >= scan_best - tol
@@ -352,7 +352,7 @@ class TestMuOpt:
         eps = eat.EatEpsilons(1e-6, 1e-6)
         for omega, n in ((0.80, 1e6), (0.820736, 1e8), (0.85, 1e8)):
             value, cut = eat.mu_opt(omega, 1e-3, 1.0, n, eps)
-            lo, hi = eat.cut_interval(1.0)
+            lo, hi = eat._cut_bounds(1.0)
             assert lo < cut < hi
             # independent oracle: dense grid maximum
             p1 = omega - 1e-3
@@ -362,7 +362,7 @@ class TestMuOpt:
             assert value >= grid_best - 1e-9
 
     def test_optimizer_interior_all_reference_sets(self):
-        lo, hi = eat.cut_interval(1.0)
+        lo, hi = eat._cut_bounds(1.0)
         for (n, eps_val, delta), points in sorted(MU_OPT_CURVES.items()):
             eps = eat.EatEpsilons(eps_val, eps_val)
             omega = points[len(points) // 2][0]
@@ -400,7 +400,7 @@ class TestMuOpt:
     def test_closed_form_clamped(self, omega, delta, gamma, n, end):
         eps = eat.EatEpsilons(1e-6, 1e-6)
         value, cut = eat.mu_opt(omega, delta, gamma, n, eps)
-        assert cut == eat.cut_interval(gamma)[end]
+        assert cut == eat._cut_bounds(gamma)[end]
         _check_cut_optimum(value, cut,
                            _round_objective(omega, delta, gamma, n, eps),
                            gamma)
@@ -424,7 +424,7 @@ class TestMuBlockOpt:
         eps = eat.EatEpsilons(1e-6, 1e-6)
         block = _block_for(0.1)
         value, cut = eat.mu_block_opt(omega, delta, block, m, eps)
-        assert cut == eat.cut_interval(block.test_mass)[end]
+        assert cut == eat._cut_bounds(block.test_mass)[end]
         _check_cut_optimum(value, cut,
                            _block_objective(omega, delta, block, m, eps),
                            block.test_mass)
@@ -616,16 +616,8 @@ class TestRoundCountTailExact:
 
 
 class TestCheckedBounds:
-    """cut_interval and hoeffding check their inputs; the key length and
-    the grid kernel call their private bodies, _cut_bounds and
-    _hoeffding, on checked inputs."""
-
-    # what each call once returned: (nan, nan), (1.5, 1.71), a negative
-    # interval, (0, 0), (inf, nan)
-    @pytest.mark.parametrize("mass", [math.nan, 2.0, -1.0, 0.0, math.inf])
-    def test_cut_interval_takes_a_test_mass(self, mass):
-        with pytest.raises(ValueError, match=r"^test mass must be in \(0,1\]$"):
-            eat.cut_interval(mass)
+    """hoeffding checks its inputs; the key length and the grid kernel
+    call its private body, _hoeffding, on checked inputs."""
 
     # what each call once returned: nan, nan, 1.105, 0.0, 0.0
     @pytest.mark.parametrize("n, deviation, message", [

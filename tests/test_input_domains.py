@@ -1,5 +1,5 @@
-"""Input domains of the sampler, the Wilson interval and the signalling
-targets, as one table: each entry point's valid call and, for each
+"""Input domains of the sampler, the honest device, the Wilson interval,
+the signalling targets and eat's per-round gamma, as one table: each entry point's valid call and, for each
 parameter, values outside its domain.  Every probe replaces one argument
 of the valid call and must raise a ValueError whose message starts with
 the parameter's name, so a valid call that failed on its own would not
@@ -9,13 +9,16 @@ Before these checks, each probe ran or failed elsewhere: a NaN omega_exp
 or delta_est never aborted and delta_est = -5 always did; trial 2.5 ran
 trial 2, True trial 1, and -1 raised numpy's OverflowError; a block count
 of 2.5 or True raised numpy's TypeError; wilson_interval(2.5, 10) and
-SigTarget("AtoB", 1.5, 0, 0) returned.
+SigTarget("AtoB", 1.5, 0, 0) returned; HonestDevice(omega_exp=True)
+constructed and an omega_exp of True was taken as the protocol's; and
+wilson_interval(3, 10**400) raised Python's OverflowError.
 """
 
 import math
 
 import pytest
 
+from di_toolkit import eat
 from di_toolkit import signalling as sig
 from di_toolkit import simulate as sim
 from di_toolkit.eat import BlockSpec
@@ -24,11 +27,12 @@ NAN, INF = math.nan, math.inf
 DEVICE = sim.HonestDevice(omega_exp=0.81, q=0.05)
 BLOCK = BlockSpec(0.3, 4)
 
-ACCEPTANCE = {"omega_exp": [NAN, INF, -INF, -0.1, 1.5],
+ACCEPTANCE = {"omega_exp": [NAN, INF, -INF, -0.1, 1.5, True],
               "delta_est": [NAN, INF, -INF, -5.0, 0.0, 1.0, 1.5]}
 TRIAL = [NAN, INF, 2.5, True, -1, 2**64]
 BLOCK_COUNT = [NAN, INF, 2.5, True]
 INDEX = [NAN, INF, 1.5, True]
+GAMMA = [NAN, INF, -INF, 0.0, -0.5, 1.5]
 
 # entry point: (the valid call's keyword arguments, {parameter: probes})
 TABLE = {
@@ -44,16 +48,36 @@ TABLE = {
         dict(m_blocks=20, block=BLOCK, device=DEVICE, trials=5, seed=1,
              tail_t=1.0),
         dict(m_blocks=BLOCK_COUNT)),
+    sim.HonestDevice: (
+        dict(omega_exp=0.81, q=0.05),
+        dict(omega_exp=[NAN, INF, -INF, -0.1, 1.5, True],
+             q=[NAN, -0.1, 0.6])),
     sim.wilson_interval: (
         dict(successes=3, trials=10),
-        dict(successes=[2.5, True])),
+        dict(successes=[2.5, True], trials=[10**400, 2**2000])),
     sig.SigTarget: (
         dict(direction=sig.A_TO_B, x=0, y=0, outcome=0),
         dict(x=INDEX, y=INDEX, outcome=INDEX)),
+    eat.TradeoffSpec: (
+        dict(gamma=0.5, p_cut1=0.4),
+        dict(gamma=GAMMA)),
+    eat.default_s_max: (
+        dict(gamma=0.5),
+        dict(gamma=GAMMA)),
 }
 
+
+
+def label(value):
+    """A probe's repr in its test id; an integer of over 100 bits by its
+    bit length."""
+    if isinstance(value, int) and value.bit_length() > 100:
+        return f"int-of-{value.bit_length()}-bits"
+    return repr(value)
+
+
 PROBES = [pytest.param(fn, name, value,
-                       id=f"{fn.__name__}-{name}={value!r}")
+                       id=f"{fn.__name__}-{name}={label(value)}")
           for fn, (_, domains) in TABLE.items()
           for name, values in domains.items() for value in values]
 

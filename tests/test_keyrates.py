@@ -1283,7 +1283,7 @@ def reference_grid_key_lengths(target, caps, rows, deltas, shares):
         gamma = gamma if ok else 1.0
         block = eat.BlockSpec(gamma, s_max)
         scale, sbar = block.test_mass, eat.expected_block_length(block)
-        lo, hi = eat.cut_interval(scale)
+        lo, hi = eat._cut_bounds(scale)
         terms.append((ok and lo < hi, gamma, block.s_max, scale, sbar,
                       n / sbar, math.log2(1 + 2 * 6**block.s_max), lo, hi))
     gamma_ok, gamma, s_max, scale, sbar, m, log2_do, lo, hi = column(terms, 0)

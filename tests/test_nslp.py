@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import itertools
 import signal
 
@@ -136,11 +137,9 @@ def zero_box_start(al):
                  for x in range(al.x_size) for y in range(al.y_size))
 
 
-def started_lp(game, slack):
-    """build_ns_lp's <= slack program with the deterministic box's start."""
-    lp = nslp.build_ns_lp(game, slack)
-    lp.start = zero_box_start(game.alphabets)
-    return lp
+def two_phase_lp(game, slack):
+    """build_ns_lp's program without its start: solved in two phases."""
+    return dataclasses.replace(nslp.build_ns_lp(game, slack), start=())
 
 
 def same_record(got, want):
@@ -580,14 +579,23 @@ class TestSingleSolve:
 
 
 class TestStart:
-    """perturbed_value's program starts at the deterministic box (0, 0):
-    phase 2 runs from there when every computed right-hand side is >= 0,
-    else the solve is the two-phase one."""
+    """build_ns_lp's <= slack program starts at the deterministic box
+    (0, 0): phase 2 runs from there when every computed right-hand side is
+    >= 0, else the solve is the two-phase one."""
 
     def games(self):
         rng = np.random.default_rng(3535)
         return ([chsh_game(), extended_chsh_game()]
                 + [random_game(rng) for _ in range(120)])
+
+    def test_le_form_carries_zero_box_start(self):
+        """The <= slack program's start is the oracle's; the = form has
+        none."""
+        for game in self.games():
+            start = zero_box_start(game.alphabets)
+            for form in FORMS:
+                assert nslp.build_ns_lp(game, form).start == (
+                    () if form is None else start)
 
     def test_taken_exactly_when_rhs_nonnegative(self):
         """The start's right-hand sides as the reference computes them:
@@ -600,10 +608,10 @@ class TestStart:
         for game in games:
             xy = game.alphabets.x_size * game.alphabets.y_size
             for slack in FORMS[1:]:
-                lp = started_lp(game, slack)
+                lp = nslp.build_ns_lp(game, slack)
                 tableau, basis = lp_oracle.start_tableau(lp)
                 assert (basis >= 0).all()
-                plain = nslp.solve(nslp.build_ns_lp(game, slack))
+                plain = nslp.solve(two_phase_lp(game, slack))
                 got = nslp.solve(lp)
                 if (tableau[:, -1] >= 0).all():
                     taken[slack] += 1
@@ -618,8 +626,9 @@ class TestStart:
     def test_refused_start_is_two_phase_solve(self, chsh):
         """A start whose pivot entry is 0, or that leaves a normalization
         row without a basic column, is refused."""
-        plain = nslp.solve(nslp.build_ns_lp(chsh, 0.01))
-        zero_entry, missing = started_lp(chsh, 0.01), started_lp(chsh, 0.01)
+        plain = nslp.solve(two_phase_lp(chsh, 0.01))
+        zero_entry, missing = (nslp.build_ns_lp(chsh, 0.01),
+                               nslp.build_ns_lp(chsh, 0.01))
         (row, _), (_, column) = zero_entry.start[:2]
         zero_entry.start = ((row, column),) + zero_entry.start[1:]
         missing.start = missing.start[1:]
@@ -645,7 +654,7 @@ class TestStart:
             assert [lp.start for lp in programs] == [()]
             value = nslp.perturbed_value(game, 0.01)
             assert programs[-1].start == zero_box_start(game.alphabets)
-            assert value == solve(started_lp(game, 0.01)).value
+            assert value == solve(nslp.build_ns_lp(game, 0.01)).value
 
 
 class TestWonOutright:
@@ -897,7 +906,7 @@ class TestLostBasis:
 
         monkeypatch.setattr(nslp, "_simplex_phase", recording_phase)
         monkeypatch.setattr(nslp, "_pivot", recording_pivot)
-        sol = nslp.solve(nslp.build_ns_lp(game, 0.0))
+        sol = nslp.solve(two_phase_lp(game, 0.0))
         assert sol.status == "optimal"
         assert len(offsets) == 6 and max(offsets) <= 2e-9
         optimum = nslp.solve(nslp.build_ns_lp(game)).value
@@ -931,10 +940,10 @@ class TestReferenceSolver:
             nslp.ns_value(game)
             assert all(lp.then is not None for lp in programs)
             continued += len(programs)
-            # every form, and perturbed_value's started programs
+            # every form, with and without the <= slack programs' start
             for lp in (programs
-                       + [nslp.build_ns_lp(game, form) for form in FORMS]
-                       + [started_lp(game, slack) for slack in (0.01, 0.05)]):
+                       + [two_phase_lp(game, form) for form in FORMS]
+                       + [nslp.build_ns_lp(game, s) for s in FORMS[1:]]):
                 got, want = solve(lp), lp_oracle.solve(lp)
                 assert got.status == want.status
                 assert got.value.hex() == want.value.hex()
@@ -948,7 +957,7 @@ class TestReferenceSolver:
         """The <= 0 form of a stalling game loses its basis in phase 1:
         solve stops there with SolverError, and every (leave, enter) pair
         it made is the reference's."""
-        lp = nslp.build_ns_lp(stalling_game(index), 0.0)
+        lp = two_phase_lp(stalling_game(index), 0.0)
         made, pivot = [], nslp._pivot
 
         def recording(tableau, leave, enter):
@@ -989,11 +998,11 @@ class TestReferenceSolver:
         for game in [chsh_game()] + [random_game(rng) for _ in range(10)]:
             for form in FORMS:
                 made.clear()
-                sol = nslp.solve(nslp.build_ns_lp(game, form))
+                sol = nslp.solve(two_phase_lp(game, form))
                 assert sol.pivots[0] > 0  # the = rows start on artificials
                 assert sum(sol.pivots) == len(made)
             for slack in (0.01, 0.05):
                 made.clear()
-                sol = nslp.solve(started_lp(game, slack))
+                sol = nslp.solve(nslp.build_ns_lp(game, slack))
                 assert sol.pivots[0] == len(zero_box_start(game.alphabets))
                 assert sum(sol.pivots) == len(made)

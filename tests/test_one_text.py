@@ -34,8 +34,10 @@ import di_toolkit
 # round (the test mass, the tail, the key length and the grid kernel), a
 # game's complete-support check (the non-signalling program, its dual and
 # the outright check), the conditionals Q(x|y), Q(y|x) (the signalling
-# matrix on floats, the signalling test on Fractions) and the secrecy
-# bound's radicand (the flat-extended bound and its slope on the regime)
+# matrix on floats, the signalling test on Fractions), the secrecy
+# bound's radicand (the flat-extended bound and its slope on the regime),
+# the test probability's domain (eat's, keyrates' and simulate's gamma)
+# and the winning probability's (the honest device's and the protocol's)
 MARKERS = ["LOG2_7", "LOG2_2SQRT2_PLUS_1", "xp.log2(8.0 / est",
            "exp(-2.0 *", "ceil(1.0 / gamma",
            "rng.random((m, block.s_max))", "rng.random(n)",
@@ -45,7 +47,8 @@ MARKERS = ["LOG2_7", "LOG2_2SQRT2_PLUS_1", "xp.log2(8.0 / est",
            "at_cut + slope * (", "(30.0 * d) ** 2", "k_pen * (",
            "(s_max > 1) & (gamma < 1)", "game must have complete support",
            "np.where(qy > 0, qy, 1)",
-           "16.0 * omega * (omega - 1.0) + 3.0"]
+           "16.0 * omega * (omega - 1.0) + 3.0",
+           "gamma must be in (0,1]", "omega_exp must be in [0,1]"]
 
 
 class _DropNested(ast.NodeTransformer):
@@ -248,10 +251,8 @@ def test_public_names_have_a_role():
 
 
 # the public names whose one role is a word in the README's Layout block:
-# the n-round box, whose table layout the de Finetti functions take, and
-# the checked cut interval, whose private body the key length and the grid
-# kernel call
-README_ONLY = {"boxes:MultiRoundBox", "eat:cut_interval"}
+# the n-round box, whose table layout the de Finetti functions take
+README_ONLY = {"boxes:MultiRoundBox"}
 
 
 def test_readme_only_names_are_listed():
