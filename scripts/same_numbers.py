@@ -3,7 +3,7 @@
 CLI compute, so that a refactor can show it moved no number.
 
 For each checkout it runs itself once more with that checkout's ``src/``
-first on PYTHONPATH, and hashes four groups there:
+first on PYTHONPATH, and hashes five groups there:
 
 - optimize: the 288 optimize_rate reports at the caps (soundness,
   completeness, eps_ec) = (1e-5, 1e-2, 1e-10), (1e-7, 1e-3, 1e-12),
@@ -36,7 +36,14 @@ first on PYTHONPATH, and hashes four groups there:
   at seed 7 on the per-round configurations of the abort law tests
   (COUNT_ONLY_CASES in tests/test_simulate.py); and round_count_statistics
   at fixed seeds, gamma = 1 and s_max = 1 among them (each a raise by its
-  type and message).
+  type and message);
+- domains: one line per input-domain probe (DOMAIN_PROBES) of eat's
+  BlockSpec, default_s_max, TradeoffSpec, f_min_block, f_min, mu_opt and
+  mu_block_opt, keyrates' ProtocolParams and RateTarget, and simulate's
+  HonestDevice, SimulationConfig, sampler, Wilson interval and abort and
+  round-count estimators: the value given in place of one argument of a
+  valid call, with the raise's type and message (or "returned" and the
+  type returned), so that a moved check message shows.
 
 It prints one SHA-1 per group and side, and exits 1 if any group differs.
 Under a group that differs it says how far it moved: how many lines differ,
@@ -66,7 +73,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-GROUPS = ("optimize", "scalar", "cli", "verify")
+GROUPS = ("optimize", "scalar", "cli", "verify", "domains")
 
 CAPS = [(1e-5, 1e-2, 1e-10), (1e-7, 1e-3, 1e-12), (1e-3, 0.1, 1e-9),
         (1e-5, 1.0 - 1e-13, 1e-15)]
@@ -340,6 +347,112 @@ def verify_lines(lib):
                 m, block, sim.HonestDevice(0.81, 0.01), 40, seed, tail))
 
 
+NAN, INF = math.nan, math.inf
+# the domains group's probes: (entry point, the valid call's keyword
+# arguments, {parameter: values put in its place, one at a time}); a
+# string names a module attribute, a callable builds the argument
+PROBE_GAMMA = [NAN, INF, -INF, 0.0, -0.5, 1.5, 1e-320, True, False]
+PROBE_DELTA = [NAN, INF, -INF, 0.0, 1.0, -5.0, 1e-323, True, False]
+PROBE_OMEGA = [NAN, INF, -INF, -0.1, 0.5, 1.5, True, False]
+PROBE_Q = [NAN, INF, -INF, -0.1, 0.6, True, False]
+PROBE_TRIALS = [NAN, INF, 0, 0.5, 2.5, -3, True, False]
+PROBE_COUNT = [NAN, INF, 0, 2.5, True]
+DOMAIN_PROBES = [
+    ("eat.BlockSpec", dict(gamma=0.3, s_max=4),
+     dict(gamma=PROBE_GAMMA, s_max=[NAN, 0, 2.5, True, False])),
+    ("eat.default_s_max", dict(gamma=0.3), dict(gamma=PROBE_GAMMA)),
+    ("eat.TradeoffSpec", dict(gamma=0.5, p_cut1=0.4),
+     dict(gamma=PROBE_GAMMA, p_cut1=[NAN, 0.0, 0.375, 0.5, True])),
+    ("eat.f_min_block", dict(p1_tilde=0.7, block=("BlockSpec", 0.5, 3),
+                             cut=0.72),
+     dict(p1_tilde=[NAN, INF, 0.0, 0.6, 2.0, True],
+          cut=[NAN, INF, 0.0, 0.65, 0.9, True])),
+    ("eat.f_min", dict(p1=0.4, spec=("TradeoffSpec", 0.5, 0.41)),
+     dict(p1=[NAN, INF, 0.0, 0.6, True])),
+    ("eat.mu_opt", dict(omega_exp=0.84, delta_est=1e-3, gamma=0.5, n=1e6,
+                        eps=("EatEpsilons", 1e-5, 1e-5)),
+     dict(omega_exp=PROBE_OMEGA, delta_est=PROBE_DELTA, gamma=PROBE_GAMMA,
+          n=[NAN, INF, 0.0, -1.0, True])),
+    # a subnormal test mass, whose cut interval rounds out of the regime
+    ("eat.mu_opt", dict(omega_exp=0.84, delta_est=1e-323, gamma=0.5,
+                        n=1e6, eps=("EatEpsilons", 1e-5, 1e-5)),
+     dict(gamma=[1e-320, 1e-310])),
+    ("eat.mu_block_opt", dict(omega_exp=0.84, delta_est=1e-323,
+                              block=("BlockSpec", 0.5, 1), m_blocks=1e6,
+                              eps=("EatEpsilons", 1e-5, 1e-5)),
+     dict(block=[("BlockSpec", 1e-320, 1), ("BlockSpec", 1e-310, 1)])),
+    ("eat.mu_block_opt", dict(omega_exp=0.84, delta_est=1e-3,
+                              block=("BlockSpec", 0.1, 10), m_blocks=1e5,
+                              eps=("EatEpsilons", 1e-5, 1e-5)),
+     dict(omega_exp=PROBE_OMEGA, delta_est=PROBE_DELTA,
+          m_blocks=[NAN, INF, 0.0, True])),
+    ("keyrates.ProtocolParams", dict(n=1e6, gamma=0.5, omega_exp=0.82,
+                                     delta_est=0.01, q=0.02),
+     dict(n=[NAN, INF, 0.5, True], gamma=PROBE_GAMMA, omega_exp=PROBE_OMEGA,
+          delta_est=PROBE_DELTA, q=PROBE_Q)),
+    ("keyrates.RateTarget", dict(n=1e6, q=0.02),
+     dict(n=[NAN, INF, 0.5, True], q=PROBE_Q)),
+    ("simulate.HonestDevice", dict(omega_exp=0.81, q=0.05),
+     dict(omega_exp=PROBE_OMEGA, q=PROBE_Q)),
+    ("simulate.SimulationConfig", dict(n=100, gamma=0.5, omega_exp=0.81,
+                                       delta_est=0.01,
+                                       device=("HonestDevice", 0.81, 0.05)),
+     dict(n=PROBE_COUNT, gamma=PROBE_GAMMA, omega_exp=PROBE_OMEGA,
+          delta_est=PROBE_DELTA)),
+    ("simulate.run_protocol", dict(n=100, gamma=0.5, omega_exp=0.81,
+                                   delta_est=0.02,
+                                   device=("HonestDevice", 0.81, 0.05),
+                                   seed=1, trial=0),
+     dict(n=PROBE_COUNT, gamma=PROBE_GAMMA, omega_exp=PROBE_OMEGA,
+          delta_est=PROBE_DELTA, trial=[NAN, 2.5, True, -1, 2**64])),
+    ("simulate.run_protocol_blocks", dict(m_blocks=20,
+                                          block=("BlockSpec", 0.3, 4),
+                                          omega_exp=0.81, delta_est=0.02,
+                                          device=("HonestDevice", 0.81, 0.05),
+                                          seed=1, trial=0),
+     dict(m_blocks=PROBE_COUNT, omega_exp=PROBE_OMEGA,
+          delta_est=PROBE_DELTA)),
+    ("simulate.wilson_interval", dict(successes=3, trials=10),
+     dict(successes=[NAN, -1, 11, 2.5, True], trials=PROBE_TRIALS)),
+    ("simulate.estimate_abort_probability",
+     dict(config=("SimulationConfig", 100, 0.5, 0.81, 0.01,
+                  ("HonestDevice", 0.81, 0.05)), trials=5, master_seed=1),
+     dict(trials=PROBE_TRIALS, master_seed=[NAN, 2.5, True])),
+    ("simulate.round_count_statistics",
+     dict(m_blocks=20, block=("BlockSpec", 0.3, 4),
+          device=("HonestDevice", 0.81, 0.05), trials=5, seed=1,
+          tail_t=1.0),
+     dict(m_blocks=PROBE_COUNT, trials=PROBE_TRIALS, tail_t=[NAN])),
+]
+
+
+def _build(lib, arg):
+    """An argument of a probe: a tuple (class name, *arguments) builds
+    that eat or simulate class, anything else is itself."""
+    if not isinstance(arg, tuple):
+        return arg
+    name, *args = arg
+    cls = getattr(lib.eat, name, None) or getattr(lib.simulate, name)
+    return cls(*(_build(lib, a) for a in args))
+
+
+def domain_lines(lib):
+    """One line per DOMAIN_PROBES probe: the raise's type and message, or
+    "returned" and the returned type, then the probe."""
+    for path, valid, domains in DOMAIN_PROBES:
+        module, name = path.split(".")
+        fn = getattr(getattr(lib, module), name)
+        for param, values in domains.items():
+            for value in values:
+                kwargs = {k: _build(lib, v) for k, v in valid.items()}
+                kwargs[param] = _build(lib, value)
+                try:
+                    outcome = f"returned {type(fn(**kwargs)).__name__}"
+                except Exception as exc:
+                    outcome = _raised(exc)
+                yield f"{outcome} <- {path}({param}={value!r})"
+
+
 def digest(lines):
     """SHA-1 over the lines, line count, lines that record a raise, and the
     lines themselves."""
@@ -393,7 +506,7 @@ def directions(parent, change):
 
 
 def side(checkout, examples):
-    """The four groups' digests in ``checkout``'s package; the working
+    """The five groups' digests in ``checkout``'s package; the working
     directory holds the CLI examples' input files."""
     import di_toolkit
     from di_toolkit import cli, keyrates as kr
@@ -403,7 +516,8 @@ def side(checkout, examples):
     return {"optimize": digest(optimize_lines(kr)),
             "scalar": digest(scalar_lines(kr)),
             "cli": digest(cli_lines(cli, examples)),
-            "verify": digest(verify_lines(di_toolkit))}
+            "verify": digest(verify_lines(di_toolkit)),
+            "domains": digest(domain_lines(di_toolkit))}
 
 
 def src_lines(checkout):

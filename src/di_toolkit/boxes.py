@@ -8,7 +8,8 @@ indices (mixed radix, round 1 least significant).
 Index conventions, fixed throughout the package:
 
 * single-round tables are indexed ``p[x][y][a][b]``,
-* game predicates are indexed ``win[a][b][x][y]``,
+* game predicates are indexed ``win[a][b][x][y]``, which _win_by_question
+  reorders to ``[x][y][a][b]``,
 * string flattening is little-endian: round i contributes ``digit * size**(i-1)``,
 * the *joint type* of an n-round entry is the multiset of its per-round
   symbols (x, y, a, b); two entries are related by a round permutation
@@ -277,12 +278,16 @@ class ObservedData:
 # single-round operations
 
 
+def _win_by_question(game: Game) -> np.ndarray:
+    """game.win reordered from [a][b][x][y] to the tables' [x][y][a][b]."""
+    return np.transpose(game.win, (2, 3, 0, 1))
+
+
 def winning_probability(box: SingleRoundBox, game: Game) -> float:
     """sum_{abxy} Q(x,y) P(a,b|x,y) R(a,b,x,y)."""
     if box.alphabets != game.alphabets:
         raise AlphabetMismatchError("box and game alphabets differ")
-    # win is [a][b][x][y]; reorder to [x][y][a][b]
-    w = np.transpose(game.win, (2, 3, 0, 1)).astype(float)
+    w = _win_by_question(game).astype(float)
     return float(np.einsum("xy,xyab,xyab->", game.q.q, box.p, w))
 
 
@@ -346,7 +351,7 @@ def classical_value(game: Game) -> float:
     if n_f > STRATEGY_ENUMERATION_CAP:
         raise EnumerationLimitError(
             f"{n_f} strategies of Alice exceed cap {STRATEGY_ENUMERATION_CAP}")
-    w = np.transpose(game.win, (2, 3, 0, 1))  # [x][y][a][b]
+    w = _win_by_question(game)
     return float(best_deterministic_score(game.q.q[:, :, None, None] * w))
 
 

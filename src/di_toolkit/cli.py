@@ -108,8 +108,8 @@ def _cmd_mu_opt(args):
     m = args.n / sbar
     value, cut = eat.mu_block_opt(args.omega_exp, args.delta_est, block, m,
                                   eps)
-    f = eat.f_min_block(args.omega_exp * block.test_mass - args.delta_est,
-                        block, cut)
+    p1 = eat._statistic(args.omega_exp, block.test_mass, args.delta_est)
+    f = eat.f_min_block(p1, block, cut)
     payload = {"mode": "block" if args.block else "per-round", "value": value,
                "best_cut": cut, "f_min": f, "second_order": f - value}
     if args.block:

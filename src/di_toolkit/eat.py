@@ -31,15 +31,15 @@ The public functions check their inputs and call private bodies, which
 keyrates calls on its own checked floats: _mu_block_opt, the one text of
 the best-cut rate (of mu_block_opt and mu_opt), and _tail and _hoeffding
 (of round_count_tail and hoeffding); the cut interval _cut_bounds has no
-public form.  BlockSpec's check _check_block is the one text of gamma's
-domain; the key length makes it and EatEpsilons' (_check_epsilons) on its
-floats and builds neither.  The terms that its numpy grid kernel shares
-with the scalar path (the tail rule _has_tail, the test mass, the cut
-interval, log2 d_O, the penalty K, the glued function's tangent at the
-cut with its slope (_tangent: g, g' from one root), the rate mu (_rate),
-the max-entropy bound and its smoothing root, the round count tail, the
-Hoeffding bound) take the namespace ``xp`` or are plain arithmetic;
-_tradeoff keeps g itself below the cut.
+public form.  One body each holds the statistic p~1 = omega_exp mass -
+delta_est (_statistic) and the domains of gamma (_check_block), delta_est
+and the QBER (_check_delta_est, _check_qber).  The terms that its numpy
+grid kernel shares with the scalar path (the statistic, the tail rule
+_has_tail, the test mass, the cut interval, log2 d_O, the penalty K, the
+glued function's tangent at the cut with its slope (_tangent: g, g' from
+one root), the rate mu (_rate), the max-entropy bound and its smoothing
+root, the round count tail, the Hoeffding bound) take the namespace ``xp``
+or are plain arithmetic; _tradeoff keeps g itself below the cut.
 """
 
 from __future__ import annotations
@@ -107,10 +107,10 @@ class BlockSpec:
 
 
 def _check_block(gamma, s_max):
-    """BlockSpec's check, on gamma and an int (no float or bool) s_max; a
-    block whose test mass 1 - (1-gamma)^s_max rounds to 0 (1 - gamma rounds
-    to 1: gamma <= 2^-54) is refused."""
-    if not 0 < gamma <= 1:
+    """BlockSpec's check, on gamma (no bool) and an int (no float or bool)
+    s_max; a block whose test mass 1 - (1-gamma)^s_max rounds to 0 (1 -
+    gamma rounds to 1: gamma <= 2^-54) is refused."""
+    if isinstance(gamma, bool) or not 0 < gamma <= 1:
         raise ValueError("gamma must be in (0,1]")
     if isinstance(s_max, bool) or not hasattr(s_max, "__index__"):
         raise ValueError(f"s_max must be an integer, not {s_max!r}")
@@ -119,6 +119,23 @@ def _check_block(gamma, s_max):
     if s_max > 1 and 1.0 - gamma == 1.0:
         raise ValueError("gamma too small: the test mass 1 - (1-gamma)^s_max "
                          "rounds to 0")
+
+
+def _check_delta_est(delta_est):
+    """The estimation width's domain, (0,1); NaN and bool fail."""
+    if not 0 < delta_est < 1:
+        raise ValueError("delta_est must be in (0,1)")
+
+
+def _check_qber(q):
+    """The QBER's domain, [0, 1/2]; NaN and bool fail."""
+    if isinstance(q, bool) or not 0 <= q <= 0.5:
+        raise ValueError("q must be in [0, 1/2]")
+
+
+def _statistic(omega_exp, mass, delta_est):
+    """p~1 = omega_exp mass - delta_est, the bound's and the abort rule's."""
+    return omega_exp * mass - delta_est
 
 
 def _block_mass(gamma, s_max):
@@ -192,17 +209,12 @@ def _tradeoff(p1_tilde: float, gamma: float, s_max: int, mass: float,
     """(f(p~1), f'(c), f(p~1) - k_pen (log2 d_O + f'(c))) of the glued
     function of blocks with test probability gamma, length cap s_max and
     test mass ``mass``, at cut c and penalty factor k_pen: the one text of
-    the glued function, its slope and its entropy rate on floats: checked,
-    _tangent above the cut and the secrecy bound at or below it."""
-    ratio = p1_tilde / mass
-    if not OMEGA_CLASSICAL - 1e-12 <= ratio <= 1.0 + 1e-12:  # NaN fails too
-        raise ValueError(f"normalized statistic {ratio} outside [3/4, 1]")
-    if not OMEGA_CLASSICAL < cut / mass < OMEGA_QUANTUM:
-        raise ValueError("cut outside the open quantum regime")
+    the glued function, its slope and its entropy rate on floats that its
+    callers check: _tangent above the cut, the bound g at or below it."""
     sbar = mass / gamma
     value, slope = _tangent(p1_tilde, sbar, mass, cut, math)
     if p1_tilde <= cut:
-        value = sbar * secrecy_bound(ratio)
+        value = sbar * secrecy_bound(p1_tilde / mass)
     return value, slope, _rate(value, slope, s_max, k_pen, math)
 
 
@@ -225,8 +237,13 @@ def f_min_block(p1_tilde: float, block: BlockSpec, cut: float) -> float:
     """Per-block min-tradeoff function: s_bar times the per-round bound in
     the normalized statistic p~(1) / (1 - (1-gamma)^s_max), glued at ``cut``
     (also on the p~(1) scale)."""
-    return _tradeoff(p1_tilde, block.gamma, block.s_max, block.test_mass, cut,
-                     0.0)[0]
+    mass = block.test_mass
+    ratio = p1_tilde / mass
+    if not OMEGA_CLASSICAL - 1e-12 <= ratio <= 1.0 + 1e-12:  # NaN fails too
+        raise ValueError(f"normalized statistic {ratio} outside [3/4, 1]")
+    if not OMEGA_CLASSICAL < cut / mass < OMEGA_QUANTUM:
+        raise ValueError("cut outside the open quantum regime")
+    return _tradeoff(p1_tilde, block.gamma, block.s_max, mass, cut, 0.0)[0]
 
 
 def mu_block_opt(omega_exp: float, delta_est: float, block: BlockSpec,
@@ -245,7 +262,7 @@ def _mu_block_opt(omega_exp, delta_est, gamma, s_max, mass, count, eps_s,
     """mu_block_opt on floats, with mass = _block_mass(gamma, s_max) and
     the epsilons and block already checked: the one text of the best-cut
     rate, which mu_block_opt, mu_opt and keyrates' key length call."""
-    p1 = omega_exp * mass - delta_est
+    p1 = _statistic(omega_exp, mass, delta_est)
     if not OMEGA_CLASSICAL <= p1 / mass <= 1.0:
         raise ValueError("test statistic outside the domain")
     if count <= 0:
@@ -257,6 +274,8 @@ def _mu_block_opt(omega_exp, delta_est, gamma, s_max, mass, count, eps_s,
         raise ValueError("empty cut interval")
     k_pen = _penalty_scale(eps_s, eps_e, count)
     cut = min(max(p1 - k_pen, lo), hi)
+    if not OMEGA_CLASSICAL < cut / mass < OMEGA_QUANTUM:  # subnormal mass
+        raise ValueError("cut outside the open quantum regime")
     return _tradeoff(p1, gamma, s_max, mass, cut, k_pen)[2], cut
 
 

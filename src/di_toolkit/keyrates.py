@@ -34,11 +34,11 @@ s_max > 1 and gamma < 1 (eat._has_tail, the one text of that rule);
 without one eps_t = 0 in every term.  The per-round protocol is the case
 of one-round blocks, s_max = 1 (m = n): key_length and key_length_block
 are one body, and the grid kernel scores every (gamma, s_max) row with
-the same formulas.  The inputs are checked once, where they enter; from
-there the key length is computed on floats, its entropy term by eat's
-float body of mu_block_opt, the budget's own terms first (the log
-correction takes log2(0) for eps_s below about 4.2e-8, so such a budget
-raises before the cut search).
+the same formulas.  The inputs are checked once, where they enter (by
+eat's domain checks); from there the key length is computed on floats,
+its entropy term by eat's float body of mu_block_opt, the budget's own
+terms first (the log correction takes log2(0) for eps_s below about
+4.2e-8, so such a budget raises before the cut search).
 
 optimize_rate runs a coarse (gamma, delta_est) grid, an epsilon split grid
 and one zoom that also searches s_max, in boxes set by the caps and the
@@ -84,21 +84,19 @@ class ProtocolParams:
     def __post_init__(self):
         _check_n_q(self.n, self.q)
         eat._check_block(self.gamma, 1)
-        if not 0 < self.delta_est < 1:
-            raise ValueError("delta_est must be in (0,1)")
+        eat._check_delta_est(self.delta_est)
         if not OMEGA_CLASSICAL <= self.omega_exp <= OMEGA_QUANTUM + 1e-12:
             raise ValueError("omega_exp must lie in the quantum CHSH regime")
 
 
 def _check_n_q(n, q):
     """The checks ProtocolParams and RateTarget share, written so that NaN
-    fails each: 1 <= n < inf and 0 <= q <= 1/2."""
+    fails each: 1 <= n < inf and q in eat._check_qber's [0, 1/2]."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not n < math.inf:
         raise ValueError("n must be finite")
-    if not 0 <= q <= 0.5:
-        raise ValueError("q must be in [0, 1/2]")
+    eat._check_qber(q)
 
 
 @dataclass(frozen=True)
@@ -435,9 +433,9 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, rows, deltas,
     - (G,): the block test mass, s_bar, m, log2 d_O, the cut interval and
       the leakage rate; (D,): eps_ec_prime and the leakage's two
       constants; (S,) and (E, S): _share_axis;
-    - (G, D, S): the entropy term (cut, penalty K, eat._tangent and its
-      slope, eat._rate) less the log correction, the PA term and the
-      leakage constants;
+    - (G, D, S): the entropy term (eat._statistic, cut, penalty K,
+      eat._tangent and its slope, eat._rate) less the log correction, the
+      PA term and the leakage constants;
     - (E, G, 1, S): the tail t and _eps_t_terms' n_eff * leakage rate,
       max-entropy term and root factor sqrt(n_eff) 4 log2(2 sqrt(2) + 1);
     - (E, 1, D, S): the leakage root, +inf where eps_ec_prime - 2
@@ -487,7 +485,7 @@ def _grid_key_lengths(target: RateTarget, caps: RateCaps, rows, deltas,
         prime_term, ec_term = _leak_constants(prime, caps.eps_ec, np)
 
         # (G, D, S): the eps_t-free terms
-        p1 = omega * mass - delta
+        p1 = eat._statistic(omega, mass, delta)
         k_pen = eat._penalty_scale(shares.es4, shares.eps_e, m, np)
         cut = np.minimum(np.maximum(p1 - k_pen, lo), hi)
         f_min, slope = eat._tangent(p1, sbar, mass, cut, np)

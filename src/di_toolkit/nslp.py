@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import Game, best_deterministic_score
+from .boxes import Game, _win_by_question, best_deterministic_score
 from .signalling import signalling_matrix
 
 SOLVER_TOL = 1e-9
@@ -121,10 +121,10 @@ class LPSolution:
     counted: the record is the two-phase solve's."""
 
     status: str  # optimal | infeasible | unbounded
+    basis: np.ndarray
+    pivots: tuple
     value: float = float("nan")
     primal: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    basis: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    pivots: tuple = (0, 0)
 
 
 class SolverError(RuntimeError):
@@ -381,7 +381,7 @@ def _win_table(game: Game) -> tuple:
     answer wins and 0 elsewhere, whose sum is the trivial bound."""
     if not game.q.complete_support:
         raise ValueError("game must have complete support")
-    wins = np.transpose(game.win, (2, 3, 0, 1))
+    wins = _win_by_question(game)
     return wins, np.where(wins.any(axis=(2, 3)), game.q.q, 0.0)
 
 

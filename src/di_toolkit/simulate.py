@@ -8,18 +8,18 @@ simulator is needed.
 
 One sampler, run_protocol_blocks, serves both protocols: run_protocol
 calls it with one-round blocks, s_max = 1.  A run of m blocks draws, in
-this order: an (m, s_max) array of test flags, each block cut at its
-first test or at s_max rounds; then, over the N rounds kept, the test
-wins; then the test-round inputs, Alice's outputs and the generation-round
-agreements.  A run aborts iff fewer than (omega_exp * test_mass -
-delta_est) * m blocks end in a won test.  The flag draw alone fixes a
-run's round count N, so round_count_statistics makes only that draw of
-each trial's stream.  At s_max = 1 the flag array is one uniform per
-round and the test mass is gamma itself, so the per-round stream and
-abort rule are the block ones of one-round blocks.  The abort estimator
-runs no sampler: the rounds are independent, so the per-round protocol's
-won test rounds are Bin(n, gamma omega_dev); it draws each trial's count
-from that law and applies the same threshold.
+this order: an (m, s_max) array of test flags, each block cut at its first
+test or at s_max rounds; then, over the N rounds kept, the test wins; then
+the test-round inputs, Alice's outputs and the generation-round
+agreements.  A run aborts iff fewer than p~1 m blocks end in a won test,
+p~1 the statistic eat._statistic at which keyrates evaluates the bound.
+The flag draw alone fixes a run's round count N, so round_count_statistics
+makes only that draw of each trial's stream.  At s_max = 1 the flag array
+is one uniform per round and the test mass is gamma itself, so the
+per-round stream and abort rule are the block ones of one-round blocks.
+The abort estimator runs no sampler: the rounds are independent, so the
+per-round protocol's won test rounds are Bin(n, gamma omega_dev); it draws
+each trial's count from that law and applies the same threshold.
 
 Randomness is a counter-based Philox generator keyed by
 (master_seed, trial_index) at counter 0, so transcripts are bit-identical
@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import _integer
-from .eat import BlockSpec, _check_block, expected_block_length
+from .eat import (BlockSpec, _check_block, _check_delta_est, _check_qber,
+                  _statistic, expected_block_length)
 from .signalling import _binomial_upper_tail
 
 GEN_INPUTS = (0, 2)  # (x, y) used in generation rounds
@@ -53,8 +54,7 @@ class HonestDevice:
 
     def __post_init__(self):
         _check_omega(self.omega_exp)
-        if not 0 <= self.q <= 0.5:
-            raise ValueError("q must be in [0, 1/2]")
+        _check_qber(self.q)
 
 
 @dataclass(frozen=True)
@@ -92,17 +92,17 @@ def _check_omega(omega_exp):
         raise ValueError("omega_exp must be in [0,1]")
 
 
-def _check_acceptance(omega_exp, delta_est):
-    """The protocol's acceptance parameters: omega_exp in [0,1]
-    (_check_omega) and delta_est in (0,1); NaN fails either."""
-    _check_omega(omega_exp)
-    if not 0 < delta_est < 1:
-        raise ValueError("delta_est must be in (0,1)")
-
-
 def _abort_threshold(m, test_mass, omega_exp, delta_est):
-    """A run of m blocks aborts iff fewer blocks end in a won test."""
-    return (omega_exp * test_mass - delta_est) * m
+    """A run of m blocks aborts iff fewer than m p~1 of them end in a won
+    test, p~1 = omega_exp test_mass - delta_est (eat._statistic)."""
+    return _statistic(omega_exp, test_mass, delta_est) * m
+
+
+def _trial_count(trials):
+    """The number of trials of an estimate, read as an integer >= 1."""
+    if (trials := _integer(trials, "trials")) < 1:
+        raise ValueError("trials must be >= 1")
+    return trials
 
 
 def _test_flags(m: int, block: BlockSpec,
@@ -143,7 +143,8 @@ def run_protocol_blocks(m_blocks: int, block: BlockSpec, omega_exp: float,
     (_abort_threshold).  The transcript is per-round; block boundaries
     follow from t.
     """
-    _check_acceptance(omega_exp, delta_est)
+    _check_omega(omega_exp)
+    _check_delta_est(delta_est)
     rng = _trial_rng(seed, trial)
     test = _test_flags(m_blocks, block, rng)
     n = test.size
@@ -171,9 +172,7 @@ def run_protocol_blocks(m_blocks: int, block: BlockSpec, omega_exp: float,
 def wilson_interval(successes: int, trials: int) -> tuple:
     """95% Wilson score interval for a binomial proportion, over fewer than
     2**63 trials (SimulationConfig's limit on n)."""
-    if not trials >= 1:  # NaN fails too
-        raise ValueError("trials must be >= 1")
-    if _integer(trials, "trials") >= 2**63:
+    if _trial_count(trials) >= 2**63:
         raise ValueError("trials must be below 2**63")
     if not 0 <= successes <= trials:  # NaN fails too
         raise ValueError("successes must be in [0, trials]")
@@ -204,7 +203,8 @@ class SimulationConfig:
             raise ValueError("n must be >= 1")
         if self.n >= 2**63:  # Generator.binomial's limit
             raise ValueError("n must be below 2**63")
-        _check_acceptance(self.omega_exp, self.delta_est)
+        _check_omega(self.omega_exp)
+        _check_delta_est(self.delta_est)
 
 
 def estimate_abort_probability(config: SimulationConfig, trials: int,
@@ -212,8 +212,7 @@ def estimate_abort_probability(config: SimulationConfig, trials: int,
     """(frequency, (lo, hi)) abort frequency with its 95% Wilson interval:
     trial k aborts as run_protocol does on draw k of Bin(n, gamma omega_dev),
     the won test rounds, from the master seed's trial-0 generator."""
-    if _integer(trials, "trials") < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _trial_count(trials)
     wins = _trial_rng(master_seed, 0).binomial(
         config.n, config.gamma * config.device.omega_exp, size=trials)
     aborts = int(np.count_nonzero(wins < _abort_threshold(
@@ -239,8 +238,7 @@ def round_count_statistics(m_blocks: int, block: BlockSpec,
     protocol runs, N read from each trial's flag draw alone (_test_flags)
     on trial 0's generator rekeyed to each trial's: run_protocol_blocks'
     transcript length at that seed and trial, for any ``device``."""
-    if _integer(trials, "trials") < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _trial_count(trials)
     if math.isnan(tail_t):
         raise ValueError("tail_t must not be NaN")
     nbar = m_blocks * expected_block_length(block)

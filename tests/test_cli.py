@@ -247,7 +247,8 @@ class TestGameCommands:
 
         def failing(lp):
             programs.append(lp)
-            return nslp.LPSolution(status="unbounded")
+            return nslp.LPSolution(status="unbounded", basis=np.zeros(0),
+                                   pivots=(0, 0))
 
         monkeypatch.setattr(nslp, "solve", failing)
         code = cli.main(["ns-value", "--game", chsh_file])

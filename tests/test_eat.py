@@ -41,10 +41,18 @@ def reference_mu_round(p1, gamma, cut, eps, n):
     return f - penalty, f, size + penalty
 
 
+def _checked_tradeoff(p1_tilde, gamma, s_max, mass, cut, k_pen):
+    """eat._tradeoff behind f_min_block's checks of the statistic and the
+    cut, which _tradeoff's callers make on its floats."""
+    eat.f_min_block(p1_tilde, eat.BlockSpec(gamma, s_max), cut)
+    return eat._tradeoff(p1_tilde, gamma, s_max, mass, cut, k_pen)
+
+
 def f_min_block_slope(block, cut):
-    """Max gradient of the glued per-block function: its slope at the cut."""
-    return eat._tradeoff(cut, block.gamma, block.s_max, block.test_mass, cut,
-                         0.0)[1]
+    """Max gradient of the glued per-block function: its slope at the cut,
+    which must lie in the open quantum regime."""
+    return _checked_tradeoff(cut, block.gamma, block.s_max, block.test_mass,
+                             cut, 0.0)[1]
 
 
 def _one_round(gamma):
@@ -236,8 +244,9 @@ def _tradeoff_outcome(fn, args):
 class TestTradeoffReference:
     """_tradeoff takes g and g' at its cut from one root; the retired text
     (tests/bound_oracle.py) took them from secrecy_bound and
-    secrecy_bound_slope.  The numbers and the errors are the same, bit for
-    bit."""
+    secrecy_bound_slope, and checked the statistic and the cut itself.
+    Behind f_min_block's checks the numbers and the errors are the same,
+    bit for bit."""
 
     def test_matches_retired_text_bitwise(self, rng):
         c, q = OMEGA_CLASSICAL, OMEGA_QUANTUM
@@ -258,7 +267,7 @@ class TestTradeoffReference:
             args = (ratio * mass, gamma, s_max, mass, cut_ratio * mass,
                     float(10.0 ** rng.uniform(-9.0, 0.0)))
             want = _tradeoff_outcome(bound_oracle.tradeoff, args)
-            assert _tradeoff_outcome(eat._tradeoff, args) == want, args
+            assert _tradeoff_outcome(_checked_tradeoff, args) == want, args
             if isinstance(want[0], type):
                 key = want[1].split(" ")[0]
             else:

@@ -36,8 +36,15 @@ import di_toolkit
 # the outright check), the conditionals Q(x|y), Q(y|x) (the signalling
 # matrix on floats, the signalling test on Fractions), the secrecy
 # bound's radicand (the flat-extended bound and its slope on the regime),
-# the test probability's domain (eat's, keyrates' and simulate's gamma)
-# and the winning probability's (the honest device's and the protocol's)
+# the test probability's domain (eat's, keyrates' and simulate's gamma),
+# the winning probability's (the honest device's and the protocol's), the
+# acceptance statistic omega_exp mass - delta_est (the entropy bound, the
+# grid kernel, mu-opt's f_min and the sampler's abort threshold), the
+# domains of delta_est and the QBER (keyrates' and simulate's), the win
+# table's [a][b][x][y] -> [x][y][a][b] reorder (the winning probability,
+# the classical value and the non-signalling programs) and the trial count
+# of simulate's estimates (the quoted text: definetti-verify's
+# "--trials must be >= 1" counts something else)
 MARKERS = ["LOG2_7", "LOG2_2SQRT2_PLUS_1", "xp.log2(8.0 / est",
            "exp(-2.0 *", "ceil(1.0 / gamma",
            "rng.random((m, block.s_max))", "rng.random(n)",
@@ -48,7 +55,9 @@ MARKERS = ["LOG2_7", "LOG2_2SQRT2_PLUS_1", "xp.log2(8.0 / est",
            "(s_max > 1) & (gamma < 1)", "game must have complete support",
            "np.where(qy > 0, qy, 1)",
            "16.0 * omega * (omega - 1.0) + 3.0",
-           "gamma must be in (0,1]", "omega_exp must be in [0,1]"]
+           "gamma must be in (0,1]", "omega_exp must be in [0,1]",
+           "omega_exp * mass - delta_est", "delta_est must be in (0,1)",
+           "q must be in [0, 1/2]", "(2, 3, 0, 1)", "'trials must be >= 1'"]
 
 
 class _DropNested(ast.NodeTransformer):
@@ -77,6 +86,15 @@ def function_bodies():
 def test_marker_in_one_function_body(marker):
     holders = [name for name, code in function_bodies() if marker in code]
     assert len(holders) == 1, holders
+
+
+def test_one_statistic_spelling():
+    """The acceptance statistic omega_exp mass - delta_est is spelled in
+    eat._statistic alone, whatever its operands are called elsewhere."""
+    spelled = re.compile(r"\*\s*[\w.]*mass\s*-\s*[\w.]*delta")
+    holders = [name for name, code in function_bodies()
+               if spelled.search(code)]
+    assert holders == ["eat:_statistic"]
 
 
 def test_no_golden_section_search():

@@ -242,22 +242,24 @@ def test_same_numbers_against_this_checkout():
     a last line with both sides' src line totals as wc -l counts them."""
     lines = run_script("same_numbers", "--parent", ROOT,
                        "--change", ROOT).splitlines()
-    assert [line.split(":")[0] for line in lines] == ["optimize", "scalar",
-                                                     "cli", "verify", "src"]
-    assert all(line.endswith(" same") for line in lines[:4])
+    assert [line.split(":")[0] for line in lines] == [
+        "optimize", "scalar", "cli", "verify", "domains", "src"]
+    assert all(line.endswith(" same") for line in lines[:5])
     total = wc_lines(ROOT)
-    assert lines[4] == f"src: parent {total} lines, change {total} lines (+0)"
+    assert lines[5] == f"src: parent {total} lines, change {total} lines (+0)"
     assert lines[0].startswith("optimize: 288 lines")
     assert lines[1].startswith("scalar: 6000 lines")
     assert lines[2].startswith("cli: 103 lines, 68 raised")
     assert lines[3].startswith("verify: 294 lines, 3 raised")
+    assert lines[4].startswith("domains: 300 lines, 275 raised")
 
 
 def test_same_numbers_sees_a_one_ulp_change(tmp_path):
     """A copy of src/ with LOG2_2SQRT2_PLUS_1 one ulp up: the optimize and
     scalar groups read DIFFERENT, each with a line saying how many of its
     lines moved and how far, and the script exits 1; the CLI's 9-digit
-    output and the verify group, which reads no key length, do not move.
+    output and the verify and domains groups, which read no key length,
+    do not move.
     The copy's keyrates.py ends in one more newline, and the src line
     counts it."""
     shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src")
@@ -277,10 +279,10 @@ def test_same_numbers_sees_a_one_ulp_change(tmp_path):
     verdicts = {line.split(":")[0]: line.rsplit(" ", 1)[1]
                 for line in lines[:-1] if not line.startswith(" ")}
     assert verdicts == {"optimize": "DIFFERENT", "scalar": "DIFFERENT",
-                        "cli": "same", "verify": "same"}
+                        "cli": "same", "verify": "same", "domains": "same"}
     # a moved-lines line under each DIFFERENT group, none under the others
     assert [line.startswith(" ") for line in lines] == [
-        False, True, False, True, False, False, False]
+        False, True, False, True, False, False, False, False]
     total = wc_lines(ROOT)
     assert wc_lines(tmp_path) == total + 1
     assert lines[-1] == (f"src: parent {total} lines, change {total + 1} "
@@ -340,3 +342,22 @@ def test_same_numbers_directions_of_canned_lines():
     assert same_numbers.directions(parent, change) == (1, 2)
     assert same_numbers.directions(change, parent) == (2, 1)
     assert same_numbers.directions(parent, parent) == (0, 0)
+
+
+def test_same_numbers_domain_lines():
+    """The domains group has one line per probe, each the probe's raise
+    (type and message) or what it returned, then the probe; a bool gamma
+    and the subnormal test mass are among them."""
+    import di_toolkit
+
+    same_numbers = load_script("same_numbers")
+    lines = list(same_numbers.domain_lines(di_toolkit))
+    assert len(lines) == sum(len(values) for _, _, domains
+                             in same_numbers.DOMAIN_PROBES
+                             for values in domains.values())
+    assert ("raise ValueError: gamma must be in (0,1] <- "
+            "eat.BlockSpec(gamma=True)") in lines
+    assert ("raise ValueError: cut outside the open quantum regime <- "
+            "eat.mu_opt(gamma=1e-320)") in lines
+    assert "returned HonestDevice <- simulate.HonestDevice(omega_exp=0.5)" \
+        in lines
