@@ -93,8 +93,7 @@ def _check_omega(omega_exp):
 
 
 def _abort_threshold(m, test_mass, omega_exp, delta_est):
-    """A run of m blocks aborts iff fewer than m p~1 of them end in a won
-    test, p~1 = omega_exp test_mass - delta_est (eat._statistic)."""
+    """Abort iff fewer than m p~1 blocks end in a won test (eat._statistic)."""
     return _statistic(omega_exp, test_mass, delta_est) * m
 
 
